@@ -81,6 +81,17 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
     return 0
 
 
+def _thread_count() -> int:
+    raw = os.environ.get("THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def _certificates(setup: ProblemSetup, lambdas) -> list[dict]:
     cert = setup.certificate
 
@@ -98,7 +109,7 @@ def _certificates(setup: ProblemSetup, lambdas) -> list[dict]:
             params, radius=cert["radius"], samples=cert["samples"], seed=cert["seed"]
         ).to_dict()
 
-    workers = int(os.environ.get("THREADS", "1"))
+    workers = _thread_count()
     if workers > 1 and len(lambdas) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, lambdas))

@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError
 from .grid import DomainMask, shift
-from .operators import (
-    Field,
-    QuasilinearOperator,
-    apply_operator,
-    linearize,
-    principal_linearized,
-    spatial_gradient,
-)
+from .operators import Field, OperatorStencil, QuasilinearOperator
 from .sobolev import SobolevSpace, riesz_solve
 from .weights import WeightSpec, mask_weight_sq
 
@@ -80,6 +73,11 @@ class FunctionalParams:
     warning; under the default "clamp" policy the value is pulled to the
     nearest point inside the window, under "keep" it is used as given (the
     convexity certificate sweeps rely on a fixed beta across lambda).
+
+    The fixed per-problem data of the masked DOF form is built here, once:
+    the operator stencil, the data weight on the core nodes, and the trace
+    values with their DOF positions and scale. Changing op, weight, mask,
+    data or beta afterwards is not supported; build new params instead.
     """
 
     op: QuasilinearOperator
@@ -112,10 +110,25 @@ class FunctionalParams:
                 )
         if not np.all(np.isfinite(self.data.g0)) or not np.all(np.isfinite(self.data.g1)):
             raise ConfigError("Cauchy data contains non-finite values")
-        # fused weight * quadrature factor of the data term
-        self.data_weight = mask_weight_sq(self.weight, self.mask) * self.mask.quad_weight
-        self.data_weight[~self.mask.is_core] = 0.0
+        mask = self.mask
+        self.stencil = OperatorStencil(self.op, mask)
+        # fused weight * quadrature factor of the data term, on the core nodes
+        self.core_weight = (mask_weight_sq(self.weight, mask) * mask.quad_weight)[mask.is_core]
+        inside = mask.in_mask
+        self._value_pos = np.flatnonzero(mask.value_layer[inside])
+        self._deriv_pos = np.flatnonzero(mask.deriv_layer[inside])
+        self._constrained_pos = np.flatnonzero(mask.constrained[inside])
+        self._g0 = self.data.g0[mask.value_layer]
+        self._g1 = self.data.g1[mask.deriv_layer]
+        self._trace_scale = 1.0 + max(
+            float(np.max(np.abs(self.data.g0))), float(np.max(np.abs(self.data.g1)))
+        )
         self._inner_h1: SobolevSpace | None = None
+
+    @property
+    def data_weight(self) -> np.ndarray:
+        """Full-grid data weight: core_weight on the core nodes, zero elsewhere."""
+        return self.stencil.to_grid(self.core_weight)
 
     @property
     def inner_h1_space(self) -> SobolevSpace:
@@ -125,28 +138,44 @@ class FunctionalParams:
         return self._inner_h1
 
     def check_constraints(self, u: Field, what: str = "field") -> None:
-        dev = self.data.violation(self.mask, u.values)
-        scale = 1.0 + max(
-            float(np.max(np.abs(self.data.g0))), float(np.max(np.abs(self.data.g1)))
-        )
-        if dev > self.constraint_tol * scale:
+        self.check_dofs(self.mask.gather(u.values), what)
+
+    def check_dofs(self, v: np.ndarray, what: str = "field") -> None:
+        """Raise when the DOF vector v does not carry the Cauchy data."""
+        dev = 0.0
+        if self._value_pos.size:
+            dev = float(np.max(np.abs(v[self._value_pos] - self._g0)))
+        if self._deriv_pos.size:
+            dev = max(dev, float(np.max(np.abs(v[self._deriv_pos] - self._g1))))
+        if dev > self.constraint_tol * self._trace_scale:
             raise ConstraintViolationError(
                 f"{what} violates the Cauchy constraints: max deviation {dev:.3g}"
             )
 
+    def impose_dofs(self, v: np.ndarray) -> np.ndarray:
+        """v with the trace layers overwritten by the Cauchy data (in place)."""
+        v[self._value_pos] = self._g0
+        v[self._deriv_pos] = self._g1
+        return v
+
     def impose(self, u: Field) -> Field:
-        out = self.data.impose(self.mask, u.values)
-        return Field(self.mask.grid, self.mask.zero_outside(out))
+        v = self.impose_dofs(self.mask.gather(u.values))
+        return Field(self.mask.grid, self.mask.scatter(v))
 
 
 def evaluate(params: FunctionalParams, u: Field) -> float:
     """Value of the weighted Tikhonov functional at a constrained field."""
-    params.check_constraints(u)
-    r = apply_operator(params.op, u, params.mask).values
-    data_term = float(np.sum(r * r * params.data_weight))
+    v = params.mask.gather(u.values)
+    params.check_dofs(v)
+    return _value(params, v)
+
+
+def _value(params: FunctionalParams, v: np.ndarray) -> float:
+    r = params.stencil.residual(v)
+    data_term = float(np.sum(r * r * params.core_weight))
     if not np.isfinite(data_term):
         raise ConvexCauchyError("weighted residual overflowed; reduce lambda")
-    return data_term + params.beta * params.space.norm_sq(u)
+    return data_term + params.beta * params.space.dof_norm_sq(v)
 
 
 def data_term_value(params: FunctionalParams, residual_like: np.ndarray) -> float:
@@ -162,18 +191,22 @@ def gradient(params: FunctionalParams, u: Field, mode: str = "euclidean") -> Fie
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
-    params.check_constraints(u)
-    r = apply_operator(params.op, u, params.mask).values
-    lin = linearize(params.op, u, params.mask)
-    g = 2.0 * lin.apply(params.data_weight * r, adjoint=True)
-    g += 2.0 * params.beta * params.space.apply_gram(u.values)
-    g[params.mask.constrained] = 0.0
-    out = Field(params.mask.grid, g)
+    v = params.mask.gather(u.values)
+    params.check_dofs(v)
+    out = Field(params.mask.grid, params.mask.scatter(_euclidean_gradient(params, v)))
     if mode == "euclidean":
         return out
     return riesz_solve(
         params.space, out, tol=params.riesz_tol, max_iters=params.riesz_max_iters
     )
+
+
+def _euclidean_gradient(params: FunctionalParams, v: np.ndarray) -> np.ndarray:
+    r = params.stencil.residual(v)
+    g = 2.0 * params.stencil.linearize(v).adjoint(params.core_weight * r)
+    g += 2.0 * params.beta * params.space.dof_gram(v)
+    g[params._constrained_pos] = 0.0
+    return g
 
 
 def bregman_gap(params: FunctionalParams, u1: Field, u2: Field) -> tuple[float, float, float]:
@@ -183,19 +216,21 @@ def bregman_gap(params: FunctionalParams, u1: Field, u2: Field) -> tuple[float, 
     Returns (gap, ||u2-u1||^2_{H^1(inner)}, ||u2-u1||^2_{H^k(mask)}).
     The certificate passes iff gap >= (beta/2) * the H^k term.
     """
-    params.check_constraints(u1, "first field")
-    params.check_constraints(u2, "second field")
-    h = Field(params.mask.grid, u2.values - u1.values)
-    if np.max(np.abs(h.values[params.mask.constrained])) > params.constraint_tol:
+    v1 = params.mask.gather(u1.values)
+    v2 = params.mask.gather(u2.values)
+    params.check_dofs(v1, "first field")
+    params.check_dofs(v2, "second field")
+    h = v2 - v1
+    if np.max(np.abs(h[params._constrained_pos])) > params.constraint_tol:
         raise ConstraintViolationError(
             "the two fields carry different trace data; their difference is not zero-trace"
         )
-    j1 = evaluate(params, u1)
-    j2 = evaluate(params, u2)
-    g1 = gradient(params, u1, mode="euclidean")
-    gap = j2 - j1 - float(np.sum(g1.values * h.values))
-    h1_inner = params.inner_h1_space.norm_sq(h)
-    hk_full = params.space.norm_sq(h)
+    j1 = _value(params, v1)
+    j2 = _value(params, v2)
+    g1 = _euclidean_gradient(params, v1)
+    gap = j2 - j1 - float(np.sum(g1 * h))
+    h1_inner = params.inner_h1_space.dof_norm_sq(h)
+    hk_full = params.space.dof_norm_sq(h)
     return gap, h1_inner, hk_full
 
 
@@ -227,27 +262,21 @@ def carleman_ratio(op: QuasilinearOperator, weight: WeightSpec, mask: DomainMask
         raise ConfigError(
             "field is not compactly supported: values reach the boundary-adjacent layers"
         )
-    w = mask_weight_sq(weight, mask) * mask.quad_weight
-    w[~mask.is_core] = 0.0
-
-    lin = principal_linearized(op, mask)
-    a0h = lin.apply(vals)
+    core = mask.is_core
+    w = (mask_weight_sq(weight, mask) * mask.quad_weight)[core]
+    stencil = OperatorStencil(op, mask)
+    v = mask.gather(vals)
+    a0h = stencil.principal(v)
     num = float(np.sum(a0h * a0h * w))
 
     lam = weight.lam
-    n_spatial = mask.grid.dim if op.family == "elliptic" else mask.grid.dim - 1
-    grad = spatial_gradient(vals, mask.grid, n_spatial)
+    grad = stencil.gradient(v)
     first_order = np.sum(grad * grad, axis=-1)
     if op.family == "hyperbolic":
-        t_axis = mask.grid.dim - 1
-        off = [0] * mask.grid.dim
-        off[t_axis] = 1
-        plus = shift(vals, off)
-        off[t_axis] = -1
-        minus = shift(vals, off)
-        ht = (plus - minus) / (2.0 * mask.grid.spacing[t_axis])
+        ht = stencil.d1(v, mask.grid.dim - 1)
         first_order = first_order + ht * ht
-    den = float(np.sum((lam * first_order + lam**3 * vals * vals) * w))
+    h_core = v[stencil.core_pos]
+    den = float(np.sum((lam * first_order + lam**3 * h_core * h_core) * w))
     if den <= 0.0:
         raise ConvexCauchyError("degenerate Carleman denominator")
     return num / den

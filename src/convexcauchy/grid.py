@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import IntEnum
 from typing import Callable, Sequence
 
@@ -244,8 +245,59 @@ def _neighbor_offsets(dim: int) -> list[tuple[int, ...]]:
     return [o for o in itertools.product((-1, 0, 1), repeat=dim) if any(o)]
 
 
+def axis_offset(dim: int, axis: int, step: int = 1) -> tuple[int, ...]:
+    off = [0] * dim
+    off[axis] = step
+    return tuple(off)
+
+
+def neighbor_table(nodes: np.ndarray, offset: Sequence[int],
+                   rows: np.ndarray | None = None) -> np.ndarray:
+    """Gather table of one stencil offset over the C-order numbering of `nodes`.
+
+    Entry k is the position, among the True entries of `nodes`, of p_k + offset,
+    where p_k is the k-th True entry of `rows` (default: `nodes` itself). Where
+    p + offset is not a node or leaves the grid the entry is the sentinel
+    nodes.sum(), one past the end, which reads zero from a vector extended by
+    one zero slot: `np.append(v, 0.0)[table]`.
+    """
+    n = int(np.count_nonzero(nodes))
+    number = np.full(nodes.shape, n, dtype=np.intp)
+    number[nodes] = np.arange(n)
+    return shift(number, offset, fill=n)[nodes if rows is None else rows]
+
+
+class Halo:
+    """The masked nodes plus one layer of neighbours, with per-axis gather tables.
+
+    A field that vanishes outside the mask keeps its support inside the halo
+    through one sweep of +-1 neighbour stencils along every axis in turn, so
+    during such a sweep the zero sentinel of the tables reads exactly what a
+    full-grid computation would read.
+    """
+
+    def __init__(self, in_mask: np.ndarray, free: np.ndarray):
+        dim = in_mask.ndim
+        nodes = in_mask.copy()
+        for off in _neighbor_offsets(dim):
+            nodes |= shift(in_mask, off, fill=False)
+        self.index = np.flatnonzero(nodes.ravel())  # flat node index per halo slot
+        self.free = free[nodes]
+        self.dof_pos = np.flatnonzero(in_mask[nodes])  # halo slots of the masked DOFs
+        self.tables = [
+            (neighbor_table(nodes, axis_offset(dim, a)),
+             neighbor_table(nodes, axis_offset(dim, a, -1)))
+            for a in range(dim)
+        ]
+
+
 class DomainMask:
     """Per-node classification of a grid against a level spec, plus quadrature.
+
+    The masked nodes are the degrees of freedom (DOFs) of the solver: a DOF
+    vector holds one value per masked node, in C order (`dofs` gives their
+    flat node indices). `gather` and `scatter` convert between DOF vectors and
+    full-grid arrays, which are zero outside the mask.
 
     Attributes:
         grid: the underlying Grid.
@@ -282,11 +334,27 @@ class DomainMask:
         self.constrained = value_layer | deriv_layer
         self.free = self.in_mask & ~self.constrained
         self.counts = {lab.name.lower(): int(np.sum(label == lab)) for lab in Label}
+        self.dofs = np.flatnonzero(self.in_mask.ravel())
 
         for arr in (self.label, self.quad_weight, self.ell, self.value_layer,
                     self.deriv_layer, self.in_mask, self.is_core, self.is_inner,
-                    self.constrained, self.free):
+                    self.constrained, self.free, self.dofs):
             arr.setflags(write=False)
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """DOF vector of a full-grid array."""
+        return values.ravel()[self.dofs]
+
+    def scatter(self, vec: np.ndarray) -> np.ndarray:
+        """Full-grid array of a DOF vector, zero outside the mask."""
+        out = np.zeros(self.grid.shape)
+        out.ravel()[self.dofs] = vec
+        return out
+
+    @cached_property
+    def halo(self) -> Halo:
+        """Halo of the mask, built on first use (only random draws need it)."""
+        return Halo(self.in_mask, self.free)
 
     @property
     def mask_node_count(self) -> int:

@@ -510,16 +510,18 @@ def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
 
 
 def history_rows(run_report) -> list[dict]:
-    rows = []
-    steps = run_report.step_history
-    for i, (j, g) in enumerate(zip(run_report.j_history, run_report.grad_norm_history)):
-        rows.append({
+    """One row per J in the history; at the iteration cap the last row holds
+    the J of the final step, with empty gradient-norm and step cells."""
+    grads, steps = run_report.grad_norm_history, run_report.step_history
+    return [
+        {
             "iter": i,
             "j": j,
-            "grad_norm": g,
+            "grad_norm": grads[i] if i < len(grads) else "",
             "step": steps[i] if i < len(steps) else "",
-        })
-    return rows
+        }
+        for i, j in enumerate(run_report.j_history)
+    ]
 
 
 def starting_field(setup: ProblemSetup) -> Field:

@@ -13,11 +13,14 @@ analytic partial derivatives. `grad u` always means the spatial gradient.
 The linearization freezes N's partials at a base field and is an exact
 derivative of the discrete residual map, so its transpose (apply with
 adjoint=True) satisfies the discrete duality identity to rounding.
+
+OperatorStencil does the arithmetic on masked DOF vectors (see DomainMask)
+through per-offset gather tables, one elementwise difference at a time; the
+Field-level functions at the bottom wrap it for full-grid callers.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError
-from .grid import DomainMask, Grid, shift
+from .grid import DomainMask, Grid, axis_offset, neighbor_table
 
 logger = logging.getLogger(__name__)
 
@@ -270,133 +273,135 @@ def _wave_coefficient(op: QuasilinearOperator, points: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# stencil kernels
+# stencils on masked DOFs
 
 
-def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    off = [0] * values.ndim
-    off[axis] = 1
-    plus = shift(values, off)
-    off[axis] = -1
-    minus = shift(values, off)
-    return (plus - minus) / (2.0 * h)
+class OperatorStencil:
+    """The discrete operator of (op, mask) acting on masked DOF vectors.
 
+    The residual and the linearization live on the core nodes. A core node
+    keeps its whole 3^d neighbourhood inside the mask, so its stencil reads
+    masked DOFs only. Each difference is the same elementwise expression as
+    on the full grid, with a gather in place of a shift, so the results agree
+    with a full-grid computation bit for bit on every node.
 
-def _d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    off = [0] * values.ndim
-    off[axis] = 1
-    plus = shift(values, off)
-    off[axis] = -1
-    minus = shift(values, off)
-    return (plus - 2.0 * values + minus) / (h * h)
-
-
-def _d2_mixed(values: np.ndarray, ax_i: int, ax_j: int, hi: float, hj: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    for si in (1, -1):
-        for sj in (1, -1):
-            off = [0] * values.ndim
-            off[ax_i] = si
-            off[ax_j] = sj
-            out += si * sj * shift(values, off)
-    return out / (4.0 * hi * hj)
-
-
-def spatial_gradient(values: np.ndarray, grid: Grid, n_spatial: int) -> np.ndarray:
-    """Centered first differences along the spatial axes, shape (..., n)."""
-    comps = [_d1(values, j, grid.spacing[j]) for j in range(n_spatial)]
-    return np.stack(comps, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# per-(operator, mask) discretization cache
-
-
-class _StencilTerms:
-    """Precomputed per-node coefficient arrays of the frozen principal part.
-
-    second_pure: list of (axis, coeff array)
-    second_mixed: list of (axis_i, axis_j, coeff array) with the symmetric
-        pair already summed
-    first: list of (axis, coeff array), used for the parabolic time derivative
-    All coefficient arrays vanish off the core nodes.
+    Coefficients are vectors over the core nodes, in C order:
+        second_pure: list of (axis, coeff)
+        second_mixed: list of (axis_i, axis_j, coeff), the symmetric pair summed
+        first: list of (axis, coeff), the parabolic time derivative
+    tables[off] maps each core node to the DOF at node + off; adjoint_tables[off]
+    maps each DOF to the core node at DOF - off, or to the zero sentinel.
     """
 
     def __init__(self, op: QuasilinearOperator, mask: DomainMask):
+        self.op = op
+        self.mask = mask
         grid = mask.grid
         core = mask.is_core
-        pts = grid.coords()
+        self.points = grid.coords()[core]
+        n_core = self.points.shape[0]
         self.second_pure: list[tuple[int, np.ndarray]] = []
         self.second_mixed: list[tuple[int, int, np.ndarray]] = []
         self.first: list[tuple[int, np.ndarray]] = []
 
         if op.family in ("elliptic", "parabolic"):
             sgn = 1.0 if op.family == "elliptic" else -1.0
-            coeff = np.zeros(grid.shape + (op.n_spatial, op.n_spatial))
-            coeff[core] = _principal_matrix(op, pts[core])
+            coeff = _principal_matrix(op, self.points)
             for i in range(op.n_spatial):
-                arr = sgn * coeff[..., i, i]
-                arr[~core] = 0.0
-                self.second_pure.append((i, arr))
+                self.second_pure.append((i, sgn * coeff[:, i, i]))
                 for j in range(i + 1, op.n_spatial):
-                    arr = 2.0 * sgn * coeff[..., i, j]
-                    arr[~core] = 0.0
+                    arr = 2.0 * sgn * coeff[:, i, j]
                     if np.any(arr):
                         self.second_mixed.append((i, j, arr))
             if op.family == "parabolic":
-                t_coeff = np.where(core, 1.0, 0.0)
-                self.first.append((grid.dim - 1, t_coeff))
+                self.first.append((grid.dim - 1, np.ones(n_core)))
         else:
-            a = np.zeros(grid.shape)
-            a[core] = _wave_coefficient(op, pts[core])
-            self.second_pure.append((grid.dim - 1, a))
+            self.second_pure.append((grid.dim - 1, _wave_coefficient(op, self.points)))
             for j in range(op.n_spatial):
-                arr = np.where(core, -1.0, 0.0)
-                self.second_pure.append((j, arr))
+                self.second_pure.append((j, np.full(n_core, -1.0)))
+
+        center = axis_offset(grid.dim, 0, 0)
+        offsets = {center}
+        for axis in range(grid.dim):
+            offsets |= {axis_offset(grid.dim, axis, 1), axis_offset(grid.dim, axis, -1)}
+        for ai, aj, _ in self.second_mixed:
+            offsets |= set(_mixed_offsets(grid.dim, ai, aj))
+        self.tables = {off: neighbor_table(mask.in_mask, off, rows=core) for off in offsets}
+        self.adjoint_tables = {
+            off: neighbor_table(core, [-o for o in off], rows=mask.in_mask) for off in offsets
+        }
+        self.core_pos = self.tables[center]  # DOF position of each core node
+
+    def to_grid(self, core_values: np.ndarray) -> np.ndarray:
+        """Full-grid array of core-node values, zero elsewhere."""
+        out = np.zeros(self.mask.grid.shape)
+        out[self.mask.is_core] = core_values
+        return out
+
+    def d1(self, v: np.ndarray, axis: int) -> np.ndarray:
+        dim, h = self.mask.grid.dim, self.mask.grid.spacing[axis]
+        plus = v[self.tables[axis_offset(dim, axis, 1)]]
+        minus = v[self.tables[axis_offset(dim, axis, -1)]]
+        return (plus - minus) / (2.0 * h)
+
+    def d2(self, v: np.ndarray, axis: int) -> np.ndarray:
+        dim, h = self.mask.grid.dim, self.mask.grid.spacing[axis]
+        plus = v[self.tables[axis_offset(dim, axis, 1)]]
+        minus = v[self.tables[axis_offset(dim, axis, -1)]]
+        return (plus - 2.0 * v[self.core_pos] + minus) / (h * h)
+
+    def d2_mixed(self, v: np.ndarray, ax_i: int, ax_j: int) -> np.ndarray:
+        out = np.zeros(self.core_pos.size)
+        for (si, sj), off in zip(_SIGN_PAIRS, _mixed_offsets(self.mask.grid.dim, ax_i, ax_j)):
+            out += si * sj * v[self.tables[off]]
+        spacing = self.mask.grid.spacing
+        return out / (4.0 * spacing[ax_i] * spacing[ax_j])
+
+    def gradient(self, v: np.ndarray) -> np.ndarray:
+        """Centered first differences along the spatial axes, shape (n_core, n)."""
+        return np.stack([self.d1(v, j) for j in range(self.op.n_spatial)], axis=-1)
+
+    def principal(self, v: np.ndarray) -> np.ndarray:
+        """Principal-part residual on the core nodes.
+
+        Parabolic keeps the time derivative, hyperbolic keeps a(x) u_tt.
+        """
+        out = np.zeros(self.core_pos.size)
+        for axis, c in self.second_pure:
+            out += c * self.d2(v, axis)
+        for ai, aj, c in self.second_mixed:
+            out += c * self.d2_mixed(v, ai, aj)
+        for axis, c in self.first:
+            out += c * self.d1(v, axis)
+        return out
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """Full residual including the lower-order term, on the core nodes."""
+        out = self.principal(v)
+        lower = self.op.lower
+        if lower is not None:
+            nval = lower.value(self.points, self.gradient(v), v[self.core_pos])
+            if not np.all(np.isfinite(nval)):
+                raise ConvexCauchyError("lower-order term produced non-finite values")
+            out += self.op.lower_sign * nval
+        return out
+
+    def linearize(self, base: np.ndarray) -> "LinearizedOperator":
+        """Exact derivative of the residual map at the DOF vector `base`."""
+        return LinearizedOperator(self, base)
 
 
-@functools.lru_cache(maxsize=64)
-def _stencil_terms(op: QuasilinearOperator, mask: DomainMask) -> _StencilTerms:
-    return _StencilTerms(op, mask)
+_SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _apply_terms(terms: _StencilTerms, grid: Grid, values: np.ndarray) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for axis, c in terms.second_pure:
-        out += c * _d2(values, axis, grid.spacing[axis])
-    for ai, aj, c in terms.second_mixed:
-        out += c * _d2_mixed(values, ai, aj, grid.spacing[ai], grid.spacing[aj])
-    for axis, c in terms.first:
-        out += c * _d1(values, axis, grid.spacing[axis])
+def _mixed_offsets(dim: int, ax_i: int, ax_j: int) -> list[tuple[int, ...]]:
+    out = []
+    for si, sj in _SIGN_PAIRS:
+        off = [0] * dim
+        off[ax_i] = si
+        off[ax_j] = sj
+        out.append(tuple(off))
     return out
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def apply_principal(op: QuasilinearOperator, u: Field, mask: DomainMask) -> Field:
-    """Principal-part residual on core nodes, zero elsewhere.
-
-    Parabolic keeps the time derivative, hyperbolic keeps a(x) u_tt.
-    """
-    terms = _stencil_terms(op, mask)
-    out = _apply_terms(terms, mask.grid, u.values)
-    return Field(mask.grid, out)
-
-
-def apply_operator(op: QuasilinearOperator, u: Field, mask: DomainMask) -> Field:
-    """Full residual including the lower-order term, on core nodes."""
-    out = apply_principal(op, u, mask).values
-    if op.lower is not None:
-        core = mask.is_core
-        pts = mask.grid.coords()[core]
-        grad = spatial_gradient(u.values, mask.grid, op.n_spatial)[core]
-        nval = op.lower.value(pts, grad, u.values[core])
-        if not np.all(np.isfinite(nval)):
-            raise ConvexCauchyError("lower-order term produced non-finite values")
-        out[core] += op.lower_sign * nval
-    return Field(mask.grid, out)
 
 
 class LinearizedOperator:
@@ -406,88 +411,87 @@ class LinearizedOperator:
 
         L h = A0 h + s * (sum_i dN/d(grad_i) * h_{xi} + dN/du * h)
 
-    with s the family sign of the lower-order term. apply(..., adjoint=True)
-    is the exact transpose of the discrete forward map.
+    with s the family sign of the lower-order term. `forward` maps a DOF
+    vector to core-node values and `adjoint` is its exact transpose, a gather
+    at each negated stencil offset. `apply` does the same on full-grid arrays.
     """
 
-    def __init__(self, op: QuasilinearOperator, base: Field, mask: DomainMask):
-        self.grid = mask.grid
-        self.mask = mask
-        terms = _stencil_terms(op, mask)
-        self.second_pure = list(terms.second_pure)
-        self.second_mixed = list(terms.second_mixed)
-        self.first = list(terms.first)
+    def __init__(self, stencil: OperatorStencil, base: np.ndarray):
+        self.stencil = stencil
+        self.mask = stencil.mask
+        self.grid = stencil.mask.grid
+        self.second_pure = list(stencil.second_pure)
+        self.second_mixed = list(stencil.second_mixed)
+        self.first = list(stencil.first)
         self.zeroth: np.ndarray | None = None
 
+        op = stencil.op
         if op.lower is not None:
-            core = mask.is_core
-            pts = self.grid.coords()[core]
-            grad = spatial_gradient(base.values, self.grid, op.n_spatial)[core]
-            uvals = base.values[core]
+            pts = stencil.points
+            grad = stencil.gradient(base)
+            uvals = base[stencil.core_pos]
             sgn = op.lower_sign
             dg = sgn * np.asarray(op.lower.d_grad(pts, grad, uvals), dtype=float)
             du = sgn * np.asarray(op.lower.d_u(pts, grad, uvals), dtype=float)
             if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(du))):
                 raise ConvexCauchyError("lower-order partials are non-finite at the base field")
+            dg = np.broadcast_to(dg, grad.shape)
             for i in range(op.n_spatial):
-                c = np.zeros(self.grid.shape)
-                c[core] = dg[..., i]
-                if np.any(c):
-                    self.first.append((i, c))
-            z = np.zeros(self.grid.shape)
-            z[core] = du
-            self.zeroth = z
+                if np.any(dg[:, i]):
+                    self.first.append((i, dg[:, i]))
+            self.zeroth = np.broadcast_to(du, uvals.shape)
 
-    def _shift_terms(self):
-        """Yield (offset, coeff array, scale) triples of the stencil."""
+    def _terms(self):
+        """Yield (offset, coeff vector, scale) triples of the stencil."""
         d = self.grid.dim
         for axis, c in self.second_pure:
             h2 = self.grid.spacing[axis] ** 2
             for s, w in ((1, 1.0), (0, -2.0), (-1, 1.0)):
-                off = [0] * d
-                off[axis] = s
-                yield tuple(off), c, w / h2
+                yield axis_offset(d, axis, s), c, w / h2
         for ai, aj, c in self.second_mixed:
             denom = 4.0 * self.grid.spacing[ai] * self.grid.spacing[aj]
-            for si in (1, -1):
-                for sj in (1, -1):
-                    off = [0] * d
-                    off[ai] = si
-                    off[aj] = sj
-                    yield tuple(off), c, si * sj / denom
+            for (si, sj), off in zip(_SIGN_PAIRS, _mixed_offsets(d, ai, aj)):
+                yield off, c, si * sj / denom
         for axis, c in self.first:
             h2 = 2.0 * self.grid.spacing[axis]
             for s, w in ((1, 1.0), (-1, -1.0)):
-                off = [0] * d
-                off[axis] = s
-                yield tuple(off), c, w / h2
+                yield axis_offset(d, axis, s), c, w / h2
         if self.zeroth is not None:
-            yield (0,) * d, self.zeroth, 1.0
+            yield axis_offset(d, 0, 0), self.zeroth, 1.0
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        """L v on the core nodes, for a DOF vector v."""
+        out = np.zeros(self.stencil.core_pos.size)
+        for off, c, w in self._terms():
+            out += w * c * v[self.stencil.tables[off]]
+        return out
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """L^T y as a DOF vector, for core-node values y."""
+        out = np.zeros(self.mask.dofs.size)
+        for off, c, w in self._terms():
+            out += w * np.append(c * y, 0.0)[self.stencil.adjoint_tables[off]]
+        return out
 
     def apply(self, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
+        """Forward or transpose action on a full-grid array."""
         if adjoint:
-            for off, c, w in self._shift_terms():
-                out += w * shift(c * values, [-o for o in off])
-        else:
-            for off, c, w in self._shift_terms():
-                out += w * c * shift(values, off)
-        return out
+            return self.mask.scatter(self.adjoint(values[self.mask.is_core]))
+        return self.stencil.to_grid(self.forward(self.mask.gather(values)))
 
     def to_matrix(self) -> "scipy.sparse.csr_matrix":
         """Assemble the forward map as a sparse matrix over flat node indices."""
         import scipy.sparse as sp
 
         n = self.grid.node_count
-        idx = np.arange(n).reshape(self.grid.shape)
+        dofs = self.mask.dofs
+        core_nodes = dofs[self.stencil.core_pos]
         rows, cols, vals = [], [], []
-        for off, c, w in self._shift_terms():
+        for off, c, w in self._terms():
             sel = c != 0.0
-            target = shift(idx, off, fill=-1)
-            ok = sel & (target >= 0)
-            rows.append(idx[ok])
-            cols.append(target[ok])
-            vals.append(w * c[ok])
+            rows.append(core_nodes[sel])
+            cols.append(dofs[self.stencil.tables[off][sel]])
+            vals.append(w * c[sel])
         mat = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n),
@@ -495,21 +499,27 @@ class LinearizedOperator:
         return mat.tocsr()
 
 
+# ---------------------------------------------------------------------------
+# full-grid entry points (each builds the stencil of its (op, mask) pair)
+
+
+def apply_principal(op: QuasilinearOperator, u: Field, mask: DomainMask) -> Field:
+    """Principal-part residual on core nodes, zero elsewhere."""
+    stencil = OperatorStencil(op, mask)
+    return Field(mask.grid, stencil.to_grid(stencil.principal(mask.gather(u.values))))
+
+
+def apply_operator(op: QuasilinearOperator, u: Field, mask: DomainMask) -> Field:
+    """Full residual including the lower-order term, on core nodes."""
+    stencil = OperatorStencil(op, mask)
+    return Field(mask.grid, stencil.to_grid(stencil.residual(mask.gather(u.values))))
+
+
 def linearize(op: QuasilinearOperator, u1: Field, mask: DomainMask) -> LinearizedOperator:
     """Exact derivative of the discrete residual map at u1."""
-    return LinearizedOperator(op, u1, mask)
+    return OperatorStencil(op, mask).linearize(mask.gather(u1.values))
 
 
-def principal_linearized(op: QuasilinearOperator, mask: DomainMask) -> LinearizedOperator:
-    """Linear map of the principal part alone (no lower-order coefficients)."""
-    stripped = QuasilinearOperator(
-        family=op.family, dim=op.dim, principal=op.principal, lower=None,
-        mu1=op.mu1, mu2=op.mu2, a_lo=op.a_lo, a_hi=op.a_hi,
-    )
-    return LinearizedOperator(stripped, zero_field(mask.grid), mask)
-
-
-def apply_linearized(lin: LinearizedOperator, v: Field, adjoint: bool = False,
-                     mask: DomainMask | None = None) -> Field:
+def apply_linearized(lin: LinearizedOperator, v: Field, adjoint: bool = False) -> Field:
     """Forward or transpose action of a linearized operator on a field."""
     return Field(lin.grid, lin.apply(v.values, adjoint=adjoint))

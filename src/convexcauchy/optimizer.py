@@ -19,12 +19,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
-from .operators import Field, apply_operator, linearize
+from .operators import Field
 from .sampling import draw_in_ball
+from .sobolev import spd_factorized
 
 logger = logging.getLogger(__name__)
 
@@ -104,11 +104,17 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
 
     The start must carry the Cauchy data; every step direction is zero-trace,
     so the constraint is preserved exactly. Terminates on grad_tol, max_iters,
-    or a ball exit under the reject_step policy. Line-search failure and
-    divergence in fixed mode raise SolverError.
+    a ball exit under the reject_step policy, or a trial step that leaves u
+    bit-identical (the step is below the rounding level of u, so no further
+    progress is possible). Line-search failure and divergence in fixed mode
+    raise SolverError.
+
+    `iterations` counts gradient evaluations, len(grad_norm_history). At the
+    iteration cap j_history also ends with the J of the last accepted step.
     """
     t0 = time.perf_counter()
     params.check_constraints(start, "starting field")
+    mask = params.mask
     u = params.impose(start)
     report = RunReport(iterates=[] if config.store_iterates else None)
     report.space = params.space
@@ -116,6 +122,11 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
     j = evaluate(params, u)
     step = config.gamma if config.step_mode == "fixed" else 1.0
     warned_radius = False
+
+    def trial(v: np.ndarray, d: np.ndarray, t: float) -> Field | None:
+        """u - t g with the trace data imposed; None when it equals u."""
+        v_try = params.impose_dofs(v - t * d)
+        return None if np.array_equal(v_try, v) else Field(mask.grid, mask.scatter(v_try))
 
     for it in range(config.max_iters):
         g = gradient(params, u, mode=config.mode)
@@ -132,10 +143,7 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
         if config.radius > 0 and unorm >= config.radius:
             if config.radius_policy == "reject_step":
                 report.reason = f"iterate left the ball of radius {config.radius}"
-                report.final = u
-                report.iterations = it
-                report.wall_time = time.perf_counter() - t0
-                return report
+                break
             if not warned_radius:
                 logger.warning(
                     "iterate norm %.4g exceeds the monitored ball radius %.4g", unorm, config.radius
@@ -147,40 +155,43 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
             report.reason = "gradient tolerance reached"
             break
 
+        v, d = mask.gather(u.values), mask.gather(g.values)
         if config.step_mode == "fixed":
-            u_new = params.impose(Field(u.grid, u.values - config.gamma * g.values))
-            j_new = evaluate(params, u_new)
-            if j_new > j + 1e-12 * (1.0 + abs(j)):
+            t = config.gamma
+            u_try = trial(v, d, t)
+            j_try = j if u_try is None else evaluate(params, u_try)
+            if j_try > j + 1e-12 * (1.0 + abs(j)):
                 raise SolverError(
                     f"fixed-step iteration diverged at iteration {it}: "
-                    f"J rose from {j:.6g} to {j_new:.6g}"
+                    f"J rose from {j:.6g} to {j_try:.6g}"
                 )
-            report.step_history.append(config.gamma)
-            u, j = u_new, j_new
         else:
             t = min(1.0, step * 2.0)  # warm start from the last accepted step
-            accepted = False
             for _ in range(config.max_halvings):
-                u_try = params.impose(Field(u.grid, u.values - t * g.values))
+                u_try = trial(v, d, t)
+                if u_try is None:
+                    break
                 j_try = evaluate(params, u_try)
                 if j_try <= j - config.armijo_c * t * gsq:
-                    accepted = True
                     break
                 t *= config.shrink
-            if not accepted:
+            else:
                 raise SolverError(
                     f"line search found no Armijo decrease after {config.max_halvings} "
                     f"halvings at iteration {it} (J={j:.6g}, |g|={gnorm:.3g})"
                 )
-            report.step_history.append(t)
-            step = t
-            u, j = u_try, j_try
+        if u_try is None:
+            report.reason = f"step below rounding level at iteration {it} (|g|={gnorm:.3g})"
+            break
+        report.step_history.append(t)
+        step = t
+        u, j = u_try, j_try
     else:
         report.reason = "iteration cap reached"
         report.j_history.append(j)  # J of the last accepted step
 
     report.final = u
-    report.iterations = len(report.j_history)
+    report.iterations = len(report.grad_norm_history)
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:
@@ -230,23 +241,20 @@ def direct_solve(params: FunctionalParams) -> Field:
             f"direct solve needs an affine residual; lower-order term is {lower.name!r}"
         )
     mask = params.mask
-    u_c = params.impose(Field(mask.grid, np.zeros(mask.grid.shape)))
-    lin = linearize(params.op, u_c, mask)
+    v_c = params.impose_dofs(np.zeros(mask.dofs.size))
+    lin = params.stencil.linearize(v_c)
     lmat = lin.to_matrix()
     wdiag = sp.diags(params.data_weight.ravel())
     hess = (lmat.T @ wdiag @ lmat + params.beta * params.space.gram_matrix()).tocsr()
 
-    r_c = apply_operator(params.op, u_c, mask).values
-    grad_c = lin.apply(params.data_weight * r_c, adjoint=True)
-    grad_c += params.beta * params.space.apply_gram(u_c.values)
+    r_c = params.stencil.residual(v_c)
+    grad_c = lin.adjoint(params.core_weight * r_c)
+    grad_c += params.beta * params.space.dof_gram(v_c)
 
     free = params.space.free_index
-    rhs = -grad_c.ravel()[free]
-    h_ff = hess[free][:, free].tocsc()
-    v = spla.spsolve(h_ff, rhs)
-    out = u_c.values.copy()
-    out.ravel()[free] = out.ravel()[free] + v
-    return params.impose(Field(mask.grid, out))
+    free_pos = np.flatnonzero(mask.free[mask.in_mask])  # same nodes, same order
+    v_c[free_pos] += spd_factorized(hess[free][:, free])(-grad_c[free_pos])
+    return Field(mask.grid, mask.scatter(v_c))
 
 
 @dataclass

@@ -25,24 +25,28 @@ def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
     loop, so the draw decays smoothly toward them instead of being cut there;
     this keeps high-order difference norms moderate.
     """
-    grid = mask.grid
-    vals = rng.standard_normal(grid.shape)
+    return mask.scatter(_smooth_dofs(mask, rng, passes))
+
+
+def _smooth_dofs(mask: DomainMask, rng: np.random.Generator, passes: int = 8) -> np.ndarray:
+    """random_smooth_values as a DOF vector, computed on the mask's halo.
+
+    The noise is drawn on the whole grid so that the generator advances as it
+    always has; each pass smooths along every axis in turn, which the halo
+    holds exactly (see Halo).
+    """
+    halo = mask.halo
+    vals = rng.standard_normal(mask.grid.shape).ravel()[halo.index]
     for _ in range(passes):
-        vals[~mask.in_mask] = 0.0
-        vals[mask.constrained] = 0.0
-        for axis in range(grid.dim):
-            off = [0] * grid.dim
-            off[axis] = 1
-            plus = shift(vals, off, fill=0.0)
-            off[axis] = -1
-            minus = shift(vals, off, fill=0.0)
-            vals = 0.5 * vals + 0.25 * (plus + minus)
-    vals[~mask.in_mask] = 0.0
-    vals[mask.constrained] = 0.0
+        vals[~halo.free] = 0.0
+        for plus, minus in halo.tables:
+            ext = np.append(vals, 0.0)
+            vals = 0.5 * vals + 0.25 * (ext[plus] + ext[minus])
+    vals[~halo.free] = 0.0
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals /= peak
-    return vals
+    return vals[halo.dof_pos]
 
 
 def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generator,
@@ -55,19 +59,20 @@ def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generat
     """
     if base is None:
         base = data_extension(params.space, params.data)
-    base_norm = params.space.norm(base)
+    mask = params.mask
+    b = mask.gather(base.values)
+    base_norm = params.space.dof_norm(b)
     if base_norm >= radius:
         raise ConfigError(
             f"ball radius {radius} is smaller than the data extension norm {base_norm:.4g}"
         )
-    bump = random_smooth_values(params.mask, rng)
-    bump_field = Field(params.mask.grid, bump)
-    bump_norm = params.space.norm(bump_field)
+    bump = _smooth_dofs(mask, rng)
+    bump_norm = params.space.dof_norm(bump)
     target = rng.uniform(*fraction_range) * radius
     # triangle inequality keeps the draw strictly inside the ball
     amount = min(max(target - base_norm, 0.05 * radius), 0.95 * (radius - base_norm))
-    vals = base.values + (amount / max(bump_norm, 1e-30)) * bump
-    return params.impose(Field(params.mask.grid, vals))
+    vals = b + (amount / max(bump_norm, 1e-30)) * bump
+    return Field(mask.grid, mask.scatter(params.impose_dofs(vals)))
 
 
 def random_compact_bump(mask: DomainMask, rng: np.random.Generator,

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, GeometryError, IndefiniteGramError, SolverError
-from .grid import DomainMask, shift
+from .grid import DomainMask, axis_offset, neighbor_table, shift
 from .operators import Field
 
 logger = logging.getLogger(__name__)
@@ -45,12 +45,30 @@ def difference_monomials(dim: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
+def spd_factorized(matrix: sp.spmatrix):
+    """Solve callable of a sparse LU tuned for symmetric positive definite matrices.
+
+    A minimum-degree ordering of A^T + A with symmetric mode and no partial
+    pivoting keeps the symmetric structure, which cuts fill and factorization
+    time against SuperLU's unsymmetric default (COLAMD).
+    """
+    lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return lu.solve
+
+
 class SobolevSpace:
     """H^order inner product over a node subset of a domain mask.
 
     By default the subset is every masked node and the order follows
     sobolev_order(grid dim). A restricted subset (e.g. the inner subdomain)
-    yields the corresponding local norm.
+    yields the corresponding local norm; it must lie inside the mask.
+
+    The `dof_*` methods act on masked DOF vectors (see DomainMask); the
+    others take full-grid fields. Every monomial is a chain of first
+    differences (v[p + e] - v[p]) / h taken through gather tables, never a
+    precombined multi-axis stencil: for smooth fields the nested differences
+    are nearly exact in floating point, and a summed stencil is not.
     """
 
     def __init__(self, mask: DomainMask, order: int | None = None,
@@ -63,65 +81,100 @@ class SobolevSpace:
         self.nodes = mask.in_mask if node_subset is None else np.asarray(node_subset, bool)
         if not np.any(self.nodes):
             raise GeometryError("Sobolev space over an empty node set")
+        if np.any(self.nodes & ~mask.in_mask):
+            raise ConfigError("Sobolev node subset reaches outside the mask")
         self.weights = np.where(self.nodes, mask.quad_weight, 0.0)
         self.monomials = difference_monomials(self.grid.dim, self.order)
-        # a monomial contributes at p only when its whole forward stencil box
-        # sits inside the node set; composed differences are raw otherwise
-        self._box_valid: dict[tuple[int, ...], np.ndarray] = {}
+        self.free_index = np.flatnonzero(mask.free.ravel())
+        self._constrained_index = np.flatnonzero(mask.constrained.ravel())
         self._gram_matrix = None
         self._free_matrix = None
         self._free_solve = None
         self.last_riesz_history: list[float] = []
 
-    # -- difference machinery -------------------------------------------------
+        # a monomial contributes at p only when its whole forward stencil box
+        # sits inside the node set; composed differences are raw otherwise
+        inside = mask.in_mask
+        self._dof_weights = self.weights[inside]
+        self._dof_valid = [self._box(beta)[inside] for beta in self.monomials]
+        self._forward = [neighbor_table(inside, axis_offset(self.grid.dim, a))
+                         for a in range(self.grid.dim)]
+        self._backward = [neighbor_table(inside, axis_offset(self.grid.dim, a, -1))
+                          for a in range(self.grid.dim)]
+        # D^beta = D_a D^parent with a the last axis beta differences along;
+        # monomials are sorted by order, so the parent always comes first
+        self._chain = []
+        for beta in self.monomials:
+            if not any(beta):
+                self._chain.append((None, None))
+                continue
+            axis = max(a for a, b in enumerate(beta) if b)
+            parent = list(beta)
+            parent[axis] -= 1
+            self._chain.append((self.monomials.index(tuple(parent)), axis))
+
+    def _box(self, beta: tuple[int, ...]) -> np.ndarray:
+        valid = self.nodes.copy()
+        for off in product(*[range(b + 1) for b in beta]):
+            if any(off):
+                valid &= shift(self.nodes, off, fill=False)
+        return valid
 
     def monomial_validity(self, beta: tuple[int, ...]) -> np.ndarray:
-        cached = self._box_valid.get(beta)
-        if cached is None:
-            cached = self.nodes.copy()
-            for off in product(*[range(b + 1) for b in beta]):
-                if any(off):
-                    cached &= shift(self.nodes, off, fill=False)
-            self._box_valid[beta] = cached
-        return cached
-
-    def _raw_diff(self, values: np.ndarray, axis: int) -> np.ndarray:
-        off = [0] * self.grid.dim
-        off[axis] = 1
-        return (shift(values, off) - values) / self.grid.spacing[axis]
-
-    def _raw_diff_t(self, values: np.ndarray, axis: int) -> np.ndarray:
-        off = [0] * self.grid.dim
-        off[axis] = -1
-        return (shift(values, off) - values) / self.grid.spacing[axis]
-
-    def apply_monomial(self, values: np.ndarray, beta: tuple[int, ...]) -> np.ndarray:
-        """Forward-difference monomial, zeroed where its stencil exits the node set."""
-        out = values
-        for axis, times in enumerate(beta):
-            for _ in range(times):
-                out = self._raw_diff(out, axis)
-        return np.where(self.monomial_validity(beta), out, 0.0)
-
-    def _apply_monomial_t(self, values: np.ndarray, beta: tuple[int, ...]) -> np.ndarray:
-        """Exact transpose of apply_monomial (mask first, raw transposes reversed)."""
-        out = np.where(self.monomial_validity(beta), values, 0.0)
-        for axis in reversed(range(len(beta))):
-            for _ in range(beta[axis]):
-                out = self._raw_diff_t(out, axis)
+        """Full-grid nodes where the monomial's whole stencil box is in the node set."""
+        out = np.zeros(self.grid.shape, dtype=bool)
+        out.ravel()[self.mask.dofs] = self._dof_valid[self.monomials.index(beta)]
         return out
 
-    # -- inner product and Gram map -------------------------------------------
+    # -- masked DOF vectors ----------------------------------------------------
+
+    def dof_differences(self, v: np.ndarray) -> list[np.ndarray]:
+        """Forward-difference monomials of a DOF vector, in `monomials` order,
+        zeroed where the stencil box leaves the node set."""
+        raw, out = [], []
+        for (parent, axis), valid in zip(self._chain, self._dof_valid):
+            if parent is None:
+                d = v
+            else:
+                prev = raw[parent]
+                d = (np.append(prev, 0.0)[self._forward[axis]] - prev) / self.grid.spacing[axis]
+            raw.append(d)
+            out.append(np.where(valid, d, 0.0))
+        return out
+
+    def dof_inner(self, v: np.ndarray, w: np.ndarray) -> float:
+        dv = self.dof_differences(v)
+        dw = dv if w is v else self.dof_differences(w)
+        total = 0.0
+        for a, b in zip(dv, dw):
+            total += float(np.sum(a * b * self._dof_weights))
+        return total
+
+    def dof_norm_sq(self, v: np.ndarray) -> float:
+        return self.dof_inner(v, v)
+
+    def dof_norm(self, v: np.ndarray) -> float:
+        return float(np.sqrt(max(self.dof_norm_sq(v), 0.0)))
+
+    def dof_gram(self, v: np.ndarray) -> np.ndarray:
+        """Gram action sum_beta (D^beta)^T (w . D^beta v) on a DOF vector."""
+        out = np.zeros(v.size)
+        for beta, d in zip(self.monomials, self.dof_differences(v)):
+            x = self._dof_weights * d
+            for axis in reversed(range(self.grid.dim)):
+                h = self.grid.spacing[axis]
+                for _ in range(beta[axis]):
+                    x = (np.append(x, 0.0)[self._backward[axis]] - x) / h
+            out += x
+        return out
+
+    # -- full-grid fields --------------------------------------------------------
 
     def inner_product(self, f: Field, g: Field) -> float:
         if f.grid != self.grid or g.grid != self.grid:
             raise ConfigError("fields live on a different grid than the space")
-        total = 0.0
-        for beta in self.monomials:
-            df = self.apply_monomial(f.values, beta)
-            dg = df if g is f else self.apply_monomial(g.values, beta)
-            total += float(np.sum(df * dg * self.weights))
-        return total
+        v = self.mask.gather(f.values)
+        return self.dof_inner(v, v if g is f else self.mask.gather(g.values))
 
     def norm_sq(self, f: Field) -> float:
         return self.inner_product(f, f)
@@ -130,11 +183,8 @@ class SobolevSpace:
         return float(np.sqrt(max(self.norm_sq(f), 0.0)))
 
     def apply_gram(self, values: np.ndarray) -> np.ndarray:
-        """Matrix-free Gram action sum_beta (D^beta)^T (w . D^beta v)."""
-        out = np.zeros(self.grid.shape)
-        for beta in self.monomials:
-            out += self._apply_monomial_t(self.weights * self.apply_monomial(values, beta), beta)
-        return out
+        """Gram action on a full-grid array; zero outside the mask."""
+        return self.mask.scatter(self.dof_gram(self.mask.gather(values)))
 
     def gram_matrix(self) -> sp.csr_matrix:
         """Sparse Gram matrix over flat node indices (assembled once)."""
@@ -143,9 +193,7 @@ class SobolevSpace:
             idx = np.arange(n).reshape(self.grid.shape)
             atoms = []
             for axis in range(self.grid.dim):
-                off = [0] * self.grid.dim
-                off[axis] = 1
-                target = shift(idx, off, fill=-1)
+                target = shift(idx, axis_offset(self.grid.dim, axis), fill=-1)
                 ok = target >= 0
                 rows = idx.ravel()
                 h = self.grid.spacing[axis]
@@ -173,10 +221,6 @@ class SobolevSpace:
 
     # -- constrained (zero-trace) system ---------------------------------------
 
-    @property
-    def free_index(self) -> np.ndarray:
-        return np.flatnonzero(self.mask.free.ravel())
-
     def constrained_gram(self) -> sp.csc_matrix:
         if self._free_matrix is None:
             free = self.free_index
@@ -185,7 +229,7 @@ class SobolevSpace:
 
     def constrained_solver(self):
         if self._free_solve is None:
-            self._free_solve = spla.factorized(self.constrained_gram())
+            self._free_solve = spd_factorized(self.constrained_gram())
         return self._free_solve
 
 
@@ -207,7 +251,7 @@ def riesz_solve(space: SobolevSpace, rhs: Field, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ConfigError(f"riesz tolerance must be positive, got {tol}")
-    if np.any(rhs.values[space.mask.constrained] != 0.0):
+    if np.any(rhs.values.ravel()[space._constrained_index] != 0.0):
         raise ConfigError("riesz_solve rhs is not zero-trace projected")
 
     free = space.free_index

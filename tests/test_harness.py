@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from convexcauchy.harness import (
     load_problem,
 )
 from convexcauchy.operators import apply_operator
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal_config(**overrides):
@@ -320,6 +324,51 @@ class TestCli:
         assert main(["sweep", str(path), "--lambda", "1,2"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(report["certificates"]) == 2
+
+    def test_stalled_solve_exits_two_with_report(self, tmp_path):
+        """The shipped solve config with an unreachable gradient tolerance stops
+        when a step no longer moves u, writes its reports and exits 2."""
+        cfg = json.loads((CONFIG_DIR / "ell2d_cubic_solve.json").read_text())
+        cfg["optimizer"].update(grad_tol=1e-13, max_iters=400)
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["run"]["converged"] is False
+        assert report["run"]["reason"].startswith("step below rounding level")
+        assert report["run"]["iterations"] < 400
+        with open(tmp_path / "out" / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == report["run"]["iterations"]
+
+    def test_iteration_cap_history_csv(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "ell2d_cubic_solve.json").read_text())
+        cfg["optimizer"].update(grad_tol=1e-13, max_iters=4)
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["run"]["iterations"] == 4
+        with open(tmp_path / "out" / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        assert rows[-1]["grad_norm"] == "" and rows[-1]["step"] == ""
+        assert float(rows[-1]["j"]) == report["run"]["final_j"]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_exit_one(self, tmp_path, monkeypatch, caplog, value):
+        cfg = {
+            "case": "ELL2D-CUBIC",
+            "certificate": {"samples": 1, "radius": 5.0, "seed": 3},
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setenv("THREADS", value)
+        assert main(["sweep", str(path), "--lambda", "1,2"]) == 1
+        assert "THREADS" in caplog.text
 
     def test_config_error_exit_one(self, tmp_path):
         path = tmp_path / "p.json"

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import make_problem
 from convexcauchy.errors import ConfigError, SolverError
-from convexcauchy.functional import data_extension
+from convexcauchy.functional import data_extension, evaluate
+from convexcauchy.harness import history_rows
 from convexcauchy.operators import Field
 from convexcauchy.optimizer import (
     OptimizerConfig,
@@ -107,6 +108,50 @@ class TestRun:
             report = run(params, start, cfg)
         assert report.iterations > 1
         assert any("ball" in rec.message for rec in caplog.records)
+
+    def test_iteration_cap_history_lengths(self, rng):
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
+        cfg = OptimizerConfig(max_iters=5, grad_tol=1e-14, store_iterates=False)
+        report = run(params, draw_in_ball(params, 5.0, rng), cfg)
+        assert report.reason == "iteration cap reached"
+        assert report.iterations == len(report.grad_norm_history) == 5
+        assert len(report.step_history) == 5
+        # the J of the last accepted step is kept
+        assert len(report.j_history) == 6
+        assert report.j_history[-1] == evaluate(params, report.final)
+
+        rows = history_rows(report)
+        assert [r["iter"] for r in rows] == list(range(6))
+        assert rows[-1]["j"] == report.j_history[-1]
+        assert rows[-1]["grad_norm"] == "" and rows[-1]["step"] == ""
+        assert rows[-2]["grad_norm"] == report.grad_norm_history[-1]
+
+    def test_converged_history_lengths(self, rng):
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
+        cfg = OptimizerConfig(max_iters=3000, grad_tol=1e-6, store_iterates=False)
+        report = run(params, draw_in_ball(params, 5.0, rng), cfg)
+        assert report.converged
+        assert report.iterations == len(report.grad_norm_history) == len(report.j_history)
+        assert len(report.step_history) == report.iterations - 1
+
+    @pytest.mark.parametrize("step_mode", ["backtracking", "fixed"])
+    def test_step_below_rounding_stops(self, step_mode):
+        """A trial step that leaves u bit-identical ends the run unconverged
+        instead of accepting it until the iteration cap."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
+        start = params.impose(data_extension(space, params.data))
+        cfg = OptimizerConfig(max_iters=400, grad_tol=1e-13, step_mode=step_mode,
+                              gamma=0.1, store_iterates=True)
+        report = run(params, start, cfg)
+        assert not report.converged
+        assert report.reason.startswith("step below rounding level")
+        assert report.iterations < cfg.max_iters
+        assert report.iterations == len(report.grad_norm_history) == len(report.j_history)
+        assert len(report.step_history) == report.iterations - 1
+        # every accepted step moved u
+        for prev, nxt in zip(report.iterates, report.iterates[1:]):
+            assert not np.array_equal(prev.values, nxt.values)
+        assert np.array_equal(report.final.values, report.iterates[-1].values)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

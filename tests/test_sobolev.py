@@ -10,6 +10,7 @@ from convexcauchy.sobolev import (
     difference_monomials,
     riesz_solve,
     sobolev_order,
+    spd_factorized,
     zero_trace_project,
 )
 
@@ -162,6 +163,22 @@ class TestRiesz:
         rhs_vals[~space.mask.free] = 0.0
         with pytest.raises(IndefiniteGramError):
             riesz_solve(space, Field(space.grid, rhs_vals), tol=1e-10)
+
+
+class TestSpdFactorization:
+    def test_matches_general_sparse_solve(self, space, rng):
+        import scipy.sparse.linalg as spla
+
+        gram = space.constrained_gram()
+        b = rng.standard_normal(gram.shape[0])
+        x = spd_factorized(gram)(b)
+        assert np.allclose(x, spla.spsolve(gram, b), rtol=1e-10, atol=0.0)
+        assert np.linalg.norm(gram @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_constrained_solver_uses_it(self, space, rng):
+        gram = space.constrained_gram()
+        b = rng.standard_normal(gram.shape[0])
+        assert np.array_equal(space.constrained_solver()(b), spd_factorized(gram)(b))
 
 
 class TestEmbeddingEcho:
