@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import IntEnum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,6 +246,7 @@ def _neighbor_offsets(dim: int) -> list[tuple[int, ...]]:
 
 
 def axis_offset(dim: int, axis: int, step: int = 1) -> tuple[int, ...]:
+    """Stencil offset of `step` nodes along `axis`."""
     off = [0] * dim
     off[axis] = step
     return tuple(off)

@@ -100,18 +100,18 @@ def _problem(name):
         op = QuasilinearOperator(family="hyperbolic", dim=2,
                                  principal=lambda p: 1.0 + (p[..., 0] - 0.5) ** 2,
                                  lower=lower_grad_sq(_scale, _source))
-    else:  # hyp3d-wave-cubic
+    else:  # hyp3d-wave-gradsq
         grid = build_grid(((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)), (16, 19, 21))
         level = LevelSpec(family="hyperbolic", c=0.02, eta=0.6, x0=(0.5, 0.5))
         op = QuasilinearOperator(
             family="hyperbolic", dim=3,
             principal=lambda p: 1.0 + (p[..., 0] - 0.5) ** 2 + (p[..., 1] - 0.5) ** 2,
-            lower=lower_cubic(_source))
+            lower=lower_grad_sq(_scale, _source))
     return op, classify_nodes(grid, level)
 
 
 PROBLEMS = ["ell1d-cubic", "ell2d-mixed-gradsq", "ell3d-mixed-cubic", "par2d-cubic",
-            "par3d-mixed-sine", "hyp2d-wave-gradsq", "hyp3d-wave-cubic"]
+            "par3d-mixed-sine", "hyp2d-wave-gradsq", "hyp3d-wave-gradsq"]
 
 
 @pytest.fixture(scope="module", params=PROBLEMS)
