@@ -13,7 +13,6 @@ from .errors import (
     ConstraintViolationError,
     ConvexCauchyError,
     GeometryError,
-    IndefiniteGramError,
     SolverError,
     WeightOverflowError,
 )
@@ -58,7 +57,7 @@ from .optimizer import (
     direct_solve,
     run,
 )
-from .sobolev import SobolevSpace, riesz_solve, sobolev_order, zero_trace_project
+from .sobolev import SobolevSpace, sobolev_order, zero_trace_project
 from .weights import WeightSpec, shifted_weight_sq, weight_extrema
 
 __version__ = "0.1.0"

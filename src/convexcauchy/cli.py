@@ -1,17 +1,15 @@
 """Command-line entry points: solve, certify, gradcheck, sweep.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
-3 I/O error. THREADS (optional) caps the worker pool used for sweeps.
+3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,7 +65,6 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
         final = run_report.final
         report["run"] = run_report.to_dict()
         report["run"]["final_j"] = run_report.j_history[-1] if run_report.j_history else None
-        report["run"]["last_riesz_residuals"] = setup.space.last_riesz_history
         history = history_rows(run_report)
         converged = run_report.converged
 
@@ -81,21 +78,10 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def _certificates(setup: ProblemSetup, lambdas) -> list[dict]:
     cert = setup.certificate
-
-    def one(lam: float) -> dict:
+    results = []
+    for lam in lambdas:
         params = FunctionalParams(
             op=setup.op,
             weight=WeightSpec(level=setup.mask.level, lam=float(lam)),
@@ -105,15 +91,10 @@ def _certificates(setup: ProblemSetup, lambdas) -> list[dict]:
             data=setup.params.data,
             beta_policy="keep",  # sweeps need the same beta at every lambda
         )
-        return convexity_certificate(
+        results.append(convexity_certificate(
             params, radius=cert["radius"], samples=cert["samples"], seed=cert["seed"]
-        ).to_dict()
-
-    workers = _thread_count()
-    if workers > 1 and len(lambdas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, lambdas))
-    return [one(lam) for lam in lambdas]
+        ).to_dict())
+    return results
 
 
 def cmd_certify(setup: ProblemSetup, args) -> int:

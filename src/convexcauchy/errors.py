@@ -37,8 +37,3 @@ class ConstraintViolationError(ConvexCauchyError):
 
 class SolverError(ConvexCauchyError):
     """Iterative solver failed (non-convergence, divergence, line-search failure)."""
-
-
-class IndefiniteGramError(SolverError):
-    """Negative curvature met while solving the Gram system; the inner product
-    is not positive definite, which signals a discretization bug."""

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError
 from .grid import DomainMask, shift
-from .operators import Field, OperatorStencil, QuasilinearOperator
-from .sobolev import SobolevSpace, riesz_solve
+from .operators import Field, OperatorStencil, QuasilinearOperator, check_finite
+from .sobolev import SobolevSpace
 from .weights import WeightSpec, mask_weight_sq
 
 logger = logging.getLogger(__name__)
@@ -88,8 +88,6 @@ class FunctionalParams:
     data: CauchyData
     beta_policy: str = "clamp"
     constraint_tol: float = 1e-8
-    riesz_tol: float = 1e-10
-    riesz_max_iters: int = 500
 
     def __post_init__(self):
         if self.beta_policy not in BETA_POLICIES:
@@ -137,11 +135,9 @@ class FunctionalParams:
             self._inner_h1 = SobolevSpace(self.mask, order=1, node_subset=self.mask.is_inner)
         return self._inner_h1
 
-    def check_constraints(self, u: Field, what: str = "field") -> None:
-        self.check_dofs(self.mask.gather(u.values), what)
-
     def check_dofs(self, v: np.ndarray, what: str = "field") -> None:
-        """Raise when the DOF vector v does not carry the Cauchy data."""
+        """Raise when the DOF vector v is not finite or does not carry the Cauchy data."""
+        check_finite(v, what)
         dev = 0.0
         if self._value_pos.size:
             dev = float(np.max(np.abs(v[self._value_pos] - self._g0)))
@@ -167,10 +163,11 @@ def evaluate(params: FunctionalParams, u: Field) -> float:
     """Value of the weighted Tikhonov functional at a constrained field."""
     v = params.mask.gather(u.values)
     params.check_dofs(v)
-    return _value(params, v)
+    return dof_value(params, v)
 
 
-def _value(params: FunctionalParams, v: np.ndarray) -> float:
+def dof_value(params: FunctionalParams, v: np.ndarray) -> float:
+    """J at the DOF vector v, which must carry the Cauchy data (unchecked)."""
     r = params.stencil.residual(v)
     data_term = float(np.sum(r * r * params.core_weight))
     if not np.isfinite(data_term):
@@ -193,12 +190,13 @@ def gradient(params: FunctionalParams, u: Field, mode: str = "euclidean") -> Fie
         raise ConfigError(f"unknown gradient mode {mode!r}")
     v = params.mask.gather(u.values)
     params.check_dofs(v)
-    out = Field(params.mask.grid, params.mask.scatter(_euclidean_gradient(params, v)))
-    if mode == "euclidean":
-        return out
-    return riesz_solve(
-        params.space, out, tol=params.riesz_tol, max_iters=params.riesz_max_iters
-    )
+    return Field(params.mask.grid, params.mask.scatter(dof_gradient(params, v, mode)))
+
+
+def dof_gradient(params: FunctionalParams, v: np.ndarray, mode: str) -> np.ndarray:
+    """`gradient` at the DOF vector v, as a DOF vector (mode and v unchecked)."""
+    g = _euclidean_gradient(params, v)
+    return g if mode == "euclidean" else params.space.dof_riesz(g)
 
 
 def _euclidean_gradient(params: FunctionalParams, v: np.ndarray) -> np.ndarray:
@@ -225,8 +223,8 @@ def bregman_gap(params: FunctionalParams, u1: Field, u2: Field) -> tuple[float, 
         raise ConstraintViolationError(
             "the two fields carry different trace data; their difference is not zero-trace"
         )
-    j1 = _value(params, v1)
-    j2 = _value(params, v2)
+    j1 = dof_value(params, v1)
+    j2 = dof_value(params, v2)
     g1 = _euclidean_gradient(params, v1)
     gap = j2 - j1 - float(np.sum(g1 * h))
     h1_inner = params.inner_h1_space.dof_norm_sq(h)
@@ -291,9 +289,7 @@ def data_extension(space: SobolevSpace, data: CauchyData) -> Field:
     extension does not fit inside a ball, nothing does.
     """
     mask = space.mask
-    u_c = mask.zero_outside(data.impose(mask, np.zeros(mask.grid.shape)))
-    rhs = -space.apply_gram(u_c).ravel()[space.free_index]
-    v = space.constrained_solver()(rhs)
-    out = u_c.copy()
-    out.ravel()[space.free_index] += v
-    return Field(mask.grid, out)
+    v = mask.gather(data.impose(mask, np.zeros(mask.grid.shape)))
+    free = space.free_pos
+    v[free] += space.constrained_solver()(-space.dof_gram(v)[free])
+    return Field(mask.grid, mask.scatter(v))

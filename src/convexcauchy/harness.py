@@ -94,6 +94,16 @@ _TOP_KEYS = {
     "case", "family", "grid", "level", "operator", "weight", "functional",
     "data", "optimizer", "certificate", "solver", "output_dir",
 }
+_SECTION_KEYS = {
+    "grid": {"bounds", "resolution"},
+    "level": {"a", "c", "nu", "x_width", "t_span", "eta", "x0", "epsilon", "xi"},
+    "operator": {"id", "q", "b", "principal", "mu", "a_bounds"},
+    "weight": {"lambda"},
+    "functional": {"beta", "beta_policy", "order"},
+    "data": {"file", "noise_level", "noise_seed"},
+    "optimizer": set(OptimizerConfig.__dataclass_fields__),
+    "certificate": {"radius", "samples", "seed", "lambdas"},
+}
 
 
 def _require(cond: bool, path: str, msg: str) -> None:
@@ -104,6 +114,8 @@ def _require(cond: bool, path: str, msg: str) -> None:
 def _get_section(cfg: dict, name: str) -> dict:
     section = cfg.get(name, {})
     _require(isinstance(section, dict), name, "must be an object")
+    unknown = sorted(set(section) - _SECTION_KEYS[name])
+    _require(not unknown, ",".join(f"{name}.{key}" for key in unknown), "unknown keys")
     return dict(section)
 
 
@@ -209,15 +221,9 @@ def build_setup(cfg: dict) -> ProblemSetup:
     params = FunctionalParams(
         op=op, weight=weight, mask=mask, space=space, beta=beta, data=noisy,
         beta_policy=beta_policy,
-        riesz_tol=float(fun_cfg.get("riesz_tol", 1e-10)),
-        riesz_max_iters=int(fun_cfg.get("riesz_max_iters", 500)),
     )
 
-    opt_cfg = _get_section(cfg, "optimizer")
-    known = {f for f in OptimizerConfig.__dataclass_fields__}
-    unknown = set(opt_cfg) - known
-    _require(not unknown, "optimizer." + ",".join(sorted(unknown)), "unknown keys")
-    opt_config = OptimizerConfig(**opt_cfg)
+    opt_config = OptimizerConfig(**_get_section(cfg, "optimizer"))
 
     solver = cfg.get("solver", "gradient")
     _require(solver in ("gradient", "direct"), "solver", "must be 'gradient' or 'direct'")
@@ -251,7 +257,7 @@ def build_setup(cfg: dict) -> ProblemSetup:
             "order": space.order,
         },
         "data": {"noise_level": noise_level, "noise_seed": noise_seed},
-        "optimizer": {k: getattr(opt_config, k) for k in known},
+        "optimizer": {k: getattr(opt_config, k) for k in _SECTION_KEYS["optimizer"]},
         "certificate": cert,
         "solver": solver,
     }
@@ -398,23 +404,45 @@ def add_noise(g0: np.ndarray, g1: np.ndarray, level: float, seed: int
 
 
 def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
-    """Plain CSV trace data: columns layer (g0|g1), flat node index, value."""
-    g0 = np.zeros(mask.grid.shape)
-    g1 = np.zeros(mask.grid.shape)
+    """Plain CSV trace data: columns layer (g0|g1), flat node index, value.
+
+    g0 rows must cover every value-layer node and g1 rows every
+    derivative-layer node; rows on other nodes are ignored with a warning.
+    """
+    n = mask.grid.node_count
+    values = {"g0": np.zeros(n), "g1": np.zeros(n)}
+    seen = {"g0": np.zeros(n, bool), "g1": np.zeros(n, bool)}
     try:
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            for line, row in enumerate(csv.DictReader(fh), start=2):
                 which = row["layer"].strip()
                 idx = int(row["index"])
                 val = float(row["value"])
-                target = g0 if which == "g0" else g1
-                target.ravel()[idx] = val
+                if which not in values:
+                    raise ConfigError(f"data file {path}, line {line}: layer {which!r} "
+                                      "is neither 'g0' nor 'g1'")
+                if not 0 <= idx < n:
+                    raise ConfigError(f"data file {path}, line {line}: index {idx} "
+                                      f"outside the grid's {n} nodes")
+                values[which][idx] = val
+                seen[which][idx] = True
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed data file {path}: {exc}") from exc
-    return CauchyData(g0=np.where(mask.value_layer, g0, 0.0),
-                      g1=np.where(mask.deriv_layer, g1, 0.0))
+    ignored = 0
+    for name, layer in (("g0", mask.value_layer), ("g1", mask.deriv_layer)):
+        on = layer.ravel()
+        covered = int(np.sum(seen[name][on]))
+        if covered < on.sum():
+            raise ConfigError(f"data file {path} gives {name} on {covered} "
+                              f"of the {int(on.sum())} nodes of its trace layer")
+        ignored += int(np.sum(seen[name][~on]))
+        values[name][~on] = 0.0
+    if ignored:
+        logger.warning("data file %s: ignored %d rows off their trace layer", path, ignored)
+    return CauchyData(g0=values["g0"].reshape(mask.grid.shape),
+                      g1=values["g1"].reshape(mask.grid.shape))
 
 
 # ---------------------------------------------------------------------------

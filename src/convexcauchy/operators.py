@@ -48,11 +48,17 @@ class Field:
             raise ConfigError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ConvexCauchyError("field contains non-finite values")
+        check_finite(self.values)
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
+
+
+def check_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
+    """values, after raising ConvexCauchyError if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise ConvexCauchyError(f"{what} contains non-finite values")
+    return values
 
 
 def zero_field(grid: Grid) -> Field:
@@ -480,21 +486,19 @@ class LinearizedOperator:
         return self.stencil.to_grid(self.forward(self.mask.gather(values)))
 
     def to_matrix(self) -> "scipy.sparse.csr_matrix":
-        """Assemble the forward map as a sparse matrix over flat node indices."""
+        """Assemble `forward` as a sparse core-node x DOF matrix."""
         import scipy.sparse as sp
 
-        n = self.grid.node_count
-        dofs = self.mask.dofs
-        core_nodes = dofs[self.stencil.core_pos]
+        core = np.arange(self.stencil.core_pos.size)
         rows, cols, vals = [], [], []
         for off, c, w in self._terms():
             sel = c != 0.0
-            rows.append(core_nodes[sel])
-            cols.append(dofs[self.stencil.tables[off][sel]])
+            rows.append(core[sel])
+            cols.append(self.stencil.tables[off][sel])
             vals.append(w * c[sel])
         mat = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
+            shape=(core.size, self.mask.dofs.size),
         )
         return mat.tocsr()
 

@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
-from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
-from .operators import Field
+from .functional import FunctionalParams, bregman_gap, data_extension, dof_gradient, dof_value
+from .operators import Field, check_finite
 from .sampling import draw_in_ball
 from .sobolev import spd_factorized
 
@@ -71,7 +71,7 @@ class RunReport:
     iterations: int = 0
     q_hat: float | None = None
     wall_time: float = 0.0
-    iterates: list[Field] | None = None
+    iterates: list[np.ndarray] | None = None  # DOF vectors of the accepted iterates
     space = None  # SobolevSpace used to measure iterate distances
 
     def to_dict(self) -> dict:
@@ -88,17 +88,6 @@ class RunReport:
         }
 
 
-def _grad_norm_sq(params: FunctionalParams, g: Field, mode: str) -> float:
-    """Squared gradient norm matching the descent geometry.
-
-    In sobolev mode the Riesz identity makes [g, g]_{H^k} equal the Euclidean
-    pairing of g with the raw gradient, i.e. the true squared dual norm.
-    """
-    if mode == "euclidean":
-        return float(np.sum(g.values * g.values))
-    return params.space.norm_sq(g)
-
-
 def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunReport:
     """Minimize J from `start` by (projected) gradient descent.
 
@@ -109,36 +98,43 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
     progress is possible). Line-search failure and divergence in fixed mode
     raise SolverError.
 
+    The iteration runs on DOF vectors; only `final` is a Field. In sobolev
+    mode the gradient norm is the H^k norm of the Riesz representative, which
+    equals its Euclidean pairing with the raw gradient (the dual norm).
     `iterations` counts gradient evaluations, len(grad_norm_history). At the
     iteration cap j_history also ends with the J of the last accepted step.
     """
     t0 = time.perf_counter()
-    params.check_constraints(start, "starting field")
-    mask = params.mask
-    u = params.impose(start)
+    mask, space = params.mask, params.space
+    u = mask.gather(start.values)
+    params.check_dofs(u, "starting field")
+    params.impose_dofs(u)
     report = RunReport(iterates=[] if config.store_iterates else None)
-    report.space = params.space
+    report.space = space
 
-    j = evaluate(params, u)
+    j = dof_value(params, u)
     step = config.gamma if config.step_mode == "fixed" else 1.0
     warned_radius = False
 
-    def trial(v: np.ndarray, d: np.ndarray, t: float) -> Field | None:
-        """u - t g with the trace data imposed; None when it equals u."""
+    def trial(v: np.ndarray, d: np.ndarray, t: float) -> np.ndarray | None:
+        """v - t d with the trace data imposed; None when it equals v."""
         v_try = params.impose_dofs(v - t * d)
-        return None if np.array_equal(v_try, v) else Field(mask.grid, mask.scatter(v_try))
+        if np.array_equal(v_try, v):
+            return None
+        params.check_dofs(v_try, "trial iterate")
+        return v_try
 
     for it in range(config.max_iters):
-        g = gradient(params, u, mode=config.mode)
-        gsq = _grad_norm_sq(params, g, config.mode)
+        g = check_finite(dof_gradient(params, u, config.mode), "gradient")
+        gsq = float(np.sum(g * g)) if config.mode == "euclidean" else space.dof_norm_sq(g)
         gnorm = float(np.sqrt(max(gsq, 0.0)))
-        unorm = params.space.norm(u)
+        unorm = space.dof_norm(u)
 
         report.j_history.append(j)
         report.grad_norm_history.append(gnorm)
         report.radius_history.append(unorm)
         if report.iterates is not None:
-            report.iterates.append(u.copy())
+            report.iterates.append(u)
 
         if config.radius > 0 and unorm >= config.radius:
             if config.radius_policy == "reject_step":
@@ -155,11 +151,10 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
             report.reason = "gradient tolerance reached"
             break
 
-        v, d = mask.gather(u.values), mask.gather(g.values)
         if config.step_mode == "fixed":
             t = config.gamma
-            u_try = trial(v, d, t)
-            j_try = j if u_try is None else evaluate(params, u_try)
+            u_try = trial(u, g, t)
+            j_try = j if u_try is None else dof_value(params, u_try)
             if j_try > j + 1e-12 * (1.0 + abs(j)):
                 raise SolverError(
                     f"fixed-step iteration diverged at iteration {it}: "
@@ -168,10 +163,10 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
         else:
             t = min(1.0, step * 2.0)  # warm start from the last accepted step
             for _ in range(config.max_halvings):
-                u_try = trial(v, d, t)
+                u_try = trial(u, g, t)
                 if u_try is None:
                     break
-                j_try = evaluate(params, u_try)
+                j_try = dof_value(params, u_try)
                 if j_try <= j - config.armijo_c * t * gsq:
                     break
                 t *= config.shrink
@@ -190,12 +185,12 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
         report.reason = "iteration cap reached"
         report.j_history.append(j)  # J of the last accepted step
 
-    report.final = u
+    report.final = Field(mask.grid, mask.scatter(u))
     report.iterations = len(report.grad_norm_history)
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:
-            report.q_hat = convergence_ratio(report, u)
+            report.q_hat = convergence_ratio(report, report.final)
         except (SolverError, ConfigError):
             report.q_hat = None
     return report
@@ -211,11 +206,8 @@ def convergence_ratio(report: RunReport, reference: Field) -> float:
         raise ConfigError("run stored no iterates; enable store_iterates")
     if report.space is None:
         raise ConfigError("report has no space attached")
-    errs = []
-    for it_field in report.iterates:
-        diff = Field(it_field.grid, it_field.values - reference.values)
-        errs.append(report.space.norm(diff))
-    errs = np.asarray(errs)
+    ref = report.space.mask.gather(reference.values)
+    errs = np.asarray([report.space.dof_norm(v - ref) for v in report.iterates])
     floor = max(errs.max() * 1e-14, 1e-300)
     usable = np.flatnonzero(errs > floor)
     if usable.size < 5:
@@ -232,28 +224,27 @@ def direct_solve(params: FunctionalParams) -> Field:
 
     Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
     free degrees of freedom, where u_c carries the Cauchy data and L is the
-    residual's (constant) linearization. Raises ConfigError for operators
-    whose lower-order term actually depends on the field.
+    residual's (constant) linearization, a core-node x DOF matrix. Raises
+    ConfigError for operators whose lower-order term actually depends on the
+    field.
     """
     lower = params.op.lower
     if lower is not None and lower.name not in ("zero", "source"):
         raise ConfigError(
             f"direct solve needs an affine residual; lower-order term is {lower.name!r}"
         )
-    mask = params.mask
+    mask, space = params.mask, params.space
     v_c = params.impose_dofs(np.zeros(mask.dofs.size))
     lin = params.stencil.linearize(v_c)
     lmat = lin.to_matrix()
-    wdiag = sp.diags(params.data_weight.ravel())
-    hess = (lmat.T @ wdiag @ lmat + params.beta * params.space.gram_matrix()).tocsr()
+    hess = (lmat.T @ sp.diags(params.core_weight) @ lmat + params.beta * space.gram_matrix()).tocsr()
 
     r_c = params.stencil.residual(v_c)
     grad_c = lin.adjoint(params.core_weight * r_c)
-    grad_c += params.beta * params.space.dof_gram(v_c)
+    grad_c += params.beta * space.dof_gram(v_c)
 
-    free = params.space.free_index
-    free_pos = np.flatnonzero(mask.free[mask.in_mask])  # same nodes, same order
-    v_c[free_pos] += spd_factorized(hess[free][:, free])(-grad_c[free_pos])
+    free = space.free_pos
+    v_c[free] += spd_factorized(hess[free][:, free])(-grad_c[free])
     return Field(mask.grid, mask.scatter(v_c))
 
 

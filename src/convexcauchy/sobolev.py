@@ -7,8 +7,8 @@ order <= k with unit weights,
 
 where a forward difference contributes only where both stencil endpoints are
 masked. The order-zero monomial alone makes the Gram map positive definite on
-mask-supported fields, so the constrained Gram (trace layers removed) is SPD
-and conjugate gradients apply.
+mask-supported fields, so the constrained Gram (trace layers removed) is SPD,
+and a Riesz solve is one solve with its sparse factorization.
 
 The Cauchy pair (trace value and normal derivative) is encoded by fixing two
 node layers: the data face itself and the first layer inward, which pins the
@@ -17,18 +17,15 @@ one-sided first difference across the face.
 
 from __future__ import annotations
 
-import logging
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, GeometryError, IndefiniteGramError, SolverError
-from .grid import DomainMask, axis_offset, neighbor_table, shift
+from .errors import ConfigError, GeometryError
+from .grid import DomainMask, axis_offset, neighbor_table
 from .operators import Field
-
-logger = logging.getLogger(__name__)
 
 
 def sobolev_order(dim: int) -> int:
@@ -64,11 +61,13 @@ class SobolevSpace:
     sobolev_order(grid dim). A restricted subset (e.g. the inner subdomain)
     yields the corresponding local norm; it must lie inside the mask.
 
-    The `dof_*` methods act on masked DOF vectors (see DomainMask); the
-    others take full-grid fields. Every monomial is a chain of first
-    differences (v[p + e] - v[p]) / h taken through gather tables, never a
-    precombined multi-axis stencil: for smooth fields the nested differences
-    are nearly exact in floating point, and a summed stencil is not.
+    `inner_product`, `norm_sq`, `norm` and `apply_gram` take full-grid
+    fields; every other method works on masked DOF vectors (see DomainMask),
+    and the assembled matrices are DOF x DOF. Every monomial is a chain of
+    first differences (v[p + e] - v[p]) / h taken through gather tables,
+    never a precombined multi-axis stencil: for smooth fields the nested
+    differences are nearly exact in floating point, and a summed stencil is
+    not.
     """
 
     def __init__(self, mask: DomainMask, order: int | None = None,
@@ -85,46 +84,36 @@ class SobolevSpace:
             raise ConfigError("Sobolev node subset reaches outside the mask")
         self.weights = np.where(self.nodes, mask.quad_weight, 0.0)
         self.monomials = difference_monomials(self.grid.dim, self.order)
-        self.free_index = np.flatnonzero(mask.free.ravel())
-        self._constrained_index = np.flatnonzero(mask.constrained.ravel())
-        self._gram_matrix = None
-        self._free_matrix = None
-        self._free_solve = None
-        self.last_riesz_history: list[float] = []
-
-        # a monomial contributes at p only when its whole forward stencil box
-        # sits inside the node set; composed differences are raw otherwise
         inside = mask.in_mask
+        self.free_pos = np.flatnonzero(mask.free[inside])  # DOF positions off the trace
+        self._trace_pos = np.flatnonzero(mask.constrained[inside])
+        self._gram_matrix = None
+        self._free_solve = None
+
         self._dof_weights = self.weights[inside]
-        self._dof_valid = [self._box(beta)[inside] for beta in self.monomials]
         self._forward = [neighbor_table(inside, axis_offset(self.grid.dim, a))
                          for a in range(self.grid.dim)]
         self._backward = [neighbor_table(inside, axis_offset(self.grid.dim, a, -1))
                           for a in range(self.grid.dim)]
         # D^beta = D_a D^parent with a the last axis beta differences along;
-        # monomials are sorted by order, so the parent always comes first
+        # monomials are sorted by order, so the parent always comes first.
+        # A monomial contributes at p only when its whole forward stencil box
+        # sits inside the node set (composed differences are raw otherwise):
+        # the box of beta is the parent's box at p and at p + e_a.
         self._chain = []
+        self._dof_valid = []
         for beta in self.monomials:
             if not any(beta):
                 self._chain.append((None, None))
+                self._dof_valid.append(self.nodes[inside])
                 continue
             axis = max(a for a, b in enumerate(beta) if b)
             parent = list(beta)
             parent[axis] -= 1
-            self._chain.append((self.monomials.index(tuple(parent)), axis))
-
-    def _box(self, beta: tuple[int, ...]) -> np.ndarray:
-        valid = self.nodes.copy()
-        for off in product(*[range(b + 1) for b in beta]):
-            if any(off):
-                valid &= shift(self.nodes, off, fill=False)
-        return valid
-
-    def monomial_validity(self, beta: tuple[int, ...]) -> np.ndarray:
-        """Full-grid nodes where the monomial's whole stencil box is in the node set."""
-        out = np.zeros(self.grid.shape, dtype=bool)
-        out.ravel()[self.mask.dofs] = self._dof_valid[self.monomials.index(beta)]
-        return out
+            parent = self.monomials.index(tuple(parent))
+            self._chain.append((parent, axis))
+            box = self._dof_valid[parent]
+            self._dof_valid.append(box & np.append(box, False)[self._forward[axis]])
 
     # -- masked DOF vectors ----------------------------------------------------
 
@@ -168,6 +157,57 @@ class SobolevSpace:
             out += x
         return out
 
+    def dof_riesz(self, b: np.ndarray) -> np.ndarray:
+        """Riesz representative of the Euclidean pairing with b.
+
+        Returns the DOF vector g, zero on the trace layers, with [g, h] = b . h
+        for every zero-trace DOF vector h: one solve with the factorized
+        constrained Gram. b must vanish on the trace layers.
+        """
+        if np.any(b[self._trace_pos]):
+            raise ConfigError("Riesz right-hand side is not zero on the trace layers")
+        g = np.zeros(b.size)
+        g[self.free_pos] = self.constrained_solver()(b[self.free_pos])
+        return g
+
+    def gram_matrix(self) -> sp.csr_matrix:
+        """Sparse DOF x DOF Gram matrix, sum_beta B^T diag(w) B (assembled once).
+
+        B is the monomial's chain of forward-difference matrices built from
+        the same gather tables and validity as `dof_differences`.
+        """
+        if self._gram_matrix is None:
+            n = self.mask.dofs.size
+            rows = np.arange(n)
+            steps = []
+            for axis, table in enumerate(self._forward):
+                h = self.grid.spacing[axis]
+                hit = table < n
+                steps.append(sp.csr_matrix(
+                    (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
+                     (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),
+                    shape=(n, n)))
+            gram = sp.csr_matrix((n, n))
+            raw = []
+            for (parent, axis), valid in zip(self._chain, self._dof_valid):
+                bmat = sp.identity(n, format="csr") if parent is None else steps[axis] @ raw[parent]
+                raw.append(bmat)
+                gram = gram + bmat.T @ sp.diags(self._dof_weights * valid) @ bmat
+            self._gram_matrix = gram.tocsr()
+        return self._gram_matrix
+
+    # -- constrained (zero-trace) system ---------------------------------------
+
+    def constrained_gram(self) -> sp.csc_matrix:
+        """Gram matrix over the free DOFs (trace layers removed), in `free_pos` order."""
+        free = self.free_pos
+        return self.gram_matrix()[free][:, free].tocsc()
+
+    def constrained_solver(self):
+        if self._free_solve is None:
+            self._free_solve = spd_factorized(self.constrained_gram())
+        return self._free_solve
+
     # -- full-grid fields --------------------------------------------------------
 
     def inner_product(self, f: Field, g: Field) -> float:
@@ -186,115 +226,9 @@ class SobolevSpace:
         """Gram action on a full-grid array; zero outside the mask."""
         return self.mask.scatter(self.dof_gram(self.mask.gather(values)))
 
-    def gram_matrix(self) -> sp.csr_matrix:
-        """Sparse Gram matrix over flat node indices (assembled once)."""
-        if self._gram_matrix is None:
-            n = self.grid.node_count
-            idx = np.arange(n).reshape(self.grid.shape)
-            atoms = []
-            for axis in range(self.grid.dim):
-                target = shift(idx, axis_offset(self.grid.dim, axis), fill=-1)
-                ok = target >= 0
-                rows = idx.ravel()
-                h = self.grid.spacing[axis]
-                mat = sp.coo_matrix(
-                    (
-                        np.concatenate([np.full(n, -1.0 / h), np.full(ok.sum(), 1.0 / h)]),
-                        (
-                            np.concatenate([rows, idx[ok]]),
-                            np.concatenate([rows, target[ok]]),
-                        ),
-                    ),
-                    shape=(n, n),
-                ).tocsr()
-                atoms.append(mat)
-            gram = sp.csr_matrix((n, n))
-            for beta in self.monomials:
-                bmat = sp.identity(n, format="csr")
-                for axis, times in enumerate(beta):
-                    for _ in range(times):
-                        bmat = atoms[axis] @ bmat
-                qmat = sp.diags((self.weights * self.monomial_validity(beta)).ravel())
-                gram = gram + bmat.T @ qmat @ bmat
-            self._gram_matrix = gram.tocsr()
-        return self._gram_matrix
-
-    # -- constrained (zero-trace) system ---------------------------------------
-
-    def constrained_gram(self) -> sp.csc_matrix:
-        if self._free_matrix is None:
-            free = self.free_index
-            self._free_matrix = self.gram_matrix()[free][:, free].tocsc()
-        return self._free_matrix
-
-    def constrained_solver(self):
-        if self._free_solve is None:
-            self._free_solve = spd_factorized(self.constrained_gram())
-        return self._free_solve
-
 
 def zero_trace_project(space: SobolevSpace, f: Field) -> Field:
     """Zero the Cauchy-constrained degrees of freedom (both trace layers)."""
     out = f.values.copy()
     out[space.mask.constrained] = 0.0
     return Field(space.grid, out)
-
-
-def riesz_solve(space: SobolevSpace, rhs: Field, tol: float = 1e-10,
-                max_iters: int = 500, precondition: bool = True) -> Field:
-    """Solve gram(g) = rhs on the zero-trace subspace by preconditioned CG.
-
-    The returned g satisfies [g, h] = <rhs, h> (Euclidean pairing) for every
-    zero-trace field h, up to the relative residual tolerance. The rhs must
-    already be trace-projected. Non-convergence raises SolverError with the
-    residual history attached; negative curvature raises IndefiniteGramError.
-    """
-    if tol <= 0:
-        raise ConfigError(f"riesz tolerance must be positive, got {tol}")
-    if np.any(rhs.values.ravel()[space._constrained_index] != 0.0):
-        raise ConfigError("riesz_solve rhs is not zero-trace projected")
-
-    free = space.free_index
-    b = rhs.values.ravel()[free]
-    bnorm = float(np.linalg.norm(b))
-    out = np.zeros(space.grid.shape)
-    if bnorm == 0.0:
-        return Field(space.grid, out)
-
-    amat = space.constrained_gram()
-    msolve = space.constrained_solver() if precondition else (lambda r: r)
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = msolve(r)
-    p = z.copy()
-    rz = float(r @ z)
-    history = [1.0]
-    for _ in range(max_iters):
-        ap = amat @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise IndefiniteGramError(
-                f"negative curvature in Gram solve (p^T A p = {pap:.3g}); "
-                "the discrete inner product is not positive definite"
-            )
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        rel = float(np.linalg.norm(r)) / bnorm
-        history.append(rel)
-        if rel <= tol:
-            out.ravel()[free] = x
-            space.last_riesz_history = history
-            logger.debug("riesz solve converged in %d iterations (rel %.3g)", len(history) - 1, rel)
-            return Field(space.grid, out)
-        z = msolve(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    err = SolverError(
-        f"Gram CG did not reach tol={tol:.3g} within {max_iters} iterations "
-        f"(last relative residual {history[-1]:.3g})"
-    )
-    err.residual_history = history
-    raise err

@@ -4,8 +4,11 @@ Per-node arrays must agree bit for bit: the residual, the forward and
 adjoint linearization, every H^k monomial difference, the Gram action, the
 Euclidean gradient and the smoothed random draws. Sums (J, norms, inner
 products) run over differently laid out arrays and must agree to relative
-1e-13. Inputs are random on the whole grid, outside the mask included, so a
-stencil that read past the mask would show.
+1e-13. The assembled DOF matrices (the Gram matrix, the linearization and its
+transpose) sum their entries in another order and must agree with the
+reference actions to 1e-12 relative to the largest entry. Inputs are random
+on the whole grid, outside the mask included, so a stencil that read past the
+mask would show.
 """
 
 import numpy as np
@@ -30,6 +33,7 @@ from convexcauchy.sobolev import SobolevSpace
 from convexcauchy.weights import WeightSpec
 
 REL_SUM = 1e-13
+REL_MATRIX = 1e-12
 
 
 def _source(points):
@@ -171,6 +175,29 @@ def test_gram_action_bitwise(problem):
     v = _random(problem, 6)
     for space in _spaces(problem):
         assert np.array_equal(space.apply_gram(v), ref.Sobolev(space).gram(v))
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= REL_MATRIX * np.max(np.abs(want))
+
+
+def test_gram_matrix_oracle(problem):
+    mask = problem.mask
+    v = _random(problem, 12)
+    for space in _spaces(problem):
+        gram = space.gram_matrix()
+        assert gram.shape == (mask.dofs.size, mask.dofs.size)
+        assert _close(gram @ mask.gather(v), mask.gather(ref.Sobolev(space).gram(v)))
+
+
+def test_linearized_matrix_oracle(problem):
+    op, mask = problem.op, problem.mask
+    base, v, w = _random(problem, 13), _random(problem, 14), _random(problem, 15)
+    mat = linearize(op, Field(mask.grid, base), mask).to_matrix()
+    oracle = ref.Linearized(op, mask, base)
+    assert mat.shape == (int(np.sum(mask.is_core)), mask.dofs.size)
+    assert _close(mat @ mask.gather(v), oracle.apply(v)[mask.is_core])
+    assert _close(mat.T @ w[mask.is_core], mask.gather(oracle.apply(w, adjoint=True)))
 
 
 def test_gradient_bitwise(problem):

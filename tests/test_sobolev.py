@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from convexcauchy.errors import ConfigError, IndefiniteGramError, SolverError
+from convexcauchy.errors import ConfigError
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import Field
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import (
     SobolevSpace,
     difference_monomials,
-    riesz_solve,
     sobolev_order,
     spd_factorized,
     zero_trace_project,
@@ -70,14 +69,14 @@ class TestInnerProduct:
     def test_gram_matches_inner_product(self, space, rng):
         f = rng.standard_normal(space.grid.shape)
         g = rng.standard_normal(space.grid.shape)
-        via_gram = float(g.ravel() @ (space.gram_matrix() @ f.ravel()))
+        gather = space.mask.gather
+        via_gram = float(gather(g) @ (space.gram_matrix() @ gather(f)))
         direct = space.inner_product(Field(space.grid, f), Field(space.grid, g))
         assert via_gram == pytest.approx(direct, rel=1e-10)
 
     def test_gram_matrix_free_matches_sparse(self, space, rng):
-        f = rng.standard_normal(space.grid.shape)
-        assert np.allclose(space.apply_gram(f).ravel(), space.gram_matrix() @ f.ravel(),
-                           rtol=1e-12, atol=1e-8)
+        v = space.mask.gather(rng.standard_normal(space.grid.shape))
+        assert np.allclose(space.dof_gram(v), space.gram_matrix() @ v, rtol=1e-12, atol=1e-8)
 
     def test_gram_spd_rayleigh(self, space, rng):
         mask = space.mask
@@ -109,60 +108,40 @@ class TestZeroTrace:
 
 
 class TestRiesz:
+    """dof_riesz on DOF vectors; b must vanish on the trace layers."""
+
+    @staticmethod
+    def _trace(space):
+        return space.mask.constrained[space.mask.in_mask]
+
     def test_round_trip(self, space, rng):
         mask = space.mask
-        w = random_smooth_values(mask, rng)
-        rhs_vals = space.apply_gram(w)
-        rhs_vals[mask.constrained] = 0.0
-        rhs_vals[~mask.in_mask] = 0.0
-        rec = riesz_solve(space, Field(space.grid, rhs_vals), tol=1e-12)
-        assert np.max(np.abs(rec.values - w)) <= 1e-8 * max(np.max(np.abs(w)), 1e-30)
+        w = mask.gather(random_smooth_values(mask, rng))
+        rhs = space.dof_gram(w)
+        rhs[self._trace(space)] = 0.0
+        rec = space.dof_riesz(rhs)
+        assert np.max(np.abs(rec - w)) <= 1e-8 * max(np.max(np.abs(w)), 1e-30)
 
     def test_zero_rhs(self, space):
-        z = Field(space.grid, np.zeros(space.grid.shape))
-        out = riesz_solve(space, z, tol=1e-10)
-        assert np.all(out.values == 0)
+        out = space.dof_riesz(np.zeros(space.mask.dofs.size))
+        assert np.all(out == 0)
 
     def test_representation_identity(self, space, rng):
         mask = space.mask
-        rhs_vals = rng.standard_normal(space.grid.shape)
-        rhs_vals[~mask.free] = 0.0
-        rhs = Field(space.grid, rhs_vals)
-        g = riesz_solve(space, rhs, tol=1e-12)
-        gnorm = space.norm(g)
+        rhs = rng.standard_normal(mask.dofs.size)
+        rhs[self._trace(space)] = 0.0
+        g = space.dof_riesz(rhs)
+        gnorm = space.dof_norm(g)
         for _ in range(10):
-            h_vals = random_smooth_values(mask, rng)
-            h = Field(space.grid, h_vals)
-            lhs = space.inner_product(g, h)
-            rhs_pairing = float(np.sum(rhs.values * h_vals))
-            assert abs(lhs - rhs_pairing) <= 1e-8 * max(1.0, gnorm * space.norm(h))
+            h = mask.gather(random_smooth_values(mask, rng))
+            lhs = space.dof_inner(g, h)
+            rhs_pairing = float(np.sum(rhs * h))
+            assert abs(lhs - rhs_pairing) <= 1e-8 * max(1.0, gnorm * space.dof_norm(h))
 
     def test_non_projected_rhs_rejected(self, space):
-        bad = np.zeros(space.grid.shape)
-        bad[space.mask.value_layer] = 1.0
+        bad = space.mask.gather(space.mask.value_layer.astype(float))
         with pytest.raises(ConfigError):
-            riesz_solve(space, Field(space.grid, bad), tol=1e-10)
-
-    def test_nonconvergence_reports_history(self, space, rng):
-        rhs_vals = rng.standard_normal(space.grid.shape)
-        rhs_vals[~space.mask.free] = 0.0
-        with pytest.raises(SolverError) as err:
-            riesz_solve(space, Field(space.grid, rhs_vals), tol=1e-14,
-                        max_iters=2, precondition=False)
-        assert len(err.value.residual_history) == 3
-
-    def test_indefinite_gram_detected(self, ell2d_mask, rng):
-        space = SobolevSpace(ell2d_mask)
-        space.gram_matrix()  # populate caches
-        import scipy.sparse as sp
-
-        n = len(space.free_index)
-        space._free_matrix = -sp.identity(n, format="csc")
-        space._free_solve = lambda r: r
-        rhs_vals = rng.standard_normal(space.grid.shape)
-        rhs_vals[~space.mask.free] = 0.0
-        with pytest.raises(IndefiniteGramError):
-            riesz_solve(space, Field(space.grid, rhs_vals), tol=1e-10)
+            space.dof_riesz(bad)
 
 
 class TestSpdFactorization:
@@ -194,18 +173,13 @@ class TestEmbeddingEcho:
             grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (res, res))
             mask = classify_nodes(grid, spec)
             space = SobolevSpace(mask)
-            masked_idx = np.flatnonzero(mask.in_mask.ravel())
-            gram = space.gram_matrix()[masked_idx][:, masked_idx].tocsc()
-            solve = spla.factorized(gram)
-            window_flat = np.flatnonzero(
-                (mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)).ravel()
-            )
-            positions = {flat: k for k, flat in enumerate(masked_idx)}
+            solve = spla.factorized(space.gram_matrix().tocsc())
+            window = np.flatnonzero(mask.gather(mask.ell > mask.theta + 2 * mask.epsilon))
             best = 0.0
-            for flat in window_flat[:20]:
-                e = np.zeros(masked_idx.size)
-                e[positions[flat]] = 1.0
-                best = max(best, float(solve(e)[positions[flat]]))
+            for pos in window[:20]:
+                e = np.zeros(mask.dofs.size)
+                e[pos] = 1.0
+                best = max(best, float(solve(e)[pos]))
             constants.append(np.sqrt(best))
         assert constants[1] <= 2.0 * constants[0]
         assert constants[0] <= 2.0 * constants[1]
