@@ -28,6 +28,7 @@ from .functional import (
 )
 from .grid import (
     DomainMask,
+    Field,
     Grid,
     Label,
     LevelSpec,
@@ -37,17 +38,7 @@ from .grid import (
     level_values,
 )
 from .harness import add_noise, build_setup, emit_report, load_problem
-from .operators import (
-    Field,
-    LinearizedOperator,
-    LowerOrderTerm,
-    QuasilinearOperator,
-    apply_linearized,
-    apply_operator,
-    apply_principal,
-    linearize,
-    zero_field,
-)
+from .operators import LinearizedOperator, LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from .optimizer import (
     CertificateReport,
     OptimizerConfig,
@@ -57,7 +48,7 @@ from .optimizer import (
     direct_solve,
     run,
 )
-from .sobolev import SobolevSpace, sobolev_order, zero_trace_project
+from .sobolev import SobolevSpace, sobolev_order
 from .weights import WeightSpec, shifted_weight_sq, weight_extrema
 
 __version__ = "0.1.0"

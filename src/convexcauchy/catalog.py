@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .functional import CauchyData
-from .grid import DomainMask, Grid, LevelSpec
-from .operators import Field, QuasilinearOperator, lower_cubic
+from .grid import DomainMask, Field, Grid, LevelSpec
+from .operators import QuasilinearOperator, lower_cubic
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +190,8 @@ def manufactured_solution(case_id: str, grid: Grid, mask: DomainMask
                           ) -> tuple[Field, np.ndarray, np.ndarray]:
     """Sample the exact solution and read the trace data off its layers.
 
-    Returns (u_star, g0, g1) with g0/g1 full-grid arrays supported on the
-    value and derivative layers respectively.
+    Returns (u_star, g0, g1): u_star on the whole grid, g0 and g1 its values
+    on the value and derivative layers (CauchyData order).
     """
     case = get_case(case_id)
     mask_family = mask.level.family
@@ -205,9 +205,7 @@ def manufactured_solution(case_id: str, grid: Grid, mask: DomainMask
         )
     vals = np.asarray(case.u_star(grid.coords()), dtype=float)
     u_star = Field(grid, vals)
-    g0 = np.where(mask.value_layer, vals, 0.0)
-    g1 = np.where(mask.deriv_layer, vals, 0.0)
-    return u_star, g0, g1
+    return u_star, vals[mask.value_layer], vals[mask.deriv_layer]
 
 
 def cauchy_data_from_case(case_id: str, grid: Grid, mask: DomainMask) -> tuple[Field, CauchyData]:

@@ -1,6 +1,7 @@
 """The Carleman-weighted Tikhonov functional, its gradient, and convexity probes.
 
-For a field u satisfying the Cauchy trace constraints,
+Every field here is a masked DOF vector (see grid.DomainMask). For a field
+u satisfying the Cauchy trace constraints,
 
     J(u) = sum_core [A(u)]^2 * shifted_weight_sq * quad_weight
          + beta * ||u||^2_{H^k(mask)}.
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError
-from .grid import DomainMask, shift
-from .operators import Field, OperatorStencil, QuasilinearOperator, check_finite
+from .grid import DomainMask, check_finite, erode
+from .operators import OperatorStencil, QuasilinearOperator
 from .sobolev import SobolevSpace
 from .weights import WeightSpec, mask_weight_sq
 
@@ -34,30 +34,16 @@ BETA_POLICIES = ("clamp", "keep")
 
 @dataclass(eq=False)
 class CauchyData:
-    """Trace data stored as node values on the two constrained layers.
+    """Trace data as node values on the two constrained layers.
 
-    g0 carries the Dirichlet values on the data face; g1 carries the values
-    on the first inward layer, which pins the normal derivative at
-    second-order accuracy. Both arrays are full-grid with zeros off their
-    layer.
+    g0 holds the Dirichlet values on the value layer (the data face), g1 the
+    values on the derivative layer (the first layer inward), which pins the
+    normal derivative at second-order accuracy. Each is a vector over its
+    layer's nodes in C order: mask.value_layer and mask.deriv_layer order.
     """
 
     g0: np.ndarray
     g1: np.ndarray
-
-    def impose(self, mask: DomainMask, values: np.ndarray) -> np.ndarray:
-        out = np.array(values, dtype=float)
-        out[mask.value_layer] = self.g0[mask.value_layer]
-        out[mask.deriv_layer] = self.g1[mask.deriv_layer]
-        return out
-
-    def violation(self, mask: DomainMask, values: np.ndarray) -> float:
-        dev = 0.0
-        if np.any(mask.value_layer):
-            dev = float(np.max(np.abs(values[mask.value_layer] - self.g0[mask.value_layer])))
-        if np.any(mask.deriv_layer):
-            dev = max(dev, float(np.max(np.abs(values[mask.deriv_layer] - self.g1[mask.deriv_layer]))))
-        return dev
 
 
 def beta_window(lam: float, epsilon: float) -> tuple[float, float]:
@@ -74,10 +60,10 @@ class FunctionalParams:
     nearest point inside the window, under "keep" it is used as given (the
     convexity certificate sweeps rely on a fixed beta across lambda).
 
-    The fixed per-problem data of the masked DOF form is built here, once:
-    the operator stencil, the data weight on the core nodes, and the trace
-    values with their DOF positions and scale. Changing op, weight, mask,
-    data or beta afterwards is not supported; build new params instead.
+    The fixed per-problem data is built here, once: the operator stencil, the
+    data weight on the core nodes, and the scale of the trace values.
+    Changing op, weight, mask, data or beta afterwards is not supported;
+    build new params instead.
     """
 
     op: QuasilinearOperator
@@ -106,27 +92,22 @@ class FunctionalParams:
                     "beta=%.6g outside the admissible window (%.6g, 1); kept as given",
                     self.beta, lo,
                 )
-        if not np.all(np.isfinite(self.data.g0)) or not np.all(np.isfinite(self.data.g1)):
-            raise ConfigError("Cauchy data contains non-finite values")
         mask = self.mask
+        for name, values, layer in (("g0", self.data.g0, mask.value_pos),
+                                    ("g1", self.data.g1, mask.deriv_pos)):
+            if np.shape(values) != layer.shape:
+                raise ConfigError(f"Cauchy data {name} has shape {np.shape(values)}, "
+                                  f"expected one value per layer node {layer.shape}")
+            if not np.all(np.isfinite(values)):
+                raise ConfigError("Cauchy data contains non-finite values")
         self.stencil = OperatorStencil(self.op, mask)
         # fused weight * quadrature factor of the data term, on the core nodes
         self.core_weight = (mask_weight_sq(self.weight, mask) * mask.quad_weight)[mask.is_core]
-        inside = mask.in_mask
-        self._value_pos = np.flatnonzero(mask.value_layer[inside])
-        self._deriv_pos = np.flatnonzero(mask.deriv_layer[inside])
-        self._constrained_pos = np.flatnonzero(mask.constrained[inside])
-        self._g0 = self.data.g0[mask.value_layer]
-        self._g1 = self.data.g1[mask.deriv_layer]
         self._trace_scale = 1.0 + max(
-            float(np.max(np.abs(self.data.g0))), float(np.max(np.abs(self.data.g1)))
+            float(np.max(np.abs(self.data.g0), initial=0.0)),
+            float(np.max(np.abs(self.data.g1), initial=0.0)),
         )
         self._inner_h1: SobolevSpace | None = None
-
-    @property
-    def data_weight(self) -> np.ndarray:
-        """Full-grid data weight: core_weight on the core nodes, zero elsewhere."""
-        return self.stencil.to_grid(self.core_weight)
 
     @property
     def inner_h1_space(self) -> SobolevSpace:
@@ -136,13 +117,17 @@ class FunctionalParams:
         return self._inner_h1
 
     def check_dofs(self, v: np.ndarray, what: str = "field") -> None:
-        """Raise when the DOF vector v is not finite or does not carry the Cauchy data."""
+        """Raise unless v is a finite DOF vector that carries the Cauchy data."""
+        mask = self.mask
+        if np.shape(v) != mask.dofs.shape:
+            raise ConfigError(f"{what} has shape {np.shape(v)}, expected a DOF vector "
+                              f"of {mask.dofs.size} masked nodes")
         check_finite(v, what)
         dev = 0.0
-        if self._value_pos.size:
-            dev = float(np.max(np.abs(v[self._value_pos] - self._g0)))
-        if self._deriv_pos.size:
-            dev = max(dev, float(np.max(np.abs(v[self._deriv_pos] - self._g1))))
+        if mask.value_pos.size:
+            dev = float(np.max(np.abs(v[mask.value_pos] - self.data.g0)))
+        if mask.deriv_pos.size:
+            dev = max(dev, float(np.max(np.abs(v[mask.deriv_pos] - self.data.g1))))
         if dev > self.constraint_tol * self._trace_scale:
             raise ConstraintViolationError(
                 f"{what} violates the Cauchy constraints: max deviation {dev:.3g}"
@@ -150,99 +135,77 @@ class FunctionalParams:
 
     def impose_dofs(self, v: np.ndarray) -> np.ndarray:
         """v with the trace layers overwritten by the Cauchy data (in place)."""
-        v[self._value_pos] = self._g0
-        v[self._deriv_pos] = self._g1
+        v[self.mask.value_pos] = self.data.g0
+        v[self.mask.deriv_pos] = self.data.g1
         return v
 
-    def impose(self, u: Field) -> Field:
-        v = self.impose_dofs(self.mask.gather(u.values))
-        return Field(self.mask.grid, self.mask.scatter(v))
 
-
-def evaluate(params: FunctionalParams, u: Field) -> float:
+def evaluate(params: FunctionalParams, v: np.ndarray) -> float:
     """Value of the weighted Tikhonov functional at a constrained field."""
-    v = params.mask.gather(u.values)
     params.check_dofs(v)
-    return dof_value(params, v)
+    return _value(params, v)
 
 
-def dof_value(params: FunctionalParams, v: np.ndarray) -> float:
-    """J at the DOF vector v, which must carry the Cauchy data (unchecked)."""
+def _value(params: FunctionalParams, v: np.ndarray) -> float:
     r = params.stencil.residual(v)
     data_term = float(np.sum(r * r * params.core_weight))
     if not np.isfinite(data_term):
         raise ConvexCauchyError("weighted residual overflowed; reduce lambda")
-    return data_term + params.beta * params.space.dof_norm_sq(v)
+    return data_term + params.beta * params.space.norm_sq(v)
 
 
-def data_term_value(params: FunctionalParams, residual_like: np.ndarray) -> float:
-    """Weighted square sum of a residual-shaped array (core support)."""
-    return float(np.sum(residual_like * residual_like * params.data_weight))
+def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean") -> np.ndarray:
+    """Exact discrete gradient of J at the constrained field v, trace-projected.
 
-
-def gradient(params: FunctionalParams, u: Field, mode: str = "euclidean") -> Field:
-    """Exact discrete gradient of J at u, trace-projected.
-
-    euclidean: the field g with <g, h> = dJ(u)[h] for every zero-trace h.
+    euclidean: the field g with <g, h> = dJ(v)[h] for every zero-trace h.
     sobolev:   the Riesz representative of the same functional in H^k.
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
-    v = params.mask.gather(u.values)
     params.check_dofs(v)
-    return Field(params.mask.grid, params.mask.scatter(dof_gradient(params, v, mode)))
-
-
-def dof_gradient(params: FunctionalParams, v: np.ndarray, mode: str) -> np.ndarray:
-    """`gradient` at the DOF vector v, as a DOF vector (mode and v unchecked)."""
     g = _euclidean_gradient(params, v)
-    return g if mode == "euclidean" else params.space.dof_riesz(g)
+    return g if mode == "euclidean" else params.space.riesz(g)
 
 
 def _euclidean_gradient(params: FunctionalParams, v: np.ndarray) -> np.ndarray:
     r = params.stencil.residual(v)
     g = 2.0 * params.stencil.linearize(v).adjoint(params.core_weight * r)
-    g += 2.0 * params.beta * params.space.dof_gram(v)
-    g[params._constrained_pos] = 0.0
+    g += 2.0 * params.beta * params.space.apply_gram(v)
+    g[params.mask.trace_pos] = 0.0
     return g
 
 
-def bregman_gap(params: FunctionalParams, u1: Field, u2: Field) -> tuple[float, float, float]:
+def bregman_gap(params: FunctionalParams, v1: np.ndarray,
+                v2: np.ndarray) -> tuple[float, float, float]:
     """Bregman gap of J between two constrained fields, plus the two norms
     entering the convexity certificate.
 
-    Returns (gap, ||u2-u1||^2_{H^1(inner)}, ||u2-u1||^2_{H^k(mask)}).
+    Returns (gap, ||v2-v1||^2_{H^1(inner)}, ||v2-v1||^2_{H^k(mask)}).
     The certificate passes iff gap >= (beta/2) * the H^k term.
     """
-    v1 = params.mask.gather(u1.values)
-    v2 = params.mask.gather(u2.values)
     params.check_dofs(v1, "first field")
     params.check_dofs(v2, "second field")
     h = v2 - v1
-    if np.max(np.abs(h[params._constrained_pos])) > params.constraint_tol:
+    if np.max(np.abs(h[params.mask.trace_pos])) > params.constraint_tol:
         raise ConstraintViolationError(
             "the two fields carry different trace data; their difference is not zero-trace"
         )
-    j1 = dof_value(params, v1)
-    j2 = dof_value(params, v2)
+    j1 = _value(params, v1)
+    j2 = _value(params, v2)
     g1 = _euclidean_gradient(params, v1)
     gap = j2 - j1 - float(np.sum(g1 * h))
-    h1_inner = params.inner_h1_space.dof_norm_sq(h)
-    hk_full = params.space.dof_norm_sq(h)
+    h1_inner = params.inner_h1_space.norm_sq(h)
+    hk_full = params.space.norm_sq(h)
     return gap, h1_inner, hk_full
 
 
-def compact_support_ok(mask: DomainMask, values: np.ndarray) -> bool:
+def compact_support_ok(mask: DomainMask, v: np.ndarray) -> bool:
     """True when the field vanishes outside the once-eroded core region."""
-    eroded = mask.is_core.copy()
-    for off in product((-1, 0, 1), repeat=mask.grid.dim):
-        if any(off):
-            eroded &= shift(mask.is_core, off, fill=False)
-    return not np.any(values[~eroded])
+    return not np.any(v[~erode(mask.is_core)[mask.in_mask]])
 
 
 def carleman_ratio(op: QuasilinearOperator, weight: WeightSpec, mask: DomainMask,
-                   h: Field) -> float:
+                   v: np.ndarray) -> float:
     """Integrated Carleman quotient for a compactly supported field.
 
         ratio = sum (A0 h)^2 W / sum (lam |grad h|^2 [+ lam h_t^2] + lam^3 h^2) W
@@ -253,17 +216,15 @@ def carleman_ratio(op: QuasilinearOperator, weight: WeightSpec, mask: DomainMask
     positive lower bound over lambda is the integrated trace of the pointwise
     weighted estimate, whose divergence terms vanish for compact support.
     """
-    vals = h.values
-    if not np.any(vals):
+    if not np.any(v):
         raise ConfigError("carleman_ratio needs a nonzero field")
-    if not compact_support_ok(mask, vals):
+    if not compact_support_ok(mask, v):
         raise ConfigError(
             "field is not compactly supported: values reach the boundary-adjacent layers"
         )
     core = mask.is_core
     w = (mask_weight_sq(weight, mask) * mask.quad_weight)[core]
     stencil = OperatorStencil(op, mask)
-    v = mask.gather(vals)
     a0h = stencil.principal(v)
     num = float(np.sum(a0h * a0h * w))
 
@@ -280,7 +241,7 @@ def carleman_ratio(op: QuasilinearOperator, weight: WeightSpec, mask: DomainMask
     return num / den
 
 
-def data_extension(space: SobolevSpace, data: CauchyData) -> Field:
+def data_extension(space: SobolevSpace, data: CauchyData) -> np.ndarray:
     """Minimum-H^k-norm field carrying the Cauchy trace data.
 
     Solves the constrained Gram system for the smoothest extension of the two
@@ -289,7 +250,9 @@ def data_extension(space: SobolevSpace, data: CauchyData) -> Field:
     extension does not fit inside a ball, nothing does.
     """
     mask = space.mask
-    v = mask.gather(data.impose(mask, np.zeros(mask.grid.shape)))
-    free = space.free_pos
-    v[free] += space.constrained_solver()(-space.dof_gram(v)[free])
-    return Field(mask.grid, mask.scatter(v))
+    v = np.zeros(mask.dofs.size)
+    v[mask.value_pos] = data.g0
+    v[mask.deriv_pos] = data.g1
+    free = mask.free_pos
+    v[free] += space.constrained_solver()(-space.apply_gram(v)[free])
+    return v

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, ConvexCauchyError, GeometryError
 
 logger = logging.getLogger(__name__)
 
@@ -245,6 +245,14 @@ def _neighbor_offsets(dim: int) -> list[tuple[int, ...]]:
     return [o for o in itertools.product((-1, 0, 1), repeat=dim) if any(o)]
 
 
+def erode(nodes: np.ndarray) -> np.ndarray:
+    """The nodes of `nodes` whose whole 3^d neighbourhood lies in `nodes`."""
+    out = nodes.copy()
+    for off in _neighbor_offsets(nodes.ndim):
+        out &= shift(nodes, off, fill=False)
+    return out
+
+
 def axis_offset(dim: int, axis: int, step: int = 1) -> tuple[int, ...]:
     """Stencil offset of `step` nodes along `axis`."""
     off = [0] * dim
@@ -266,6 +274,33 @@ def neighbor_table(nodes: np.ndarray, offset: Sequence[int],
     number = np.full(nodes.shape, n, dtype=np.intp)
     number[nodes] = np.arange(n)
     return shift(number, offset, fill=n)[nodes if rows is None else rows]
+
+
+def check_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
+    """values, after raising ConvexCauchyError if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise ConvexCauchyError(f"{what} contains non-finite values")
+    return values
+
+
+@dataclass(eq=False)
+class Field:
+    """Real values on every grid node: the input and output form of a field.
+
+    The solver works on DOF vectors (see DomainMask); a Field is what goes in
+    from a closed-form solution and out to the reports.
+    """
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != self.grid.shape:
+            raise ConfigError(
+                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
+            )
+        check_finite(self.values)
 
 
 class Halo:
@@ -298,7 +333,9 @@ class DomainMask:
     The masked nodes are the degrees of freedom (DOFs) of the solver: a DOF
     vector holds one value per masked node, in C order (`dofs` gives their
     flat node indices). `gather` and `scatter` convert between DOF vectors and
-    full-grid arrays, which are zero outside the mask.
+    full-grid arrays, which are zero outside the mask; `value_pos`,
+    `deriv_pos`, `trace_pos` (both layers) and `free_pos` (the rest) are the
+    DOF positions of the trace layers and of the free nodes.
 
     Attributes:
         grid: the underlying Grid.
@@ -336,10 +373,15 @@ class DomainMask:
         self.free = self.in_mask & ~self.constrained
         self.counts = {lab.name.lower(): int(np.sum(label == lab)) for lab in Label}
         self.dofs = np.flatnonzero(self.in_mask.ravel())
+        self.value_pos = np.flatnonzero(value_layer[self.in_mask])
+        self.deriv_pos = np.flatnonzero(deriv_layer[self.in_mask])
+        self.trace_pos = np.flatnonzero(self.constrained[self.in_mask])
+        self.free_pos = np.flatnonzero(self.free[self.in_mask])
 
         for arr in (self.label, self.quad_weight, self.ell, self.value_layer,
                     self.deriv_layer, self.in_mask, self.is_core, self.is_inner,
-                    self.constrained, self.free, self.dofs):
+                    self.constrained, self.free, self.dofs, self.value_pos,
+                    self.deriv_pos, self.trace_pos, self.free_pos):
             arr.setflags(write=False)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
@@ -357,10 +399,6 @@ class DomainMask:
         """Halo of the mask, built on first use (only random draws need it)."""
         return Halo(self.in_mask, self.free)
 
-    @property
-    def mask_node_count(self) -> int:
-        return int(np.sum(self.in_mask))
-
     def largest_cell_level_variation(self) -> float:
         """Max level-value change across one grid cell within the mask."""
         worst = 0.0
@@ -373,11 +411,6 @@ class DomainMask:
             if np.any(both):
                 worst = max(worst, float(np.max(np.abs(nb_ell[both] - self.ell[both]))))
         return worst
-
-    def zero_outside(self, values: np.ndarray) -> np.ndarray:
-        out = np.array(values, dtype=float)
-        out[~self.in_mask] = 0.0
-        return out
 
 
 def _cauchy_face_mask(grid: Grid, family: str) -> np.ndarray:
@@ -471,13 +504,9 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
     resolved = spec.with_epsilon(float(eps))
 
     cauchy_face = _cauchy_face_mask(grid, spec.family)
-    full_nbhd = in_closure.copy()
-    for off in _neighbor_offsets(d):
-        full_nbhd &= shift(in_closure, off, fill=False)
-
     label = np.full(grid.shape, int(Label.OUTSIDE), dtype=np.int8)
     label[in_closure] = Label.XI_BOUNDARY
-    core = in_closure & full_nbhd & ~cauchy_face
+    core = erode(in_closure) & ~cauchy_face
     label[core] = Label.INTERIOR
     label[core & (ell > theta + 2 * eps)] = Label.INNER
     label[in_closure & cauchy_face] = Label.CAUCHY_BOUNDARY

@@ -12,18 +12,25 @@ manufactured case; every geometric and solver knob can be overridden:
       "output_dir": "runs/demo"
     }
 
-The effective (fully defaulted) configuration is echoed into report.json so
-runs are reproducible from their reports. Custom operators can be declared
-with expression strings over the node coordinates (names x0, x1, ..., and t
-for the last axis of time-dependent families).
+The effective (fully defaulted) configuration is echoed into report.json
+under "config", as config keys only, so `build_setup(report["config"])`
+rebuilds the same problem. A data file is echoed by its path, so the file
+must still be there, and relative to the same working directory; the output
+directory is not echoed. Custom operators can be declared with expression
+strings over the node coordinates (names x0, x1, ..., and t for the last axis
+of time-dependent families), made of numbers, pi, e, + - * / **, unary minus
+and calls of the functions in _EXPR_FUNCTIONS; nothing else is evaluated.
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import logging
 import math
+import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,9 +39,8 @@ import numpy as np
 from . import catalog
 from .errors import ConfigError
 from .functional import CauchyData, FunctionalParams, beta_window, data_extension
-from .grid import DomainMask, Grid, Label, LevelSpec, build_grid, classify_nodes
+from .grid import DomainMask, Field, Grid, Label, LevelSpec, build_grid, classify_nodes
 from .operators import (
-    Field,
     QuasilinearOperator,
     lower_cubic,
     lower_grad_sq,
@@ -51,9 +57,8 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
 
-_EXPR_NAMES = {
-    "pi": math.pi,
-    "e": math.e,
+_EXPR_CONSTANTS = {"pi": math.pi, "e": math.e}
+_EXPR_FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
@@ -65,25 +70,96 @@ _EXPR_NAMES = {
     "cosh": np.cosh,
     "sinh": np.sinh,
 }
+_EXPR_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_COORDINATE = re.compile(r"x\d+|t")
 
 
-def evaluate_expression(expr: str, points: np.ndarray, time_axis: bool) -> np.ndarray:
-    """Evaluate a coordinate expression like "(x0**2 + 1)**3 - 2" on points."""
-    ns = dict(_EXPR_NAMES)
-    d = points.shape[-1]
-    for j in range(d):
-        ns[f"x{j}"] = points[..., j]
-    if time_axis:
-        ns["t"] = points[..., -1]
+def _parse_expression(expr: str) -> ast.expr:
+    """Syntax tree of a coordinate expression such as "(x0**2 + 1)**3 - 2".
+
+    Allowed: int and float literals, the names x0, x1, ..., t, pi and e, the
+    functions of _EXPR_FUNCTIONS called with positional arguments, the binary
+    operators + - * / **, unary minus and parentheses. Anything else raises
+    ConfigError, so an expression cannot reach attributes, subscripts,
+    keyword arguments, lambdas or comprehensions.
+    """
+    if not isinstance(expr, str):
+        raise ConfigError(f"expression {expr!r} is not a string")
     try:
-        out = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - desk tool, whitelisted names
-    except Exception as exc:
+        tree = ast.parse(expr.strip(), mode="eval").body
+        _check_node(tree, expr)
+    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+    except (MemoryError, RecursionError) as exc:  # the parser's nesting limits
+        raise ConfigError(f"expression {expr[:40]!r}... is nested too deeply") from exc
+    return tree
+
+
+def _check_node(node: ast.AST, expr: str) -> None:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return
+    if isinstance(node, ast.Name) and (node.id in _EXPR_CONSTANTS
+                                       or _COORDINATE.fullmatch(node.id)):
+        return
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+        _check_node(node.left, expr)
+        _check_node(node.right, expr)
+        return
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        _check_node(node.operand, expr)
+        return
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCTIONS and not node.keywords):
+        for arg in node.args:
+            _check_node(arg, expr)
+        return
+    raise ConfigError(f"cannot evaluate expression {expr!r}: "
+                      f"{ast.unparse(node)!r} is not allowed")
+
+
+def _evaluate_node(node: ast.expr, names: dict):
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        if node.id not in names:
+            raise NameError(f"unknown name {node.id!r}")
+        return names[node.id]
+    if isinstance(node, ast.BinOp):
+        left = _evaluate_node(node.left, names)
+        return _EXPR_BINARY[type(node.op)](left, _evaluate_node(node.right, names))
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate_node(node.operand, names)
+    # a call of a function that _parse_expression has checked
+    return _EXPR_FUNCTIONS[node.func.id](*[_evaluate_node(arg, names) for arg in node.args])
+
+
+def evaluate_expression(expr: str | ast.expr, points: np.ndarray,
+                        time_axis: bool) -> np.ndarray:
+    """Evaluate a coordinate expression (text, or a tree from _parse_expression)
+    on points; x_j is coordinate j and t the last coordinate of a
+    time-dependent family."""
+    tree = _parse_expression(expr) if isinstance(expr, str) else expr
+    names = dict(_EXPR_CONSTANTS)
+    for j in range(points.shape[-1]):
+        names[f"x{j}"] = points[..., j]
+    if time_axis:
+        names["t"] = points[..., -1]
+    try:
+        out = _evaluate_node(tree, names)
+    except (ArithmeticError, NameError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot evaluate expression {ast.unparse(tree)!r}: {exc}") from exc
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
 
 
 def _expr_fn(expr: str, time_axis: bool):
-    return lambda points: evaluate_expression(expr, points, time_axis)
+    tree = _parse_expression(expr)
+    return lambda points: evaluate_expression(tree, points, time_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +211,7 @@ class ProblemSetup:
     solver: str
     u_star: Field | None
     clean_data: CauchyData
-    noise_level: float
-    noise_seed: int
+    beta: dict  # requested and effective beta, and the admissible window
     certificate: dict
     gradcheck: dict
     output_dir: Path
@@ -212,14 +287,9 @@ def build_setup(cfg: dict) -> ProblemSetup:
         _require(case is not None, "data", "needs a case id or a data file")
         u_star, clean = catalog.cauchy_data_from_case(case.id, grid, mask)
 
-    g0, g1 = add_noise(clean.g0[mask.value_layer], clean.g1[mask.deriv_layer],
-                       noise_level, noise_seed)
-    noisy = CauchyData(
-        g0=_scatter(mask.value_layer, g0), g1=_scatter(mask.deriv_layer, g1)
-    )
-
+    g0, g1 = add_noise(clean.g0, clean.g1, noise_level, noise_seed)
     params = FunctionalParams(
-        op=op, weight=weight, mask=mask, space=space, beta=beta, data=noisy,
+        op=op, weight=weight, mask=mask, space=space, beta=beta, data=CauchyData(g0, g1),
         beta_policy=beta_policy,
     )
 
@@ -242,44 +312,48 @@ def build_setup(cfg: dict) -> ProblemSetup:
         "seed": 2024,
     }
 
+    # config keys only, each at the value the run used
     effective = {
-        "case": case.id if case else None,
         "family": family,
-        "grid": {"bounds": [list(b) for b in grid.bounds()], "resolution": list(grid.shape)},
-        "level": _level_to_dict(mask.level),
-        "operator": cfg.get("operator", {"id": op.lower.name if op.lower else "linear"}),
+        "grid": {"bounds": [[float(lo), float(hi)] for lo, hi in bounds],
+                 "resolution": list(grid.shape)},
+        "level": _level_to_dict(mask.level, cfg.get("level", {})),
         "weight": {"lambda": lam},
-        "functional": {
-            "beta_requested": beta,
-            "beta_effective": params.beta,
-            "beta_window": list(beta_window(lam, mask.epsilon)),
-            "beta_policy": beta_policy,
-            "order": space.order,
-        },
+        "functional": {"beta": params.beta, "beta_policy": beta_policy, "order": space.order},
         "data": {"noise_level": noise_level, "noise_seed": noise_seed},
         "optimizer": {k: getattr(opt_config, k) for k in _SECTION_KEYS["optimizer"]},
         "certificate": cert,
         "solver": solver,
     }
+    if case is not None:
+        effective["case"] = case.id
+    if "operator" in cfg:
+        effective["operator"] = cfg["operator"]
+    if "file" in data_cfg:
+        effective["data"]["file"] = data_cfg["file"]
     logger.info("resolved problem: %s", json.dumps(effective, sort_keys=True, default=str))
 
     return ProblemSetup(
         config=effective, case=case, grid=grid, mask=mask, op=op, weight=weight,
         space=space, params=params, opt_config=opt_config, solver=solver,
-        u_star=u_star, clean_data=clean, noise_level=noise_level,
-        noise_seed=noise_seed, certificate=cert, gradcheck=gradcheck,
+        u_star=u_star, clean_data=clean,
+        beta={"requested": beta, "effective": params.beta,
+              "window": list(beta_window(lam, mask.epsilon))},
+        certificate=cert, gradcheck=gradcheck,
         output_dir=Path(cfg.get("output_dir", "runs")),
     )
 
 
-def _level_to_dict(level: LevelSpec) -> dict:
-    out = {"family": level.family, "c": level.c, "epsilon": level.epsilon}
+def _level_to_dict(level: LevelSpec, level_cfg: dict) -> dict:
+    out = {"c": level.c, "epsilon": level.epsilon}
     if level.family in ("elliptic", "parabolic"):
         out.update({"a": level.a, "nu": level.nu, "x_width": level.x_width})
     if level.family == "parabolic":
         out["t_span"] = level.t_span
     if level.family == "hyperbolic":
         out.update({"eta": level.eta, "x0": list(level.x0)})
+    if level.family == "generic":
+        out["xi"] = level_cfg["xi"]
     return out
 
 
@@ -373,12 +447,6 @@ def _resolve_operator(cfg: dict, case, family: str, grid: Grid) -> QuasilinearOp
     )
 
 
-def _scatter(layer: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros(layer.shape)
-    out[layer] = values
-    return out
-
-
 # ---------------------------------------------------------------------------
 # noise and data files
 
@@ -438,11 +506,10 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
             raise ConfigError(f"data file {path} gives {name} on {covered} "
                               f"of the {int(on.sum())} nodes of its trace layer")
         ignored += int(np.sum(seen[name][~on]))
-        values[name][~on] = 0.0
     if ignored:
         logger.warning("data file %s: ignored %d rows off their trace layer", path, ignored)
-    return CauchyData(g0=values["g0"].reshape(mask.grid.shape),
-                      g1=values["g1"].reshape(mask.grid.shape))
+    return CauchyData(g0=values["g0"][mask.value_layer.ravel()],
+                      g1=values["g1"][mask.deriv_layer.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +523,8 @@ def error_norms(setup: ProblemSetup, u: Field) -> dict | None:
     if setup.u_star is None:
         return None
     mask = setup.mask
-    diff = Field(setup.grid, mask.zero_outside(u.values - setup.u_star.values))
-    star = Field(setup.grid, mask.zero_outside(setup.u_star.values))
+    diff = np.where(mask.in_mask, u.values - setup.u_star.values, 0.0)
+    star = np.where(mask.in_mask, setup.u_star.values, 0.0)
     # the inner window is the fixed region above the raised threshold, sampled
     # by level value so refinement studies compare like with like
     window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
@@ -466,11 +533,11 @@ def error_norms(setup: ProblemSetup, u: Field) -> dict | None:
         for name, order in (("l2", None), ("h1", 1), ("hk", setup.space.order)):
             space = SobolevSpace(mask, order=order if order else 1, node_subset=subset)
             if order is None:
-                num = float(np.sqrt(np.sum(diff.values**2 * space.weights)))
-                den = float(np.sqrt(np.sum(star.values**2 * space.weights)))
+                num = float(np.sqrt(np.sum(diff**2 * space.weights)))
+                den = float(np.sqrt(np.sum(star**2 * space.weights)))
             else:
-                num = space.norm(diff)
-                den = space.norm(star)
+                num = space.norm(mask.gather(diff))
+                den = space.norm(mask.gather(star))
             out[f"{name}_{region}"] = num / den if den > 0 else float("nan")
     return out
 
@@ -554,4 +621,4 @@ def history_rows(run_report) -> list[dict]:
 
 def starting_field(setup: ProblemSetup) -> Field:
     """Default initial iterate: the smooth extension of the Cauchy data."""
-    return data_extension(setup.space, setup.params.data)
+    return Field(setup.grid, setup.mask.scatter(data_extension(setup.space, setup.params.data)))

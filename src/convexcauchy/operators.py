@@ -11,12 +11,12 @@ Here N is the lower-order term (first and zeroth order in u), supplied with
 analytic partial derivatives. `grad u` always means the spatial gradient.
 
 The linearization freezes N's partials at a base field and is an exact
-derivative of the discrete residual map, so its transpose (apply with
-adjoint=True) satisfies the discrete duality identity to rounding.
+derivative of the discrete residual map, so its transpose
+(LinearizedOperator.adjoint) satisfies the discrete duality identity to
+rounding.
 
 OperatorStencil does the arithmetic on masked DOF vectors (see DomainMask)
-through per-offset gather tables, one elementwise difference at a time; the
-Field-level functions at the bottom wrap it for full-grid callers.
+through per-offset gather tables, one elementwise difference at a time.
 """
 
 from __future__ import annotations
@@ -28,41 +28,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError
-from .grid import DomainMask, Grid, axis_offset, neighbor_table
+from .grid import DomainMask, axis_offset, neighbor_table
 
 logger = logging.getLogger(__name__)
 
 OPERATOR_FAMILIES = ("elliptic", "parabolic", "hyperbolic")
-
-
-@dataclass(eq=False)
-class Field:
-    """Real values on every grid node."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ConfigError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-        check_finite(self.values)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-def check_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
-    """values, after raising ConvexCauchyError if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
-        raise ConvexCauchyError(f"{what} contains non-finite values")
-    return values
-
-
-def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape))
 
 
 @dataclass(eq=False)
@@ -338,12 +308,6 @@ class OperatorStencil:
         }
         self.core_pos = self.tables[center]  # DOF position of each core node
 
-    def to_grid(self, core_values: np.ndarray) -> np.ndarray:
-        """Full-grid array of core-node values, zero elsewhere."""
-        out = np.zeros(self.mask.grid.shape)
-        out[self.mask.is_core] = core_values
-        return out
-
     def d1(self, v: np.ndarray, axis: int) -> np.ndarray:
         dim, h = self.mask.grid.dim, self.mask.grid.spacing[axis]
         plus = v[self.tables[axis_offset(dim, axis, 1)]]
@@ -419,7 +383,7 @@ class LinearizedOperator:
 
     with s the family sign of the lower-order term. `forward` maps a DOF
     vector to core-node values and `adjoint` is its exact transpose, a gather
-    at each negated stencil offset. `apply` does the same on full-grid arrays.
+    at each negated stencil offset.
     """
 
     def __init__(self, stencil: OperatorStencil, base: np.ndarray):
@@ -479,12 +443,6 @@ class LinearizedOperator:
             out += w * np.append(c * y, 0.0)[self.stencil.adjoint_tables[off]]
         return out
 
-    def apply(self, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Forward or transpose action on a full-grid array."""
-        if adjoint:
-            return self.mask.scatter(self.adjoint(values[self.mask.is_core]))
-        return self.stencil.to_grid(self.forward(self.mask.gather(values)))
-
     def to_matrix(self) -> "scipy.sparse.csr_matrix":
         """Assemble `forward` as a sparse core-node x DOF matrix."""
         import scipy.sparse as sp
@@ -501,29 +459,3 @@ class LinearizedOperator:
             shape=(core.size, self.mask.dofs.size),
         )
         return mat.tocsr()
-
-
-# ---------------------------------------------------------------------------
-# full-grid entry points (each builds the stencil of its (op, mask) pair)
-
-
-def apply_principal(op: QuasilinearOperator, u: Field, mask: DomainMask) -> Field:
-    """Principal-part residual on core nodes, zero elsewhere."""
-    stencil = OperatorStencil(op, mask)
-    return Field(mask.grid, stencil.to_grid(stencil.principal(mask.gather(u.values))))
-
-
-def apply_operator(op: QuasilinearOperator, u: Field, mask: DomainMask) -> Field:
-    """Full residual including the lower-order term, on core nodes."""
-    stencil = OperatorStencil(op, mask)
-    return Field(mask.grid, stencil.to_grid(stencil.residual(mask.gather(u.values))))
-
-
-def linearize(op: QuasilinearOperator, u1: Field, mask: DomainMask) -> LinearizedOperator:
-    """Exact derivative of the discrete residual map at u1."""
-    return OperatorStencil(op, mask).linearize(mask.gather(u1.values))
-
-
-def apply_linearized(lin: LinearizedOperator, v: Field, adjoint: bool = False) -> Field:
-    """Forward or transpose action of a linearized operator on a field."""
-    return Field(lin.grid, lin.apply(v.values, adjoint=adjoint))

@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
-from .functional import FunctionalParams, bregman_gap, data_extension, dof_gradient, dof_value
-from .operators import Field, check_finite
+from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
+from .grid import check_finite
 from .sampling import draw_in_ball
 from .sobolev import spd_factorized
 
@@ -65,7 +65,7 @@ class RunReport:
     grad_norm_history: list[float] = dc_field(default_factory=list)
     step_history: list[float] = dc_field(default_factory=list)
     radius_history: list[float] = dc_field(default_factory=list)
-    final: Field | None = None
+    final: np.ndarray | None = None  # DOF vector of the last iterate
     converged: bool = False
     reason: str = ""
     iterations: int = 0
@@ -88,8 +88,8 @@ class RunReport:
         }
 
 
-def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunReport:
-    """Minimize J from `start` by (projected) gradient descent.
+def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) -> RunReport:
+    """Minimize J from the DOF vector `start` by (projected) gradient descent.
 
     The start must carry the Cauchy data; every step direction is zero-trace,
     so the constraint is preserved exactly. Terminates on grad_tol, max_iters,
@@ -98,37 +98,34 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
     progress is possible). Line-search failure and divergence in fixed mode
     raise SolverError.
 
-    The iteration runs on DOF vectors; only `final` is a Field. In sobolev
-    mode the gradient norm is the H^k norm of the Riesz representative, which
+    The iterates, the gradients and `final` are DOF vectors. In sobolev mode
+    the gradient norm is the H^k norm of the Riesz representative, which
     equals its Euclidean pairing with the raw gradient (the dual norm).
     `iterations` counts gradient evaluations, len(grad_norm_history). At the
     iteration cap j_history also ends with the J of the last accepted step.
     """
     t0 = time.perf_counter()
-    mask, space = params.mask, params.space
-    u = mask.gather(start.values)
-    params.check_dofs(u, "starting field")
+    space = params.space
+    params.check_dofs(start, "starting field")
+    u = np.array(start, dtype=float)
     params.impose_dofs(u)
     report = RunReport(iterates=[] if config.store_iterates else None)
     report.space = space
 
-    j = dof_value(params, u)
+    j = evaluate(params, u)
     step = config.gamma if config.step_mode == "fixed" else 1.0
     warned_radius = False
 
     def trial(v: np.ndarray, d: np.ndarray, t: float) -> np.ndarray | None:
         """v - t d with the trace data imposed; None when it equals v."""
         v_try = params.impose_dofs(v - t * d)
-        if np.array_equal(v_try, v):
-            return None
-        params.check_dofs(v_try, "trial iterate")
-        return v_try
+        return None if np.array_equal(v_try, v) else v_try
 
     for it in range(config.max_iters):
-        g = check_finite(dof_gradient(params, u, config.mode), "gradient")
-        gsq = float(np.sum(g * g)) if config.mode == "euclidean" else space.dof_norm_sq(g)
+        g = check_finite(gradient(params, u, config.mode), "gradient")
+        gsq = float(np.sum(g * g)) if config.mode == "euclidean" else space.norm_sq(g)
         gnorm = float(np.sqrt(max(gsq, 0.0)))
-        unorm = space.dof_norm(u)
+        unorm = space.norm(u)
 
         report.j_history.append(j)
         report.grad_norm_history.append(gnorm)
@@ -154,7 +151,7 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
         if config.step_mode == "fixed":
             t = config.gamma
             u_try = trial(u, g, t)
-            j_try = j if u_try is None else dof_value(params, u_try)
+            j_try = j if u_try is None else evaluate(params, u_try)
             if j_try > j + 1e-12 * (1.0 + abs(j)):
                 raise SolverError(
                     f"fixed-step iteration diverged at iteration {it}: "
@@ -166,7 +163,7 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
                 u_try = trial(u, g, t)
                 if u_try is None:
                     break
-                j_try = dof_value(params, u_try)
+                j_try = evaluate(params, u_try)
                 if j_try <= j - config.armijo_c * t * gsq:
                     break
                 t *= config.shrink
@@ -185,7 +182,7 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
         report.reason = "iteration cap reached"
         report.j_history.append(j)  # J of the last accepted step
 
-    report.final = Field(mask.grid, mask.scatter(u))
+    report.final = u
     report.iterations = len(report.grad_norm_history)
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
@@ -196,8 +193,9 @@ def run(params: FunctionalParams, start: Field, config: OptimizerConfig) -> RunR
     return report
 
 
-def convergence_ratio(report: RunReport, reference: Field) -> float:
-    """Fitted per-iteration contraction of ||u_n - reference||_{H^k}.
+def convergence_ratio(report: RunReport, reference: np.ndarray) -> float:
+    """Fitted per-iteration contraction of ||u_n - reference||_{H^k}, reference
+    a DOF vector.
 
     Least-squares slope of the log-error over the linear-decay tail; the
     returned q_hat is exp(slope). Needs at least 5 usable tail iterates.
@@ -206,8 +204,7 @@ def convergence_ratio(report: RunReport, reference: Field) -> float:
         raise ConfigError("run stored no iterates; enable store_iterates")
     if report.space is None:
         raise ConfigError("report has no space attached")
-    ref = report.space.mask.gather(reference.values)
-    errs = np.asarray([report.space.dof_norm(v - ref) for v in report.iterates])
+    errs = np.asarray([report.space.norm(v - reference) for v in report.iterates])
     floor = max(errs.max() * 1e-14, 1e-300)
     usable = np.flatnonzero(errs > floor)
     if usable.size < 5:
@@ -219,7 +216,7 @@ def convergence_ratio(report: RunReport, reference: Field) -> float:
     return float(np.exp(slope))
 
 
-def direct_solve(params: FunctionalParams) -> Field:
+def direct_solve(params: FunctionalParams) -> np.ndarray:
     """Exact minimizer of J for an affine residual map (no genuine nonlinearity).
 
     Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
@@ -241,11 +238,11 @@ def direct_solve(params: FunctionalParams) -> Field:
 
     r_c = params.stencil.residual(v_c)
     grad_c = lin.adjoint(params.core_weight * r_c)
-    grad_c += params.beta * space.dof_gram(v_c)
+    grad_c += params.beta * space.apply_gram(v_c)
 
-    free = space.free_pos
+    free = mask.free_pos
     v_c[free] += spd_factorized(hess[free][:, free])(-grad_c[free])
-    return Field(mask.grid, mask.scatter(v_c))
+    return v_c
 
 
 @dataclass

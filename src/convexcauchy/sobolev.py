@@ -25,7 +25,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, GeometryError
 from .grid import DomainMask, axis_offset, neighbor_table
-from .operators import Field
 
 
 def sobolev_order(dim: int) -> int:
@@ -61,9 +60,8 @@ class SobolevSpace:
     sobolev_order(grid dim). A restricted subset (e.g. the inner subdomain)
     yields the corresponding local norm; it must lie inside the mask.
 
-    `inner_product`, `norm_sq`, `norm` and `apply_gram` take full-grid
-    fields; every other method works on masked DOF vectors (see DomainMask),
-    and the assembled matrices are DOF x DOF. Every monomial is a chain of
+    Every method takes and returns masked DOF vectors (see DomainMask), and
+    the assembled matrices are DOF x DOF. Every monomial is a chain of
     first differences (v[p + e] - v[p]) / h taken through gather tables,
     never a precombined multi-axis stencil: for smooth fields the nested
     differences are nearly exact in floating point, and a summed stencil is
@@ -85,8 +83,6 @@ class SobolevSpace:
         self.weights = np.where(self.nodes, mask.quad_weight, 0.0)
         self.monomials = difference_monomials(self.grid.dim, self.order)
         inside = mask.in_mask
-        self.free_pos = np.flatnonzero(mask.free[inside])  # DOF positions off the trace
-        self._trace_pos = np.flatnonzero(mask.constrained[inside])
         self._gram_matrix = None
         self._free_solve = None
 
@@ -115,11 +111,12 @@ class SobolevSpace:
             box = self._dof_valid[parent]
             self._dof_valid.append(box & np.append(box, False)[self._forward[axis]])
 
-    # -- masked DOF vectors ----------------------------------------------------
-
-    def dof_differences(self, v: np.ndarray) -> list[np.ndarray]:
+    def differences(self, v: np.ndarray) -> list[np.ndarray]:
         """Forward-difference monomials of a DOF vector, in `monomials` order,
         zeroed where the stencil box leaves the node set."""
+        if np.shape(v) != self._dof_weights.shape:
+            raise ConfigError(f"field of shape {np.shape(v)} is not a DOF vector of the "
+                              f"space's {self._dof_weights.size} masked nodes")
         raw, out = [], []
         for (parent, axis), valid in zip(self._chain, self._dof_valid):
             if parent is None:
@@ -131,24 +128,24 @@ class SobolevSpace:
             out.append(np.where(valid, d, 0.0))
         return out
 
-    def dof_inner(self, v: np.ndarray, w: np.ndarray) -> float:
-        dv = self.dof_differences(v)
-        dw = dv if w is v else self.dof_differences(w)
+    def inner_product(self, v: np.ndarray, w: np.ndarray) -> float:
+        dv = self.differences(v)
+        dw = dv if w is v else self.differences(w)
         total = 0.0
         for a, b in zip(dv, dw):
             total += float(np.sum(a * b * self._dof_weights))
         return total
 
-    def dof_norm_sq(self, v: np.ndarray) -> float:
-        return self.dof_inner(v, v)
+    def norm_sq(self, v: np.ndarray) -> float:
+        return self.inner_product(v, v)
 
-    def dof_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(self.dof_norm_sq(v), 0.0)))
+    def norm(self, v: np.ndarray) -> float:
+        return float(np.sqrt(max(self.norm_sq(v), 0.0)))
 
-    def dof_gram(self, v: np.ndarray) -> np.ndarray:
+    def apply_gram(self, v: np.ndarray) -> np.ndarray:
         """Gram action sum_beta (D^beta)^T (w . D^beta v) on a DOF vector."""
         out = np.zeros(v.size)
-        for beta, d in zip(self.monomials, self.dof_differences(v)):
+        for beta, d in zip(self.monomials, self.differences(v)):
             x = self._dof_weights * d
             for axis in reversed(range(self.grid.dim)):
                 h = self.grid.spacing[axis]
@@ -157,24 +154,25 @@ class SobolevSpace:
             out += x
         return out
 
-    def dof_riesz(self, b: np.ndarray) -> np.ndarray:
+    def riesz(self, b: np.ndarray) -> np.ndarray:
         """Riesz representative of the Euclidean pairing with b.
 
         Returns the DOF vector g, zero on the trace layers, with [g, h] = b . h
         for every zero-trace DOF vector h: one solve with the factorized
         constrained Gram. b must vanish on the trace layers.
         """
-        if np.any(b[self._trace_pos]):
+        if np.any(b[self.mask.trace_pos]):
             raise ConfigError("Riesz right-hand side is not zero on the trace layers")
+        free = self.mask.free_pos
         g = np.zeros(b.size)
-        g[self.free_pos] = self.constrained_solver()(b[self.free_pos])
+        g[free] = self.constrained_solver()(b[free])
         return g
 
     def gram_matrix(self) -> sp.csr_matrix:
         """Sparse DOF x DOF Gram matrix, sum_beta B^T diag(w) B (assembled once).
 
         B is the monomial's chain of forward-difference matrices built from
-        the same gather tables and validity as `dof_differences`.
+        the same gather tables and validity as `differences`.
         """
         if self._gram_matrix is None:
             n = self.mask.dofs.size
@@ -199,36 +197,11 @@ class SobolevSpace:
     # -- constrained (zero-trace) system ---------------------------------------
 
     def constrained_gram(self) -> sp.csc_matrix:
-        """Gram matrix over the free DOFs (trace layers removed), in `free_pos` order."""
-        free = self.free_pos
+        """Gram matrix over the free DOFs (trace layers removed), in mask.free_pos order."""
+        free = self.mask.free_pos
         return self.gram_matrix()[free][:, free].tocsc()
 
     def constrained_solver(self):
         if self._free_solve is None:
             self._free_solve = spd_factorized(self.constrained_gram())
         return self._free_solve
-
-    # -- full-grid fields --------------------------------------------------------
-
-    def inner_product(self, f: Field, g: Field) -> float:
-        if f.grid != self.grid or g.grid != self.grid:
-            raise ConfigError("fields live on a different grid than the space")
-        v = self.mask.gather(f.values)
-        return self.dof_inner(v, v if g is f else self.mask.gather(g.values))
-
-    def norm_sq(self, f: Field) -> float:
-        return self.inner_product(f, f)
-
-    def norm(self, f: Field) -> float:
-        return float(np.sqrt(max(self.norm_sq(f), 0.0)))
-
-    def apply_gram(self, values: np.ndarray) -> np.ndarray:
-        """Gram action on a full-grid array; zero outside the mask."""
-        return self.mask.scatter(self.dof_gram(self.mask.gather(values)))
-
-
-def zero_trace_project(space: SobolevSpace, f: Field) -> Field:
-    """Zero the Cauchy-constrained degrees of freedom (both trace layers)."""
-    out = f.values.copy()
-    out[space.mask.constrained] = 0.0
-    return Field(space.grid, out)

@@ -14,12 +14,10 @@ from convexcauchy.functional import (
     bregman_gap,
     carleman_ratio,
     data_extension,
-    data_term_value,
     evaluate,
     gradient,
 )
 from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
-from convexcauchy.operators import Field, linearize
 from convexcauchy.optimizer import (
     OptimizerConfig,
     convexity_certificate,
@@ -39,16 +37,14 @@ def test_criterion_1_gradient_exactness():
     for case_id in GRADCHECK_CASES:
         _, grid, mask, op, space, params, _ = make_problem(case_id)
         rng = np.random.default_rng(101)
-        u = params.impose(data_extension(space, params.data))
+        u = data_extension(space, params.data)
         g = gradient(params, u, mode="euclidean")
-        scale = max(1.0, float(np.max(np.abs(u.values))))
+        scale = max(1.0, float(np.max(np.abs(u))))
         for _ in range(10):
             h = random_smooth_values(mask, rng)
             delta = 1e-5 * scale
-            up = Field(grid, u.values + delta * h)
-            dn = Field(grid, u.values - delta * h)
-            fd = (evaluate(params, up) - evaluate(params, dn)) / (2 * delta)
-            an = float(np.sum(g.values * h))
+            fd = (evaluate(params, u + delta * h) - evaluate(params, u - delta * h)) / (2 * delta)
+            an = float(np.sum(g * h))
             rel = abs(fd - an) / max(1.0, abs(an))
             worst = max(worst, rel)
             assert rel < 1e-6, f"{case_id}: gradient mismatch {rel:.3e}"
@@ -61,12 +57,12 @@ def test_criterion_2_adjoint_identity():
     for case_id in CATALOG_IDS:
         _, grid, mask, op, space, params, u_star = make_problem(case_id)
         rng = np.random.default_rng(202)
-        lin = linearize(op, params.impose(u_star), mask)
+        lin = params.stencil.linearize(params.impose_dofs(mask.gather(u_star.values)))
         for _ in range(20):
-            v = rng.standard_normal(grid.shape)
-            w = rng.standard_normal(grid.shape)
-            lhs = float(np.sum(lin.apply(v) * w))
-            rhs = float(np.sum(v * lin.apply(w, adjoint=True)))
+            v = rng.standard_normal(mask.dofs.size)
+            w = rng.standard_normal(lin.stencil.core_pos.size)
+            lhs = float(np.sum(lin.forward(v) * w))
+            rhs = float(np.sum(v * lin.adjoint(w)))
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
             worst = max(worst, rel)
             assert rel < 1e-12, f"{case_id}: adjoint identity off by {rel:.3e}"
@@ -83,16 +79,17 @@ def test_criterion_3_quadratic_oracle():
     cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
     report = run(params, draw_in_ball(params, 150.0, rng), cfg)
     assert report.converged
-    rel = space.norm(Field(grid, report.final.values - u_direct.values)) / space.norm(u_direct)
+    rel = space.norm(report.final - u_direct) / space.norm(u_direct)
     assert rel < 1e-6, f"optimizer vs direct solve: {rel:.3e}"
 
-    lin = linearize(op, params.impose(data_extension(space, params.data)), mask)
+    lin = params.stencil.linearize(data_extension(space, params.data))
     worst_gap = 0.0
     for _ in range(5):
         u1 = draw_in_ball(params, 150.0, rng)
         u2 = draw_in_ball(params, 150.0, rng)
         gap, _, hk = bregman_gap(params, u1, u2)
-        expect = data_term_value(params, lin.apply(u2.values - u1.values)) + params.beta * hk
+        r = lin.forward(u2 - u1)
+        expect = float(np.sum(r * r * params.core_weight)) + params.beta * hk
         gap_rel = abs(gap - expect) / max(abs(expect), 1e-30)
         worst_gap = max(worst_gap, gap_rel)
         assert gap_rel < 1e-10, f"quadratic gap identity off by {gap_rel:.3e}"
@@ -157,7 +154,7 @@ def test_criterion_5_global_convergence(cubic_certificate_sweep):
     worst_pair = 0.0
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
-            d = space.norm(Field(grid, finals[i].values - finals[j].values))
+            d = space.norm(finals[i] - finals[j])
             worst_pair = max(worst_pair, d)
     assert worst_pair < 1e-4 * radius, f"pairwise distance {worst_pair:.3e}"
     print(f"\nPASS criterion 5: 10 starts converged, max pairwise distance "
@@ -172,20 +169,16 @@ def _reconstruction_error(resolution, noise_level, seed=42):
         from convexcauchy.functional import CauchyData
         from convexcauchy.harness import add_noise
 
-        g0v, g1v = add_noise(params.data.g0[mask.value_layer],
-                             params.data.g1[mask.deriv_layer], noise_level, seed)
-        g0 = np.zeros(grid.shape)
-        g0[mask.value_layer] = g0v
-        g1 = np.zeros(grid.shape)
-        g1[mask.deriv_layer] = g1v
+        g0, g1 = add_noise(params.data.g0, params.data.g1, noise_level, seed)
         params = FunctionalParams(
             op=op, weight=params.weight, mask=mask, space=space,
             beta=params.beta, data=CauchyData(g0=g0, g1=g1), beta_policy="keep")
     u = direct_solve(params)
     window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
-    w = np.where(window, mask.quad_weight, 0.0)
-    err = float(np.sqrt(np.sum((u.values - u_star.values) ** 2 * w)))
-    den = float(np.sqrt(np.sum(u_star.values**2 * w)))
+    w = mask.gather(np.where(window, mask.quad_weight, 0.0))
+    star = mask.gather(u_star.values)
+    err = float(np.sqrt(np.sum((u - star) ** 2 * w)))
+    den = float(np.sqrt(np.sum(star**2 * w)))
     return err / den
 
 

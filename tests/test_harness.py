@@ -9,8 +9,8 @@ from conftest import make_problem
 from convexcauchy.catalog import get_case, manufactured_solution
 from convexcauchy.cli import main
 from convexcauchy.errors import ConfigError
-from convexcauchy.functional import beta_window
-from convexcauchy.grid import build_grid, classify_nodes
+from convexcauchy.functional import beta_window, data_extension, evaluate
+from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.harness import (
     add_noise,
     build_setup,
@@ -18,7 +18,7 @@ from convexcauchy.harness import (
     evaluate_expression,
     load_problem,
 )
-from convexcauchy.operators import apply_operator
+from convexcauchy.operators import OperatorStencil
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -99,6 +99,72 @@ class TestLoadProblem:
         assert setup.mask.counts["cauchy_boundary"] > 0
 
 
+class TestConfigEcho:
+    """The config echoed into report.json rebuilds the same problem."""
+
+    @staticmethod
+    def _reload(cfg):
+        setup = build_setup(cfg)
+        echo = json.loads(json.dumps(setup.config))  # as report.json holds it
+        again = build_setup(echo)
+        assert json.loads(json.dumps(again.config)) == echo
+        assert np.array_equal(again.mask.label, setup.mask.label)
+        v = data_extension(setup.space, setup.params.data)
+        assert evaluate(again.params, v) == evaluate(setup.params, v)
+        return echo
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_shipped_config(self, name):
+        cfg = json.loads((CONFIG_DIR / name).read_text())
+        echo = self._reload(cfg)
+        assert "operator" not in echo  # the case supplies it, source term included
+        assert "family" not in echo["level"]
+
+    def test_csv_data_custom_operator(self, tmp_path):
+        bounds, resolution = [[0.0, 0.9], [-0.7, 0.7]], [19, 15]
+        level = {"a": 0.2, "c": 0.45, "nu": 1.0, "x_width": 0.9}
+        grid = build_grid(bounds, resolution)
+        mask = classify_nodes(grid, LevelSpec(family="elliptic", **level))
+        pts = grid.coords()
+        vals = (pts[..., 0] ** 2 - pts[..., 1] ** 2 + 3.0).ravel()
+        rows = ["layer,index,value"]
+        for layer, nodes in (("g0", mask.value_layer), ("g1", mask.deriv_layer)):
+            rows += [f"{layer},{i},{float(vals[i])!r}" for i in np.flatnonzero(nodes.ravel())]
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(rows) + "\n")
+        cfg = {
+            "family": "elliptic",
+            "grid": {"bounds": bounds, "resolution": resolution},
+            "level": level,
+            "operator": {"id": "cubic", "q": "(x0**2 - x1**2 + 3)**3"},
+            "functional": {"beta": 0.3, "beta_policy": "keep"},
+            "data": {"file": str(trace)},
+        }
+        echo = self._reload(cfg)
+        assert echo["operator"] == cfg["operator"]
+        assert echo["data"]["file"] == str(trace)
+        assert echo["grid"]["bounds"] == bounds
+        assert "case" not in echo
+
+    def test_generic_level(self):
+        cfg = {
+            "case": "ELL2D-HARMONIC",
+            "family": "generic",
+            "grid": {"bounds": [[0.0, 0.9], [0.0, 0.7]], "resolution": [19, 13]},
+            "level": {"c": 0.3, "epsilon": 0.05, "xi": "1 - x0 + 0.1*sin(3*x1)"},
+            "operator": {"id": "linear"},
+            "functional": {"beta": 2.0},  # clamped into the window
+        }
+        echo = self._reload(cfg)
+        assert echo["level"]["xi"] == cfg["level"]["xi"]
+        setup = build_setup(cfg)
+        assert setup.beta["requested"] == 2.0
+        assert echo["functional"] == {"beta": setup.beta["effective"],
+                                      "beta_policy": "clamp", "order": 3}
+        lo, hi = setup.beta["window"]
+        assert lo < setup.beta["effective"] < hi
+
+
 class TestManufactured:
     @pytest.mark.parametrize("case_id,tol", [
         ("ELL1D-CUBIC", 1e-10),
@@ -108,8 +174,8 @@ class TestManufactured:
     ])
     def test_residual_machine_zero(self, case_id, tol):
         case, grid, mask, op, space, params, u_star = make_problem(case_id)
-        r = apply_operator(op, u_star, mask)
-        assert np.max(np.abs(r.values)) < tol
+        r = params.stencil.residual(mask.gather(u_star.values))
+        assert np.max(np.abs(r)) < tol
 
     def test_harmonic_residual_second_order(self):
         """Interior residual of the smooth case drops about 4x per refinement."""
@@ -120,17 +186,18 @@ class TestManufactured:
             mask = classify_nodes(grid, case.level)
             op = case.make_operator()
             u_star, g0, g1 = manufactured_solution(case.id, grid, mask)
-            r = apply_operator(op, u_star, mask)
-            norms.append(np.max(np.abs(r.values)))
+            r = OperatorStencil(op, mask).residual(mask.gather(u_star.values))
+            norms.append(np.max(np.abs(r)))
         assert norms[0] / norms[1] > 3.0
         assert norms[1] / norms[2] > 3.0
 
     def test_trace_data_on_layers(self):
         case, grid, mask, op, space, params, u_star = make_problem("ELL2D-HARMONIC")
         u_vals, g0, g1 = manufactured_solution(case.id, grid, mask)
-        assert np.array_equal(g0 != 0, mask.value_layer & (u_vals.values != 0))
-        assert np.allclose(g0[mask.value_layer], u_vals.values[mask.value_layer])
-        assert np.allclose(g1[mask.deriv_layer], u_vals.values[mask.deriv_layer])
+        assert g0.shape == (int(np.sum(mask.value_layer)),)
+        assert g1.shape == (int(np.sum(mask.deriv_layer)),)
+        assert np.allclose(g0, u_vals.values[mask.value_layer])
+        assert np.allclose(g1, u_vals.values[mask.deriv_layer])
 
     def test_family_mismatch(self):
         case, grid, mask, op, space, params, u_star = make_problem("ELL2D-HARMONIC")
@@ -144,10 +211,10 @@ class TestDataFile:
         case, grid, mask, op, space, params, u_star = make_problem("ELL2D-HARMONIC",
                                                                    resolution=(17, 17))
         rows = ["layer,index,value"]
-        for flat in np.flatnonzero(mask.value_layer.ravel()):
-            rows.append(f"g0,{flat},{float(params.data.g0.ravel()[flat])!r}")
-        for flat in np.flatnonzero(mask.deriv_layer.ravel()):
-            rows.append(f"g1,{flat},{float(params.data.g1.ravel()[flat])!r}")
+        for flat, value in zip(np.flatnonzero(mask.value_layer.ravel()), params.data.g0):
+            rows.append(f"g0,{flat},{float(value)!r}")
+        for flat, value in zip(np.flatnonzero(mask.deriv_layer.ravel()), params.data.g1):
+            rows.append(f"g1,{flat},{float(value)!r}")
         data_file = tmp_path / "trace.csv"
         data_file.write_text("\n".join(rows) + "\n")
 
@@ -166,10 +233,10 @@ class TestDataFile:
         """Exit code of `certify` on ELL2D-HARMONIC at 17^2 with a trace CSV
         made of the exact trace rows transformed by `rows`."""
         _, grid, mask, _, _, params, _ = make_problem("ELL2D-HARMONIC", resolution=(17, 17))
-        exact = [("g0", flat, params.data.g0.ravel()[flat])
-                 for flat in np.flatnonzero(mask.value_layer.ravel())]
-        exact += [("g1", flat, params.data.g1.ravel()[flat])
-                  for flat in np.flatnonzero(mask.deriv_layer.ravel())]
+        exact = [("g0", flat, value) for flat, value
+                 in zip(np.flatnonzero(mask.value_layer.ravel()), params.data.g0)]
+        exact += [("g1", flat, value) for flat, value
+                  in zip(np.flatnonzero(mask.deriv_layer.ravel()), params.data.g1)]
         lines = ["layer,index,value"] + [f"{a},{b},{float(c)!r}" for a, b, c in rows(exact)]
         data_file = tmp_path / "trace.csv"
         data_file.write_text("\n".join(lines) + "\n")
@@ -265,7 +332,7 @@ class TestEmitReport:
         with open(tmp_path / "out" / "field.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         setup = load_problem(path)
-        assert len(rows) == setup.mask.mask_node_count
+        assert len(rows) == setup.mask.dofs.size
 
     def test_deterministic_report(self, tmp_path):
         outs = []
@@ -301,6 +368,59 @@ class TestExpressions:
         assert out.shape == (4,)
         assert np.all(out == 3.5)
 
+    @pytest.mark.parametrize("case_id,expr", [
+        ("ELL1D-CUBIC", "(x0 * x0 + 1.0) ** 3 - 2.0"),
+        ("ELL2D-CUBIC", "(x0 * x0 - x1 * x1 + 3.0) ** 3"),
+        ("PAR1D-CUBIC", "2.0 * t - 2.0 + (x0 * x0 + t * t + 1.0) ** 3"),
+    ])
+    def test_catalog_sources_exact(self, case_id, expr):
+        """A catalog source term written as an expression gives the same bits."""
+        case = get_case(case_id)
+        pts = build_grid(case.bounds, case.resolution).coords()
+        op = case.make_operator()
+        zero_u = np.zeros(pts.shape[:-1])
+        source = op.lower.value(pts, np.zeros(pts.shape[:-1] + (op.n_spatial,)), zero_u)
+        got = evaluate_expression(expr, pts, time_axis=op.family != "elliptic")
+        assert np.array_equal(got, source)
+
+    def test_config_expressions_exact(self):
+        pts = build_grid([[0.0, 1.0], [-1.0, 1.0]], [17, 17]).coords()
+        x, y = pts[..., 0], pts[..., 1]
+        cases = {
+            "(x0**2 - x1**2 + 3)**3": (x**2 - y**2 + 3) ** 3,
+            "(3 + 0.7*(x0**2 - x1**2) + -0.2*x0*x1 + 0.1*x0 + 0.3*x1)**3":
+                (3 + 0.7 * (x**2 - y**2) + -0.2 * x * y + 0.1 * x + 0.3 * y) ** 3,
+            "1 - x0": 1 - x,
+            "-x0**2 / 2 + 2**-1 * x1": -x**2 / 2 + 2**-1 * y,
+            "exp(x0) * cos(pi * x1) + sqrt(abs(x1)) - log(1 + x0**2) + tan(x0 / 3)":
+                np.exp(x) * np.cos(np.pi * y) + np.sqrt(np.abs(y)) - np.log(1 + x**2)
+                + np.tan(x / 3),
+            "tanh(x1) / cosh(x0) + sinh(e * x1)":
+                np.tanh(y) / np.cosh(x) + np.sinh(np.e * y),
+        }
+        for expr, want in cases.items():
+            assert np.array_equal(evaluate_expression(expr, pts, time_axis=False), want), expr
+
+    @pytest.mark.parametrize("expr", [
+        "x0.real",                                 # attribute
+        "().__class__.__base__.__subclasses__()",  # attribute chain
+        "x0[...]",                                 # subscript
+        "[x0 for _ in (1,)][0]",                   # comprehension
+        "(lambda: x0)()",                          # lambda
+        "sin(x0, out=None)",                       # keyword call
+        "os",                                      # unknown name
+        "__import__",                              # unknown name
+        "x7",                                      # unknown coordinate
+    ])
+    def test_disallowed_expression_exits_one(self, tmp_path, caplog, expr):
+        cfg = minimal_config(solver="direct", output_dir=str(tmp_path / "out"),
+                             operator={"id": "source", "q": expr})
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 1
+        assert "config error" in caplog.text
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_solve_direct_exit_zero(self, tmp_path):
@@ -312,6 +432,8 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["run"]["converged"] is True
         assert report["errors"]["l2_inner"] < 0.05
+        wall_time = report["run"]["wall_time"]
+        assert isinstance(wall_time, float) and wall_time > 0.0
 
     def test_solve_gradient_reports_contraction(self, tmp_path):
         cfg = {

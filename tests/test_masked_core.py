@@ -2,14 +2,18 @@
 
 Per-node arrays must agree bit for bit: the residual, the forward and
 adjoint linearization, every H^k monomial difference, the Gram action, the
-Euclidean gradient and the smoothed random draws. Sums (J, norms, inner
-products) run over differently laid out arrays and must agree to relative
-1e-13. The assembled DOF matrices (the Gram matrix, the linearization and its
-transpose) sum their entries in another order and must agree with the
-reference actions to 1e-12 relative to the largest entry. Inputs are random
-on the whole grid, outside the mask included, so a stencil that read past the
-mask would show.
+Euclidean gradient and the smoothed random draws. The library's values live
+on the core nodes (residuals, linearized actions) or on the masked DOFs
+(everything else) and are compared with the reference's full-grid arrays on
+those nodes. Sums (J, norms, inner products) run over differently laid out
+arrays and must agree to relative 1e-13. The assembled DOF matrices (the Gram
+matrix, the linearization and its transpose) sum their entries in another
+order and must agree with the reference actions to 1e-12 relative to the
+largest entry. The reference's inputs are random on the whole grid, outside
+the mask included, so a reference stencil that read past the mask would show.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +23,8 @@ from convexcauchy.catalog import get_case
 from convexcauchy.functional import CauchyData, FunctionalParams, evaluate, gradient
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import (
-    Field,
+    OperatorStencil,
     QuasilinearOperator,
-    apply_operator,
-    apply_principal,
-    linearize,
     lower_cubic,
     lower_grad_sq,
     lower_sine,
@@ -123,8 +124,7 @@ def problem(request):
     op, mask = _problem(request.param)
     space = SobolevSpace(mask)
     trace = 1.0 + 0.3 * np.sin(mask.grid.coords().sum(axis=-1))
-    data = CauchyData(g0=np.where(mask.value_layer, trace, 0.0),
-                      g1=np.where(mask.deriv_layer, trace, 0.0))
+    data = CauchyData(g0=trace[mask.value_layer], g1=trace[mask.deriv_layer])
     params = FunctionalParams(op=op, weight=WeightSpec(level=mask.level, lam=2.0),
                               mask=mask, space=space, beta=0.1, data=data,
                               beta_policy="keep")
@@ -141,23 +141,34 @@ def _spaces(params):
     return [params.space, SobolevSpace(mask, order=1, node_subset=mask.is_inner)]
 
 
+def _reference_params(params):
+    """The fields of `params` the reference reads, with the data weight full-grid."""
+    mask = params.mask
+    data_weight = np.zeros(mask.grid.shape)
+    data_weight[mask.is_core] = params.core_weight
+    return SimpleNamespace(op=params.op, mask=mask, space=params.space, beta=params.beta,
+                           data_weight=data_weight)
+
+
 def test_residual_bitwise(problem):
     op, mask = problem.op, problem.mask
     v = _random(problem, 1)
-    assert np.array_equal(apply_principal(op, Field(mask.grid, v), mask).values,
-                          ref.principal(op, mask, v))
-    assert np.array_equal(apply_operator(op, Field(mask.grid, v), mask).values,
-                          ref.residual(op, mask, v))
+    stencil = OperatorStencil(op, mask)
+    assert np.array_equal(stencil.principal(mask.gather(v)),
+                          ref.principal(op, mask, v)[mask.is_core])
+    assert np.array_equal(stencil.residual(mask.gather(v)),
+                          ref.residual(op, mask, v)[mask.is_core])
 
 
 def test_linearization_bitwise(problem):
     op, mask = problem.op, problem.mask
     base, v, w = _random(problem, 2), _random(problem, 3), _random(problem, 4)
-    lin = linearize(op, Field(mask.grid, base), mask)
+    lin = OperatorStencil(op, mask).linearize(mask.gather(base))
     oracle = ref.Linearized(op, mask, base)
     assert len(lin.first) == len(oracle.first)
-    assert np.array_equal(lin.apply(v), oracle.apply(v))
-    assert np.array_equal(lin.apply(w, adjoint=True), oracle.apply(w, adjoint=True))
+    assert np.array_equal(lin.forward(mask.gather(v)), oracle.apply(v)[mask.is_core])
+    assert np.array_equal(lin.adjoint(w[mask.is_core]),
+                          mask.gather(oracle.apply(w, adjoint=True)))
 
 
 def test_monomial_differences_bitwise(problem):
@@ -165,16 +176,18 @@ def test_monomial_differences_bitwise(problem):
     v = _random(problem, 5)
     for space in _spaces(problem):
         oracle = ref.Sobolev(space)
-        got = space.dof_differences(mask.gather(v))
+        got = space.differences(mask.gather(v))
         assert len(got) == len(space.monomials)
         for beta, diff in zip(space.monomials, got):
             assert np.array_equal(diff, oracle.monomial(v, beta)[mask.in_mask]), beta
 
 
 def test_gram_action_bitwise(problem):
+    mask = problem.mask
     v = _random(problem, 6)
     for space in _spaces(problem):
-        assert np.array_equal(space.apply_gram(v), ref.Sobolev(space).gram(v))
+        assert np.array_equal(space.apply_gram(mask.gather(v)),
+                              mask.gather(ref.Sobolev(space).gram(v)))
 
 
 def _close(got, want):
@@ -193,7 +206,7 @@ def test_gram_matrix_oracle(problem):
 def test_linearized_matrix_oracle(problem):
     op, mask = problem.op, problem.mask
     base, v, w = _random(problem, 13), _random(problem, 14), _random(problem, 15)
-    mat = linearize(op, Field(mask.grid, base), mask).to_matrix()
+    mat = OperatorStencil(op, mask).linearize(mask.gather(base)).to_matrix()
     oracle = ref.Linearized(op, mask, base)
     assert mat.shape == (int(np.sum(mask.is_core)), mask.dofs.size)
     assert _close(mat @ mask.gather(v), oracle.apply(v)[mask.is_core])
@@ -201,22 +214,24 @@ def test_linearized_matrix_oracle(problem):
 
 
 def test_gradient_bitwise(problem):
-    u = problem.impose(Field(problem.mask.grid, _random(problem, 7, scale=0.3)))
-    got = gradient(problem, u, mode="euclidean").values
-    assert np.array_equal(got, ref.euclidean_gradient(problem, u.values))
+    mask = problem.mask
+    u = problem.impose_dofs(mask.gather(_random(problem, 7, scale=0.3)))
+    got = gradient(problem, u, mode="euclidean")
+    want = ref.euclidean_gradient(_reference_params(problem), mask.scatter(u))
+    assert np.array_equal(got, mask.gather(want))
 
 
 def test_reductions(problem):
-    grid = problem.mask.grid
-    u = problem.impose(Field(grid, _random(problem, 8, scale=0.3)))
-    assert evaluate(problem, u) == pytest.approx(ref.functional_value(problem, u.values),
-                                                 rel=REL_SUM)
+    mask = problem.mask
+    u = problem.impose_dofs(mask.gather(_random(problem, 8, scale=0.3)))
+    want = ref.functional_value(_reference_params(problem), mask.scatter(u))
+    assert evaluate(problem, u) == pytest.approx(want, rel=REL_SUM)
     f, g = _random(problem, 9), _random(problem, 10)
     for space in _spaces(problem):
         oracle = ref.Sobolev(space)
         nf, ng = oracle.inner(f, f), oracle.inner(g, g)
-        assert space.norm_sq(Field(grid, f)) == pytest.approx(nf, rel=REL_SUM)
-        fg = space.inner_product(Field(grid, f), Field(grid, g))
+        assert space.norm_sq(mask.gather(f)) == pytest.approx(nf, rel=REL_SUM)
+        fg = space.inner_product(mask.gather(f), mask.gather(g))
         assert abs(fg - oracle.inner(f, g)) <= REL_SUM * np.sqrt(nf * ng)
 
 
@@ -224,5 +239,6 @@ def test_smooth_draw_bitwise(problem):
     mask = problem.mask
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(2):
-        assert np.array_equal(random_smooth_values(mask, rng_a), ref.smooth_values(mask, rng_b))
+        assert np.array_equal(random_smooth_values(mask, rng_a),
+                              mask.gather(ref.smooth_values(mask, rng_b)))
     assert rng_a.standard_normal() == rng_b.standard_normal()

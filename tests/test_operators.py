@@ -3,20 +3,15 @@ import pytest
 
 from conftest import CATALOG_IDS, make_problem
 from convexcauchy.errors import ConfigError
-from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import Field, LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import (
-    Field,
+    OperatorStencil,
     QuasilinearOperator,
-    apply_linearized,
-    apply_operator,
-    apply_principal,
-    linearize,
     lower_cubic,
     lower_grad_sq,
     lower_sine,
     validate_lower_term,
     validate_operator,
-    zero_field,
 )
 from convexcauchy.sampling import random_smooth_values
 
@@ -37,27 +32,25 @@ class TestResidual:
             return (points[..., 0] ** 2 + 1.0) ** 3 - 2.0
 
         op = QuasilinearOperator(family="elliptic", dim=1, lower=lower_cubic(source))
-        u = Field(grid, x**2 + 1.0)
-        r = apply_operator(op, u, mask)
-        assert np.max(np.abs(r.values)) < 1e-10
-        assert np.all(r.values[~mask.is_core] == 0)
+        r = OperatorStencil(op, mask).residual(mask.gather(x**2 + 1.0))
+        assert np.max(np.abs(r)) < 1e-10
+        assert r.shape == (int(np.sum(mask.is_core)),)
 
     def test_2d_harmonic_quadratic(self, ell2d_mask):
         grid = ell2d_mask.grid
         pts = grid.coords()
         op = QuasilinearOperator(family="elliptic", dim=2)
-        u = Field(grid, pts[..., 0] ** 2 - pts[..., 1] ** 2)
-        r = apply_operator(op, u, ell2d_mask)
-        assert np.max(np.abs(r.values)) < 1e-10
+        u = ell2d_mask.gather(pts[..., 0] ** 2 - pts[..., 1] ** 2)
+        r = OperatorStencil(op, ell2d_mask).residual(u)
+        assert np.max(np.abs(r)) < 1e-10
 
     def test_hyperbolic_dalembert(self):
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (33, 33))
         mask = classify_nodes(grid, LevelSpec(family="hyperbolic", c=0.02, eta=0.25, x0=(0.5,)))
         pts = grid.coords()
         op = QuasilinearOperator(family="hyperbolic", dim=2)
-        u = Field(grid, pts[..., 0] ** 2 + pts[..., 1] ** 2)
-        r = apply_operator(op, u, mask)
-        assert np.max(np.abs(r.values)) < 1e-10
+        r = OperatorStencil(op, mask).residual(mask.gather(pts[..., 0] ** 2 + pts[..., 1] ** 2))
+        assert np.max(np.abs(r)) < 1e-10
 
     def test_parabolic_sign_convention(self):
         """Residual is u_t minus diffusion minus the lower term."""
@@ -66,50 +59,44 @@ class TestResidual:
                                               nu=1.0, x_width=1.0, t_span=1.0))
         pts = grid.coords()
         op = QuasilinearOperator(family="parabolic", dim=2)
-        u = Field(grid, pts[..., 1].copy())  # u = t
-        r = apply_operator(op, u, mask)
-        assert np.allclose(r.values[mask.is_core], 1.0)
+        r = OperatorStencil(op, mask).residual(mask.gather(pts[..., 1]))  # u = t
+        assert np.allclose(r, 1.0)
 
     def test_lower_term_difference(self, ell2d_mask, rng):
-        grid = ell2d_mask.grid
-
         def source(points):
             return np.zeros(points.shape[:-1])
 
         op_full = QuasilinearOperator(family="elliptic", dim=2, lower=lower_cubic(source))
-        u = Field(grid, random_smooth_values(ell2d_mask, rng) * 2.0)
-        full = apply_operator(op_full, u, ell2d_mask)
-        princ = apply_principal(op_full, u, ell2d_mask)
-        diff = full.values - princ.values
-        expect = np.where(ell2d_mask.is_core, -u.values**3, 0.0)
+        stencil = OperatorStencil(op_full, ell2d_mask)
+        u = random_smooth_values(ell2d_mask, rng) * 2.0
+        diff = stencil.residual(u) - stencil.principal(u)
+        expect = -u[stencil.core_pos] ** 3
         assert np.allclose(diff, expect, atol=1e-12)
 
     def test_constant_principal_zero(self, ell2d_mask):
         op = QuasilinearOperator(family="elliptic", dim=2)
-        u = Field(ell2d_mask.grid, np.full(ell2d_mask.grid.shape, 3.7))
-        r = apply_principal(op, u, ell2d_mask)
-        assert np.max(np.abs(r.values)) < 1e-12
+        r = OperatorStencil(op, ell2d_mask).principal(np.full(ell2d_mask.dofs.size, 3.7))
+        assert np.max(np.abs(r)) < 1e-12
 
 
 class TestLinearize:
     def test_linear_case_independent_of_base(self, ell2d_mask, rng):
         op = QuasilinearOperator(family="elliptic", dim=2)
+        stencil = OperatorStencil(op, ell2d_mask)
         v = random_smooth_values(ell2d_mask, rng)
-        u1 = Field(ell2d_mask.grid, random_smooth_values(ell2d_mask, rng))
-        lin0 = linearize(op, zero_field(ell2d_mask.grid), ell2d_mask)
-        lin1 = linearize(op, u1, ell2d_mask)
-        assert np.array_equal(lin0.apply(v), lin1.apply(v))
+        u1 = random_smooth_values(ell2d_mask, rng)
+        lin0 = stencil.linearize(np.zeros(ell2d_mask.dofs.size))
+        lin1 = stencil.linearize(u1)
+        assert np.array_equal(lin0.forward(v), lin1.forward(v))
         # and the linear action reproduces the principal part
-        princ = apply_principal(op, Field(ell2d_mask.grid, v), ell2d_mask)
-        assert np.allclose(lin0.apply(v), princ.values)
+        assert np.allclose(lin0.forward(v), stencil.principal(v))
 
     def test_cubic_zeroth_coefficient(self, ell2d_mask):
         def source(points):
             return np.zeros(points.shape[:-1])
 
         op = QuasilinearOperator(family="elliptic", dim=2, lower=lower_cubic(source))
-        u1 = Field(ell2d_mask.grid, np.ones(ell2d_mask.grid.shape))
-        lin = linearize(op, u1, ell2d_mask)
+        lin = OperatorStencil(op, ell2d_mask).linearize(np.ones(ell2d_mask.dofs.size))
         # coefficients live on the core nodes
         assert lin.zeroth.shape == (int(np.sum(ell2d_mask.is_core)),)
         assert np.allclose(lin.zeroth, -3.0)
@@ -121,17 +108,16 @@ class TestLinearize:
             return np.sin(points[..., 0])
 
         op = QuasilinearOperator(family="elliptic", dim=2, lower=lower_cubic(source))
-        grid = ell2d_mask.grid
-        u1 = Field(grid, 1.5 * random_smooth_values(ell2d_mask, rng))
-        lin = linearize(op, u1, ell2d_mask)
-        base = apply_operator(op, u1, ell2d_mask).values
+        stencil = OperatorStencil(op, ell2d_mask)
+        u1 = 1.5 * random_smooth_values(ell2d_mask, rng)
+        lin = stencil.linearize(u1)
+        base = stencil.residual(u1)
 
         h0 = random_smooth_values(ell2d_mask, rng)
         rems = []
         for scale in (0.5, 0.25, 0.125):
             h = scale * h0
-            pert = apply_operator(op, Field(grid, u1.values + h), ell2d_mask).values
-            rem = pert - base - lin.apply(h)
+            rem = stencil.residual(u1 + h) - base - lin.forward(h)
             rems.append(np.max(np.abs(rem)))
         assert rems[0] / rems[1] > 3.5
         assert rems[1] / rems[2] > 3.5
@@ -140,25 +126,24 @@ class TestLinearize:
 class TestAdjoint:
     @pytest.mark.parametrize("case_id", CATALOG_IDS)
     def test_duality_identity(self, case_id, rng):
-        _, grid, mask, op, _, _, u_star = make_problem(case_id)
-        lin = linearize(op, u_star, mask)
+        _, grid, mask, op, _, params, u_star = make_problem(case_id)
+        lin = params.stencil.linearize(mask.gather(u_star.values))
         for _ in range(5):
-            v = rng.standard_normal(grid.shape)
-            w = rng.standard_normal(grid.shape)
-            lhs = float(np.sum(lin.apply(v) * w))
-            rhs = float(np.sum(v * lin.apply(w, adjoint=True)))
+            v = rng.standard_normal(mask.dofs.size)
+            w = rng.standard_normal(lin.stencil.core_pos.size)
+            lhs = float(np.sum(lin.forward(v) * w))
+            rhs = float(np.sum(v * lin.adjoint(w)))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) / scale < 1e-12
 
     def test_adjoint_of_adjoint(self, ell2d_mask, rng):
         op = QuasilinearOperator(family="elliptic", dim=2)
-        lin = linearize(op, zero_field(ell2d_mask.grid), ell2d_mask)
-        grid = ell2d_mask.grid
-        v = Field(grid, rng.standard_normal(grid.shape))
+        lin = OperatorStencil(op, ell2d_mask).linearize(np.zeros(ell2d_mask.dofs.size))
+        v = rng.standard_normal(ell2d_mask.dofs.size)
         # the transpose of the transpose is the forward map, checked weakly
-        w = Field(grid, rng.standard_normal(grid.shape))
-        forward = float(np.sum(apply_linearized(lin, v).values * w.values))
-        twice = float(np.sum(apply_linearized(lin, w, adjoint=True).values * v.values))
+        w = rng.standard_normal(lin.stencil.core_pos.size)
+        forward = float(np.sum(lin.forward(v) * w))
+        twice = float(np.sum(lin.adjoint(w) * v))
         assert forward == pytest.approx(twice, rel=1e-13)
 
     def test_matrix_assembly_matches_apply(self, rng):
@@ -170,13 +155,12 @@ class TestAdjoint:
             return points[..., 0]
 
         op = QuasilinearOperator(family="elliptic", dim=2, lower=lower_sine(source))
-        u1 = Field(grid, random_smooth_values(mask, rng))
-        lin = linearize(op, u1, mask)
+        lin = OperatorStencil(op, mask).linearize(random_smooth_values(mask, rng))
         mat = lin.to_matrix()
-        v = rng.standard_normal(grid.shape)
-        assert np.allclose(mat @ mask.gather(v), lin.apply(v)[mask.is_core], atol=1e-12)
-        assert np.allclose(mat.T @ v[mask.is_core], mask.gather(lin.apply(v, adjoint=True)),
-                           atol=1e-12)
+        v = rng.standard_normal(mask.dofs.size)
+        w = rng.standard_normal(lin.stencil.core_pos.size)
+        assert np.allclose(mat @ v, lin.forward(v), atol=1e-12)
+        assert np.allclose(mat.T @ w, lin.adjoint(w), atol=1e-12)
 
     def test_symmetric_interior_rows(self, rng):
         """With no lower term the stencil matrix is symmetric between deep
@@ -185,7 +169,7 @@ class TestAdjoint:
         mask = classify_nodes(grid, LevelSpec(family="elliptic", a=0.1, c=0.45,
                                               nu=1.0, x_width=1.0))
         op = QuasilinearOperator(family="elliptic", dim=2)
-        mat = linearize(op, zero_field(grid), mask).to_matrix().toarray()
+        mat = OperatorStencil(op, mask).linearize(np.zeros(mask.dofs.size)).to_matrix().toarray()
         core = np.flatnonzero(mask.is_core[mask.in_mask])  # DOF positions of the core rows
         sub = mat[:, core]
         assert np.allclose(sub, sub.T, atol=1e-12)
@@ -209,11 +193,11 @@ class TestMixedCoefficients:
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs,
                                  mu1=1.0, mu2=2.6)
         validate_operator(op, mask)
-        lin = linearize(op, zero_field(grid), mask)
+        lin = OperatorStencil(op, mask).linearize(np.zeros(mask.dofs.size))
         mat = lin.to_matrix()
         for _ in range(3):
-            v = rng.standard_normal(grid.shape)
-            assert np.allclose(mat @ mask.gather(v), lin.apply(v)[mask.is_core], atol=1e-12)
+            v = rng.standard_normal(mask.dofs.size)
+            assert np.allclose(mat @ v, lin.forward(v), atol=1e-12)
 
     def test_fd_exact_on_quadratics(self, rng):
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (17, 17))
@@ -231,10 +215,10 @@ class TestMixedCoefficients:
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs, mu1=0.7, mu2=1.5)
         pts = grid.coords()
         x, y = pts[..., 0], pts[..., 1]
-        u = Field(grid, 1.0 + 2 * x - y + 0.5 * x * x + x * y - 2 * y * y)
-        r = apply_principal(op, u, mask)
+        u = mask.gather(1.0 + 2 * x - y + 0.5 * x * x + x * y - 2 * y * y)
+        r = OperatorStencil(op, mask).principal(u)
         expect = 1.3 * 1.0 + 0.9 * (-4.0) + 2 * 0.2 * 1.0
-        assert np.allclose(r.values[mask.is_core], expect, atol=1e-10)
+        assert np.allclose(r, expect, atol=1e-10)
 
 
 class TestGradSqLowerTerm:
@@ -250,18 +234,17 @@ class TestGradSqLowerTerm:
 
         op = QuasilinearOperator(family="elliptic", dim=2,
                                  lower=lower_grad_sq(scale, source))
-        u1 = Field(ell2d_mask.grid, 2.0 * random_smooth_values(ell2d_mask, rng))
-        lin = linearize(op, u1, ell2d_mask)
+        lin = OperatorStencil(op, ell2d_mask).linearize(
+            2.0 * random_smooth_values(ell2d_mask, rng))
         assert lin.first, "gradient-square term must produce first-order coefficients"
         mat = lin.to_matrix()
         for _ in range(5):
-            v = rng.standard_normal(ell2d_mask.grid.shape)
-            w = rng.standard_normal(ell2d_mask.grid.shape)
-            lhs = float(np.sum(lin.apply(v) * w))
-            rhs = float(np.sum(v * lin.apply(w, adjoint=True)))
+            v = rng.standard_normal(ell2d_mask.dofs.size)
+            w = rng.standard_normal(lin.stencil.core_pos.size)
+            lhs = float(np.sum(lin.forward(v) * w))
+            rhs = float(np.sum(v * lin.adjoint(w)))
             assert lhs == pytest.approx(rhs, rel=1e-12)
-            assert np.allclose(mat @ ell2d_mask.gather(v), lin.apply(v)[ell2d_mask.is_core],
-                               atol=1e-12)
+            assert np.allclose(mat @ v, lin.forward(v), atol=1e-12)
 
     def test_variable_wave_coefficient(self, rng):
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (17, 17))
@@ -275,10 +258,9 @@ class TestGradSqLowerTerm:
                                  a_lo=1.0, a_hi=1.3)
         validate_operator(op, mask)
         pts = grid.coords()
-        u = Field(grid, pts[..., 1] ** 2)  # u = t^2: residual = 2 a(x)
-        r = apply_operator(op, u, mask)
-        expect = 2.0 * (1.0 + (pts[..., 0] - 0.5) ** 2)
-        assert np.allclose(r.values[mask.is_core], expect[mask.is_core], atol=1e-9)
+        r = OperatorStencil(op, mask).residual(mask.gather(pts[..., 1] ** 2))  # u = t^2
+        expect = 2.0 * (1.0 + (pts[..., 0] - 0.5) ** 2)  # residual = 2 a(x)
+        assert np.allclose(r, expect[mask.is_core], atol=1e-9)
 
 
 class TestValidation:

@@ -5,7 +5,6 @@ from conftest import make_problem
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.functional import data_extension, evaluate
 from convexcauchy.harness import history_rows
-from convexcauchy.operators import Field
 from convexcauchy.optimizer import (
     OptimizerConfig,
     RunReport,
@@ -26,7 +25,7 @@ class TestRun:
         cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
         report = run(params, start, cfg)
         assert report.converged
-        rel = space.norm(Field(grid, report.final.values - u_direct.values))
+        rel = space.norm(report.final - u_direct)
         rel /= space.norm(u_direct)
         assert rel < 1e-6
 
@@ -50,7 +49,7 @@ class TestRun:
             finals.append(report.final)
         for i in range(len(finals)):
             for j in range(i + 1, len(finals)):
-                d = space.norm(Field(grid, finals[i].values - finals[j].values))
+                d = space.norm(finals[i] - finals[j])
                 assert d < 1e-4
 
     def test_monotone_descent_with_backtracking(self, rng):
@@ -66,9 +65,10 @@ class TestRun:
     def test_constraints_preserved_exactly(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("PAR1D-CUBIC", beta=0.8)
         cfg = OptimizerConfig(max_iters=30, grad_tol=1e-12)
-        report = run(params, params.impose(data_extension(space, params.data)), cfg)
-        for values in [mask.scatter(v) for v in report.iterates[::7]] + [report.final.values]:
-            assert params.data.violation(mask, values) == 0.0
+        report = run(params, data_extension(space, params.data), cfg)
+        for v in report.iterates[::7] + [report.final]:
+            assert np.array_equal(v[mask.value_pos], params.data.g0)
+            assert np.array_equal(v[mask.deriv_pos], params.data.g1)
 
     def test_divergence_detected_in_fixed_mode(self, rng):
         _, grid, mask, op, space, params, _ = make_problem(
@@ -139,7 +139,7 @@ class TestRun:
         """A trial step that leaves u bit-identical ends the run unconverged
         instead of accepting it until the iteration cap."""
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
-        start = params.impose(data_extension(space, params.data))
+        start = data_extension(space, params.data)
         cfg = OptimizerConfig(max_iters=400, grad_tol=1e-13, step_mode=step_mode,
                               gamma=0.1, store_iterates=True)
         report = run(params, start, cfg)
@@ -151,7 +151,7 @@ class TestRun:
         # every accepted step moved u
         for prev, nxt in zip(report.iterates, report.iterates[1:]):
             assert not np.array_equal(prev, nxt)
-        assert np.array_equal(mask.gather(report.final.values), report.iterates[-1])
+        assert np.array_equal(report.final, report.iterates[-1])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -169,21 +169,20 @@ class TestConvergenceRatio:
 
     def test_synthetic_geometric_sequence(self, rng):
         grid, mask, space = self._space()
-        direction = np.zeros(grid.shape)
-        direction[mask.free] = rng.standard_normal(int(np.sum(mask.free)))
-        ref = Field(grid, np.zeros(grid.shape))
-        report = RunReport(iterates=[mask.gather(0.5**n * direction) for n in range(20)])
+        direction = np.zeros(mask.dofs.size)
+        direction[mask.free_pos] = rng.standard_normal(mask.free_pos.size)
+        report = RunReport(iterates=[0.5**n * direction for n in range(20)])
         report.space = space
-        q = convergence_ratio(report, ref)
+        q = convergence_ratio(report, np.zeros(mask.dofs.size))
         assert q == pytest.approx(0.5, abs=1e-6)
 
     def test_stalled_run_gives_unit_ratio(self, rng):
         grid, mask, space = self._space()
-        direction = np.zeros(grid.shape)
-        direction[mask.free] = 1.0
-        report = RunReport(iterates=[mask.gather(direction) for _ in range(12)])
+        direction = np.zeros(mask.dofs.size)
+        direction[mask.free_pos] = 1.0
+        report = RunReport(iterates=[direction for _ in range(12)])
         report.space = space
-        q = convergence_ratio(report, Field(grid, np.zeros(grid.shape)))
+        q = convergence_ratio(report, np.zeros(mask.dofs.size))
         assert q == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_iterates(self):
@@ -191,7 +190,7 @@ class TestConvergenceRatio:
         report = RunReport(iterates=[np.zeros(mask.dofs.size)] * 3)
         report.space = space
         with pytest.raises(SolverError, match="tail"):
-            convergence_ratio(report, Field(grid, np.zeros(grid.shape)))
+            convergence_ratio(report, np.zeros(mask.dofs.size))
 
     def test_fixed_step_rate_matches_spectral_bound(self, rng):
         """Fixed-step descent in the Sobolev geometry contracts at the rate
@@ -199,14 +198,11 @@ class TestConvergenceRatio:
         import scipy.linalg as sla
         import scipy.sparse as sp
 
-        from convexcauchy.operators import linearize
-
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=2.0)
-        free = space.free_pos
-        u_c = params.impose(Field(grid, np.zeros(grid.shape)))
-        lin = linearize(op, u_c, mask)
-        lmat = lin.to_matrix()
+        free = mask.free_pos
+        u_c = params.impose_dofs(np.zeros(mask.dofs.size))
+        lmat = params.stencil.linearize(u_c).to_matrix()
         wdiag = sp.diags(params.core_weight)
         hess = 2.0 * (lmat.T @ wdiag @ lmat + params.beta * space.gram_matrix())
         h_ff = hess[free][:, free].toarray()

@@ -3,15 +3,8 @@ import pytest
 
 from convexcauchy.errors import ConfigError
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
-from convexcauchy.operators import Field
 from convexcauchy.sampling import random_smooth_values
-from convexcauchy.sobolev import (
-    SobolevSpace,
-    difference_monomials,
-    sobolev_order,
-    spd_factorized,
-    zero_trace_project,
-)
+from convexcauchy.sobolev import SobolevSpace, difference_monomials, sobolev_order, spd_factorized
 
 
 class TestOrder:
@@ -36,54 +29,48 @@ def space(ell2d_mask):
 
 class TestInnerProduct:
     def test_zero(self, space):
-        z = Field(space.grid, np.zeros(space.grid.shape))
+        z = np.zeros(space.mask.dofs.size)
         assert space.inner_product(z, z) == 0.0
 
     def test_constants_give_masked_volume(self, space):
-        one = Field(space.grid, np.ones(space.grid.shape))
+        one = np.ones(space.mask.dofs.size)
         vol = float(np.sum(space.mask.quad_weight))
         assert space.inner_product(one, one) == pytest.approx(vol, rel=1e-12)
 
     def test_bilinearity(self, space, rng):
-        mask = space.mask
-        fs = [Field(space.grid, rng.standard_normal(space.grid.shape)) for _ in range(3)]
-        f, g, h = fs
-        lhs = space.inner_product(f, Field(space.grid, g.values + h.values))
+        f, g, h = (rng.standard_normal(space.mask.dofs.size) for _ in range(3))
+        lhs = space.inner_product(f, g + h)
         rhs = space.inner_product(f, g) + space.inner_product(f, h)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_symmetry(self, space, rng):
-        f = Field(space.grid, rng.standard_normal(space.grid.shape))
-        g = Field(space.grid, rng.standard_normal(space.grid.shape))
+        f = rng.standard_normal(space.mask.dofs.size)
+        g = rng.standard_normal(space.mask.dofs.size)
         assert space.inner_product(f, g) == pytest.approx(space.inner_product(g, f), rel=1e-12)
 
     def test_norm_nesting(self, space, rng):
         """H^k >= H^1 >= L2 on the same mask: the monomial sums nest."""
-        f = Field(space.grid, rng.standard_normal(space.grid.shape))
+        f = rng.standard_normal(space.mask.dofs.size)
         l2 = SobolevSpace(space.mask, order=1)
         h1 = l2.norm_sq(f)
         hk = space.norm_sq(f)
-        l2_only = float(np.sum(f.values**2 * space.weights))
+        l2_only = float(np.sum(f**2 * space.weights[space.mask.in_mask]))
         assert hk >= h1 >= l2_only
 
     def test_gram_matches_inner_product(self, space, rng):
-        f = rng.standard_normal(space.grid.shape)
-        g = rng.standard_normal(space.grid.shape)
-        gather = space.mask.gather
-        via_gram = float(gather(g) @ (space.gram_matrix() @ gather(f)))
-        direct = space.inner_product(Field(space.grid, f), Field(space.grid, g))
-        assert via_gram == pytest.approx(direct, rel=1e-10)
+        f = rng.standard_normal(space.mask.dofs.size)
+        g = rng.standard_normal(space.mask.dofs.size)
+        via_gram = float(g @ (space.gram_matrix() @ f))
+        assert via_gram == pytest.approx(space.inner_product(f, g), rel=1e-10)
 
     def test_gram_matrix_free_matches_sparse(self, space, rng):
-        v = space.mask.gather(rng.standard_normal(space.grid.shape))
-        assert np.allclose(space.dof_gram(v), space.gram_matrix() @ v, rtol=1e-12, atol=1e-8)
+        v = rng.standard_normal(space.mask.dofs.size)
+        assert np.allclose(space.apply_gram(v), space.gram_matrix() @ v, rtol=1e-12, atol=1e-8)
 
     def test_gram_spd_rayleigh(self, space, rng):
-        mask = space.mask
         smallest = np.inf
         for _ in range(20):
-            v = random_smooth_values(mask, rng)
-            v[~mask.in_mask] = 0.0
+            v = random_smooth_values(space.mask, rng)
             if not np.any(v):
                 continue
             q = float(np.sum(v * space.apply_gram(v))) / float(np.sum(v * v))
@@ -91,57 +78,36 @@ class TestInnerProduct:
         assert smallest > 0
 
 
-class TestZeroTrace:
-    def test_zeroes_both_layers(self, space):
-        f = Field(space.grid, np.ones(space.grid.shape))
-        out = zero_trace_project(space, f)
-        assert np.all(out.values[space.mask.value_layer] == 0)
-        assert np.all(out.values[space.mask.deriv_layer] == 0)
-        untouched = ~space.mask.constrained
-        assert np.all(out.values[untouched] == 1.0)
-
-    def test_idempotent(self, space, rng):
-        f = Field(space.grid, rng.standard_normal(space.grid.shape))
-        once = zero_trace_project(space, f)
-        twice = zero_trace_project(space, once)
-        assert np.array_equal(once.values, twice.values)
-
-
 class TestRiesz:
-    """dof_riesz on DOF vectors; b must vanish on the trace layers."""
-
-    @staticmethod
-    def _trace(space):
-        return space.mask.constrained[space.mask.in_mask]
+    """riesz on DOF vectors; b must vanish on the trace layers."""
 
     def test_round_trip(self, space, rng):
-        mask = space.mask
-        w = mask.gather(random_smooth_values(mask, rng))
-        rhs = space.dof_gram(w)
-        rhs[self._trace(space)] = 0.0
-        rec = space.dof_riesz(rhs)
+        w = random_smooth_values(space.mask, rng)
+        rhs = space.apply_gram(w)
+        rhs[space.mask.trace_pos] = 0.0
+        rec = space.riesz(rhs)
         assert np.max(np.abs(rec - w)) <= 1e-8 * max(np.max(np.abs(w)), 1e-30)
 
     def test_zero_rhs(self, space):
-        out = space.dof_riesz(np.zeros(space.mask.dofs.size))
+        out = space.riesz(np.zeros(space.mask.dofs.size))
         assert np.all(out == 0)
 
     def test_representation_identity(self, space, rng):
         mask = space.mask
         rhs = rng.standard_normal(mask.dofs.size)
-        rhs[self._trace(space)] = 0.0
-        g = space.dof_riesz(rhs)
-        gnorm = space.dof_norm(g)
+        rhs[mask.trace_pos] = 0.0
+        g = space.riesz(rhs)
+        gnorm = space.norm(g)
         for _ in range(10):
-            h = mask.gather(random_smooth_values(mask, rng))
-            lhs = space.dof_inner(g, h)
+            h = random_smooth_values(mask, rng)
+            lhs = space.inner_product(g, h)
             rhs_pairing = float(np.sum(rhs * h))
-            assert abs(lhs - rhs_pairing) <= 1e-8 * max(1.0, gnorm * space.dof_norm(h))
+            assert abs(lhs - rhs_pairing) <= 1e-8 * max(1.0, gnorm * space.norm(h))
 
     def test_non_projected_rhs_rejected(self, space):
         bad = space.mask.gather(space.mask.value_layer.astype(float))
         with pytest.raises(ConfigError):
-            space.dof_riesz(bad)
+            space.riesz(bad)
 
 
 class TestSpdFactorization:
