@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError, GeometryError
-from .functional import FunctionalParams, evaluate, gradient
+from .functional import evaluate, gradient
 from .grid import Field
 from .harness import (
     ProblemSetup,
@@ -27,7 +27,7 @@ from .harness import (
 )
 from .optimizer import convexity_certificate, direct_solve, run
 from .sampling import random_smooth_values
-from .weights import WeightSpec, weight_extrema
+from .weights import weight_extrema
 
 logger = logging.getLogger(__name__)
 
@@ -82,29 +82,23 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
     return 0
 
 
-def _certificates(setup: ProblemSetup, lambdas) -> list[dict]:
+def _certificates(setup: ProblemSetup, lambdas: list[float], report: dict) -> list[dict]:
+    """Run the certificate at every lambda on one draw stream; record the
+    reports and the phase's wall time in `report`."""
+    t0 = time.perf_counter()
     cert = setup.certificate
-    results = []
-    for lam in lambdas:
-        params = FunctionalParams(
-            op=setup.op,
-            weight=WeightSpec(level=setup.mask.level, lam=float(lam)),
-            mask=setup.mask,
-            space=setup.space,
-            beta=setup.params.beta,
-            data=setup.params.data,
-            beta_policy="keep",  # sweeps need the same beta at every lambda
-        )
-        results.append(convexity_certificate(
-            params, radius=cert["radius"], samples=cert["samples"], seed=cert["seed"]
-        ).to_dict())
+    params_by_lambda = [setup.params.with_lambda(float(lam)) for lam in lambdas]
+    results = [r.to_dict() for r in convexity_certificate(
+        params_by_lambda, radius=cert["radius"], samples=cert["samples"], seed=cert["seed"]
+    )]
+    report["certificates"] = results
+    report["wall_time"] = time.perf_counter() - t0
     return results
 
 
 def cmd_certify(setup: ProblemSetup, args) -> int:
     report = _base_report(setup, "certify")
-    results = _certificates(setup, [setup.weight.lam])
-    report["certificates"] = results
+    results = _certificates(setup, [setup.weight.lam], report)
     emit_report(report, setup.output_dir)
     passed = results[0]["passed"]
     print(f"certificate lambda={setup.weight.lam:g}: "
@@ -116,10 +110,9 @@ def cmd_certify(setup: ProblemSetup, args) -> int:
 
 
 def cmd_sweep(setup: ProblemSetup, args) -> int:
-    lambdas = args.lambdas or setup.certificate["lambdas"]
+    lambdas = setup.certificate["lambdas"] if args.lambdas is None else args.lambdas
     report = _base_report(setup, "sweep")
-    results = _certificates(setup, lambdas)
-    report["certificates"] = results
+    results = _certificates(setup, lambdas, report)
     lambda1 = next((r["lambda"] for r in results if r["passed"]), None)
     report["lambda1"] = lambda1
     emit_report(report, setup.output_dir)
@@ -161,9 +154,12 @@ def cmd_gradcheck(setup: ProblemSetup, args) -> int:
 
 def _parse_lambdas(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        lambdas = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --lambda list {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad --lambda list {text!r}: {exc}") from exc
+    if not lambdas:
+        raise argparse.ArgumentTypeError(f"--lambda list {text!r} names no lambda")
+    return lambdas
 
 
 def make_parser() -> argparse.ArgumentParser:

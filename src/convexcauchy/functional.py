@@ -15,14 +15,16 @@ certificate checked by the optimizer module.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError
 from .grid import DomainMask, check_finite, erode
-from .operators import OperatorStencil, QuasilinearOperator
+from .operators import LinearizedOperator, OperatorStencil, QuasilinearOperator
 from .sobolev import SobolevSpace
 from .weights import WeightSpec, mask_weight_sq
 
@@ -63,7 +65,7 @@ class FunctionalParams:
     The fixed per-problem data is built here, once: the operator stencil, the
     data weight on the core nodes, and the scale of the trace values.
     Changing op, weight, mask, data or beta afterwards is not supported;
-    build new params instead.
+    build new params instead, or call with_lambda for another lambda.
     """
 
     op: QuasilinearOperator
@@ -78,20 +80,8 @@ class FunctionalParams:
     def __post_init__(self):
         if self.beta_policy not in BETA_POLICIES:
             raise ConfigError(f"unknown beta policy {self.beta_policy!r}")
-        lo, hi = beta_window(self.weight.lam, self.mask.epsilon)
-        if not (lo < self.beta < hi):
-            if self.beta_policy == "clamp":
-                clamped = float(np.clip(self.beta, lo * (1.0 + 1e-6), hi - 1e-9))
-                logger.warning(
-                    "beta=%.6g outside the admissible window (%.6g, 1); clamped to %.6g",
-                    self.beta, lo, clamped,
-                )
-                self.beta = clamped
-            else:
-                logger.warning(
-                    "beta=%.6g outside the admissible window (%.6g, 1); kept as given",
-                    self.beta, lo,
-                )
+        self.beta = _windowed_beta(self.beta, self.weight.lam, self.mask.epsilon,
+                                   self.beta_policy)
         mask = self.mask
         for name, values, layer in (("g0", self.data.g0, mask.value_pos),
                                     ("g1", self.data.g1, mask.deriv_pos)):
@@ -101,13 +91,22 @@ class FunctionalParams:
             if not np.all(np.isfinite(values)):
                 raise ConfigError("Cauchy data contains non-finite values")
         self.stencil = OperatorStencil(self.op, mask)
-        # fused weight * quadrature factor of the data term, on the core nodes
-        self.core_weight = (mask_weight_sq(self.weight, mask) * mask.quad_weight)[mask.is_core]
+        self.core_weight = _core_weight(self.weight, mask)
         self._trace_scale = 1.0 + max(
             float(np.max(np.abs(self.data.g0), initial=0.0)),
             float(np.max(np.abs(self.data.g1), initial=0.0)),
         )
         self._inner_h1: SobolevSpace | None = None
+
+    def with_lambda(self, lam: float) -> "FunctionalParams":
+        """The same problem at weight strength lam, beta kept as it is (what a
+        lambda sweep needs). Everything but the weight is shared with self."""
+        other = copy.copy(self)
+        other.weight = WeightSpec(level=self.weight.level, lam=lam)
+        other.beta_policy = "keep"
+        _windowed_beta(self.beta, lam, self.mask.epsilon, "keep")  # warns outside the window
+        other.core_weight = _core_weight(other.weight, self.mask)
+        return other
 
     @property
     def inner_h1_space(self) -> SobolevSpace:
@@ -140,6 +139,27 @@ class FunctionalParams:
         return v
 
 
+def _windowed_beta(beta: float, lam: float, epsilon: float, policy: str) -> float:
+    """beta under the policy, with a logged warning when it lies outside the
+    admissible window: clamped into the window, or kept as given."""
+    lo, hi = beta_window(lam, epsilon)
+    if lo < beta < hi:
+        return beta
+    if policy == "clamp":
+        clamped = float(np.clip(beta, lo * (1.0 + 1e-6), hi - 1e-9))
+        logger.warning("beta=%.6g outside the admissible window (%.6g, 1); clamped to %.6g",
+                       beta, lo, clamped)
+        return clamped
+    logger.warning("beta=%.6g outside the admissible window (%.6g, 1); kept as given",
+                   beta, lo)
+    return beta
+
+
+def _core_weight(weight: WeightSpec, mask: DomainMask) -> np.ndarray:
+    """Fused weight * quadrature factor of the data term, on the core nodes."""
+    return (mask_weight_sq(weight, mask) * mask.quad_weight)[mask.is_core]
+
+
 def evaluate(params: FunctionalParams, v: np.ndarray) -> float:
     """Value of the weighted Tikhonov functional at a constrained field."""
     params.check_dofs(v)
@@ -148,10 +168,14 @@ def evaluate(params: FunctionalParams, v: np.ndarray) -> float:
 
 def _value(params: FunctionalParams, v: np.ndarray) -> float:
     r = params.stencil.residual(v)
-    data_term = float(np.sum(r * r * params.core_weight))
-    if not np.isfinite(data_term):
+    return _data_term(r * r, params.core_weight) + params.beta * params.space.norm_sq(v)
+
+
+def _data_term(r_sq: np.ndarray, core_weight: np.ndarray) -> float:
+    out = float(np.sum(r_sq * core_weight))
+    if not np.isfinite(out):
         raise ConvexCauchyError("weighted residual overflowed; reduce lambda")
-    return data_term + params.beta * params.space.norm_sq(v)
+    return out
 
 
 def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean") -> np.ndarray:
@@ -169,20 +193,48 @@ def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean") -
 
 def _euclidean_gradient(params: FunctionalParams, v: np.ndarray) -> np.ndarray:
     r = params.stencil.residual(v)
-    g = 2.0 * params.stencil.linearize(v).adjoint(params.core_weight * r)
-    g += 2.0 * params.beta * params.space.apply_gram(v)
+    return _assemble_gradient(params, params.stencil.linearize(v), r,
+                              2.0 * params.beta * params.space.apply_gram(v))
+
+
+def _assemble_gradient(params: FunctionalParams, lin: LinearizedOperator, r: np.ndarray,
+                       regularizer_grad: np.ndarray) -> np.ndarray:
+    """2 L^T (w r) + the regularizer's gradient, zero on the trace layers."""
+    g = 2.0 * lin.adjoint(params.core_weight * r)
+    g += regularizer_grad
     g[params.mask.trace_pos] = 0.0
     return g
 
 
-def bregman_gap(params: FunctionalParams, v1: np.ndarray,
-                v2: np.ndarray) -> tuple[float, float, float]:
-    """Bregman gap of J between two constrained fields, plus the two norms
-    entering the convexity certificate.
+def shared_problem(params_by_lambda: Sequence[FunctionalParams]) -> FunctionalParams:
+    """The first of a non-empty sequence of params that differ in lambda only.
 
-    Returns (gap, ||v2-v1||^2_{H^1(inner)}, ||v2-v1||^2_{H^k(mask)}).
-    The certificate passes iff gap >= (beta/2) * the H^k term.
+    Every entry must share the operator, mask, space and data objects and the
+    beta, so that only the data weight depends on the entry.
     """
+    if not params_by_lambda:
+        raise ConfigError("need the params of at least one lambda")
+    first = params_by_lambda[0]
+    for p in params_by_lambda[1:]:
+        if (p.op is not first.op or p.mask is not first.mask or p.space is not first.space
+                or p.data is not first.data or p.beta != first.beta):
+            raise ConfigError("params of a lambda sweep must share op, mask, space, "
+                              "data and beta")
+    return first
+
+
+def bregman_gap(params_by_lambda: Sequence[FunctionalParams], v1: np.ndarray,
+                v2: np.ndarray) -> tuple[list[float], float, float]:
+    """Bregman gaps of J between two constrained fields at each lambda, plus
+    the two norms entering the convexity certificate.
+
+    The params differ in lambda only (see shared_problem). Returns
+    ([gap at each lambda], ||v2-v1||^2_{H^1(inner)}, ||v2-v1||^2_{H^k(mask)}).
+    The certificate passes at a lambda iff its gap >= (beta/2) * the H^k term.
+    Everything but the weighted data terms, their gradient and the gap is
+    computed once for all lambdas.
+    """
+    params = shared_problem(params_by_lambda)
     params.check_dofs(v1, "first field")
     params.check_dofs(v2, "second field")
     h = v2 - v1
@@ -190,13 +242,20 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray,
         raise ConstraintViolationError(
             "the two fields carry different trace data; their difference is not zero-trace"
         )
-    j1 = _value(params, v1)
-    j2 = _value(params, v2)
-    g1 = _euclidean_gradient(params, v1)
-    gap = j2 - j1 - float(np.sum(g1 * h))
-    h1_inner = params.inner_h1_space.norm_sq(h)
-    hk_full = params.space.norm_sq(h)
-    return gap, h1_inner, hk_full
+    stencil, space = params.stencil, params.space
+    r1, r2 = stencil.residual(v1), stencil.residual(v2)
+    r1_sq, r2_sq = r1 * r1, r2 * r2
+    reg1 = params.beta * space.norm_sq(v1)
+    reg2 = params.beta * space.norm_sq(v2)
+    lin = stencil.linearize(v1)
+    reg_grad1 = 2.0 * params.beta * space.apply_gram(v1)
+    gaps = []
+    for p in params_by_lambda:
+        j1 = _data_term(r1_sq, p.core_weight) + reg1
+        j2 = _data_term(r2_sq, p.core_weight) + reg2
+        g1 = _assemble_gradient(p, lin, r1, reg_grad1)
+        gaps.append(j2 - j1 - float(np.sum(g1 * h)))
+    return gaps, params.inner_h1_space.norm_sq(h), space.norm_sq(h)
 
 
 def compact_support_ok(mask: DomainMask, v: np.ndarray) -> bool:
@@ -222,8 +281,7 @@ def carleman_ratio(op: QuasilinearOperator, weight: WeightSpec, mask: DomainMask
         raise ConfigError(
             "field is not compactly supported: values reach the boundary-adjacent layers"
         )
-    core = mask.is_core
-    w = (mask_weight_sq(weight, mask) * mask.quad_weight)[core]
+    w = _core_weight(weight, mask)
     stencil = OperatorStencil(op, mask)
     a0h = stencil.principal(v)
     num = float(np.sum(a0h * a0h * w))

@@ -299,11 +299,18 @@ def build_setup(cfg: dict) -> ProblemSetup:
     _require(solver in ("gradient", "direct"), "solver", "must be 'gradient' or 'direct'")
 
     cert_cfg = _get_section(cfg, "certificate")
+    lambdas = cert_cfg.get("lambdas", [1.0, 2.0, 4.0, 8.0])
+    _require(isinstance(lambdas, list) and len(lambdas) > 0, "certificate.lambdas",
+             "must be a non-empty list of lambda values")
+    try:
+        lambdas = [float(x) for x in lambdas]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field certificate.lambdas: {exc}") from exc
     cert = {
         "radius": float(cert_cfg.get("radius", 5.0)),
         "samples": int(cert_cfg.get("samples", 50)),
         "seed": int(cert_cfg.get("seed", 7)),
-        "lambdas": [float(x) for x in cert_cfg.get("lambdas", [1.0, 2.0, 4.0, 8.0])],
+        "lambdas": lambdas,
     }
 
     gradcheck = {
@@ -544,19 +551,17 @@ def error_norms(setup: ProblemSetup, u: Field) -> dict | None:
 
 def field_table(setup: ProblemSetup, u: Field) -> list[dict]:
     """One row per masked node: coordinates, label, u, exact value, error."""
-    mask = setup.mask
-    coords = setup.grid.coords()
-    rows = []
-    for flat in np.flatnonzero(mask.in_mask.ravel()):
-        idx = np.unravel_index(flat, setup.grid.shape)
-        row = {f"x{j}": float(coords[idx + (j,)]) for j in range(setup.grid.dim)}
-        row["label"] = Label(int(mask.label[idx])).name.lower()
-        row["u"] = float(u.values[idx])
-        if setup.u_star is not None:
-            row["u_star"] = float(setup.u_star.values[idx])
-            row["abs_err"] = abs(row["u"] - row["u_star"])
-        rows.append(row)
-    return rows
+    inside = setup.mask.in_mask
+    columns = {f"x{j}": col for j, col in enumerate(setup.grid.coords()[inside].T.tolist())}
+    label_names = np.array([label.name.lower() for label in sorted(Label)])
+    columns["label"] = label_names[setup.mask.label[inside]].tolist()
+    u_vals = u.values[inside]
+    columns["u"] = u_vals.tolist()
+    if setup.u_star is not None:
+        star = setup.u_star.values[inside]
+        columns["u_star"] = star.tolist()
+        columns["abs_err"] = np.abs(u_vals - star).tolist()
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def emit_report(report: dict, out_dir: str | Path) -> list[Path]:

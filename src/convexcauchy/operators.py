@@ -41,12 +41,26 @@ class LowerOrderTerm:
 
     value, d_u: map (points (...,d), grad (...,n), u (...)) -> (...)
     d_grad:     same arguments -> (..., n), the partials in each gradient slot.
+    bind:       optional map points -> the same term with its fixed coefficient
+                fields (source q(p), scale b(p)) evaluated once at those points.
     """
 
     value: Callable
     d_u: Callable
     d_grad: Callable
     name: str = "custom"
+    bind: Callable | None = None
+
+    def at(self, points: np.ndarray) -> "LowerOrderTerm":
+        """The term for repeated calls at `points`, and only there: its fixed
+        coefficient fields are evaluated here, once, with the same arithmetic."""
+        return self if self.bind is None else self.bind(points)
+
+
+def _fixed(fn: Callable, points: np.ndarray) -> Callable:
+    """fn evaluated once at points, as a function returning those values."""
+    values = fn(points)
+    return lambda _points: values
 
 
 def lower_zero() -> LowerOrderTerm:
@@ -71,7 +85,8 @@ def lower_source(source: Callable) -> LowerOrderTerm:
     def _dg(points, grad, u):
         return np.zeros_like(grad)
 
-    return LowerOrderTerm(_val, _du, _dg, name="source")
+    return LowerOrderTerm(_val, _du, _dg, name="source",
+                          bind=lambda points: lower_source(_fixed(source, points)))
 
 
 def lower_cubic(source: Callable) -> LowerOrderTerm:
@@ -86,7 +101,8 @@ def lower_cubic(source: Callable) -> LowerOrderTerm:
     def _dg(points, grad, u):
         return np.zeros_like(grad)
 
-    return LowerOrderTerm(_val, _du, _dg, name="cubic")
+    return LowerOrderTerm(_val, _du, _dg, name="cubic",
+                          bind=lambda points: lower_cubic(_fixed(source, points)))
 
 
 def lower_sine(source: Callable) -> LowerOrderTerm:
@@ -101,7 +117,8 @@ def lower_sine(source: Callable) -> LowerOrderTerm:
     def _dg(points, grad, u):
         return np.zeros_like(grad)
 
-    return LowerOrderTerm(_val, _du, _dg, name="sine")
+    return LowerOrderTerm(_val, _du, _dg, name="sine",
+                          bind=lambda points: lower_sine(_fixed(source, points)))
 
 
 def lower_grad_sq(scale: Callable, source: Callable) -> LowerOrderTerm:
@@ -116,7 +133,10 @@ def lower_grad_sq(scale: Callable, source: Callable) -> LowerOrderTerm:
     def _dg(points, grad, u):
         return 2.0 * scale(points)[..., None] * grad
 
-    return LowerOrderTerm(_val, _du, _dg, name="grad_sq")
+    return LowerOrderTerm(
+        _val, _du, _dg, name="grad_sq",
+        bind=lambda points: lower_grad_sq(_fixed(scale, points), _fixed(source, points)),
+    )
 
 
 def validate_lower_term(term: LowerOrderTerm, points: np.ndarray, n_spatial: int,
@@ -307,6 +327,8 @@ class OperatorStencil:
             off: neighbor_table(core, [-o for o in off], rows=mask.in_mask) for off in offsets
         }
         self.core_pos = self.tables[center]  # DOF position of each core node
+        # the lower-order term with its fixed fields evaluated on the core nodes
+        self.lower = None if op.lower is None else op.lower.at(self.points)
 
     def d1(self, v: np.ndarray, axis: int) -> np.ndarray:
         dim, h = self.mask.grid.dim, self.mask.grid.spacing[axis]
@@ -348,9 +370,8 @@ class OperatorStencil:
     def residual(self, v: np.ndarray) -> np.ndarray:
         """Full residual including the lower-order term, on the core nodes."""
         out = self.principal(v)
-        lower = self.op.lower
-        if lower is not None:
-            nval = lower.value(self.points, self.gradient(v), v[self.core_pos])
+        if self.lower is not None:
+            nval = self.lower.value(self.points, self.gradient(v), v[self.core_pos])
             if not np.all(np.isfinite(nval)):
                 raise ConvexCauchyError("lower-order term produced non-finite values")
             out += self.op.lower_sign * nval
@@ -395,14 +416,14 @@ class LinearizedOperator:
         self.first = list(stencil.first)
         self.zeroth: np.ndarray | None = None
 
-        op = stencil.op
-        if op.lower is not None:
+        op, lower = stencil.op, stencil.lower
+        if lower is not None:
             pts = stencil.points
             grad = stencil.gradient(base)
             uvals = base[stencil.core_pos]
             sgn = op.lower_sign
-            dg = sgn * np.asarray(op.lower.d_grad(pts, grad, uvals), dtype=float)
-            du = sgn * np.asarray(op.lower.d_u(pts, grad, uvals), dtype=float)
+            dg = sgn * np.asarray(lower.d_grad(pts, grad, uvals), dtype=float)
+            du = sgn * np.asarray(lower.d_u(pts, grad, uvals), dtype=float)
             if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(du))):
                 raise ConvexCauchyError("lower-order partials are non-finite at the base field")
             dg = np.broadcast_to(dg, grad.shape)

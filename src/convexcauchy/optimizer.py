@@ -8,7 +8,8 @@ geometry.
 
 The convexity certificate samples field pairs inside an H^k ball and checks
 the Bregman gap against (beta/2) times the squared H^k distance; it is the
-runtime arbiter for whether the weight strength lambda is large enough.
+runtime arbiter for whether the weight strength lambda is large enough. A
+lambda sweep draws its pairs once and scores each pair at every lambda.
 """
 
 from __future__ import annotations
@@ -16,12 +17,20 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
-from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
+from .functional import (
+    FunctionalParams,
+    bregman_gap,
+    data_extension,
+    evaluate,
+    gradient,
+    shared_problem,
+)
 from .grid import check_finite
 from .sampling import draw_in_ball
 from .sobolev import spd_factorized
@@ -273,6 +282,11 @@ class CertificateReport:
             "failures": self.failures,
             "passed": self.passed,
             "min_margin": self.min_margin,
+            "margin_quantiles": {
+                "min": self.min_margin,
+                "p5": float(np.percentile(self.margins, 5)),
+                "median": float(np.median(self.margins)),
+            },
             "margins": self.margins,
             "gaps": self.gaps,
             "h1_inner_terms": self.h1_inner_terms,
@@ -280,38 +294,45 @@ class CertificateReport:
         }
 
 
-def convexity_certificate(params: FunctionalParams, radius: float, samples: int,
-                          seed: int) -> CertificateReport:
-    """Sample the Bregman gap on random admissible pairs inside the H^k ball.
+def convexity_certificate(params_by_lambda: Sequence[FunctionalParams], radius: float,
+                          samples: int, seed: int) -> list[CertificateReport]:
+    """Sample the Bregman gap on random admissible pairs inside the H^k ball,
+    at each lambda of a sweep.
 
-    A pair fails when gap < (beta/2) * ||u2 - u1||^2_{H^k}. The H^1 term over
-    the inner subdomain is recorded but not asserted against (its constant is
-    not constructive). Deterministic under the seed.
+    The params differ in lambda only (see functional.shared_problem). Every
+    lambda scores the same pairs: they are drawn once, and everything but the
+    weighted data terms is computed once per pair. A pair fails at a lambda
+    when its gap < (beta/2) * ||u2 - u1||^2_{H^k}. The H^1 term over the inner
+    subdomain is recorded but not asserted against (its constant is not
+    constructive). Deterministic under the seed; one report per lambda, each
+    equal to a single-lambda run at that lambda.
     """
     if samples < 1:
         raise ConfigError(f"certificate needs at least one sample, got {samples}")
+    params = shared_problem(params_by_lambda)
     rng = np.random.default_rng(seed)
     base = data_extension(params.space, params.data)
-    margins, gaps, h1s, hks = [], [], [], []
-    failures = 0
+    base_norm = params.space.norm(base)
+    gaps, h1s, hks = [], [], []
     for _ in range(samples):
-        u1 = draw_in_ball(params, radius, rng, base=base)
-        u2 = draw_in_ball(params, radius, rng, base=base)
-        gap, h1_inner, hk_full = bregman_gap(params, u1, u2)
-        margin = gap - 0.5 * params.beta * hk_full
-        margins.append(margin)
-        gaps.append(gap)
+        u1 = draw_in_ball(params, radius, rng, base=base, base_norm=base_norm)
+        u2 = draw_in_ball(params, radius, rng, base=base, base_norm=base_norm)
+        gaps_by_lambda, h1_inner, hk_full = bregman_gap(params_by_lambda, u1, u2)
+        gaps.append(gaps_by_lambda)
         h1s.append(h1_inner)
         hks.append(hk_full)
-        if margin < 0.0:
-            failures += 1
-    report = CertificateReport(
-        lam=params.weight.lam, beta=params.beta, radius=radius, samples=samples,
-        seed=seed, failures=failures, min_margin=float(np.min(margins)),
-        margins=margins, gaps=gaps, h1_inner_terms=h1s, hk_terms=hks,
-    )
-    logger.info(
-        "certificate lambda=%.4g beta=%.4g: %d/%d failures, min margin %.4g",
-        params.weight.lam, params.beta, failures, samples, report.min_margin,
-    )
-    return report
+    reports = []
+    for k, p in enumerate(params_by_lambda):
+        gaps_k = [g[k] for g in gaps]
+        margins = [gap - 0.5 * params.beta * hk for gap, hk in zip(gaps_k, hks)]
+        report = CertificateReport(
+            lam=p.weight.lam, beta=params.beta, radius=radius, samples=samples, seed=seed,
+            failures=sum(m < 0.0 for m in margins), min_margin=float(np.min(margins)),
+            margins=margins, gaps=gaps_k, h1_inner_terms=list(h1s), hk_terms=list(hks),
+        )
+        logger.info(
+            "certificate lambda=%.4g beta=%.4g: %d/%d failures, min margin %.4g",
+            p.weight.lam, params.beta, report.failures, samples, report.min_margin,
+        )
+        reports.append(report)
+    return reports

@@ -41,16 +41,19 @@ def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
 
 
 def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generator,
-                 base: np.ndarray | None = None, fraction_range=(0.3, 0.9)) -> np.ndarray:
+                 base: np.ndarray | None = None, base_norm: float | None = None,
+                 fraction_range=(0.3, 0.9)) -> np.ndarray:
     """Base field plus a smooth zero-trace bump, rescaled inside the H^k ball.
 
     The target norm is a random fraction of the radius; the base field (a
     smooth extension of the Cauchy data unless given) must itself fit inside
-    the ball.
+    the ball. A caller drawing many times around one base passes its H^k
+    norm as base_norm.
     """
     if base is None:
         base = data_extension(params.space, params.data)
-    base_norm = params.space.norm(base)
+    if base_norm is None:
+        base_norm = params.space.norm(base)
     if base_norm >= radius:
         raise ConfigError(
             f"ball radius {radius} is smaller than the data extension norm {base_norm:.4g}"

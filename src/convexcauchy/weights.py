@@ -32,8 +32,9 @@ class WeightSpec:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 1.0:
-            raise ConfigError(f"weight strength lambda must be >= 1, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 1.0):
+            raise ConfigError(f"weight strength lambda must be a finite number >= 1, "
+                              f"got {self.lam}")
         if self.level.epsilon is None:
             raise ConfigError(
                 "WeightSpec needs a level spec with resolved epsilon; "

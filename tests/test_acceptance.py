@@ -87,7 +87,7 @@ def test_criterion_3_quadratic_oracle():
     for _ in range(5):
         u1 = draw_in_ball(params, 150.0, rng)
         u2 = draw_in_ball(params, 150.0, rng)
-        gap, _, hk = bregman_gap(params, u1, u2)
+        (gap,), _, hk = bregman_gap([params], u1, u2)
         r = lin.forward(u2 - u1)
         expect = float(np.sum(r * r * params.core_weight)) + params.beta * hk
         gap_rel = abs(gap - expect) / max(abs(expect), 1e-30)
@@ -101,13 +101,13 @@ def test_criterion_3_quadratic_oracle():
 def cubic_certificate_sweep():
     _, grid, mask, op, space, _, _ = make_problem("ELL2D-CUBIC")
     _, data = cauchy_data_from_case("ELL2D-CUBIC", grid, mask)
-    results = []
-    for lam in (1.0, 2.0, 4.0, 8.0):
-        params = FunctionalParams(
+    sweep = [
+        FunctionalParams(
             op=op, weight=WeightSpec(level=mask.level, lam=lam), mask=mask,
             space=space, beta=1e-3, data=data, beta_policy="keep")
-        results.append(convexity_certificate(params, radius=5.0, samples=50, seed=7))
-    return results
+        for lam in (1.0, 2.0, 4.0, 8.0)
+    ]
+    return convexity_certificate(sweep, radius=5.0, samples=50, seed=7)
 
 
 def test_criterion_4_convexity_certificate(cubic_certificate_sweep):
@@ -134,7 +134,7 @@ def test_criterion_5_global_convergence(cubic_certificate_sweep):
     params = FunctionalParams(
         op=op, weight=WeightSpec(level=mask.level, lam=lam), mask=mask,
         space=space, beta=beta, data=data, beta_policy="keep")
-    cert = convexity_certificate(params, radius=5.0, samples=50, seed=7)
+    (cert,) = convexity_certificate([params], radius=5.0, samples=50, seed=7)
     assert cert.passed, "certificate must pass at the multi-start (lambda, beta)"
 
     radius = 5.0

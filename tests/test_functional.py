@@ -155,7 +155,7 @@ class TestBregmanGap:
     def test_identical_fields(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         u = data_extension(space, params.data)
-        gap, h1, hk = bregman_gap(params, u, u.copy())
+        (gap,), h1, hk = bregman_gap([params], u, u.copy())
         assert gap == pytest.approx(0.0, abs=1e-12)
         assert h1 == 0.0 and hk == 0.0
 
@@ -166,7 +166,7 @@ class TestBregmanGap:
         lin = params.stencil.linearize(data_extension(space, params.data))
         u1 = draw_in_ball(params, 150.0, rng)
         u2 = draw_in_ball(params, 150.0, rng)
-        gap, h1, hk = bregman_gap(params, u1, u2)
+        (gap,), h1, hk = bregman_gap([params], u1, u2)
         expect = data_term(params, lin.forward(u2 - u1)) + params.beta * hk
         assert gap == pytest.approx(expect, rel=1e-10)
         assert gap >= 0.5 * params.beta * hk
@@ -177,7 +177,7 @@ class TestBregmanGap:
         bad = u1.copy()
         bad[mask.deriv_pos] += 0.5
         with pytest.raises(ConstraintViolationError):
-            bregman_gap(params, u1, bad)
+            bregman_gap([params], u1, bad)
 
     def test_margin_grows_with_lambda(self, rng):
         """The certificate margin improves monotonically over the lambda sweep
@@ -196,7 +196,7 @@ class TestBregmanGap:
             for _ in range(10):
                 u1 = draw_in_ball(params, 5.0, rng_local)
                 u2 = draw_in_ball(params, 5.0, rng_local)
-                gap, _, hk = bregman_gap(params, u1, u2)
+                (gap,), _, hk = bregman_gap([params], u1, u2)
                 worst = min(worst, gap - 0.5 * params.beta * hk)
             min_margins.append(worst)
         assert all(b >= a * 0.99 for a, b in zip(min_margins, min_margins[1:]))

@@ -10,13 +10,15 @@ from convexcauchy.catalog import get_case, manufactured_solution
 from convexcauchy.cli import main
 from convexcauchy.errors import ConfigError
 from convexcauchy.functional import beta_window, data_extension, evaluate
-from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
 from convexcauchy.harness import (
     add_noise,
     build_setup,
     emit_report,
     evaluate_expression,
+    field_table,
     load_problem,
+    starting_field,
 )
 from convexcauchy.operators import OperatorStencil
 
@@ -334,6 +336,28 @@ class TestEmitReport:
         setup = load_problem(path)
         assert len(rows) == setup.mask.dofs.size
 
+    @pytest.mark.parametrize("with_u_star", [True, False])
+    def test_field_table_matches_node_loop(self, with_u_star):
+        """The columnar field table equals the per-node construction it
+        replaced, value for value (so field.csv keeps its bytes)."""
+        setup = build_setup(minimal_config())
+        if not with_u_star:
+            setup.u_star = None
+        u = starting_field(setup)
+        coords, rows = setup.grid.coords(), []
+        for flat in np.flatnonzero(setup.mask.in_mask.ravel()):
+            idx = np.unravel_index(flat, setup.grid.shape)
+            row = {f"x{j}": float(coords[idx + (j,)]) for j in range(setup.grid.dim)}
+            row["label"] = Label(int(setup.mask.label[idx])).name.lower()
+            row["u"] = float(u.values[idx])
+            if setup.u_star is not None:
+                row["u_star"] = float(setup.u_star.values[idx])
+                row["abs_err"] = abs(row["u"] - row["u_star"])
+            rows.append(row)
+        table = field_table(setup, u)
+        assert table == rows
+        assert [list(r) for r in table] == [list(r) for r in rows]  # column order
+
     def test_deterministic_report(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -422,6 +446,21 @@ class TestExpressions:
         assert not (tmp_path / "out").exists()
 
 
+def _sweep_config(tmp_path, **overrides) -> Path:
+    """A three-sample ELL2D-CUBIC certificate config, written to tmp_path."""
+    cfg = {
+        "case": "ELL2D-CUBIC",
+        "functional": {"beta": 1e-3, "beta_policy": "keep"},
+        "certificate": {"samples": 3, "radius": 5.0, "seed": 3},
+        "output_dir": str(tmp_path / "out"),
+    }
+    for section, value in overrides.items():
+        cfg[section] = {**cfg.get(section, {}), **value}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestCli:
     def test_solve_direct_exit_zero(self, tmp_path):
         cfg = minimal_config(solver="direct", output_dir=str(tmp_path / "out"),
@@ -482,6 +521,41 @@ class TestCli:
         assert main(["sweep", str(path), "--lambda", "1,2"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(report["certificates"]) == 2
+
+    def test_certificate_reports_phase_time_and_quantiles(self, tmp_path):
+        path = _sweep_config(tmp_path)
+        assert main(["certify", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert isinstance(report["wall_time"], float) and report["wall_time"] > 0.0
+        (cert,) = report["certificates"]
+        q = cert["margin_quantiles"]
+        assert set(q) == {"min", "p5", "median"}
+        assert q["min"] == cert["min_margin"] <= q["p5"] <= q["median"]
+
+    @pytest.mark.parametrize("flag,message", [
+        ("nan", "finite"), ("inf", "finite"), (",", "names no lambda"), ("abc", "bad --lambda"),
+    ], ids=["nan", "inf", "empty", "not-a-number"])
+    def test_bad_lambda_flag_exits_one(self, tmp_path, caplog, capsys, flag, message):
+        path = _sweep_config(tmp_path)
+        assert main(["sweep", str(path), f"--lambda={flag}"]) == 1
+        assert message in caplog.text + capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,section,value,message", [
+        ("sweep", "certificate", {"lambdas": []}, "non-empty list"),
+        ("sweep", "certificate", {"lambdas": [1.0, float("nan")]}, "finite"),
+        ("sweep", "certificate", {"lambdas": [1.0, "two"]}, "certificate.lambdas"),
+        ("sweep", "certificate", {"lambdas": 4.0}, "non-empty list"),
+        ("certify", "weight", {"lambda": float("nan")}, "finite"),
+        ("solve", "weight", {"lambda": float("nan")}, "finite"),
+    ], ids=["empty-list", "nan-in-list", "text-in-list", "not-a-list", "nan-certify",
+            "nan-solve"])
+    def test_bad_lambda_config_exits_one(self, tmp_path, caplog, command, section, value,
+                                         message):
+        path = _sweep_config(tmp_path, **{section: value})
+        assert main([command, str(path)]) == 1
+        assert message in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_stalled_solve_exits_two_with_report(self, tmp_path):
         """The shipped solve config with an unreachable gradient tolerance stops

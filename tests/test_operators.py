@@ -10,6 +10,7 @@ from convexcauchy.operators import (
     lower_cubic,
     lower_grad_sq,
     lower_sine,
+    lower_source,
     validate_lower_term,
     validate_operator,
 )
@@ -328,6 +329,44 @@ class TestValidation:
             return np.zeros(points.shape[:-1])
 
         validate_lower_term(lower_grad_sq(scale, source), pts, 2, rng)
+
+
+class TestFixedFields:
+    """The stencil evaluates q(p) and b(p) once, and the residual keeps the
+    arithmetic of the term evaluated at the points on every call."""
+
+    @pytest.mark.parametrize("make", [
+        lambda scale, source: lower_cubic(source),
+        lambda scale, source: lower_sine(source),
+        lambda scale, source: lower_source(source),
+        lambda scale, source: lower_grad_sq(scale, source),
+    ], ids=["cubic", "sine", "source", "grad_sq"])
+    def test_fields_evaluated_once_per_stencil(self, ell2d_mask, rng, make):
+        calls = []
+
+        def scale(points):
+            calls.append("b")
+            return 0.5 + 0.1 * points[..., 0]
+
+        def source(points):
+            calls.append("q")
+            return np.cos(points[..., 0]) * points[..., 1]
+
+        op = QuasilinearOperator(family="elliptic", dim=2, lower=make(scale, source))
+        stencil = OperatorStencil(op, ell2d_mask)
+        at_construction = list(calls)
+        assert at_construction and len(at_construction) == len(set(at_construction))
+        v = random_smooth_values(ell2d_mask, rng) + 1.0
+        r = stencil.residual(v)
+        lin = stencil.linearize(v)
+        stencil.residual(2.0 * v)
+        assert calls == at_construction
+
+        grad, u = stencil.gradient(v), v[stencil.core_pos]
+        expect = stencil.principal(v) + op.lower.value(stencil.points, grad, u)
+        assert np.array_equal(r, expect)
+        du = op.lower.d_u(stencil.points, grad, u)
+        assert np.array_equal(lin.zeroth, np.broadcast_to(du, u.shape))
 
 
 def test_field_shape_checked(ell2d_mask):

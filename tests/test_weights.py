@@ -58,6 +58,11 @@ class TestShiftedWeight:
         with pytest.raises(ConfigError):
             _elliptic_spec(lam=0.5)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            _elliptic_spec(lam=lam)
+
     def test_unresolved_epsilon_rejected(self):
         level = LevelSpec(family="elliptic", a=0.2, c=0.4, nu=2.0, x_width=1.0)
         with pytest.raises(ConfigError):
