@@ -31,6 +31,10 @@ from .weights import weight_extrema
 
 logger = logging.getLogger(__name__)
 
+GRADCHECK_DIRECTIONS = 10
+GRADCHECK_SEED = 2024
+GRADCHECK_REL_TOL = 1e-6
+
 
 def _base_report(setup: ProblemSetup, command: str) -> dict:
     w_min, w_max, w_argmin = weight_extrema(setup.weight, setup.mask)
@@ -130,11 +134,11 @@ def cmd_sweep(setup: ProblemSetup, args) -> int:
 
 def cmd_gradcheck(setup: ProblemSetup, args) -> int:
     params = setup.params
-    rng = np.random.default_rng(setup.gradcheck["seed"])
+    rng = np.random.default_rng(GRADCHECK_SEED)
     u = setup.mask.gather(starting_field(setup).values)
     g = gradient(params, u, mode="euclidean")
     worst = 0.0
-    for _ in range(setup.gradcheck["directions"]):
+    for _ in range(GRADCHECK_DIRECTIONS):
         h = random_smooth_values(setup.mask, rng)
         delta = 1e-5 * max(1.0, float(np.max(np.abs(u))))
         fd = (evaluate(params, u + delta * h) - evaluate(params, u - delta * h)) / (2 * delta)
@@ -143,13 +147,13 @@ def cmd_gradcheck(setup: ProblemSetup, args) -> int:
         worst = max(worst, rel)
     report = _base_report(setup, "gradcheck")
     report["gradcheck"] = {
-        "directions": setup.gradcheck["directions"],
+        "directions": GRADCHECK_DIRECTIONS,
         "max_rel_error": worst,
-        "tolerance": setup.gradcheck["rel_tol"],
+        "tolerance": GRADCHECK_REL_TOL,
     }
     emit_report(report, setup.output_dir)
-    print(f"gradcheck max relative error {worst:.3e} (tol {setup.gradcheck['rel_tol']:g})")
-    return 0 if worst < setup.gradcheck["rel_tol"] else 2
+    print(f"gradcheck max relative error {worst:.3e} (tol {GRADCHECK_REL_TOL:g})")
+    return 0 if worst < GRADCHECK_REL_TOL else 2
 
 
 def _parse_lambdas(text: str) -> list[float]:

@@ -80,6 +80,8 @@ class FunctionalParams:
     def __post_init__(self):
         if self.beta_policy not in BETA_POLICIES:
             raise ConfigError(f"unknown beta policy {self.beta_policy!r}")
+        if not np.isfinite(self.beta):
+            raise ConfigError(f"beta must be a finite number, got {self.beta}")
         self.beta = _windowed_beta(self.beta, self.weight.lam, self.mask.epsilon,
                                    self.beta_policy)
         mask = self.mask

@@ -12,14 +12,17 @@ manufactured case; every geometric and solver knob can be overridden:
       "output_dir": "runs/demo"
     }
 
-The effective (fully defaulted) configuration is echoed into report.json
-under "config", as config keys only, so `build_setup(report["config"])`
-rebuilds the same problem. A data file is echoed by its path, so the file
-must still be there, and relative to the same working directory; the output
-directory is not echoed. Custom operators can be declared with expression
-strings over the node coordinates (names x0, x1, ..., and t for the last axis
-of time-dependent families), made of numbers, pi, e, + - * / **, unary minus
-and calls of the functions in _EXPR_FUNCTIONS; nothing else is evaluated.
+One table per config section (SCHEMA; TOP_SCHEMA for the top level) gives each
+key a converter, which checks type and range or choices, and a default: a
+constant, or FromCase, read off the case. The tables reject unknown keys and
+bad values with ConfigError("config field <section>.<key>: ..."), fill in the
+defaults and make the echo: report.json holds the converted sections under
+"config", without unset keys and the output directory, so
+`build_setup(report["config"])` rebuilds the same problem (a data file is
+echoed by its path and must still be there). Expressions over the node
+coordinates (x0, x1, ..., and t for the last axis of time-dependent families)
+may use numbers, pi, e, + - * / **, unary minus and calls of the functions in
+_EXPR_FUNCTIONS; nothing else is evaluated.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import logging
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,8 +42,10 @@ import numpy as np
 
 from . import catalog
 from .errors import ConfigError
-from .functional import CauchyData, FunctionalParams, beta_window, data_extension
-from .grid import DomainMask, Field, Grid, Label, LevelSpec, build_grid, classify_nodes
+from .functional import (BETA_POLICIES, GRADIENT_MODES, CauchyData, FunctionalParams,
+                         beta_window, data_extension)
+from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
+                   build_grid, classify_nodes)
 from .operators import (
     QuasilinearOperator,
     lower_cubic,
@@ -49,7 +55,7 @@ from .operators import (
     validate_lower_term,
     validate_operator,
 )
-from .optimizer import OptimizerConfig
+from .optimizer import RADIUS_POLICIES, STEP_MODES, OptimizerConfig
 from .sobolev import SobolevSpace
 from .weights import WeightSpec
 
@@ -163,22 +169,132 @@ def _expr_fn(expr: str, time_axis: bool):
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: one table per section, key -> (converter, default)
 
 
-_TOP_KEYS = {
-    "case", "family", "grid", "level", "operator", "weight", "functional",
-    "data", "optimizer", "certificate", "solver", "output_dir",
+def _check(ok, what: str):
+    """Converter that passes a value for which ok(value) holds."""
+    def convert(value):
+        if not ok(value):
+            raise ConfigError(f"must be {what}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _number(kind: type, bound: str = "", ok=lambda v: True):
+    """Converter to an int (50.0 counts, 2.5 does not) or a finite float for which ok(value)
+    holds, `bound` saying what ok tests; bools and numeric strings are no numbers."""
+    what = f"{'an integer' if kind is int else 'a finite number'} {bound}".rstrip()
+
+    def convert(value):
+        try:
+            number = None if isinstance(value, bool) else kind(value)
+        except (OverflowError, TypeError, ValueError):  # no number, NaN, infinite or huge
+            number = None
+        if number is None or number != value or abs(number) == math.inf or not ok(number):
+            raise ConfigError(f"must be {what}, got {value!r}")
+        return number
+
+    return convert
+
+
+def _list(item, min_len: int = 1):
+    is_list = _check(lambda v: isinstance(v, (list, tuple)) and len(v) >= min_len,
+                     f"a {'non-empty ' if min_len else ''}list")
+    return lambda value: [item(entry) for entry in is_list(value)]
+
+
+def _pair(item):
+    is_pair = _check(lambda v: isinstance(v, (list, tuple)) and len(v) == 2, "a pair [lo, hi]")
+    is_ordered = _check(lambda p: p[0] <= p[1], "a pair [lo, hi] with lo <= hi")
+    return lambda value: is_ordered(_list(item)(is_pair(value)))
+
+
+def _choice(options: tuple):
+    return _check(lambda v: isinstance(v, str) and v in options, f"one of {'/'.join(options)}")
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _principal(value):
+    """A wave-coefficient expression, or a matrix whose entries are expressions
+    or numbers (kept as text); _operator checks its size against the family."""
+    entries = _list(_list(lambda e: _EXPR(str(e) if type(e) in (int, float) else e)))
+    return _EXPR(value) if isinstance(value, str) else entries(value)
+
+
+# _parse_expression raises ConfigError with the reason a string is no expression
+_EXPR = _check(lambda v: _parse_expression(v) is not None, "an expression")
+_FLOAT = _number(float)
+_POSITIVE = _number(float, "> 0", lambda v: v > 0)
+_NONNEGATIVE = _number(float, ">= 0", lambda v: v >= 0)
+_AT_LEAST_ONE = _number(float, ">= 1", lambda v: v >= 1)
+_UNIT = _number(float, "in (0, 1)", lambda v: 0 < v < 1)
+_COUNT = _number(int, ">= 1", lambda v: v >= 1)
+_SEED = _number(int, ">= 0", lambda v: v >= 0)
+
+_OPERATOR_IDS = ("linear", "source", "cubic", "sine", "gradsq")
+# default case.<attr> (case.level.<attr> for level keys), else `fallback`
+FromCase = namedtuple("FromCase", ["attr", "fallback"], defaults=[None])
+
+SCHEMA = {
+    "grid": {
+        "bounds": (_list(_pair(_FLOAT)), FromCase("bounds")),
+        "resolution": (_list(_number(int, ">= 3", lambda v: v >= 3)), FromCase("resolution")),
+    },
+    "level": {
+        "a": (_NONNEGATIVE, FromCase("a", 0.25)),
+        "c": (_NONNEGATIVE, FromCase("c", 0.45)),
+        "nu": (_AT_LEAST_ONE, FromCase("nu", 2.0)),
+        "x_width": (_POSITIVE, FromCase("x_width", 1.0)),
+        "t_span": (_POSITIVE, FromCase("t_span", 1.0)),
+        "eta": (_UNIT, FromCase("eta", 0.5)),
+        "x0": (_list(_FLOAT, min_len=0), FromCase("x0", ())),
+        "epsilon": (_optional(_POSITIVE), FromCase("epsilon")),
+        "xi": (_optional(_EXPR), None),
+    },
+    "operator": {
+        "id": (_choice(_OPERATOR_IDS), "linear"),
+        "q": (_EXPR, "0"),
+        "b": (_EXPR, "1"),
+        "principal": (_principal, None),
+        "mu": (_pair(_POSITIVE), (1.0, 1.0)),
+        "a_bounds": (_pair(_POSITIVE), (1.0, 1.0)),
+    },
+    "weight": {"lambda": (_AT_LEAST_ONE, FromCase("lam", 2.0))},
+    "functional": {
+        "beta": (_POSITIVE, FromCase("beta", 1e-3)),
+        "beta_policy": (_choice(BETA_POLICIES), "clamp"),
+        "order": (_optional(_COUNT), None),
+    },
+    "data": {
+        "file": (_check(lambda v: isinstance(v, str), "a string"), None),
+        "noise_level": (_NONNEGATIVE, 0.0),
+        "noise_seed": (_SEED, 0),
+    },
+    "optimizer": {key: (convert, getattr(OptimizerConfig, key)) for key, convert in {
+        "max_iters": _COUNT, "grad_tol": _POSITIVE, "step_mode": _choice(STEP_MODES),
+        "gamma": _POSITIVE, "armijo_c": _UNIT, "shrink": _UNIT, "max_halvings": _COUNT,
+        "mode": _choice(GRADIENT_MODES), "radius": _NONNEGATIVE,
+        "radius_policy": _choice(RADIUS_POLICIES),
+        "store_iterates": _check(lambda v: isinstance(v, bool), "true or false"),
+    }.items()},
+    "certificate": {
+        "radius": (_POSITIVE, 5.0),
+        "samples": (_COUNT, 50),
+        "seed": (_SEED, 7),
+        "lambdas": (_list(_AT_LEAST_ONE), (1.0, 2.0, 4.0, 8.0)),
+    },
 }
-_SECTION_KEYS = {
-    "grid": {"bounds", "resolution"},
-    "level": {"a", "c", "nu", "x_width", "t_span", "eta", "x0", "epsilon", "xi"},
-    "operator": {"id", "q", "b", "principal", "mu", "a_bounds"},
-    "weight": {"lambda"},
-    "functional": {"beta", "beta_policy", "order"},
-    "data": {"file", "noise_level", "noise_seed"},
-    "optimizer": set(OptimizerConfig.__dataclass_fields__),
-    "certificate": {"radius", "samples", "seed", "lambdas"},
+TOP_SCHEMA = {
+    "case": (_choice(tuple(catalog.CASES)), None),
+    "family": (_choice(FAMILIES), FromCase("family")),
+    "solver": (_choice(("gradient", "direct")), "gradient"),
+    "output_dir": (_check(lambda v: isinstance(v, str), "a string"), "runs"),
+    **{name: (_check(lambda v: isinstance(v, dict), "an object"), {}) for name in SCHEMA},
 }
 
 
@@ -187,12 +303,25 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"config field {path}: {msg}")
 
 
-def _get_section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name, {})
-    _require(isinstance(section, dict), name, "must be an object")
-    unknown = sorted(set(section) - _SECTION_KEYS[name])
-    _require(not unknown, ",".join(f"{name}.{key}" for key in unknown), "unknown keys")
-    return dict(section)
+def _convert(given: dict, table: dict, section: str = "", base=None) -> dict:
+    """Every key of `table` at its converted value: the given one, else the
+    default (a constant, or read off `base` for a FromCase default). Unknown
+    keys and bad values raise ConfigError naming <section>.<key>."""
+    prefix = f"{section}." if section else ""
+    unknown = sorted(set(given) - set(table))
+    _require(not unknown, ",".join(prefix + key for key in unknown), "unknown keys")
+    out = {}
+    for key, (convert, default) in table.items():
+        value = given.get(key, default)
+        if isinstance(value, FromCase):
+            value = value.fallback if base is None else getattr(base, value.attr)
+        if key in given or value is not None:
+            try:
+                value = convert(value)
+            except ConfigError as exc:
+                raise ConfigError(f"config field {prefix}{key}: {exc}") from None
+        out[key] = value
+    return out
 
 
 @dataclass(eq=False)
@@ -203,17 +332,14 @@ class ProblemSetup:
     case: catalog.ManufacturedCase | None
     grid: Grid
     mask: DomainMask
-    op: QuasilinearOperator
     weight: WeightSpec
     space: SobolevSpace
     params: FunctionalParams
     opt_config: OptimizerConfig
     solver: str
     u_star: Field | None
-    clean_data: CauchyData
     beta: dict  # requested and effective beta, and the admissible window
-    certificate: dict
-    gradcheck: dict
+    certificate: dict  # the converted certificate section
     output_dir: Path
 
 
@@ -235,223 +361,100 @@ def load_problem(path: str | Path) -> ProblemSetup:
 
 
 def build_setup(cfg: dict) -> ProblemSetup:
-    unknown = set(cfg) - _TOP_KEYS
-    _require(not unknown, ",".join(sorted(unknown)), "unknown top-level keys")
-
-    case = None
-    if "case" in cfg:
-        _require(isinstance(cfg["case"], str), "case", "must be a string id")
-        case = catalog.get_case(cfg["case"])
-
-    family = cfg.get("family", case.family if case else None)
+    case = catalog.CASES.get(cfg.get("case")) if isinstance(cfg.get("case"), str) else None
+    top = _convert(cfg, TOP_SCHEMA, base=case)
+    family = top["family"]
     _require(family is not None, "family", "required when no case is given")
+    level_base = case.level if case is not None and case.level.family == family else None
+    sections = {name: _convert(top[name], table, name, level_base if name == "level" else case)
+                for name, table in SCHEMA.items()}
+    grid_cfg, level_cfg, fun_cfg, data_cfg = (
+        sections[name] for name in ("grid", "level", "functional", "data"))
 
-    grid_cfg = _get_section(cfg, "grid")
-    bounds = grid_cfg.get("bounds", list(case.bounds) if case else None)
-    resolution = grid_cfg.get("resolution", list(case.resolution) if case else None)
-    _require(bounds is not None and resolution is not None, "grid",
+    _require(None not in grid_cfg.values(), "grid",
              "bounds and resolution required when no case is given")
-    grid = build_grid(bounds, resolution)
+    grid = build_grid(grid_cfg["bounds"], grid_cfg["resolution"])
     _require(case is None or grid.dim == case.dim, "grid.resolution",
-             f"case {case.id if case else ''} needs {case.dim if case else 0} axes")
+             f"case {case and case.id} needs {case and case.dim} axes")
+    _require(family != "generic" or level_cfg["xi"] is not None, "level.xi",
+             "generic family needs a level expression")
+    mask = classify_nodes(grid, LevelSpec(
+        family, **{k: v for k, v in level_cfg.items() if k not in ("x0", "xi")},
+        x0=tuple(level_cfg["x0"]),
+        xi_fn=_expr_fn(level_cfg["xi"], time_axis=False) if family == "generic" else None,
+    ))
 
-    level = _resolve_level(cfg, case, family, grid)
-    mask = classify_nodes(grid, level)
-
-    op = _resolve_operator(cfg, case, family, grid)
+    if top["operator"] or case is None:
+        _require(bool(top["operator"]), "operator", "required when no case is given")
+        op = _operator(sections["operator"], family, grid)
+    else:
+        op = case.make_operator()
+        del sections["operator"]  # not echoed: the case supplies it
     validate_operator(op, mask)
     if op.lower is not None:
-        validate_lower_term(
-            op.lower, grid.coords()[mask.is_core], op.n_spatial, np.random.default_rng(1234)
-        )
+        validate_lower_term(op.lower, grid.coords()[mask.is_core], op.n_spatial,
+                            np.random.default_rng(1234))
 
-    weight_cfg = _get_section(cfg, "weight")
-    lam = float(weight_cfg.get("lambda", case.lam if case else 2.0))
-    weight = WeightSpec(level=mask.level, lam=lam)
-
-    fun_cfg = _get_section(cfg, "functional")
-    order = fun_cfg.get("order")
-    space = SobolevSpace(mask, order=int(order) if order is not None else None)
-    beta = float(fun_cfg.get("beta", case.beta if case else 1e-3))
-    beta_policy = fun_cfg.get("beta_policy", "clamp")
-
-    data_cfg = _get_section(cfg, "data")
-    noise_level = float(data_cfg.get("noise_level", 0.0))
-    noise_seed = int(data_cfg.get("noise_seed", 0))
-    _require(noise_level >= 0.0, "data.noise_level", "must be >= 0")
-
-    u_star = None
-    if "file" in data_cfg:
-        clean = load_cauchy_csv(Path(data_cfg["file"]), mask)
+    if data_cfg["file"] is not None:
+        u_star, clean = None, load_cauchy_csv(Path(data_cfg["file"]), mask)
     else:
         _require(case is not None, "data", "needs a case id or a data file")
         u_star, clean = catalog.cauchy_data_from_case(case.id, grid, mask)
-
-    g0, g1 = add_noise(clean.g0, clean.g1, noise_level, noise_seed)
+    g0, g1 = add_noise(clean.g0, clean.g1, data_cfg["noise_level"], data_cfg["noise_seed"])
+    space = SobolevSpace(mask, order=fun_cfg["order"])
     params = FunctionalParams(
-        op=op, weight=weight, mask=mask, space=space, beta=beta, data=CauchyData(g0, g1),
-        beta_policy=beta_policy,
+        op=op, weight=WeightSpec(level=mask.level, lam=sections["weight"]["lambda"]),
+        mask=mask, space=space, beta=fun_cfg["beta"], data=CauchyData(g0, g1),
+        beta_policy=fun_cfg["beta_policy"],
     )
+    beta = {"requested": fun_cfg["beta"], "effective": params.beta,
+            "window": list(beta_window(params.weight.lam, mask.epsilon))}
 
-    opt_config = OptimizerConfig(**_get_section(cfg, "optimizer"))
-
-    solver = cfg.get("solver", "gradient")
-    _require(solver in ("gradient", "direct"), "solver", "must be 'gradient' or 'direct'")
-
-    cert_cfg = _get_section(cfg, "certificate")
-    lambdas = cert_cfg.get("lambdas", [1.0, 2.0, 4.0, 8.0])
-    _require(isinstance(lambdas, list) and len(lambdas) > 0, "certificate.lambdas",
-             "must be a non-empty list of lambda values")
-    try:
-        lambdas = [float(x) for x in lambdas]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field certificate.lambdas: {exc}") from exc
-    cert = {
-        "radius": float(cert_cfg.get("radius", 5.0)),
-        "samples": int(cert_cfg.get("samples", 50)),
-        "seed": int(cert_cfg.get("seed", 7)),
-        "lambdas": lambdas,
-    }
-
-    gradcheck = {
-        "directions": 10,
-        "rel_tol": 1e-6,
-        "seed": 2024,
-    }
-
-    # config keys only, each at the value the run used
-    effective = {
-        "family": family,
-        "grid": {"bounds": [[float(lo), float(hi)] for lo, hi in bounds],
-                 "resolution": list(grid.shape)},
-        "level": _level_to_dict(mask.level, cfg.get("level", {})),
-        "weight": {"lambda": lam},
-        "functional": {"beta": params.beta, "beta_policy": beta_policy, "order": space.order},
-        "data": {"noise_level": noise_level, "noise_seed": noise_seed},
-        "optimizer": {k: getattr(opt_config, k) for k in _SECTION_KEYS["optimizer"]},
-        "certificate": cert,
-        "solver": solver,
-    }
-    if case is not None:
-        effective["case"] = case.id
-    if "operator" in cfg:
-        effective["operator"] = cfg["operator"]
-    if "file" in data_cfg:
-        effective["data"]["file"] = data_cfg["file"]
-    logger.info("resolved problem: %s", json.dumps(effective, sort_keys=True, default=str))
+    # the echo: the converted sections at the values the run used, without
+    # unset keys and the output directory
+    level_cfg["epsilon"] = mask.level.epsilon
+    fun_cfg.update(beta=params.beta, order=space.order)
+    config = {key: top[key] for key in ("case", "family", "solver") if top[key] is not None}
+    config.update({name: {key: value for key, value in section.items() if value is not None}
+                   for name, section in sections.items()})
+    logger.info("resolved problem: %s", json.dumps(config, sort_keys=True))
 
     return ProblemSetup(
-        config=effective, case=case, grid=grid, mask=mask, op=op, weight=weight,
-        space=space, params=params, opt_config=opt_config, solver=solver,
-        u_star=u_star, clean_data=clean,
-        beta={"requested": beta, "effective": params.beta,
-              "window": list(beta_window(lam, mask.epsilon))},
-        certificate=cert, gradcheck=gradcheck,
-        output_dir=Path(cfg.get("output_dir", "runs")),
+        config=config, case=case, grid=grid, mask=mask, weight=params.weight,
+        space=space, params=params, opt_config=OptimizerConfig(**sections["optimizer"]),
+        solver=top["solver"], u_star=u_star, beta=beta,
+        certificate=sections["certificate"], output_dir=Path(top["output_dir"]),
     )
 
 
-def _level_to_dict(level: LevelSpec, level_cfg: dict) -> dict:
-    out = {"c": level.c, "epsilon": level.epsilon}
-    if level.family in ("elliptic", "parabolic"):
-        out.update({"a": level.a, "nu": level.nu, "x_width": level.x_width})
-    if level.family == "parabolic":
-        out["t_span"] = level.t_span
-    if level.family == "hyperbolic":
-        out.update({"eta": level.eta, "x0": list(level.x0)})
-    if level.family == "generic":
-        out["xi"] = level_cfg["xi"]
-    return out
-
-
-def _resolve_level(cfg: dict, case, family: str, grid: Grid) -> LevelSpec:
-    level_cfg = _get_section(cfg, "level")
-    base = case.level if case else None
-    if base is not None and base.family != family:
-        base = None
-    if base is not None and not level_cfg:
-        return base
-
-    def pick(key, default):
-        if key in level_cfg:
-            return level_cfg[key]
-        if base is not None:
-            return getattr(base, key)
-        return default
-
-    kwargs = dict(
-        family=family,
-        a=float(pick("a", 0.25)),
-        c=float(pick("c", 0.45)),
-        nu=float(pick("nu", 2.0)),
-        x_width=float(pick("x_width", 1.0)),
-        t_span=float(pick("t_span", 1.0)),
-        eta=float(pick("eta", 0.5)),
-        x0=tuple(pick("x0", ())),
-        epsilon=(None if pick("epsilon", None) is None else float(pick("epsilon", None))),
-    )
-    if family == "generic":
-        expr = level_cfg.get("xi")
-        _require(expr is not None, "level.xi", "generic family needs a level expression")
-        kwargs["xi_fn"] = _expr_fn(expr, time_axis=False)
-    return LevelSpec(**kwargs)
-
-
-_OPERATOR_IDS = ("linear", "source", "cubic", "sine", "gradsq")
-
-
-def _resolve_operator(cfg: dict, case, family: str, grid: Grid) -> QuasilinearOperator:
-    op_cfg = _get_section(cfg, "operator")
-    if not op_cfg and case is not None:
-        return case.make_operator()
-    _require(bool(op_cfg) or case is not None, "operator", "required when no case is given")
-
-    op_id = op_cfg.get("id", "linear")
-    _require(op_id in _OPERATOR_IDS, "operator.id",
-             f"unknown catalog id {op_id!r}; available: {_OPERATOR_IDS}")
+def _operator(op_cfg: dict, family: str, grid: Grid) -> QuasilinearOperator:
     op_family = "elliptic" if family == "generic" else family
-    time_axis = op_family in ("parabolic", "hyperbolic")
-
-    q_expr = op_cfg.get("q", "0")
-    if op_id == "linear":
-        lower = None
-    elif op_id == "source":
-        lower = lower_source(_expr_fn(q_expr, time_axis))
-    elif op_id == "cubic":
-        lower = lower_cubic(_expr_fn(q_expr, time_axis))
-    elif op_id == "sine":
-        lower = lower_sine(_expr_fn(q_expr, time_axis))
+    time_axis = op_family in TIME_FAMILIES
+    q = _expr_fn(op_cfg["q"], time_axis)
+    if op_cfg["id"] == "gradsq":
+        lower = lower_grad_sq(_expr_fn(op_cfg["b"], time_axis), q)
     else:
-        lower = lower_grad_sq(_expr_fn(op_cfg.get("b", "1"), time_axis), _expr_fn(q_expr, time_axis))
+        lower = {"source": lower_source, "cubic": lower_cubic, "sine": lower_sine,
+                 "linear": lambda q: None}[op_cfg["id"]](q)
 
-    principal = None
-    if "principal" in op_cfg:
-        exprs = op_cfg["principal"]
+    exprs, principal = op_cfg["principal"], None
+    if exprs is not None and op_family == "hyperbolic":
+        _require(isinstance(exprs, str), "operator.principal",
+                 "hyperbolic principal is a single wave-coefficient expression")
+        principal = _expr_fn(exprs, time_axis)
+    elif exprs is not None:
         n = grid.dim if op_family == "elliptic" else grid.dim - 1
-        if op_family == "hyperbolic":
-            _require(isinstance(exprs, str), "operator.principal",
-                     "hyperbolic principal is a single wave-coefficient expression")
-            principal = _expr_fn(exprs, time_axis)
-        else:
-            _require(
-                isinstance(exprs, list) and len(exprs) == n and all(len(r) == n for r in exprs),
-                "operator.principal", f"needs an {n}x{n} matrix of expressions",
-            )
-            fns = [[_expr_fn(str(e), time_axis) for e in row] for row in exprs]
+        _require(isinstance(exprs, list) and len(exprs) == n
+                 and all(len(row) == n for row in exprs),
+                 "operator.principal", f"needs an {n}x{n} matrix of expressions")
+        fns = [[_expr_fn(e, time_axis) for e in row] for row in exprs]
 
-            def principal(points, _fns=fns, _n=n):
-                out = np.empty(points.shape[:-1] + (_n, _n))
-                for i in range(_n):
-                    for j in range(_n):
-                        out[..., i, j] = _fns[i][j](points)
-                return out
+        def principal(points):
+            return np.stack([np.stack([f(points) for f in row], -1) for row in fns], -2)
 
-    mu = op_cfg.get("mu", [1.0, 1.0])
-    a_bounds = op_cfg.get("a_bounds", [1.0, 1.0])
-    return QuasilinearOperator(
-        family=op_family, dim=grid.dim, principal=principal, lower=lower,
-        mu1=float(mu[0]), mu2=float(mu[1]), a_lo=float(a_bounds[0]), a_hi=float(a_bounds[1]),
-    )
+    (mu1, mu2), (a_lo, a_hi) = op_cfg["mu"], op_cfg["a_bounds"]
+    return QuasilinearOperator(family=op_family, dim=grid.dim, principal=principal, lower=lower,
+                               mu1=mu1, mu2=mu2, a_lo=a_lo, a_hi=a_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +593,7 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
         written.append(json_path)
         if history is not None:
             path = out_dir / "history.csv"
-            _write_csv(path, history, ["iter", "j", "grad_norm", "step"])
+            _write_csv(path, history, ["iter", "j", "grad_norm", "step", "radius"])
             written.append(path)
         if table is not None:
             path = out_dir / "field.csv"
@@ -610,18 +613,13 @@ def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
 
 
 def history_rows(run_report) -> list[dict]:
-    """One row per J in the history; at the iteration cap the last row holds
-    the J of the final step, with empty gradient-norm and step cells."""
-    grads, steps = run_report.grad_norm_history, run_report.step_history
-    return [
-        {
-            "iter": i,
-            "j": j,
-            "grad_norm": grads[i] if i < len(grads) else "",
-            "step": steps[i] if i < len(steps) else "",
-        }
-        for i, j in enumerate(run_report.j_history)
-    ]
+    """One row per J in the history: the gradient norm, the step and the H^k
+    norm of the iterate (`radius`). At the iteration cap the last row holds the
+    J of the final step, with the other cells empty."""
+    columns = {"grad_norm": run_report.grad_norm_history, "step": run_report.step_history,
+               "radius": run_report.radius_history}
+    return [{"iter": i, "j": j, **{k: c[i] if i < len(c) else "" for k, c in columns.items()}}
+            for i, j in enumerate(run_report.j_history)]
 
 
 def starting_field(setup: ProblemSetup) -> Field:

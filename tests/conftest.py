@@ -1,7 +1,10 @@
 import logging
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from convexcauchy.catalog import cauchy_data_from_case, get_case
 from convexcauchy.functional import FunctionalParams
@@ -10,6 +13,14 @@ from convexcauchy.sobolev import SobolevSpace
 from convexcauchy.weights import WeightSpec
 
 logging.getLogger("convexcauchy").setLevel(logging.ERROR)
+
+# every hypothesis test is reproducible and writes no example database
+settings.register_profile("convexcauchy", derandomize=True, deadline=None, database=None)
+settings.load_profile("convexcauchy")
+# and keeps its caches (source constants, character maps) in a temporary
+# directory, removed at exit, instead of .hypothesis/ in the working directory
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

@@ -248,3 +248,10 @@ class TestBetaPolicy:
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", beta=1e-3,
                                                            beta_policy="keep")
         assert params.beta == 1e-3
+
+    @pytest.mark.parametrize("policy", ["keep", "clamp"])
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta, policy):
+        """A NaN beta makes every certificate margin NaN, which no failure test catches."""
+        with pytest.raises(ConfigError, match="beta must be a finite number"):
+            make_problem("ELL1D-CUBIC", beta=beta, beta_policy=policy)

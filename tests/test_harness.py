@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,17 @@ class TestConfigEcho:
         assert "operator" not in echo  # the case supplies it, source term included
         assert "family" not in echo["level"]
 
+    @pytest.mark.parametrize("workload", ["solve-ell2d-257", "sweep-ell2d-129",
+                                          "direct-ell3d-65"])
+    def test_bench_workload_config(self, tmp_path, workload):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", CONFIG_DIR.parent / "bench" / "workloads.py")
+        workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(workloads)
+        inputs = workloads.generate(workload, 1, tmp_path)
+        echo = self._reload(json.loads(inputs.config.read_text()))
+        assert echo["data"]["file"] == str(tmp_path / "trace.csv")
+
     def test_csv_data_custom_operator(self, tmp_path):
         bounds, resolution = [[0.0, 0.9], [-0.7, 0.7]], [19, 15]
         level = {"a": 0.2, "c": 0.45, "nu": 1.0, "x_width": 0.9}
@@ -143,7 +156,9 @@ class TestConfigEcho:
             "data": {"file": str(trace)},
         }
         echo = self._reload(cfg)
-        assert echo["operator"] == cfg["operator"]
+        # the converted section: the given keys, then the defaults of the rest
+        assert echo["operator"] == {**cfg["operator"], "b": "1", "mu": [1.0, 1.0],
+                                    "a_bounds": [1.0, 1.0]}
         assert echo["data"]["file"] == str(trace)
         assert echo["grid"]["bounds"] == bounds
         assert "case" not in echo
@@ -447,7 +462,8 @@ class TestExpressions:
 
 
 def _sweep_config(tmp_path, **overrides) -> Path:
-    """A three-sample ELL2D-CUBIC certificate config, written to tmp_path."""
+    """A three-sample ELL2D-CUBIC certificate config, written to tmp_path; an
+    override merges into its section, or replaces a value that is no object."""
     cfg = {
         "case": "ELL2D-CUBIC",
         "functional": {"beta": 1e-3, "beta_policy": "keep"},
@@ -455,10 +471,66 @@ def _sweep_config(tmp_path, **overrides) -> Path:
         "output_dir": str(tmp_path / "out"),
     }
     for section, value in overrides.items():
-        cfg[section] = {**cfg.get(section, {}), **value}
+        cfg[section] = {**cfg.get(section, {}), **value} if isinstance(value, dict) else value
     path = tmp_path / "p.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+# (section, key, value) of malformed config values that used to run with a
+# wrong meaning, fail late, crash with a traceback or pass without a word; each
+# must exit 1 with "config field <section>.<key>: ..." before any output
+MALFORMED_VALUES = [
+    ("optimizer", "max_halvings", 0),       # "no Armijo decrease after 0 halvings"
+    ("optimizer", "shrink", 2.0),           # the backtracking grew the step
+    ("optimizer", "armijo_c", -1),
+    ("optimizer", "store_iterates", "no"),
+    ("certificate", "samples", 2.5),        # ran 2 samples
+    ("certificate", "samples", True),       # ran 1 sample
+    ("grid", "resolution", [33.5, 33]),
+    ("weight", "lambda", True),
+    ("functional", "beta", float("nan")),   # the certificate passed with NaN margins
+    # tracebacks
+    ("certificate", "samples", "x"),
+    ("certificate", "seed", -1),
+    ("certificate", "radius", None),
+    ("data", "noise_seed", -3),
+    ("data", "file", 5),
+    ("functional", "beta", "0.5x"),
+    ("functional", "beta", None),
+    ("optimizer", "max_iters", "ten"),
+    ("optimizer", "max_iters", 3.7),
+    ("optimizer", "radius", None),
+    ("optimizer", "grad_tol", "1e-6"),
+    ("grid", "bounds", [[0], [0, 1]]),
+    ("grid", "bounds", 5),
+    ("level", "x0", 5),
+    ("level", "epsilon", "x"),
+    ("level", "nu", None),
+    ("level", "c", [0.45]),
+    ("operator", "mu", [1]),
+    ("operator", "a_bounds", 5),
+    ("weight", "lambda", None),
+    (None, "output_dir", 5),
+    # accepted without a word
+    ("certificate", "radius", "5"),
+    ("certificate", "lambdas", [True]),
+    ("functional", "order", 2.5),
+    ("functional", "order", "3"),
+    ("optimizer", "gamma", None),
+    ("level", "a", "0.25"),
+    ("level", "xi", 5),
+    ("operator", "q", 5),
+    ("weight", "lambda", "2"),
+]
+
+
+def _malformed_case(section, key, value):
+    """(command, section, override, message) of one MALFORMED_VALUES entry."""
+    command = "solve" if section == "optimizer" else "certify"
+    if section is None:
+        return command, key, value, f"config field {key}: "
+    return command, section, {key: value}, f"config field {section}.{key}: "
 
 
 class TestCli:
@@ -548,10 +620,14 @@ class TestCli:
         ("sweep", "certificate", {"lambdas": 4.0}, "non-empty list"),
         ("certify", "weight", {"lambda": float("nan")}, "finite"),
         ("solve", "weight", {"lambda": float("nan")}, "finite"),
-    ], ids=["empty-list", "nan-in-list", "text-in-list", "not-a-list", "nan-certify",
-            "nan-solve"])
+    ] + [_malformed_case(*entry) for entry in MALFORMED_VALUES],
+        ids=["empty-list", "nan-in-list", "text-in-list", "not-a-list", "nan-certify",
+             "nan-solve"] + [".".join(filter(None, (section, key))) + f"={value!r}"
+                             for section, key, value in MALFORMED_VALUES])
     def test_bad_lambda_config_exits_one(self, tmp_path, caplog, command, section, value,
                                          message):
+        """A bad lambda, and every other malformed value, exits 1 with a message
+        before any output is written."""
         path = _sweep_config(tmp_path, **{section: value})
         assert main([command, str(path)]) == 1
         assert message in caplog.text
@@ -586,8 +662,11 @@ class TestCli:
         with open(tmp_path / "out" / "history.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
-        assert rows[-1]["grad_norm"] == "" and rows[-1]["step"] == ""
+        assert rows[-1]["grad_norm"] == "" and rows[-1]["step"] == "" and rows[-1]["radius"] == ""
         assert float(rows[-1]["j"]) == report["run"]["final_j"]
+        radii = [float(row["radius"]) for row in rows[:-1]]
+        assert radii == report["run"]["radius_history"]
+        assert all(r > 0 for r in radii)
 
     @pytest.mark.parametrize("section,key", [
         ("grid", "resolutions"), ("level", "nuu"), ("operator", "qq"), ("weight", "lamda"),

@@ -24,8 +24,6 @@ from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
 from convexcauchy.weights import WeightSpec
 
-PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=12)
-
 
 def _source(points):
     return np.sin(points[..., 0]) - 0.5 * points[..., 1]
@@ -72,7 +70,7 @@ def _start(params, rng):
     return data_extension(params.space, params.data) + 0.5 * bump
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=12)
 @given(problems())
 def test_adjoint_identity(problem):
     params, seed = problem
@@ -85,7 +83,7 @@ def test_adjoint_identity(problem):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=12)
 @given(problems())
 def test_gradient_matches_central_differences(problem):
     params, seed = problem
@@ -99,7 +97,7 @@ def test_gradient_matches_central_differences(problem):
     assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=12)
 @given(problems(), st.sampled_from(["euclidean", "sobolev"]))
 def test_descent_step_keeps_trace(problem, mode):
     params, seed = problem
