@@ -7,7 +7,7 @@ once the weight strength is large enough. Ships a machine-checkable
 convexity certificate and a globally convergent Sobolev-gradient descent.
 """
 
-from .catalog import CASES, get_case, manufactured_solution
+from .catalog import CASES
 from .errors import (
     ConfigError,
     ConstraintViolationError,

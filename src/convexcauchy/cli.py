@@ -14,8 +14,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError, GeometryError
-from .functional import evaluate, gradient
-from .grid import Field
+from .functional import data_extension, evaluate, gradient
 from .harness import (
     ProblemSetup,
     emit_report,
@@ -23,7 +22,6 @@ from .harness import (
     field_table,
     history_rows,
     load_problem,
-    starting_field,
 )
 from .optimizer import convexity_certificate, direct_solve, run
 from .sampling import random_smooth_values
@@ -67,7 +65,7 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
         history = []
         converged = True
     else:
-        start = setup.mask.gather(starting_field(setup).values)
+        start = data_extension(setup.space, setup.params.data)
         run_report = run(setup.params, start, setup.opt_config)
         final = run_report.final
         report["run"] = run_report.to_dict()
@@ -75,10 +73,9 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
         history = history_rows(run_report)
         converged = run_report.converged
 
-    final_field = Field(setup.grid, setup.mask.scatter(final))
-    report["errors"] = error_norms(setup, final_field)
+    report["errors"] = error_norms(setup, final)
     report["history"] = history
-    report["field"] = field_table(setup, final_field)
+    report["field"] = field_table(setup, final)
     emit_report(report, setup.output_dir)
     if not converged:
         logger.error("solver did not converge: %s", report["run"]["reason"])
@@ -135,7 +132,7 @@ def cmd_sweep(setup: ProblemSetup, args) -> int:
 def cmd_gradcheck(setup: ProblemSetup, args) -> int:
     params = setup.params
     rng = np.random.default_rng(GRADCHECK_SEED)
-    u = setup.mask.gather(starting_field(setup).values)
+    u = data_extension(setup.space, setup.params.data)
     g = gradient(params, u, mode="euclidean")
     worst = 0.0
     for _ in range(GRADCHECK_DIRECTIONS):

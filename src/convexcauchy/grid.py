@@ -285,10 +285,10 @@ def check_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
 
 @dataclass(eq=False)
 class Field:
-    """Real values on every grid node: the input and output form of a field.
+    """Real values on every grid node, checked finite.
 
-    The solver works on DOF vectors (see DomainMask); a Field is what goes in
-    from a closed-form solution and out to the reports.
+    The library works on DOF vectors (see DomainMask); a Field is the
+    full-grid form that harness.starting_field hands to callers.
     """
 
     grid: Grid

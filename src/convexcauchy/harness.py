@@ -1,7 +1,8 @@
 """Problem definitions, noise injection, error norms, and report emission.
 
 Problems are described by a single JSON file. A minimal config names a
-manufactured case; every geometric and solver knob can be overridden:
+manufactured case (catalog.CASES), itself a config plus its exact solution;
+every key can be overridden:
 
     {
       "case": "ELL2D-HARMONIC",
@@ -12,17 +13,20 @@ manufactured case; every geometric and solver knob can be overridden:
       "output_dir": "runs/demo"
     }
 
-One table per config section (SCHEMA; TOP_SCHEMA for the top level) gives each
-key a converter, which checks type and range or choices, and a default: a
-constant, or FromCase, read off the case. The tables reject unknown keys and
-bad values with ConfigError("config field <section>.<key>: ..."), fill in the
-defaults and make the echo: report.json holds the converted sections under
-"config", without unset keys and the output directory, so
-`build_setup(report["config"])` rebuilds the same problem (a data file is
-echoed by its path and must still be there). Expressions over the node
-coordinates (x0, x1, ..., and t for the last axis of time-dependent families)
-may use numbers, pi, e, + - * / **, unary minus and calls of the functions in
-_EXPR_FUNCTIONS; nothing else is evaluated.
+A key the config does not give takes the case's value, and otherwise the
+constant default of its table: SCHEMA has one per config section, TOP_SCHEMA
+the top level, and each gives a key its converter, which checks type and
+range or choices, and its default. The case's level applies only to its own
+family, and a non-empty operator section replaces the case's whole. The
+tables reject unknown keys and bad values with ConfigError("config field
+<section>.<key>: ..."), and checks across the keys of one section fail with
+"config field <section>: ...". report.json echoes the converted sections
+under "config", the case's operator included, without unset keys and the
+output directory, so `build_setup(report["config"])` rebuilds the same
+problem (a data file is echoed by its path and must still be there).
+Expressions over the node coordinates (x0, x1, ..., and t for the last axis
+of time-dependent families) may use numbers, pi, e, + - * / **, unary minus
+and calls of the functions in _EXPR_FUNCTIONS; nothing else is evaluated.
 """
 
 from __future__ import annotations
@@ -34,18 +38,18 @@ import logging
 import math
 import operator
 import re
-from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import catalog
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .functional import (BETA_POLICIES, GRADIENT_MODES, CauchyData, FunctionalParams,
                          beta_window, data_extension)
 from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
-                   build_grid, classify_nodes)
+                   build_grid, check_finite, classify_nodes)
 from .operators import (
     QuasilinearOperator,
     lower_cubic,
@@ -237,23 +241,21 @@ _COUNT = _number(int, ">= 1", lambda v: v >= 1)
 _SEED = _number(int, ">= 0", lambda v: v >= 0)
 
 _OPERATOR_IDS = ("linear", "source", "cubic", "sine", "gradsq")
-# default case.<attr> (case.level.<attr> for level keys), else `fallback`
-FromCase = namedtuple("FromCase", ["attr", "fallback"], defaults=[None])
 
 SCHEMA = {
     "grid": {
-        "bounds": (_list(_pair(_FLOAT)), FromCase("bounds")),
-        "resolution": (_list(_number(int, ">= 3", lambda v: v >= 3)), FromCase("resolution")),
+        "bounds": (_list(_pair(_FLOAT)), None),
+        "resolution": (_list(_number(int, ">= 3", lambda v: v >= 3)), None),
     },
     "level": {
-        "a": (_NONNEGATIVE, FromCase("a", 0.25)),
-        "c": (_NONNEGATIVE, FromCase("c", 0.45)),
-        "nu": (_AT_LEAST_ONE, FromCase("nu", 2.0)),
-        "x_width": (_POSITIVE, FromCase("x_width", 1.0)),
-        "t_span": (_POSITIVE, FromCase("t_span", 1.0)),
-        "eta": (_UNIT, FromCase("eta", 0.5)),
-        "x0": (_list(_FLOAT, min_len=0), FromCase("x0", ())),
-        "epsilon": (_optional(_POSITIVE), FromCase("epsilon")),
+        "a": (_NONNEGATIVE, 0.25),
+        "c": (_NONNEGATIVE, 0.45),
+        "nu": (_AT_LEAST_ONE, 2.0),
+        "x_width": (_POSITIVE, 1.0),
+        "t_span": (_POSITIVE, 1.0),
+        "eta": (_UNIT, 0.5),
+        "x0": (_list(_FLOAT, min_len=0), ()),
+        "epsilon": (_optional(_POSITIVE), None),
         "xi": (_optional(_EXPR), None),
     },
     "operator": {
@@ -264,9 +266,9 @@ SCHEMA = {
         "mu": (_pair(_POSITIVE), (1.0, 1.0)),
         "a_bounds": (_pair(_POSITIVE), (1.0, 1.0)),
     },
-    "weight": {"lambda": (_AT_LEAST_ONE, FromCase("lam", 2.0))},
+    "weight": {"lambda": (_AT_LEAST_ONE, 2.0)},
     "functional": {
-        "beta": (_POSITIVE, FromCase("beta", 1e-3)),
+        "beta": (_POSITIVE, 1e-3),
         "beta_policy": (_choice(BETA_POLICIES), "clamp"),
         "order": (_optional(_COUNT), None),
     },
@@ -291,7 +293,7 @@ SCHEMA = {
 }
 TOP_SCHEMA = {
     "case": (_choice(tuple(catalog.CASES)), None),
-    "family": (_choice(FAMILIES), FromCase("family")),
+    "family": (_choice(FAMILIES), None),
     "solver": (_choice(("gradient", "direct")), "gradient"),
     "output_dir": (_check(lambda v: isinstance(v, str), "a string"), "runs"),
     **{name: (_check(lambda v: isinstance(v, dict), "an object"), {}) for name in SCHEMA},
@@ -303,18 +305,25 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"config field {path}: {msg}")
 
 
-def _convert(given: dict, table: dict, section: str = "", base=None) -> dict:
+@contextmanager
+def _section(name: str):
+    """Name the section in the errors of a check across its keys."""
+    try:
+        yield
+    except (ConfigError, GeometryError) as exc:
+        raise type(exc)(f"config field {name}: {exc}") from None
+
+
+def _convert(given: dict, table: dict, section: str = "") -> dict:
     """Every key of `table` at its converted value: the given one, else the
-    default (a constant, or read off `base` for a FromCase default). Unknown
-    keys and bad values raise ConfigError naming <section>.<key>."""
+    table's default. Unknown keys and bad values raise ConfigError naming
+    <section>.<key>."""
     prefix = f"{section}." if section else ""
     unknown = sorted(set(given) - set(table))
     _require(not unknown, ",".join(prefix + key for key in unknown), "unknown keys")
     out = {}
     for key, (convert, default) in table.items():
         value = given.get(key, default)
-        if isinstance(value, FromCase):
-            value = value.fallback if base is None else getattr(base, value.attr)
         if key in given or value is not None:
             try:
                 value = convert(value)
@@ -329,7 +338,6 @@ class ProblemSetup:
     """A fully resolved problem: geometry, operator, functional, solver knobs."""
 
     config: dict
-    case: catalog.ManufacturedCase | None
     grid: Grid
     mask: DomainMask
     weight: WeightSpec
@@ -337,7 +345,7 @@ class ProblemSetup:
     params: FunctionalParams
     opt_config: OptimizerConfig
     solver: str
-    u_star: Field | None
+    u_star: np.ndarray | None  # the case's exact solution on the DOFs
     beta: dict  # requested and effective beta, and the admissible window
     certificate: dict  # the converted certificate section
     output_dir: Path
@@ -361,45 +369,58 @@ def load_problem(path: str | Path) -> ProblemSetup:
 
 
 def build_setup(cfg: dict) -> ProblemSetup:
-    case = catalog.CASES.get(cfg.get("case")) if isinstance(cfg.get("case"), str) else None
-    top = _convert(cfg, TOP_SCHEMA, base=case)
+    case = catalog.CASES.get(cfg["case"], {}) if isinstance(cfg.get("case"), str) else {}
+    top = _convert({"family": case["family"], **cfg} if case else cfg, TOP_SCHEMA)
     family = top["family"]
     _require(family is not None, "family", "required when no case is given")
-    level_base = case.level if case is not None and case.level.family == family else None
-    sections = {name: _convert(top[name], table, name, level_base if name == "level" else case)
+    # a key the config does not give takes the case's value, else the table's
+    # default; the case's level belongs to its family, and a non-empty
+    # operator section replaces the case's whole
+    from_case = {name: case.get(name, {}) for name in SCHEMA}
+    if case.get("family") != family:
+        from_case["level"] = {}
+    if top["operator"]:
+        from_case["operator"] = {}
+    sections = {name: _convert({**from_case[name], **top[name]}, table, name)
                 for name, table in SCHEMA.items()}
     grid_cfg, level_cfg, fun_cfg, data_cfg = (
         sections[name] for name in ("grid", "level", "functional", "data"))
 
+    _require(bool(top["operator"] or case), "operator", "required when no case is given")
+    if case and data_cfg["file"] is None:
+        # a generic level is a custom spatial threshold; elliptic cases fit it
+        _require(family == case["family"] or (family, case["family"]) == ("generic", "elliptic"),
+                 "family", f"case {top['case']} is {case['family']}, not {family}")
     _require(None not in grid_cfg.values(), "grid",
              "bounds and resolution required when no case is given")
-    grid = build_grid(grid_cfg["bounds"], grid_cfg["resolution"])
-    _require(case is None or grid.dim == case.dim, "grid.resolution",
-             f"case {case and case.id} needs {case and case.dim} axes")
+    with _section("grid"):
+        grid = build_grid(grid_cfg["bounds"], grid_cfg["resolution"])
+    axes = len(case["grid"]["bounds"]) if case else grid.dim
+    _require(grid.dim == axes, "grid.resolution", f"case {top['case']} needs {axes} axes")
     _require(family != "generic" or level_cfg["xi"] is not None, "level.xi",
              "generic family needs a level expression")
-    mask = classify_nodes(grid, LevelSpec(
-        family, **{k: v for k, v in level_cfg.items() if k not in ("x0", "xi")},
-        x0=tuple(level_cfg["x0"]),
-        xi_fn=_expr_fn(level_cfg["xi"], time_axis=False) if family == "generic" else None,
-    ))
+    with _section("level"):
+        mask = classify_nodes(grid, LevelSpec(
+            family, **{k: v for k, v in level_cfg.items() if k not in ("x0", "xi")},
+            x0=tuple(level_cfg["x0"]),
+            xi_fn=_expr_fn(level_cfg["xi"], time_axis=False) if family == "generic" else None,
+        ))
 
-    if top["operator"] or case is None:
-        _require(bool(top["operator"]), "operator", "required when no case is given")
-        op = _operator(sections["operator"], family, grid)
-    else:
-        op = case.make_operator()
-        del sections["operator"]  # not echoed: the case supplies it
-    validate_operator(op, mask)
-    if op.lower is not None:
-        validate_lower_term(op.lower, grid.coords()[mask.is_core], op.n_spatial,
-                            np.random.default_rng(1234))
+    op = _operator(sections["operator"], family, grid)
+    with _section("operator"):
+        validate_operator(op, mask)
+        if op.lower is not None:
+            validate_lower_term(op.lower, grid.coords()[mask.is_core], op.n_spatial,
+                                np.random.default_rng(1234))
 
     if data_cfg["file"] is not None:
         u_star, clean = None, load_cauchy_csv(Path(data_cfg["file"]), mask)
     else:
-        _require(case is not None, "data", "needs a case id or a data file")
-        u_star, clean = catalog.cauchy_data_from_case(case.id, grid, mask)
+        _require(bool(case), "data", "needs a case id or a data file")
+        u_star = check_finite(evaluate_expression(
+            case["u_star"], grid.coords()[mask.in_mask], family in TIME_FAMILIES),
+            "exact solution")
+        clean = CauchyData(u_star[mask.value_pos], u_star[mask.deriv_pos])
     g0, g1 = add_noise(clean.g0, clean.g1, data_cfg["noise_level"], data_cfg["noise_seed"])
     space = SobolevSpace(mask, order=fun_cfg["order"])
     params = FunctionalParams(
@@ -420,7 +441,7 @@ def build_setup(cfg: dict) -> ProblemSetup:
     logger.info("resolved problem: %s", json.dumps(config, sort_keys=True))
 
     return ProblemSetup(
-        config=config, case=case, grid=grid, mask=mask, weight=params.weight,
+        config=config, grid=grid, mask=mask, weight=params.weight,
         space=space, params=params, opt_config=OptimizerConfig(**sections["optimizer"]),
         solver=top["solver"], u_star=u_star, beta=beta,
         certificate=sections["certificate"], output_dir=Path(top["output_dir"]),
@@ -526,15 +547,14 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
 # error norms and reports
 
 
-def error_norms(setup: ProblemSetup, u: Field) -> dict | None:
-    """Relative L2/H1/H^k errors of u against the exact solution, on the full
-    masked subdomain and on the inner window where the stability estimate is
-    strongest."""
+def error_norms(setup: ProblemSetup, u: np.ndarray) -> dict | None:
+    """Relative L2/H1/H^k errors of the DOF vector u against the exact
+    solution, on the full masked subdomain and on the inner window where the
+    stability estimate is strongest."""
     if setup.u_star is None:
         return None
-    mask = setup.mask
-    diff = np.where(mask.in_mask, u.values - setup.u_star.values, 0.0)
-    star = np.where(mask.in_mask, setup.u_star.values, 0.0)
+    mask, star = setup.mask, setup.u_star
+    diff = u - star
     # the inner window is the fixed region above the raised threshold, sampled
     # by level value so refinement studies compare like with like
     window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
@@ -543,27 +563,26 @@ def error_norms(setup: ProblemSetup, u: Field) -> dict | None:
         for name, order in (("l2", None), ("h1", 1), ("hk", setup.space.order)):
             space = SobolevSpace(mask, order=order if order else 1, node_subset=subset)
             if order is None:
-                num = float(np.sqrt(np.sum(diff**2 * space.weights)))
-                den = float(np.sqrt(np.sum(star**2 * space.weights)))
+                weights = mask.gather(space.weights)
+                num = float(np.sqrt(np.sum(diff**2 * weights)))
+                den = float(np.sqrt(np.sum(star**2 * weights)))
             else:
-                num = space.norm(mask.gather(diff))
-                den = space.norm(mask.gather(star))
+                num, den = space.norm(diff), space.norm(star)
             out[f"{name}_{region}"] = num / den if den > 0 else float("nan")
     return out
 
 
-def field_table(setup: ProblemSetup, u: Field) -> list[dict]:
-    """One row per masked node: coordinates, label, u, exact value, error."""
+def field_table(setup: ProblemSetup, u: np.ndarray) -> list[dict]:
+    """One row per masked node of the DOF vector u: coordinates, label, u,
+    exact value, error."""
     inside = setup.mask.in_mask
     columns = {f"x{j}": col for j, col in enumerate(setup.grid.coords()[inside].T.tolist())}
     label_names = np.array([label.name.lower() for label in sorted(Label)])
     columns["label"] = label_names[setup.mask.label[inside]].tolist()
-    u_vals = u.values[inside]
-    columns["u"] = u_vals.tolist()
+    columns["u"] = u.tolist()
     if setup.u_star is not None:
-        star = setup.u_star.values[inside]
-        columns["u_star"] = star.tolist()
-        columns["abs_err"] = np.abs(u_vals - star).tolist()
+        columns["u_star"] = setup.u_star.tolist()
+        columns["abs_err"] = np.abs(u - setup.u_star).tolist()
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 

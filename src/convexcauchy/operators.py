@@ -63,16 +63,6 @@ def _fixed(fn: Callable, points: np.ndarray) -> Callable:
     return lambda _points: values
 
 
-def lower_zero() -> LowerOrderTerm:
-    def _zero(points, grad, u):
-        return np.zeros_like(u)
-
-    def _zero_grad(points, grad, u):
-        return np.zeros_like(grad)
-
-    return LowerOrderTerm(_zero, _zero, _zero_grad, name="zero")
-
-
 def lower_source(source: Callable) -> LowerOrderTerm:
     """N = q(p): a pure source, keeping the residual affine."""
 

@@ -235,7 +235,7 @@ def direct_solve(params: FunctionalParams) -> np.ndarray:
     field.
     """
     lower = params.op.lower
-    if lower is not None and lower.name not in ("zero", "source"):
+    if lower is not None and lower.name != "source":
         raise ConfigError(
             f"direct solve needs an affine residual; lower-order term is {lower.name!r}"
         )

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from convexcauchy.catalog import cauchy_data_from_case, get_case
+from convexcauchy.catalog import CASES
 from convexcauchy.functional import FunctionalParams
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
-from convexcauchy.sobolev import SobolevSpace
+from convexcauchy.harness import build_setup
 from convexcauchy.weights import WeightSpec
 
 logging.getLogger("convexcauchy").setLevel(logging.ERROR)
@@ -36,25 +36,25 @@ def ell2d_mask():
     return classify_nodes(grid, spec)
 
 
-def make_problem(case_id, resolution=None, lam=None, beta=None, order=None,
-                 beta_policy="keep"):
-    """Assemble (case, grid, mask, op, space, params, u_star) for a catalog case."""
-    case = get_case(case_id)
-    grid = build_grid(case.bounds, resolution or case.resolution)
-    mask = classify_nodes(grid, case.level)
-    op = case.make_operator()
-    u_star, data = cauchy_data_from_case(case_id, grid, mask)
-    space = SobolevSpace(mask)
+def make_problem(case_id, resolution=None, lam=None, beta=None, beta_policy="keep"):
+    """(case, grid, mask, op, space, params, u_star) of a catalog case, built
+    from its config {"case": case_id}; u_star is a DOF vector. The params are
+    built here, so that any beta (0 included) and policy can be given."""
+    cfg = {"case": case_id}
+    if resolution is not None:
+        cfg["grid"] = {"resolution": list(resolution)}
+    setup = build_setup(cfg)
     params = FunctionalParams(
-        op=op,
-        weight=WeightSpec(level=mask.level, lam=lam if lam is not None else case.lam),
-        mask=mask,
-        space=space,
-        beta=beta if beta is not None else case.beta,
-        data=data,
+        op=setup.params.op,
+        weight=WeightSpec(level=setup.mask.level, lam=setup.weight.lam if lam is None else lam),
+        mask=setup.mask,
+        space=setup.space,
+        beta=setup.beta["requested"] if beta is None else beta,
+        data=setup.params.data,
         beta_policy=beta_policy,
     )
-    return case, grid, mask, op, space, params, u_star
+    return (CASES[case_id], setup.grid, setup.mask, params.op, setup.space, params,
+            setup.u_star)
 
 
-CATALOG_IDS = ["ELL1D-CUBIC", "ELL2D-HARMONIC", "ELL2D-CUBIC", "PAR1D-CUBIC", "HYP1D-QUAD"]
+CATALOG_IDS = list(CASES)

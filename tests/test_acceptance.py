@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import CATALOG_IDS, make_problem
-from convexcauchy.catalog import cauchy_data_from_case
 from convexcauchy.functional import (
     FunctionalParams,
     bregman_gap,
@@ -57,7 +56,7 @@ def test_criterion_2_adjoint_identity():
     for case_id in CATALOG_IDS:
         _, grid, mask, op, space, params, u_star = make_problem(case_id)
         rng = np.random.default_rng(202)
-        lin = params.stencil.linearize(params.impose_dofs(mask.gather(u_star.values)))
+        lin = params.stencil.linearize(params.impose_dofs(u_star))
         for _ in range(20):
             v = rng.standard_normal(mask.dofs.size)
             w = rng.standard_normal(lin.stencil.core_pos.size)
@@ -99,8 +98,8 @@ def test_criterion_3_quadratic_oracle():
 
 @pytest.fixture(scope="module")
 def cubic_certificate_sweep():
-    _, grid, mask, op, space, _, _ = make_problem("ELL2D-CUBIC")
-    _, data = cauchy_data_from_case("ELL2D-CUBIC", grid, mask)
+    _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
+    data = case_params.data
     sweep = [
         FunctionalParams(
             op=op, weight=WeightSpec(level=mask.level, lam=lam), mask=mask,
@@ -129,8 +128,8 @@ def test_criterion_5_global_convergence(cubic_certificate_sweep):
     """Ten seeded random starts at a certificate-passing (lambda, beta) all
     converge monotonically to the same minimizer with contraction below one."""
     lam, beta = 2.0, 0.55
-    _, grid, mask, op, space, _, _ = make_problem("ELL2D-CUBIC")
-    _, data = cauchy_data_from_case("ELL2D-CUBIC", grid, mask)
+    _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
+    data = case_params.data
     params = FunctionalParams(
         op=op, weight=WeightSpec(level=mask.level, lam=lam), mask=mask,
         space=space, beta=beta, data=data, beta_policy="keep")
@@ -163,7 +162,7 @@ def test_criterion_5_global_convergence(cubic_certificate_sweep):
 
 
 def _reconstruction_error(resolution, noise_level, seed=42):
-    _, grid, mask, op, space, params, u_star = make_problem(
+    _, grid, mask, op, space, params, star = make_problem(
         "ELL2D-HARMONIC", resolution=resolution)
     if noise_level > 0.0:
         from convexcauchy.functional import CauchyData
@@ -176,7 +175,6 @@ def _reconstruction_error(resolution, noise_level, seed=42):
     u = direct_solve(params)
     window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
     w = mask.gather(np.where(window, mask.quad_weight, 0.0))
-    star = mask.gather(u_star.values)
     err = float(np.sqrt(np.sum((u - star) ** 2 * w)))
     den = float(np.sqrt(np.sum(star**2 * w)))
     return err / den

@@ -30,7 +30,7 @@ def data_term(params, core_values):
 class TestEvaluate:
     def test_manufactured_solution_leaves_only_regularizer(self):
         _, grid, mask, op, space, params, u_star = make_problem("ELL1D-CUBIC")
-        u = params.impose_dofs(mask.gather(u_star.values))
+        u = params.impose_dofs(u_star)
         j = evaluate(params, u)
         reg = params.beta * space.norm_sq(u)
         assert j == pytest.approx(reg, rel=1e-10)
@@ -52,7 +52,7 @@ class TestEvaluate:
 
     def test_constraint_violation_detected(self):
         _, grid, mask, op, space, params, u_star = make_problem("ELL1D-CUBIC")
-        bad = params.impose_dofs(mask.gather(u_star.values))
+        bad = params.impose_dofs(u_star.copy())
         bad[mask.value_pos] += 0.1
         with pytest.raises(ConstraintViolationError, match="deviation"):
             evaluate(params, bad)
@@ -88,7 +88,7 @@ class TestGradient:
     def test_gradient_zero_at_exact_solution_without_regularizer(self):
         """A(u*) = 0 and beta = 0 makes u* stationary."""
         _, grid, mask, op, space, params, u_star = make_problem("ELL1D-CUBIC", beta=0.0)
-        u = params.impose_dofs(mask.gather(u_star.values))
+        u = params.impose_dofs(u_star)
         g = gradient(params, u, mode="euclidean")
         assert np.max(np.abs(g)) < 1e-6
 
@@ -182,10 +182,8 @@ class TestBregmanGap:
     def test_margin_grows_with_lambda(self, rng):
         """The certificate margin improves monotonically over the lambda sweep
         on paired samples (the convexification effect)."""
-        case, grid, mask, op, space, _, _ = make_problem("ELL2D-CUBIC")
-        from convexcauchy.catalog import cauchy_data_from_case
-
-        _, data = cauchy_data_from_case("ELL2D-CUBIC", grid, mask)
+        _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
+        data = case_params.data
         min_margins = []
         for lam in (1.0, 2.0, 4.0, 8.0):
             params = FunctionalParams(op=op, weight=WeightSpec(level=mask.level, lam=lam),

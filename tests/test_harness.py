@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_problem
-from convexcauchy.catalog import get_case, manufactured_solution
+from conftest import CATALOG_IDS, make_problem
+from convexcauchy.catalog import CASES
 from convexcauchy.cli import main
 from convexcauchy.errors import ConfigError
 from convexcauchy.functional import beta_window, data_extension, evaluate
@@ -20,9 +20,7 @@ from convexcauchy.harness import (
     evaluate_expression,
     field_table,
     load_problem,
-    starting_field,
 )
-from convexcauchy.operators import OperatorStencil
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -39,7 +37,7 @@ class TestLoadProblem:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(minimal_config()))
         setup = load_problem(path)
-        assert setup.case.id == "ELL2D-HARMONIC"
+        assert setup.config["case"] == "ELL2D-HARMONIC"
         assert setup.space.order == 3
         assert setup.config["functional"]["order"] == 3
         assert setup.config["level"]["nu"] == 1.0
@@ -121,8 +119,15 @@ class TestConfigEcho:
     def test_shipped_config(self, name):
         cfg = json.loads((CONFIG_DIR / name).read_text())
         echo = self._reload(cfg)
-        assert "operator" not in echo  # the case supplies it, source term included
+        # the case's operator, source term included, with the table's defaults
+        assert echo["operator"] == {"q": "0", "b": "1", "mu": [1.0, 1.0],
+                                    "a_bounds": [1.0, 1.0], **CASES[cfg["case"]]["operator"]}
         assert "family" not in echo["level"]
+
+    @pytest.mark.parametrize("case_id", CATALOG_IDS)
+    def test_case(self, case_id):
+        echo = self._reload({"case": case_id})
+        assert echo["family"] == CASES[case_id]["family"]
 
     @pytest.mark.parametrize("workload", ["solve-ell2d-257", "sweep-ell2d-129",
                                           "direct-ell3d-65"])
@@ -191,35 +196,30 @@ class TestManufactured:
     ])
     def test_residual_machine_zero(self, case_id, tol):
         case, grid, mask, op, space, params, u_star = make_problem(case_id)
-        r = params.stencil.residual(mask.gather(u_star.values))
+        r = params.stencil.residual(u_star)
         assert np.max(np.abs(r)) < tol
 
     def test_harmonic_residual_second_order(self):
         """Interior residual of the smooth case drops about 4x per refinement."""
-        case = get_case("ELL2D-HARMONIC")
         norms = []
         for res in (33, 65, 129):
-            grid = build_grid(case.bounds, (res, res))
-            mask = classify_nodes(grid, case.level)
-            op = case.make_operator()
-            u_star, g0, g1 = manufactured_solution(case.id, grid, mask)
-            r = OperatorStencil(op, mask).residual(mask.gather(u_star.values))
-            norms.append(np.max(np.abs(r)))
+            setup = build_setup({"case": "ELL2D-HARMONIC", "grid": {"resolution": [res, res]}})
+            norms.append(np.max(np.abs(setup.params.stencil.residual(setup.u_star))))
         assert norms[0] / norms[1] > 3.0
         assert norms[1] / norms[2] > 3.0
 
     def test_trace_data_on_layers(self):
+        """u* is the case's expression on the DOFs, and the trace data is u*
+        on the nodes of the two layers, in C order."""
         case, grid, mask, op, space, params, u_star = make_problem("ELL2D-HARMONIC")
-        u_vals, g0, g1 = manufactured_solution(case.id, grid, mask)
-        assert g0.shape == (int(np.sum(mask.value_layer)),)
-        assert g1.shape == (int(np.sum(mask.deriv_layer)),)
-        assert np.allclose(g0, u_vals.values[mask.value_layer])
-        assert np.allclose(g1, u_vals.values[mask.deriv_layer])
+        full = evaluate_expression(case["u_star"], grid.coords(), time_axis=False)
+        assert np.array_equal(u_star, mask.gather(full))
+        assert np.array_equal(params.data.g0, full[mask.value_layer])
+        assert np.array_equal(params.data.g1, full[mask.deriv_layer])
 
     def test_family_mismatch(self):
-        case, grid, mask, op, space, params, u_star = make_problem("ELL2D-HARMONIC")
-        with pytest.raises(ConfigError, match="elliptic"):
-            manufactured_solution("PAR1D-CUBIC", grid, mask)
+        with pytest.raises(ConfigError, match="config field family: .* parabolic, not elliptic"):
+            build_setup({"case": "PAR1D-CUBIC", "family": "elliptic"})
 
 
 class TestDataFile:
@@ -358,15 +358,15 @@ class TestEmitReport:
         setup = build_setup(minimal_config())
         if not with_u_star:
             setup.u_star = None
-        u = starting_field(setup)
+        u = data_extension(setup.space, setup.params.data)
         coords, rows = setup.grid.coords(), []
-        for flat in np.flatnonzero(setup.mask.in_mask.ravel()):
+        for k, flat in enumerate(setup.mask.dofs):
             idx = np.unravel_index(flat, setup.grid.shape)
             row = {f"x{j}": float(coords[idx + (j,)]) for j in range(setup.grid.dim)}
             row["label"] = Label(int(setup.mask.label[idx])).name.lower()
-            row["u"] = float(u.values[idx])
+            row["u"] = float(u[k])
             if setup.u_star is not None:
-                row["u_star"] = float(setup.u_star.values[idx])
+                row["u_star"] = float(setup.u_star[k])
                 row["abs_err"] = abs(row["u"] - row["u_star"])
             rows.append(row)
         table = field_table(setup, u)
@@ -406,21 +406,6 @@ class TestExpressions:
         out = evaluate_expression("3.5", np.zeros((4, 2)), time_axis=False)
         assert out.shape == (4,)
         assert np.all(out == 3.5)
-
-    @pytest.mark.parametrize("case_id,expr", [
-        ("ELL1D-CUBIC", "(x0 * x0 + 1.0) ** 3 - 2.0"),
-        ("ELL2D-CUBIC", "(x0 * x0 - x1 * x1 + 3.0) ** 3"),
-        ("PAR1D-CUBIC", "2.0 * t - 2.0 + (x0 * x0 + t * t + 1.0) ** 3"),
-    ])
-    def test_catalog_sources_exact(self, case_id, expr):
-        """A catalog source term written as an expression gives the same bits."""
-        case = get_case(case_id)
-        pts = build_grid(case.bounds, case.resolution).coords()
-        op = case.make_operator()
-        zero_u = np.zeros(pts.shape[:-1])
-        source = op.lower.value(pts, np.zeros(pts.shape[:-1] + (op.n_spatial,)), zero_u)
-        got = evaluate_expression(expr, pts, time_axis=op.family != "elliptic")
-        assert np.array_equal(got, source)
 
     def test_config_expressions_exact(self):
         pts = build_grid([[0.0, 1.0], [-1.0, 1.0]], [17, 17]).coords()
@@ -525,12 +510,29 @@ MALFORMED_VALUES = [
 ]
 
 
+# (id, overrides, message) of values that each key's table accepts but that
+# fail a check across keys; each must exit 1 with "config field <section>: ..."
+CROSS_KEY_VALUES = [
+    ("grid.bounds=degenerate", {"grid": {"bounds": [[0, 0], [-1, 1]]}},
+     "config field grid: degenerate bounds along axis 0"),
+    ("grid.resolution=3-axes", {"grid": {"resolution": [33, 33, 33]}},
+     "config field grid: bounds (2 axes) and resolution (3) disagree"),
+    ("level.a=0.49", {"level": {"a": 0.49}}, "config field level: need a < c"),
+    ("HYP1D-QUAD-level.x0=[5.0]", {"case": "HYP1D-QUAD", "level": {"x0": [5.0]}},
+     "config field level: focal point component x0[0]=5.0 lies outside"),
+    ("operator.mu=[2.0, 3.0]", {"operator": {"id": "linear", "mu": [2.0, 3.0]}},
+     "config field operator: ellipticity bounds violated"),
+    ("family=parabolic", {"family": "parabolic"},
+     "config field family: case ELL2D-CUBIC is elliptic, not parabolic"),
+]
+
+
 def _malformed_case(section, key, value):
-    """(command, section, override, message) of one MALFORMED_VALUES entry."""
+    """(command, overrides, message) of one MALFORMED_VALUES entry."""
     command = "solve" if section == "optimizer" else "certify"
     if section is None:
-        return command, key, value, f"config field {key}: "
-    return command, section, {key: value}, f"config field {section}.{key}: "
+        return command, {key: value}, f"config field {key}: "
+    return command, {section: {key: value}}, f"config field {section}.{key}: "
 
 
 class TestCli:
@@ -613,22 +615,23 @@ class TestCli:
         assert message in caplog.text + capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command,section,value,message", [
-        ("sweep", "certificate", {"lambdas": []}, "non-empty list"),
-        ("sweep", "certificate", {"lambdas": [1.0, float("nan")]}, "finite"),
-        ("sweep", "certificate", {"lambdas": [1.0, "two"]}, "certificate.lambdas"),
-        ("sweep", "certificate", {"lambdas": 4.0}, "non-empty list"),
-        ("certify", "weight", {"lambda": float("nan")}, "finite"),
-        ("solve", "weight", {"lambda": float("nan")}, "finite"),
-    ] + [_malformed_case(*entry) for entry in MALFORMED_VALUES],
+    @pytest.mark.parametrize("command,overrides,message", [
+        ("sweep", {"certificate": {"lambdas": []}}, "non-empty list"),
+        ("sweep", {"certificate": {"lambdas": [1.0, float("nan")]}}, "finite"),
+        ("sweep", {"certificate": {"lambdas": [1.0, "two"]}}, "certificate.lambdas"),
+        ("sweep", {"certificate": {"lambdas": 4.0}}, "non-empty list"),
+        ("certify", {"weight": {"lambda": float("nan")}}, "finite"),
+        ("solve", {"weight": {"lambda": float("nan")}}, "finite"),
+    ] + [_malformed_case(*entry) for entry in MALFORMED_VALUES]
+      + [("certify", overrides, message) for _, overrides, message in CROSS_KEY_VALUES],
         ids=["empty-list", "nan-in-list", "text-in-list", "not-a-list", "nan-certify",
              "nan-solve"] + [".".join(filter(None, (section, key))) + f"={value!r}"
-                             for section, key, value in MALFORMED_VALUES])
-    def test_bad_lambda_config_exits_one(self, tmp_path, caplog, command, section, value,
-                                         message):
+                             for section, key, value in MALFORMED_VALUES]
+        + [name for name, _, _ in CROSS_KEY_VALUES])
+    def test_bad_lambda_config_exits_one(self, tmp_path, caplog, command, overrides, message):
         """A bad lambda, and every other malformed value, exits 1 with a message
         before any output is written."""
-        path = _sweep_config(tmp_path, **{section: value})
+        path = _sweep_config(tmp_path, **overrides)
         assert main([command, str(path)]) == 1
         assert message in caplog.text
         assert not (tmp_path / "out").exists()

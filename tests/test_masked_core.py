@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 import shift_reference as ref
-from convexcauchy.catalog import get_case
 from convexcauchy.functional import CauchyData, FunctionalParams, evaluate, gradient
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.harness import build_setup
 from convexcauchy.operators import (
     OperatorStencil,
     QuasilinearOperator,
@@ -81,9 +81,8 @@ def _problem(name):
     if name in ("ell1d-cubic", "par2d-cubic"):
         case_id, resolution = {"ell1d-cubic": ("ELL1D-CUBIC", (61,)),
                                "par2d-cubic": ("PAR1D-CUBIC", (31, 35))}[name]
-        case = get_case(case_id)
-        return case.make_operator(), classify_nodes(build_grid(case.bounds, resolution),
-                                                    case.level)
+        setup = build_setup({"case": case_id, "grid": {"resolution": list(resolution)}})
+        return setup.params.op, setup.mask
     if name == "ell2d-mixed-gradsq":
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 35))
         level = LevelSpec(family="elliptic", a=0.2, c=0.4, nu=2.0, x_width=1.0)
