@@ -61,6 +61,7 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
             "wall_time": wall_time,
             "final_j": evaluate(setup.params, final),
             "final_grad_norm": float(np.linalg.norm(g)),
+            "counters": {"evaluations": 1, "gradients": 1, "halvings": 0},
         }
         history = []
         converged = True

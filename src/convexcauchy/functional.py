@@ -162,15 +162,26 @@ def _core_weight(weight: WeightSpec, mask: DomainMask) -> np.ndarray:
     return (mask_weight_sq(weight, mask) * mask.quad_weight)[mask.is_core]
 
 
-def evaluate(params: FunctionalParams, v: np.ndarray) -> float:
+class Evaluation(float):
+    """J at a field, as a float, that also keeps what the gradient there
+    reuses: the field (`point`), its residual on the core nodes, its H^k
+    monomial differences and its squared H^k norm."""
+
+    point: np.ndarray
+    residual: np.ndarray
+    differences: list[np.ndarray]
+    norm_sq: float
+
+
+def evaluate(params: FunctionalParams, v: np.ndarray) -> Evaluation:
     """Value of the weighted Tikhonov functional at a constrained field."""
     params.check_dofs(v)
-    return _value(params, v)
-
-
-def _value(params: FunctionalParams, v: np.ndarray) -> float:
     r = params.stencil.residual(v)
-    return _data_term(r * r, params.core_weight) + params.beta * params.space.norm_sq(v)
+    diffs = params.space.differences(v)
+    norm_sq = params.space.norm_sq(v, diffs)
+    j = Evaluation(_data_term(r * r, params.core_weight) + params.beta * norm_sq)
+    j.point, j.residual, j.differences, j.norm_sq = v, r, diffs, norm_sq
+    return j
 
 
 def _data_term(r_sq: np.ndarray, core_weight: np.ndarray) -> float:
@@ -180,23 +191,28 @@ def _data_term(r_sq: np.ndarray, core_weight: np.ndarray) -> float:
     return out
 
 
-def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean") -> np.ndarray:
+def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
+             at: Evaluation | None = None) -> np.ndarray:
     """Exact discrete gradient of J at the constrained field v, trace-projected.
 
     euclidean: the field g with <g, h> = dJ(v)[h] for every zero-trace h.
     sobolev:   the Riesz representative of the same functional in H^k.
+
+    `at`, when given, is evaluate(params, v): its residual and differences
+    are reused instead of recomputed.
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
     params.check_dofs(v)
-    g = _euclidean_gradient(params, v)
+    if at is None:
+        r, diffs = params.stencil.residual(v), None
+    elif np.array_equal(at.point, v):
+        r, diffs = at.residual, at.differences
+    else:
+        raise ConfigError("the evaluation passed as `at` is of another field")
+    g = _assemble_gradient(params, params.stencil.linearize(v), r,
+                           2.0 * params.beta * params.space.apply_gram(v, diffs))
     return g if mode == "euclidean" else params.space.riesz(g)
-
-
-def _euclidean_gradient(params: FunctionalParams, v: np.ndarray) -> np.ndarray:
-    r = params.stencil.residual(v)
-    return _assemble_gradient(params, params.stencil.linearize(v), r,
-                              2.0 * params.beta * params.space.apply_gram(v))
 
 
 def _assemble_gradient(params: FunctionalParams, lin: LinearizedOperator, r: np.ndarray,
@@ -247,10 +263,11 @@ def bregman_gap(params_by_lambda: Sequence[FunctionalParams], v1: np.ndarray,
     stencil, space = params.stencil, params.space
     r1, r2 = stencil.residual(v1), stencil.residual(v2)
     r1_sq, r2_sq = r1 * r1, r2 * r2
-    reg1 = params.beta * space.norm_sq(v1)
+    d1 = space.differences(v1)
+    reg1 = params.beta * space.norm_sq(v1, d1)
     reg2 = params.beta * space.norm_sq(v2)
     lin = stencil.linearize(v1)
-    reg_grad1 = 2.0 * params.beta * space.apply_gram(v1)
+    reg_grad1 = 2.0 * params.beta * space.apply_gram(v1, d1)
     gaps = []
     for p in params_by_lambda:
         j1 = _data_term(r1_sq, p.core_weight) + reg1

@@ -267,8 +267,8 @@ def neighbor_table(nodes: np.ndarray, offset: Sequence[int],
     Entry k is the position, among the True entries of `nodes`, of p_k + offset,
     where p_k is the k-th True entry of `rows` (default: `nodes` itself). Where
     p + offset is not a node or leaves the grid the entry is the sentinel
-    nodes.sum(), one past the end, which reads zero from a vector extended by
-    one zero slot: `np.append(v, 0.0)[table]`.
+    nodes.sum(), one past the end, which reads zero from a buffer whose one
+    extra last slot holds 0.
     """
     n = int(np.count_nonzero(nodes))
     number = np.full(nodes.shape, n, dtype=np.intp)

@@ -612,7 +612,7 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
         written.append(json_path)
         if history is not None:
             path = out_dir / "history.csv"
-            _write_csv(path, history, ["iter", "j", "grad_norm", "step", "radius"])
+            _write_csv(path, history, ["iter", "j", "grad_norm", "step", "radius", "halvings"])
             written.append(path)
         if table is not None:
             path = out_dir / "field.csv"
@@ -632,11 +632,12 @@ def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
 
 
 def history_rows(run_report) -> list[dict]:
-    """One row per J in the history: the gradient norm, the step and the H^k
-    norm of the iterate (`radius`). At the iteration cap the last row holds the
-    J of the final step, with the other cells empty."""
+    """One row per J in the history: the gradient norm, the step, the H^k
+    norm of the iterate (`radius`) and the trials the line search rejected
+    (`halvings`). At the iteration cap the last row holds the J of the final
+    step, with the other cells empty."""
     columns = {"grad_norm": run_report.grad_norm_history, "step": run_report.step_history,
-               "radius": run_report.radius_history}
+               "radius": run_report.radius_history, "halvings": run_report.halvings_history}
     return [{"iter": i, "j": j, **{k: c[i] if i < len(c) else "" for k, c in columns.items()}}
             for i, j in enumerate(run_report.j_history)]
 

@@ -450,8 +450,10 @@ class LinearizedOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """L^T y as a DOF vector, for core-node values y."""
         out = np.zeros(self.mask.dofs.size)
+        buf = np.zeros(y.size + 1)  # the last slot is the tables' zero sentinel
         for off, c, w in self._terms():
-            out += w * np.append(c * y, 0.0)[self.stencil.adjoint_tables[off]]
+            np.multiply(c, y, out=buf[:-1])
+            out += w * buf[self.stencil.adjoint_tables[off]]
         return out
 
     def to_matrix(self) -> "scipy.sparse.csr_matrix":

@@ -74,6 +74,8 @@ class RunReport:
     grad_norm_history: list[float] = dc_field(default_factory=list)
     step_history: list[float] = dc_field(default_factory=list)
     radius_history: list[float] = dc_field(default_factory=list)
+    halvings_history: list[int] = dc_field(default_factory=list)  # rejected trials per line search
+    evaluations: int = 0  # J evaluations
     final: np.ndarray | None = None  # DOF vector of the last iterate
     converged: bool = False
     reason: str = ""
@@ -94,6 +96,8 @@ class RunReport:
             "grad_norm_history": self.grad_norm_history,
             "step_history": self.step_history,
             "radius_history": self.radius_history,
+            "counters": {"evaluations": self.evaluations, "gradients": self.iterations,
+                         "halvings": sum(self.halvings_history)},
         }
 
 
@@ -112,6 +116,8 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     equals its Euclidean pairing with the raw gradient (the dual norm).
     `iterations` counts gradient evaluations, len(grad_norm_history). At the
     iteration cap j_history also ends with the J of the last accepted step.
+    Each iterate is evaluated once: the gradient and the H^k norm of an
+    accepted trial reuse its J evaluation.
     """
     t0 = time.perf_counter()
     space = params.space
@@ -122,6 +128,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     report.space = space
 
     j = evaluate(params, u)
+    report.evaluations = 1
     step = config.gamma if config.step_mode == "fixed" else 1.0
     warned_radius = False
 
@@ -131,12 +138,12 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
         return None if np.array_equal(v_try, v) else v_try
 
     for it in range(config.max_iters):
-        g = check_finite(gradient(params, u, config.mode), "gradient")
+        g = check_finite(gradient(params, u, config.mode, at=j), "gradient")
         gsq = float(np.sum(g * g)) if config.mode == "euclidean" else space.norm_sq(g)
         gnorm = float(np.sqrt(max(gsq, 0.0)))
-        unorm = space.norm(u)
+        unorm = float(np.sqrt(max(j.norm_sq, 0.0)))  # = space.norm(u)
 
-        report.j_history.append(j)
+        report.j_history.append(float(j))
         report.grad_norm_history.append(gnorm)
         report.radius_history.append(unorm)
         if report.iterates is not None:
@@ -157,10 +164,12 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
             report.reason = "gradient tolerance reached"
             break
 
+        halvings = 0
         if config.step_mode == "fixed":
             t = config.gamma
             u_try = trial(u, g, t)
             j_try = j if u_try is None else evaluate(params, u_try)
+            report.evaluations += u_try is not None
             if j_try > j + 1e-12 * (1.0 + abs(j)):
                 raise SolverError(
                     f"fixed-step iteration diverged at iteration {it}: "
@@ -168,11 +177,12 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
                 )
         else:
             t = min(1.0, step * 2.0)  # warm start from the last accepted step
-            for _ in range(config.max_halvings):
+            for halvings in range(config.max_halvings):
                 u_try = trial(u, g, t)
                 if u_try is None:
                     break
                 j_try = evaluate(params, u_try)
+                report.evaluations += 1
                 if j_try <= j - config.armijo_c * t * gsq:
                     break
                 t *= config.shrink
@@ -181,6 +191,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
                     f"line search found no Armijo decrease after {config.max_halvings} "
                     f"halvings at iteration {it} (J={j:.6g}, |g|={gnorm:.3g})"
                 )
+        report.halvings_history.append(halvings)
         if u_try is None:
             report.reason = f"step below rounding level at iteration {it} (|g|={gnorm:.3g})"
             break
@@ -189,7 +200,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
         u, j = u_try, j_try
     else:
         report.reason = "iteration cap reached"
-        report.j_history.append(j)  # J of the last accepted step
+        report.j_history.append(float(j))  # J of the last accepted step
 
     report.final = u
     report.iterations = len(report.grad_norm_history)

@@ -27,12 +27,13 @@ def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
     exactly (see Halo).
     """
     halo = mask.halo
-    vals = rng.standard_normal(mask.grid.shape).ravel()[halo.index]
+    buf = np.zeros(halo.index.size + 1)  # the last slot is the tables' zero sentinel
+    vals = buf[:-1]
+    vals[:] = rng.standard_normal(mask.grid.shape).ravel()[halo.index]
     for _ in range(passes):
         vals[~halo.free] = 0.0
         for plus, minus in halo.tables:
-            ext = np.append(vals, 0.0)
-            vals = 0.5 * vals + 0.25 * (ext[plus] + ext[minus])
+            vals[:] = 0.5 * vals + 0.25 * (buf[plus] + buf[minus])
     vals[~halo.free] = 0.0
     peak = np.max(np.abs(vals))
     if peak > 0:

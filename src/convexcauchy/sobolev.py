@@ -87,8 +87,12 @@ class SobolevSpace:
         self._free_solve = None
 
         self._dof_weights = self.weights[inside]
-        self._forward = [neighbor_table(inside, axis_offset(self.grid.dim, a))
-                         for a in range(self.grid.dim)]
+        # a DOF without a forward neighbour along an axis points at itself:
+        # its raw difference reads 0 there and is zeroed by validity anyway
+        rows = np.arange(self._dof_weights.size)
+        self._forward = [np.where(table < rows.size, table, rows) for table in
+                         (neighbor_table(inside, axis_offset(self.grid.dim, a))
+                          for a in range(self.grid.dim))]
         self._backward = [neighbor_table(inside, axis_offset(self.grid.dim, a, -1))
                           for a in range(self.grid.dim)]
         # D^beta = D_a D^parent with a the last axis beta differences along;
@@ -109,7 +113,8 @@ class SobolevSpace:
             parent = self.monomials.index(tuple(parent))
             self._chain.append((parent, axis))
             box = self._dof_valid[parent]
-            self._dof_valid.append(box & np.append(box, False)[self._forward[axis]])
+            forward = self._forward[axis]
+            self._dof_valid.append(box & box[forward] & (forward != rows))
 
     def differences(self, v: np.ndarray) -> list[np.ndarray]:
         """Forward-difference monomials of a DOF vector, in `monomials` order,
@@ -123,34 +128,45 @@ class SobolevSpace:
                 d = v
             else:
                 prev = raw[parent]
-                d = (np.append(prev, 0.0)[self._forward[axis]] - prev) / self.grid.spacing[axis]
+                d = (prev[self._forward[axis]] - prev) / self.grid.spacing[axis]
             raw.append(d)
             out.append(np.where(valid, d, 0.0))
         return out
 
     def inner_product(self, v: np.ndarray, w: np.ndarray) -> float:
         dv = self.differences(v)
-        dw = dv if w is v else self.differences(w)
+        return self._pair(dv, dv if w is v else self.differences(w))
+
+    def _pair(self, dv: list[np.ndarray], dw: list[np.ndarray]) -> float:
         total = 0.0
         for a, b in zip(dv, dw):
             total += float(np.sum(a * b * self._dof_weights))
         return total
 
-    def norm_sq(self, v: np.ndarray) -> float:
-        return self.inner_product(v, v)
+    def norm_sq(self, v: np.ndarray, differences: list[np.ndarray] | None = None) -> float:
+        """[v, v]; `differences`, when given, must be self.differences(v)."""
+        if differences is None:
+            return self.inner_product(v, v)
+        return self._pair(differences, differences)
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(self.norm_sq(v), 0.0)))
 
-    def apply_gram(self, v: np.ndarray) -> np.ndarray:
-        """Gram action sum_beta (D^beta)^T (w . D^beta v) on a DOF vector."""
+    def apply_gram(self, v: np.ndarray,
+                   differences: list[np.ndarray] | None = None) -> np.ndarray:
+        """Gram action sum_beta (D^beta)^T (w . D^beta v) on a DOF vector;
+        `differences`, when given, must be self.differences(v)."""
         out = np.zeros(v.size)
-        for beta, d in zip(self.monomials, self.differences(v)):
+        buf = np.zeros(v.size + 1)  # the last slot is the tables' zero sentinel
+        if differences is None:
+            differences = self.differences(v)
+        for beta, d in zip(self.monomials, differences):
             x = self._dof_weights * d
             for axis in reversed(range(self.grid.dim)):
                 h = self.grid.spacing[axis]
                 for _ in range(beta[axis]):
-                    x = (np.append(x, 0.0)[self._backward[axis]] - x) / h
+                    buf[:-1] = x
+                    x = (buf[self._backward[axis]] - x) / h
             out += x
         return out
 
@@ -180,7 +196,7 @@ class SobolevSpace:
             steps = []
             for axis, table in enumerate(self._forward):
                 h = self.grid.spacing[axis]
-                hit = table < n
+                hit = table != rows
                 steps.append(sp.csr_matrix(
                     (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
                      (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),

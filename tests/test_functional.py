@@ -124,6 +124,18 @@ class TestGradient:
         with pytest.raises(ConfigError):
             gradient(params, u, mode="newton")
 
+    @pytest.mark.parametrize("mode", ["euclidean", "sobolev"])
+    def test_reused_evaluation(self, rng, mode):
+        """The gradient from an evaluation of the same field is the fresh one;
+        an evaluation of another field is refused."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
+        u = draw_in_ball(params, 5.0, rng)
+        j = evaluate(params, u)
+        assert np.array_equal(gradient(params, u.copy(), mode, at=j), gradient(params, u, mode))
+        assert j.norm_sq == space.norm_sq(u)
+        with pytest.raises(ConfigError, match="another field"):
+            gradient(params, u + zero_trace_bump(params, rng), mode, at=j)
+
     def test_fd_oracle_gradient_square_term(self, rng):
         """Exactness also holds when the nonlinearity depends on grad u."""
         from convexcauchy.operators import QuasilinearOperator, lower_grad_sq
@@ -170,6 +182,32 @@ class TestBregmanGap:
         expect = data_term(params, lin.forward(u2 - u1)) + params.beta * hk
         assert gap == pytest.approx(expect, rel=1e-10)
         assert gap >= 0.5 * params.beta * hk
+
+    def test_equals_separate_evaluation(self, rng):
+        """The gaps and norms equal, bit for bit, the formula that differences
+        the first field once for its norm and again for its Gram action."""
+        _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
+        sweep = [case_params.with_lambda(lam) for lam in (1.0, 2.0, 4.0)]
+        params = sweep[0]
+        beta, stencil = params.beta, params.stencil
+        for _ in range(3):
+            v1, v2 = draw_in_ball(params, 5.0, rng), draw_in_ball(params, 5.0, rng)
+            h = v2 - v1
+            r1, r2 = stencil.residual(v1), stencil.residual(v2)
+            reg1, reg2 = beta * space.norm_sq(v1), beta * space.norm_sq(v2)
+            lin = stencil.linearize(v1)
+            reg_grad1 = 2.0 * beta * space.apply_gram(v1)
+            want = []
+            for p in sweep:
+                j1 = data_term(p, r1) + reg1
+                j2 = data_term(p, r2) + reg2
+                g1 = 2.0 * lin.adjoint(p.core_weight * r1)
+                g1 += reg_grad1
+                g1[mask.trace_pos] = 0.0
+                want.append(j2 - j1 - float(np.sum(g1 * h)))
+            gaps, h1, hk = bregman_gap(sweep, v1, v2)
+            assert gaps == want
+            assert (h1, hk) == (params.inner_h1_space.norm_sq(h), space.norm_sq(h))
 
     def test_mismatched_data_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")

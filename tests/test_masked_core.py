@@ -13,6 +13,8 @@ largest entry. The reference's inputs are random on the whole grid, outside
 the mask included, so a reference stencil that read past the mask would show.
 """
 
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -241,3 +243,11 @@ def test_smooth_draw_bitwise(problem):
         assert np.array_equal(random_smooth_values(mask, rng_a),
                               mask.gather(ref.smooth_values(mask, rng_b)))
     assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+@pytest.mark.parametrize("module", ["sobolev.py", "sampling.py", "operators.py"])
+def test_gather_paths_do_not_append(module):
+    """The gather stencils read their zero sentinel from a preallocated slot
+    (or never read one); np.append would copy the whole vector per call."""
+    source = (Path(__file__).resolve().parent.parent / "src" / "convexcauchy" / module)
+    assert not re.search(r"\b(np|numpy)\.append\b", source.read_text())

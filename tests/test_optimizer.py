@@ -1,10 +1,23 @@
+import csv
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_problem
+from convexcauchy import cli, optimizer
 from convexcauchy.errors import ConfigError, SolverError
-from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, evaluate
-from convexcauchy.harness import history_rows
+from convexcauchy.functional import (
+    CauchyData,
+    FunctionalParams,
+    data_extension,
+    evaluate,
+    gradient,
+)
+from convexcauchy.harness import history_rows, load_problem
+from convexcauchy.operators import OperatorStencil
 from convexcauchy.optimizer import (
     OptimizerConfig,
     RunReport,
@@ -14,7 +27,10 @@ from convexcauchy.optimizer import (
     run,
 )
 from convexcauchy.sampling import draw_in_ball
+from convexcauchy.sobolev import SobolevSpace
 from convexcauchy.weights import WeightSpec
+
+SOLVE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ell2d_cubic_solve.json"
 
 
 class TestRun:
@@ -161,6 +177,82 @@ class TestRun:
             OptimizerConfig(step_mode="wild")
         with pytest.raises(ConfigError):
             OptimizerConfig(grad_tol=-1.0)
+
+
+def _counted(calls: Counter, name: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestEvaluateOnce:
+    """run evaluates each iterate once: the gradient and the H^k norm of an
+    accepted trial reuse its J evaluation."""
+
+    @pytest.mark.parametrize("mode,step_mode,gamma", [
+        ("sobolev", "backtracking", 0.5), ("sobolev", "fixed", 0.05),
+        ("euclidean", "backtracking", 0.5), ("euclidean", "fixed", 1e-8),
+    ])
+    def test_histories_equal_fresh_calls(self, mode, step_mode, gamma):
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
+        cfg = OptimizerConfig(max_iters=25, grad_tol=1e-12, mode=mode, step_mode=step_mode,
+                              gamma=gamma)
+        report = run(params, data_extension(space, params.data), cfg)
+        assert report.iterations == len(report.iterates) == 25
+        for k, u in enumerate(report.iterates):
+            g = gradient(params, u, mode)
+            gsq = float(np.sum(g * g)) if mode == "euclidean" else space.norm_sq(g)
+            assert report.j_history[k] == evaluate(params, u)
+            assert report.radius_history[k] == space.norm(u)
+            assert report.grad_norm_history[k] == float(np.sqrt(max(gsq, 0.0)))
+        assert (sum(report.halvings_history) > 0) == (step_mode == "backtracking")
+
+    def test_each_iterate_evaluated_once(self, monkeypatch):
+        """On the shipped solve config the residual runs once per J evaluation,
+        and the H^k differences once per J evaluation plus once per gradient
+        norm. The q_hat fit after the descent is not counted."""
+        setup = load_problem(SOLVE_CONFIG)
+        start = data_extension(setup.space, setup.params.data)
+        calls = Counter()
+        monkeypatch.setattr(OperatorStencil, "residual",
+                            _counted(calls, "residual", OperatorStencil.residual))
+        monkeypatch.setattr(SobolevSpace, "differences",
+                            _counted(calls, "differences", SobolevSpace.differences))
+        monkeypatch.setattr(optimizer, "evaluate",
+                            _counted(calls, "evaluate", optimizer.evaluate))
+        fit = optimizer.convergence_ratio
+
+        def fit_after_descent(*args, **kwargs):
+            calls["differences before the fit"] = calls["differences"]
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "convergence_ratio", fit_after_descent)
+        report = run(setup.params, start, setup.opt_config)
+        assert report.converged and report.q_hat is not None
+        assert calls["residual"] == calls["evaluate"]
+        assert calls["differences before the fit"] <= calls["evaluate"] + report.iterations
+
+    def test_counters_match_calls(self, monkeypatch, tmp_path):
+        """run.counters in report.json against wrapped evaluate and gradient
+        calls, and the halvings column of history.csv."""
+        calls = Counter()
+        for name in ("evaluate", "gradient"):
+            monkeypatch.setattr(optimizer, name, _counted(calls, name, getattr(optimizer, name)))
+        assert cli.main(["solve", str(SOLVE_CONFIG), "--out", str(tmp_path)]) == 0
+        run_report = json.loads((tmp_path / "report.json").read_text())["run"]
+        with open(tmp_path / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        halvings = [int(row["halvings"]) for row in rows if row["halvings"] != ""]
+        assert run_report["counters"] == {"evaluations": calls["evaluate"],
+                                          "gradients": calls["gradient"],
+                                          "halvings": sum(halvings)}
+        assert calls["gradient"] == run_report["iterations"] == len(rows)
+        # one line search per step, each evaluating its rejected trials and the accepted one
+        assert len(halvings) == len(run_report["step_history"]) == len(rows) - 1
+        assert calls["evaluate"] == 1 + len(halvings) + sum(halvings)
+        assert sum(halvings) > 0
 
 
 class TestConvergenceRatio:
