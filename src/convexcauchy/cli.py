@@ -49,36 +49,16 @@ def _base_report(setup: ProblemSetup, command: str) -> dict:
 def cmd_solve(setup: ProblemSetup, args) -> int:
     report = _base_report(setup, "solve")
     if setup.solver == "direct":
-        t0 = time.perf_counter()
-        final = direct_solve(setup.params)
-        wall_time = time.perf_counter() - t0
-        g = gradient(setup.params, final, mode="euclidean")
-        report["run"] = {
-            "converged": True,
-            "reason": "direct normal-equations solve",
-            "iterations": 0,
-            "q_hat": None,
-            "wall_time": wall_time,
-            "final_j": evaluate(setup.params, final),
-            "final_grad_norm": float(np.linalg.norm(g)),
-            "counters": {"evaluations": 1, "gradients": 1, "halvings": 0},
-        }
-        history = []
-        converged = True
+        run_report = direct_solve(setup.params)
     else:
         start = data_extension(setup.space, setup.params.data)
         run_report = run(setup.params, start, setup.opt_config)
-        final = run_report.final
-        report["run"] = run_report.to_dict()
-        report["run"]["final_j"] = run_report.j_history[-1] if run_report.j_history else None
-        history = history_rows(run_report)
-        converged = run_report.converged
-
-    report["errors"] = error_norms(setup, final)
-    report["history"] = history
-    report["field"] = field_table(setup, final)
+    report["run"] = run_report.to_dict()
+    report["errors"] = error_norms(setup, run_report.final)
+    report["history"] = history_rows(run_report)
+    report["field"] = field_table(setup, run_report.final)
     emit_report(report, setup.output_dir)
-    if not converged:
+    if not run_report.converged:
         logger.error("solver did not converge: %s", report["run"]["reason"])
         return 2
     return 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property
 from typing import Callable, Sequence
@@ -172,12 +172,6 @@ class LevelSpec:
         if self.family in ("elliptic", "parabolic"):
             return float(self.c ** (-self.nu))
         return float(self.c)
-
-    def with_epsilon(self, epsilon: float) -> "LevelSpec":
-        return LevelSpec(
-            family=self.family, a=self.a, c=self.c, nu=self.nu, x_width=self.x_width,
-            t_span=self.t_span, eta=self.eta, x0=self.x0, epsilon=epsilon, xi_fn=self.xi_fn,
-        )
 
 
 def level_values(spec: LevelSpec, points: np.ndarray) -> np.ndarray:
@@ -413,46 +407,20 @@ class DomainMask:
         return worst
 
 
-def _cauchy_face_mask(grid: Grid, family: str) -> np.ndarray:
-    """Nodes lying on the data-carrying boundary face(s)."""
-    face = np.zeros(grid.shape, dtype=bool)
+def _data_faces(grid: Grid, family: str) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The data-carrying faces of the box, each as its nodes and the offset one
+    step inward: every spatial face for the hyperbolic family (lateral Cauchy
+    data), else the axis-0 minimum face."""
     if family == "hyperbolic":
-        # lateral Cauchy data on every spatial face of the box
-        for axis in range(grid.dim - 1):
-            idx_lo = [slice(None)] * grid.dim
-            idx_lo[axis] = 0
-            face[tuple(idx_lo)] = True
-            idx_hi = [slice(None)] * grid.dim
-            idx_hi[axis] = grid.shape[axis] - 1
-            face[tuple(idx_hi)] = True
+        sides = [(axis, side) for axis in range(grid.dim - 1) for side in (0, -1)]
     else:
-        idx = [slice(None)] * grid.dim
-        idx[0] = 0
-        face[tuple(idx)] = True
-    return face
-
-
-def _trace_layers(grid: Grid, family: str, in_closure: np.ndarray,
-                  cauchy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value layer (= Cauchy nodes) and the first inward layer behind it."""
-    value_layer = cauchy.copy()
-    deriv_layer = np.zeros(grid.shape, dtype=bool)
-    if family == "hyperbolic":
-        sides = [(axis, side) for axis in range(grid.dim - 1) for side in (-1, +1)]
-    else:
-        sides = [(0, -1)]
+        sides = [(0, 0)]
+    faces = []
     for axis, side in sides:
-        inward = [0] * grid.dim
-        inward[axis] = 1 if side < 0 else -1
         face = np.zeros(grid.shape, dtype=bool)
-        idx = [slice(None)] * grid.dim
-        idx[axis] = 0 if side < 0 else grid.shape[axis] - 1
-        face[tuple(idx)] = True
-        # nodes one step inward of a data-carrying face node, still in closure
-        pushed = shift(face & value_layer, [-o for o in inward], fill=False)
-        deriv_layer |= pushed & in_closure
-    deriv_layer &= ~value_layer
-    return value_layer, deriv_layer
+        face[(slice(None),) * axis + (side,)] = True
+        faces.append((face, axis_offset(grid.dim, axis, 1 if side == 0 else -1)))
+    return faces
 
 
 def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
@@ -501,9 +469,10 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
         eps = DEFAULT_EPSILON_FRACTION * (ell_max - theta)
         if eps <= 0:
             raise GeometryError("cannot resolve epsilon: level is constant on the mask")
-    resolved = spec.with_epsilon(float(eps))
+    resolved = replace(spec, epsilon=float(eps))
 
-    cauchy_face = _cauchy_face_mask(grid, spec.family)
+    faces = _data_faces(grid, spec.family)
+    cauchy_face = np.logical_or.reduce([face for face, _ in faces])
     label = np.full(grid.shape, int(Label.OUTSIDE), dtype=np.int8)
     label[in_closure] = Label.XI_BOUNDARY
     core = erode(in_closure) & ~cauchy_face
@@ -534,9 +503,14 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
         w = np.where(nb_plus & nb_minus, grid.spacing[axis], 0.5 * grid.spacing[axis])
         quad[in_mask] *= w[in_mask]
 
-    value_layer, deriv_layer = _trace_layers(grid, spec.family, in_closure, cauchy_nodes)
+    # the derivative layer: the nodes one step inward of a data node, still
+    # in the closure and not data nodes themselves
+    deriv_layer = np.zeros(grid.shape, dtype=bool)
+    for face, inward in faces:
+        deriv_layer |= shift(face & cauchy_nodes, [-o for o in inward], fill=False)
+    deriv_layer &= in_closure & ~cauchy_nodes
 
-    mask = DomainMask(grid, resolved, label, quad, ell, value_layer, deriv_layer)
+    mask = DomainMask(grid, resolved, label, quad, ell, cauchy_nodes, deriv_layer)
     logger.info(
         "classified %d nodes: %s (epsilon=%.4g, theta=%.4g)",
         grid.node_count, mask.counts, eps, theta,

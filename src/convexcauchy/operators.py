@@ -129,36 +129,6 @@ def lower_grad_sq(scale: Callable, source: Callable) -> LowerOrderTerm:
     )
 
 
-def validate_lower_term(term: LowerOrderTerm, points: np.ndarray, n_spatial: int,
-                        rng: np.random.Generator, rel_tol: float = 1e-5) -> None:
-    """Check the analytic partials of N against central finite differences.
-
-    Samples a handful of (grad, u) states at the given points; raises
-    ConfigError when a partial disagrees with the FD probe.
-    """
-    pts = points.reshape(-1, points.shape[-1])[:16]
-    u = rng.uniform(-2.0, 2.0, size=pts.shape[:-1])
-    grad = rng.uniform(-2.0, 2.0, size=pts.shape[:-1] + (n_spatial,))
-    delta = 1e-6
-
-    fd_u = (term.value(pts, grad, u + delta) - term.value(pts, grad, u - delta)) / (2 * delta)
-    an_u = term.d_u(pts, grad, u)
-    scale = np.max(np.abs(fd_u)) + 1.0
-    if np.max(np.abs(fd_u - an_u)) > rel_tol * scale:
-        raise ConfigError(f"lower-order term {term.name!r}: d/du partial disagrees with FD probe")
-
-    an_g = term.d_grad(pts, grad, u)
-    for i in range(n_spatial):
-        bump = np.zeros_like(grad)
-        bump[..., i] = delta
-        fd_g = (term.value(pts, grad + bump, u) - term.value(pts, grad - bump, u)) / (2 * delta)
-        scale = np.max(np.abs(fd_g)) + 1.0
-        if np.max(np.abs(fd_g - an_g[..., i])) > rel_tol * scale:
-            raise ConfigError(
-                f"lower-order term {term.name!r}: gradient partial {i} disagrees with FD probe"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class QuasilinearOperator:
     """Family, principal coefficients, and lower-order term of the PDE.

@@ -33,7 +33,7 @@ from .functional import (
 )
 from .grid import check_finite
 from .sampling import draw_in_ball
-from .sobolev import spd_factorized
+from .sobolev import SobolevSpace, spd_factorized
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +76,7 @@ class RunReport:
     radius_history: list[float] = dc_field(default_factory=list)
     halvings_history: list[int] = dc_field(default_factory=list)  # rejected trials per line search
     evaluations: int = 0  # J evaluations
+    gradients: int = 0  # gradient evaluations
     final: np.ndarray | None = None  # DOF vector of the last iterate
     converged: bool = False
     reason: str = ""
@@ -83,9 +84,10 @@ class RunReport:
     q_hat: float | None = None
     wall_time: float = 0.0
     iterates: list[np.ndarray] | None = None  # DOF vectors of the accepted iterates
-    space = None  # SobolevSpace used to measure iterate distances
+    space: SobolevSpace | None = None  # measures iterate distances
 
     def to_dict(self) -> dict:
+        """The run block of report.json; final_j is the last J of the history."""
         return {
             "converged": self.converged,
             "reason": self.reason,
@@ -96,7 +98,8 @@ class RunReport:
             "grad_norm_history": self.grad_norm_history,
             "step_history": self.step_history,
             "radius_history": self.radius_history,
-            "counters": {"evaluations": self.evaluations, "gradients": self.iterations,
+            "final_j": self.j_history[-1] if self.j_history else None,
+            "counters": {"evaluations": self.evaluations, "gradients": self.gradients,
                          "halvings": sum(self.halvings_history)},
         }
 
@@ -124,8 +127,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     params.check_dofs(start, "starting field")
     u = np.array(start, dtype=float)
     params.impose_dofs(u)
-    report = RunReport(iterates=[] if config.store_iterates else None)
-    report.space = space
+    report = RunReport(iterates=[] if config.store_iterates else None, space=space)
 
     j = evaluate(params, u)
     report.evaluations = 1
@@ -203,7 +205,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
         report.j_history.append(float(j))  # J of the last accepted step
 
     report.final = u
-    report.iterations = len(report.grad_norm_history)
+    report.iterations = report.gradients = len(report.grad_norm_history)
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:
@@ -236,33 +238,37 @@ def convergence_ratio(report: RunReport, reference: np.ndarray) -> float:
     return float(np.exp(slope))
 
 
-def direct_solve(params: FunctionalParams) -> np.ndarray:
+def direct_solve(params: FunctionalParams) -> RunReport:
     """Exact minimizer of J for an affine residual map (no genuine nonlinearity).
 
     Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
     free degrees of freedom, where u_c carries the Cauchy data and L is the
-    residual's (constant) linearization, a core-node x DOF matrix. Raises
-    ConfigError for operators whose lower-order term actually depends on the
-    field.
+    residual's (constant) linearization, a core-node x DOF matrix. The report
+    has 0 iterations and one history row at the minimizer (`final`): J, the
+    Euclidean gradient norm and the H^k norm. Raises ConfigError for
+    operators whose lower-order term actually depends on the field.
     """
+    t0 = time.perf_counter()
     lower = params.op.lower
     if lower is not None and lower.name != "source":
         raise ConfigError(
             f"direct solve needs an affine residual; lower-order term is {lower.name!r}"
         )
     mask, space = params.mask, params.space
-    v_c = params.impose_dofs(np.zeros(mask.dofs.size))
-    lin = params.stencil.linearize(v_c)
-    lmat = lin.to_matrix()
+    v = params.impose_dofs(np.zeros(mask.dofs.size))
+    lmat = params.stencil.linearize(v).to_matrix()
     hess = (lmat.T @ sp.diags(params.core_weight) @ lmat + params.beta * space.gram_matrix()).tocsr()
-
-    r_c = params.stencil.residual(v_c)
-    grad_c = lin.adjoint(params.core_weight * r_c)
-    grad_c += params.beta * space.apply_gram(v_c)
-
     free = mask.free_pos
-    v_c[free] += spd_factorized(hess[free][:, free])(-grad_c[free])
-    return v_c
+    v[free] += spd_factorized(hess[free][:, free])(-0.5 * gradient(params, v)[free])
+
+    j = evaluate(params, v)
+    g = gradient(params, v, at=j)
+    return RunReport(
+        j_history=[float(j)], grad_norm_history=[float(np.linalg.norm(g))],
+        radius_history=[float(np.sqrt(max(j.norm_sq, 0.0)))], evaluations=1, gradients=2,
+        final=v, converged=True, reason="direct normal-equations solve", space=space,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 @dataclass

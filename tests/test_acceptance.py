@@ -74,7 +74,7 @@ def test_criterion_3_quadratic_oracle():
     _, grid, mask, op, space, params, _ = make_problem(
         "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
     rng = np.random.default_rng(303)
-    u_direct = direct_solve(params)
+    u_direct = direct_solve(params).final
     cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
     report = run(params, draw_in_ball(params, 150.0, rng), cfg)
     assert report.converged
@@ -172,7 +172,7 @@ def _reconstruction_error(resolution, noise_level, seed=42):
         params = FunctionalParams(
             op=op, weight=params.weight, mask=mask, space=space,
             beta=params.beta, data=CauchyData(g0=g0, g1=g1), beta_policy="keep")
-    u = direct_solve(params)
+    u = direct_solve(params).final
     window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
     w = mask.gather(np.where(window, mask.quad_weight, 0.0))
     err = float(np.sqrt(np.sum((u - star) ** 2 * w)))

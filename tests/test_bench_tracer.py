@@ -2,12 +2,13 @@
 
 The per-layer metrics of bench/run_bench.py count spans by name: the
 gradient and J evaluations inside `optimizer.run` give the iteration and
-line-search counts, `SobolevSpace.inner_product` the norm work, and the
+line-search counts, `SobolevSpace.inner_product` the norm work, the
 `functional.bregman_gap` spans inside `optimizer.convexity_certificate` the
-certificate samples. These tests install the tracer, unedited, around one
-shipped solve and one shipped sweep and check that those spans occur where
-the metrics look for them, that the tracer restores every name, and that
-tracing leaves the outputs unchanged.
+certificate samples, and the `optimizer.direct_solve` span the direct solve.
+These tests install the tracer, unedited, around the shipped gradient solve,
+direct solve and sweep and check that those spans occur where the metrics
+look for them, that the tracer restores every name, and that tracing leaves
+the outputs unchanged.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ from convexcauchy import cli
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "ell2d_cubic_solve.json"
 SWEEP_CONFIG = ROOT / "configs" / "ell2d_cubic_sweep.json"
+DIRECT_CONFIG = ROOT / "configs" / "ell2d_harmonic_reconstruct.json"
 
 
 def _load_spans():
@@ -79,3 +81,15 @@ def test_tracer_sees_the_certificate_samples(tmp_path):
     assert len(rep.within(cert, "functional.bregman_gap")) == samples
     assert rep.calls("functional.bregman_gap") == samples
     assert len(rep.within(cert, "sampling.draw_in_ball")) == 2 * samples
+
+
+def test_tracer_sees_the_direct_solve(tmp_path):
+    """A direct solve is one direct_solve span, with no descent, whose
+    gradient spans are the gradients its report counts."""
+    rep = _traced_run(_load_spans(), ["solve", str(DIRECT_CONFIG)], tmp_path)
+    (direct,) = rep.named("optimizer.direct_solve")
+    assert rep.calls("optimizer.run") == 0
+    report = json.loads((tmp_path / "traced" / "report.json").read_text())
+    counters = report["run"]["counters"]
+    assert len(rep.within(direct, "functional.gradient.euclidean")) == counters["gradients"]
+    assert len(rep.within(direct, "functional.evaluate")) == counters["evaluations"]

@@ -94,7 +94,7 @@ class TestGradient:
 
     def test_gradient_vanishes_at_direct_minimizer(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-HARMONIC", beta=0.4)
-        u = direct_solve(params)
+        u = direct_solve(params).final
         g = gradient(params, u, mode="euclidean")
         g0 = gradient(params, data_extension(space, params.data), mode="euclidean")
         assert np.linalg.norm(g) < 1e-8 * max(1.0, np.linalg.norm(g0))

@@ -88,6 +88,12 @@ class TestLoadProblem:
         with pytest.raises(ConfigError, match="case id or a data file"):
             build_setup(cfg)
 
+    def test_large_source_loads(self):
+        """A source of size 1e8 loads: the built-in lower-order terms carry
+        their partials, and no finite-difference probe second-guesses them."""
+        setup = build_setup({"case": "ELL2D-CUBIC", "operator": {"id": "cubic", "q": "1e8"}})
+        assert setup.params.op.lower.name == "cubic"
+
     def test_generic_level_expression(self):
         cfg = {
             "case": "ELL2D-HARMONIC",
@@ -524,6 +530,10 @@ CROSS_KEY_VALUES = [
      "config field operator: ellipticity bounds violated"),
     ("family=parabolic", {"family": "parabolic"},
      "config field family: case ELL2D-CUBIC is elliptic, not parabolic"),
+    ("optimizer.gamma=1.5-fixed", {"optimizer": {"step_mode": "fixed", "gamma": 1.5}},
+     "config field optimizer: fixed step size must lie in (0, 1)"),
+    ("data.noise_level=1e308", {"data": {"noise_level": 1e308}},
+     "config field data: noise level 1e+308 makes the Cauchy data non-finite"),
 ]
 
 
@@ -622,15 +632,19 @@ class TestCli:
         ("sweep", {"certificate": {"lambdas": 4.0}}, "non-empty list"),
         ("certify", {"weight": {"lambda": float("nan")}}, "finite"),
         ("solve", {"weight": {"lambda": float("nan")}}, "finite"),
+        ("certify", {"operator": {"id": "cubic", "q": "log(x0 - 5)"}},
+         "expression 'log(x0 - 5)' is not finite"),
     ] + [_malformed_case(*entry) for entry in MALFORMED_VALUES]
       + [("certify", overrides, message) for _, overrides, message in CROSS_KEY_VALUES],
         ids=["empty-list", "nan-in-list", "text-in-list", "not-a-list", "nan-certify",
-             "nan-solve"] + [".".join(filter(None, (section, key))) + f"={value!r}"
-                             for section, key, value in MALFORMED_VALUES]
+             "nan-solve", "operator.q=nan-valued"]
+        + [".".join(filter(None, (section, key))) + f"={value!r}"
+           for section, key, value in MALFORMED_VALUES]
         + [name for name, _, _ in CROSS_KEY_VALUES])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_lambda_config_exits_one(self, tmp_path, caplog, command, overrides, message):
         """A bad lambda, and every other malformed value, exits 1 with a message
-        before any output is written."""
+        before any output is written, and without a numpy warning."""
         path = _sweep_config(tmp_path, **overrides)
         assert main([command, str(path)]) == 1
         assert message in caplog.text

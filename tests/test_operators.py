@@ -11,10 +11,37 @@ from convexcauchy.operators import (
     lower_grad_sq,
     lower_sine,
     lower_source,
-    validate_lower_term,
     validate_operator,
 )
 from convexcauchy.sampling import random_smooth_values
+
+
+def validate_lower_term(term, points: np.ndarray, n_spatial: int, rng: np.random.Generator,
+                        rel_tol: float = 1e-5) -> None:
+    """Check the analytic partials of N against central finite differences.
+
+    Samples a handful of (grad, u) states at the given points; fails the test
+    when a partial disagrees with the FD probe.
+    """
+    pts = points.reshape(-1, points.shape[-1])[:16]
+    u = rng.uniform(-2.0, 2.0, size=pts.shape[:-1])
+    grad = rng.uniform(-2.0, 2.0, size=pts.shape[:-1] + (n_spatial,))
+    delta = 1e-6
+
+    fd_u = (term.value(pts, grad, u + delta) - term.value(pts, grad, u - delta)) / (2 * delta)
+    an_u = term.d_u(pts, grad, u)
+    scale = np.max(np.abs(fd_u)) + 1.0
+    assert np.max(np.abs(fd_u - an_u)) <= rel_tol * scale, \
+        f"lower-order term {term.name!r}: d/du partial disagrees with FD probe"
+
+    an_g = term.d_grad(pts, grad, u)
+    for i in range(n_spatial):
+        bump = np.zeros_like(grad)
+        bump[..., i] = delta
+        fd_g = (term.value(pts, grad + bump, u) - term.value(pts, grad - bump, u)) / (2 * delta)
+        scale = np.max(np.abs(fd_g)) + 1.0
+        assert np.max(np.abs(fd_g - an_g[..., i])) <= rel_tol * scale, \
+            f"lower-order term {term.name!r}: gradient partial {i} disagrees with FD probe"
 
 
 @pytest.fixture(scope="module")
@@ -300,35 +327,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match="monotonicity"):
             validate_operator(op, mask)
 
-    def test_lower_term_fd_probe(self, ell2d_mask, rng):
-        pts = ell2d_mask.grid.coords()[ell2d_mask.is_core]
-
-        def source(points):
-            return np.zeros(points.shape[:-1])
-
-        good = lower_cubic(source)
-        validate_lower_term(good, pts, 2, rng)
-
-        from convexcauchy.operators import LowerOrderTerm
-
-        bad = LowerOrderTerm(
-            value=lambda p, g, u: -u**3,
-            d_u=lambda p, g, u: -2.0 * u**2,  # wrong partial
-            d_grad=lambda p, g, u: np.zeros_like(g),
-        )
-        with pytest.raises(ConfigError, match="d/du"):
-            validate_lower_term(bad, pts, 2, rng)
-
-    def test_grad_sq_partials(self, ell2d_mask, rng):
+    @pytest.mark.parametrize("make", [
+        lambda scale, source: lower_cubic(source),
+        lambda scale, source: lower_sine(source),
+        lambda scale, source: lower_source(source),
+        lambda scale, source: lower_grad_sq(scale, source),
+    ], ids=["cubic", "sine", "source", "grad_sq"])
+    def test_builtin_partials_match_fd_probe(self, ell2d_mask, rng, make):
         pts = ell2d_mask.grid.coords()[ell2d_mask.is_core]
 
         def scale(points):
             return 0.5 + 0.1 * points[..., 0]
 
         def source(points):
-            return np.zeros(points.shape[:-1])
+            return np.cos(points[..., 1])
 
-        validate_lower_term(lower_grad_sq(scale, source), pts, 2, rng)
+        validate_lower_term(make(scale, source), pts, 2, rng)
+
+    def test_lower_term_fd_probe(self, ell2d_mask, rng):
+        from convexcauchy.operators import LowerOrderTerm
+
+        pts = ell2d_mask.grid.coords()[ell2d_mask.is_core]
+        bad = LowerOrderTerm(
+            value=lambda p, g, u: -u**3,
+            d_u=lambda p, g, u: -2.0 * u**2,  # wrong partial
+            d_grad=lambda p, g, u: np.zeros_like(g),
+        )
+        with pytest.raises(AssertionError, match="d/du"):
+            validate_lower_term(bad, pts, 2, rng)
 
 
 class TestFixedFields:

@@ -31,13 +31,17 @@ from convexcauchy.sobolev import SobolevSpace
 from convexcauchy.weights import WeightSpec
 
 SOLVE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ell2d_cubic_solve.json"
+DIRECT_CONFIG = SOLVE_CONFIG.with_name("ell2d_harmonic_reconstruct.json")
+# the keys of report.json's run block, whichever solver ran
+RUN_KEYS = {"converged", "reason", "iterations", "q_hat", "wall_time", "j_history",
+            "grad_norm_history", "step_history", "radius_history", "final_j", "counters"}
 
 
 class TestRun:
     def test_quadratic_matches_direct_solve(self, rng):
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
-        u_direct = direct_solve(params)
+        u_direct = direct_solve(params).final
         start = draw_in_ball(params, 150.0, rng)
         cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
         report = run(params, start, cfg)
@@ -49,7 +53,7 @@ class TestRun:
     def test_start_at_minimizer_stops_immediately(self):
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
-        u_direct = direct_solve(params)
+        u_direct = direct_solve(params).final
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-6)
         report = run(params, u_direct, cfg)
         assert report.converged
@@ -234,25 +238,33 @@ class TestEvaluateOnce:
         assert calls["residual"] == calls["evaluate"]
         assert calls["differences before the fit"] <= calls["evaluate"] + report.iterations
 
-    def test_counters_match_calls(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("config", [SOLVE_CONFIG, DIRECT_CONFIG], ids=["gradient", "direct"])
+    def test_counters_match_calls(self, monkeypatch, tmp_path, config):
         """run.counters in report.json against wrapped evaluate and gradient
-        calls, and the halvings column of history.csv."""
+        calls, and the halvings column of history.csv, for both solvers; the
+        run block has the same keys for both."""
         calls = Counter()
         for name in ("evaluate", "gradient"):
             monkeypatch.setattr(optimizer, name, _counted(calls, name, getattr(optimizer, name)))
-        assert cli.main(["solve", str(SOLVE_CONFIG), "--out", str(tmp_path)]) == 0
+        assert cli.main(["solve", str(config), "--out", str(tmp_path)]) == 0
         run_report = json.loads((tmp_path / "report.json").read_text())["run"]
         with open(tmp_path / "history.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert set(run_report) == RUN_KEYS
+        assert run_report["final_j"] == run_report["j_history"][-1] == float(rows[-1]["j"])
         halvings = [int(row["halvings"]) for row in rows if row["halvings"] != ""]
         assert run_report["counters"] == {"evaluations": calls["evaluate"],
                                           "gradients": calls["gradient"],
                                           "halvings": sum(halvings)}
-        assert calls["gradient"] == run_report["iterations"] == len(rows)
         # one line search per step, each evaluating its rejected trials and the accepted one
         assert len(halvings) == len(run_report["step_history"]) == len(rows) - 1
         assert calls["evaluate"] == 1 + len(halvings) + sum(halvings)
-        assert sum(halvings) > 0
+        if config == DIRECT_CONFIG:
+            # one gradient for the right-hand side, one at the minimizer
+            assert (calls["gradient"], run_report["iterations"], len(rows)) == (2, 0, 1)
+        else:
+            assert calls["gradient"] == run_report["iterations"] == len(rows)
+            assert sum(halvings) > 0
 
 
 class TestConvergenceRatio:
@@ -264,8 +276,7 @@ class TestConvergenceRatio:
         grid, mask, space = self._space()
         direction = np.zeros(mask.dofs.size)
         direction[mask.free_pos] = rng.standard_normal(mask.free_pos.size)
-        report = RunReport(iterates=[0.5**n * direction for n in range(20)])
-        report.space = space
+        report = RunReport(iterates=[0.5**n * direction for n in range(20)], space=space)
         q = convergence_ratio(report, np.zeros(mask.dofs.size))
         assert q == pytest.approx(0.5, abs=1e-6)
 
@@ -273,15 +284,13 @@ class TestConvergenceRatio:
         grid, mask, space = self._space()
         direction = np.zeros(mask.dofs.size)
         direction[mask.free_pos] = 1.0
-        report = RunReport(iterates=[direction for _ in range(12)])
-        report.space = space
+        report = RunReport(iterates=[direction for _ in range(12)], space=space)
         q = convergence_ratio(report, np.zeros(mask.dofs.size))
         assert q == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_iterates(self):
         grid, mask, space = self._space()
-        report = RunReport(iterates=[np.zeros(mask.dofs.size)] * 3)
-        report.space = space
+        report = RunReport(iterates=[np.zeros(mask.dofs.size)] * 3, space=space)
         with pytest.raises(SolverError, match="tail"):
             convergence_ratio(report, np.zeros(mask.dofs.size))
 
@@ -304,7 +313,7 @@ class TestConvergenceRatio:
         gamma = min(0.9, 0.9 / float(np.max(mu)))
         q_pred = float(np.max(np.abs(1.0 - gamma * mu)))
 
-        u_ref = direct_solve(params)
+        u_ref = direct_solve(params).final
         cfg = OptimizerConfig(max_iters=80, grad_tol=1e-14, step_mode="fixed",
                               gamma=gamma, mode="sobolev", store_iterates=True)
         try:
