@@ -34,7 +34,6 @@ from .grid import (
     LevelSpec,
     build_grid,
     classify_nodes,
-    level_value,
     level_values,
 )
 from .harness import add_noise, build_setup, emit_report, load_problem
@@ -49,6 +48,6 @@ from .optimizer import (
     run,
 )
 from .sobolev import SobolevSpace, sobolev_order
-from .weights import WeightSpec, shifted_weight_sq, weight_extrema
+from .weights import mask_weight_sq, weight_extrema
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ GRADCHECK_REL_TOL = 1e-6
 
 
 def _base_report(setup: ProblemSetup, command: str) -> dict:
-    w_min, w_max, w_argmin = weight_extrema(setup.weight, setup.mask)
+    w_min, w_max, w_argmin = weight_extrema(setup.mask, setup.params.lam)
     return {
         "command": command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -69,9 +69,9 @@ def _certificates(setup: ProblemSetup, lambdas: list[float], report: dict) -> li
     reports and the phase's wall time in `report`."""
     t0 = time.perf_counter()
     cert = setup.certificate
-    params_by_lambda = [setup.params.with_lambda(float(lam)) for lam in lambdas]
     results = [r.to_dict() for r in convexity_certificate(
-        params_by_lambda, radius=cert["radius"], samples=cert["samples"], seed=cert["seed"]
+        setup.params, radius=cert["radius"], samples=cert["samples"], seed=cert["seed"],
+        lambdas=lambdas,
     )]
     report["certificates"] = results
     report["wall_time"] = time.perf_counter() - t0
@@ -80,10 +80,10 @@ def _certificates(setup: ProblemSetup, lambdas: list[float], report: dict) -> li
 
 def cmd_certify(setup: ProblemSetup, args) -> int:
     report = _base_report(setup, "certify")
-    results = _certificates(setup, [setup.weight.lam], report)
+    results = _certificates(setup, [setup.params.lam], report)
     emit_report(report, setup.output_dir)
     passed = results[0]["passed"]
-    print(f"certificate lambda={setup.weight.lam:g}: "
+    print(f"certificate lambda={setup.params.lam:g}: "
           f"{'PASS' if passed else 'FAIL'} ({results[0]['failures']} failures, "
           f"min margin {results[0]['min_margin']:.4g})")
     if args.require_certificate and not passed:

@@ -3,7 +3,7 @@
 Every field here is a masked DOF vector (see grid.DomainMask). For a field
 u satisfying the Cauchy trace constraints,
 
-    J(u) = sum_core [A(u)]^2 * shifted_weight_sq * quad_weight
+    J(u) = sum_core [A(u)]^2 * mask_weight_sq * quad_weight
          + beta * ||u||^2_{H^k(mask)}.
 
 The Euclidean gradient is the exact derivative of this discrete J restricted
@@ -15,7 +15,6 @@ certificate checked by the optimizer module.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +25,7 @@ from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError
 from .grid import DomainMask, check_finite, erode
 from .operators import LinearizedOperator, OperatorStencil, QuasilinearOperator
 from .sobolev import SobolevSpace
-from .weights import WeightSpec, mask_weight_sq
+from .weights import mask_weight_sq
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +54,10 @@ def beta_window(lam: float, epsilon: float) -> tuple[float, float]:
 
 @dataclass(eq=False)
 class FunctionalParams:
-    """Everything needed to evaluate J: operator, weight, geometry, data.
+    """Everything needed to evaluate J: operator, weight strength, geometry, data.
 
+    The Carleman weight is built from the mask's level function, so the
+    weight strength lam (a finite number >= 1) is its only parameter.
     beta outside the admissible window (exp(-lam*eps), 1) triggers a logged
     warning; under the default "clamp" policy the value is pulled to the
     nearest point inside the window, under "keep" it is used as given (the
@@ -64,12 +65,13 @@ class FunctionalParams:
 
     The fixed per-problem data is built here, once: the operator stencil, the
     data weight on the core nodes, and the scale of the trace values.
-    Changing op, weight, mask, data or beta afterwards is not supported;
-    build new params instead, or call with_lambda for another lambda.
+    Changing op, lam, mask, data or beta afterwards is not supported;
+    build new params instead. A lambda sweep keeps the params and passes
+    the weight of each lambda (core_weight_at) to bregman_gap.
     """
 
     op: QuasilinearOperator
-    weight: WeightSpec
+    lam: float
     mask: DomainMask
     space: SobolevSpace
     beta: float
@@ -82,9 +84,9 @@ class FunctionalParams:
             raise ConfigError(f"unknown beta policy {self.beta_policy!r}")
         if not np.isfinite(self.beta):
             raise ConfigError(f"beta must be a finite number, got {self.beta}")
-        self.beta = _windowed_beta(self.beta, self.weight.lam, self.mask.epsilon,
-                                   self.beta_policy)
         mask = self.mask
+        self.core_weight = _core_weight(mask, self.lam)  # checks lam
+        self.beta = _windowed_beta(self.beta, self.lam, mask.epsilon, self.beta_policy)
         for name, values, layer in (("g0", self.data.g0, mask.value_pos),
                                     ("g1", self.data.g1, mask.deriv_pos)):
             if np.shape(values) != layer.shape:
@@ -93,22 +95,19 @@ class FunctionalParams:
             if not np.all(np.isfinite(values)):
                 raise ConfigError("Cauchy data contains non-finite values")
         self.stencil = OperatorStencil(self.op, mask)
-        self.core_weight = _core_weight(self.weight, mask)
         self._trace_scale = 1.0 + max(
             float(np.max(np.abs(self.data.g0), initial=0.0)),
             float(np.max(np.abs(self.data.g1), initial=0.0)),
         )
         self._inner_h1: SobolevSpace | None = None
 
-    def with_lambda(self, lam: float) -> "FunctionalParams":
-        """The same problem at weight strength lam, beta kept as it is (what a
-        lambda sweep needs). Everything but the weight is shared with self."""
-        other = copy.copy(self)
-        other.weight = WeightSpec(level=self.weight.level, lam=lam)
-        other.beta_policy = "keep"
-        _windowed_beta(self.beta, lam, self.mask.epsilon, "keep")  # warns outside the window
-        other.core_weight = _core_weight(other.weight, self.mask)
-        return other
+    def core_weight_at(self, lam: float) -> np.ndarray:
+        """The data weight on the core nodes at weight strength lam, with beta
+        kept as it is (what a lambda sweep needs); logs a warning when beta
+        lies outside lam's window."""
+        weight = _core_weight(self.mask, lam)
+        _windowed_beta(self.beta, lam, self.mask.epsilon, "keep")
+        return weight
 
     @property
     def inner_h1_space(self) -> SobolevSpace:
@@ -157,9 +156,9 @@ def _windowed_beta(beta: float, lam: float, epsilon: float, policy: str) -> floa
     return beta
 
 
-def _core_weight(weight: WeightSpec, mask: DomainMask) -> np.ndarray:
+def _core_weight(mask: DomainMask, lam: float) -> np.ndarray:
     """Fused weight * quadrature factor of the data term, on the core nodes."""
-    return (mask_weight_sq(weight, mask) * mask.quad_weight)[mask.is_core]
+    return (mask_weight_sq(mask, lam) * mask.quad_weight)[mask.is_core]
 
 
 class Evaluation(float):
@@ -210,49 +209,35 @@ def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
         r, diffs = at.residual, at.differences
     else:
         raise ConfigError("the evaluation passed as `at` is of another field")
-    g = _assemble_gradient(params, params.stencil.linearize(v), r,
+    g = _assemble_gradient(params.mask, params.stencil.linearize(v), params.core_weight * r,
                            2.0 * params.beta * params.space.apply_gram(v, diffs))
     return g if mode == "euclidean" else params.space.riesz(g)
 
 
-def _assemble_gradient(params: FunctionalParams, lin: LinearizedOperator, r: np.ndarray,
+def _assemble_gradient(mask: DomainMask, lin: LinearizedOperator, weighted_r: np.ndarray,
                        regularizer_grad: np.ndarray) -> np.ndarray:
     """2 L^T (w r) + the regularizer's gradient, zero on the trace layers."""
-    g = 2.0 * lin.adjoint(params.core_weight * r)
+    g = 2.0 * lin.adjoint(weighted_r)
     g += regularizer_grad
-    g[params.mask.trace_pos] = 0.0
+    g[mask.trace_pos] = 0.0
     return g
 
 
-def shared_problem(params_by_lambda: Sequence[FunctionalParams]) -> FunctionalParams:
-    """The first of a non-empty sequence of params that differ in lambda only.
-
-    Every entry must share the operator, mask, space and data objects and the
-    beta, so that only the data weight depends on the entry.
-    """
-    if not params_by_lambda:
-        raise ConfigError("need the params of at least one lambda")
-    first = params_by_lambda[0]
-    for p in params_by_lambda[1:]:
-        if (p.op is not first.op or p.mask is not first.mask or p.space is not first.space
-                or p.data is not first.data or p.beta != first.beta):
-            raise ConfigError("params of a lambda sweep must share op, mask, space, "
-                              "data and beta")
-    return first
-
-
-def bregman_gap(params_by_lambda: Sequence[FunctionalParams], v1: np.ndarray,
-                v2: np.ndarray) -> tuple[list[float], float, float]:
+def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
+                core_weights: Sequence[np.ndarray] | None = None
+                ) -> tuple[list[float], float, float]:
     """Bregman gaps of J between two constrained fields at each lambda, plus
     the two norms entering the convexity certificate.
 
-    The params differ in lambda only (see shared_problem). Returns
-    ([gap at each lambda], ||v2-v1||^2_{H^1(inner)}, ||v2-v1||^2_{H^k(mask)}).
-    The certificate passes at a lambda iff its gap >= (beta/2) * the H^k term.
-    Everything but the weighted data terms, their gradient and the gap is
-    computed once for all lambdas.
+    core_weights holds the data weight of each lambda (params.core_weight_at);
+    None means [params.core_weight]. Returns ([gap at each lambda],
+    ||v2-v1||^2_{H^1(inner)}, ||v2-v1||^2_{H^k(mask)}). The certificate passes
+    at a lambda iff its gap >= (beta/2) * the H^k term. Everything but the
+    weighted data terms, their gradient and the gap is computed once for all
+    lambdas.
     """
-    params = shared_problem(params_by_lambda)
+    if core_weights is None:
+        core_weights = [params.core_weight]
     params.check_dofs(v1, "first field")
     params.check_dofs(v2, "second field")
     h = v2 - v1
@@ -269,10 +254,10 @@ def bregman_gap(params_by_lambda: Sequence[FunctionalParams], v1: np.ndarray,
     lin = stencil.linearize(v1)
     reg_grad1 = 2.0 * params.beta * space.apply_gram(v1, d1)
     gaps = []
-    for p in params_by_lambda:
-        j1 = _data_term(r1_sq, p.core_weight) + reg1
-        j2 = _data_term(r2_sq, p.core_weight) + reg2
-        g1 = _assemble_gradient(p, lin, r1, reg_grad1)
+    for w in core_weights:
+        j1 = _data_term(r1_sq, w) + reg1
+        j2 = _data_term(r2_sq, w) + reg2
+        g1 = _assemble_gradient(params.mask, lin, w * r1, reg_grad1)
         gaps.append(j2 - j1 - float(np.sum(g1 * h)))
     return gaps, params.inner_h1_space.norm_sq(h), space.norm_sq(h)
 
@@ -282,17 +267,18 @@ def compact_support_ok(mask: DomainMask, v: np.ndarray) -> bool:
     return not np.any(v[~erode(mask.is_core)[mask.in_mask]])
 
 
-def carleman_ratio(op: QuasilinearOperator, weight: WeightSpec, mask: DomainMask,
+def carleman_ratio(op: QuasilinearOperator, lam: float, mask: DomainMask,
                    v: np.ndarray) -> float:
     """Integrated Carleman quotient for a compactly supported field.
 
         ratio = sum (A0 h)^2 W / sum (lam |grad h|^2 [+ lam h_t^2] + lam^3 h^2) W
 
-    with W the shifted squared weight times quadrature (the shift cancels in
-    the quotient). The time-derivative term appears only for the hyperbolic
-    family; the gradient is spatial for the time families. A strictly
-    positive lower bound over lambda is the integrated trace of the pointwise
-    weighted estimate, whose divergence terms vanish for compact support.
+    with W the mask's shifted squared weight at lam times quadrature (the
+    shift cancels in the quotient). The time-derivative term appears only for
+    the hyperbolic family; the gradient is spatial for the time families. A
+    strictly positive lower bound over lambda is the integrated trace of the
+    pointwise weighted estimate, whose divergence terms vanish for compact
+    support.
     """
     if not np.any(v):
         raise ConfigError("carleman_ratio needs a nonzero field")
@@ -300,12 +286,11 @@ def carleman_ratio(op: QuasilinearOperator, weight: WeightSpec, mask: DomainMask
         raise ConfigError(
             "field is not compactly supported: values reach the boundary-adjacent layers"
         )
-    w = _core_weight(weight, mask)
+    w = _core_weight(mask, lam)
     stencil = OperatorStencil(op, mask)
     a0h = stencil.principal(v)
     num = float(np.sum(a0h * a0h * w))
 
-    lam = weight.lam
     grad = stencil.gradient(v)
     first_order = np.sum(grad * grad, axis=-1)
     if op.family == "hyperbolic":

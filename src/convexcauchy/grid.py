@@ -212,11 +212,6 @@ def level_values(spec: LevelSpec, points: np.ndarray) -> np.ndarray:
     return base ** (-spec.nu)
 
 
-def level_value(spec: LevelSpec, point: Sequence[float]) -> float:
-    """Level function at a single point."""
-    return float(level_values(spec, np.asarray(point, dtype=float)))
-
-
 def shift(values: np.ndarray, offset: Sequence[int], fill=0) -> np.ndarray:
     """Return s with s[p] = values[p + offset]; out-of-range entries get `fill`."""
     out = np.full_like(values, fill)
@@ -338,7 +333,6 @@ class DomainMask:
         quad_weight: trapezoid-rule volume element per node, 0 outside.
         ell: cached level values per node.
         theta: level threshold.
-        normal_axis: axis of the flattened Cauchy face (always 0).
         value_layer: nodes carrying the Dirichlet trace g0.
         deriv_layer: first inward layer, carrying the normal-derivative trace
             encoded as field values.
@@ -356,7 +350,6 @@ class DomainMask:
         self.ell = ell
         self.theta = level.threshold
         self.epsilon = float(level.epsilon)
-        self.normal_axis = 0
         self.value_layer = value_layer
         self.deriv_layer = deriv_layer
 

@@ -60,7 +60,6 @@ from .operators import (
 )
 from .optimizer import RADIUS_POLICIES, STEP_MODES, OptimizerConfig
 from .sobolev import SobolevSpace
-from .weights import WeightSpec
 
 logger = logging.getLogger(__name__)
 
@@ -342,7 +341,6 @@ class ProblemSetup:
     config: dict
     grid: Grid
     mask: DomainMask
-    weight: WeightSpec
     space: SobolevSpace
     params: FunctionalParams
     opt_config: OptimizerConfig
@@ -423,12 +421,11 @@ def build_setup(cfg: dict) -> ProblemSetup:
         g0, g1 = add_noise(clean.g0, clean.g1, data_cfg["noise_level"], data_cfg["noise_seed"])
     space = SobolevSpace(mask, order=fun_cfg["order"])
     params = FunctionalParams(
-        op=op, weight=WeightSpec(level=mask.level, lam=sections["weight"]["lambda"]),
-        mask=mask, space=space, beta=fun_cfg["beta"], data=CauchyData(g0, g1),
-        beta_policy=fun_cfg["beta_policy"],
+        op=op, lam=sections["weight"]["lambda"], mask=mask, space=space, beta=fun_cfg["beta"],
+        data=CauchyData(g0, g1), beta_policy=fun_cfg["beta_policy"],
     )
     beta = {"requested": fun_cfg["beta"], "effective": params.beta,
-            "window": list(beta_window(params.weight.lam, mask.epsilon))}
+            "window": list(beta_window(params.lam, mask.epsilon))}
 
     # the echo: the converted sections at the values the run used, without
     # unset keys and the output directory
@@ -442,8 +439,7 @@ def build_setup(cfg: dict) -> ProblemSetup:
     with _section("optimizer"):
         opt_config = OptimizerConfig(**sections["optimizer"])
     return ProblemSetup(
-        config=config, grid=grid, mask=mask, weight=params.weight,
-        space=space, params=params, opt_config=opt_config,
+        config=config, grid=grid, mask=mask, space=space, params=params, opt_config=opt_config,
         solver=top["solver"], u_star=u_star, beta=beta,
         certificate=sections["certificate"], output_dir=Path(top["output_dir"]),
     )
@@ -520,6 +516,9 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
                 which = row["layer"].strip()
                 idx = int(row["index"])
                 val = float(row["value"])
+                if not math.isfinite(val):
+                    raise ConfigError(f"data file {path}, line {line}: value "
+                                      f"{row['value'].strip()!r} is not finite")
                 if which not in values:
                     raise ConfigError(f"data file {path}, line {line}: layer {which!r} "
                                       "is neither 'g0' nor 'g1'")
@@ -553,25 +552,26 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
 def error_norms(setup: ProblemSetup, u: np.ndarray) -> dict | None:
     """Relative L2/H1/H^k errors of the DOF vector u against the exact
     solution, on the full masked subdomain and on the inner window where the
-    stability estimate is strongest."""
+    stability estimate is strongest.
+
+    One H^k space per region: its monomials are sorted by order, so the
+    squared L2 and H1 norms are the sums of its first 1 and 1 + dim
+    monomial terms."""
     if setup.u_star is None:
         return None
-    mask, star = setup.mask, setup.u_star
-    diff = u - star
+    mask, star, order = setup.mask, setup.u_star, setup.space.order
     # the inner window is the fixed region above the raised threshold, sampled
     # by level value so refinement studies compare like with like
     window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
     out = {}
-    for region, subset in (("subdomain", mask.in_mask), ("inner", window)):
-        for name, order in (("l2", None), ("h1", 1), ("hk", setup.space.order)):
-            space = SobolevSpace(mask, order=order if order else 1, node_subset=subset)
-            if order is None:
-                weights = mask.gather(space.weights)
-                num = float(np.sqrt(np.sum(diff**2 * weights)))
-                den = float(np.sqrt(np.sum(star**2 * weights)))
-            else:
-                num, den = space.norm(diff), space.norm(star)
-            out[f"{name}_{region}"] = num / den if den > 0 else float("nan")
+    for region, space in (("subdomain", setup.space),
+                          ("inner", SobolevSpace(mask, order=order, node_subset=window))):
+        weights = mask.gather(space.weights)
+        num, den = ([float(np.sum(d * d * weights)) for d in space.differences(x)]
+                    for x in (u - star, star))
+        for name, count in (("l2", 1), ("h1", 1 + mask.grid.dim), ("hk", len(num))):
+            num_k, den_k = (float(np.sqrt(max(sum(terms[:count]), 0.0))) for terms in (num, den))
+            out[f"{name}_{region}"] = num_k / den_k if den_k > 0 else float("nan")
     return out
 
 

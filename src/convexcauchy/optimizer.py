@@ -23,14 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
-from .functional import (
-    FunctionalParams,
-    bregman_gap,
-    data_extension,
-    evaluate,
-    gradient,
-    shared_problem,
-)
+from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
 from .grid import check_finite
 from .sampling import draw_in_ball
 from .sobolev import SobolevSpace, spd_factorized
@@ -311,22 +304,25 @@ class CertificateReport:
         }
 
 
-def convexity_certificate(params_by_lambda: Sequence[FunctionalParams], radius: float,
-                          samples: int, seed: int) -> list[CertificateReport]:
+def convexity_certificate(params: FunctionalParams, radius: float, samples: int, seed: int,
+                          lambdas: Sequence[float] | None = None) -> list[CertificateReport]:
     """Sample the Bregman gap on random admissible pairs inside the H^k ball,
-    at each lambda of a sweep.
+    at each lambda of a sweep (None: params.lam), beta kept as it is.
 
-    The params differ in lambda only (see functional.shared_problem). Every
-    lambda scores the same pairs: they are drawn once, and everything but the
-    weighted data terms is computed once per pair. A pair fails at a lambda
-    when its gap < (beta/2) * ||u2 - u1||^2_{H^k}. The H^1 term over the inner
-    subdomain is recorded but not asserted against (its constant is not
-    constructive). Deterministic under the seed; one report per lambda, each
-    equal to a single-lambda run at that lambda.
+    Every lambda scores the same pairs: they are drawn once, each lambda's
+    data weight is computed once, and everything but the weighted data terms
+    is computed once per pair. A pair fails at a lambda when its gap <
+    (beta/2) * ||u2 - u1||^2_{H^k}. The H^1 term over the inner subdomain is
+    recorded but not asserted against (its constant is not constructive).
+    Deterministic under the seed; one report per lambda, each equal to a
+    single-lambda run at that lambda.
     """
     if samples < 1:
         raise ConfigError(f"certificate needs at least one sample, got {samples}")
-    params = shared_problem(params_by_lambda)
+    lambdas = [params.lam] if lambdas is None else list(lambdas)
+    if not lambdas:
+        raise ConfigError("certificate needs at least one lambda")
+    core_weights = [params.core_weight_at(lam) for lam in lambdas]
     rng = np.random.default_rng(seed)
     base = data_extension(params.space, params.data)
     base_norm = params.space.norm(base)
@@ -334,22 +330,22 @@ def convexity_certificate(params_by_lambda: Sequence[FunctionalParams], radius: 
     for _ in range(samples):
         u1 = draw_in_ball(params, radius, rng, base=base, base_norm=base_norm)
         u2 = draw_in_ball(params, radius, rng, base=base, base_norm=base_norm)
-        gaps_by_lambda, h1_inner, hk_full = bregman_gap(params_by_lambda, u1, u2)
+        gaps_by_lambda, h1_inner, hk_full = bregman_gap(params, u1, u2, core_weights)
         gaps.append(gaps_by_lambda)
         h1s.append(h1_inner)
         hks.append(hk_full)
     reports = []
-    for k, p in enumerate(params_by_lambda):
+    for k, lam in enumerate(lambdas):
         gaps_k = [g[k] for g in gaps]
         margins = [gap - 0.5 * params.beta * hk for gap, hk in zip(gaps_k, hks)]
         report = CertificateReport(
-            lam=p.weight.lam, beta=params.beta, radius=radius, samples=samples, seed=seed,
+            lam=lam, beta=params.beta, radius=radius, samples=samples, seed=seed,
             failures=sum(m < 0.0 for m in margins), min_margin=float(np.min(margins)),
             margins=margins, gaps=gaps_k, h1_inner_terms=list(h1s), hk_terms=list(hks),
         )
         logger.info(
             "certificate lambda=%.4g beta=%.4g: %d/%d failures, min margin %.4g",
-            p.weight.lam, params.beta, report.failures, samples, report.min_margin,
+            lam, params.beta, report.failures, samples, report.min_margin,
         )
         reports.append(report)
     return reports

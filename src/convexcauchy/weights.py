@@ -1,10 +1,12 @@
 """Carleman weight evaluation in overflow-safe shifted form.
 
-The raw weight is exp(lam * ell(p)) with level function ell; the functional
-multiplies its square by the balancing prefactor exp(-2 lam (theta + eps)).
-Both are fused here into a single quantity
+The weight is built from the mask's own level function ell, threshold theta
+and margin eps, so its strength lam is its only free parameter. The raw
+weight is exp(lam * ell(p)); the functional multiplies its square by the
+balancing prefactor exp(-2 lam (theta + eps)). Both are fused here into a
+single quantity
 
-    shifted_weight_sq(p) = exp(2 lam (ell(p) - theta - eps)),
+    mask_weight_sq(p) = exp(2 lam (ell(p) - theta - eps)),
 
 which avoids overflowing the square before the prefactor underflows it.
 On the free level surface (ell = theta) this equals exp(-2 lam eps) < 1;
@@ -13,71 +15,32 @@ at ell = theta + eps it is exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, GeometryError, WeightOverflowError
-from .grid import DomainMask, Label, LevelSpec, level_values
+from .grid import DomainMask, Label
 
 # exp() overflows float64 just above this exponent
 _MAX_EXPONENT = 700.0
 
 
-@dataclass(frozen=True, eq=False)
-class WeightSpec:
-    """Carleman weight parameters: a level spec plus the strength lam."""
-
-    level: LevelSpec
-    lam: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 1.0):
-            raise ConfigError(f"weight strength lambda must be a finite number >= 1, "
-                              f"got {self.lam}")
-        if self.level.epsilon is None:
-            raise ConfigError(
-                "WeightSpec needs a level spec with resolved epsilon; "
-                "classify the grid first and use mask.level"
-            )
-
-
-def shifted_exponent(spec: WeightSpec, points: np.ndarray) -> np.ndarray:
-    """The fused exponent 2 lam (ell - theta - eps), checked against overflow."""
-    ell = level_values(spec.level, points)
-    expo = 2.0 * spec.lam * (ell - spec.level.threshold - spec.level.epsilon)
-    if np.any(expo > _MAX_EXPONENT):
-        raise WeightOverflowError(spec.lam, float(np.max(ell)), float(np.max(expo)))
-    return expo
-
-
-def shifted_weight_sq(spec: WeightSpec, point) -> float | np.ndarray:
-    """Squared Carleman weight with the balancing prefactor absorbed.
-
-    Accepts a single point (returns float) or an array of points with the
-    coordinate axis last.
-    """
-    pts = np.asarray(point, dtype=float)
-    out = np.exp(shifted_exponent(spec, pts))
-    if pts.ndim == 1:
-        return float(out)
-    return out
-
-
-def mask_weight_sq(spec: WeightSpec, mask: DomainMask) -> np.ndarray:
-    """shifted_weight_sq on every masked node; zero outside the mask."""
-    expo = 2.0 * spec.lam * (mask.ell - spec.level.threshold - spec.level.epsilon)
+def mask_weight_sq(mask: DomainMask, lam: float) -> np.ndarray:
+    """The fused squared weight at strength lam on every masked node; zero
+    outside the mask. lam must be a finite number >= 1."""
+    if not (np.isfinite(lam) and lam >= 1.0):
+        raise ConfigError(f"weight strength lambda must be a finite number >= 1, got {lam}")
+    expo = 2.0 * lam * (mask.ell - mask.theta - mask.epsilon)
     inside = expo[mask.in_mask]
     if np.any(inside > _MAX_EXPONENT):
         raise WeightOverflowError(
-            spec.lam, float(np.max(mask.ell[mask.in_mask])), float(np.max(inside))
+            lam, float(np.max(mask.ell[mask.in_mask])), float(np.max(inside))
         )
     out = np.zeros(mask.grid.shape, dtype=float)
     out[mask.in_mask] = np.exp(inside)
     return out
 
 
-def weight_extrema(spec: WeightSpec, mask: DomainMask) -> tuple[float, float, Label]:
+def weight_extrema(mask: DomainMask, lam: float) -> tuple[float, float, Label]:
     """Min and max of the unshifted log-weight lam * ell over masked nodes.
 
     Also reports which label the minimizing node carries; for a level function
@@ -85,7 +48,7 @@ def weight_extrema(spec: WeightSpec, mask: DomainMask) -> tuple[float, float, La
     """
     if not np.any(mask.in_mask):
         raise GeometryError("weight extrema of an empty mask")
-    logw = spec.lam * mask.ell
+    logw = lam * mask.ell
     flat = np.flatnonzero(mask.in_mask.ravel())
     vals = logw.ravel()[flat]
     i_min = flat[int(np.argmin(vals))]

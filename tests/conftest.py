@@ -10,7 +10,6 @@ from convexcauchy.catalog import CASES
 from convexcauchy.functional import FunctionalParams
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.harness import build_setup
-from convexcauchy.weights import WeightSpec
 
 logging.getLogger("convexcauchy").setLevel(logging.ERROR)
 
@@ -46,7 +45,7 @@ def make_problem(case_id, resolution=None, lam=None, beta=None, beta_policy="kee
     setup = build_setup(cfg)
     params = FunctionalParams(
         op=setup.params.op,
-        weight=WeightSpec(level=setup.mask.level, lam=setup.weight.lam if lam is None else lam),
+        lam=setup.params.lam if lam is None else lam,
         mask=setup.mask,
         space=setup.space,
         beta=setup.beta["requested"] if beta is None else beta,

@@ -24,7 +24,7 @@ from convexcauchy.optimizer import (
     run,
 )
 from convexcauchy.sampling import draw_in_ball, random_compact_bump, random_smooth_values
-from convexcauchy.weights import WeightSpec, weight_extrema
+from convexcauchy.weights import weight_extrema
 
 GRADCHECK_CASES = ["ELL1D-CUBIC", "ELL2D-HARMONIC", "PAR1D-CUBIC", "HYP1D-QUAD"]
 
@@ -86,7 +86,7 @@ def test_criterion_3_quadratic_oracle():
     for _ in range(5):
         u1 = draw_in_ball(params, 150.0, rng)
         u2 = draw_in_ball(params, 150.0, rng)
-        (gap,), _, hk = bregman_gap([params], u1, u2)
+        (gap,), _, hk = bregman_gap(params, u1, u2)
         r = lin.forward(u2 - u1)
         expect = float(np.sum(r * r * params.core_weight)) + params.beta * hk
         gap_rel = abs(gap - expect) / max(abs(expect), 1e-30)
@@ -99,14 +99,10 @@ def test_criterion_3_quadratic_oracle():
 @pytest.fixture(scope="module")
 def cubic_certificate_sweep():
     _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
-    data = case_params.data
-    sweep = [
-        FunctionalParams(
-            op=op, weight=WeightSpec(level=mask.level, lam=lam), mask=mask,
-            space=space, beta=1e-3, data=data, beta_policy="keep")
-        for lam in (1.0, 2.0, 4.0, 8.0)
-    ]
-    return convexity_certificate(sweep, radius=5.0, samples=50, seed=7)
+    params = FunctionalParams(op=op, lam=1.0, mask=mask, space=space, beta=1e-3,
+                              data=case_params.data, beta_policy="keep")
+    return convexity_certificate(params, radius=5.0, samples=50, seed=7,
+                                 lambdas=(1.0, 2.0, 4.0, 8.0))
 
 
 def test_criterion_4_convexity_certificate(cubic_certificate_sweep):
@@ -131,9 +127,8 @@ def test_criterion_5_global_convergence(cubic_certificate_sweep):
     _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
     data = case_params.data
     params = FunctionalParams(
-        op=op, weight=WeightSpec(level=mask.level, lam=lam), mask=mask,
-        space=space, beta=beta, data=data, beta_policy="keep")
-    (cert,) = convexity_certificate([params], radius=5.0, samples=50, seed=7)
+        op=op, lam=lam, mask=mask, space=space, beta=beta, data=data, beta_policy="keep")
+    (cert,) = convexity_certificate(params, radius=5.0, samples=50, seed=7)
     assert cert.passed, "certificate must pass at the multi-start (lambda, beta)"
 
     radius = 5.0
@@ -170,7 +165,7 @@ def _reconstruction_error(resolution, noise_level, seed=42):
 
         g0, g1 = add_noise(params.data.g0, params.data.g1, noise_level, seed)
         params = FunctionalParams(
-            op=op, weight=params.weight, mask=mask, space=space,
+            op=op, lam=params.lam, mask=mask, space=space,
             beta=params.beta, data=CauchyData(g0=g0, g1=g1), beta_policy="keep")
     u = direct_solve(params).final
     window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
@@ -202,10 +197,9 @@ def test_criterion_7_carleman_ratio_positivity():
         rng = np.random.default_rng(707)
         floor = np.inf
         for lam in (1.0, 2.0, 4.0):
-            weight = WeightSpec(level=mask.level, lam=lam)
             for _ in range(20):
                 h = random_compact_bump(mask, rng)
-                floor = min(floor, carleman_ratio(op, weight, mask, h))
+                floor = min(floor, carleman_ratio(op, lam, mask, h))
         assert floor > 0.0, f"{case_id}: nonpositive ratio floor"
         floors[case_id] = floor
     pretty = ", ".join(f"{k}: {v:.4g}" for k, v in floors.items())
@@ -222,7 +216,7 @@ def test_criterion_8_weight_minimum_location():
     cell = mask.largest_cell_level_variation()
     checks = []
     for lam in (1.0, 5.0, 10.0):
-        w_min, _, argmin_label = weight_extrema(WeightSpec(level=level, lam=lam), mask)
+        w_min, _, argmin_label = weight_extrema(mask, lam)
         assert argmin_label == Label.XI_BOUNDARY
         excess = w_min - lam * level.c
         assert 0.0 <= excess <= lam * cell + 1e-12, f"lam={lam}: excess {excess}"

@@ -4,8 +4,8 @@ The per-layer metrics of bench/run_bench.py count spans by name: the
 gradient and J evaluations inside `optimizer.run` give the iteration and
 line-search counts, `SobolevSpace.inner_product` the norm work, the
 `functional.bregman_gap` spans inside `optimizer.convexity_certificate` the
-certificate samples, and the `optimizer.direct_solve` span the direct solve.
-These tests install the tracer, unedited, around the shipped gradient solve,
+certificate samples, the `weights.mask_weight_sq` spans the weights built,
+and the `optimizer.direct_solve` span the direct solve. These tests install the tracer, unedited, around the shipped gradient solve,
 direct solve and sweep and check that those spans occur where the metrics
 look for them, that the tracer restores every name, and that tracing leaves
 the outputs unchanged.
@@ -72,12 +72,15 @@ def test_tracer_sees_the_descent(tmp_path):
 
 def test_tracer_sees_the_certificate_samples(tmp_path):
     """A sweep is one certificate: one Bregman-gap span per sample pair,
-    serving every lambda."""
+    serving every lambda, and one weight per lambda besides the problem's own."""
     rep = _traced_run(_load_spans(), ["sweep", str(SWEEP_CONFIG)], tmp_path)
     (cert,) = rep.named("optimizer.convexity_certificate")
     report = json.loads((tmp_path / "traced" / "report.json").read_text())
     samples = report["config"]["certificate"]["samples"]
-    assert len(report["certificates"]) == len(report["config"]["certificate"]["lambdas"]) > 1
+    lambdas = report["config"]["certificate"]["lambdas"]
+    assert len(report["certificates"]) == len(lambdas) > 1
+    assert rep.calls("weights.mask_weight_sq") == 1 + len(lambdas)
+    assert len(rep.within(cert, "weights.mask_weight_sq")) == len(lambdas)
     assert len(rep.within(cert, "functional.bregman_gap")) == samples
     assert rep.calls("functional.bregman_gap") == samples
     assert len(rep.within(cert, "sampling.draw_in_ball")) == 2 * samples

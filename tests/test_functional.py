@@ -15,16 +15,15 @@ from convexcauchy.functional import (
 )
 from convexcauchy.optimizer import direct_solve
 from convexcauchy.sampling import draw_in_ball, random_compact_bump, random_smooth_values
-from convexcauchy.weights import WeightSpec
 
 
 def zero_trace_bump(params, rng, scale=1.0):
     return scale * random_smooth_values(params.mask, rng)
 
 
-def data_term(params, core_values):
+def data_term(core_weight, core_values):
     """Weighted square sum of core-node values, the data term of J."""
-    return float(np.sum(core_values * core_values * params.core_weight))
+    return float(np.sum(core_values * core_values * core_weight))
 
 
 class TestEvaluate:
@@ -45,8 +44,8 @@ class TestEvaluate:
         data = CauchyData(g0=np.zeros(ell2d_mask.value_pos.size),
                           g1=np.zeros(ell2d_mask.deriv_pos.size))
         params = FunctionalParams(
-            op=op, weight=WeightSpec(level=ell2d_mask.level, lam=2.0), mask=ell2d_mask,
-            space=space, beta=0.5, data=data, beta_policy="keep",
+            op=op, lam=2.0, mask=ell2d_mask, space=space, beta=0.5, data=data,
+            beta_policy="keep",
         )
         assert evaluate(params, np.zeros(ell2d_mask.dofs.size)) == 0.0
 
@@ -67,7 +66,7 @@ class TestEvaluate:
         for _ in range(3):
             h = zero_trace_bump(params, rng)
             lhs = evaluate(params, u + h) - evaluate(params, u) - float(np.sum(g * h))
-            rhs = data_term(params, lin.forward(h)) + params.beta * space.norm_sq(h)
+            rhs = data_term(params.core_weight, lin.forward(h)) + params.beta * space.norm_sq(h)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -151,7 +150,7 @@ class TestGradient:
         op = QuasilinearOperator(family="elliptic", dim=2,
                                  lower=lower_grad_sq(scale, source))
         params = FunctionalParams(
-            op=op, weight=base_params.weight, mask=mask, space=space,
+            op=op, lam=base_params.lam, mask=mask, space=space,
             beta=1e-2, data=base_params.data, beta_policy="keep")
         u = data_extension(space, params.data)
         g = gradient(params, u, mode="euclidean")
@@ -167,7 +166,7 @@ class TestBregmanGap:
     def test_identical_fields(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         u = data_extension(space, params.data)
-        (gap,), h1, hk = bregman_gap([params], u, u.copy())
+        (gap,), h1, hk = bregman_gap(params, u, u.copy())
         assert gap == pytest.approx(0.0, abs=1e-12)
         assert h1 == 0.0 and hk == 0.0
 
@@ -178,17 +177,16 @@ class TestBregmanGap:
         lin = params.stencil.linearize(data_extension(space, params.data))
         u1 = draw_in_ball(params, 150.0, rng)
         u2 = draw_in_ball(params, 150.0, rng)
-        (gap,), h1, hk = bregman_gap([params], u1, u2)
-        expect = data_term(params, lin.forward(u2 - u1)) + params.beta * hk
+        (gap,), h1, hk = bregman_gap(params, u1, u2)
+        expect = data_term(params.core_weight, lin.forward(u2 - u1)) + params.beta * hk
         assert gap == pytest.approx(expect, rel=1e-10)
         assert gap >= 0.5 * params.beta * hk
 
     def test_equals_separate_evaluation(self, rng):
         """The gaps and norms equal, bit for bit, the formula that differences
         the first field once for its norm and again for its Gram action."""
-        _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
-        sweep = [case_params.with_lambda(lam) for lam in (1.0, 2.0, 4.0)]
-        params = sweep[0]
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
+        weights = [params.core_weight_at(lam) for lam in (1.0, 2.0, 4.0)]
         beta, stencil = params.beta, params.stencil
         for _ in range(3):
             v1, v2 = draw_in_ball(params, 5.0, rng), draw_in_ball(params, 5.0, rng)
@@ -198,14 +196,14 @@ class TestBregmanGap:
             lin = stencil.linearize(v1)
             reg_grad1 = 2.0 * beta * space.apply_gram(v1)
             want = []
-            for p in sweep:
-                j1 = data_term(p, r1) + reg1
-                j2 = data_term(p, r2) + reg2
-                g1 = 2.0 * lin.adjoint(p.core_weight * r1)
+            for w in weights:
+                j1 = data_term(w, r1) + reg1
+                j2 = data_term(w, r2) + reg2
+                g1 = 2.0 * lin.adjoint(w * r1)
                 g1 += reg_grad1
                 g1[mask.trace_pos] = 0.0
                 want.append(j2 - j1 - float(np.sum(g1 * h)))
-            gaps, h1, hk = bregman_gap(sweep, v1, v2)
+            gaps, h1, hk = bregman_gap(params, v1, v2, weights)
             assert gaps == want
             assert (h1, hk) == (params.inner_h1_space.norm_sq(h), space.norm_sq(h))
 
@@ -215,24 +213,23 @@ class TestBregmanGap:
         bad = u1.copy()
         bad[mask.deriv_pos] += 0.5
         with pytest.raises(ConstraintViolationError):
-            bregman_gap([params], u1, bad)
+            bregman_gap(params, u1, bad)
 
-    def test_margin_grows_with_lambda(self, rng):
+    def test_margin_grows_over_lambda(self, rng):
         """The certificate margin improves monotonically over the lambda sweep
         on paired samples (the convexification effect)."""
         _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
         data = case_params.data
         min_margins = []
         for lam in (1.0, 2.0, 4.0, 8.0):
-            params = FunctionalParams(op=op, weight=WeightSpec(level=mask.level, lam=lam),
-                                      mask=mask, space=space, beta=1e-3, data=data,
-                                      beta_policy="keep")
+            params = FunctionalParams(op=op, lam=lam, mask=mask, space=space, beta=1e-3,
+                                      data=data, beta_policy="keep")
             rng_local = np.random.default_rng(99)
             worst = np.inf
             for _ in range(10):
                 u1 = draw_in_ball(params, 5.0, rng_local)
                 u2 = draw_in_ball(params, 5.0, rng_local)
-                (gap,), _, hk = bregman_gap([params], u1, u2)
+                (gap,), _, hk = bregman_gap(params, u1, u2)
                 worst = min(worst, gap - 0.5 * params.beta * hk)
             min_margins.append(worst)
         assert all(b >= a * 0.99 for a, b in zip(min_margins, min_margins[1:]))
@@ -242,18 +239,18 @@ class TestCarlemanRatio:
     def test_zero_field_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         with pytest.raises(ConfigError, match="nonzero"):
-            carleman_ratio(op, params.weight, mask, np.zeros(mask.dofs.size))
+            carleman_ratio(op, params.lam, mask, np.zeros(mask.dofs.size))
 
     def test_support_violation_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         with pytest.raises(ConfigError, match="support"):
-            carleman_ratio(op, params.weight, mask, np.ones(mask.dofs.size))
+            carleman_ratio(op, params.lam, mask, np.ones(mask.dofs.size))
 
     def test_scaling_invariance(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         h = random_compact_bump(mask, rng)
-        r1 = carleman_ratio(op, params.weight, mask, h)
-        r2 = carleman_ratio(op, params.weight, mask, 2.0 * h)
+        r1 = carleman_ratio(op, params.lam, mask, h)
+        r2 = carleman_ratio(op, params.lam, mask, 2.0 * h)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     @pytest.mark.parametrize("case_id", ["ELL2D-CUBIC", "PAR1D-CUBIC", "HYP1D-QUAD"])
@@ -261,10 +258,9 @@ class TestCarlemanRatio:
         _, grid, mask, op, space, params, _ = make_problem(case_id)
         floor = np.inf
         for lam in (1.0, 2.0, 4.0):
-            weight = WeightSpec(level=mask.level, lam=lam)
             for _ in range(5):
                 h = random_compact_bump(mask, rng)
-                floor = min(floor, carleman_ratio(op, weight, mask, h))
+                floor = min(floor, carleman_ratio(op, lam, mask, h))
         assert floor > 0.0
 
 
@@ -277,7 +273,7 @@ class TestBetaPolicy:
     def test_clamp_policy(self, caplog):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", beta=2.0,
                                                            beta_policy="clamp")
-        lo, hi = beta_window(params.weight.lam, mask.epsilon)
+        lo, hi = beta_window(params.lam, mask.epsilon)
         assert lo < params.beta < hi
 
     def test_keep_policy(self):

@@ -7,9 +7,14 @@ from convexcauchy.grid import (
     LevelSpec,
     build_grid,
     classify_nodes,
-    level_value,
+    level_values,
     shift,
 )
+
+
+def level_at(spec, point):
+    """The level function at a single point."""
+    return float(level_values(spec, np.asarray(point, dtype=float)))
 
 
 class TestBuildGrid:
@@ -41,29 +46,29 @@ class TestBuildGrid:
 class TestLevelValue:
     def test_elliptic_point(self):
         spec = LevelSpec(family="elliptic", a=0.2, c=0.4, nu=2.0, x_width=1.0)
-        assert level_value(spec, (0.0, 0.0)) == pytest.approx(25.0)
+        assert level_at(spec, (0.0, 0.0)) == pytest.approx(25.0)
         assert spec.threshold == pytest.approx(0.4 ** (-2))
 
     def test_hyperbolic_point(self):
         spec = LevelSpec(family="hyperbolic", c=0.02, eta=0.25, x0=(0.5,))
-        assert level_value(spec, (0.9, 0.4)) == pytest.approx(0.16 - 0.04)
+        assert level_at(spec, (0.9, 0.4)) == pytest.approx(0.16 - 0.04)
         assert spec.threshold == 0.02
 
     def test_parabolic_adds_time_term(self):
         spec = LevelSpec(family="parabolic", a=0.2, c=0.4, nu=1.0, x_width=1.0, t_span=2.0)
-        base_only = level_value(spec, (0.1, 0.0, 0.0))
-        with_time = level_value(spec, (0.1, 0.0, 1.0))
+        base_only = level_at(spec, (0.1, 0.0, 0.0))
+        with_time = level_at(spec, (0.1, 0.0, 1.0))
         assert with_time == pytest.approx(1.0 / (0.1 + 0.25 + 0.2))
         assert with_time < base_only
 
     def test_generic_callable(self):
         spec = LevelSpec(family="generic", c=0.3, xi_fn=lambda p: 1.0 - p[..., 0])
-        assert level_value(spec, (0.25, 0.9)) == pytest.approx(0.75)
+        assert level_at(spec, (0.25, 0.9)) == pytest.approx(0.75)
 
     def test_nonpositive_base_guarded(self):
         spec = LevelSpec(family="elliptic", a=0.2, c=0.4, nu=2.0, x_width=1.0)
         with pytest.raises(GeometryError):
-            level_value(spec, (-0.5, 0.0))
+            level_at(spec, (-0.5, 0.0))
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):

@@ -17,10 +17,12 @@ from convexcauchy.harness import (
     add_noise,
     build_setup,
     emit_report,
+    error_norms,
     evaluate_expression,
     field_table,
     load_problem,
 )
+from convexcauchy.sobolev import SobolevSpace
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -50,7 +52,7 @@ class TestLoadProblem:
             functional={"beta": 2.0, "beta_policy": "clamp"})))
         with caplog.at_level(logging.WARNING, logger="convexcauchy.functional"):
             setup = load_problem(path)
-        lo, hi = beta_window(setup.weight.lam, setup.mask.epsilon)
+        lo, hi = beta_window(setup.params.lam, setup.mask.epsilon)
         assert lo < setup.params.beta < hi
         assert any("clamped" in rec.message for rec in caplog.records)
 
@@ -284,6 +286,15 @@ class TestDataFile:
             tmp_path, lambda r: [("g2" if a == "g1" else a, b, c) for a, b, c in r]) == 1
         assert "'g2'" in caplog.text
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_value_exits_one(self, tmp_path, caplog, value):
+        """A value that is not finite is refused where it is read, naming its
+        file and line (line 2 is the first row after the header)."""
+        assert self._certify_csv(tmp_path, lambda r: [(r[0][0], r[0][1], float(value))]
+                                 + r[1:]) == 1
+        assert (f"data file {tmp_path / 'trace.csv'}, line 2: value '{value}' is not finite"
+                in caplog.text)
+
     def test_csv_header_only_exits_one(self, tmp_path, caplog):
         assert self._certify_csv(tmp_path, lambda r: []) == 1
         assert "nodes of its trace layer" in caplog.text
@@ -295,6 +306,40 @@ class TestDataFile:
                "data": {"file": str(bad)}}
         with pytest.raises(ConfigError, match="malformed"):
             build_setup(cfg)
+
+
+def _six_space_errors(setup, u):
+    """error_norms with a Sobolev space of its own per norm and region: L2
+    from the order-1 space's quadrature weights, H1 and H^k from their norms."""
+    mask, star = setup.mask, setup.u_star
+    diff = u - star
+    window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
+    out = {}
+    for region, subset in (("subdomain", mask.in_mask), ("inner", window)):
+        for name, order in (("l2", None), ("h1", 1), ("hk", setup.space.order)):
+            space = SobolevSpace(mask, order=order if order else 1, node_subset=subset)
+            if order is None:
+                weights = mask.gather(space.weights)
+                num = float(np.sqrt(np.sum(diff**2 * weights)))
+                den = float(np.sqrt(np.sum(star**2 * weights)))
+            else:
+                num, den = space.norm(diff), space.norm(star)
+            out[f"{name}_{region}"] = num / den if den > 0 else float("nan")
+    return out
+
+
+class TestErrorNorms:
+    @pytest.mark.parametrize("cfg", [
+        json.loads((CONFIG_DIR / "ell2d_cubic_solve.json").read_text()),
+        json.loads((CONFIG_DIR / "ell2d_harmonic_reconstruct.json").read_text()),
+    ] + [{"case": case_id} for case_id in CATALOG_IDS],
+        ids=["ell2d_cubic_solve", "ell2d_harmonic_reconstruct"] + CATALOG_IDS)
+    def test_equal_to_one_space_per_norm(self, cfg):
+        """L2 and H1 read off the H^k space's leading monomials are the norms
+        of their own spaces, bit for bit."""
+        setup = build_setup(cfg)
+        u = data_extension(setup.space, setup.params.data)
+        assert error_norms(setup, u) == _six_space_errors(setup, u)
 
 
 class TestNoise:
@@ -528,6 +573,13 @@ CROSS_KEY_VALUES = [
      "config field level: focal point component x0[0]=5.0 lies outside"),
     ("operator.mu=[2.0, 3.0]", {"operator": {"id": "linear", "mu": [2.0, 3.0]}},
      "config field operator: ellipticity bounds violated"),
+    # a11 dips below mu1 on 3 of the 1010 masked nodes, which node sampling missed
+    ("operator.principal=local-dip", {
+        "grid": {"resolution": [129, 129]},
+        "operator": {"id": "cubic", "q": "(x0 * x0 - x1 * x1 + 3.0) ** 3",
+                     "principal": [["1 - 0.8*exp(-3000*((x0-0.1)**2 + x1**2))", 0], [0, 1]],
+                     "mu": [0.5, 1.0]}},
+     "config field operator: ellipticity bounds violated: eigenvalues in [0.205838, 1]"),
     ("family=parabolic", {"family": "parabolic"},
      "config field family: case ELL2D-CUBIC is elliptic, not parabolic"),
     ("optimizer.gamma=1.5-fixed", {"optimizer": {"step_mode": "fixed", "gamma": 1.5}},

@@ -16,7 +16,6 @@ from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import OperatorStencil, QuasilinearOperator, lower_cubic
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
-from convexcauchy.weights import WeightSpec
 
 
 def _data_from(u_vals, mask):
@@ -76,8 +75,8 @@ class TestHyperbolic2Plus1:
         space = SobolevSpace(mask)
         assert space.order == 3
         params = FunctionalParams(
-            op=op, weight=WeightSpec(level=mask.level, lam=1.5), mask=mask,
-            space=space, beta=1e-2, data=_data_from(u_vals, mask), beta_policy="keep")
+            op=op, lam=1.5, mask=mask, space=space, beta=1e-2, data=_data_from(u_vals, mask),
+            beta_policy="keep")
         rng = np.random.default_rng(42)
         _fd_gradient_check(params, data_extension(space, params.data), rng)
 
@@ -116,8 +115,8 @@ class TestParabolic2Plus1:
         grid, mask, op, u_star = par2d_setup
         space = SobolevSpace(mask)
         params = FunctionalParams(
-            op=op, weight=WeightSpec(level=mask.level, lam=1.5), mask=mask,
-            space=space, beta=1e-2, data=_data_from(u_star, mask), beta_policy="keep")
+            op=op, lam=1.5, mask=mask, space=space, beta=1e-2, data=_data_from(u_star, mask),
+            beta_policy="keep")
         rng = np.random.default_rng(43)
         _fd_gradient_check(params, data_extension(space, params.data), rng)
 

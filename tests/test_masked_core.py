@@ -33,7 +33,6 @@ from convexcauchy.operators import (
 )
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
-from convexcauchy.weights import WeightSpec
 
 REL_SUM = 1e-13
 REL_MATRIX = 1e-12
@@ -126,8 +125,7 @@ def problem(request):
     space = SobolevSpace(mask)
     trace = 1.0 + 0.3 * np.sin(mask.grid.coords().sum(axis=-1))
     data = CauchyData(g0=trace[mask.value_layer], g1=trace[mask.deriv_layer])
-    params = FunctionalParams(op=op, weight=WeightSpec(level=mask.level, lam=2.0),
-                              mask=mask, space=space, beta=0.1, data=data,
+    params = FunctionalParams(op=op, lam=2.0, mask=mask, space=space, beta=0.1, data=data,
                               beta_policy="keep")
     return params
 

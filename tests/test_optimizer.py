@@ -9,13 +9,7 @@ import pytest
 from conftest import make_problem
 from convexcauchy import cli, optimizer
 from convexcauchy.errors import ConfigError, SolverError
-from convexcauchy.functional import (
-    CauchyData,
-    FunctionalParams,
-    data_extension,
-    evaluate,
-    gradient,
-)
+from convexcauchy.functional import FunctionalParams, data_extension, evaluate, gradient
 from convexcauchy.harness import history_rows, load_problem
 from convexcauchy.operators import OperatorStencil
 from convexcauchy.optimizer import (
@@ -28,7 +22,6 @@ from convexcauchy.optimizer import (
 )
 from convexcauchy.sampling import draw_in_ball
 from convexcauchy.sobolev import SobolevSpace
-from convexcauchy.weights import WeightSpec
 
 SOLVE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ell2d_cubic_solve.json"
 DIRECT_CONFIG = SOLVE_CONFIG.with_name("ell2d_harmonic_reconstruct.json")
@@ -327,7 +320,7 @@ class TestConvergenceRatio:
 class TestCertificate:
     def test_linear_operator_never_fails(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-HARMONIC", beta=0.2)
-        (report,) = convexity_certificate([params], radius=150.0, samples=15, seed=5)
+        (report,) = convexity_certificate(params, radius=150.0, samples=15, seed=5)
         assert report.failures == 0
         assert report.passed
         assert report.min_margin >= 0.0
@@ -335,14 +328,14 @@ class TestCertificate:
     def test_zero_samples_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         with pytest.raises(ConfigError):
-            convexity_certificate([params], radius=5.0, samples=0, seed=1)
+            convexity_certificate(params, radius=5.0, samples=0, seed=1)
 
     def test_deterministic_under_seed(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        (r1,) = convexity_certificate([params], radius=5.0, samples=8, seed=11)
-        (r2,) = convexity_certificate([params], radius=5.0, samples=8, seed=11)
+        (r1,) = convexity_certificate(params, radius=5.0, samples=8, seed=11)
+        (r2,) = convexity_certificate(params, radius=5.0, samples=8, seed=11)
         assert r1.margins == r2.margins
-        (r3,) = convexity_certificate([params], radius=5.0, samples=8, seed=12)
+        (r3,) = convexity_certificate(params, radius=5.0, samples=8, seed=12)
         assert r1.margins != r3.margins
 
     def test_sweep_matches_single_lambda_runs(self):
@@ -350,36 +343,25 @@ class TestCertificate:
         lambda, exactly the report of a run at that lambda alone."""
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", beta=1e-3)
         lambdas = (1.0, 2.0, 4.0, 8.0)
-        swept = [params.with_lambda(lam) for lam in lambdas]
-        assert all(p.stencil is params.stencil for p in swept)
-        sweep = convexity_certificate(swept, radius=5.0, samples=12, seed=7)
+        sweep = convexity_certificate(params, radius=5.0, samples=12, seed=7, lambdas=lambdas)
         assert [r.lam for r in sweep] == list(lambdas)
         for lam, rep in zip(lambdas, sweep):
             alone = FunctionalParams(
-                op=op, weight=WeightSpec(level=mask.level, lam=lam), mask=mask, space=space,
+                op=op, lam=lam, mask=mask, space=space,
                 beta=params.beta, data=params.data, beta_policy="keep")
-            (single,) = convexity_certificate([alone], radius=5.0, samples=12, seed=7)
+            (single,) = convexity_certificate(alone, radius=5.0, samples=12, seed=7)
             for key in ("margins", "gaps", "h1_inner_terms", "hk_terms", "failures",
                         "min_margin"):
                 assert getattr(rep, key) == getattr(single, key), (lam, key)
 
-    def test_sweep_params_must_share_the_problem(self):
+    def test_empty_lambda_list_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        other_beta = FunctionalParams(op=op, weight=params.weight, mask=mask, space=space,
-                                      beta=2.0 * params.beta, data=params.data,
-                                      beta_policy="keep")
-        copied = CauchyData(params.data.g0.copy(), params.data.g1.copy())
-        other_data = FunctionalParams(op=op, weight=params.weight, mask=mask, space=space,
-                                      beta=params.beta, data=copied, beta_policy="keep")
-        for other in (other_beta, other_data):
-            with pytest.raises(ConfigError, match="share"):
-                convexity_certificate([params, other], radius=5.0, samples=2, seed=1)
-        with pytest.raises(ConfigError):
-            convexity_certificate([], radius=5.0, samples=2, seed=1)
+        with pytest.raises(ConfigError, match="at least one lambda"):
+            convexity_certificate(params, radius=5.0, samples=2, seed=1, lambdas=[])
 
     def test_margin_quantiles(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        (rep,) = convexity_certificate([params], radius=5.0, samples=20, seed=3)
+        (rep,) = convexity_certificate(params, radius=5.0, samples=20, seed=3)
         q = rep.to_dict()["margin_quantiles"]
         assert q["min"] == rep.min_margin == min(rep.margins)
         assert q["median"] == float(np.median(rep.margins))
@@ -387,7 +369,7 @@ class TestCertificate:
 
     def test_report_serializable(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        (rep,) = convexity_certificate([params], radius=5.0, samples=4, seed=2)
+        (rep,) = convexity_certificate(params, radius=5.0, samples=4, seed=2)
         d = rep.to_dict()
         assert d["samples"] == 4
         assert len(d["margins"]) == 4

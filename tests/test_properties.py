@@ -22,7 +22,6 @@ from convexcauchy.operators import QuasilinearOperator, lower_cubic, lower_grad_
 from convexcauchy.optimizer import OptimizerConfig, run
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
-from convexcauchy.weights import WeightSpec
 
 
 def _source(points):
@@ -57,7 +56,7 @@ def problems(draw):
     trace = 1.0 + 0.3 * np.sin(grid.coords().sum(axis=-1))
     params = FunctionalParams(
         op=QuasilinearOperator(family="elliptic", dim=2, lower=lower),
-        weight=WeightSpec(level=mask.level, lam=1.0), mask=mask, space=SobolevSpace(mask),
+        lam=1.0, mask=mask, space=SobolevSpace(mask),
         beta=0.1, data=CauchyData(g0=trace[mask.value_layer], g1=trace[mask.deriv_layer]),
         beta_policy="keep",
     )
