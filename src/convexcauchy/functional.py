@@ -158,18 +158,20 @@ def _windowed_beta(beta: float, lam: float, epsilon: float, policy: str) -> floa
 
 def _core_weight(mask: DomainMask, lam: float) -> np.ndarray:
     """Fused weight * quadrature factor of the data term, on the core nodes."""
-    return (mask_weight_sq(mask, lam) * mask.quad_weight)[mask.is_core]
+    return mask_weight_sq(mask, lam, mask.is_core) * mask.quad_weight[mask.is_core]
 
 
 class Evaluation(float):
     """J at a field, as a float, that also keeps what the gradient there
     reuses: the field (`point`), its residual on the core nodes, its H^k
-    monomial differences and its squared H^k norm."""
+    monomial differences and its squared H^k norm. gradient(..., at=this)
+    records the Euclidean gradient there as `euclidean_gradient`."""
 
     point: np.ndarray
     residual: np.ndarray
     differences: list[np.ndarray]
     norm_sq: float
+    euclidean_gradient: np.ndarray | None = None
 
 
 def evaluate(params: FunctionalParams, v: np.ndarray) -> Evaluation:
@@ -198,7 +200,9 @@ def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
     sobolev:   the Riesz representative of the same functional in H^k.
 
     `at`, when given, is evaluate(params, v): its residual and differences
-    are reused instead of recomputed.
+    are reused instead of recomputed, and the Euclidean gradient is recorded
+    on it (so the dual norm of a Sobolev gradient g is one pairing,
+    sum(at.euclidean_gradient * g)).
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
@@ -211,6 +215,8 @@ def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
         raise ConfigError("the evaluation passed as `at` is of another field")
     g = _assemble_gradient(params.mask, params.stencil.linearize(v), params.core_weight * r,
                            2.0 * params.beta * params.space.apply_gram(v, diffs))
+    if at is not None:
+        at.euclidean_gradient = g
     return g if mode == "euclidean" else params.space.riesz(g)
 
 

@@ -81,11 +81,22 @@ class Grid:
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + np.arange(self.shape[axis]) * self.spacing[axis]
 
-    def coords(self) -> np.ndarray:
-        """All node coordinates, shape (*grid.shape, dim)."""
-        axes = [self.axis_coords(j) for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+    def coords(self, nodes: np.ndarray | None = None) -> np.ndarray:
+        """Node coordinates: of every node, shape (*grid.shape, dim), or of the
+        True nodes of the boolean array `nodes`, shape (count, dim) in C order.
+
+        The second form is bit-identical to coords()[nodes] without building
+        the full-grid array: each coordinate is read off axis_coords at the
+        node's index along that axis.
+        """
+        if nodes is None:
+            axes = [self.axis_coords(j) for j in range(self.dim)]
+            return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        if np.shape(nodes) != self.shape:
+            raise ConfigError(f"node array of shape {np.shape(nodes)} does not match "
+                              f"grid {self.shape}")
+        index = np.unravel_index(np.flatnonzero(nodes), self.shape)
+        return np.stack([self.axis_coords(j)[i] for j, i in enumerate(index)], axis=-1)
 
     def bounds(self) -> list[tuple[float, float]]:
         return [

@@ -414,7 +414,7 @@ def build_setup(cfg: dict) -> ProblemSetup:
         u_star, clean = None, load_cauchy_csv(Path(data_cfg["file"]), mask)
     else:
         _require(bool(case), "data", "needs a case id or a data file")
-        u_star = evaluate_expression(case["u_star"], grid.coords()[mask.in_mask],
+        u_star = evaluate_expression(case["u_star"], grid.coords(mask.in_mask),
                                      family in TIME_FAMILIES)
         clean = CauchyData(u_star[mask.value_pos], u_star[mask.deriv_pos])
     with _section("data"):
@@ -508,8 +508,7 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
     derivative-layer node; rows on other nodes are ignored with a warning.
     """
     n = mask.grid.node_count
-    values = {"g0": np.zeros(n), "g1": np.zeros(n)}
-    seen = {"g0": np.zeros(n, bool), "g1": np.zeros(n, bool)}
+    given = {"g0": {}, "g1": {}}  # per layer name: flat node index -> value, the last row wins
     try:
         with open(path, newline="") as fh:
             for line, row in enumerate(csv.DictReader(fh), start=2):
@@ -519,30 +518,29 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
                 if not math.isfinite(val):
                     raise ConfigError(f"data file {path}, line {line}: value "
                                       f"{row['value'].strip()!r} is not finite")
-                if which not in values:
+                if which not in given:
                     raise ConfigError(f"data file {path}, line {line}: layer {which!r} "
                                       "is neither 'g0' nor 'g1'")
                 if not 0 <= idx < n:
                     raise ConfigError(f"data file {path}, line {line}: index {idx} "
                                       f"outside the grid's {n} nodes")
-                values[which][idx] = val
-                seen[which][idx] = True
+                given[which][idx] = val
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed data file {path}: {exc}") from exc
-    ignored = 0
+    ignored, data = 0, {}
     for name, layer in (("g0", mask.value_layer), ("g1", mask.deriv_layer)):
-        on = layer.ravel()
-        covered = int(np.sum(seen[name][on]))
-        if covered < on.sum():
+        nodes = np.flatnonzero(layer).tolist()
+        covered = sum(idx in given[name] for idx in nodes)
+        if covered < len(nodes):
             raise ConfigError(f"data file {path} gives {name} on {covered} "
-                              f"of the {int(on.sum())} nodes of its trace layer")
-        ignored += int(np.sum(seen[name][~on]))
+                              f"of the {len(nodes)} nodes of its trace layer")
+        ignored += len(given[name]) - covered
+        data[name] = np.array([given[name][idx] for idx in nodes], dtype=float)
     if ignored:
         logger.warning("data file %s: ignored %d rows off their trace layer", path, ignored)
-    return CauchyData(g0=values["g0"][mask.value_layer.ravel()],
-                      g1=values["g1"][mask.deriv_layer.ravel()])
+    return CauchyData(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +564,7 @@ def error_norms(setup: ProblemSetup, u: np.ndarray) -> dict | None:
     out = {}
     for region, space in (("subdomain", setup.space),
                           ("inner", SobolevSpace(mask, order=order, node_subset=window))):
-        weights = mask.gather(space.weights)
-        num, den = ([float(np.sum(d * d * weights)) for d in space.differences(x)]
+        num, den = ([float(np.sum(d * d * space.dof_weights)) for d in space.differences(x)]
                     for x in (u - star, star))
         for name, count in (("l2", 1), ("h1", 1 + mask.grid.dim), ("hk", len(num))):
             num_k, den_k = (float(np.sqrt(max(sum(terms[:count]), 0.0))) for terms in (num, den))
@@ -579,7 +576,7 @@ def field_table(setup: ProblemSetup, u: np.ndarray) -> list[dict]:
     """One row per masked node of the DOF vector u: coordinates, label, u,
     exact value, error."""
     inside = setup.mask.in_mask
-    columns = {f"x{j}": col for j, col in enumerate(setup.grid.coords()[inside].T.tolist())}
+    columns = {f"x{j}": col for j, col in enumerate(setup.grid.coords(inside).T.tolist())}
     label_names = np.array([label.name.lower() for label in sorted(Label)])
     columns["label"] = label_names[setup.mask.label[inside]].tolist()
     columns["u"] = u.tolist()

@@ -172,7 +172,7 @@ class QuasilinearOperator:
 def validate_operator(op: QuasilinearOperator, mask: DomainMask) -> None:
     """Check symmetry and ellipticity bounds, or the hyperbolic conditions, at
     every core node (where the stencil reads the coefficients)."""
-    pts = mask.grid.coords()[mask.is_core]
+    pts = mask.grid.coords(mask.is_core)
     slack = 1e-9
 
     if op.family in ("elliptic", "parabolic"):
@@ -244,7 +244,7 @@ class OperatorStencil:
         self.mask = mask
         grid = mask.grid
         core = mask.is_core
-        self.points = grid.coords()[core]
+        self.points = grid.coords(core)
         n_core = self.points.shape[0]
         self.second_pure: list[tuple[int, np.ndarray]] = []
         self.second_mixed: list[tuple[int, int, np.ndarray]] = []

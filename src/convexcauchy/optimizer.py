@@ -107,9 +107,12 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     progress is possible). Line-search failure and divergence in fixed mode
     raise SolverError.
 
-    The iterates, the gradients and `final` are DOF vectors. In sobolev mode
-    the gradient norm is the H^k norm of the Riesz representative, which
-    equals its Euclidean pairing with the raw gradient (the dual norm).
+    The iterates, the gradients and `final` are DOF vectors. The gradient
+    norm is the dual norm: the square root of the Euclidean pairing of the
+    raw gradient with the step direction g, which is also the slope the
+    Armijo test uses. In sobolev mode it equals the H^k norm of the Riesz
+    representative g up to the rounding of the factorized Gram matrix, at
+    the cost of one dot product instead of a differences pass.
     `iterations` counts gradient evaluations, len(grad_norm_history). At the
     iteration cap j_history also ends with the J of the last accepted step.
     Each iterate is evaluated once: the gradient and the H^k norm of an
@@ -134,7 +137,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
 
     for it in range(config.max_iters):
         g = check_finite(gradient(params, u, config.mode, at=j), "gradient")
-        gsq = float(np.sum(g * g)) if config.mode == "euclidean" else space.norm_sq(g)
+        gsq = float(np.sum(j.euclidean_gradient * g))  # the dual norm, squared
         gnorm = float(np.sqrt(max(gsq, 0.0)))
         unorm = float(np.sqrt(max(j.norm_sq, 0.0)))  # = space.norm(u)
 
@@ -236,7 +239,9 @@ def direct_solve(params: FunctionalParams) -> RunReport:
 
     Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
     free degrees of freedom, where u_c carries the Cauchy data and L is the
-    residual's (constant) linearization, a core-node x DOF matrix. The report
+    residual's (constant) linearization, a core-node x DOF matrix. The system
+    is assembled on the free DOFs only, from the free columns of L and the
+    constrained Gram matrix; no DOF x DOF Hessian is formed. The report
     has 0 iterations and one history row at the minimizer (`final`): J, the
     Euclidean gradient norm and the H^k norm. Raises ConfigError for
     operators whose lower-order term actually depends on the field.
@@ -249,10 +254,10 @@ def direct_solve(params: FunctionalParams) -> RunReport:
         )
     mask, space = params.mask, params.space
     v = params.impose_dofs(np.zeros(mask.dofs.size))
-    lmat = params.stencil.linearize(v).to_matrix()
-    hess = (lmat.T @ sp.diags(params.core_weight) @ lmat + params.beta * space.gram_matrix()).tocsr()
     free = mask.free_pos
-    v[free] += spd_factorized(hess[free][:, free])(-0.5 * gradient(params, v)[free])
+    lmat = params.stencil.linearize(v).to_matrix()[:, free]
+    hess = lmat.T @ sp.diags(params.core_weight) @ lmat + params.beta * space.constrained_gram()
+    v[free] += spd_factorized(hess)(-0.5 * gradient(params, v)[free])
 
     j = evaluate(params, v)
     g = gradient(params, v, at=j)

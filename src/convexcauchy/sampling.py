@@ -82,7 +82,7 @@ def random_compact_bump(mask: DomainMask, rng: np.random.Generator,
         [grid.origin[j] + center_idx[j] * grid.spacing[j] for j in range(grid.dim)]
     )
     widths = width_cells * np.asarray(grid.spacing)
-    dist_sq = np.sum(((grid.coords()[mask.in_mask] - center) / widths) ** 2, axis=-1)
+    dist_sq = np.sum(((grid.coords(mask.in_mask) - center) / widths) ** 2, axis=-1)
     vals = np.exp(-dist_sq)
     vals[~eroded[mask.in_mask]] = 0.0
     return vals

@@ -61,7 +61,9 @@ class SobolevSpace:
     yields the corresponding local norm; it must lie inside the mask.
 
     Every method takes and returns masked DOF vectors (see DomainMask), and
-    the assembled matrices are DOF x DOF. Every monomial is a chain of
+    the assembled matrices are DOF x DOF. The quadrature weight of each DOF,
+    zero off the node subset, is the vector `dof_weights`; `weights` is its
+    full-grid form, built on demand. Every monomial is a chain of
     first differences (v[p + e] - v[p]) / h taken through gather tables,
     never a precombined multi-axis stencil: for smooth fields the nested
     differences are nearly exact in floating point, and a summed stencil is
@@ -80,16 +82,15 @@ class SobolevSpace:
             raise GeometryError("Sobolev space over an empty node set")
         if np.any(self.nodes & ~mask.in_mask):
             raise ConfigError("Sobolev node subset reaches outside the mask")
-        self.weights = np.where(self.nodes, mask.quad_weight, 0.0)
         self.monomials = difference_monomials(self.grid.dim, self.order)
         inside = mask.in_mask
         self._gram_matrix = None
         self._free_solve = None
 
-        self._dof_weights = self.weights[inside]
+        self.dof_weights = np.where(self.nodes[inside], mask.quad_weight[inside], 0.0)
         # a DOF without a forward neighbour along an axis points at itself:
         # its raw difference reads 0 there and is zeroed by validity anyway
-        rows = np.arange(self._dof_weights.size)
+        rows = np.arange(self.dof_weights.size)
         self._forward = [np.where(table < rows.size, table, rows) for table in
                          (neighbor_table(inside, axis_offset(self.grid.dim, a))
                           for a in range(self.grid.dim))]
@@ -116,12 +117,18 @@ class SobolevSpace:
             forward = self._forward[axis]
             self._dof_valid.append(box & box[forward] & (forward != rows))
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Full-grid form of dof_weights (zero off the node set), built on each
+        access; the library itself reads only the DOF vector."""
+        return self.mask.scatter(self.dof_weights)
+
     def differences(self, v: np.ndarray) -> list[np.ndarray]:
         """Forward-difference monomials of a DOF vector, in `monomials` order,
         zeroed where the stencil box leaves the node set."""
-        if np.shape(v) != self._dof_weights.shape:
+        if np.shape(v) != self.dof_weights.shape:
             raise ConfigError(f"field of shape {np.shape(v)} is not a DOF vector of the "
-                              f"space's {self._dof_weights.size} masked nodes")
+                              f"space's {self.dof_weights.size} masked nodes")
         raw, out = [], []
         for (parent, axis), valid in zip(self._chain, self._dof_valid):
             if parent is None:
@@ -140,7 +147,7 @@ class SobolevSpace:
     def _pair(self, dv: list[np.ndarray], dw: list[np.ndarray]) -> float:
         total = 0.0
         for a, b in zip(dv, dw):
-            total += float(np.sum(a * b * self._dof_weights))
+            total += float(np.sum(a * b * self.dof_weights))
         return total
 
     def norm_sq(self, v: np.ndarray, differences: list[np.ndarray] | None = None) -> float:
@@ -161,7 +168,7 @@ class SobolevSpace:
         if differences is None:
             differences = self.differences(v)
         for beta, d in zip(self.monomials, differences):
-            x = self._dof_weights * d
+            x = self.dof_weights * d
             for axis in reversed(range(self.grid.dim)):
                 h = self.grid.spacing[axis]
                 for _ in range(beta[axis]):
@@ -201,12 +208,20 @@ class SobolevSpace:
                     (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
                      (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),
                     shape=(n, n)))
+            # a chain matrix is kept only until its last child is built
+            last_child = {parent: k for k, (parent, _) in enumerate(self._chain)
+                          if parent is not None}
             gram = sp.csr_matrix((n, n))
-            raw = []
-            for (parent, axis), valid in zip(self._chain, self._dof_valid):
-                bmat = sp.identity(n, format="csr") if parent is None else steps[axis] @ raw[parent]
-                raw.append(bmat)
-                gram = gram + bmat.T @ sp.diags(self._dof_weights * valid) @ bmat
+            raw = {}
+            for k, ((parent, axis), valid) in enumerate(zip(self._chain, self._dof_valid)):
+                if parent is None:
+                    bmat = sp.identity(n, format="csr")
+                else:
+                    bmat = steps[axis] @ (raw[parent] if last_child[parent] > k
+                                          else raw.pop(parent))
+                if k in last_child:
+                    raw[k] = bmat
+                gram = gram + bmat.T @ sp.diags(self.dof_weights * valid) @ bmat
             self._gram_matrix = gram.tocsr()
         return self._gram_matrix
 

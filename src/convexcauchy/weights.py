@@ -24,20 +24,21 @@ from .grid import DomainMask, Label
 _MAX_EXPONENT = 700.0
 
 
-def mask_weight_sq(mask: DomainMask, lam: float) -> np.ndarray:
-    """The fused squared weight at strength lam on every masked node; zero
-    outside the mask. lam must be a finite number >= 1."""
+def mask_weight_sq(mask: DomainMask, lam: float,
+                   nodes: np.ndarray | None = None) -> np.ndarray:
+    """The fused squared weight at strength lam: on every node, zero outside
+    the mask, or on the True nodes of `nodes` (masked nodes only), in C
+    order. lam must be a finite number >= 1; the overflow check covers
+    every masked node either way."""
     if not (np.isfinite(lam) and lam >= 1.0):
         raise ConfigError(f"weight strength lambda must be a finite number >= 1, got {lam}")
-    expo = 2.0 * lam * (mask.ell - mask.theta - mask.epsilon)
-    inside = expo[mask.in_mask]
-    if np.any(inside > _MAX_EXPONENT):
-        raise WeightOverflowError(
-            lam, float(np.max(mask.ell[mask.in_mask])), float(np.max(inside))
-        )
-    out = np.zeros(mask.grid.shape, dtype=float)
-    out[mask.in_mask] = np.exp(inside)
-    return out
+    ell = mask.gather(mask.ell)
+    expo = 2.0 * lam * (ell - mask.theta - mask.epsilon)
+    if np.any(expo > _MAX_EXPONENT):
+        raise WeightOverflowError(lam, float(np.max(ell)), float(np.max(expo)))
+    if nodes is None:
+        return mask.scatter(np.exp(expo))
+    return np.exp(expo[nodes[mask.in_mask]])
 
 
 def weight_extrema(mask: DomainMask, lam: float) -> tuple[float, float, Label]:
@@ -48,9 +49,7 @@ def weight_extrema(mask: DomainMask, lam: float) -> tuple[float, float, Label]:
     """
     if not np.any(mask.in_mask):
         raise GeometryError("weight extrema of an empty mask")
-    logw = lam * mask.ell
-    flat = np.flatnonzero(mask.in_mask.ravel())
-    vals = logw.ravel()[flat]
-    i_min = flat[int(np.argmin(vals))]
+    vals = lam * mask.gather(mask.ell)
+    i_min = mask.dofs[int(np.argmin(vals))]
     argmin_label = Label(int(mask.label.ravel()[i_min]))
     return float(np.min(vals)), float(np.max(vals)), argmin_label

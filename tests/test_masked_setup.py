@@ -1,0 +1,233 @@
+"""Set-up past node classification works on the masked nodes only, and
+gives the same bits as the full-grid forms it replaces: node coordinates,
+the Gram assembly, the direct solve on the free DOFs, the data weights and
+the trace CSV reader. On a 3-D mask, where only a few percent of the nodes
+are masked, the set-up steps stay below one full-grid coordinate array of
+traced heap."""
+
+import gc
+import logging
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from convexcauchy.errors import ConfigError
+from convexcauchy.functional import gradient
+from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
+from convexcauchy.harness import build_setup, field_table, load_cauchy_csv, load_problem
+from convexcauchy.operators import OperatorStencil, validate_operator
+from convexcauchy.optimizer import direct_solve
+from convexcauchy.sobolev import SobolevSpace, spd_factorized
+from convexcauchy.weights import mask_weight_sq, weight_extrema
+
+ROOT = Path(__file__).resolve().parent.parent
+DIRECT_CONFIG = ROOT / "configs" / "ell2d_harmonic_reconstruct.json"
+
+# the 3-D elliptic cap of the direct-solve benchmark: about 2.5% of the box
+ELL3D_BOUNDS = [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]
+ELL3D_LEVEL = {"a": 0.2, "c": 0.45, "nu": 1.0, "x_width": 1.0}
+
+
+def _exact(points):
+    """A harmonic quadratic, so the Laplace residual vanishes at it."""
+    return points[..., 0] ** 2 - points[..., 1] ** 2 + 0.5 * points[..., 2] + 3.0
+
+
+@pytest.fixture(scope="module")
+def ell3d_setup(tmp_path_factory):
+    """Direct-solve problem on the 3-D cap at 33^3, its trace read from a CSV."""
+    resolution = [33, 33, 33]
+    grid = build_grid(ELL3D_BOUNDS, resolution)
+    mask = classify_nodes(grid, LevelSpec(family="elliptic", **ELL3D_LEVEL))
+    values = _exact(grid.coords()).ravel()
+    lines = ["layer,index,value"]
+    for layer, nodes in (("g0", mask.value_layer), ("g1", mask.deriv_layer)):
+        lines += [f"{layer},{idx},{float(values[idx])!r}" for idx in np.flatnonzero(nodes)]
+    trace = tmp_path_factory.mktemp("ell3d") / "trace.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    setup = build_setup({
+        "family": "elliptic", "grid": {"bounds": ELL3D_BOUNDS, "resolution": resolution},
+        "level": ELL3D_LEVEL, "operator": {"id": "linear"}, "weight": {"lambda": 2.0},
+        "functional": {"beta": 5e-3, "beta_policy": "keep"}, "solver": "direct",
+        "data": {"file": str(trace)},
+    })
+    return setup, trace
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced heap, in bytes, of one call of fn."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# -- coordinates ---------------------------------------------------------------
+
+
+@st.composite
+def _grid_and_nodes(draw):
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(3, 8), min_size=dim, max_size=dim)))
+    bounds = []
+    for _ in range(dim):
+        lo = draw(st.floats(-50.0, 50.0, allow_nan=False))
+        bounds.append((lo, lo + draw(st.floats(1e-3, 100.0))))
+    return build_grid(bounds, shape), draw(arrays(np.bool_, shape))
+
+
+@given(_grid_and_nodes())
+def test_coords_of_nodes_bit_identical(case):
+    grid, nodes = case
+    got, want = grid.coords(nodes), grid.coords()[nodes]
+    assert got.shape == want.shape == (np.count_nonzero(nodes), grid.dim)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# -- Gram assembly ---------------------------------------------------------------
+
+
+def _keep_every_chain_gram(space: SobolevSpace) -> sp.csr_matrix:
+    """The Gram assembly with every chain matrix kept to the end: the same
+    steps and sums, in the same order, as SobolevSpace.gram_matrix."""
+    n = space.mask.dofs.size
+    rows = np.arange(n)
+    steps = []
+    for axis, table in enumerate(space._forward):
+        h = space.grid.spacing[axis]
+        hit = table != rows
+        steps.append(sp.csr_matrix(
+            (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
+             (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),
+            shape=(n, n)))
+    gram = sp.csr_matrix((n, n))
+    raw = []
+    for (parent, axis), valid in zip(space._chain, space._dof_valid):
+        bmat = sp.identity(n, format="csr") if parent is None else steps[axis] @ raw[parent]
+        raw.append(bmat)
+        gram = gram + bmat.T @ sp.diags(space.dof_weights * valid) @ bmat
+    return gram.tocsr()
+
+
+@pytest.mark.parametrize("which", ["2d-h3", "3d-h3", "inner-h1"])
+def test_gram_matrix_bit_identical_to_keep_every_chain(which, ell2d_mask, ell3d_setup):
+    if which == "2d-h3":
+        space = SobolevSpace(ell2d_mask)
+    elif which == "3d-h3":
+        space = SobolevSpace(ell3d_setup[0].mask)
+    else:
+        space = SobolevSpace(ell2d_mask, order=1, node_subset=ell2d_mask.is_inner)
+    assert space.order == (1 if which == "inner-h1" else 3)
+    got, want = space.gram_matrix(), _keep_every_chain_gram(space)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# -- Sobolev weights -------------------------------------------------------------
+
+
+def test_dof_weights_are_the_full_grid_weights_on_the_mask(ell2d_mask):
+    for subset in (None, ell2d_mask.is_inner):
+        space = SobolevSpace(ell2d_mask, node_subset=subset)
+        nodes = ell2d_mask.in_mask if subset is None else subset
+        full = np.where(nodes, ell2d_mask.quad_weight, 0.0)
+        assert np.array_equal(space.weights, full)
+        assert np.array_equal(space.dof_weights, full[ell2d_mask.in_mask])
+
+
+# -- direct solve ----------------------------------------------------------------
+
+
+def _full_hessian_solve(params) -> np.ndarray:
+    """The direct solve through the DOF x DOF Hessian, sliced to the free DOFs."""
+    mask, space = params.mask, params.space
+    v = params.impose_dofs(np.zeros(mask.dofs.size))
+    lmat = params.stencil.linearize(v).to_matrix()
+    hess = (lmat.T @ sp.diags(params.core_weight) @ lmat
+            + params.beta * space.gram_matrix()).tocsr()
+    free = mask.free_pos
+    v[free] += spd_factorized(hess[free][:, free])(-0.5 * gradient(params, v)[free])
+    return v
+
+
+@pytest.mark.parametrize("which", ["ell2d-config", "ell3d"])
+def test_direct_solve_bit_identical_to_full_hessian(which, ell3d_setup):
+    setup = load_problem(DIRECT_CONFIG) if which == "ell2d-config" else ell3d_setup[0]
+    assert setup.solver == "direct"
+    assert np.array_equal(direct_solve(setup.params).final, _full_hessian_solve(setup.params))
+
+
+# -- weights on the masked nodes -------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 7.5])
+def test_core_weight_and_extrema_bit_identical(lam, ell3d_setup):
+    setup = ell3d_setup[0]
+    mask = setup.mask
+    full = mask_weight_sq(mask, lam)
+    core = setup.params.core_weight_at(lam)
+    assert np.array_equal(core, (full * mask.quad_weight)[mask.is_core])
+    assert np.array_equal(mask_weight_sq(mask, lam, mask.is_core), full[mask.is_core])
+    flat = np.flatnonzero(mask.in_mask)
+    logw = (lam * mask.ell).ravel()[flat]
+    assert weight_extrema(mask, lam) == (float(np.min(logw)), float(np.max(logw)),
+                                         Label(mask.label.ravel()[flat[np.argmin(logw)]]))
+
+
+# -- trace CSV -------------------------------------------------------------------
+
+
+def test_csv_last_row_wins_and_off_layer_rows_are_counted_once(ell3d_setup, tmp_path,
+                                                                  caplog):
+    setup, trace = ell3d_setup
+    mask, data = setup.mask, setup.params.data
+    lines = trace.read_text().splitlines()
+    first_g0 = int(np.flatnonzero(mask.value_layer)[0])
+    off_layer = int(np.flatnonzero(~mask.in_mask)[0])
+    lines[1:1] = [f"g0,{first_g0},123.0", f"g0,{off_layer},1.0"]  # overridden; ignored
+    lines += [f"g0,{off_layer},2.0", f"g1,{off_layer},2.0"]  # two distinct (layer, node)
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger="convexcauchy.harness"):
+        got = load_cauchy_csv(path, mask)
+    assert np.array_equal(got.g0, data.g0) and np.array_equal(got.g1, data.g1)
+    assert "ignored 2 rows off their trace layer" in caplog.text
+
+
+def test_csv_partial_layer_names_its_coverage(ell3d_setup, tmp_path):
+    setup, trace = ell3d_setup
+    lines = trace.read_text().splitlines()
+    g1_rows = [line for line in lines if line.startswith("g1,")]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([line for line in lines if line not in g1_rows[:3]]) + "\n")
+    with pytest.raises(ConfigError, match=f"gives g1 on {len(g1_rows) - 3} of the "
+                                        f"{len(g1_rows)} nodes of its trace layer"):
+        load_cauchy_csv(path, setup.mask)
+
+
+# -- traced heap -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("step", ["OperatorStencil", "validate_operator", "field_table"])
+def test_setup_step_stays_below_one_full_grid_coordinate_array(step, ell3d_setup):
+    setup = ell3d_setup[0]
+    mask, op = setup.mask, setup.params.op
+    bound = mask.grid.node_count * mask.grid.dim * 8
+    assert mask.dofs.size < 0.05 * mask.grid.node_count
+    # with an exact solution, so the table has its u_star and abs_err columns too
+    solved = replace(setup, u_star=_exact(mask.grid.coords(mask.in_mask)))
+    call = {"OperatorStencil": lambda: OperatorStencil(op, mask),
+            "validate_operator": lambda: validate_operator(op, mask),
+            "field_table": lambda: field_table(solved, np.zeros(mask.dofs.size))}[step]
+    assert _traced_peak(call) < bound
+
