@@ -276,6 +276,15 @@ def neighbor_table(nodes: np.ndarray, offset: Sequence[int],
     return shift(number, offset, fill=n)[nodes if rows is None else rows]
 
 
+def inverse_table(table: np.ndarray, size: int) -> np.ndarray:
+    """The neighbor_table of the negated offset, node sets swapped, read off
+    `table` (rows -> one of `size` nodes, or the sentinel `size`) without a
+    full-grid pass: entry j is the row that reads node j, else table.size."""
+    out = np.full(size + 1, table.size, dtype=np.intp)
+    out[table] = np.arange(table.size)
+    return out[:-1]
+
+
 def check_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
     """values, after raising ConvexCauchyError if any entry is NaN or infinite."""
     if not np.all(np.isfinite(values)):
@@ -320,11 +329,8 @@ class Halo:
         self.index = np.flatnonzero(nodes.ravel())  # flat node index per halo slot
         self.free = free[nodes]
         self.dof_pos = np.flatnonzero(in_mask[nodes])  # halo slots of the masked DOFs
-        self.tables = [
-            (neighbor_table(nodes, axis_offset(dim, a)),
-             neighbor_table(nodes, axis_offset(dim, a, -1)))
-            for a in range(dim)
-        ]
+        forward = [neighbor_table(nodes, axis_offset(dim, a)) for a in range(dim)]
+        self.tables = [(table, inverse_table(table, table.size)) for table in forward]
 
 
 class DomainMask:

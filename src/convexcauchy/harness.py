@@ -50,14 +50,7 @@ from .functional import (BETA_POLICIES, GRADIENT_MODES, CauchyData, FunctionalPa
                          beta_window, data_extension)
 from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
                    build_grid, classify_nodes)
-from .operators import (
-    QuasilinearOperator,
-    lower_cubic,
-    lower_grad_sq,
-    lower_sine,
-    lower_source,
-    validate_operator,
-)
+from .operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator, validate_operator
 from .optimizer import RADIUS_POLICIES, STEP_MODES, OptimizerConfig
 from .sobolev import SobolevSpace
 
@@ -241,8 +234,6 @@ _UNIT = _number(float, "in (0, 1)", lambda v: 0 < v < 1)
 _COUNT = _number(int, ">= 1", lambda v: v >= 1)
 _SEED = _number(int, ">= 0", lambda v: v >= 0)
 
-_OPERATOR_IDS = ("linear", "source", "cubic", "sine", "gradsq")
-
 SCHEMA = {
     "grid": {
         "bounds": (_list(_pair(_FLOAT)), None),
@@ -260,7 +251,7 @@ SCHEMA = {
         "xi": (_optional(_EXPR), None),
     },
     "operator": {
-        "id": (_choice(_OPERATOR_IDS), "linear"),
+        "id": (_choice(("linear", *LOWER_TERMS)), "linear"),
         "q": (_EXPR, "0"),
         "b": (_EXPR, "1"),
         "principal": (_principal, None),
@@ -448,12 +439,16 @@ def build_setup(cfg: dict) -> ProblemSetup:
 def _operator(op_cfg: dict, family: str, grid: Grid) -> QuasilinearOperator:
     op_family = "elliptic" if family == "generic" else family
     time_axis = op_family in TIME_FAMILIES
-    q = _expr_fn(op_cfg["q"], time_axis)
-    if op_cfg["id"] == "gradsq":
-        lower = lower_grad_sq(_expr_fn(op_cfg["b"], time_axis), q)
+    kind, q, b = op_cfg["id"], op_cfg["q"], op_cfg["b"]
+    lower = None
+    # q and b at their defaults "0" and "1" add nothing, so every id takes them
+    if kind == "linear":
+        _require(q == "0", "operator.q", f"id 'linear' takes no source term, got {q!r}")
+        _require(b == "1", "operator.b", f"id 'linear' takes no scale, got {b!r}")
     else:
-        lower = {"source": lower_source, "cubic": lower_cubic, "sine": lower_sine,
-                 "linear": lambda q: None}[op_cfg["id"]](q)
+        scale = None if b == "1" else _expr_fn(b, time_axis)
+        with _section("operator.b"):
+            lower = LowerOrderTerm(kind, _expr_fn(q, time_axis), scale)
 
     exprs, principal = op_cfg["principal"], None
     if exprs is not None and op_family == "hyperbolic":

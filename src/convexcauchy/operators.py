@@ -7,8 +7,9 @@ differences everywhere):
     parabolic   A(u) = u_t - sum_ij a_ij(x,t) u_{xi xj} - N(x,t, grad u, u)
     hyperbolic  A(u) = a(x) u_tt - laplace(u) - N(x,t, grad u, u)
 
-Here N is the lower-order term (first and zeroth order in u), supplied with
-analytic partial derivatives. `grad u` always means the spatial gradient.
+Here N is the lower-order term (first and zeroth order in u), one entry of
+LOWER_TERMS with analytic partial derivatives plus the source q(p). `grad u`
+always means the spatial gradient.
 
 The linearization freezes N's partials at a base field and is an exact
 derivative of the discrete residual map, so its transpose
@@ -21,112 +22,85 @@ through per-offset gather tables, one elementwise difference at a time.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError
-from .grid import DomainMask, axis_offset, neighbor_table
-
-logger = logging.getLogger(__name__)
+from .grid import DomainMask, axis_offset, inverse_table, neighbor_table
 
 OPERATOR_FAMILIES = ("elliptic", "parabolic", "hyperbolic")
 
 
-@dataclass(eq=False)
-class LowerOrderTerm:
-    """Lower-order nonlinearity N(p, g, u) with analytic first partials.
+@dataclass(frozen=True)
+class Nonlinearity:
+    """The field part f(grad u, u; b) of a lower-order term N = f + q(p).
 
-    value, d_u: map (points (...,d), grad (...,n), u (...)) -> (...)
-    d_grad:     same arguments -> (..., n), the partials in each gradient slot.
-    bind:       optional map points -> the same term with its fixed coefficient
-                fields (source q(p), scale b(p)) evaluated once at those points.
+    value, d_u: map (grad (..., n), u (...), b) -> (...); d_grad maps the same
+    arguments to (..., n). A partial of None vanishes identically, and f then
+    does not depend on that argument (grad is passed as None without d_grad).
     """
 
     value: Callable
-    d_u: Callable
-    d_grad: Callable
-    name: str = "custom"
-    bind: Callable | None = None
-
-    def at(self, points: np.ndarray) -> "LowerOrderTerm":
-        """The term for repeated calls at `points`, and only there: its fixed
-        coefficient fields are evaluated here, once, with the same arithmetic."""
-        return self if self.bind is None else self.bind(points)
+    d_u: Callable | None = None
+    d_grad: Callable | None = None
 
 
-def _fixed(fn: Callable, points: np.ndarray) -> Callable:
-    """fn evaluated once at points, as a function returning those values."""
-    values = fn(points)
-    return lambda _points: values
+# the lower-order terms by config id; N = f + q, with b(p) read by gradsq only
+LOWER_TERMS = {
+    "source": Nonlinearity(lambda grad, u, b: np.zeros_like(u)),
+    "cubic": Nonlinearity(lambda grad, u, b: -u**3, d_u=lambda grad, u, b: -3.0 * u**2),
+    "sine": Nonlinearity(lambda grad, u, b: np.sin(u), d_u=lambda grad, u, b: np.cos(u)),
+    # partials stay bounded on C^1-bounded sets
+    "gradsq": Nonlinearity(lambda grad, u, b: b * np.sum(grad * grad, axis=-1),
+                           d_grad=lambda grad, u, b: 2.0 * np.expand_dims(b, -1) * grad),
+}
 
 
-def lower_source(source: Callable) -> LowerOrderTerm:
-    """N = q(p): a pure source, keeping the residual affine."""
+@dataclass(frozen=True, eq=False)
+class LowerOrderTerm:
+    """Lower-order term N(p, grad u, u) = f(grad u, u; b(p)) + q(p).
 
-    def _val(points, grad, u):
-        return source(points) + np.zeros_like(u)
+    kind names f in LOWER_TERMS; source is q and scale is b, both maps
+    points (..., d) -> (...). Only gradsq takes a scale; None means b = 1.
+    """
 
-    def _du(points, grad, u):
-        return np.zeros_like(u)
+    kind: str
+    source: Callable
+    scale: Callable | None = None
 
-    def _dg(points, grad, u):
-        return np.zeros_like(grad)
+    def __post_init__(self):
+        if self.kind not in LOWER_TERMS:
+            raise ConfigError(f"unknown lower-order term {self.kind!r}")
+        if self.scale is not None and self.kind != "gradsq":
+            raise ConfigError(f"only the gradsq term takes a scale b, not {self.kind!r}")
 
-    return LowerOrderTerm(_val, _du, _dg, name="source",
-                          bind=lambda points: lower_source(_fixed(source, points)))
+    @property
+    def f(self) -> Nonlinearity:
+        return LOWER_TERMS[self.kind]
 
+    @property
+    def affine(self) -> bool:
+        """Whether N does not depend on the field, so the residual map is affine."""
+        return self.f.d_u is None and self.f.d_grad is None
 
-def lower_cubic(source: Callable) -> LowerOrderTerm:
-    """N = -u^3 + q(p)."""
+    def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        """q and b at points."""
+        return self.source(points), 1.0 if self.scale is None else self.scale(points)
 
-    def _val(points, grad, u):
-        return -u**3 + source(points)
+    # N and its partials at arbitrary points, each call evaluating q and b there
+    def value(self, points, grad, u):
+        q, b = self.fields(points)
+        return self.f.value(grad, u, b) + q
 
-    def _du(points, grad, u):
-        return -3.0 * u**2
+    def d_u(self, points, grad, u):
+        fn = self.f.d_u
+        return np.zeros_like(u) if fn is None else fn(grad, u, self.fields(points)[1])
 
-    def _dg(points, grad, u):
-        return np.zeros_like(grad)
-
-    return LowerOrderTerm(_val, _du, _dg, name="cubic",
-                          bind=lambda points: lower_cubic(_fixed(source, points)))
-
-
-def lower_sine(source: Callable) -> LowerOrderTerm:
-    """N = sin(u) + q(p)."""
-
-    def _val(points, grad, u):
-        return np.sin(u) + source(points)
-
-    def _du(points, grad, u):
-        return np.cos(u)
-
-    def _dg(points, grad, u):
-        return np.zeros_like(grad)
-
-    return LowerOrderTerm(_val, _du, _dg, name="sine",
-                          bind=lambda points: lower_sine(_fixed(source, points)))
-
-
-def lower_grad_sq(scale: Callable, source: Callable) -> LowerOrderTerm:
-    """N = b(p) |grad u|^2 + q(p); partials stay bounded on C^1-bounded sets."""
-
-    def _val(points, grad, u):
-        return scale(points) * np.sum(grad * grad, axis=-1) + source(points)
-
-    def _du(points, grad, u):
-        return np.zeros_like(u)
-
-    def _dg(points, grad, u):
-        return 2.0 * scale(points)[..., None] * grad
-
-    return LowerOrderTerm(
-        _val, _du, _dg, name="grad_sq",
-        bind=lambda points: lower_grad_sq(_fixed(scale, points), _fixed(source, points)),
-    )
+    def d_grad(self, points, grad, u):
+        fn = self.f.d_grad
+        return np.zeros_like(grad) if fn is None else fn(grad, u, self.fields(points)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +133,7 @@ class QuasilinearOperator:
 
     @property
     def n_spatial(self) -> int:
-        if self.family == "elliptic":
-            return self.dim
-        return self.dim - 1
+        return self.dim - (self.family != "elliptic")
 
     @property
     def lower_sign(self) -> float:
@@ -187,10 +159,8 @@ def validate_operator(op: QuasilinearOperator, mask: DomainMask) -> None:
     else:
         a = _wave_coefficient(op, pts)
         if np.any(a < op.a_lo - slack) or np.any(a > op.a_hi + slack):
-            raise ConfigError(
-                f"wave coefficient outside [{op.a_lo}, {op.a_hi}]: "
-                f"range [{float(np.min(a)):.6g}, {float(np.max(a)):.6g}]"
-            )
+            raise ConfigError(f"wave coefficient outside [{op.a_lo}, {op.a_hi}]: "
+                              f"range [{float(np.min(a)):.6g}, {float(np.max(a)):.6g}]")
         # (grad a, x - x0) >= 0, probed with centered differences of a
         x0 = np.asarray(mask.level.x0, dtype=float)
         h = 1e-6
@@ -207,8 +177,7 @@ def validate_operator(op: QuasilinearOperator, mask: DomainMask) -> None:
 def _principal_matrix(op: QuasilinearOperator, points: np.ndarray) -> np.ndarray:
     n = op.n_spatial
     if op.principal is None:
-        eye = np.eye(n)
-        return np.broadcast_to(eye, points.shape[:-1] + (n, n)).copy()
+        return np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
     return np.asarray(op.principal(points), dtype=float)
 
 
@@ -267,18 +236,15 @@ class OperatorStencil:
                 self.second_pure.append((j, np.full(n_core, -1.0)))
 
         center = axis_offset(grid.dim, 0, 0)
-        offsets = {center}
-        for axis in range(grid.dim):
-            offsets |= {axis_offset(grid.dim, axis, 1), axis_offset(grid.dim, axis, -1)}
+        offsets = {center} | {axis_offset(grid.dim, a, s) for a in range(grid.dim) for s in (1, -1)}
         for ai, aj, _ in self.second_mixed:
             offsets |= set(_mixed_offsets(grid.dim, ai, aj))
         self.tables = {off: neighbor_table(mask.in_mask, off, rows=core) for off in offsets}
-        self.adjoint_tables = {
-            off: neighbor_table(core, [-o for o in off], rows=mask.in_mask) for off in offsets
-        }
+        self.adjoint_tables = {off: inverse_table(table, mask.dofs.size)
+                               for off, table in self.tables.items()}
         self.core_pos = self.tables[center]  # DOF position of each core node
-        # the lower-order term with its fixed fields evaluated on the core nodes
-        self.lower = None if op.lower is None else op.lower.at(self.points)
+        # q and b of the lower-order term, evaluated once on the core nodes
+        self.source, self.scale = op.lower.fields(self.points) if op.lower else (None, None)
 
     def d1(self, v: np.ndarray, axis: int) -> np.ndarray:
         dim, h = self.mask.grid.dim, self.mask.grid.spacing[axis]
@@ -320,8 +286,10 @@ class OperatorStencil:
     def residual(self, v: np.ndarray) -> np.ndarray:
         """Full residual including the lower-order term, on the core nodes."""
         out = self.principal(v)
-        if self.lower is not None:
-            nval = self.lower.value(self.points, self.gradient(v), v[self.core_pos])
+        if self.op.lower is not None:
+            f = self.op.lower.f
+            grad = None if f.d_grad is None else self.gradient(v)
+            nval = f.value(grad, v[self.core_pos], self.scale) + self.source
             if not np.all(np.isfinite(nval)):
                 raise ConvexCauchyError("lower-order term produced non-finite values")
             out += self.op.lower_sign * nval
@@ -352,44 +320,48 @@ class LinearizedOperator:
 
         L h = A0 h + s * (sum_i dN/d(grad_i) * h_{xi} + dN/du * h)
 
-    with s the family sign of the lower-order term. `forward` maps a DOF
-    vector to core-node values and `adjoint` is its exact transpose, a gather
-    at each negated stencil offset.
+    with s the family sign of the lower-order term. A partial that vanishes
+    identically adds no term: `zeroth` stays None without dN/du, and no
+    gradient is taken without dN/d(grad). `forward` maps a DOF vector to
+    core-node values and `adjoint` is its exact transpose, a gather at each
+    negated stencil offset.
     """
 
     def __init__(self, stencil: OperatorStencil, base: np.ndarray):
         self.stencil = stencil
         self.mask = stencil.mask
         self.grid = stencil.mask.grid
-        self.second_pure = list(stencil.second_pure)
-        self.second_mixed = list(stencil.second_mixed)
         self.first = list(stencil.first)
         self.zeroth: np.ndarray | None = None
 
-        op, lower = stencil.op, stencil.lower
-        if lower is not None:
-            pts = stencil.points
-            grad = stencil.gradient(base)
-            uvals = base[stencil.core_pos]
-            sgn = op.lower_sign
-            dg = sgn * np.asarray(lower.d_grad(pts, grad, uvals), dtype=float)
-            du = sgn * np.asarray(lower.d_u(pts, grad, uvals), dtype=float)
-            if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(du))):
+        if stencil.op.lower is None:
+            return
+        f = stencil.op.lower.f
+        grad = None if f.d_grad is None else stencil.gradient(base)
+        uvals = base[stencil.core_pos]
+
+        def partial(fn, shape):
+            out = stencil.op.lower_sign * np.asarray(fn(grad, uvals, stencil.scale), dtype=float)
+            if not np.all(np.isfinite(out)):
                 raise ConvexCauchyError("lower-order partials are non-finite at the base field")
-            dg = np.broadcast_to(dg, grad.shape)
-            for i in range(op.n_spatial):
+            return np.broadcast_to(out, shape)
+
+        if f.d_grad is not None:
+            dg = partial(f.d_grad, grad.shape)
+            for i in range(stencil.op.n_spatial):
                 if np.any(dg[:, i]):
                     self.first.append((i, dg[:, i]))
-            self.zeroth = np.broadcast_to(du, uvals.shape)
+        if f.d_u is not None:
+            self.zeroth = partial(f.d_u, uvals.shape)
 
     def _terms(self):
         """Yield (offset, coeff vector, scale) triples of the stencil."""
         d = self.grid.dim
-        for axis, c in self.second_pure:
+        for axis, c in self.stencil.second_pure:
             h2 = self.grid.spacing[axis] ** 2
             for s, w in ((1, 1.0), (0, -2.0), (-1, 1.0)):
                 yield axis_offset(d, axis, s), c, w / h2
-        for ai, aj, c in self.second_mixed:
+        for ai, aj, c in self.stencil.second_mixed:
             denom = 4.0 * self.grid.spacing[ai] * self.grid.spacing[aj]
             for (si, sj), off in zip(_SIGN_PAIRS, _mixed_offsets(d, ai, aj)):
                 yield off, c, si * sj / denom

@@ -248,10 +248,9 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     """
     t0 = time.perf_counter()
     lower = params.op.lower
-    if lower is not None and lower.name != "source":
-        raise ConfigError(
-            f"direct solve needs an affine residual; lower-order term is {lower.name!r}"
-        )
+    if lower is not None and not lower.affine:
+        raise ConfigError("direct solve needs an affine residual; lower-order term is "
+                          f"{lower.kind!r}")
     mask, space = params.mask, params.space
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos

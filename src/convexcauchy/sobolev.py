@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, GeometryError
-from .grid import DomainMask, axis_offset, neighbor_table
+from .grid import DomainMask, axis_offset, inverse_table, neighbor_table
 
 
 def sobolev_order(dim: int) -> int:
@@ -91,11 +91,9 @@ class SobolevSpace:
         # a DOF without a forward neighbour along an axis points at itself:
         # its raw difference reads 0 there and is zeroed by validity anyway
         rows = np.arange(self.dof_weights.size)
-        self._forward = [np.where(table < rows.size, table, rows) for table in
-                         (neighbor_table(inside, axis_offset(self.grid.dim, a))
-                          for a in range(self.grid.dim))]
-        self._backward = [neighbor_table(inside, axis_offset(self.grid.dim, a, -1))
-                          for a in range(self.grid.dim)]
+        tables = [neighbor_table(inside, axis_offset(self.grid.dim, a)) for a in range(self.grid.dim)]
+        self._forward = [np.where(table < rows.size, table, rows) for table in tables]
+        self._backward = [inverse_table(table, rows.size) for table in tables]
         # D^beta = D_a D^parent with a the last axis beta differences along;
         # monomials are sorted by order, so the parent always comes first.
         # A monomial contributes at p only when its whole forward stencil box

@@ -22,6 +22,7 @@ from convexcauchy.cli import main
 from convexcauchy.errors import ConfigError
 from convexcauchy.grid import FAMILIES
 from convexcauchy.harness import SCHEMA, TOP_SCHEMA, build_setup
+from convexcauchy.operators import LOWER_TERMS
 
 BASE = {"case": "ELL1D-CUBIC"}
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -184,4 +185,15 @@ def test_readme_lists_every_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     missing = [field_name(path) for path in SPECS if path[1] not in SCHEMA
                and f"| `{field_name(path)}` |" not in readme]
+    assert not missing
+
+
+def test_readme_names_every_operator_id():
+    """Each operator id has a row in the README's table of lower-order terms
+    and is among the choices of its `operator.id` row."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    choices = next(line for line in readme.splitlines()
+                   if line.startswith("| `operator.id` | string |"))
+    missing = [kind for kind in ("linear", *LOWER_TERMS)
+               if f"| `{kind}` |" not in readme or f"`{kind}`" not in choices]
     assert not missing

@@ -137,7 +137,7 @@ class TestGradient:
 
     def test_fd_oracle_gradient_square_term(self, rng):
         """Exactness also holds when the nonlinearity depends on grad u."""
-        from convexcauchy.operators import QuasilinearOperator, lower_grad_sq
+        from convexcauchy.operators import LowerOrderTerm, QuasilinearOperator
 
         _, grid, mask, _, space, base_params, _ = make_problem("ELL2D-CUBIC")
 
@@ -148,7 +148,7 @@ class TestGradient:
             return np.zeros(points.shape[:-1])
 
         op = QuasilinearOperator(family="elliptic", dim=2,
-                                 lower=lower_grad_sq(scale, source))
+                                 lower=LowerOrderTerm("gradsq", source, scale))
         params = FunctionalParams(
             op=op, lam=base_params.lam, mask=mask, space=space,
             beta=1e-2, data=base_params.data, beta_policy="keep")

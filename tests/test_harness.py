@@ -94,7 +94,7 @@ class TestLoadProblem:
         """A source of size 1e8 loads: the built-in lower-order terms carry
         their partials, and no finite-difference probe second-guesses them."""
         setup = build_setup({"case": "ELL2D-CUBIC", "operator": {"id": "cubic", "q": "1e8"}})
-        assert setup.params.op.lower.name == "cubic"
+        assert setup.params.op.lower.kind == "cubic"
 
     def test_generic_level_expression(self):
         cfg = {
@@ -563,7 +563,14 @@ MALFORMED_VALUES = [
 
 # (id, overrides, message) of values that each key's table accepts but that
 # fail a check across keys; each must exit 1 with "config field <section>: ..."
+# or, where one key is at fault, "config field <section>.<key>: ..."
 CROSS_KEY_VALUES = [
+    ("operator.q=linear", {"operator": {"id": "linear", "q": "100*x0"}},
+     "config field operator.q: id 'linear' takes no source term"),
+    ("operator.b=linear", {"operator": {"id": "linear", "b": "2"}},
+     "config field operator.b: id 'linear' takes no scale"),
+    ("operator.b=cubic", {"operator": {"id": "cubic", "q": "x0", "b": "2"}},
+     "config field operator.b: only the gradsq term takes a scale b, not 'cubic'"),
     ("grid.bounds=degenerate", {"grid": {"bounds": [[0, 0], [-1, 1]]}},
      "config field grid: degenerate bounds along axis 0"),
     ("grid.resolution=3-axes", {"grid": {"resolution": [33, 33, 33]}},

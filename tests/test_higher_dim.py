@@ -13,7 +13,7 @@ from convexcauchy.functional import (
     gradient,
 )
 from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
-from convexcauchy.operators import OperatorStencil, QuasilinearOperator, lower_cubic
+from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
 
@@ -94,7 +94,7 @@ def par2d_setup():
         star = points[..., 0] ** 2 + points[..., 1] ** 2 + points[..., 2] ** 2 + 1.0
         return 2.0 * points[..., 2] - 4.0 + star**3
 
-    op = QuasilinearOperator(family="parabolic", dim=3, lower=lower_cubic(source))
+    op = QuasilinearOperator(family="parabolic", dim=3, lower=LowerOrderTerm("cubic", source))
     return grid, mask, op, u_star
 
 

@@ -22,15 +22,9 @@ import pytest
 
 import shift_reference as ref
 from convexcauchy.functional import CauchyData, FunctionalParams, evaluate, gradient
-from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import LevelSpec, axis_offset, build_grid, classify_nodes, neighbor_table
 from convexcauchy.harness import build_setup
-from convexcauchy.operators import (
-    OperatorStencil,
-    QuasilinearOperator,
-    lower_cubic,
-    lower_grad_sq,
-    lower_sine,
-)
+from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
 
@@ -88,35 +82,40 @@ def _problem(name):
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 35))
         level = LevelSpec(family="elliptic", a=0.2, c=0.4, nu=2.0, x_width=1.0)
         op = QuasilinearOperator(family="elliptic", dim=2, principal=_mixed(_ell2d_coeff, 2),
-                                 lower=lower_grad_sq(_scale, _source))
+                                 lower=LowerOrderTerm("gradsq", _source, _scale))
     elif name == "ell3d-mixed-cubic":
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (16, 19, 17))
         level = LevelSpec(family="elliptic", a=0.05, c=0.45, nu=1.0, x_width=2.0)
         op = QuasilinearOperator(family="elliptic", dim=3, principal=_mixed(_ell3d_coeff, 3),
-                                 lower=lower_cubic(_source))
+                                 lower=LowerOrderTerm("cubic", _source))
     elif name == "par3d-mixed-sine":
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (16, 19, 21))
         level = LevelSpec(family="parabolic", a=0.05, c=0.45, nu=1.0, x_width=2.0, t_span=1.5)
         op = QuasilinearOperator(family="parabolic", dim=3, principal=_mixed(_par_coeff, 2),
-                                 lower=lower_sine(_source))
+                                 lower=LowerOrderTerm("sine", _source))
+    elif name == "par2d-source":
+        grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 35))
+        level = LevelSpec(family="parabolic", a=0.2, c=0.45, nu=1.0, x_width=1.0, t_span=1.0)
+        op = QuasilinearOperator(family="parabolic", dim=2, principal=_mixed(_par_coeff, 1),
+                                 mu1=1.0, mu2=1.0, lower=LowerOrderTerm("source", _source))
     elif name == "hyp2d-wave-gradsq":
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 35))
         level = LevelSpec(family="hyperbolic", c=0.02, eta=0.25, x0=(0.5,))
         op = QuasilinearOperator(family="hyperbolic", dim=2,
                                  principal=lambda p: 1.0 + (p[..., 0] - 0.5) ** 2,
-                                 lower=lower_grad_sq(_scale, _source))
+                                 lower=LowerOrderTerm("gradsq", _source, _scale))
     else:  # hyp3d-wave-gradsq
         grid = build_grid(((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)), (16, 19, 21))
         level = LevelSpec(family="hyperbolic", c=0.02, eta=0.6, x0=(0.5, 0.5))
         op = QuasilinearOperator(
             family="hyperbolic", dim=3,
             principal=lambda p: 1.0 + (p[..., 0] - 0.5) ** 2 + (p[..., 1] - 0.5) ** 2,
-            lower=lower_grad_sq(_scale, _source))
+            lower=LowerOrderTerm("gradsq", _source, _scale))
     return op, classify_nodes(grid, level)
 
 
 PROBLEMS = ["ell1d-cubic", "ell2d-mixed-gradsq", "ell3d-mixed-cubic", "par2d-cubic",
-            "par3d-mixed-sine", "hyp2d-wave-gradsq", "hyp3d-wave-gradsq"]
+            "par2d-source", "par3d-mixed-sine", "hyp2d-wave-gradsq", "hyp3d-wave-gradsq"]
 
 
 @pytest.fixture(scope="module", params=PROBLEMS)
@@ -241,6 +240,31 @@ def test_smooth_draw_bitwise(problem):
         assert np.array_equal(random_smooth_values(mask, rng_a),
                               mask.gather(ref.smooth_values(mask, rng_b)))
     assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+def test_inverted_tables_match_neighbor_tables(problem):
+    """The gather tables read off the forward ones (the stencil's adjoint
+    tables, the H^k backward tables, the halo's -e_a tables) equal a direct
+    neighbor_table pass at the negated offset, sentinels included."""
+    mask, dim = problem.mask, problem.mask.grid.dim
+    stencil = problem.stencil
+    for off, table in stencil.adjoint_tables.items():
+        want = neighbor_table(mask.is_core, [-o for o in off], rows=mask.in_mask)
+        assert np.array_equal(table, want), off
+    for space in _spaces(problem):
+        for axis, table in enumerate(space._backward):
+            assert np.array_equal(table, neighbor_table(mask.in_mask, axis_offset(dim, axis, -1)))
+    halo_nodes = np.zeros(mask.grid.shape, bool)
+    halo_nodes.flat[mask.halo.index] = True
+    for axis, (_, backward) in enumerate(mask.halo.tables):
+        assert np.array_equal(backward, neighbor_table(halo_nodes, axis_offset(dim, axis, -1)))
+
+
+def test_inverted_tables_cover_mixed_and_3d():
+    """The problems above include a mixed-derivative stencil on a 3-D mask."""
+    op, mask = _problem("ell3d-mixed-cubic")
+    offsets = OperatorStencil(op, mask).adjoint_tables
+    assert mask.grid.dim == 3 and any(sum(map(abs, off)) == 2 for off in offsets)
 
 
 @pytest.mark.parametrize("module", ["sobolev.py", "sampling.py", "operators.py"])

@@ -5,43 +5,42 @@ from conftest import CATALOG_IDS, make_problem
 from convexcauchy.errors import ConfigError
 from convexcauchy.grid import Field, LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import (
+    LOWER_TERMS,
+    LowerOrderTerm,
+    Nonlinearity,
     OperatorStencil,
     QuasilinearOperator,
-    lower_cubic,
-    lower_grad_sq,
-    lower_sine,
-    lower_source,
     validate_operator,
 )
 from convexcauchy.sampling import random_smooth_values
 
 
-def validate_lower_term(term, points: np.ndarray, n_spatial: int, rng: np.random.Generator,
-                        rel_tol: float = 1e-5) -> None:
-    """Check the analytic partials of N against central finite differences.
+def validate_lower_term(f: Nonlinearity, b: np.ndarray, n_spatial: int,
+                        rng: np.random.Generator, rel_tol: float = 1e-5) -> None:
+    """Check the analytic partials of f(grad, u; b) against central finite differences.
 
-    Samples a handful of (grad, u) states at the given points; fails the test
-    when a partial disagrees with the FD probe.
+    Samples one (grad, u) state per entry of the scale values b; fails the
+    test when a partial disagrees with the FD probe. A partial of None must
+    vanish.
     """
-    pts = points.reshape(-1, points.shape[-1])[:16]
-    u = rng.uniform(-2.0, 2.0, size=pts.shape[:-1])
-    grad = rng.uniform(-2.0, 2.0, size=pts.shape[:-1] + (n_spatial,))
+    u = rng.uniform(-2.0, 2.0, size=b.shape)
+    grad = rng.uniform(-2.0, 2.0, size=b.shape + (n_spatial,))
     delta = 1e-6
 
-    fd_u = (term.value(pts, grad, u + delta) - term.value(pts, grad, u - delta)) / (2 * delta)
-    an_u = term.d_u(pts, grad, u)
+    fd_u = (f.value(grad, u + delta, b) - f.value(grad, u - delta, b)) / (2 * delta)
+    an_u = 0.0 if f.d_u is None else f.d_u(grad, u, b)
     scale = np.max(np.abs(fd_u)) + 1.0
     assert np.max(np.abs(fd_u - an_u)) <= rel_tol * scale, \
-        f"lower-order term {term.name!r}: d/du partial disagrees with FD probe"
+        "d/du partial disagrees with FD probe"
 
-    an_g = term.d_grad(pts, grad, u)
+    an_g = np.zeros_like(grad) if f.d_grad is None else f.d_grad(grad, u, b)
     for i in range(n_spatial):
         bump = np.zeros_like(grad)
         bump[..., i] = delta
-        fd_g = (term.value(pts, grad + bump, u) - term.value(pts, grad - bump, u)) / (2 * delta)
+        fd_g = (f.value(grad + bump, u, b) - f.value(grad - bump, u, b)) / (2 * delta)
         scale = np.max(np.abs(fd_g)) + 1.0
         assert np.max(np.abs(fd_g - an_g[..., i])) <= rel_tol * scale, \
-            f"lower-order term {term.name!r}: gradient partial {i} disagrees with FD probe"
+            f"gradient partial {i} disagrees with FD probe"
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ class TestResidual:
         def source(points):
             return (points[..., 0] ** 2 + 1.0) ** 3 - 2.0
 
-        op = QuasilinearOperator(family="elliptic", dim=1, lower=lower_cubic(source))
+        op = QuasilinearOperator(family="elliptic", dim=1, lower=LowerOrderTerm("cubic", source))
         r = OperatorStencil(op, mask).residual(mask.gather(x**2 + 1.0))
         assert np.max(np.abs(r)) < 1e-10
         assert r.shape == (int(np.sum(mask.is_core)),)
@@ -94,7 +93,8 @@ class TestResidual:
         def source(points):
             return np.zeros(points.shape[:-1])
 
-        op_full = QuasilinearOperator(family="elliptic", dim=2, lower=lower_cubic(source))
+        op_full = QuasilinearOperator(family="elliptic", dim=2,
+                                      lower=LowerOrderTerm("cubic", source))
         stencil = OperatorStencil(op_full, ell2d_mask)
         u = random_smooth_values(ell2d_mask, rng) * 2.0
         diff = stencil.residual(u) - stencil.principal(u)
@@ -123,7 +123,7 @@ class TestLinearize:
         def source(points):
             return np.zeros(points.shape[:-1])
 
-        op = QuasilinearOperator(family="elliptic", dim=2, lower=lower_cubic(source))
+        op = QuasilinearOperator(family="elliptic", dim=2, lower=LowerOrderTerm("cubic", source))
         lin = OperatorStencil(op, ell2d_mask).linearize(np.ones(ell2d_mask.dofs.size))
         # coefficients live on the core nodes
         assert lin.zeroth.shape == (int(np.sum(ell2d_mask.is_core)),)
@@ -135,7 +135,7 @@ class TestLinearize:
         def source(points):
             return np.sin(points[..., 0])
 
-        op = QuasilinearOperator(family="elliptic", dim=2, lower=lower_cubic(source))
+        op = QuasilinearOperator(family="elliptic", dim=2, lower=LowerOrderTerm("cubic", source))
         stencil = OperatorStencil(op, ell2d_mask)
         u1 = 1.5 * random_smooth_values(ell2d_mask, rng)
         lin = stencil.linearize(u1)
@@ -182,7 +182,7 @@ class TestAdjoint:
         def source(points):
             return points[..., 0]
 
-        op = QuasilinearOperator(family="elliptic", dim=2, lower=lower_sine(source))
+        op = QuasilinearOperator(family="elliptic", dim=2, lower=LowerOrderTerm("sine", source))
         lin = OperatorStencil(op, mask).linearize(random_smooth_values(mask, rng))
         mat = lin.to_matrix()
         v = rng.standard_normal(mask.dofs.size)
@@ -261,7 +261,7 @@ class TestGradSqLowerTerm:
             return np.zeros(points.shape[:-1])
 
         op = QuasilinearOperator(family="elliptic", dim=2,
-                                 lower=lower_grad_sq(scale, source))
+                                 lower=LowerOrderTerm("gradsq", source, scale))
         lin = OperatorStencil(op, ell2d_mask).linearize(
             2.0 * random_smooth_values(ell2d_mask, rng))
         assert lin.first, "gradient-square term must produce first-order coefficients"
@@ -327,47 +327,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="monotonicity"):
             validate_operator(op, mask)
 
-    @pytest.mark.parametrize("make", [
-        lambda scale, source: lower_cubic(source),
-        lambda scale, source: lower_sine(source),
-        lambda scale, source: lower_source(source),
-        lambda scale, source: lower_grad_sq(scale, source),
-    ], ids=["cubic", "sine", "source", "grad_sq"])
-    def test_builtin_partials_match_fd_probe(self, ell2d_mask, rng, make):
-        pts = ell2d_mask.grid.coords()[ell2d_mask.is_core]
-
-        def scale(points):
-            return 0.5 + 0.1 * points[..., 0]
-
-        def source(points):
-            return np.cos(points[..., 1])
-
-        validate_lower_term(make(scale, source), pts, 2, rng)
+    @pytest.mark.parametrize("kind", LOWER_TERMS)
+    def test_builtin_partials_match_fd_probe(self, ell2d_mask, rng, kind):
+        pts = ell2d_mask.grid.coords(ell2d_mask.is_core)[:16]
+        validate_lower_term(LOWER_TERMS[kind], 0.5 + 0.1 * pts[:, 0], 2, rng)
 
     def test_lower_term_fd_probe(self, ell2d_mask, rng):
-        from convexcauchy.operators import LowerOrderTerm
-
-        pts = ell2d_mask.grid.coords()[ell2d_mask.is_core]
-        bad = LowerOrderTerm(
-            value=lambda p, g, u: -u**3,
-            d_u=lambda p, g, u: -2.0 * u**2,  # wrong partial
-            d_grad=lambda p, g, u: np.zeros_like(g),
-        )
+        bad = Nonlinearity(lambda grad, u, b: -u**3,
+                           d_u=lambda grad, u, b: -2.0 * u**2)  # wrong partial
         with pytest.raises(AssertionError, match="d/du"):
-            validate_lower_term(bad, pts, 2, rng)
+            validate_lower_term(bad, np.ones(16), 2, rng)
+
+
+def _term(kind, source, scale):
+    """The lower-order term `kind`, given the scale b when it reads one."""
+    return LowerOrderTerm(kind, source, scale if kind == "gradsq" else None)
 
 
 class TestFixedFields:
     """The stencil evaluates q(p) and b(p) once, and the residual keeps the
     arithmetic of the term evaluated at the points on every call."""
 
-    @pytest.mark.parametrize("make", [
-        lambda scale, source: lower_cubic(source),
-        lambda scale, source: lower_sine(source),
-        lambda scale, source: lower_source(source),
-        lambda scale, source: lower_grad_sq(scale, source),
-    ], ids=["cubic", "sine", "source", "grad_sq"])
-    def test_fields_evaluated_once_per_stencil(self, ell2d_mask, rng, make):
+    @pytest.mark.parametrize("kind", LOWER_TERMS)
+    def test_fields_evaluated_once_per_stencil(self, ell2d_mask, rng, kind):
         calls = []
 
         def scale(points):
@@ -378,7 +360,7 @@ class TestFixedFields:
             calls.append("q")
             return np.cos(points[..., 0]) * points[..., 1]
 
-        op = QuasilinearOperator(family="elliptic", dim=2, lower=make(scale, source))
+        op = QuasilinearOperator(family="elliptic", dim=2, lower=_term(kind, source, scale))
         stencil = OperatorStencil(op, ell2d_mask)
         at_construction = list(calls)
         assert at_construction and len(at_construction) == len(set(at_construction))
@@ -392,7 +374,23 @@ class TestFixedFields:
         expect = stencil.principal(v) + op.lower.value(stencil.points, grad, u)
         assert np.array_equal(r, expect)
         du = op.lower.d_u(stencil.points, grad, u)
-        assert np.array_equal(lin.zeroth, np.broadcast_to(du, u.shape))
+        if kind in ("source", "gradsq"):  # dN/du vanishes: no zeroth-order term
+            assert lin.zeroth is None and not np.any(du)
+        else:
+            assert np.array_equal(lin.zeroth, np.broadcast_to(du, u.shape))
+        # the u-only terms add no first-order coefficients to the linearization
+        assert len(lin.first) == len(stencil.first) + 2 * (kind == "gradsq")
+
+    @pytest.mark.parametrize("kind", ["source", "cubic", "sine"])
+    def test_gradient_skipped_without_gradient_partial(self, ell2d_mask, rng, monkeypatch, kind):
+        """A term with no gradient partial never takes the spatial gradient."""
+        op = QuasilinearOperator(family="elliptic", dim=2,
+                                 lower=LowerOrderTerm(kind, lambda p: np.cos(p[..., 0])))
+        stencil = OperatorStencil(op, ell2d_mask)
+        v = random_smooth_values(ell2d_mask, rng)
+        monkeypatch.setattr(OperatorStencil, "gradient", lambda *args: pytest.fail("gradient"))
+        stencil.residual(v)
+        stencil.linearize(v)
 
 
 def test_field_shape_checked(ell2d_mask):

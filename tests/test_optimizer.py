@@ -10,8 +10,8 @@ from conftest import make_problem
 from convexcauchy import cli, optimizer
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.functional import FunctionalParams, data_extension, evaluate, gradient
-from convexcauchy.harness import history_rows, load_problem
-from convexcauchy.operators import OperatorStencil
+from convexcauchy.harness import build_setup, history_rows, load_problem
+from convexcauchy.operators import LOWER_TERMS, OperatorStencil
 from convexcauchy.optimizer import (
     OptimizerConfig,
     RunReport,
@@ -42,6 +42,17 @@ class TestRun:
         rel = space.norm(report.final - u_direct)
         rel /= space.norm(u_direct)
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("kind", LOWER_TERMS)
+    def test_direct_solve_needs_an_affine_term(self, kind):
+        """Only a term whose partials all vanish keeps the residual affine."""
+        setup = build_setup({"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]},
+                             "operator": {"id": kind, "q": "x0"}})
+        if setup.params.op.lower.affine:
+            assert kind == "source" and direct_solve(setup.params).converged
+        else:
+            with pytest.raises(ConfigError, match=f"lower-order term is '{kind}'"):
+                direct_solve(setup.params)
 
     def test_start_at_minimizer_stops_immediately(self):
         _, grid, mask, op, space, params, _ = make_problem(

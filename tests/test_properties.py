@@ -1,8 +1,8 @@
 """Property tests of the DOF API on random elliptic geometries.
 
 Each example draws an elliptic level (a < c in (0, 1/2), nu, x_width), a 2-D
-resolution from 9 to 21 per axis and a lower-order term (cubic, sine or
-gradient square). The grid box is fitted to the masked cap
+resolution from 9 to 21 per axis and a lower-order term from
+operators.LOWER_TERMS. The grid box is fitted to the masked cap
 x1 + x2^2 / X^2 < c - a, so every draw leaves core and inner nodes.
 """
 
@@ -18,7 +18,7 @@ from convexcauchy.functional import (
     gradient,
 )
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
-from convexcauchy.operators import QuasilinearOperator, lower_cubic, lower_grad_sq, lower_sine
+from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
 from convexcauchy.optimizer import OptimizerConfig, run
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
@@ -32,13 +32,6 @@ def _scale(points):
     return 0.3 + 0.1 * points[..., 0]
 
 
-LOWER_TERMS = {
-    "cubic": lambda: lower_cubic(_source),
-    "sine": lambda: lower_sine(_source),
-    "gradsq": lambda: lower_grad_sq(_scale, _source),
-}
-
-
 @st.composite
 def problems(draw):
     """FunctionalParams of a random elliptic problem, plus a seed for numpy draws."""
@@ -47,7 +40,8 @@ def problems(draw):
     nu = draw(st.floats(1.0, 2.0))
     x_width = draw(st.floats(0.6, 1.6))
     resolution = (draw(st.integers(9, 21)), draw(st.integers(9, 21)))
-    lower = LOWER_TERMS[draw(st.sampled_from(sorted(LOWER_TERMS)))]()
+    kind = draw(st.sampled_from(sorted(LOWER_TERMS)))
+    lower = LowerOrderTerm(kind, _source, _scale if kind == "gradsq" else None)
     seed = draw(st.integers(0, 2**31 - 1))
 
     half_width = 1.05 * x_width * np.sqrt(c - a)
