@@ -90,13 +90,18 @@ class Grid:
         node's index along that axis.
         """
         if nodes is None:
-            axes = [self.axis_coords(j) for j in range(self.dim)]
-            return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            return np.stack(np.broadcast_arrays(*self.open_coords()), axis=-1)
         if np.shape(nodes) != self.shape:
             raise ConfigError(f"node array of shape {np.shape(nodes)} does not match "
                               f"grid {self.shape}")
         index = np.unravel_index(np.flatnonzero(nodes), self.shape)
         return np.stack([self.axis_coords(j)[i] for j, i in enumerate(index)], axis=-1)
+
+    def open_coords(self) -> tuple[np.ndarray, ...]:
+        """Node coordinates as one array per axis, shaped to broadcast against
+        each other to the grid shape (np.ix_ of the axis coordinates): the
+        same values as coords() without the (*shape, dim) array."""
+        return np.ix_(*(self.axis_coords(j) for j in range(self.dim)))
 
     def bounds(self) -> list[tuple[float, float]]:
         return [
@@ -146,7 +151,9 @@ class LevelSpec:
     eta: float = 0.5
     x0: tuple[float, ...] = ()
     epsilon: float | None = None
-    xi_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    # generic family: maps the coordinate components (see coordinate_components)
+    # to level values
+    xi_fn: Callable[[tuple[np.ndarray, ...]], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -185,42 +192,48 @@ class LevelSpec:
         return float(self.c)
 
 
-def level_values(spec: LevelSpec, points: np.ndarray) -> np.ndarray:
-    """Vectorized level function; points has shape (..., d)."""
+def coordinate_components(points) -> tuple[np.ndarray, ...]:
+    """Coordinate j of points at index j: the slices [..., j] of an array of
+    shape (..., d), or the arrays of a tuple of d arrays that broadcast
+    against each other, such as Grid.open_coords()."""
+    if isinstance(points, tuple):
+        return tuple(np.asarray(c, dtype=float) for c in points)
     points = np.asarray(points, dtype=float)
+    return tuple(points[..., j] for j in range(points.shape[-1]))
+
+
+def level_values(spec: LevelSpec, points) -> np.ndarray:
+    """Vectorized level function of points, given as coordinate_components
+    takes them; the result has the points' (broadcast) shape. Each family
+    adds its coordinate terms in axis order, so both forms of the same
+    points give the same bits."""
+    x = coordinate_components(points)
+    shape = np.broadcast_shapes(*(c.shape for c in x))
     if spec.family == "generic":
-        return np.asarray(spec.xi_fn(points), dtype=float)
-    if spec.family == "elliptic":
-        x1 = points[..., 0]
-        perp = points[..., 1:]
-        base = x1 + np.sum(perp * perp, axis=-1) / spec.x_width**2 + spec.a
-    elif spec.family == "parabolic":
-        x1 = points[..., 0]
-        perp = points[..., 1:-1]
-        t = points[..., -1]
-        base = (
-            x1
-            + np.sum(perp * perp, axis=-1) / spec.x_width**2
-            + t * t / spec.t_span**2
-            + spec.a
-        )
-    else:  # hyperbolic
-        x = points[..., :-1]
-        t = points[..., -1]
+        values = np.asarray(spec.xi_fn(x), dtype=float)
+    elif spec.family == "hyperbolic":
         x0 = np.asarray(spec.x0, dtype=float)
-        if x.shape[-1] != x0.size:
+        if len(x) - 1 != x0.size:
             raise ConfigError(
                 f"focal point x0 has {x0.size} components but points have "
-                f"{x.shape[-1]} spatial axes"
+                f"{len(x) - 1} spatial axes"
             )
-        diff = x - x0
-        return np.sum(diff * diff, axis=-1) - spec.eta * t * t
-    if np.any(base <= 0):
-        raise GeometryError(
-            "level function base x1 + |x_perp|^2/X^2 + a is not positive; "
-            "the grid extends to x1 + a <= 0"
-        )
-    return base ** (-spec.nu)
+        t = x[-1]
+        values = sum((c - c0) * (c - c0) for c, c0 in zip(x[:-1], x0)) - spec.eta * t * t
+    else:
+        perp = x[1:-1] if spec.family == "parabolic" else x[1:]
+        base = x[0] + sum(c * c for c in perp) / spec.x_width**2
+        if spec.family == "parabolic":
+            base = base + x[-1] * x[-1] / spec.t_span**2
+        base += spec.a
+        if np.any(base <= 0):
+            raise GeometryError(
+                "level function base x1 + |x_perp|^2/X^2 + a is not positive; "
+                "the grid extends to x1 + a <= 0"
+            )
+        base **= -spec.nu
+        values = base
+    return values if values.shape == shape else np.broadcast_to(values, shape).copy()
 
 
 def shift(values: np.ndarray, offset: Sequence[int], fill=0) -> np.ndarray:
@@ -260,24 +273,42 @@ def axis_offset(dim: int, axis: int, step: int = 1) -> tuple[int, ...]:
     return tuple(off)
 
 
-def neighbor_table(nodes: np.ndarray, offset: Sequence[int],
-                   rows: np.ndarray | None = None) -> np.ndarray:
-    """Gather table of one stencil offset over the C-order numbering of `nodes`.
+def flat_strides(shape: Sequence[int]) -> np.ndarray:
+    """Flat-index step of one node along each axis of a C-order array."""
+    return np.cumprod((1, *shape[:0:-1]))[::-1]
 
-    Entry k is the position, among the True entries of `nodes`, of p_k + offset,
-    where p_k is the k-th True entry of `rows` (default: `nodes` itself). Where
-    p + offset is not a node or leaves the grid the entry is the sentinel
-    nodes.sum(), one past the end, which reads zero from a buffer whose one
-    extra last slot holds 0.
+
+def neighbor_tables(nodes: np.ndarray, offsets: Sequence[Sequence[int]],
+                    rows: np.ndarray | None = None) -> list[np.ndarray]:
+    """Gather tables of stencil offsets over the C-order numbering of `nodes`.
+
+    Entry k of an offset's table is the position, among the True entries of
+    `nodes`, of p_k + offset, where p_k is the k-th True entry of `rows`
+    (default: `nodes` itself). Where p + offset is not a node or leaves the
+    grid the entry is the sentinel nodes.sum(), one past the end, which
+    reads zero from a buffer whose one extra last slot holds 0. The
+    positions are searched among the flat indices of the nodes, so no
+    full-grid array is made.
     """
-    n = int(np.count_nonzero(nodes))
-    number = np.full(nodes.shape, n, dtype=np.intp)
-    number[nodes] = np.arange(n)
-    return shift(number, offset, fill=n)[nodes if rows is None else rows]
+    flat = np.flatnonzero(nodes)
+    start = flat if rows is None else np.flatnonzero(rows)
+    padded = np.append(flat, -1)  # a search past the end reads -1, which no target equals
+    index = np.unravel_index(start, nodes.shape)
+    strides = flat_strides(nodes.shape)
+    tables = []
+    for offset in offsets:
+        target, inside = start, True
+        for i, n, stride, off in zip(index, nodes.shape, strides, offset):
+            if off:
+                inside = inside & (i >= -off) & (i < n - off)
+                target = target + off * stride
+        pos = np.searchsorted(flat, target)
+        tables.append(np.where(inside & (padded[pos] == target), pos, flat.size))
+    return tables
 
 
 def inverse_table(table: np.ndarray, size: int) -> np.ndarray:
-    """The neighbor_table of the negated offset, node sets swapped, read off
+    """The neighbor_tables entry of the negated offset, node sets swapped, read off
     `table` (rows -> one of `size` nodes, or the sentinel `size`) without a
     full-grid pass: entry j is the row that reads node j, else table.size."""
     out = np.full(size + 1, table.size, dtype=np.intp)
@@ -329,7 +360,7 @@ class Halo:
         self.index = np.flatnonzero(nodes.ravel())  # flat node index per halo slot
         self.free = free[nodes]
         self.dof_pos = np.flatnonzero(in_mask[nodes])  # halo slots of the masked DOFs
-        forward = [neighbor_table(nodes, axis_offset(dim, a)) for a in range(dim)]
+        forward = neighbor_tables(nodes, [axis_offset(dim, a) for a in range(dim)])
         self.tables = [(table, inverse_table(table, table.size)) for table in forward]
 
 
@@ -453,8 +484,7 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
                     f"focal point component x0[{j}]={x0j} lies outside the spatial box ({lo}, {hi})"
                 )
 
-    pts = grid.coords()
-    ell = level_values(spec, pts)
+    ell = level_values(spec, grid.open_coords())
     theta = spec.threshold
     in_closure = ell > theta
 

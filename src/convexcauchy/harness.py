@@ -49,7 +49,7 @@ from .errors import ConfigError, GeometryError
 from .functional import (BETA_POLICIES, GRADIENT_MODES, CauchyData, FunctionalParams,
                          beta_window, data_extension)
 from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
-                   build_grid, classify_nodes)
+                   build_grid, classify_nodes, coordinate_components)
 from .operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator, validate_operator
 from .optimizer import RADIUS_POLICIES, STEP_MODES, OptimizerConfig
 from .sobolev import SobolevSpace
@@ -140,17 +140,18 @@ def _evaluate_node(node: ast.expr, names: dict):
     return _EXPR_FUNCTIONS[node.func.id](*[_evaluate_node(arg, names) for arg in node.args])
 
 
-def evaluate_expression(expr: str | ast.expr, points: np.ndarray,
-                        time_axis: bool) -> np.ndarray:
+def evaluate_expression(expr: str | ast.expr, points, time_axis: bool) -> np.ndarray:
     """Evaluate a coordinate expression (text, or a tree from _parse_expression)
-    on points; x_j is coordinate j and t the last coordinate of a
-    time-dependent family. A value that is not finite raises ConfigError."""
+    on points, given as grid.coordinate_components takes them; x_j is
+    coordinate j and t the last coordinate of a time-dependent family. A
+    value that is not finite raises ConfigError."""
     tree = _parse_expression(expr) if isinstance(expr, str) else expr
     names = dict(_EXPR_CONSTANTS)
-    for j in range(points.shape[-1]):
-        names[f"x{j}"] = points[..., j]
+    x = coordinate_components(points)
+    for j, c in enumerate(x):
+        names[f"x{j}"] = c
     if time_axis:
-        names["t"] = points[..., -1]
+        names["t"] = x[-1]
     try:
         with np.errstate(all="ignore"):
             out = np.asarray(_evaluate_node(tree, names), dtype=float)
@@ -158,7 +159,7 @@ def evaluate_expression(expr: str | ast.expr, points: np.ndarray,
         raise ConfigError(f"cannot evaluate expression {ast.unparse(tree)!r}: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"expression {ast.unparse(tree)!r} is not finite at every point")
-    return np.broadcast_to(out, points.shape[:-1]).copy()
+    return np.broadcast_to(out, np.broadcast_shapes(*(c.shape for c in x))).copy()
 
 
 def _expr_fn(expr: str, time_axis: bool):
@@ -378,6 +379,9 @@ def build_setup(cfg: dict) -> ProblemSetup:
         sections[name] for name in ("grid", "level", "functional", "data"))
 
     _require(bool(top["operator"] or case), "operator", "required when no case is given")
+    kind = sections["operator"]["id"]
+    _require(top["solver"] != "direct" or kind == "linear" or LOWER_TERMS[kind].affine, "solver",
+             f"direct solve needs an affine residual; operator id {kind!r} depends on the field")
     if case and data_cfg["file"] is None:
         # a generic level is a custom spatial threshold; elliptic cases fit it
         _require(family == case["family"] or (family, case["family"]) == ("generic", "elliptic"),

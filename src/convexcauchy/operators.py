@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError
-from .grid import DomainMask, axis_offset, inverse_table, neighbor_table
+from .grid import DomainMask, axis_offset, inverse_table, neighbor_tables
 
 OPERATOR_FAMILIES = ("elliptic", "parabolic", "hyperbolic")
 
@@ -45,6 +45,11 @@ class Nonlinearity:
     value: Callable
     d_u: Callable | None = None
     d_grad: Callable | None = None
+
+    @property
+    def affine(self) -> bool:
+        """Whether f does not depend on the field, so N adds only a fixed term."""
+        return self.d_u is None and self.d_grad is None
 
 
 # the lower-order terms by config id; N = f + q, with b(p) read by gradsq only
@@ -83,7 +88,7 @@ class LowerOrderTerm:
     @property
     def affine(self) -> bool:
         """Whether N does not depend on the field, so the residual map is affine."""
-        return self.f.d_u is None and self.f.d_grad is None
+        return self.f.affine
 
     def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         """q and b at points."""
@@ -239,7 +244,8 @@ class OperatorStencil:
         offsets = {center} | {axis_offset(grid.dim, a, s) for a in range(grid.dim) for s in (1, -1)}
         for ai, aj, _ in self.second_mixed:
             offsets |= set(_mixed_offsets(grid.dim, ai, aj))
-        self.tables = {off: neighbor_table(mask.in_mask, off, rows=core) for off in offsets}
+        offsets = list(offsets)
+        self.tables = dict(zip(offsets, neighbor_tables(mask.in_mask, offsets, rows=core)))
         self.adjoint_tables = {off: inverse_table(table, mask.dofs.size)
                                for off, table in self.tables.items()}
         self.core_pos = self.tables[center]  # DOF position of each core node

@@ -240,8 +240,9 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
     free degrees of freedom, where u_c carries the Cauchy data and L is the
     residual's (constant) linearization, a core-node x DOF matrix. The system
-    is assembled on the free DOFs only, from the free columns of L and the
-    constrained Gram matrix; no DOF x DOF Hessian is formed. The report
+    is assembled on the free DOFs only: L^T W L, from the free columns of L,
+    is added in place into the constrained Gram matrix as it is scaled by
+    beta; no DOF x DOF Hessian is formed. The report
     has 0 iterations and one history row at the minimizer (`final`): J, the
     Euclidean gradient norm and the H^k norm. Raises ConfigError for
     operators whose lower-order term actually depends on the field.
@@ -255,7 +256,7 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos
     lmat = params.stencil.linearize(v).to_matrix()[:, free]
-    hess = lmat.T @ sp.diags(params.core_weight) @ lmat + params.beta * space.constrained_gram()
+    hess = space.constrained_gram(params.beta, plus=lmat.T @ sp.diags(params.core_weight) @ lmat)
     v[free] += spd_factorized(hess)(-0.5 * gradient(params, v)[free])
 
     j = evaluate(params, v)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, GeometryError
-from .grid import DomainMask, axis_offset, inverse_table, neighbor_table
+from .grid import DomainMask, axis_offset, flat_strides, inverse_table, neighbor_tables
 
 
 def sobolev_order(dim: int) -> int:
@@ -60,8 +60,9 @@ class SobolevSpace:
     sobolev_order(grid dim). A restricted subset (e.g. the inner subdomain)
     yields the corresponding local norm; it must lie inside the mask.
 
-    Every method takes and returns masked DOF vectors (see DomainMask), and
-    the assembled matrices are DOF x DOF. The quadrature weight of each DOF,
+    Every method takes and returns masked DOF vectors (see DomainMask); the
+    assembled Gram matrices are free x free (constrained_gram) or DOF x DOF
+    (gram_matrix, a test oracle). The quadrature weight of each DOF,
     zero off the node subset, is the vector `dof_weights`; `weights` is its
     full-grid form, built on demand. Every monomial is a chain of
     first differences (v[p + e] - v[p]) / h taken through gather tables,
@@ -84,14 +85,13 @@ class SobolevSpace:
             raise ConfigError("Sobolev node subset reaches outside the mask")
         self.monomials = difference_monomials(self.grid.dim, self.order)
         inside = mask.in_mask
-        self._gram_matrix = None
         self._free_solve = None
 
         self.dof_weights = np.where(self.nodes[inside], mask.quad_weight[inside], 0.0)
         # a DOF without a forward neighbour along an axis points at itself:
         # its raw difference reads 0 there and is zeroed by validity anyway
         rows = np.arange(self.dof_weights.size)
-        tables = [neighbor_table(inside, axis_offset(self.grid.dim, a)) for a in range(self.grid.dim)]
+        tables = neighbor_tables(inside, [axis_offset(self.grid.dim, a) for a in range(self.grid.dim)])
         self._forward = [np.where(table < rows.size, table, rows) for table in tables]
         self._backward = [inverse_table(table, rows.size) for table in tables]
         # D^beta = D_a D^parent with a the last axis beta differences along;
@@ -190,47 +190,114 @@ class SobolevSpace:
         return g
 
     def gram_matrix(self) -> sp.csr_matrix:
-        """Sparse DOF x DOF Gram matrix, sum_beta B^T diag(w) B (assembled once).
-
-        B is the monomial's chain of forward-difference matrices built from
-        the same gather tables and validity as `differences`.
-        """
-        if self._gram_matrix is None:
-            n = self.mask.dofs.size
-            rows = np.arange(n)
-            steps = []
-            for axis, table in enumerate(self._forward):
-                h = self.grid.spacing[axis]
-                hit = table != rows
-                steps.append(sp.csr_matrix(
-                    (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
-                     (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),
-                    shape=(n, n)))
-            # a chain matrix is kept only until its last child is built
-            last_child = {parent: k for k, (parent, _) in enumerate(self._chain)
-                          if parent is not None}
-            gram = sp.csr_matrix((n, n))
-            raw = {}
-            for k, ((parent, axis), valid) in enumerate(zip(self._chain, self._dof_valid)):
-                if parent is None:
-                    bmat = sp.identity(n, format="csr")
-                else:
-                    bmat = steps[axis] @ (raw[parent] if last_child[parent] > k
-                                          else raw.pop(parent))
-                if k in last_child:
-                    raw[k] = bmat
-                gram = gram + bmat.T @ sp.diags(self.dof_weights * valid) @ bmat
-            self._gram_matrix = gram.tocsr()
-        return self._gram_matrix
+        """Sparse DOF x DOF Gram matrix, sum_beta B^T diag(w) B, built on each
+        call: a test oracle, since the solvers factorize constrained_gram."""
+        return self._assemble(np.arange(self.mask.dofs.size)).tocsr()
 
     # -- constrained (zero-trace) system ---------------------------------------
 
-    def constrained_gram(self) -> sp.csc_matrix:
-        """Gram matrix over the free DOFs (trace layers removed), in mask.free_pos order."""
-        free = self.mask.free_pos
-        return self.gram_matrix()[free][:, free].tocsc()
+    def constrained_gram(self, scale: float = 1.0,
+                         plus: sp.spmatrix | None = None) -> sp.csc_matrix:
+        """scale * G_ff + plus, with G_ff the Gram matrix over the free DOFs
+        (trace layers removed) in mask.free_pos order and plus an optional
+        free x free matrix: entry for entry the bits of the scipy sum
+        plus + scale * gram_matrix()[free][:, free], built in place."""
+        return self._assemble(self.mask.free_pos, scale, plus)
 
     def constrained_solver(self):
         if self._free_solve is None:
             self._free_solve = spd_factorized(self.constrained_gram())
         return self._free_solve
+
+    def _difference_matrices(self) -> list[sp.csr_matrix]:
+        """The DOF x DOF forward-difference matrix of each axis, (v[p + e] - v[p]) / h."""
+        n = self.dof_weights.size
+        rows = np.arange(n)
+        steps = []
+        for axis, table in enumerate(self._forward):
+            h = self.grid.spacing[axis]
+            hit = table != rows
+            steps.append(sp.csr_matrix(
+                (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
+                 (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),
+                shape=(n, n)))
+        return steps
+
+    def _assemble(self, cols: np.ndarray, scale: float = 1.0,
+                  plus: sp.spmatrix | None = None) -> sp.csc_matrix:
+        """scale * sum_beta B^T diag(w) B + plus over the DOFs `cols`, in CSC.
+
+        B is the monomial's chain of forward-difference matrices, built from
+        the same gather tables and validity as `differences`, started at the
+        columns `cols` of the identity. An entry couples two nodes at most
+        `order` steps apart (1-norm), so the sums live in a table with a row
+        per column DOF and a slot per flat node offset, the offsets of
+        `plus` included. Each monomial's product is added into it in place,
+        in monomial order: every entry is the sum, in the order, that a
+        running sum of sparse matrices forms, and entries that end at
+        exactly 0 are dropped, as that sum drops them.
+        """
+        grid, n, m = self.grid, self.dof_weights.size, cols.size
+        steps = self._difference_matrices()
+        # flat node index of each column DOF, and the offsets an entry can span;
+        # int32 where it fits, as the per-entry index arithmetic is the
+        # largest transient
+        node = self.mask.dofs[cols].astype(np.int32 if 2 * grid.node_count < 2**31 else np.int64)
+        near = [d for d in product(range(-self.order, self.order + 1), repeat=grid.dim)
+                if sum(map(abs, d)) <= self.order]
+        spans = np.unique(np.array(near) @ flat_strides(grid.shape)).astype(node.dtype)
+        if plus is not None:
+            plus = plus.tocsc()
+            spans = np.union1d(spans, node[plus.indices] - np.repeat(node, np.diff(plus.indptr)))
+        sums = np.zeros((m, spans.size))
+        slot_of = np.zeros(spans[-1] - spans[0] + 1, dtype=np.min_scalar_type(spans.size))
+        slot_of[spans - spans[0]] = np.arange(spans.size)
+        first = np.arange(0, sums.size, spans.size,
+                          dtype=np.int32 if sums.size < 2**31 else np.int64)
+        block = max(sums.size // 8, 1)
+
+        def add(mat: sp.csc_matrix):
+            """sums += mat, entry (i, j) to row j at the slot of node_i - node_j;
+            a block of columns of at most `block` entries at a time, so that
+            the index arithmetic stays near a third of the table's bytes."""
+            cuts = np.searchsorted(mat.indptr, np.arange(0, mat.nnz, block))
+            for lo, hi in zip(cuts, [*cuts[1:], m]):
+                a, b = mat.indptr[lo], mat.indptr[hi]
+                count = np.diff(mat.indptr[lo:hi + 1])
+                offset = node.take(mat.indices[a:b])
+                offset -= np.repeat(node[lo:hi] + spans[0], count)
+                at = np.repeat(first[lo:hi], count)
+                at += slot_of.take(offset)
+                np.add.at(sums.ravel(), at, mat.data[a:b])
+
+        # a chain matrix is kept only until its last child is built
+        last_child = {parent: k for k, (parent, _) in enumerate(self._chain)
+                      if parent is not None}
+        raw = {}
+        for k, ((parent, axis), valid) in enumerate(zip(self._chain, self._dof_valid)):
+            if parent is None:
+                bmat = sp.csr_matrix((np.ones(m), (cols, np.arange(m))), shape=(n, m))
+            else:
+                bmat = steps[axis] @ (raw[parent] if last_child[parent] > k
+                                      else raw.pop(parent))
+            if k in last_child:
+                raw[k] = bmat
+            term = bmat.T @ sp.diags(self.dof_weights * valid)
+            bmat = bmat.tocsc()  # as `term @` converts it; frees a chain without children
+            term = term @ bmat
+            del bmat
+            add(term)
+        del steps, term
+        if scale != 1.0:
+            sums *= scale
+        if plus is not None:
+            add(plus)
+        keep = sums != 0
+        data = sums[keep]
+        del sums
+        # the row of a kept entry: the column DOF at its node plus the slot's offset
+        indices = np.empty(keep.shape, dtype=node.dtype)
+        for k, span in enumerate(spans):
+            indices[:, k] = np.searchsorted(node, node + span)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+        return sp.csc_matrix((data, indices[keep], indptr), shape=(m, m))

@@ -211,7 +211,7 @@ def test_criterion_8_weight_minimum_location():
     level surface at lambda * threshold, within one grid cell of variation."""
     grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (21, 21))
     level = LevelSpec(family="generic", c=0.3, epsilon=0.05,
-                      xi_fn=lambda p: 1.0 - p[..., 0])
+                      xi_fn=lambda x: 1.0 - x[0])
     mask = classify_nodes(grid, level)
     cell = mask.largest_cell_level_variation()
     checks = []

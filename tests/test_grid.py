@@ -62,7 +62,7 @@ class TestLevelValue:
         assert with_time < base_only
 
     def test_generic_callable(self):
-        spec = LevelSpec(family="generic", c=0.3, xi_fn=lambda p: 1.0 - p[..., 0])
+        spec = LevelSpec(family="generic", c=0.3, xi_fn=lambda x: 1.0 - x[0])
         assert level_at(spec, (0.25, 0.9)) == pytest.approx(0.75)
 
     def test_nonpositive_base_guarded(self):

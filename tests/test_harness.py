@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CATALOG_IDS, make_problem
+from convexcauchy import harness
 from convexcauchy.catalog import CASES
 from convexcauchy.cli import main
 from convexcauchy.errors import ConfigError
@@ -593,7 +594,21 @@ CROSS_KEY_VALUES = [
      "config field optimizer: fixed step size must lie in (0, 1)"),
     ("data.noise_level=1e308", {"data": {"noise_level": 1e308}},
      "config field data: noise level 1e+308 makes the Cauchy data non-finite"),
+    ("solver=direct-cubic", {"solver": "direct"},
+     "config field solver: direct solve needs an affine residual; operator id 'cubic'"),
 ]
+
+
+def test_direct_solve_of_a_nonlinear_operator_fails_before_classification(
+        tmp_path, caplog, monkeypatch):
+    """The solver and the operator id are checked together at load, before
+    any node is classified."""
+    def classify(*args, **kwargs):
+        raise AssertionError("classified before the solver check")
+
+    monkeypatch.setattr(harness, "classify_nodes", classify)
+    assert main(["solve", str(_sweep_config(tmp_path, solver="direct"))]) == 1
+    assert "config field solver: direct solve needs an affine residual" in caplog.text
 
 
 def _malformed_case(section, key, value):

@@ -146,7 +146,7 @@ class TestRandomGenericLevels:
         coeffs = rng.uniform(-1.0, 1.0, size=4)
 
         def xi(p):
-            x, y = p[..., 0], p[..., 1]
+            x, y = p
             return (1.2 - x + 0.3 * coeffs[0] * np.sin(2 * x + coeffs[1])
                     + 0.3 * coeffs[2] * np.cos(2 * y + coeffs[3]))
 

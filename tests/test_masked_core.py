@@ -22,7 +22,7 @@ import pytest
 
 import shift_reference as ref
 from convexcauchy.functional import CauchyData, FunctionalParams, evaluate, gradient
-from convexcauchy.grid import LevelSpec, axis_offset, build_grid, classify_nodes, neighbor_table
+from convexcauchy.grid import LevelSpec, axis_offset, build_grid, classify_nodes, neighbor_tables
 from convexcauchy.harness import build_setup
 from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from convexcauchy.sampling import random_smooth_values
@@ -245,19 +245,19 @@ def test_smooth_draw_bitwise(problem):
 def test_inverted_tables_match_neighbor_tables(problem):
     """The gather tables read off the forward ones (the stencil's adjoint
     tables, the H^k backward tables, the halo's -e_a tables) equal a direct
-    neighbor_table pass at the negated offset, sentinels included."""
+    neighbor_tables pass at the negated offset, sentinels included."""
     mask, dim = problem.mask, problem.mask.grid.dim
     stencil = problem.stencil
     for off, table in stencil.adjoint_tables.items():
-        want = neighbor_table(mask.is_core, [-o for o in off], rows=mask.in_mask)
+        want, = neighbor_tables(mask.is_core, [[-o for o in off]], rows=mask.in_mask)
         assert np.array_equal(table, want), off
     for space in _spaces(problem):
         for axis, table in enumerate(space._backward):
-            assert np.array_equal(table, neighbor_table(mask.in_mask, axis_offset(dim, axis, -1)))
+            assert np.array_equal(table, *neighbor_tables(mask.in_mask, [axis_offset(dim, axis, -1)]))
     halo_nodes = np.zeros(mask.grid.shape, bool)
     halo_nodes.flat[mask.halo.index] = True
     for axis, (_, backward) in enumerate(mask.halo.tables):
-        assert np.array_equal(backward, neighbor_table(halo_nodes, axis_offset(dim, axis, -1)))
+        assert np.array_equal(backward, *neighbor_tables(halo_nodes, [axis_offset(dim, axis, -1)]))
 
 
 def test_inverted_tables_cover_mixed_and_3d():

@@ -1,9 +1,11 @@
-"""Set-up past node classification works on the masked nodes only, and
-gives the same bits as the full-grid forms it replaces: node coordinates,
-the Gram assembly, the direct solve on the free DOFs, the data weights and
-the trace CSV reader. On a 3-D mask, where only a few percent of the nodes
-are masked, the set-up steps stay below one full-grid coordinate array of
-traced heap."""
+"""Set-up works on the masked nodes only, and gives the same bits as the
+full-grid forms it replaces: node coordinates, level values from the open
+per-axis coordinates, gather tables, the Gram assembly (in place, on the
+free DOFs), the direct solve and its system, the data weights and the trace
+CSV reader. On a 3-D mask, where only a few percent of the nodes are
+masked, the set-up steps stay below one full-grid array of traced heap,
+classification below one coordinate array besides what the mask keeps, and
+the constrained Gram below three times its own bytes."""
 
 import gc
 import logging
@@ -14,14 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from convexcauchy.errors import ConfigError
 from convexcauchy.functional import gradient
-from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
-from convexcauchy.harness import build_setup, field_table, load_cauchy_csv, load_problem
+from convexcauchy.grid import (Label, LevelSpec, build_grid, classify_nodes, level_values,
+                               neighbor_tables, shift)
+from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
+                                  load_cauchy_csv, load_problem)
 from convexcauchy.operators import OperatorStencil, validate_operator
 from convexcauchy.optimizer import direct_solve
 from convexcauchy.sobolev import SobolevSpace, spd_factorized
@@ -61,15 +65,20 @@ def ell3d_setup(tmp_path_factory):
     return setup, trace
 
 
-def _traced_peak(fn) -> int:
-    """Peak traced heap, in bytes, of one call of fn."""
+def _traced(fn) -> tuple[object, int, int]:
+    """fn's result, and the traced heap it still holds and its peak, in bytes."""
     gc.collect()
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return (out, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced heap, in bytes, of one call of fn."""
+    return _traced(fn)[2]
 
 
 # -- coordinates ---------------------------------------------------------------
@@ -92,6 +101,95 @@ def test_coords_of_nodes_bit_identical(case):
     got, want = grid.coords(nodes), grid.coords()[nodes]
     assert got.shape == want.shape == (np.count_nonzero(nodes), grid.dim)
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# -- level values ------------------------------------------------------------------
+
+
+def _reference_level(spec: LevelSpec, points: np.ndarray) -> np.ndarray:
+    """The level function as evaluated on an (..., d) coordinate array, with
+    the per-axis sums taken by np.sum over the last axis."""
+    if spec.family == "generic":
+        return np.asarray(spec.xi_fn(points), dtype=float)
+    if spec.family == "hyperbolic":
+        diff = points[..., :-1] - np.asarray(spec.x0, dtype=float)
+        t = points[..., -1]
+        return np.sum(diff * diff, axis=-1) - spec.eta * t * t
+    perp = points[..., 1:-1] if spec.family == "parabolic" else points[..., 1:]
+    base = points[..., 0] + np.sum(perp * perp, axis=-1) / spec.x_width**2
+    if spec.family == "parabolic":
+        base = base + points[..., -1] * points[..., -1] / spec.t_span**2
+    return (base + spec.a) ** (-spec.nu)
+
+
+@st.composite
+def _level_and_grid(draw):
+    """A level spec of any family and a grid of 1 to 3 axes it can be read on."""
+    family = draw(st.sampled_from(["elliptic", "parabolic", "hyperbolic", "generic"]))
+    dim = draw(st.integers(1 + (family in ("parabolic", "hyperbolic")), 3))
+    shape = tuple(draw(st.lists(st.integers(3, 9), min_size=dim, max_size=dim)))
+    bounds = [(0.0, draw(st.floats(0.1, 2.0)))]
+    for _ in range(dim - 1):
+        half = draw(st.floats(0.1, 2.0))
+        bounds.append((-half, draw(st.floats(0.1, 2.0))))
+    grid = build_grid(bounds, shape)
+    unit = st.floats(0.01, 0.99)
+    if family in ("elliptic", "parabolic"):
+        a = draw(st.floats(0.01, 0.48))
+        spec = LevelSpec(family, a=a, c=draw(st.floats(a + 0.005, 0.49)),
+                         nu=draw(st.sampled_from([1.0, 2.0, draw(st.floats(1.0, 4.0))])),
+                         x_width=draw(st.floats(0.2, 3.0)), t_span=draw(st.floats(0.2, 3.0)))
+    elif family == "hyperbolic":
+        spec = LevelSpec(family, c=draw(unit), eta=draw(unit),
+                         x0=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(dim - 1)))
+    else:
+        c = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+        expr = f"{c[0]!r} - x0 + {c[1]!r} * sin(x{dim - 1}) + {c[2]!r} * x0 * x{dim - 1}"
+        spec = LevelSpec(family, c=0.1, xi_fn=lambda x: evaluate_expression(expr, x, False))
+    return spec, grid
+
+
+@given(_level_and_grid())
+def test_level_values_on_open_axes_bit_identical(case):
+    """classify_nodes evaluates the level on the open per-axis coordinates;
+    that gives the bits of the (..., d) coordinate array, for every family."""
+    spec, grid = case
+    coords = grid.coords()
+    got = level_values(spec, grid.open_coords())
+    assert got.shape == grid.shape
+    assert got.tobytes() == level_values(spec, coords).tobytes()
+    assert got.tobytes() == _reference_level(spec, coords).tobytes()
+
+
+# -- gather tables -----------------------------------------------------------------
+
+
+def _full_grid_table(nodes, offset, rows=None):
+    """A gather table through a full-grid numbering and its shifted copy."""
+    n = int(np.count_nonzero(nodes))
+    number = np.full(nodes.shape, n, dtype=np.intp)
+    number[nodes] = np.arange(n)
+    return shift(number, offset, fill=n)[nodes if rows is None else rows]
+
+
+@st.composite
+def _table_case(draw):
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim)))
+    nodes = draw(arrays(np.bool_, shape))
+    rows = draw(st.one_of(st.none(), arrays(np.bool_, shape)))
+    offset = st.tuples(*(st.integers(-n - 1, n + 1) for n in shape))
+    return nodes, draw(st.lists(offset, min_size=1, max_size=4)), rows
+
+
+@given(_table_case())
+@example((np.zeros((3, 4), bool), [(0, 1), (-1, 0)], np.ones((3, 4), bool)))
+@example((np.zeros((3, 4), bool), [(0, 1)], None))
+def test_neighbor_tables_match_full_grid_numbering(case):
+    nodes, offsets, rows = case
+    for offset, got in zip(offsets, neighbor_tables(nodes, offsets, rows=rows), strict=True):
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _full_grid_table(nodes, offset, rows)), offset
 
 
 # -- Gram assembly ---------------------------------------------------------------
@@ -119,18 +217,47 @@ def _keep_every_chain_gram(space: SobolevSpace) -> sp.csr_matrix:
     return gram.tocsr()
 
 
-@pytest.mark.parametrize("which", ["2d-h3", "3d-h3", "inner-h1"])
-def test_gram_matrix_bit_identical_to_keep_every_chain(which, ell2d_mask, ell3d_setup):
+def _space(which, ell2d_mask, ell3d_setup) -> SobolevSpace:
     if which == "2d-h3":
         space = SobolevSpace(ell2d_mask)
+    elif which == "2d-h3-uneven":
+        # spacings 1/30 and 1/18: the Gram is not bitwise symmetric, so the
+        # CSC orientation of the constrained block is checked as well
+        grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 37))
+        space = SobolevSpace(classify_nodes(grid, ell2d_mask.level))
+        gram = space.gram_matrix()
+        assert (gram != gram.T).nnz > 0
     elif which == "3d-h3":
         space = SobolevSpace(ell3d_setup[0].mask)
     else:
         space = SobolevSpace(ell2d_mask, order=1, node_subset=ell2d_mask.is_inner)
     assert space.order == (1 if which == "inner-h1" else 3)
-    got, want = space.gram_matrix(), _keep_every_chain_gram(space)
+    return space
+
+
+def _assert_same_arrays(got, want):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+SPACES = ["2d-h3", "2d-h3-uneven", "3d-h3", "inner-h1"]
+
+
+@pytest.mark.parametrize("which", SPACES)
+def test_gram_matrix_bit_identical_to_keep_every_chain(which, ell2d_mask, ell3d_setup):
+    space = _space(which, ell2d_mask, ell3d_setup)
+    _assert_same_arrays(space.gram_matrix(), _keep_every_chain_gram(space))
+
+
+@pytest.mark.parametrize("which", SPACES)
+def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
+    """Built on the free DOFs only, the constrained Gram has the arrays of the
+    free block sliced out of the full Gram."""
+    space = _space(which, ell2d_mask, ell3d_setup)
+    free = space.mask.free_pos
+    got = space.constrained_gram()
+    assert got.format == "csc"
+    _assert_same_arrays(got, space.gram_matrix()[free][:, free].tocsc())
 
 
 # -- Sobolev weights -------------------------------------------------------------
@@ -160,11 +287,45 @@ def _full_hessian_solve(params) -> np.ndarray:
     return v
 
 
-@pytest.mark.parametrize("which", ["ell2d-config", "ell3d"])
-def test_direct_solve_bit_identical_to_full_hessian(which, ell3d_setup):
-    setup = load_problem(DIRECT_CONFIG) if which == "ell2d-config" else ell3d_setup[0]
+# ELL2D-HARMONIC's data with a constant principal part that has a mixed term
+MIXED_DIRECT = {"case": "ELL2D-HARMONIC", "solver": "direct",
+                "functional": {"beta": 5e-3, "beta_policy": "keep"},
+                "operator": {"id": "linear", "principal": [["1", "0.3"], ["0.3", "1"]],
+                             "mu": [0.6, 1.4]}}
+
+
+def _direct_setup(which, ell3d_setup):
+    setup = {"ell2d-config": lambda: load_problem(DIRECT_CONFIG),
+             "ell2d-mixed": lambda: build_setup(MIXED_DIRECT),
+             "ell3d": lambda: ell3d_setup[0]}[which]()
     assert setup.solver == "direct"
+    return setup
+
+
+@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d"])
+def test_direct_solve_bit_identical_to_full_hessian(which, ell3d_setup):
+    setup = _direct_setup(which, ell3d_setup)
     assert np.array_equal(direct_solve(setup.params).final, _full_hessian_solve(setup.params))
+
+
+@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d"])
+def test_direct_system_bit_identical_to_the_csr_sum(which, ell3d_setup):
+    """beta * G_ff + L^T W L, built in place, has the entries of the scipy sum
+    (canonically ordered, as the factorization orders them), also where the
+    mixed stencil couples nodes outside the Gram's pattern."""
+    params = _direct_setup(which, ell3d_setup).params
+    space, free = params.space, params.mask.free_pos
+    v = params.impose_dofs(np.zeros(params.mask.dofs.size))
+    lmat = params.stencil.linearize(v).to_matrix()[:, free]
+    lwl = lmat.T @ sp.diags(params.core_weight) @ lmat
+    gram = space.constrained_gram()
+    want = (lwl + params.beta * gram).tocsc()
+    want.sum_duplicates()
+    _assert_same_arrays(space.constrained_gram(params.beta, plus=lwl), want)
+    outside = sp.csc_matrix(lwl, copy=True)
+    outside.data[:] = 1.0
+    outside = outside - outside.multiply(gram != 0)
+    assert (outside.nnz > 0) == (which == "ell2d-mixed")
 
 
 # -- weights on the masked nodes -------------------------------------------------
@@ -216,6 +377,32 @@ def test_csv_partial_layer_names_its_coverage(ell3d_setup, tmp_path):
 
 
 # -- traced heap -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("step", ["SobolevSpace", "OperatorStencil"])
+def test_setup_step_stays_below_one_full_grid_array(step, ell3d_setup):
+    """No full-grid numbering behind the gather tables: the step stays below one
+    float per grid node."""
+    setup = ell3d_setup[0]
+    mask, op = setup.mask, setup.params.op
+    call = {"SobolevSpace": lambda: SobolevSpace(mask),
+            "OperatorStencil": lambda: OperatorStencil(op, mask)}[step]
+    assert _traced_peak(call) < mask.grid.node_count * 8
+
+
+def test_classification_stays_below_one_coordinate_array(ell3d_setup):
+    """Beyond the arrays the mask keeps, classification holds less than the
+    (*shape, dim) coordinate array it no longer builds."""
+    grid, level = ell3d_setup[0].grid, ell3d_setup[0].mask.level
+    mask, kept, peak = _traced(lambda: classify_nodes(grid, level))
+    assert mask.dofs.size == ell3d_setup[0].mask.dofs.size
+    assert peak - kept < grid.node_count * grid.dim * 8
+
+
+def test_constrained_gram_stays_below_three_results(ell3d_setup):
+    space = SobolevSpace(ell3d_setup[0].mask)  # a fresh space: no Gram built yet
+    gram, _, peak = _traced(space.constrained_gram)
+    assert peak < 3 * (gram.data.nbytes + gram.indices.nbytes + gram.indptr.nbytes)
 
 
 @pytest.mark.parametrize("step", ["OperatorStencil", "validate_operator", "field_table"])

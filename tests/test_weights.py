@@ -21,8 +21,8 @@ def _stepped_mask():
     """A generic level of three plateaus over x0: ell = 3 (inner), ell = theta + eps
     and ell just above the level surface theta = 1 (eps = 0.5)."""
     grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (11, 11))
-    level = LevelSpec(family="generic", c=1.0, epsilon=0.5, xi_fn=lambda p: np.select(
-        [p[..., 0] < 0.35, p[..., 0] < 0.65], [3.0, 1.5], 1.0 + 1e-12))
+    level = LevelSpec(family="generic", c=1.0, epsilon=0.5, xi_fn=lambda x: np.select(
+        [x[0] < 0.35, x[0] < 0.65], [3.0, 1.5], 1.0 + 1e-12))
     return classify_nodes(grid, level)
 
 
@@ -99,7 +99,7 @@ class TestExtrema:
         """The log-weight minimum sits on the free boundary at lam * c."""
         grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (21, 21))
         level = LevelSpec(family="generic", c=0.3, epsilon=0.05,
-                          xi_fn=lambda p: 1.0 - p[..., 0])
+                          xi_fn=lambda x: 1.0 - x[0])
         mask = classify_nodes(grid, level)
         cell = mask.largest_cell_level_variation()
         for lam in (1.0, 5.0, 10.0):
@@ -110,7 +110,7 @@ class TestExtrema:
     def test_constant_level_degenerate(self):
         grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (9, 9))
         level = LevelSpec(family="generic", c=0.5, epsilon=0.1,
-                          xi_fn=lambda p: np.full(p.shape[:-1], 2.0))
+                          xi_fn=lambda x: np.full_like(x[0], 2.0))
         mask = classify_nodes(grid, level)
         w_min, w_max, _ = weight_extrema(mask, 3.0)
         assert w_min == pytest.approx(w_max)
