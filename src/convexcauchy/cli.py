@@ -20,7 +20,7 @@ from .harness import (
     emit_report,
     error_norms,
     field_table,
-    history_rows,
+    history_table,
     load_problem,
 )
 from .optimizer import convexity_certificate, direct_solve, run
@@ -55,7 +55,7 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
         run_report = run(setup.params, start, setup.opt_config)
     report["run"] = run_report.to_dict()
     report["errors"] = error_norms(setup, run_report.final)
-    report["history"] = history_rows(run_report)
+    report["history"] = history_table(run_report)
     report["field"] = field_table(setup, run_report.final)
     emit_report(report, setup.output_dir)
     if not run_report.converged:

@@ -571,9 +571,9 @@ def error_norms(setup: ProblemSetup, u: np.ndarray) -> dict | None:
     return out
 
 
-def field_table(setup: ProblemSetup, u: np.ndarray) -> list[dict]:
-    """One row per masked node of the DOF vector u: coordinates, label, u,
-    exact value, error."""
+def field_table(setup: ProblemSetup, u: np.ndarray) -> dict[str, list]:
+    """The columns of field.csv, one entry per masked node of the DOF vector
+    u: coordinates, label, u, exact value, error."""
     inside = setup.mask.in_mask
     columns = {f"x{j}": col for j, col in enumerate(setup.grid.coords(inside).T.tolist())}
     label_names = np.array([label.name.lower() for label in sorted(Label)])
@@ -582,14 +582,15 @@ def field_table(setup: ProblemSetup, u: np.ndarray) -> list[dict]:
     if setup.u_star is not None:
         columns["u_star"] = setup.u_star.tolist()
         columns["abs_err"] = np.abs(u - setup.u_star).tolist()
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return columns
 
 
 def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
     """Write report.json plus history.csv / field.csv side tables.
 
-    The `history` and `field` keys of the report, when present, are split off
-    into CSV files; everything else lands in report.json (sorted keys, so
+    The `history` and `field` keys of the report, when present, are tables
+    (column name -> column) split off into CSV files; everything else lands
+    in report.json (sorted keys, so
     identical runs produce identical bytes modulo the timestamp/wall-time
     entries).
     """
@@ -609,36 +610,37 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
     try:
         json_path.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
         written.append(json_path)
-        if history is not None:
-            path = out_dir / "history.csv"
-            _write_csv(path, history, ["iter", "j", "grad_norm", "step", "radius", "halvings"])
-            written.append(path)
-        if table is not None:
-            path = out_dir / "field.csv"
-            _write_csv(path, table, list(table[0].keys()) if table else ["u"])
-            written.append(path)
+        for name, columns in (("history.csv", history), ("field.csv", table)):
+            if columns is not None:
+                _write_csv(out_dir / name, columns)
+                written.append(out_dir / name)
     except OSError as exc:
         raise OSError(f"cannot write report files under {out_dir}: {exc}") from exc
     logger.info("wrote %s", ", ".join(str(p) for p in written))
     return written
 
 
-def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
+def _write_csv(path: Path, columns: dict[str, list]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
 
 
-def history_rows(run_report) -> list[dict]:
-    """One row per J in the history: the gradient norm, the step, the H^k
-    norm of the iterate (`radius`) and the trials the line search rejected
-    (`halvings`). At the iteration cap the last row holds the J of the final
-    step, with the other cells empty."""
-    columns = {"grad_norm": run_report.grad_norm_history, "step": run_report.step_history,
-               "radius": run_report.radius_history, "halvings": run_report.halvings_history}
-    return [{"iter": i, "j": j, **{k: c[i] if i < len(c) else "" for k, c in columns.items()}}
-            for i, j in enumerate(run_report.j_history)]
+def history_table(run_report) -> dict[str, list]:
+    """The columns of history.csv, one entry per J in the history: the
+    gradient norm, the step, the H^k norm of the iterate (`radius`) and the
+    trials the line search rejected (`halvings`). A column shorter than the
+    history (the step column, and every column at the iteration cap, where
+    the last entry holds the J of the final step) ends in empty cells."""
+    rows = len(run_report.j_history)
+    columns = {"iter": list(range(rows)), "j": run_report.j_history}
+    for name, column in (("grad_norm", run_report.grad_norm_history),
+                         ("step", run_report.step_history),
+                         ("radius", run_report.radius_history),
+                         ("halvings", run_report.halvings_history)):
+        columns[name] = column + [""] * (rows - len(column))
+    return columns
 
 
 def starting_field(setup: ProblemSetup) -> Field:

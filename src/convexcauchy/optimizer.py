@@ -26,12 +26,14 @@ from .errors import ConfigError, SolverError
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
 from .grid import check_finite
 from .sampling import draw_in_ball
-from .sobolev import SobolevSpace, spd_factorized
+from .sobolev import SobolevSpace, spd_solve
 
 logger = logging.getLogger(__name__)
 
 STEP_MODES = ("fixed", "backtracking")
 RADIUS_POLICIES = ("monitor", "reject_step")
+# direct solves on grids with at least this many axes factorize in float32
+MIXED_PRECISION_DIM = 3
 
 
 @dataclass
@@ -70,6 +72,8 @@ class RunReport:
     halvings_history: list[int] = dc_field(default_factory=list)  # rejected trials per line search
     evaluations: int = 0  # J evaluations
     gradients: int = 0  # gradient evaluations
+    factorizations: int = 0  # sparse factorizations: the direct system's, or the space's Gram
+    refinements: int = 0  # CG iterations of a mixed-precision direct solve
     final: np.ndarray | None = None  # DOF vector of the last iterate
     converged: bool = False
     reason: str = ""
@@ -93,7 +97,9 @@ class RunReport:
             "radius_history": self.radius_history,
             "final_j": self.j_history[-1] if self.j_history else None,
             "counters": {"evaluations": self.evaluations, "gradients": self.gradients,
-                         "halvings": sum(self.halvings_history)},
+                         "halvings": sum(self.halvings_history),
+                         "factorizations": self.factorizations,
+                         "refinements": self.refinements},
         }
 
 
@@ -202,6 +208,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
 
     report.final = u
     report.iterations = report.gradients = len(report.grad_norm_history)
+    report.factorizations = space.factorizations
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:
@@ -242,7 +249,10 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     residual's (constant) linearization, a core-node x DOF matrix. The system
     is assembled on the free DOFs only: L^T W L, from the free columns of L,
     is added in place into the constrained Gram matrix as it is scaled by
-    beta; no DOF x DOF Hessian is formed. The report
+    beta; no DOF x DOF Hessian is formed. On grids of MIXED_PRECISION_DIM or
+    more axes the system is solved in mixed precision (spd_solve); in 2-D,
+    where the H^k Gram's conditioning grows like h^-2k and the float32
+    factor stops paying off, by the float64 factor alone. The report
     has 0 iterations and one history row at the minimizer (`final`): J, the
     Euclidean gradient norm and the H^k norm. Raises ConfigError for
     operators whose lower-order term actually depends on the field.
@@ -257,13 +267,16 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     free = mask.free_pos
     lmat = params.stencil.linearize(v).to_matrix()[:, free]
     hess = space.constrained_gram(params.beta, plus=lmat.T @ sp.diags(params.core_weight) @ lmat)
-    v[free] += spd_factorized(hess)(-0.5 * gradient(params, v)[free])
+    solved = spd_solve(hess, -0.5 * gradient(params, v)[free],
+                       mixed=mask.grid.dim >= MIXED_PRECISION_DIM)
+    v[free] += solved.x
 
     j = evaluate(params, v)
     g = gradient(params, v, at=j)
     return RunReport(
         j_history=[float(j)], grad_norm_history=[float(np.linalg.norm(g))],
         radius_history=[float(np.sqrt(max(j.norm_sq, 0.0)))], evaluations=1, gradients=2,
+        factorizations=solved.factorizations, refinements=solved.refinements,
         final=v, converged=True, reason="direct normal-equations solve", space=space,
         wall_time=time.perf_counter() - t0,
     )

@@ -381,8 +381,8 @@ class TestEmitReport:
         report = {
             "command": "solve",
             "timestamp": "2026-01-01T00:00:00",
-            "history": [{"iter": 0, "j": 1.0, "grad_norm": 0.5, "step": 1.0}],
-            "field": [{"x0": 0.0, "x1": 0.0, "label": "interior", "u": 1.0}],
+            "history": {"iter": [0, 1], "j": [1.0, 0.5], "grad_norm": [0.5, ""]},
+            "field": {"x0": [0.0], "x1": [0.0], "label": ["interior"], "u": [1.0]},
             "value": 42,
         }
         files = emit_report(report, tmp_path)
@@ -392,6 +392,9 @@ class TestEmitReport:
         assert loaded["schema_version"] == "1"
         assert loaded["value"] == 42
         assert "history" not in loaded
+        assert ((tmp_path / "history.csv").read_bytes()
+                == b"iter,j,grad_norm\r\n0,1.0,0.5\r\n1,0.5,\r\n")
+        assert (tmp_path / "field.csv").read_bytes() == b"x0,x1,label,u\r\n0.0,0.0,interior,1.0\r\n"
 
     def test_field_rows_count_masked_nodes(self, tmp_path):
         cfg = minimal_config(solver="direct", output_dir=str(tmp_path / "out"))
@@ -405,8 +408,9 @@ class TestEmitReport:
 
     @pytest.mark.parametrize("with_u_star", [True, False])
     def test_field_table_matches_node_loop(self, with_u_star):
-        """The columnar field table equals the per-node construction it
-        replaced, value for value (so field.csv keeps its bytes)."""
+        """The columns of the field table hold the per-node construction it
+        replaced, value for value and in column order (so field.csv keeps
+        its bytes)."""
         setup = build_setup(minimal_config())
         if not with_u_star:
             setup.u_star = None
@@ -422,8 +426,8 @@ class TestEmitReport:
                 row["abs_err"] = abs(row["u"] - row["u_star"])
             rows.append(row)
         table = field_table(setup, u)
-        assert table == rows
-        assert [list(r) for r in table] == [list(r) for r in rows]  # column order
+        assert list(table) == list(rows[0])  # column order
+        assert [dict(zip(table, row)) for row in zip(*table.values())] == rows
 
     def test_deterministic_report(self, tmp_path):
         outs = []
@@ -631,6 +635,19 @@ class TestCli:
         assert report["errors"]["l2_inner"] < 0.05
         wall_time = report["run"]["wall_time"]
         assert isinstance(wall_time, float) and wall_time > 0.0
+
+    def test_singular_direct_system_exits_two(self, tmp_path, caplog):
+        """beta 1e-320 passes validation, but beta * G underflows and leaves
+        the normal equations singular: exit 2 with a message naming the
+        system, not a traceback."""
+        cfg = {"case": "ELL2D-HARMONIC", "grid": {"resolution": [33, 33]},
+               "functional": {"beta": 1e-320, "beta_policy": "keep"}, "solver": "direct",
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 2
+        assert ("numerical failure: sparse factorization of the 54 x 54 system failed: "
+                "Factor is exactly singular") in caplog.text
 
     def test_solve_gradient_reports_contraction(self, tmp_path):
         cfg = {

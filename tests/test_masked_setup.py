@@ -5,7 +5,10 @@ free DOFs), the direct solve and its system, the data weights and the trace
 CSV reader. On a 3-D mask, where only a few percent of the nodes are
 masked, the set-up steps stay below one full-grid array of traced heap,
 classification below one coordinate array besides what the mask keeps, and
-the constrained Gram below three times its own bytes."""
+the constrained Gram below three times its own bytes. The 3-D direct
+systems (elliptic, and a 2+1-D wave) solve in mixed precision to float64
+accuracy, and fall back to the float64 factor where float32 cannot hold
+them."""
 
 import gc
 import logging
@@ -21,14 +24,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from convexcauchy.errors import ConfigError
-from convexcauchy.functional import gradient
+from convexcauchy.functional import CauchyData, FunctionalParams, gradient
 from convexcauchy.grid import (Label, LevelSpec, build_grid, classify_nodes, level_values,
                                neighbor_tables, shift)
 from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
                                   load_cauchy_csv, load_problem)
-from convexcauchy.operators import OperatorStencil, validate_operator
+from convexcauchy.operators import OperatorStencil, QuasilinearOperator, validate_operator
 from convexcauchy.optimizer import direct_solve
-from convexcauchy.sobolev import SobolevSpace, spd_factorized
+from convexcauchy.sobolev import SobolevSpace, spd_factorized, spd_solve
 from convexcauchy.weights import mask_weight_sq, weight_extrema
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -276,14 +279,16 @@ def test_dof_weights_are_the_full_grid_weights_on_the_mask(ell2d_mask):
 
 
 def _full_hessian_solve(params) -> np.ndarray:
-    """The direct solve through the DOF x DOF Hessian, sliced to the free DOFs."""
+    """The direct solve through the DOF x DOF Hessian, sliced to the free DOFs,
+    solved by the same helper (mixed precision from three axes on)."""
     mask, space = params.mask, params.space
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     lmat = params.stencil.linearize(v).to_matrix()
     hess = (lmat.T @ sp.diags(params.core_weight) @ lmat
             + params.beta * space.gram_matrix()).tocsr()
     free = mask.free_pos
-    v[free] += spd_factorized(hess[free][:, free])(-0.5 * gradient(params, v)[free])
+    v[free] += spd_solve(hess[free][:, free], -0.5 * gradient(params, v)[free],
+                         mixed=mask.grid.dim >= 3).x
     return v
 
 
@@ -326,6 +331,69 @@ def test_direct_system_bit_identical_to_the_csr_sum(which, ell3d_setup):
     outside.data[:] = 1.0
     outside = outside - outside.multiply(gram != 0)
     assert (outside.nnz > 0) == (which == "ell2d-mixed")
+
+
+# -- mixed-precision direct solves in 3-D ------------------------------------------
+
+
+def _direct_system(params) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The free-DOF normal equations and right-hand side of direct_solve."""
+    free = params.mask.free_pos
+    v = params.impose_dofs(np.zeros(params.mask.dofs.size))
+    lmat = params.stencil.linearize(v).to_matrix()[:, free]
+    hess = params.space.constrained_gram(params.beta,
+                                         plus=lmat.T @ sp.diags(params.core_weight) @ lmat)
+    return hess, -0.5 * gradient(params, v)[free]
+
+
+def _hyp2d_params():
+    """The 2+1-D wave u_tt = laplace u at 17^3, u* = cos(2 sqrt2 t) sin 2x sin 2y,
+    lambda 1.5, beta 1e-4."""
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)), (17, 17, 17))
+    mask = classify_nodes(grid, LevelSpec(family="hyperbolic", c=0.02, eta=0.6, x0=(0.5, 0.5)))
+    pts = grid.coords(mask.in_mask)
+    star = np.cos(2 * np.sqrt(2) * pts[:, 2]) * np.sin(2 * pts[:, 0]) * np.sin(2 * pts[:, 1])
+    return FunctionalParams(
+        op=QuasilinearOperator(family="hyperbolic", dim=3), lam=1.5, mask=mask,
+        space=SobolevSpace(mask), beta=1e-4,
+        data=CauchyData(star[mask.value_pos], star[mask.deriv_pos]), beta_policy="keep")
+
+
+@pytest.fixture(scope="module")
+def systems_3d(ell3d_setup):
+    return {"ell3d": _direct_system(ell3d_setup[0].params),
+            "hyp2d": _direct_system(_hyp2d_params())}
+
+
+@pytest.mark.parametrize("which", ["ell3d", "hyp2d"])
+def test_mixed_precision_solve_matches_float64(which, systems_3d):
+    hess, rhs = systems_3d[which]
+    solved = spd_solve(hess, rhs)
+    assert solved.factorizations == 1 and 1 <= solved.refinements <= 10
+    assert np.linalg.norm(rhs - hess @ solved.x) <= 1e-14 * np.linalg.norm(rhs)
+    reference = spd_factorized(hess)(rhs)
+    assert np.max(np.abs(solved.x - reference)) <= 1e-9 * np.max(np.abs(reference))
+    again = spd_solve(hess, rhs)
+    assert np.array_equal(again.x, solved.x) and again[1:] == solved[1:]
+
+
+def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
+    counters = direct_solve(ell3d_setup[0].params).to_dict()["counters"]
+    hess, rhs = _direct_system(ell3d_setup[0].params)
+    assert counters["factorizations"] == 1
+    assert counters["refinements"] == spd_solve(hess, rhs).refinements > 0
+
+
+def test_beta_underflowing_float32_falls_back(ell3d_setup):
+    """beta * G underflows in float32 at beta 1e-300 and leaves the float32
+    factor singular; float64 factorizes it, and its bits are returned."""
+    params = replace(ell3d_setup[0].params, beta=1e-300)
+    hess, rhs = _direct_system(params)
+    solved = spd_solve(hess, rhs)
+    assert (solved.factorizations, solved.refinements) == (2, 0)
+    assert np.array_equal(solved.x, spd_factorized(hess)(rhs))
+    report = direct_solve(params)
+    assert (report.factorizations, report.refinements) == (2, 0)
 
 
 # -- weights on the masked nodes -------------------------------------------------

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from convexcauchy import cli, optimizer
+from convexcauchy import cli, optimizer, sobolev
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.functional import FunctionalParams, data_extension, evaluate, gradient
-from convexcauchy.harness import build_setup, history_rows, load_problem
+from convexcauchy.harness import build_setup, history_table, load_problem
 from convexcauchy.operators import LOWER_TERMS, OperatorStencil
 from convexcauchy.optimizer import (
     OptimizerConfig,
@@ -145,11 +145,12 @@ class TestRun:
         assert len(report.j_history) == 6
         assert report.j_history[-1] == evaluate(params, report.final)
 
-        rows = history_rows(report)
-        assert [r["iter"] for r in rows] == list(range(6))
-        assert rows[-1]["j"] == report.j_history[-1]
-        assert rows[-1]["grad_norm"] == "" and rows[-1]["step"] == ""
-        assert rows[-2]["grad_norm"] == report.grad_norm_history[-1]
+        table = history_table(report)
+        assert table["iter"] == list(range(6))
+        assert all(len(column) == 6 for column in table.values())
+        assert table["j"][-1] == report.j_history[-1]
+        assert table["grad_norm"][-1] == "" and table["step"][-1] == ""
+        assert table["grad_norm"][-2] == report.grad_norm_history[-1]
 
     def test_converged_history_lengths(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
@@ -247,12 +248,14 @@ class TestEvaluateOnce:
 
     @pytest.mark.parametrize("config", [SOLVE_CONFIG, DIRECT_CONFIG], ids=["gradient", "direct"])
     def test_counters_match_calls(self, monkeypatch, tmp_path, config):
-        """run.counters in report.json against wrapped evaluate and gradient
-        calls, and the halvings column of history.csv, for both solvers; the
-        run block has the same keys for both."""
+        """run.counters in report.json against wrapped evaluate, gradient and
+        sparse factorization calls, and the halvings column of history.csv,
+        for both solvers; the run block has the same keys for both. Both
+        configs are 2-D, so neither solver refines in mixed precision."""
         calls = Counter()
         for name in ("evaluate", "gradient"):
             monkeypatch.setattr(optimizer, name, _counted(calls, name, getattr(optimizer, name)))
+        monkeypatch.setattr(sobolev, "_splu", _counted(calls, "_splu", sobolev._splu))
         assert cli.main(["solve", str(config), "--out", str(tmp_path)]) == 0
         run_report = json.loads((tmp_path / "report.json").read_text())["run"]
         with open(tmp_path / "history.csv", newline="") as fh:
@@ -262,7 +265,10 @@ class TestEvaluateOnce:
         halvings = [int(row["halvings"]) for row in rows if row["halvings"] != ""]
         assert run_report["counters"] == {"evaluations": calls["evaluate"],
                                           "gradients": calls["gradient"],
-                                          "halvings": sum(halvings)}
+                                          "halvings": sum(halvings),
+                                          "factorizations": calls["_splu"],
+                                          "refinements": 0}
+        assert calls["_splu"] == 1  # the direct system, or the data extension's Gram
         # one line search per step, each evaluating its rejected trials and the accepted one
         assert len(halvings) == len(run_report["step_history"]) == len(rows) - 1
         assert calls["evaluate"] == 1 + len(halvings) + sum(halvings)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from convexcauchy.errors import ConfigError
+from convexcauchy import sobolev
+from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.sampling import random_smooth_values
-from convexcauchy.sobolev import SobolevSpace, difference_monomials, sobolev_order, spd_factorized
+from convexcauchy.sobolev import (SobolevSpace, difference_monomials, sobolev_order,
+                                  spd_factorized, spd_solve)
 
 
 class TestOrder:
@@ -124,6 +127,88 @@ class TestSpdFactorization:
         gram = space.constrained_gram()
         b = rng.standard_normal(gram.shape[0])
         assert np.array_equal(space.constrained_solver()(b), spd_factorized(gram)(b))
+
+    def test_constrained_solver_factorizes_once(self, ell2d_mask):
+        space = SobolevSpace(ell2d_mask)
+        assert space.factorizations == 0
+        assert space.constrained_solver() is space.constrained_solver()
+        assert space.factorizations == 1
+
+    def test_singular_matrix_raises_solver_error(self):
+        with pytest.raises(SolverError, match="factorization of the 3 x 3 system failed: "
+                                              "Factor is exactly singular"):
+            spd_factorized(sp.diags([1.0, 0.0, 1.0]))
+
+
+def _tridiagonal(n: int = 50) -> sp.csc_matrix:
+    """An SPD tridiagonal matrix, diagonally dominant."""
+    return sp.diags([np.full(n - 1, -1.0), np.full(n, 2.5), np.full(n - 1, -1.0)],
+                    [-1, 0, 1]).tocsc()
+
+
+class TestMixedPrecisionSolve:
+    """spd_solve refines a float32 factor with float64 CG, and falls back to
+    spd_factorized, bit for bit, on each way the float32 path can fail.
+    Its accuracy on 3-D direct systems is checked in test_masked_setup."""
+
+    @staticmethod
+    def _falls_back(matrix, rhs):
+        solved = spd_solve(matrix, rhs)
+        assert solved.factorizations == 2
+        assert np.array_equal(solved.x, spd_factorized(matrix)(rhs))
+        return solved
+
+    def test_refines_to_float64_accuracy(self):
+        a, b = _tridiagonal(), np.arange(50.0)
+        solved = spd_solve(a, b)
+        assert solved.factorizations == 1 and solved.refinements >= 1
+        assert np.linalg.norm(b - a @ solved.x) <= sobolev.REFINE_TOL * np.linalg.norm(b)
+
+    def test_float64_only(self):
+        a, b = _tridiagonal(), np.arange(50.0)
+        solved = spd_solve(a, b, mixed=False)
+        assert (solved.factorizations, solved.refinements) == (1, 0)
+        assert np.array_equal(solved.x, spd_factorized(a)(b))
+
+    def test_zero_rhs(self):
+        solved = spd_solve(_tridiagonal(), np.zeros(50))
+        assert (solved.factorizations, solved.refinements) == (1, 0)
+        assert not np.any(solved.x)
+
+    def test_cast_past_float32_range_falls_back(self):
+        solved = self._falls_back(_tridiagonal() * 1e40, np.arange(50.0))
+        assert solved.refinements == 0
+
+    def test_singular_float32_factor_falls_back(self):
+        """1e-50 is a normal float64 and flushes to 0 in float32."""
+        solved = self._falls_back(sp.diags([1.0, 1e-50, 1.0]).tocsc(), np.ones(3))
+        assert solved.refinements == 0
+
+    def test_non_finite_iterate_falls_back(self):
+        """Entries subnormal in float32: the factor's solve overflows."""
+        solved = self._falls_back(_tridiagonal() * 1e-40, np.ones(50))
+        assert solved.refinements == 1
+
+    def test_iteration_cap_falls_back(self, monkeypatch):
+        a, b = _tridiagonal(), np.arange(50.0)
+        assert spd_solve(a, b).refinements == 3
+        monkeypatch.setattr(sobolev, "REFINE_MAX_ITERS", 2)
+        assert self._falls_back(a, b).refinements == 2
+
+    def test_failed_residual_check_falls_back(self, space, rng):
+        """On the H^3 Gram CG meets REFINE_TOL on its recursive residual,
+        but the true residual misses it (so does the float64 factor's)."""
+        gram = space.constrained_gram()
+        b = rng.standard_normal(gram.shape[0])
+        x, iterations = sobolev._refine(gram, b)
+        assert x is not None and iterations > 0
+        assert np.linalg.norm(b - gram @ x) > sobolev.REFINE_TOL * np.linalg.norm(b)
+        assert self._falls_back(gram, b).refinements == iterations
+
+    def test_deterministic(self):
+        a, b = _tridiagonal(), np.sin(np.arange(50.0))
+        first, second = spd_solve(a, b), spd_solve(a, b)
+        assert np.array_equal(first.x, second.x) and first[1:] == second[1:]
 
 
 class TestEmbeddingEcho:
