@@ -315,12 +315,13 @@ def data_extension(space: SobolevSpace, data: CauchyData) -> np.ndarray:
     Solves the constrained Gram system for the smoothest extension of the two
     trace layers into the mask. This is the natural center for drawing
     admissible fields: no data-consistent field has a smaller norm, so if the
-    extension does not fit inside a ball, nothing does.
+    extension does not fit inside a ball, nothing does. One solve, so on
+    three or more axes it refines a float32 factor (one_shot_solver).
     """
     mask = space.mask
     v = np.zeros(mask.dofs.size)
     v[mask.value_pos] = data.g0
     v[mask.deriv_pos] = data.g1
     free = mask.free_pos
-    v[free] += space.constrained_solver()(-space.apply_gram(v)[free])
+    v[free] += space.one_shot_solver()(-space.apply_gram(v)[free])
     return v

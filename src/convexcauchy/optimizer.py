@@ -26,14 +26,12 @@ from .errors import ConfigError, SolverError
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
 from .grid import check_finite
 from .sampling import draw_in_ball
-from .sobolev import SobolevSpace, spd_solve
+from .sobolev import MIXED_PRECISION_DIM, SobolevSpace, spd_solve
 
 logger = logging.getLogger(__name__)
 
 STEP_MODES = ("fixed", "backtracking")
 RADIUS_POLICIES = ("monitor", "reject_step")
-# direct solves on grids with at least this many axes factorize in float32
-MIXED_PRECISION_DIM = 3
 
 
 @dataclass

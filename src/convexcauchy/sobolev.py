@@ -63,10 +63,14 @@ def spd_factorized(matrix: sp.spmatrix):
     return _splu(matrix.tocsc()).solve
 
 
-# mixed-precision solve: CG stops at this relative residual, which the true
-# float64 residual must then meet too, within this many iterations
+# mixed-precision solve: CG stops at this relative residual within this many
+# iterations, and the true float64 residual must then pass the backward-error
+# test at the same tolerance
 REFINE_TOL = 1e-14
 REFINE_MAX_ITERS = 20
+# one-shot solves on grids with at least this many axes refine a float32 factor
+# (spd_solve): the direct solve and the data extension
+MIXED_PRECISION_DIM = 3
 
 
 class SpdSolve(NamedTuple):
@@ -81,19 +85,27 @@ def spd_solve(matrix: sp.spmatrix, rhs: np.ndarray, mixed: bool = True) -> SpdSo
     The matrix is factorized in float32 (about a third faster than float64
     on 3-D systems), and a float64 conjugate-gradient iteration
     preconditioned by that factor brings the solution to float64 accuracy,
-    typically in 2-6 iterations. The result is accepted only when its true
-    float64 residual is below REFINE_TOL relative to rhs. A float32 cast
-    that is not finite, a singular float32 factor, CG that misses REFINE_TOL
-    within REFINE_MAX_ITERS, an iterate that is not finite, or a failed
-    residual check fall back to spd_factorized, whose solution is returned
-    bit for bit; so does mixed=False, without the float32 attempt.
+    typically in 3-8 iterations. The result x is accepted only when its true
+    float64 residual passes the backward-error test
+
+        ||rhs - A x|| <= REFINE_TOL * (max_i A_ii ||x|| + ||rhs||).
+
+    For SPD A the largest diagonal entry is at most ||A||_2, so the test is
+    no looser than a normwise backward error of REFINE_TOL, and it needs no
+    copy of A. Every x within REFINE_TOL of rhs in relative residual passes
+    it, and so does a badly scaled A where even its float64 factor misses
+    the relative test. A float32 cast that is not finite, a singular float32
+    factor, CG that misses REFINE_TOL within REFINE_MAX_ITERS, an iterate
+    that is not finite, or a failed residual check fall back to
+    spd_factorized, whose solution is returned bit for bit; so does
+    mixed=False, without the float32 attempt.
     """
     matrix = matrix.tocsc()
     if not mixed:
         return SpdSolve(spd_factorized(matrix)(rhs), 1, 0)
     x, iterations = _refine(matrix, rhs)
-    if x is not None and (np.linalg.norm(rhs - matrix @ x)
-                          <= REFINE_TOL * np.linalg.norm(rhs)):
+    if x is not None and (np.linalg.norm(rhs - matrix @ x) <= REFINE_TOL * (
+            matrix.diagonal().max(initial=0.0) * np.linalg.norm(x) + np.linalg.norm(rhs))):
         return SpdSolve(x, 1, iterations)
     return SpdSolve(spd_factorized(matrix)(rhs), 2, iterations)
 
@@ -173,7 +185,7 @@ class SobolevSpace:
         self.monomials = difference_monomials(self.grid.dim, self.order)
         inside = mask.in_mask
         self._free_solve = None
-        self.factorizations = 0  # of the constrained Gram
+        self.factorizations = 0  # of the constrained Gram, kept or not (one_shot_solver)
 
         self.dof_weights = np.where(self.nodes[inside], mask.quad_weight[inside], 0.0)
         # a DOF without a forward neighbour along an axis points at itself:
@@ -291,6 +303,24 @@ class SobolevSpace:
         free x free matrix: entry for entry the bits of the scipy sum
         plus + scale * gram_matrix()[free][:, free], built in place."""
         return self._assemble(self.mask.free_pos, scale, plus)
+
+    def one_shot_solver(self):
+        """Solve callable of the constrained Gram for a caller that solves once.
+
+        On fewer than MIXED_PRECISION_DIM axes, or when the space already
+        holds its float64 factor, this is constrained_solver(). Otherwise the
+        callable refines a float32 factor by spd_solve, which costs less than
+        the float64 one and is not kept; its factorizations are counted all
+        the same.
+        """
+        if self._free_solve is not None or self.grid.dim < MIXED_PRECISION_DIM:
+            return self.constrained_solver()
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            solved = spd_solve(self.constrained_gram(), rhs)
+            self.factorizations += solved.factorizations
+            return solved.x
+        return solve
 
     def constrained_solver(self):
         if self._free_solve is None:

@@ -8,9 +8,12 @@ classification below one coordinate array besides what the mask keeps, and
 the constrained Gram below three times its own bytes. The 3-D direct
 systems (elliptic, and a 2+1-D wave) solve in mixed precision to float64
 accuracy, and fall back to the float64 factor where float32 cannot hold
-them."""
+them. So does the data extension on three axes (elliptic, 2+1-D wave and
+parabolic), while in 2-D it keeps the float64 factor; a 3-D gradient solve
+still factorizes once."""
 
 import gc
+import json
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -23,8 +26,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from convexcauchy import cli, sobolev
 from convexcauchy.errors import ConfigError
-from convexcauchy.functional import CauchyData, FunctionalParams, gradient
+from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, gradient
 from convexcauchy.grid import (Label, LevelSpec, build_grid, classify_nodes, level_values,
                                neighbor_tables, shift)
 from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
@@ -47,25 +51,28 @@ def _exact(points):
     return points[..., 0] ** 2 - points[..., 1] ** 2 + 0.5 * points[..., 2] + 3.0
 
 
-@pytest.fixture(scope="module")
-def ell3d_setup(tmp_path_factory):
-    """Direct-solve problem on the 3-D cap at 33^3, its trace read from a CSV."""
-    resolution = [33, 33, 33]
-    grid = build_grid(ELL3D_BOUNDS, resolution)
+def _ell3d_config(resolution: int, trace: Path) -> dict:
+    """Config of the 3-D cap at resolution^3 with the linear operator, its
+    trace (the values of _exact) written to the CSV file `trace`."""
+    grid = build_grid(ELL3D_BOUNDS, [resolution] * 3)
     mask = classify_nodes(grid, LevelSpec(family="elliptic", **ELL3D_LEVEL))
     values = _exact(grid.coords()).ravel()
     lines = ["layer,index,value"]
     for layer, nodes in (("g0", mask.value_layer), ("g1", mask.deriv_layer)):
         lines += [f"{layer},{idx},{float(values[idx])!r}" for idx in np.flatnonzero(nodes)]
-    trace = tmp_path_factory.mktemp("ell3d") / "trace.csv"
     trace.write_text("\n".join(lines) + "\n")
-    setup = build_setup({
-        "family": "elliptic", "grid": {"bounds": ELL3D_BOUNDS, "resolution": resolution},
+    return {
+        "family": "elliptic", "grid": {"bounds": ELL3D_BOUNDS, "resolution": [resolution] * 3},
         "level": ELL3D_LEVEL, "operator": {"id": "linear"}, "weight": {"lambda": 2.0},
-        "functional": {"beta": 5e-3, "beta_policy": "keep"}, "solver": "direct",
-        "data": {"file": str(trace)},
-    })
-    return setup, trace
+        "functional": {"beta": 5e-3, "beta_policy": "keep"}, "data": {"file": str(trace)},
+    }
+
+
+@pytest.fixture(scope="module")
+def ell3d_setup(tmp_path_factory):
+    """Direct-solve problem on the 3-D cap at 33^3, its trace read from a CSV."""
+    trace = tmp_path_factory.mktemp("ell3d") / "trace.csv"
+    return build_setup({**_ell3d_config(33, trace), "solver": "direct"}), trace
 
 
 def _traced(fn) -> tuple[object, int, int]:
@@ -394,6 +401,87 @@ def test_beta_underflowing_float32_falls_back(ell3d_setup):
     assert np.array_equal(solved.x, spd_factorized(hess)(rhs))
     report = direct_solve(params)
     assert (report.factorizations, report.refinements) == (2, 0)
+
+
+# -- the data extension in mixed precision on three axes ----------------------------
+
+
+def _par2d_mask():
+    """The 2+1-D parabolic geometry of tests/test_higher_dim.py at 25^3."""
+    grid = build_grid(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (25, 25, 25))
+    return classify_nodes(grid, LevelSpec(family="parabolic", a=0.2, c=0.45, nu=1.0,
+                                          x_width=1.0, t_span=1.0))
+
+
+def _extension(mask, factored: bool) -> tuple[np.ndarray, CauchyData, SobolevSpace]:
+    """data_extension of a smooth field's trace on a new space of the mask,
+    which holds its float64 factor beforehand when `factored`."""
+    pts = mask.grid.coords(mask.in_mask)
+    star = np.exp(0.5 * pts[:, 0]) * np.cos(pts[:, 1]) + pts[:, -1]
+    data = CauchyData(star[mask.value_pos], star[mask.deriv_pos])
+    space = SobolevSpace(mask)
+    if factored:
+        space.constrained_solver()
+    return data_extension(space, data), data, space
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch) -> list:
+    """The results of every sobolev.spd_solve call made while the test runs."""
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(spd_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(sobolev, "spd_solve", recorded)
+    return solves
+
+
+@pytest.mark.parametrize("which", ["ell3d", "hyp2d", "par2d"])
+def test_data_extension_refines_a_float32_factor_on_three_axes(which, ell3d_setup,
+                                                                 recorded_solves):
+    mask = {"ell3d": lambda: ell3d_setup[0].mask, "hyp2d": lambda: _hyp2d_params().mask,
+            "par2d": _par2d_mask}[which]()
+    v, data, space = _extension(mask, factored=False)
+    (solved,) = recorded_solves
+    assert solved.factorizations == space.factorizations == 1  # no fall back
+    assert 1 <= solved.refinements <= sobolev.REFINE_MAX_ITERS
+    assert np.array_equal(v[mask.value_pos], data.g0)
+    assert np.array_equal(v[mask.deriv_pos], data.g1)
+    reference, _, ref_space = _extension(mask, factored=True)
+    assert len(recorded_solves) == 1 and ref_space.factorizations == 1
+    assert np.max(np.abs(v - reference)) <= 1e-8 * np.max(np.abs(reference))
+    space.constrained_solver()  # the float32 factor was not kept
+    assert space.factorizations == 2
+
+
+def test_data_extension_in_2d_uses_the_float64_factor(ell2d_mask, recorded_solves):
+    v, _, space = _extension(ell2d_mask, factored=False)
+    reference, _, ref_space = _extension(ell2d_mask, factored=True)
+    assert np.array_equal(v, reference)
+    assert recorded_solves == [] and space.factorizations == ref_space.factorizations == 1
+    assert space.constrained_solver() is space.constrained_solver()
+    assert space.factorizations == 1
+
+
+def test_gradient_solve_on_three_axes_factorizes_once(tmp_path, monkeypatch):
+    """The Riesz solves need the float64 factor, so the CLI makes it before
+    the start's data extension, which then reuses it rather than refining a
+    float32 factor of its own."""
+    config = {**_ell3d_config(17, tmp_path / "trace.csv"),
+              "operator": {"id": "cubic", "q": "(x0 * x0 - x1 * x1 + 0.5 * x2 + 3.0) ** 3"},
+              "optimizer": {"max_iters": 3}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    splu_calls = []
+    splu = sobolev._splu
+    monkeypatch.setattr(sobolev, "_splu", lambda matrix: splu_calls.append(matrix) or splu(matrix))
+    out = tmp_path / "out"
+    assert cli.main(["solve", str(tmp_path / "config.json"), "--out", str(out)]) == 2  # cap
+    run = json.loads((out / "report.json").read_text())["run"]
+    assert run["reason"] == "iteration cap reached"
+    assert run["counters"]["factorizations"] == len(splu_calls) == 1
+    assert splu_calls[0].dtype == np.float64
 
 
 # -- weights on the masked nodes -------------------------------------------------

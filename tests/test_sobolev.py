@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from convexcauchy import sobolev
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.harness import build_setup
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import (SobolevSpace, difference_monomials, sobolev_order,
                                   spd_factorized, spd_solve)
@@ -175,6 +176,10 @@ class TestMixedPrecisionSolve:
         assert (solved.factorizations, solved.refinements) == (1, 0)
         assert not np.any(solved.x)
 
+    def test_empty_system(self):
+        solved = spd_solve(sp.csc_matrix((0, 0)), np.zeros(0))
+        assert (solved.x.shape, solved.factorizations, solved.refinements) == ((0,), 1, 0)
+
     def test_cast_past_float32_range_falls_back(self):
         solved = self._falls_back(_tridiagonal() * 1e40, np.arange(50.0))
         assert solved.refinements == 0
@@ -195,15 +200,29 @@ class TestMixedPrecisionSolve:
         monkeypatch.setattr(sobolev, "REFINE_MAX_ITERS", 2)
         assert self._falls_back(a, b).refinements == 2
 
-    def test_failed_residual_check_falls_back(self, space, rng):
-        """On the H^3 Gram CG meets REFINE_TOL on its recursive residual,
-        but the true residual misses it (so does the float64 factor's)."""
+    def test_backward_error_accepts_badly_scaled_gram(self, space, rng):
+        """On the H^3 Gram CG meets REFINE_TOL on its recursive residual, and
+        the true residual misses it relative to b (so does the float64
+        factor's), but passes the backward-error test: no fall back."""
         gram = space.constrained_gram()
         b = rng.standard_normal(gram.shape[0])
         x, iterations = sobolev._refine(gram, b)
         assert x is not None and iterations > 0
         assert np.linalg.norm(b - gram @ x) > sobolev.REFINE_TOL * np.linalg.norm(b)
-        assert self._falls_back(gram, b).refinements == iterations
+        assert np.linalg.norm(b - gram @ spd_factorized(gram)(b)) > (
+            sobolev.REFINE_TOL * np.linalg.norm(b))
+        solved = spd_solve(gram, b)
+        assert (solved.factorizations, solved.refinements) == (1, iterations)
+        assert np.array_equal(solved.x, x)
+
+    def test_unconverged_refinement_falls_back(self):
+        """The 2-D H^3 Gram at 257^2 is too ill-conditioned for its float32
+        factor: CG reaches the iteration cap on the data extension's system."""
+        setup = build_setup({"case": "ELL2D-CUBIC", "grid": {"resolution": [257, 257]}})
+        space, mask = setup.space, setup.mask
+        v = setup.params.impose_dofs(np.zeros(mask.dofs.size))
+        solved = self._falls_back(space.constrained_gram(), -space.apply_gram(v)[mask.free_pos])
+        assert solved.refinements == sobolev.REFINE_MAX_ITERS
 
     def test_deterministic(self):
         a, b = _tridiagonal(), np.sin(np.arange(50.0))
