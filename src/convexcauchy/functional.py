@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError
-from .grid import DomainMask, check_finite, erode
+from .grid import DomainMask, check_finite
 from .operators import LinearizedOperator, OperatorStencil, QuasilinearOperator
 from .sobolev import SobolevSpace
 from .weights import mask_weight_sq
@@ -40,7 +40,7 @@ class CauchyData:
     g0 holds the Dirichlet values on the value layer (the data face), g1 the
     values on the derivative layer (the first layer inward), which pins the
     normal derivative at second-order accuracy. Each is a vector over its
-    layer's nodes in C order: mask.value_layer and mask.deriv_layer order.
+    layer's nodes in C order: mask.value_pos and mask.deriv_pos order.
     """
 
     g0: np.ndarray
@@ -113,7 +113,7 @@ class FunctionalParams:
     def inner_h1_space(self) -> SobolevSpace:
         """H^1 norm restricted to the inner subdomain (certificate diagnostic)."""
         if self._inner_h1 is None:
-            self._inner_h1 = SobolevSpace(self.mask, order=1, node_subset=self.mask.is_inner)
+            self._inner_h1 = SobolevSpace(self.mask, order=1, node_subset=self.mask.inner_pos)
         return self._inner_h1
 
     def check_dofs(self, v: np.ndarray, what: str = "field") -> None:
@@ -158,7 +158,7 @@ def _windowed_beta(beta: float, lam: float, epsilon: float, policy: str) -> floa
 
 def _core_weight(mask: DomainMask, lam: float) -> np.ndarray:
     """Fused weight * quadrature factor of the data term, on the core nodes."""
-    return mask_weight_sq(mask, lam, mask.is_core) * mask.quad_weight[mask.is_core]
+    return mask_weight_sq(mask, lam, mask.core_pos) * mask.dof_quad_weight[mask.core_pos]
 
 
 class Evaluation(float):
@@ -270,7 +270,7 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
 
 def compact_support_ok(mask: DomainMask, v: np.ndarray) -> bool:
     """True when the field vanishes outside the once-eroded core region."""
-    return not np.any(v[~erode(mask.is_core)[mask.in_mask]])
+    return not np.any(np.delete(v, mask.erode(mask.core_pos)))
 
 
 def carleman_ratio(op: QuasilinearOperator, lam: float, mask: DomainMask,

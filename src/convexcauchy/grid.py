@@ -20,7 +20,6 @@ region must stay strictly away from the t = +-T faces.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -83,18 +82,23 @@ class Grid:
 
     def coords(self, nodes: np.ndarray | None = None) -> np.ndarray:
         """Node coordinates: of every node, shape (*grid.shape, dim), or of the
-        True nodes of the boolean array `nodes`, shape (count, dim) in C order.
+        nodes `nodes`, shape (count, dim): the True entries of a boolean array
+        over the grid in C order, or the flat node indices of an integer array.
 
-        The second form is bit-identical to coords()[nodes] without building
-        the full-grid array: each coordinate is read off axis_coords at the
-        node's index along that axis.
+        The second form is bit-identical to coords()[nodes] (or
+        coords().reshape(-1, dim)[nodes]) without building the full-grid
+        array: each coordinate is read off axis_coords at the node's index
+        along that axis.
         """
         if nodes is None:
             return np.stack(np.broadcast_arrays(*self.open_coords()), axis=-1)
-        if np.shape(nodes) != self.shape:
-            raise ConfigError(f"node array of shape {np.shape(nodes)} does not match "
-                              f"grid {self.shape}")
-        index = np.unravel_index(np.flatnonzero(nodes), self.shape)
+        nodes = np.asarray(nodes)
+        if nodes.dtype == bool:
+            if nodes.shape != self.shape:
+                raise ConfigError(f"node array of shape {nodes.shape} does not match "
+                                  f"grid {self.shape}")
+            nodes = np.flatnonzero(nodes)
+        index = np.unravel_index(nodes, self.shape)
         return np.stack([self.axis_coords(j)[i] for j, i in enumerate(index)], axis=-1)
 
     def open_coords(self) -> tuple[np.ndarray, ...]:
@@ -237,7 +241,10 @@ def level_values(spec: LevelSpec, points) -> np.ndarray:
 
 
 def shift(values: np.ndarray, offset: Sequence[int], fill=0) -> np.ndarray:
-    """Return s with s[p] = values[p + offset]; out-of-range entries get `fill`."""
+    """Return s with s[p] = values[p + offset]; out-of-range entries get `fill`.
+
+    The full-grid stencil form, kept as the reference the gather tables must
+    match; the library itself works through gather tables."""
     out = np.full_like(values, fill)
     src, dst = [], []
     for n, off in zip(values.shape, offset):
@@ -254,18 +261,6 @@ def shift(values: np.ndarray, offset: Sequence[int], fill=0) -> np.ndarray:
     return out
 
 
-def _neighbor_offsets(dim: int) -> list[tuple[int, ...]]:
-    return [o for o in itertools.product((-1, 0, 1), repeat=dim) if any(o)]
-
-
-def erode(nodes: np.ndarray) -> np.ndarray:
-    """The nodes of `nodes` whose whole 3^d neighbourhood lies in `nodes`."""
-    out = nodes.copy()
-    for off in _neighbor_offsets(nodes.ndim):
-        out &= shift(nodes, off, fill=False)
-    return out
-
-
 def axis_offset(dim: int, axis: int, step: int = 1) -> tuple[int, ...]:
     """Stencil offset of `step` nodes along `axis`."""
     off = [0] * dim
@@ -278,33 +273,41 @@ def flat_strides(shape: Sequence[int]) -> np.ndarray:
     return np.cumprod((1, *shape[:0:-1]))[::-1]
 
 
-def neighbor_tables(nodes: np.ndarray, offsets: Sequence[Sequence[int]],
-                    rows: np.ndarray | None = None) -> list[np.ndarray]:
-    """Gather tables of stencil offsets over the C-order numbering of `nodes`.
+def flat_neighbor_tables(flat: np.ndarray, shape: Sequence[int],
+                         offsets: Sequence[Sequence[int]],
+                         start: np.ndarray | None = None) -> list[np.ndarray]:
+    """Gather tables of stencil offsets over nodes given by their sorted flat
+    indices `flat` in a C-order grid of `shape`.
 
-    Entry k of an offset's table is the position, among the True entries of
-    `nodes`, of p_k + offset, where p_k is the k-th True entry of `rows`
-    (default: `nodes` itself). Where p + offset is not a node or leaves the
-    grid the entry is the sentinel nodes.sum(), one past the end, which
-    reads zero from a buffer whose one extra last slot holds 0. The
-    positions are searched among the flat indices of the nodes, so no
-    full-grid array is made.
+    Entry k of an offset's table is the position in `flat` of start[k] +
+    offset, where start holds flat node indices (default: `flat` itself).
+    Where that node is not in `flat` or leaves the grid the entry is the
+    sentinel flat.size, one past the end, which reads zero from a buffer
+    whose one extra last slot holds 0. The positions are searched among the
+    flat indices, so no full-grid array is made.
     """
-    flat = np.flatnonzero(nodes)
-    start = flat if rows is None else np.flatnonzero(rows)
+    start = flat if start is None else start
     padded = np.append(flat, -1)  # a search past the end reads -1, which no target equals
-    index = np.unravel_index(start, nodes.shape)
-    strides = flat_strides(nodes.shape)
+    index = np.unravel_index(start, shape)
+    strides = flat_strides(shape)
     tables = []
     for offset in offsets:
         target, inside = start, True
-        for i, n, stride, off in zip(index, nodes.shape, strides, offset):
+        for i, n, stride, off in zip(index, shape, strides, offset):
             if off:
                 inside = inside & (i >= -off) & (i < n - off)
                 target = target + off * stride
         pos = np.searchsorted(flat, target)
         tables.append(np.where(inside & (padded[pos] == target), pos, flat.size))
     return tables
+
+
+def neighbor_tables(nodes: np.ndarray, offsets: Sequence[Sequence[int]],
+                    rows: np.ndarray | None = None) -> list[np.ndarray]:
+    """flat_neighbor_tables of the True entries of the boolean array `nodes`,
+    read from the True entries of `rows` (default: `nodes` itself)."""
+    return flat_neighbor_tables(np.flatnonzero(nodes), nodes.shape, offsets,
+                                None if rows is None else np.flatnonzero(rows))
 
 
 def inverse_table(table: np.ndarray, size: int) -> np.ndarray:
@@ -352,71 +355,82 @@ class Halo:
     full-grid computation would read.
     """
 
-    def __init__(self, in_mask: np.ndarray, free: np.ndarray):
-        dim = in_mask.ndim
-        nodes = in_mask.copy()
-        for off in _neighbor_offsets(dim):
-            nodes |= shift(in_mask, off, fill=False)
-        self.index = np.flatnonzero(nodes.ravel())  # flat node index per halo slot
-        self.free = free[nodes]
-        self.dof_pos = np.flatnonzero(in_mask[nodes])  # halo slots of the masked DOFs
-        forward = neighbor_tables(nodes, [axis_offset(dim, a) for a in range(dim)])
+    def __init__(self, mask: DomainMask):
+        shape = mask.grid.shape
+        # the 3^d neighbourhood is one +-1 step along each axis in turn
+        index = mask.dofs
+        for n, stride in zip(shape, flat_strides(shape)):
+            along = index // stride % n
+            index = np.unique(np.concatenate(
+                [index, index[along > 0] - stride, index[along < n - 1] + stride]))
+        self.index = index  # flat node index per halo slot
+        self.dof_pos = np.searchsorted(index, mask.dofs)  # halo slots of the masked DOFs
+        self.free = np.zeros(index.size, dtype=bool)
+        self.free[self.dof_pos[mask.free_pos]] = True
+        forward = flat_neighbor_tables(index, shape, [axis_offset(len(shape), a)
+                                                      for a in range(len(shape))])
         self.tables = [(table, inverse_table(table, table.size)) for table in forward]
 
 
 class DomainMask:
-    """Per-node classification of a grid against a level spec, plus quadrature.
+    """Classification of a grid against a level spec, plus quadrature, kept
+    on the masked nodes.
 
     The masked nodes are the degrees of freedom (DOFs) of the solver: a DOF
     vector holds one value per masked node, in C order (`dofs` gives their
-    flat node indices). `gather` and `scatter` convert between DOF vectors and
-    full-grid arrays, which are zero outside the mask; `value_pos`,
-    `deriv_pos`, `trace_pos` (both layers) and `free_pos` (the rest) are the
-    DOF positions of the trace layers and of the free nodes.
+    flat node indices). The mask keeps only DOF-level arrays: per-DOF
+    vectors and DOF positions, which scale with the mask rather than with
+    the bounding grid. `gather` and `scatter` convert between DOF vectors and
+    full-grid arrays, which are zero outside the mask. The full-grid forms
+    (`label`, `quad_weight`, `ell` and the node sets `in_mask`, `is_core`,
+    `is_inner`, `value_layer`, `deriv_layer`, `constrained`, `free`) are
+    read-only properties built on each access; the library reads only the
+    DOF forms.
 
     Attributes:
         grid: the underlying Grid.
         level: LevelSpec with epsilon resolved.
-        label: int8 array of Label values, one per node.
-        quad_weight: trapezoid-rule volume element per node, 0 outside.
-        ell: cached level values per node.
         theta: level threshold.
-        value_layer: nodes carrying the Dirichlet trace g0.
-        deriv_layer: first inward layer, carrying the normal-derivative trace
-            encoded as field values.
+        dofs: flat node index of each DOF.
+        dof_label: int8 Label value per DOF.
+        dof_quad_weight: trapezoid-rule volume element per DOF.
+        dof_ell: level value per DOF.
+        value_pos: DOF positions of the value layer, which carries the
+            Dirichlet trace g0.
+        deriv_pos: DOF positions of the derivative layer, the first inward
+            layer, carrying the normal-derivative trace encoded as field values.
+        trace_pos, free_pos: DOF positions of both layers, and of the rest.
+        core_pos, inner_pos: DOF positions of the core nodes (interior and
+            inner, with a full 3^d neighbourhood in the mask) and of the
+            inner nodes.
 
     All arrays are read-only after construction; classification is pure.
     """
 
-    def __init__(self, grid: Grid, level: LevelSpec, label: np.ndarray,
-                 quad_weight: np.ndarray, ell: np.ndarray,
-                 value_layer: np.ndarray, deriv_layer: np.ndarray):
+    def __init__(self, grid: Grid, level: LevelSpec, dofs: np.ndarray, dof_label: np.ndarray,
+                 dof_quad_weight: np.ndarray, dof_ell: np.ndarray, deriv_pos: np.ndarray):
         self.grid = grid
         self.level = level
-        self.label = label
-        self.quad_weight = quad_weight
-        self.ell = ell
         self.theta = level.threshold
         self.epsilon = float(level.epsilon)
-        self.value_layer = value_layer
-        self.deriv_layer = deriv_layer
+        self.dofs = dofs
+        self.dof_label = dof_label
+        self.dof_quad_weight = dof_quad_weight
+        self.dof_ell = dof_ell
+        self.value_pos = np.flatnonzero(dof_label == Label.CAUCHY_BOUNDARY)
+        self.deriv_pos = deriv_pos
+        constrained = np.zeros(dofs.size, dtype=bool)
+        constrained[self.value_pos] = constrained[deriv_pos] = True
+        self.trace_pos = np.flatnonzero(constrained)
+        self.free_pos = np.flatnonzero(~constrained)
+        self.core_pos = np.flatnonzero((dof_label == Label.INTERIOR) | (dof_label == Label.INNER))
+        self.inner_pos = np.flatnonzero(dof_label == Label.INNER)
+        self.counts = {lab.name.lower(): int(np.sum(dof_label == lab)) for lab in Label}
+        self.counts["outside"] = grid.node_count - dofs.size
 
-        self.in_mask = label != Label.OUTSIDE
-        self.is_core = (label == Label.INTERIOR) | (label == Label.INNER)
-        self.is_inner = label == Label.INNER
-        self.constrained = value_layer | deriv_layer
-        self.free = self.in_mask & ~self.constrained
-        self.counts = {lab.name.lower(): int(np.sum(label == lab)) for lab in Label}
-        self.dofs = np.flatnonzero(self.in_mask.ravel())
-        self.value_pos = np.flatnonzero(value_layer[self.in_mask])
-        self.deriv_pos = np.flatnonzero(deriv_layer[self.in_mask])
-        self.trace_pos = np.flatnonzero(self.constrained[self.in_mask])
-        self.free_pos = np.flatnonzero(self.free[self.in_mask])
-
-        for arr in (self.label, self.quad_weight, self.ell, self.value_layer,
-                    self.deriv_layer, self.in_mask, self.is_core, self.is_inner,
-                    self.constrained, self.free, self.dofs, self.value_pos,
-                    self.deriv_pos, self.trace_pos, self.free_pos):
+        for arr in (self.dofs, self.dof_label, self.dof_quad_weight, self.dof_ell,
+                    self.value_pos, self.deriv_pos, self.trace_pos, self.free_pos,
+                    self.core_pos, self.inner_pos):
             arr.setflags(write=False)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
@@ -429,39 +443,99 @@ class DomainMask:
         out.ravel()[self.dofs] = vec
         return out
 
+    def node_set(self, pos: np.ndarray | None = None) -> np.ndarray:
+        """Read-only boolean array over the grid, True at the DOFs at positions
+        `pos` (default: every DOF)."""
+        on = np.zeros(self.dofs.size, dtype=bool)
+        on[slice(None) if pos is None else pos] = True
+        return self._on_grid(on)
+
+    def positions(self, nodes: np.ndarray) -> np.ndarray:
+        """DOF positions of a node set: `nodes` itself when it holds integers
+        (DOF positions already), else the masked True entries of a boolean
+        array over the grid; a True entry off the mask is a ConfigError."""
+        nodes = np.asarray(nodes)
+        if nodes.dtype != bool:
+            return nodes
+        if nodes.shape != self.grid.shape:
+            raise ConfigError(f"node set of shape {nodes.shape} does not match grid "
+                              f"{self.grid.shape}")
+        on_mask = nodes.ravel()[self.dofs]
+        if np.count_nonzero(on_mask) != np.count_nonzero(nodes):
+            raise ConfigError("node set reaches outside the mask")
+        return np.flatnonzero(on_mask)
+
+    def neighbor_tables(self, offsets: Sequence[Sequence[int]],
+                        rows: np.ndarray | None = None) -> list[np.ndarray]:
+        """Gather tables of stencil offsets over the DOFs, read from the DOFs
+        at positions `rows` (default: every DOF); see flat_neighbor_tables."""
+        return flat_neighbor_tables(self.dofs, self.grid.shape, offsets,
+                                    None if rows is None else self.dofs[rows])
+
+    def erode(self, pos: np.ndarray) -> np.ndarray:
+        """The DOF positions among `pos` whose whole 3^d neighbourhood lies
+        among the DOFs at `pos`, sorted. The 3^d box is the sum of the +-1
+        segments of the axes, so the erosion is one +-1 step per axis in turn."""
+        dim, n = self.grid.dim, self.dofs.size
+        inside = np.zeros(n + 1, dtype=bool)  # the last slot: the sentinel
+        inside[pos] = True
+        for axis in range(dim):
+            plus, minus = self.neighbor_tables([axis_offset(dim, axis, 1),
+                                                axis_offset(dim, axis, -1)])
+            inside[:n] &= inside[plus] & inside[minus]
+        return np.flatnonzero(inside[:n])
+
     @cached_property
     def halo(self) -> Halo:
         """Halo of the mask, built on first use (only random draws need it)."""
-        return Halo(self.in_mask, self.free)
+        return Halo(self)
 
     def largest_cell_level_variation(self) -> float:
         """Max level-value change across one grid cell within the mask."""
         worst = 0.0
-        for axis in range(self.grid.dim):
-            off = [0] * self.grid.dim
-            off[axis] = 1
-            nb_ell = shift(self.ell, off, fill=np.nan)
-            nb_in = shift(self.in_mask, off, fill=False)
-            both = self.in_mask & nb_in
-            if np.any(both):
-                worst = max(worst, float(np.max(np.abs(nb_ell[both] - self.ell[both]))))
+        dim, n = self.grid.dim, self.dofs.size
+        for table in self.neighbor_tables([axis_offset(dim, a) for a in range(dim)]):
+            hit = table < n
+            if np.any(hit):
+                step = self.dof_ell[table[hit]] - self.dof_ell[hit]
+                worst = max(worst, float(np.max(np.abs(step))))
         return worst
 
+    # -- full-grid forms, built on each access -----------------------------------
 
-def _data_faces(grid: Grid, family: str) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The data-carrying faces of the box, each as its nodes and the offset one
-    step inward: every spatial face for the hyperbolic family (lateral Cauchy
-    data), else the axis-0 minimum face."""
+    def _on_grid(self, values: np.ndarray) -> np.ndarray:
+        """Read-only full-grid array of a DOF vector, zero outside the mask."""
+        out = np.zeros(self.grid.shape, dtype=values.dtype)
+        out.ravel()[self.dofs] = values
+        out.setflags(write=False)
+        return out
+
+    @property
+    def ell(self) -> np.ndarray:
+        """Level values per node, off the mask too."""
+        out = level_values(self.level, self.grid.open_coords())
+        out.setflags(write=False)
+        return out
+
+    label = property(lambda self: self._on_grid(self.dof_label))
+    quad_weight = property(lambda self: self._on_grid(self.dof_quad_weight))
+    in_mask = property(lambda self: self.node_set())
+    is_core = property(lambda self: self.node_set(self.core_pos))
+    is_inner = property(lambda self: self.node_set(self.inner_pos))
+    value_layer = property(lambda self: self.node_set(self.value_pos))
+    deriv_layer = property(lambda self: self.node_set(self.deriv_pos))
+    constrained = property(lambda self: self.node_set(self.trace_pos))
+    free = property(lambda self: self.node_set(self.free_pos))
+
+
+def _data_faces(grid: Grid, family: str) -> list[tuple[int, int, int]]:
+    """The data-carrying faces of the box, each as its axis, the nodes' index
+    along that axis and the step inward: every spatial face for the
+    hyperbolic family (lateral Cauchy data), else the axis-0 minimum face."""
     if family == "hyperbolic":
-        sides = [(axis, side) for axis in range(grid.dim - 1) for side in (0, -1)]
-    else:
-        sides = [(0, 0)]
-    faces = []
-    for axis, side in sides:
-        face = np.zeros(grid.shape, dtype=bool)
-        face[(slice(None),) * axis + (side,)] = True
-        faces.append((face, axis_offset(grid.dim, axis, 1 if side == 0 else -1)))
-    return faces
+        return [(axis, at, step) for axis in range(grid.dim - 1)
+                for at, step in ((0, 1), (grid.shape[axis] - 1, -1))]
+    return [(0, 0, 1)]
 
 
 def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
@@ -470,7 +544,9 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
     A node belongs to the masked subdomain iff its level value exceeds the
     threshold exactly (node-based masking, no cut cells). Core nodes keep a
     full 3^d neighborhood inside the mask so that centered stencils never
-    reach an outside node.
+    reach an outside node. The level values of the whole grid are a
+    transient: everything after the threshold test works on the masked
+    nodes through gather tables.
     """
     d = grid.dim
     if spec.family == "hyperbolic":
@@ -487,8 +563,11 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
     ell = level_values(spec, grid.open_coords())
     theta = spec.threshold
     in_closure = ell > theta
+    dofs = np.flatnonzero(in_closure)
+    dof_ell = ell.ravel()[dofs]
+    del ell
 
-    if not np.any(in_closure):
+    if not dofs.size:
         raise GeometryError(
             f"empty subdomain: no node has level value above threshold {theta:.6g}"
         )
@@ -502,55 +581,57 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
                 "masked region touches the t = +-T faces; shrink the threshold "
                 "or extend the time interval"
             )
+    del in_closure
 
     eps = spec.epsilon
-    ell_max = float(np.max(ell[in_closure]))
+    ell_max = float(np.max(dof_ell))
     if eps is None:
         eps = DEFAULT_EPSILON_FRACTION * (ell_max - theta)
         if eps <= 0:
             raise GeometryError("cannot resolve epsilon: level is constant on the mask")
     resolved = replace(spec, epsilon=float(eps))
 
+    n = dofs.size
+    index = np.unravel_index(dofs, grid.shape)
     faces = _data_faces(grid, spec.family)
-    cauchy_face = np.logical_or.reduce([face for face, _ in faces])
-    label = np.full(grid.shape, int(Label.OUTSIDE), dtype=np.int8)
-    label[in_closure] = Label.XI_BOUNDARY
-    core = erode(in_closure) & ~cauchy_face
+    cauchy = np.logical_or.reduce([index[axis] == at for axis, at, _ in faces])
+    # the trapezoid rule per axis, h between two masked neighbours and h/2 at
+    # the rim, and the erosion to the core (as in DomainMask.erode) read the
+    # same +-1 neighbours
+    quad = np.ones(n)
+    eroded = np.ones(n + 1, dtype=bool)
+    eroded[n] = False  # the sentinel
+    for axis in range(d):
+        plus, minus = flat_neighbor_tables(
+            dofs, grid.shape, [axis_offset(d, axis, 1), axis_offset(d, axis, -1)])
+        h = grid.spacing[axis]
+        quad *= np.where((plus < n) & (minus < n), h, 0.5 * h)
+        eroded[:n] &= eroded[plus] & eroded[minus]
+    core = np.flatnonzero(eroded[:n] & ~cauchy)
+    label = np.full(n, int(Label.XI_BOUNDARY), dtype=np.int8)
     label[core] = Label.INTERIOR
-    label[core & (ell > theta + 2 * eps)] = Label.INNER
-    label[in_closure & cauchy_face] = Label.CAUCHY_BOUNDARY
+    label[core[dof_ell[core] > theta + 2 * eps]] = Label.INNER
+    label[cauchy] = Label.CAUCHY_BOUNDARY
 
-    if not np.any(core):
+    if not core.size:
         raise GeometryError("no interior nodes: the masked subdomain is too thin for the grid")
     if not np.any(label == Label.INNER):
         raise GeometryError(
             f"inner subdomain empty at epsilon={eps:.6g}: no node has level above "
             f"{theta + 2 * eps:.6g} with a full neighborhood; reduce epsilon"
         )
-    cauchy_nodes = label == Label.CAUCHY_BOUNDARY
-    if not np.any(cauchy_nodes):
+    if not np.any(cauchy):
         raise GeometryError("Cauchy trace empty: the mask does not reach the data face")
-
-    in_mask = label != Label.OUTSIDE
-    quad = np.zeros(grid.shape, dtype=float)
-    quad[in_mask] = 1.0
-    for axis in range(d):
-        off = [0] * d
-        off[axis] = 1
-        nb_plus = shift(in_mask, off, fill=False)
-        off[axis] = -1
-        nb_minus = shift(in_mask, off, fill=False)
-        w = np.where(nb_plus & nb_minus, grid.spacing[axis], 0.5 * grid.spacing[axis])
-        quad[in_mask] *= w[in_mask]
 
     # the derivative layer: the nodes one step inward of a data node, still
     # in the closure and not data nodes themselves
-    deriv_layer = np.zeros(grid.shape, dtype=bool)
-    for face, inward in faces:
-        deriv_layer |= shift(face & cauchy_nodes, [-o for o in inward], fill=False)
-    deriv_layer &= in_closure & ~cauchy_nodes
+    deriv = np.zeros(n, dtype=bool)
+    for (axis, at, step), outward in zip(faces, flat_neighbor_tables(
+            dofs, grid.shape, [axis_offset(d, axis, -step) for axis, _, step in faces])):
+        deriv |= (index[axis] == at + step) & (outward < n)
+    deriv &= ~cauchy
 
-    mask = DomainMask(grid, resolved, label, quad, ell, cauchy_nodes, deriv_layer)
+    mask = DomainMask(grid, resolved, dofs, label, quad, dof_ell, np.flatnonzero(deriv))
     logger.info(
         "classified %d nodes: %s (epsilon=%.4g, theta=%.4g)",
         grid.node_count, mask.counts, eps, theta,

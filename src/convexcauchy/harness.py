@@ -409,7 +409,7 @@ def build_setup(cfg: dict) -> ProblemSetup:
         u_star, clean = None, load_cauchy_csv(Path(data_cfg["file"]), mask)
     else:
         _require(bool(case), "data", "needs a case id or a data file")
-        u_star = evaluate_expression(case["u_star"], grid.coords(mask.in_mask),
+        u_star = evaluate_expression(case["u_star"], grid.coords(mask.dofs),
                                      family in TIME_FAMILIES)
         clean = CauchyData(u_star[mask.value_pos], u_star[mask.deriv_pos])
     with _section("data"):
@@ -529,8 +529,8 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed data file {path}: {exc}") from exc
     ignored, data = 0, {}
-    for name, layer in (("g0", mask.value_layer), ("g1", mask.deriv_layer)):
-        nodes = np.flatnonzero(layer).tolist()
+    for name, layer in (("g0", mask.value_pos), ("g1", mask.deriv_pos)):
+        nodes = mask.dofs[layer].tolist()
         covered = sum(idx in given[name] for idx in nodes)
         if covered < len(nodes):
             raise ConfigError(f"data file {path} gives {name} on {covered} "
@@ -559,7 +559,7 @@ def error_norms(setup: ProblemSetup, u: np.ndarray) -> dict | None:
     mask, star, order = setup.mask, setup.u_star, setup.space.order
     # the inner window is the fixed region above the raised threshold, sampled
     # by level value so refinement studies compare like with like
-    window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
+    window = np.flatnonzero(mask.dof_ell > mask.theta + 2 * mask.epsilon)
     out = {}
     for region, space in (("subdomain", setup.space),
                           ("inner", SobolevSpace(mask, order=order, node_subset=window))):
@@ -574,10 +574,10 @@ def error_norms(setup: ProblemSetup, u: np.ndarray) -> dict | None:
 def field_table(setup: ProblemSetup, u: np.ndarray) -> dict[str, list]:
     """The columns of field.csv, one entry per masked node of the DOF vector
     u: coordinates, label, u, exact value, error."""
-    inside = setup.mask.in_mask
-    columns = {f"x{j}": col for j, col in enumerate(setup.grid.coords(inside).T.tolist())}
+    mask = setup.mask
+    columns = {f"x{j}": col for j, col in enumerate(setup.grid.coords(mask.dofs).T.tolist())}
     label_names = np.array([label.name.lower() for label in sorted(Label)])
-    columns["label"] = label_names[setup.mask.label[inside]].tolist()
+    columns["label"] = label_names[mask.dof_label].tolist()
     columns["u"] = u.tolist()
     if setup.u_star is not None:
         columns["u_star"] = setup.u_star.tolist()

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError
-from .grid import DomainMask, axis_offset, inverse_table, neighbor_tables
+from .grid import DomainMask, axis_offset, inverse_table
 
 OPERATOR_FAMILIES = ("elliptic", "parabolic", "hyperbolic")
 
@@ -149,7 +149,7 @@ class QuasilinearOperator:
 def validate_operator(op: QuasilinearOperator, mask: DomainMask) -> None:
     """Check symmetry and ellipticity bounds, or the hyperbolic conditions, at
     every core node (where the stencil reads the coefficients)."""
-    pts = mask.grid.coords(mask.is_core)
+    pts = mask.grid.coords(mask.dofs[mask.core_pos])
     slack = 1e-9
 
     if op.family in ("elliptic", "parabolic"):
@@ -217,8 +217,7 @@ class OperatorStencil:
         self.op = op
         self.mask = mask
         grid = mask.grid
-        core = mask.is_core
-        self.points = grid.coords(core)
+        self.points = grid.coords(mask.dofs[mask.core_pos])
         n_core = self.points.shape[0]
         self.second_pure: list[tuple[int, np.ndarray]] = []
         self.second_mixed: list[tuple[int, int, np.ndarray]] = []
@@ -245,7 +244,7 @@ class OperatorStencil:
         for ai, aj, _ in self.second_mixed:
             offsets |= set(_mixed_offsets(grid.dim, ai, aj))
         offsets = list(offsets)
-        self.tables = dict(zip(offsets, neighbor_tables(mask.in_mask, offsets, rows=core)))
+        self.tables = dict(zip(offsets, mask.neighbor_tables(offsets, rows=mask.core_pos)))
         self.adjoint_tables = {off: inverse_table(table, mask.dofs.size)
                                for off, table in self.tables.items()}
         self.core_pos = self.tables[center]  # DOF position of each core node

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .functional import FunctionalParams, data_extension
-from .grid import DomainMask, erode
+from .grid import DomainMask
 
 
 def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
@@ -70,19 +70,20 @@ def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generat
 def random_compact_bump(mask: DomainMask, rng: np.random.Generator,
                         width_cells: float = 1.5) -> np.ndarray:
     """Gaussian bump centered at a random deep-core node, cut to compact support."""
-    eroded = erode(mask.is_core)
+    eroded = mask.erode(mask.core_pos)
     # keep one more cell of clearance so the Gaussian tail cut stays small
-    deep = erode(eroded)
-    candidates = np.argwhere(deep if np.any(deep) else eroded)
+    deep = mask.erode(eroded)
+    candidates = deep if deep.size else eroded
     if candidates.size == 0:
         raise ConfigError("mask has no compactly supported core region for bumps")
-    center_idx = candidates[rng.integers(len(candidates))]
     grid = mask.grid
+    center_idx = np.unravel_index(mask.dofs[candidates[rng.integers(len(candidates))]],
+                                  grid.shape)
     center = np.array(
         [grid.origin[j] + center_idx[j] * grid.spacing[j] for j in range(grid.dim)]
     )
     widths = width_cells * np.asarray(grid.spacing)
-    dist_sq = np.sum(((grid.coords(mask.in_mask) - center) / widths) ** 2, axis=-1)
-    vals = np.exp(-dist_sq)
-    vals[~eroded[mask.in_mask]] = 0.0
+    dist_sq = np.sum(((grid.coords(mask.dofs) - center) / widths) ** 2, axis=-1)
+    vals = np.zeros(mask.dofs.size)
+    vals[eroded] = np.exp(-dist_sq[eroded])
     return vals

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, GeometryError, SolverError
-from .grid import DomainMask, axis_offset, flat_strides, inverse_table, neighbor_tables
+from .grid import DomainMask, axis_offset, flat_strides, inverse_table
 
 
 def sobolev_order(dim: int) -> int:
@@ -156,8 +156,11 @@ class SobolevSpace:
     """H^order inner product over a node subset of a domain mask.
 
     By default the subset is every masked node and the order follows
-    sobolev_order(grid dim). A restricted subset (e.g. the inner subdomain)
-    yields the corresponding local norm; it must lie inside the mask.
+    sobolev_order(grid dim). A restricted subset (e.g. the inner subdomain),
+    given as DOF positions or as a boolean array over the grid (see
+    DomainMask.positions), yields the corresponding local norm; it must lie
+    inside the mask. `node_pos` holds its DOF positions and `nodes` is its
+    full-grid form, built on each access.
 
     Every method takes and returns masked DOF vectors (see DomainMask); the
     assembled Gram matrices are free x free (constrained_gram) or DOF x DOF
@@ -177,21 +180,20 @@ class SobolevSpace:
         self.order = sobolev_order(self.grid.dim) if order is None else int(order)
         if self.order < 1:
             raise ConfigError(f"Sobolev order must be >= 1, got {self.order}")
-        self.nodes = mask.in_mask if node_subset is None else np.asarray(node_subset, bool)
-        if not np.any(self.nodes):
+        on_nodes = np.zeros(mask.dofs.size, dtype=bool)
+        on_nodes[slice(None) if node_subset is None else mask.positions(node_subset)] = True
+        if not np.any(on_nodes):
             raise GeometryError("Sobolev space over an empty node set")
-        if np.any(self.nodes & ~mask.in_mask):
-            raise ConfigError("Sobolev node subset reaches outside the mask")
+        self.node_pos = np.flatnonzero(on_nodes)
         self.monomials = difference_monomials(self.grid.dim, self.order)
-        inside = mask.in_mask
         self._free_solve = None
         self.factorizations = 0  # of the constrained Gram, kept or not (one_shot_solver)
 
-        self.dof_weights = np.where(self.nodes[inside], mask.quad_weight[inside], 0.0)
+        self.dof_weights = np.where(on_nodes, mask.dof_quad_weight, 0.0)
         # a DOF without a forward neighbour along an axis points at itself:
         # its raw difference reads 0 there and is zeroed by validity anyway
         rows = np.arange(self.dof_weights.size)
-        tables = neighbor_tables(inside, [axis_offset(self.grid.dim, a) for a in range(self.grid.dim)])
+        tables = mask.neighbor_tables([axis_offset(self.grid.dim, a) for a in range(self.grid.dim)])
         self._forward = [np.where(table < rows.size, table, rows) for table in tables]
         self._backward = [inverse_table(table, rows.size) for table in tables]
         # D^beta = D_a D^parent with a the last axis beta differences along;
@@ -204,7 +206,7 @@ class SobolevSpace:
         for beta in self.monomials:
             if not any(beta):
                 self._chain.append((None, None))
-                self._dof_valid.append(self.nodes[inside])
+                self._dof_valid.append(on_nodes)
                 continue
             axis = max(a for a, b in enumerate(beta) if b)
             parent = list(beta)
@@ -214,6 +216,10 @@ class SobolevSpace:
             box = self._dof_valid[parent]
             forward = self._forward[axis]
             self._dof_valid.append(box & box[forward] & (forward != rows))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.mask.node_set(self.node_pos)
 
     @property
     def weights(self) -> np.ndarray:

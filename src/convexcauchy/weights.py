@@ -27,18 +27,18 @@ _MAX_EXPONENT = 700.0
 def mask_weight_sq(mask: DomainMask, lam: float,
                    nodes: np.ndarray | None = None) -> np.ndarray:
     """The fused squared weight at strength lam: on every node, zero outside
-    the mask, or on the True nodes of `nodes` (masked nodes only), in C
-    order. lam must be a finite number >= 1; the overflow check covers
-    every masked node either way."""
+    the mask, or on the masked node set `nodes` (DOF positions, or a boolean
+    array over the grid; see DomainMask.positions). lam must be a finite
+    number >= 1; the overflow check covers every masked node either way."""
     if not (np.isfinite(lam) and lam >= 1.0):
         raise ConfigError(f"weight strength lambda must be a finite number >= 1, got {lam}")
-    ell = mask.gather(mask.ell)
+    ell = mask.dof_ell
     expo = 2.0 * lam * (ell - mask.theta - mask.epsilon)
     if np.any(expo > _MAX_EXPONENT):
         raise WeightOverflowError(lam, float(np.max(ell)), float(np.max(expo)))
     if nodes is None:
         return mask.scatter(np.exp(expo))
-    return np.exp(expo[nodes[mask.in_mask]])
+    return np.exp(expo[mask.positions(nodes)])
 
 
 def weight_extrema(mask: DomainMask, lam: float) -> tuple[float, float, Label]:
@@ -47,9 +47,8 @@ def weight_extrema(mask: DomainMask, lam: float) -> tuple[float, float, Label]:
     Also reports which label the minimizing node carries; for a level function
     decreasing toward the free surface the minimum sits on xi_boundary nodes.
     """
-    if not np.any(mask.in_mask):
+    if not mask.dofs.size:
         raise GeometryError("weight extrema of an empty mask")
-    vals = lam * mask.gather(mask.ell)
-    i_min = mask.dofs[int(np.argmin(vals))]
-    argmin_label = Label(int(mask.label.ravel()[i_min]))
+    vals = lam * mask.dof_ell
+    argmin_label = Label(int(mask.dof_label[np.argmin(vals)]))
     return float(np.min(vals)), float(np.max(vals)), argmin_label

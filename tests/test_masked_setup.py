@@ -4,8 +4,11 @@ per-axis coordinates, gather tables, the Gram assembly (in place, on the
 free DOFs), the direct solve and its system, the data weights and the trace
 CSV reader. On a 3-D mask, where only a few percent of the nodes are
 masked, the set-up steps stay below one full-grid array of traced heap,
-classification below one coordinate array besides what the mask keeps, and
-the constrained Gram below three times its own bytes. The 3-D direct
+classification below one coordinate array besides what the mask keeps, the
+mask itself below 100 bytes per masked node, and the constrained Gram below
+three times its own bytes. The mask's full-grid properties are the arrays of
+a full-grid classification by shifts, bit for bit, and a solve from config
+to report files builds none of them. The 3-D direct
 systems (elliptic, and a 2+1-D wave) solve in mixed precision to float64
 accuracy, and fall back to the float64 factor where float32 cannot hold
 them. So does the data extension on three axes (elliptic, 2+1-D wave and
@@ -14,6 +17,7 @@ still factorizes once."""
 
 import gc
 import json
+from itertools import product
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -27,10 +31,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from convexcauchy import cli, sobolev
-from convexcauchy.errors import ConfigError
+from convexcauchy.errors import ConfigError, GeometryError
 from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, gradient
-from convexcauchy.grid import (Label, LevelSpec, build_grid, classify_nodes, level_values,
-                               neighbor_tables, shift)
+from convexcauchy.grid import (DomainMask, Label, LevelSpec, axis_offset, build_grid,
+                               classify_nodes, level_values, neighbor_tables, shift)
 from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
                                   load_cauchy_csv, load_problem)
 from convexcauchy.operators import OperatorStencil, QuasilinearOperator, validate_operator
@@ -111,6 +115,7 @@ def test_coords_of_nodes_bit_identical(case):
     got, want = grid.coords(nodes), grid.coords()[nodes]
     assert got.shape == want.shape == (np.count_nonzero(nodes), grid.dim)
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert grid.coords(np.flatnonzero(nodes)).tobytes() == got.tobytes()
 
 
 # -- level values ------------------------------------------------------------------
@@ -169,6 +174,103 @@ def test_level_values_on_open_axes_bit_identical(case):
     assert got.shape == grid.shape
     assert got.tobytes() == level_values(spec, coords).tobytes()
     assert got.tobytes() == _reference_level(spec, coords).tobytes()
+
+
+# -- classification on the masked nodes ---------------------------------------------
+
+
+def _full_grid_classification(grid, level) -> dict[str, np.ndarray]:
+    """The full-grid arrays of the classification, built by shifts of whole-grid
+    node sets as the mask once kept them, for the resolved `level`."""
+    d = grid.dim
+    ell = level_values(level, grid.open_coords())
+    closure = ell > level.threshold
+    sides = ([(axis, side) for axis in range(d - 1) for side in (0, -1)]
+             if level.family == "hyperbolic" else [(0, 0)])
+    faces = []
+    for axis, side in sides:
+        face = np.zeros(grid.shape, bool)
+        face[(slice(None),) * axis + (side,)] = True
+        faces.append((face, axis_offset(d, axis, 1 if side == 0 else -1)))
+    cauchy_face = np.logical_or.reduce([face for face, _ in faces])
+    eroded = closure.copy()
+    for off in product((-1, 0, 1), repeat=d):
+        eroded &= shift(closure, off, fill=False)
+    core = eroded & ~cauchy_face
+    label = np.zeros(grid.shape, np.int8)
+    label[closure] = Label.XI_BOUNDARY
+    label[core] = Label.INTERIOR
+    label[core & (ell > level.threshold + 2 * level.epsilon)] = Label.INNER
+    value = closure & cauchy_face
+    label[value] = Label.CAUCHY_BOUNDARY
+    quad = np.zeros(grid.shape)
+    quad[closure] = 1.0
+    for axis in range(d):
+        both = (shift(closure, axis_offset(d, axis, 1), fill=False)
+                & shift(closure, axis_offset(d, axis, -1), fill=False))
+        w = np.where(both, grid.spacing[axis], 0.5 * grid.spacing[axis])
+        quad[closure] *= w[closure]
+    deriv = np.zeros(grid.shape, bool)
+    for face, inward in faces:
+        deriv |= shift(face & value, [-o for o in inward], fill=False)
+    deriv &= closure & ~value
+    core = (label == Label.INTERIOR) | (label == Label.INNER)
+    return {"label": label, "quad_weight": quad, "ell": ell, "in_mask": closure,
+            "is_core": core, "is_inner": label == Label.INNER, "value_layer": value,
+            "deriv_layer": deriv, "constrained": value | deriv,
+            "free": closure & ~(value | deriv)}
+
+
+def _assert_matches_full_grid(mask):
+    """Every full-grid property of the mask is the full-grid classification's
+    array bit for bit, read-only; so are the cell level variation and the halo."""
+    want = _full_grid_classification(mask.grid, mask.level)
+    for name, array in want.items():
+        got = getattr(mask, name)
+        assert got.dtype == array.dtype and got.shape == array.shape, name
+        assert got.tobytes() == array.tobytes(), name
+        assert not got.flags.writeable, name
+    ell, closure, dim = want["ell"], want["in_mask"], mask.grid.dim
+    worst = 0.0
+    for axis in range(dim):
+        both = closure & shift(closure, axis_offset(dim, axis, 1), fill=False)
+        if np.any(both):
+            step = shift(ell, axis_offset(dim, axis, 1), fill=np.nan)[both] - ell[both]
+            worst = max(worst, float(np.max(np.abs(step))))
+    assert mask.largest_cell_level_variation() == worst
+    halo = closure.copy()
+    for off in product((-1, 0, 1), repeat=dim):
+        halo |= shift(closure, off, fill=False)
+    assert np.array_equal(mask.halo.index, np.flatnonzero(halo))
+    assert np.array_equal(mask.halo.free, want["free"][halo])
+    assert np.array_equal(mask.halo.dof_pos, np.flatnonzero(closure[halo]))
+
+
+CLASSIFIED = {
+    "ell2d": lambda: build_setup({"case": "ELL2D-CUBIC"}).mask,
+    "hyp1d": lambda: build_setup({"case": "HYP1D-QUAD"}).mask,
+    "par1d": lambda: build_setup({"case": "PAR1D-CUBIC"}).mask,
+    "ell3d-uneven": lambda: classify_nodes(
+        build_grid(ELL3D_BOUNDS, (17, 19, 21)), LevelSpec(family="elliptic", **ELL3D_LEVEL)),
+    "hyp2d-uneven": lambda: classify_nodes(
+        build_grid(((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)), (15, 19, 21)),
+        LevelSpec(family="hyperbolic", c=0.02, eta=0.6, x0=(0.45, 0.5))),
+}
+
+
+@pytest.mark.parametrize("name", CLASSIFIED)
+def test_mask_properties_match_the_full_grid_classification(name):
+    _assert_matches_full_grid(CLASSIFIED[name]())
+
+
+@given(_level_and_grid())
+def test_classification_matches_the_full_grid_form(case):
+    spec, grid = case
+    try:
+        mask = classify_nodes(grid, spec)
+    except (ConfigError, GeometryError):  # no mask to compare
+        return
+    _assert_matches_full_grid(mask)
 
 
 # -- gather tables -----------------------------------------------------------------
@@ -484,6 +586,46 @@ def test_gradient_solve_on_three_axes_factorizes_once(tmp_path, monkeypatch):
     assert splu_calls[0].dtype == np.float64
 
 
+def test_euclidean_solve_on_three_axes_makes_no_float64_factor(tmp_path, monkeypatch):
+    """A Euclidean descent makes no Riesz solve, so the CLI does not make the
+    float64 factor: the start's data extension refines a float32 one."""
+    config = {**_ell3d_config(17, tmp_path / "trace.csv"),
+              "operator": {"id": "cubic", "q": "(x0 * x0 - x1 * x1 + 0.5 * x2 + 3.0) ** 3"},
+              "optimizer": {"max_iters": 3, "mode": "euclidean"}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    splu_calls = []
+    splu = sobolev._splu
+    monkeypatch.setattr(sobolev, "_splu", lambda matrix: splu_calls.append(matrix) or splu(matrix))
+    out = tmp_path / "out"
+    cli.main(["solve", str(tmp_path / "config.json"), "--out", str(out)])
+    run = json.loads((out / "report.json").read_text())["run"]
+    assert run["counters"]["factorizations"] == len(splu_calls) == 1
+    assert splu_calls[0].dtype == np.float32
+
+
+FULL_GRID_FORMS = [(DomainMask, name) for name in (
+    "label", "quad_weight", "ell", "in_mask", "is_core", "is_inner", "value_layer",
+    "deriv_layer", "constrained", "free")] + [(SobolevSpace, "nodes"), (SobolevSpace, "weights")]
+
+
+@pytest.mark.parametrize("solver", ["gradient", "direct"])
+def test_solve_builds_no_full_grid_mask_array(solver, tmp_path, monkeypatch):
+    """From the config to the report files, a solve reads the mask and its
+    spaces through their DOF-level state only."""
+    config = {**_ell3d_config(17, tmp_path / "trace.csv"), "solver": solver,
+              "optimizer": {"max_iters": 3}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    built = []
+    for cls, name in FULL_GRID_FORMS:
+        getter = getattr(cls, name).fget
+        monkeypatch.setattr(cls, name, property(
+            lambda self, getter=getter, name=name: built.append(name) or getter(self)))
+    rc = cli.main(["solve", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")])
+    assert rc == (0 if solver == "direct" else 2)  # the gradient run stops at its cap
+    assert (tmp_path / "out" / "field.csv").is_file()
+    assert built == []
+
+
 # -- weights on the masked nodes -------------------------------------------------
 
 
@@ -553,6 +695,14 @@ def test_classification_stays_below_one_coordinate_array(ell3d_setup):
     mask, kept, peak = _traced(lambda: classify_nodes(grid, level))
     assert mask.dofs.size == ell3d_setup[0].mask.dofs.size
     assert peak - kept < grid.node_count * grid.dim * 8
+
+
+def test_classification_keeps_under_100_bytes_per_masked_node(ell3d_setup):
+    """The mask keeps DOF-level arrays only (it kept 24 bytes per grid node,
+    about 1000 per masked node here, in full-grid arrays)."""
+    grid, level = ell3d_setup[0].grid, ell3d_setup[0].mask.level
+    mask, kept, _ = _traced(lambda: classify_nodes(grid, level))
+    assert kept < 100 * mask.dofs.size
 
 
 def test_constrained_gram_stays_below_three_results(ell3d_setup):
