@@ -100,7 +100,7 @@ def cmd_sweep(setup: ProblemSetup, args) -> int:
     lambdas = setup.certificate["lambdas"] if args.lambdas is None else args.lambdas
     report = _base_report(setup, "sweep")
     results = _certificates(setup, lambdas, report)
-    lambda1 = next((r["lambda"] for r in results if r["passed"]), None)
+    lambda1 = min((r["lambda"] for r in results if r["passed"]), default=None)
     report["lambda1"] = lambda1
     emit_report(report, setup.output_dir)
     for r in results:

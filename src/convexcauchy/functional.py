@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 GRADIENT_MODES = ("euclidean", "sobolev")
 BETA_POLICIES = ("clamp", "keep")
+CONSTRAINT_TOL = 1e-8  # deviation from the trace data a field may carry (check_dofs)
 
 
 @dataclass(eq=False)
@@ -77,7 +78,6 @@ class FunctionalParams:
     beta: float
     data: CauchyData
     beta_policy: str = "clamp"
-    constraint_tol: float = 1e-8
 
     def __post_init__(self):
         if self.beta_policy not in BETA_POLICIES:
@@ -128,7 +128,7 @@ class FunctionalParams:
             dev = float(np.max(np.abs(v[mask.value_pos] - self.data.g0)))
         if mask.deriv_pos.size:
             dev = max(dev, float(np.max(np.abs(v[mask.deriv_pos] - self.data.g1))))
-        if dev > self.constraint_tol * self._trace_scale:
+        if dev > CONSTRAINT_TOL * self._trace_scale:
             raise ConstraintViolationError(
                 f"{what} violates the Cauchy constraints: max deviation {dev:.3g}"
             )
@@ -247,7 +247,7 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
     params.check_dofs(v1, "first field")
     params.check_dofs(v2, "second field")
     h = v2 - v1
-    if np.max(np.abs(h[params.mask.trace_pos])) > params.constraint_tol:
+    if np.max(np.abs(h[params.mask.trace_pos])) > CONSTRAINT_TOL:
         raise ConstraintViolationError(
             "the two fields carry different trace data; their difference is not zero-trace"
         )
@@ -315,13 +315,12 @@ def data_extension(space: SobolevSpace, data: CauchyData) -> np.ndarray:
     Solves the constrained Gram system for the smoothest extension of the two
     trace layers into the mask. This is the natural center for drawing
     admissible fields: no data-consistent field has a smaller norm, so if the
-    extension does not fit inside a ball, nothing does. One solve, so on
-    three or more axes it refines a float32 factor (one_shot_solver).
+    extension does not fit inside a ball, nothing does. One SobolevSpace.solve.
     """
     mask = space.mask
     v = np.zeros(mask.dofs.size)
     v[mask.value_pos] = data.g0
     v[mask.deriv_pos] = data.g1
     free = mask.free_pos
-    v[free] += space.one_shot_solver()(-space.apply_gram(v)[free])
+    v[free] += space.solve(-space.apply_gram(v)[free])
     return v

@@ -26,7 +26,7 @@ from .errors import ConfigError, SolverError
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
 from .grid import check_finite
 from .sampling import draw_in_ball
-from .sobolev import MIXED_PRECISION_DIM, SobolevSpace, spd_solve
+from .sobolev import SobolevSpace
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +70,8 @@ class RunReport:
     halvings_history: list[int] = dc_field(default_factory=list)  # rejected trials per line search
     evaluations: int = 0  # J evaluations
     gradients: int = 0  # gradient evaluations
-    factorizations: int = 0  # sparse factorizations: the direct system's, or the space's Gram
-    refinements: int = 0  # CG iterations of a mixed-precision direct solve
+    factorizations: int = 0  # sparse factorizations of the space's solves
+    refinements: int = 0  # CG iterations of its mixed-precision solves
     final: np.ndarray | None = None  # DOF vector of the last iterate
     converged: bool = False
     reason: str = ""
@@ -206,7 +206,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
 
     report.final = u
     report.iterations = report.gradients = len(report.grad_norm_history)
-    report.factorizations = space.factorizations
+    report.factorizations, report.refinements = space.factorizations, space.refinements
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:
@@ -247,13 +247,11 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     residual's (constant) linearization, a core-node x DOF matrix. The system
     is assembled on the free DOFs only: L^T W L, from the free columns of L,
     is added in place into the constrained Gram matrix as it is scaled by
-    beta; no DOF x DOF Hessian is formed. On grids of MIXED_PRECISION_DIM or
-    more axes the system is solved in mixed precision (spd_solve); in 2-D,
-    where the H^k Gram's conditioning grows like h^-2k and the float32
-    factor stops paying off, by the float64 factor alone. The report
-    has 0 iterations and one history row at the minimizer (`final`): J, the
-    Euclidean gradient norm and the H^k norm. Raises ConfigError for
-    operators whose lower-order term actually depends on the field.
+    beta; no DOF x DOF Hessian is formed. SobolevSpace.solve picks the
+    precision and counts the work. The report has 0 iterations and one
+    history row at the minimizer (`final`): J, the Euclidean gradient norm
+    and the H^k norm. Raises ConfigError for operators whose lower-order
+    term actually depends on the field.
     """
     t0 = time.perf_counter()
     lower = params.op.lower
@@ -264,17 +262,16 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos
     lmat = params.stencil.linearize(v).to_matrix()[:, free]
-    hess = space.constrained_gram(params.beta, plus=lmat.T @ sp.diags(params.core_weight) @ lmat)
-    solved = spd_solve(hess, -0.5 * gradient(params, v)[free],
-                       mixed=mask.grid.dim >= MIXED_PRECISION_DIM)
-    v[free] += solved.x
+    lwl = lmat.T @ sp.diags(params.core_weight) @ lmat
+    del lmat
+    v[free] += space.solve(-0.5 * gradient(params, v)[free], params.beta, plus=lwl)
 
     j = evaluate(params, v)
     g = gradient(params, v, at=j)
     return RunReport(
         j_history=[float(j)], grad_norm_history=[float(np.linalg.norm(g))],
         radius_history=[float(np.sqrt(max(j.norm_sq, 0.0)))], evaluations=1, gradients=2,
-        factorizations=solved.factorizations, refinements=solved.refinements,
+        factorizations=space.factorizations, refinements=space.refinements,
         final=v, converged=True, reason="direct normal-equations solve", space=space,
         wall_time=time.perf_counter() - t0,
     )

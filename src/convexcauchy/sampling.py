@@ -14,6 +14,9 @@ from .errors import ConfigError
 from .functional import FunctionalParams, data_extension
 from .grid import DomainMask
 
+BALL_FRACTIONS = (0.3, 0.9)  # range of a draw's target norm, as fractions of the radius
+BUMP_WIDTH_CELLS = 1.5  # width of a compact bump's Gaussian, in grid cells
+
 
 def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
                          passes: int = 8) -> np.ndarray:
@@ -42,8 +45,7 @@ def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
 
 
 def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generator,
-                 base: np.ndarray | None = None, base_norm: float | None = None,
-                 fraction_range=(0.3, 0.9)) -> np.ndarray:
+                 base: np.ndarray | None = None, base_norm: float | None = None) -> np.ndarray:
     """Base field plus a smooth zero-trace bump, rescaled inside the H^k ball.
 
     The target norm is a random fraction of the radius; the base field (a
@@ -61,14 +63,13 @@ def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generat
         )
     bump = random_smooth_values(params.mask, rng)
     bump_norm = params.space.norm(bump)
-    target = rng.uniform(*fraction_range) * radius
+    target = rng.uniform(*BALL_FRACTIONS) * radius
     # triangle inequality keeps the draw strictly inside the ball
     amount = min(max(target - base_norm, 0.05 * radius), 0.95 * (radius - base_norm))
     return params.impose_dofs(base + (amount / max(bump_norm, 1e-30)) * bump)
 
 
-def random_compact_bump(mask: DomainMask, rng: np.random.Generator,
-                        width_cells: float = 1.5) -> np.ndarray:
+def random_compact_bump(mask: DomainMask, rng: np.random.Generator) -> np.ndarray:
     """Gaussian bump centered at a random deep-core node, cut to compact support."""
     eroded = mask.erode(mask.core_pos)
     # keep one more cell of clearance so the Gaussian tail cut stays small
@@ -82,7 +83,7 @@ def random_compact_bump(mask: DomainMask, rng: np.random.Generator,
     center = np.array(
         [grid.origin[j] + center_idx[j] * grid.spacing[j] for j in range(grid.dim)]
     )
-    widths = width_cells * np.asarray(grid.spacing)
+    widths = BUMP_WIDTH_CELLS * np.asarray(grid.spacing)
     dist_sq = np.sum(((grid.coords(mask.dofs) - center) / widths) ** 2, axis=-1)
     vals = np.zeros(mask.dofs.size)
     vals[eroded] = np.exp(-dist_sq[eroded])

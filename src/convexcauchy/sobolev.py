@@ -68,8 +68,9 @@ def spd_factorized(matrix: sp.spmatrix):
 # test at the same tolerance
 REFINE_TOL = 1e-14
 REFINE_MAX_ITERS = 20
-# one-shot solves on grids with at least this many axes refine a float32 factor
-# (spd_solve): the direct solve and the data extension
+# SobolevSpace.solve refines a float32 factor (spd_solve) on grids with at
+# least this many axes, unless it reuses the space's float64 factor of G_ff;
+# in 2-D the H^k Gram's conditioning (h^-2k) leaves a float32 factor no gain
 MIXED_PRECISION_DIM = 3
 
 
@@ -187,7 +188,7 @@ class SobolevSpace:
         self.node_pos = np.flatnonzero(on_nodes)
         self.monomials = difference_monomials(self.grid.dim, self.order)
         self._free_solve = None
-        self.factorizations = 0  # of the constrained Gram, kept or not (one_shot_solver)
+        self.factorizations = self.refinements = 0  # the work of every solve (see solve)
 
         self.dof_weights = np.where(on_nodes, mask.dof_quad_weight, 0.0)
         # a DOF without a forward neighbour along an axis points at itself:
@@ -310,23 +311,23 @@ class SobolevSpace:
         plus + scale * gram_matrix()[free][:, free], built in place."""
         return self._assemble(self.mask.free_pos, scale, plus)
 
-    def one_shot_solver(self):
-        """Solve callable of the constrained Gram for a caller that solves once.
+    def solve(self, rhs: np.ndarray, scale: float = 1.0,
+              plus: sp.spmatrix | None = None) -> np.ndarray:
+        """x with (scale * G_ff + plus) x = rhs on the free DOFs (constrained_gram).
 
-        On fewer than MIXED_PRECISION_DIM axes, or when the space already
-        holds its float64 factor, this is constrained_solver(). Otherwise the
-        callable refines a float32 factor by spd_solve, which costs less than
-        the float64 one and is not kept; its factorizations are counted all
-        the same.
+        G_ff alone uses the kept float64 factor (constrained_solver) when there
+        is one or the grid has fewer than MIXED_PRECISION_DIM axes. Any other
+        system is one spd_solve, mixed precision from MIXED_PRECISION_DIM axes
+        on, whose factor is not kept; its work adds to the space's counters.
         """
-        if self._free_solve is not None or self.grid.dim < MIXED_PRECISION_DIM:
-            return self.constrained_solver()
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            solved = spd_solve(self.constrained_gram(), rhs)
-            self.factorizations += solved.factorizations
-            return solved.x
-        return solve
+        if scale == 1.0 and plus is None and (
+                self._free_solve is not None or self.grid.dim < MIXED_PRECISION_DIM):
+            return self.constrained_solver()(rhs)
+        solved = spd_solve(self.constrained_gram(scale, plus), rhs,
+                           mixed=self.grid.dim >= MIXED_PRECISION_DIM)
+        self.factorizations += solved.factorizations
+        self.refinements += solved.refinements
+        return solved.x
 
     def constrained_solver(self):
         if self._free_solve is None:

@@ -697,6 +697,15 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(report["certificates"]) == 2
 
+    def test_sweep_reports_the_smallest_passing_lambda(self, tmp_path, capsys):
+        """lambda1 is the smallest passing lambda, whatever the list's order."""
+        path = _sweep_config(tmp_path)
+        assert main(["sweep", str(path), "--lambda", "8,4,2,1"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        passing = [c["lambda"] for c in report["certificates"] if c["passed"]]
+        assert min(passing) < 8.0 and report["lambda1"] == min(passing)
+        assert f"smallest passing lambda: {min(passing):g}" in capsys.readouterr().out
+
     def test_certificate_reports_phase_time_and_quantiles(self, tmp_path):
         path = _sweep_config(tmp_path)
         assert main(["certify", str(path)]) == 0

@@ -13,7 +13,8 @@ systems (elliptic, and a 2+1-D wave) solve in mixed precision to float64
 accuracy, and fall back to the float64 factor where float32 cannot hold
 them. So does the data extension on three axes (elliptic, 2+1-D wave and
 parabolic), while in 2-D it keeps the float64 factor; a 3-D gradient solve
-still factorizes once."""
+still factorizes once. SobolevSpace.solve makes each of these choices and
+counts their work on the space, and a run reports those counts."""
 
 import gc
 import json
@@ -445,14 +446,19 @@ def test_direct_system_bit_identical_to_the_csr_sum(which, ell3d_setup):
 # -- mixed-precision direct solves in 3-D ------------------------------------------
 
 
-def _direct_system(params) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The free-DOF normal equations and right-hand side of direct_solve."""
+def _direct_plus(params) -> sp.csc_matrix:
+    """L^T W L on the free DOFs: what direct_solve adds to beta * G_ff."""
     free = params.mask.free_pos
     v = params.impose_dofs(np.zeros(params.mask.dofs.size))
     lmat = params.stencil.linearize(v).to_matrix()[:, free]
-    hess = params.space.constrained_gram(params.beta,
-                                         plus=lmat.T @ sp.diags(params.core_weight) @ lmat)
-    return hess, -0.5 * gradient(params, v)[free]
+    return lmat.T @ sp.diags(params.core_weight) @ lmat
+
+
+def _direct_system(params) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The free-DOF normal equations and right-hand side of direct_solve."""
+    v = params.impose_dofs(np.zeros(params.mask.dofs.size))
+    hess = params.space.constrained_gram(params.beta, plus=_direct_plus(params))
+    return hess, -0.5 * gradient(params, v)[params.mask.free_pos]
 
 
 def _hyp2d_params():
@@ -486,8 +492,14 @@ def test_mixed_precision_solve_matches_float64(which, systems_3d):
     assert np.array_equal(again.x, solved.x) and again[1:] == solved[1:]
 
 
+def _fresh_space(params, **changes):
+    """params on a new space of its mask, so that the space's counters hold
+    only the work of the test that uses it."""
+    return replace(params, space=SobolevSpace(params.mask), **changes)
+
+
 def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
-    counters = direct_solve(ell3d_setup[0].params).to_dict()["counters"]
+    counters = direct_solve(_fresh_space(ell3d_setup[0].params)).to_dict()["counters"]
     hess, rhs = _direct_system(ell3d_setup[0].params)
     assert counters["factorizations"] == 1
     assert counters["refinements"] == spd_solve(hess, rhs).refinements > 0
@@ -496,13 +508,34 @@ def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
 def test_beta_underflowing_float32_falls_back(ell3d_setup):
     """beta * G underflows in float32 at beta 1e-300 and leaves the float32
     factor singular; float64 factorizes it, and its bits are returned."""
-    params = replace(ell3d_setup[0].params, beta=1e-300)
+    params = _fresh_space(ell3d_setup[0].params, beta=1e-300)
     hess, rhs = _direct_system(params)
     solved = spd_solve(hess, rhs)
     assert (solved.factorizations, solved.refinements) == (2, 0)
     assert np.array_equal(solved.x, spd_factorized(hess)(rhs))
     report = direct_solve(params)
     assert (report.factorizations, report.refinements) == (2, 0)
+
+
+@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "hyp2d"])
+def test_solve_with_plus_is_one_factorization_of_the_sum(which, ell3d_setup):
+    """space.solve(rhs, beta, plus) factorizes beta * G_ff + plus once and keeps
+    nothing: in 2-D the float64 factor's bits, on three axes spd_solve's bits
+    and work."""
+    params = (_hyp2d_params() if which == "hyp2d"
+              else _direct_setup(which, ell3d_setup).params)
+    hess, rhs = _direct_system(params)
+    space = SobolevSpace(params.mask)
+    x = space.solve(rhs, params.beta, plus=_direct_plus(params))
+    if params.mask.grid.dim < 3:
+        want = sobolev.SpdSolve(spd_factorized(hess)(rhs), 1, 0)
+    else:
+        want = spd_solve(hess, rhs)
+        assert want.refinements > 0
+    assert np.array_equal(x, want.x)
+    assert (space.factorizations, space.refinements) == want[1:]
+    space.constrained_solver()  # the factor of the sum was not kept as G_ff's
+    assert space.factorizations == want.factorizations + 1
 
 
 # -- the data extension in mixed precision on three axes ----------------------------
@@ -548,11 +581,12 @@ def test_data_extension_refines_a_float32_factor_on_three_axes(which, ell3d_setu
     v, data, space = _extension(mask, factored=False)
     (solved,) = recorded_solves
     assert solved.factorizations == space.factorizations == 1  # no fall back
-    assert 1 <= solved.refinements <= sobolev.REFINE_MAX_ITERS
+    assert 1 <= solved.refinements == space.refinements <= sobolev.REFINE_MAX_ITERS
     assert np.array_equal(v[mask.value_pos], data.g0)
     assert np.array_equal(v[mask.deriv_pos], data.g1)
     reference, _, ref_space = _extension(mask, factored=True)
-    assert len(recorded_solves) == 1 and ref_space.factorizations == 1
+    assert len(recorded_solves) == 1  # the kept float64 factor solved it
+    assert (ref_space.factorizations, ref_space.refinements) == (1, 0)
     assert np.max(np.abs(v - reference)) <= 1e-8 * np.max(np.abs(reference))
     space.constrained_solver()  # the float32 factor was not kept
     assert space.factorizations == 2
@@ -563,6 +597,7 @@ def test_data_extension_in_2d_uses_the_float64_factor(ell2d_mask, recorded_solve
     reference, _, ref_space = _extension(ell2d_mask, factored=True)
     assert np.array_equal(v, reference)
     assert recorded_solves == [] and space.factorizations == ref_space.factorizations == 1
+    assert space.refinements == ref_space.refinements == 0
     assert space.constrained_solver() is space.constrained_solver()
     assert space.factorizations == 1
 
@@ -583,12 +618,15 @@ def test_gradient_solve_on_three_axes_factorizes_once(tmp_path, monkeypatch):
     run = json.loads((out / "report.json").read_text())["run"]
     assert run["reason"] == "iteration cap reached"
     assert run["counters"]["factorizations"] == len(splu_calls) == 1
+    assert run["counters"]["refinements"] == 0
     assert splu_calls[0].dtype == np.float64
 
 
-def test_euclidean_solve_on_three_axes_makes_no_float64_factor(tmp_path, monkeypatch):
+def test_euclidean_solve_on_three_axes_makes_no_float64_factor(tmp_path, monkeypatch,
+                                                                recorded_solves):
     """A Euclidean descent makes no Riesz solve, so the CLI does not make the
-    float64 factor: the start's data extension refines a float32 one."""
+    float64 factor: the start's data extension refines a float32 one, and
+    the run reports that refinement's work."""
     config = {**_ell3d_config(17, tmp_path / "trace.csv"),
               "operator": {"id": "cubic", "q": "(x0 * x0 - x1 * x1 + 0.5 * x2 + 3.0) ** 3"},
               "optimizer": {"max_iters": 3, "mode": "euclidean"}}
@@ -601,6 +639,8 @@ def test_euclidean_solve_on_three_axes_makes_no_float64_factor(tmp_path, monkeyp
     run = json.loads((out / "report.json").read_text())["run"]
     assert run["counters"]["factorizations"] == len(splu_calls) == 1
     assert splu_calls[0].dtype == np.float32
+    (extension,) = recorded_solves
+    assert run["counters"]["refinements"] == extension.refinements > 0
 
 
 FULL_GRID_FORMS = [(DomainMask, name) for name in (
