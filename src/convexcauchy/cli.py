@@ -51,11 +51,9 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
     if setup.solver == "direct":
         run_report = direct_solve(setup.params)
     else:
-        # the Riesz solves of a Sobolev descent keep the float64 factor: make
-        # it now, so that the start's data extension reuses it instead of
-        # refining its own; a Euclidean descent makes no Riesz solve
-        if setup.opt_config.mode == "sobolev":
-            setup.space.constrained_solver()
+        # the descent's Riesz solves keep the float64 factor: make it now, so
+        # that the start's data extension reuses it instead of refining its own
+        setup.space.constrained_solver()
         start = data_extension(setup.space, setup.params.data)
         run_report = run(setup.params, start, setup.opt_config)
     report["run"] = run_report.to_dict()

@@ -46,11 +46,11 @@ import numpy as np
 
 from . import catalog
 from .errors import ConfigError, GeometryError
-from .functional import (BETA_POLICIES, GRADIENT_MODES, CauchyData, FunctionalParams,
-                         beta_window, data_extension)
+from .functional import BETA_POLICIES, CauchyData, FunctionalParams, beta_window, data_extension
 from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
                    build_grid, classify_nodes, coordinate_components)
-from .operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator, validate_operator
+from .operators import (LOWER_TERMS, LowerOrderTerm, QuasilinearOperator, require_affine,
+                        validate_operator)
 from .optimizer import RADIUS_POLICIES, STEP_MODES, OptimizerConfig
 from .sobolev import SobolevSpace
 
@@ -272,11 +272,9 @@ SCHEMA = {
     },
     "optimizer": {key: (convert, getattr(OptimizerConfig, key)) for key, convert in {
         "max_iters": _COUNT, "grad_tol": _POSITIVE, "step_mode": _choice(STEP_MODES),
-        "gamma": _POSITIVE, "armijo_c": _UNIT, "shrink": _UNIT, "max_halvings": _COUNT,
-        "mode": _choice(GRADIENT_MODES), "radius": _NONNEGATIVE,
-        "radius_policy": _choice(RADIUS_POLICIES),
+        "gamma": _POSITIVE, "radius": _NONNEGATIVE, "radius_policy": _choice(RADIUS_POLICIES),
         "store_iterates": _check(lambda v: isinstance(v, bool), "true or false"),
-    }.items()},
+    }.items()} | {"mode": (_choice(("sobolev",)), "sobolev")},  # names the one descent geometry
     "certificate": {
         "radius": (_POSITIVE, 5.0),
         "samples": (_COUNT, 50),
@@ -379,9 +377,9 @@ def build_setup(cfg: dict) -> ProblemSetup:
         sections[name] for name in ("grid", "level", "functional", "data"))
 
     _require(bool(top["operator"] or case), "operator", "required when no case is given")
-    kind = sections["operator"]["id"]
-    _require(top["solver"] != "direct" or kind == "linear" or LOWER_TERMS[kind].affine, "solver",
-             f"direct solve needs an affine residual; operator id {kind!r} depends on the field")
+    if top["solver"] == "direct":
+        with _section("solver"):
+            require_affine(sections["operator"]["id"])
     if case and data_cfg["file"] is None:
         # a generic level is a custom spatial threshold; elliptic cases fit it
         _require(family == case["family"] or (family, case["family"]) == ("generic", "elliptic"),
@@ -432,6 +430,7 @@ def build_setup(cfg: dict) -> ProblemSetup:
     logger.info("resolved problem: %s", json.dumps(config, sort_keys=True))
 
     with _section("optimizer"):
+        sections["optimizer"].pop("mode")  # echoed only: the descent has one geometry
         opt_config = OptimizerConfig(**sections["optimizer"])
     return ProblemSetup(
         config=config, grid=grid, mask=mask, space=space, params=params, opt_config=opt_config,

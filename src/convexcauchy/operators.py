@@ -63,6 +63,13 @@ LOWER_TERMS = {
 }
 
 
+def require_affine(kind: str) -> None:
+    """Raise the direct solve's ConfigError unless operator id `kind` keeps the residual affine."""
+    if kind != "linear" and not LOWER_TERMS[kind].affine:
+        raise ConfigError(f"direct solve needs an affine residual; operator id {kind!r} "
+                          "depends on the field")
+
+
 @dataclass(frozen=True, eq=False)
 class LowerOrderTerm:
     """Lower-order term N(p, grad u, u) = f(grad u, u; b(p)) + q(p).
@@ -84,11 +91,6 @@ class LowerOrderTerm:
     @property
     def f(self) -> Nonlinearity:
         return LOWER_TERMS[self.kind]
-
-    @property
-    def affine(self) -> bool:
-        """Whether N does not depend on the field, so the residual map is affine."""
-        return self.f.affine
 
     def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         """q and b at points."""

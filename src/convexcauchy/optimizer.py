@@ -1,10 +1,11 @@
 """Gradient iteration with line search, convexity certificates, and rate fits.
 
-The iteration u_{n+1} = u_n - gamma * grad J(u_n) runs in either the
-Euclidean or the H^k (Sobolev) geometry; descent directions are zero-trace,
-so every iterate carries the Cauchy data exactly. Backtracking enforces the
-Armijo decrease J_new <= J - c * t * ||g||^2 in the norm matching the
-geometry.
+The iteration u_{n+1} = u_n - gamma * g(u_n) steps along g, the H^k (Sobolev)
+Riesz representative of grad J; it is zero-trace, so every iterate carries
+the Cauchy data exactly. Backtracking enforces the Armijo decrease
+J_new <= J - ARMIJO_C * t * ||g||^2 in the H^k norm, shrinking t by SHRINK
+at most MAX_HALVINGS times. J_new >= 0, so a t with ARMIJO_C * t * ||g||^2 > J
+cannot pass: it is shrunk without evaluating J and without counting.
 
 The convexity certificate samples field pairs inside an H^k ball and checks
 the Bregman gap against (beta/2) times the squared H^k distance; it is the
@@ -25,6 +26,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, SolverError
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
 from .grid import check_finite
+from .operators import require_affine
 from .sampling import draw_in_ball
 from .sobolev import SobolevSpace
 
@@ -32,6 +34,9 @@ logger = logging.getLogger(__name__)
 
 STEP_MODES = ("fixed", "backtracking")
 RADIUS_POLICIES = ("monitor", "reject_step")
+ARMIJO_C = 1e-4
+SHRINK = 0.5
+MAX_HALVINGS = 60
 
 
 @dataclass
@@ -40,10 +45,6 @@ class OptimizerConfig:
     grad_tol: float = 1e-6
     step_mode: str = "backtracking"
     gamma: float = 0.5
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    max_halvings: int = 60
-    mode: str = "sobolev"
     radius: float = 0.0  # 0 disables the ball check
     radius_policy: str = "monitor"
     store_iterates: bool = True
@@ -57,8 +58,6 @@ class OptimizerConfig:
             raise ConfigError(f"fixed step size must lie in (0, 1), got {self.gamma}")
         if self.grad_tol <= 0 or self.max_iters < 1:
             raise ConfigError("tolerances and iteration caps must be positive")
-        if self.mode not in ("euclidean", "sobolev"):
-            raise ConfigError(f"unknown gradient mode {self.mode!r}")
 
 
 @dataclass
@@ -114,9 +113,9 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     The iterates, the gradients and `final` are DOF vectors. The gradient
     norm is the dual norm: the square root of the Euclidean pairing of the
     raw gradient with the step direction g, which is also the slope the
-    Armijo test uses. In sobolev mode it equals the H^k norm of the Riesz
-    representative g up to the rounding of the factorized Gram matrix, at
-    the cost of one dot product instead of a differences pass.
+    Armijo test uses. It equals the H^k norm of the Riesz representative g
+    up to the rounding of the factorized Gram matrix, at the cost of one
+    dot product instead of a differences pass.
     `iterations` counts gradient evaluations, len(grad_norm_history). At the
     iteration cap j_history also ends with the J of the last accepted step.
     Each iterate is evaluated once: the gradient and the H^k norm of an
@@ -140,7 +139,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
         return None if np.array_equal(v_try, v) else v_try
 
     for it in range(config.max_iters):
-        g = check_finite(gradient(params, u, config.mode, at=j), "gradient")
+        g = check_finite(gradient(params, u, "sobolev", at=j), "gradient")
         gsq = float(np.sum(j.euclidean_gradient * g))  # the dual norm, squared
         gnorm = float(np.sqrt(max(gsq, 0.0)))
         unorm = float(np.sqrt(max(j.norm_sq, 0.0)))  # = space.norm(u)
@@ -179,18 +178,20 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
                 )
         else:
             t = min(1.0, step * 2.0)  # warm start from the last accepted step
-            for halvings in range(config.max_halvings):
+            while ARMIJO_C * t * gsq > j:  # no trial J >= 0 passes Armijo here
+                t *= SHRINK
+            for halvings in range(MAX_HALVINGS):
                 u_try = trial(u, g, t)
                 if u_try is None:
                     break
                 j_try = evaluate(params, u_try)
                 report.evaluations += 1
-                if j_try <= j - config.armijo_c * t * gsq:
+                if j_try <= j - ARMIJO_C * t * gsq:
                     break
-                t *= config.shrink
+                t *= SHRINK
             else:
                 raise SolverError(
-                    f"line search found no Armijo decrease after {config.max_halvings} "
+                    f"line search found no Armijo decrease after {MAX_HALVINGS} "
                     f"halvings at iteration {it} (J={j:.6g}, |g|={gnorm:.3g})"
                 )
         report.halvings_history.append(halvings)
@@ -254,10 +255,7 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     term actually depends on the field.
     """
     t0 = time.perf_counter()
-    lower = params.op.lower
-    if lower is not None and not lower.affine:
-        raise ConfigError("direct solve needs an affine residual; lower-order term is "
-                          f"{lower.kind!r}")
+    require_affine(getattr(params.op.lower, "kind", "linear"))
     mask, space = params.mask, params.space
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos

@@ -522,8 +522,10 @@ def _sweep_config(tmp_path, **overrides) -> Path:
 # wrong meaning, fail late, crash with a traceback or pass without a word; each
 # must exit 1 with "config field <section>.<key>: ..." before any output
 MALFORMED_VALUES = [
-    ("optimizer", "max_halvings", 0),       # "no Armijo decrease after 0 halvings"
-    ("optimizer", "shrink", 2.0),           # the backtracking grew the step
+    # line-search keys, now unknown: "no Armijo decrease after 0 halvings",
+    # a backtracking that grew the step, a negative Armijo constant
+    ("optimizer", "max_halvings", 0),
+    ("optimizer", "shrink", 2.0),
     ("optimizer", "armijo_c", -1),
     ("optimizer", "store_iterates", "no"),
     ("certificate", "samples", 2.5),        # ran 2 samples
@@ -613,6 +615,21 @@ def test_direct_solve_of_a_nonlinear_operator_fails_before_classification(
     monkeypatch.setattr(harness, "classify_nodes", classify)
     assert main(["solve", str(_sweep_config(tmp_path, solver="direct"))]) == 1
     assert "config field solver: direct solve needs an affine residual" in caplog.text
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("mode", "euclidean", "config field optimizer.mode: must be one of sobolev"),
+    ("armijo_c", 1e-4, "config field optimizer.armijo_c: unknown keys"),
+    ("shrink", 0.5, "config field optimizer.shrink: unknown keys"),
+    ("max_halvings", 60, "config field optimizer.max_halvings: unknown keys"),
+], ids=["mode=euclidean", "armijo_c", "shrink", "max_halvings"])
+def test_descent_has_one_geometry_and_fixed_line_search(tmp_path, caplog, key, value, message):
+    """The descent runs in the H^k geometry only and its line-search
+    constants are not config keys: naming another geometry or a constant,
+    even at its value, exits 1 before any output."""
+    assert main(["solve", str(_sweep_config(tmp_path, optimizer={key: value}))]) == 1
+    assert message in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def _malformed_case(section, key, value):

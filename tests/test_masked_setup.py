@@ -622,27 +622,6 @@ def test_gradient_solve_on_three_axes_factorizes_once(tmp_path, monkeypatch):
     assert splu_calls[0].dtype == np.float64
 
 
-def test_euclidean_solve_on_three_axes_makes_no_float64_factor(tmp_path, monkeypatch,
-                                                                recorded_solves):
-    """A Euclidean descent makes no Riesz solve, so the CLI does not make the
-    float64 factor: the start's data extension refines a float32 one, and
-    the run reports that refinement's work."""
-    config = {**_ell3d_config(17, tmp_path / "trace.csv"),
-              "operator": {"id": "cubic", "q": "(x0 * x0 - x1 * x1 + 0.5 * x2 + 3.0) ** 3"},
-              "optimizer": {"max_iters": 3, "mode": "euclidean"}}
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    splu_calls = []
-    splu = sobolev._splu
-    monkeypatch.setattr(sobolev, "_splu", lambda matrix: splu_calls.append(matrix) or splu(matrix))
-    out = tmp_path / "out"
-    cli.main(["solve", str(tmp_path / "config.json"), "--out", str(out)])
-    run = json.loads((out / "report.json").read_text())["run"]
-    assert run["counters"]["factorizations"] == len(splu_calls) == 1
-    assert splu_calls[0].dtype == np.float32
-    (extension,) = recorded_solves
-    assert run["counters"]["refinements"] == extension.refinements > 0
-
-
 FULL_GRID_FORMS = [(DomainMask, name) for name in (
     "label", "quad_weight", "ell", "in_mask", "is_core", "is_inner", "value_layer",
     "deriv_layer", "constrained", "free")] + [(SobolevSpace, "nodes"), (SobolevSpace, "weights")]

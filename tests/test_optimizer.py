@@ -13,6 +13,7 @@ from convexcauchy.functional import FunctionalParams, data_extension, evaluate, 
 from convexcauchy.harness import build_setup, history_table, load_problem
 from convexcauchy.operators import LOWER_TERMS, OperatorStencil
 from convexcauchy.optimizer import (
+    ARMIJO_C,
     OptimizerConfig,
     RunReport,
     convergence_ratio,
@@ -48,11 +49,24 @@ class TestRun:
         """Only a term whose partials all vanish keeps the residual affine."""
         setup = build_setup({"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]},
                              "operator": {"id": kind, "q": "x0"}})
-        if setup.params.op.lower.affine:
+        if LOWER_TERMS[kind].affine:
             assert kind == "source" and direct_solve(setup.params).converged
         else:
-            with pytest.raises(ConfigError, match=f"lower-order term is '{kind}'"):
+            with pytest.raises(ConfigError, match=f"operator id '{kind}' depends on the field"):
                 direct_solve(setup.params)
+
+    @pytest.mark.parametrize("kind", [k for k in LOWER_TERMS if not LOWER_TERMS[k].affine])
+    def test_affine_rule_has_one_message(self, kind, tmp_path, caplog):
+        """The library's direct solve and the CLI's load-time check reject a
+        field-dependent term in the same words."""
+        cfg = {"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]},
+               "operator": {"id": kind, "q": "x0"}}
+        with pytest.raises(ConfigError) as library:
+            direct_solve(build_setup(cfg).params)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**cfg, "solver": "direct", "output_dir": str(tmp_path / "out")}))
+        assert cli.main(["solve", str(path)]) == 1
+        assert f"config error: config field solver: {library.value}" in caplog.text
 
     def test_start_at_minimizer_stops_immediately(self):
         _, grid, mask, op, space, params, _ = make_problem(
@@ -79,13 +93,26 @@ class TestRun:
 
     def test_monotone_descent_with_backtracking(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
-        cfg = OptimizerConfig(max_iters=60, grad_tol=1e-12, armijo_c=1e-4,
-                              store_iterates=False)
+        cfg = OptimizerConfig(max_iters=60, grad_tol=1e-12, store_iterates=False)
         report = run(params, draw_in_ball(params, 5.0, rng), cfg)
         js = report.j_history
         for k in range(len(report.step_history)):
-            decrease = cfg.armijo_c * report.step_history[k] * report.grad_norm_history[k] ** 2
+            decrease = ARMIJO_C * report.step_history[k] * report.grad_norm_history[k] ** 2
             assert js[k + 1] <= js[k] - decrease + 1e-12 * (1.0 + abs(js[k]))
+
+    def test_descent_steps_where_j_is_huge(self):
+        """J >= 0, so a trial with ARMIJO_C * t * |g|^2 > J cannot pass Armijo
+        and is shrunk unevaluated: at a core-weight span of e^59 (J near 1e27)
+        the line search neither runs out of halvings nor overflows J."""
+        setup = build_setup({"case": "ELL2D-CUBIC", "grid": {"resolution": [17, 17]},
+                             "level": {"a": 0.1, "nu": 2.0}, "weight": {"lambda": 1.0},
+                             "functional": {"beta_policy": "keep"}})
+        start = data_extension(setup.space, setup.params.data)
+        report = run(setup.params, start, OptimizerConfig(max_iters=3, grad_tol=1e-300))
+        assert report.reason == "iteration cap reached"
+        assert report.j_history[0] > 1e26 and report.j_history[-1] < report.j_history[0]
+        # the start, then every trial: the accepted one and the rejected ones
+        assert report.evaluations == 1 + report.iterations + sum(report.halvings_history)
 
     def test_constraints_preserved_exactly(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("PAR1D-CUBIC", beta=0.8)
@@ -103,11 +130,11 @@ class TestRun:
         with pytest.raises(SolverError, match="diverged"):
             run(params, draw_in_ball(params, 150.0, rng), cfg)
 
-    def test_line_search_failure_raises(self, rng):
+    def test_line_search_failure_raises(self, rng, monkeypatch):
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=2.0, beta=0.5)
-        cfg = OptimizerConfig(max_iters=50, grad_tol=1e-14, max_halvings=1,
-                              store_iterates=False)
+        monkeypatch.setattr(optimizer, "MAX_HALVINGS", 1)
+        cfg = OptimizerConfig(max_iters=50, grad_tol=1e-14, store_iterates=False)
         with pytest.raises(SolverError, match="line search|Armijo|decrease"):
             run(params, draw_in_ball(params, 150.0, rng), cfg)
 
@@ -200,21 +227,17 @@ class TestEvaluateOnce:
     """run evaluates each iterate once: the gradient and the H^k norm of an
     accepted trial reuse its J evaluation."""
 
-    @pytest.mark.parametrize("mode,step_mode,gamma", [
-        ("sobolev", "backtracking", 0.5), ("sobolev", "fixed", 0.05),
-        ("euclidean", "backtracking", 0.5), ("euclidean", "fixed", 1e-8),
-    ])
-    def test_histories_equal_fresh_calls(self, mode, step_mode, gamma):
+    @pytest.mark.parametrize("step_mode,gamma", [("backtracking", 0.5), ("fixed", 0.05)],
+                             ids=["sobolev-backtracking-0.5", "sobolev-fixed-0.05"])
+    def test_histories_equal_fresh_calls(self, step_mode, gamma):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
-        cfg = OptimizerConfig(max_iters=25, grad_tol=1e-12, mode=mode, step_mode=step_mode,
-                              gamma=gamma)
+        cfg = OptimizerConfig(max_iters=25, grad_tol=1e-12, step_mode=step_mode, gamma=gamma)
         report = run(params, data_extension(space, params.data), cfg)
         assert report.iterations == len(report.iterates) == 25
         for k, u in enumerate(report.iterates):
-            g = gradient(params, u, mode)
+            g = gradient(params, u, "sobolev")
             gsq = float(np.sum(gradient(params, u) * g))  # the dual pairing
-            if mode == "sobolev":
-                assert gsq == pytest.approx(space.norm_sq(g), rel=1e-12)
+            assert gsq == pytest.approx(space.norm_sq(g), rel=1e-12)
             assert report.j_history[k] == evaluate(params, u)
             assert report.radius_history[k] == space.norm(u)
             assert report.grad_norm_history[k] == float(np.sqrt(max(gsq, 0.0)))
@@ -328,7 +351,7 @@ class TestConvergenceRatio:
 
         u_ref = direct_solve(params).final
         cfg = OptimizerConfig(max_iters=80, grad_tol=1e-14, step_mode="fixed",
-                              gamma=gamma, mode="sobolev", store_iterates=True)
+                              gamma=gamma, store_iterates=True)
         try:
             report = run(params, draw_in_ball(params, 150.0, rng), cfg)
         except SolverError:
