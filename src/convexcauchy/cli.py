@@ -48,14 +48,19 @@ def _base_report(setup: ProblemSetup, command: str) -> dict:
 
 def cmd_solve(setup: ProblemSetup, args) -> int:
     report = _base_report(setup, "solve")
+    space = setup.space
+    work = space.factorizations, space.refinements
     if setup.solver == "direct":
         run_report = direct_solve(setup.params)
     else:
         # the descent's Riesz solves keep the float64 factor: make it now, so
         # that the start's data extension reuses it instead of refining its own
-        setup.space.constrained_solver()
-        start = data_extension(setup.space, setup.params.data)
+        space.constrained_solver()
+        start = data_extension(space, setup.params.data)
         run_report = run(setup.params, start, setup.opt_config)
+    # the report counts the solver work of the whole command, set-up included
+    run_report.factorizations = space.factorizations - work[0]
+    run_report.refinements = space.refinements - work[1]
     report["run"] = run_report.to_dict()
     report["errors"] = error_norms(setup, run_report.final)
     report["history"] = history_table(run_report)

@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, ConvexCauchyError, GeometryError
 
@@ -352,7 +353,10 @@ class Halo:
     A field that vanishes outside the mask keeps its support inside the halo
     through one sweep of +-1 neighbour stencils along every axis in turn, so
     during such a sweep the zero sentinel of the tables reads exactly what a
-    full-grid computation would read.
+    full-grid computation would read. `smoothing` holds, per axis, the CSR
+    matrix of v -> 0.5 v + 0.25 (v[+] + v[-]) over the halo slots, each row
+    in the order [+, -, self] without a missing neighbour: its product's
+    running sum forms that expression's bits, as scaling by 0.25 is exact.
     """
 
     def __init__(self, mask: DomainMask):
@@ -370,6 +374,15 @@ class Halo:
         forward = flat_neighbor_tables(index, shape, [axis_offset(len(shape), a)
                                                       for a in range(len(shape))])
         self.tables = [(table, inverse_table(table, table.size)) for table in forward]
+        n = index.size
+        self.smoothing = []
+        for plus, minus in self.tables:
+            cols = np.stack([plus, minus, np.arange(n)], axis=1)
+            keep = cols < n
+            data = np.broadcast_to([0.25, 0.25, 0.5], cols.shape)
+            self.smoothing.append(sp.csr_matrix(
+                (data[keep], cols[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+                shape=(n, n)))
 
 
 class DomainMask:

@@ -115,7 +115,8 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     raw gradient with the step direction g, which is also the slope the
     Armijo test uses. It equals the H^k norm of the Riesz representative g
     up to the rounding of the factorized Gram matrix, at the cost of one
-    dot product instead of a differences pass.
+    dot product instead of a differences pass. `factorizations` and
+    `refinements` count the space's solver work done during this call.
     `iterations` counts gradient evaluations, len(grad_norm_history). At the
     iteration cap j_history also ends with the J of the last accepted step.
     Each iterate is evaluated once: the gradient and the H^k norm of an
@@ -123,6 +124,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     """
     t0 = time.perf_counter()
     space = params.space
+    work = space.factorizations, space.refinements
     params.check_dofs(start, "starting field")
     u = np.array(start, dtype=float)
     params.impose_dofs(u)
@@ -207,7 +209,8 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
 
     report.final = u
     report.iterations = report.gradients = len(report.grad_norm_history)
-    report.factorizations, report.refinements = space.factorizations, space.refinements
+    report.factorizations = space.factorizations - work[0]
+    report.refinements = space.refinements - work[1]
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:
@@ -249,14 +252,16 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     is assembled on the free DOFs only: L^T W L, from the free columns of L,
     is added in place into the constrained Gram matrix as it is scaled by
     beta; no DOF x DOF Hessian is formed. SobolevSpace.solve picks the
-    precision and counts the work. The report has 0 iterations and one
-    history row at the minimizer (`final`): J, the Euclidean gradient norm
-    and the H^k norm. Raises ConfigError for operators whose lower-order
-    term actually depends on the field.
+    precision and counts the work; the report holds the work of this call.
+    The report has 0 iterations and one history row at the minimizer
+    (`final`): J, the Euclidean gradient norm and the H^k norm. Raises
+    ConfigError for operators whose lower-order term actually depends on the
+    field.
     """
     t0 = time.perf_counter()
     require_affine(getattr(params.op.lower, "kind", "linear"))
     mask, space = params.mask, params.space
+    work = space.factorizations, space.refinements
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos
     lmat = params.stencil.linearize(v).to_matrix()[:, free]
@@ -269,7 +274,7 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     return RunReport(
         j_history=[float(j)], grad_norm_history=[float(np.linalg.norm(g))],
         radius_history=[float(np.sqrt(max(j.norm_sq, 0.0)))], evaluations=1, gradients=2,
-        factorizations=space.factorizations, refinements=space.refinements,
+        factorizations=space.factorizations - work[0], refinements=space.refinements - work[1],
         final=v, converged=True, reason="direct normal-equations solve", space=space,
         wall_time=time.perf_counter() - t0,
     )

@@ -26,17 +26,15 @@ def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
     loop, so the draw decays smoothly toward them instead of being cut there;
     this keeps high-order difference norms moderate. The noise is drawn on
     the whole grid, so the generator advances by one value per grid node;
-    each pass smooths along every axis in turn, which the mask's halo holds
-    exactly (see Halo).
+    each pass smooths along every axis in turn, one sparse product per axis
+    over the mask's halo, which holds the sweep exactly (see Halo).
     """
     halo = mask.halo
-    buf = np.zeros(halo.index.size + 1)  # the last slot is the tables' zero sentinel
-    vals = buf[:-1]
-    vals[:] = rng.standard_normal(mask.grid.shape).ravel()[halo.index]
+    vals = rng.standard_normal(mask.grid.shape).ravel()[halo.index]
     for _ in range(passes):
         vals[~halo.free] = 0.0
-        for plus, minus in halo.tables:
-            vals[:] = 0.5 * vals + 0.25 * (buf[plus] + buf[minus])
+        for smooth in halo.smoothing:
+            vals = smooth @ vals
     vals[~halo.free] = 0.0
     peak = np.max(np.abs(vals))
     if peak > 0:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import CATALOG_IDS, make_problem
 from convexcauchy.errors import ConfigError, ConstraintViolationError
 from convexcauchy.functional import (
+    CONSTRAINT_TOL,
     CauchyData,
     FunctionalParams,
     beta_window,
@@ -13,8 +16,39 @@ from convexcauchy.functional import (
     evaluate,
     gradient,
 )
+from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
 from convexcauchy.optimizer import direct_solve
 from convexcauchy.sampling import draw_in_ball, random_compact_bump, random_smooth_values
+from convexcauchy.sobolev import SobolevSpace
+
+# (bounds, resolution, level) of the geometries the Bregman gap is checked on
+GAP_GEOMETRIES = {
+    "par1d": (((0.0, 1.0), (-1.0, 1.0)), (33, 33), LevelSpec(
+        family="parabolic", a=0.25, c=0.45, nu=1.0, x_width=1.0, t_span=1.0)),
+    "hyp1d": (((0.0, 1.0), (-1.0, 1.0)), (33, 33), LevelSpec(
+        family="hyperbolic", c=0.02, eta=0.25, x0=(0.5,))),
+    "ell2d": (((0.0, 1.0), (-1.0, 1.0)), (33, 33), LevelSpec(
+        family="elliptic", a=0.25, c=0.45, nu=1.0, x_width=1.0, epsilon=0.36)),
+    "ell3d": (((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (17, 19, 21), LevelSpec(
+        family="elliptic", a=0.2, c=0.45, nu=1.0, x_width=1.0)),
+}
+
+
+def _gap_params(geometry, kind):
+    """Params of the lower-order term `kind` on a GAP_GEOMETRIES entry, with
+    the trace data of a smooth quadratic field, lambda 2 and beta 1e-3."""
+    bounds, resolution, level = GAP_GEOMETRIES[geometry]
+    grid = build_grid(bounds, resolution)
+    mask = classify_nodes(grid, level)
+    x = grid.coords(mask.dofs)
+    u = 1.0 + 0.5 * x[:, 0] ** 2 - 0.3 * x[:, -1]
+    scale = (lambda p: 0.5 + 0.2 * p[..., 0]) if kind == "gradsq" else None
+    op = QuasilinearOperator(family=level.family, dim=grid.dim, lower=LowerOrderTerm(
+        kind, lambda p: np.sin(p[..., 0]), scale))
+    return FunctionalParams(op=op, lam=2.0, mask=mask, space=SobolevSpace(mask), beta=1e-3,
+                            data=CauchyData(u[mask.value_pos], u[mask.deriv_pos]),
+                            beta_policy="keep")
 
 
 def zero_trace_bump(params, rng, scale=1.0):
@@ -183,29 +217,58 @@ class TestBregmanGap:
         assert gap >= 0.5 * params.beta * hk
 
     def test_equals_separate_evaluation(self, rng):
-        """The gaps and norms equal, bit for bit, the formula that differences
-        the first field once for its norm and again for its Gram action."""
+        """The gaps and norms equal, bit for bit, the closed form computed
+        separately: the weighted data gap from two residuals and one
+        linearized action of the zero-trace difference, plus beta times the
+        H^k term."""
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         weights = [params.core_weight_at(lam) for lam in (1.0, 2.0, 4.0)]
-        beta, stencil = params.beta, params.stencil
+        stencil = params.stencil
         for _ in range(3):
             v1, v2 = draw_in_ball(params, 5.0, rng), draw_in_ball(params, 5.0, rng)
             h = v2 - v1
+            h_free = h.copy()
+            h_free[mask.trace_pos] = 0.0
             r1, r2 = stencil.residual(v1), stencil.residual(v2)
-            reg1, reg2 = beta * space.norm_sq(v1), beta * space.norm_sq(v2)
-            lin = stencil.linearize(v1)
-            reg_grad1 = 2.0 * beta * space.apply_gram(v1)
-            want = []
-            for w in weights:
-                j1 = data_term(w, r1) + reg1
-                j2 = data_term(w, r2) + reg2
-                g1 = 2.0 * lin.adjoint(w * r1)
-                g1 += reg_grad1
-                g1[mask.trace_pos] = 0.0
-                want.append(j2 - j1 - float(np.sum(g1 * h)))
-            gaps, h1, hk = bregman_gap(params, v1, v2, weights)
+            lh = stencil.linearize(v1).forward(h_free)
+            hk = space.norm_sq(h)
+            want = [float(np.sum((r2 * r2 - r1 * r1 - 2.0 * r1 * lh) * w)) + params.beta * hk
+                    for w in weights]
+            gaps, h1, hk_got = bregman_gap(params, v1, v2, weights)
             assert gaps == want
-            assert (h1, hk) == (params.inner_h1_space.norm_sq(h), space.norm_sq(h))
+            assert (h1, hk_got) == (params.inner_h1_space.norm_sq(h), hk)
+
+    @pytest.mark.parametrize("kind", LOWER_TERMS)
+    @pytest.mark.parametrize("geometry", GAP_GEOMETRIES)
+    def test_matches_first_order_expansion(self, geometry, kind):
+        """The closed form agrees with J(v2) - J(v1) - J'(v1)(v2 - v1) from two
+        evaluations and the Euclidean gradient, to 1e-11 relative, for every
+        lower-order term in 1+1-D parabolic and hyperbolic, 2-D and 3-D."""
+        params = _gap_params(geometry, kind)
+        at_lambda = [replace(params, lam=lam) for lam in (1.0, 2.0, 4.0)]
+        weights = [p.core_weight for p in at_lambda]
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            v1, v2 = draw_in_ball(params, 5.0, rng), draw_in_ball(params, 5.0, rng)
+            gaps, _, _ = bregman_gap(params, v1, v2, weights)
+            for p, gap in zip(at_lambda, gaps):
+                want = (evaluate(p, v2) - evaluate(p, v1)
+                        - float(np.sum(gradient(p, v1) * (v2 - v1))))
+                assert gap == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    def test_trace_deviation_within_tolerance_accepted(self):
+        """Two fields that each carry the data within check_dofs' tolerance
+        form a valid pair, even where their traces differ by more than the
+        absolute CONSTRAINT_TOL."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
+        u1 = data_extension(space, params.data)
+        u2 = u1.copy()
+        scale = 1.0 + max(np.max(np.abs(params.data.g0)), np.max(np.abs(params.data.g1)))
+        assert scale > 1.0 / 0.9
+        u2[mask.value_pos] += 0.9 * CONSTRAINT_TOL * scale
+        params.check_dofs(u2)
+        (gap,), _, hk = bregman_gap(params, u1, u2)
+        assert np.isfinite(gap) and hk > 0.0
 
     def test_mismatched_data_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")

@@ -505,6 +505,14 @@ def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
     assert counters["refinements"] == spd_solve(hess, rhs).refinements > 0
 
 
+def test_repeated_direct_solve_counts_only_its_own_work(ell3d_setup):
+    """A second direct solve on the same params refines its own float32
+    factor and reports that work alone, as the first did."""
+    params = _fresh_space(ell3d_setup[0].params)
+    first, second = (direct_solve(params).to_dict()["counters"] for _ in range(2))
+    assert first == second and first["refinements"] > 0
+
+
 def test_beta_underflowing_float32_falls_back(ell3d_setup):
     """beta * G underflows in float32 at beta 1e-300 and leaves the float32
     factor singular; float64 factorizes it, and its bits are returned."""

@@ -1,6 +1,7 @@
 import csv
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,22 @@ class TestRun:
         rel = space.norm(report.final - u_direct)
         rel /= space.norm(u_direct)
         assert rel < 1e-6
+
+    def test_each_solve_reports_its_own_work(self, rng):
+        """The factorization and refinement counters hold the work done during
+        the call, not the space's running totals: a second direct solve on the
+        same params reports what the first did, and a second run reuses the
+        kept factor of the first."""
+        _, grid, mask, op, space, params, _ = make_problem(
+            "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
+        first, second = direct_solve(params), direct_solve(params)
+        assert (first.factorizations, first.refinements) == (1, 0)
+        assert (second.factorizations, second.refinements) == (1, 0)
+        cfg = OptimizerConfig(max_iters=3, store_iterates=False)
+        start = draw_in_ball(params, 150.0, rng)
+        fresh = replace(params, space=SobolevSpace(mask))  # no factor made yet
+        runs = [run(fresh, start, cfg) for _ in range(2)]
+        assert [(r.factorizations, r.refinements) for r in runs] == [(1, 0), (0, 0)]
 
     @pytest.mark.parametrize("kind", LOWER_TERMS)
     def test_direct_solve_needs_an_affine_term(self, kind):
