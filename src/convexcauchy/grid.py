@@ -83,22 +83,17 @@ class Grid:
 
     def coords(self, nodes: np.ndarray | None = None) -> np.ndarray:
         """Node coordinates: of every node, shape (*grid.shape, dim), or of the
-        nodes `nodes`, shape (count, dim): the True entries of a boolean array
-        over the grid in C order, or the flat node indices of an integer array.
+        nodes at the flat node indices `nodes`, shape (count, dim).
 
-        The second form is bit-identical to coords()[nodes] (or
-        coords().reshape(-1, dim)[nodes]) without building the full-grid
-        array: each coordinate is read off axis_coords at the node's index
-        along that axis.
+        The second form is bit-identical to coords().reshape(-1, dim)[nodes]
+        without building the full-grid array: each coordinate is read off
+        axis_coords at the node's index along that axis. A boolean array,
+        which unravel_index would read as the indices 0 and 1, is a TypeError.
         """
         if nodes is None:
             return np.stack(np.broadcast_arrays(*self.open_coords()), axis=-1)
-        nodes = np.asarray(nodes)
-        if nodes.dtype == bool:
-            if nodes.shape != self.shape:
-                raise ConfigError(f"node array of shape {nodes.shape} does not match "
-                                  f"grid {self.shape}")
-            nodes = np.flatnonzero(nodes)
+        if np.asarray(nodes).dtype == bool:
+            raise TypeError("Grid.coords takes flat node indices, not a boolean node set")
         index = np.unravel_index(nodes, self.shape)
         return np.stack([self.axis_coords(j)[i] for j, i in enumerate(index)], axis=-1)
 
@@ -303,16 +298,8 @@ def flat_neighbor_tables(flat: np.ndarray, shape: Sequence[int],
     return tables
 
 
-def neighbor_tables(nodes: np.ndarray, offsets: Sequence[Sequence[int]],
-                    rows: np.ndarray | None = None) -> list[np.ndarray]:
-    """flat_neighbor_tables of the True entries of the boolean array `nodes`,
-    read from the True entries of `rows` (default: `nodes` itself)."""
-    return flat_neighbor_tables(np.flatnonzero(nodes), nodes.shape, offsets,
-                                None if rows is None else np.flatnonzero(rows))
-
-
 def inverse_table(table: np.ndarray, size: int) -> np.ndarray:
-    """The neighbor_tables entry of the negated offset, node sets swapped, read off
+    """The flat_neighbor_tables entry of the negated offset, node sets swapped, read off
     `table` (rows -> one of `size` nodes, or the sentinel `size`) without a
     full-grid pass: entry j is the row that reads node j, else table.size."""
     out = np.full(size + 1, table.size, dtype=np.intp)
@@ -393,12 +380,13 @@ class DomainMask:
     vector holds one value per masked node, in C order (`dofs` gives their
     flat node indices). The mask keeps only DOF-level arrays: per-DOF
     vectors and DOF positions, which scale with the mask rather than with
-    the bounding grid. `gather` and `scatter` convert between DOF vectors and
-    full-grid arrays, which are zero outside the mask. The full-grid forms
-    (`label`, `quad_weight`, `ell` and the node sets `in_mask`, `is_core`,
-    `is_inner`, `value_layer`, `deriv_layer`, `constrained`, `free`) are
-    read-only properties built on each access; the library reads only the
-    DOF forms.
+    the bounding grid; a node set is given as DOF positions. `gather` and
+    `scatter` convert between DOF vectors and full-grid arrays, which are
+    zero outside the mask. The full-grid node sets `in_mask`, `is_core`,
+    `is_inner`, `value_layer`, `deriv_layer` and `constrained` are
+    read-only properties built on each access, for the benchmark and the
+    full-grid shift reference of the tests; the library reads only the DOF
+    forms.
 
     Attributes:
         grid: the underlying Grid.
@@ -459,24 +447,10 @@ class DomainMask:
     def node_set(self, pos: np.ndarray | None = None) -> np.ndarray:
         """Read-only boolean array over the grid, True at the DOFs at positions
         `pos` (default: every DOF)."""
-        on = np.zeros(self.dofs.size, dtype=bool)
-        on[slice(None) if pos is None else pos] = True
-        return self._on_grid(on)
-
-    def positions(self, nodes: np.ndarray) -> np.ndarray:
-        """DOF positions of a node set: `nodes` itself when it holds integers
-        (DOF positions already), else the masked True entries of a boolean
-        array over the grid; a True entry off the mask is a ConfigError."""
-        nodes = np.asarray(nodes)
-        if nodes.dtype != bool:
-            return nodes
-        if nodes.shape != self.grid.shape:
-            raise ConfigError(f"node set of shape {nodes.shape} does not match grid "
-                              f"{self.grid.shape}")
-        on_mask = nodes.ravel()[self.dofs]
-        if np.count_nonzero(on_mask) != np.count_nonzero(nodes):
-            raise ConfigError("node set reaches outside the mask")
-        return np.flatnonzero(on_mask)
+        out = np.zeros(self.grid.shape, dtype=bool)
+        out.ravel()[self.dofs if pos is None else self.dofs[pos]] = True
+        out.setflags(write=False)
+        return out
 
     def neighbor_tables(self, offsets: Sequence[Sequence[int]],
                         rows: np.ndarray | None = None) -> list[np.ndarray]:
@@ -514,31 +488,14 @@ class DomainMask:
                 worst = max(worst, float(np.max(np.abs(step))))
         return worst
 
-    # -- full-grid forms, built on each access -----------------------------------
+    # -- full-grid node sets, built on each access (read outside the library) ---
 
-    def _on_grid(self, values: np.ndarray) -> np.ndarray:
-        """Read-only full-grid array of a DOF vector, zero outside the mask."""
-        out = np.zeros(self.grid.shape, dtype=values.dtype)
-        out.ravel()[self.dofs] = values
-        out.setflags(write=False)
-        return out
-
-    @property
-    def ell(self) -> np.ndarray:
-        """Level values per node, off the mask too."""
-        out = level_values(self.level, self.grid.open_coords())
-        out.setflags(write=False)
-        return out
-
-    label = property(lambda self: self._on_grid(self.dof_label))
-    quad_weight = property(lambda self: self._on_grid(self.dof_quad_weight))
     in_mask = property(lambda self: self.node_set())
     is_core = property(lambda self: self.node_set(self.core_pos))
     is_inner = property(lambda self: self.node_set(self.inner_pos))
     value_layer = property(lambda self: self.node_set(self.value_pos))
     deriv_layer = property(lambda self: self.node_set(self.deriv_pos))
     constrained = property(lambda self: self.node_set(self.trace_pos))
-    free = property(lambda self: self.node_set(self.free_pos))
 
 
 def _data_faces(grid: Grid, family: str) -> list[tuple[int, int, int]]:

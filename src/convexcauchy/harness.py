@@ -125,8 +125,8 @@ def _check_node(node: ast.AST, expr: str) -> None:
 
 
 def _evaluate_node(node: ast.expr, names: dict):
-    if isinstance(node, ast.Constant):
-        return node.value
+    if isinstance(node, ast.Constant):  # a float, so that 9**9**9 overflows at once
+        return float(node.value)
     if isinstance(node, ast.Name):
         if node.id not in names:
             raise NameError(f"unknown name {node.id!r}")
@@ -140,12 +140,13 @@ def _evaluate_node(node: ast.expr, names: dict):
     return _EXPR_FUNCTIONS[node.func.id](*[_evaluate_node(arg, names) for arg in node.args])
 
 
-def evaluate_expression(expr: str | ast.expr, points, time_axis: bool) -> np.ndarray:
-    """Evaluate a coordinate expression (text, or a tree from _parse_expression)
-    on points, given as grid.coordinate_components takes them; x_j is
-    coordinate j and t the last coordinate of a time-dependent family. A
-    value that is not finite raises ConfigError."""
-    tree = _parse_expression(expr) if isinstance(expr, str) else expr
+def evaluate_expression(expr: str, points, time_axis: bool) -> np.ndarray:
+    """Evaluate a coordinate expression on points, given as
+    grid.coordinate_components takes them; x_j is coordinate j and t the
+    last coordinate of a time-dependent family. A value that is not finite
+    raises ConfigError, and so does an expression that the check takes but
+    that is nested too deeply to evaluate at the caller's stack depth."""
+    tree = _parse_expression(expr)
     names = dict(_EXPR_CONSTANTS)
     x = coordinate_components(points)
     for j, c in enumerate(x):
@@ -156,15 +157,16 @@ def evaluate_expression(expr: str | ast.expr, points, time_axis: bool) -> np.nda
         with np.errstate(all="ignore"):
             out = np.asarray(_evaluate_node(tree, names), dtype=float)
     except (ArithmeticError, NameError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot evaluate expression {ast.unparse(tree)!r}: {exc}") from exc
+        raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+    except RecursionError as exc:  # the evaluation runs deeper in the stack than the check
+        raise ConfigError(f"expression {expr[:40]!r}... is nested too deeply") from exc
     if not np.all(np.isfinite(out)):
-        raise ConfigError(f"expression {ast.unparse(tree)!r} is not finite at every point")
+        raise ConfigError(f"expression {expr!r} is not finite at every point")
     return np.broadcast_to(out, np.broadcast_shapes(*(c.shape for c in x))).copy()
 
 
 def _expr_fn(expr: str, time_axis: bool):
-    tree = _parse_expression(expr)
-    return lambda points: evaluate_expression(tree, points, time_axis)
+    return lambda points: evaluate_expression(expr, points, time_axis)
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,9 @@ class SobolevSpace:
 
     By default the subset is every masked node and the order follows
     sobolev_order(grid dim). A restricted subset (e.g. the inner subdomain),
-    given as DOF positions or as a boolean array over the grid (see
-    DomainMask.positions), yields the corresponding local norm; it must lie
-    inside the mask. `node_pos` holds its DOF positions and `nodes` is its
-    full-grid form, built on each access.
+    given as DOF positions, yields the corresponding local norm. `node_pos`
+    holds its DOF positions, sorted, and `nodes` is its full-grid form,
+    built on each access.
 
     Every method takes and returns masked DOF vectors (see DomainMask); the
     assembled Gram matrices are free x free (constrained_gram) or DOF x DOF
@@ -182,7 +181,7 @@ class SobolevSpace:
         if self.order < 1:
             raise ConfigError(f"Sobolev order must be >= 1, got {self.order}")
         on_nodes = np.zeros(mask.dofs.size, dtype=bool)
-        on_nodes[slice(None) if node_subset is None else mask.positions(node_subset)] = True
+        on_nodes[slice(None) if node_subset is None else node_subset] = True
         if not np.any(on_nodes):
             raise GeometryError("Sobolev space over an empty node set")
         self.node_pos = np.flatnonzero(on_nodes)

@@ -24,22 +24,17 @@ from .grid import DomainMask, Label
 _MAX_EXPONENT = 700.0
 
 
-def mask_weight_sq(mask: DomainMask, lam: float,
-                   nodes: np.ndarray | None = None) -> np.ndarray:
-    """The fused squared weight at strength lam: on every node, zero outside
-    the mask, or on the masked node set `nodes` (DOF positions, or a boolean
-    array over the grid; see DomainMask.positions). lam must be a finite
-    number >= 1; the overflow check covers every masked node either way."""
+def mask_weight_sq(mask: DomainMask, lam: float, pos: np.ndarray) -> np.ndarray:
+    """The fused squared weight at strength lam on the DOFs at positions
+    `pos`. lam must be a finite number >= 1; the overflow check covers every
+    masked node."""
     if not (np.isfinite(lam) and lam >= 1.0):
         raise ConfigError(f"weight strength lambda must be a finite number >= 1, got {lam}")
     ell = mask.dof_ell
     expo = 2.0 * lam * (ell - mask.theta - mask.epsilon)
     if np.any(expo > _MAX_EXPONENT):
         raise WeightOverflowError(lam, float(np.max(ell)), float(np.max(expo)))
-    if nodes is None:
-        return mask.scatter(np.exp(expo))
-    return np.exp(expo[mask.positions(nodes)])
-
+    return np.exp(expo[pos])
 
 def weight_extrema(mask: DomainMask, lam: float) -> tuple[float, float, Label]:
     """Min and max of the unshifted log-weight lam * ell over masked nodes.

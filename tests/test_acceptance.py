@@ -16,7 +16,7 @@ from convexcauchy.functional import (
     evaluate,
     gradient,
 )
-from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.optimizer import (
     OptimizerConfig,
     convexity_certificate,
@@ -168,8 +168,9 @@ def _reconstruction_error(resolution, noise_level, seed=42):
             op=op, lam=params.lam, mask=mask, space=space,
             beta=params.beta, data=CauchyData(g0=g0, g1=g1), beta_policy="keep")
     u = direct_solve(params).final
-    window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
-    w = mask.gather(np.where(window, mask.quad_weight, 0.0))
+    ell = level_values(mask.level, grid.open_coords())
+    window = mask.in_mask & (ell > mask.theta + 2 * mask.epsilon)
+    w = mask.gather(np.where(window, mask.scatter(mask.dof_quad_weight), 0.0))
     err = float(np.sqrt(np.sum((u - star) ** 2 * w)))
     den = float(np.sqrt(np.sum(star**2 * w)))
     return err / den

@@ -90,6 +90,21 @@ class TestEvaluate:
         with pytest.raises(ConstraintViolationError, match="deviation"):
             evaluate(params, bad)
 
+    @pytest.mark.parametrize("layer", ["value_pos", "deriv_pos"])
+    def test_trace_tolerance_is_relative_to_the_data(self, layer):
+        """check_dofs accepts a trace deviation of half CONSTRAINT_TOL times the
+        data scale 1 + max |g0|, |g1|, and rejects twice that."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
+        u = data_extension(space, params.data)
+        scale = 1.0 + max(np.max(np.abs(params.data.g0)), np.max(np.abs(params.data.g1)))
+        pos = getattr(mask, layer)[0]
+        near, far = u.copy(), u.copy()
+        near[pos] += 0.5 * CONSTRAINT_TOL * scale
+        far[pos] += 2.0 * CONSTRAINT_TOL * scale
+        params.check_dofs(near)
+        with pytest.raises(ConstraintViolationError, match="deviation"):
+            params.check_dofs(far)
+
     def test_quadratic_expansion_exact(self, rng):
         """For a linear operator, J(u+h) - J(u) - J'(u)h is exactly the
         weighted data term of h plus beta ||h||^2."""

@@ -92,11 +92,12 @@ class TestClassify:
         in_gc = (x1 + x2**2 < 0.2) & (x1 > 0)
         on_gamma = (x1 == 0) & (x2**2 < 0.2)
 
+        label = mask.scatter(mask.dof_label)
         labeled_gc = np.isin(
-            mask.label, (Label.INTERIOR, Label.INNER, Label.XI_BOUNDARY)
+            label, (Label.INTERIOR, Label.INNER, Label.XI_BOUNDARY)
         )
         assert np.array_equal(labeled_gc, in_gc)
-        assert np.array_equal(mask.label == Label.CAUCHY_BOUNDARY, on_gamma)
+        assert np.array_equal(label == Label.CAUCHY_BOUNDARY, on_gamma)
 
     def test_core_has_full_neighborhood(self, ell2d_mask):
         mask = ell2d_mask
@@ -109,13 +110,14 @@ class TestClassify:
     def test_quadrature_weights(self, ell2d_mask):
         mask = ell2d_mask
         h1, h2 = mask.grid.spacing
-        assert np.all(mask.quad_weight[~mask.in_mask] == 0)
+        quad_weight = mask.scatter(mask.dof_quad_weight)
+        assert np.all(quad_weight[~mask.in_mask] == 0)
         inner_idx = np.argwhere(mask.is_core)
         # a core node surrounded by mask on both axes carries the full cell
         for idx in inner_idx[:5]:
-            assert mask.quad_weight[tuple(idx)] == pytest.approx(h1 * h2)
+            assert quad_weight[tuple(idx)] == pytest.approx(h1 * h2)
         # the partition property: weight zero iff outside
-        assert np.array_equal(mask.quad_weight > 0, mask.in_mask)
+        assert np.array_equal(quad_weight > 0, mask.in_mask)
 
     def test_counts_partition(self, ell2d_mask):
         assert sum(ell2d_mask.counts.values()) == ell2d_mask.grid.node_count
@@ -141,7 +143,8 @@ class TestClassify:
 
     def test_default_epsilon_fraction(self, ell2d_mask):
         mask = ell2d_mask
-        ell_max = float(np.max(mask.ell[mask.in_mask]))
+        ell = level_values(mask.level, mask.grid.open_coords())
+        ell_max = float(np.max(ell[mask.in_mask]))
         assert mask.epsilon == pytest.approx(0.1 * (ell_max - mask.theta))
 
     def test_hyperbolic_focal_point_outside(self):
@@ -191,13 +194,14 @@ class TestMaskProperties:
         coarse = classify_nodes(build_grid(((0.0, 1.0), (-1.0, 1.0)), (17, 17)), spec)
         fine = classify_nodes(build_grid(((0.0, 1.0), (-1.0, 1.0)), (33, 33)), spec)
         margin = coarse.largest_cell_level_variation()
-        strict = coarse.in_mask & (coarse.ell > coarse.theta + margin)
+        ell = level_values(coarse.level, coarse.grid.open_coords())
+        strict = coarse.in_mask & (ell > coarse.theta + margin)
         for idx in np.argwhere(strict):
             assert fine.in_mask[tuple(2 * idx)]
 
     def test_labels_readonly(self, ell2d_mask):
         with pytest.raises(ValueError):
-            ell2d_mask.label[0, 0] = 3
+            ell2d_mask.dof_label[0] = 3
 
 
 def test_shift_roundtrip(rng):

@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from convexcauchy.catalog import CASES
 from convexcauchy.cli import main
 from convexcauchy.errors import ConfigError
 from convexcauchy.functional import beta_window, data_extension, evaluate
-from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.harness import (
     add_noise,
     build_setup,
@@ -27,6 +29,7 @@ from convexcauchy.sobolev import SobolevSpace
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def minimal_config(**overrides):
@@ -119,7 +122,8 @@ class TestConfigEcho:
         echo = json.loads(json.dumps(setup.config))  # as report.json holds it
         again = build_setup(echo)
         assert json.loads(json.dumps(again.config)) == echo
-        assert np.array_equal(again.mask.label, setup.mask.label)
+        assert np.array_equal(again.mask.dofs, setup.mask.dofs)
+        assert np.array_equal(again.mask.dof_label, setup.mask.dof_label)
         v = data_extension(setup.space, setup.params.data)
         assert evaluate(again.params, v) == evaluate(setup.params, v)
         return echo
@@ -314,9 +318,10 @@ def _six_space_errors(setup, u):
     from the order-1 space's quadrature weights, H1 and H^k from their norms."""
     mask, star = setup.mask, setup.u_star
     diff = u - star
-    window = mask.in_mask & (mask.ell > mask.theta + 2 * mask.epsilon)
+    ell = level_values(mask.level, mask.grid.open_coords())
+    window = np.flatnonzero((mask.in_mask & (ell > mask.theta + 2 * mask.epsilon))[mask.in_mask])
     out = {}
-    for region, subset in (("subdomain", mask.in_mask), ("inner", window)):
+    for region, subset in (("subdomain", None), ("inner", window)):
         for name, order in (("l2", None), ("h1", 1), ("hk", setup.space.order)):
             space = SobolevSpace(mask, order=order if order else 1, node_subset=subset)
             if order is None:
@@ -419,7 +424,7 @@ class TestEmitReport:
         for k, flat in enumerate(setup.mask.dofs):
             idx = np.unravel_index(flat, setup.grid.shape)
             row = {f"x{j}": float(coords[idx + (j,)]) for j in range(setup.grid.dim)}
-            row["label"] = Label(int(setup.mask.label[idx])).name.lower()
+            row["label"] = Label(int(setup.mask.scatter(setup.mask.dof_label)[idx])).name.lower()
             row["u"] = float(u[k])
             if setup.u_star is not None:
                 row["u_star"] = float(setup.u_star[k])
@@ -480,6 +485,51 @@ class TestExpressions:
         }
         for expr, want in cases.items():
             assert np.array_equal(evaluate_expression(expr, pts, time_axis=False), want), expr
+
+    def test_power_tower_exits_one_within_seconds(self, tmp_path):
+        """Literals evaluate as floats, so 9**9**9 overflows at once instead
+        of building an integer of some 370 million digits."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(minimal_config(
+            solver="direct", output_dir=str(tmp_path / "out"),
+            operator={"id": "source", "q": "9**9**9"})))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "convexcauchy", "solve", str(path)],
+                              env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 1
+        assert "config error" in done.stderr and "9**9**9" in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_nesting_the_check_takes_is_a_config_error_deeper_down(self):
+        """An expression nested just under the limit of the check can still
+        overflow the stack where it is evaluated: deeper in the call chain
+        (985 unary minus signs before x0 ended `certify` on ELL2D-CUBIC at
+        17^2 in a RecursionError), or through function calls, whose
+        arguments the evaluation reads in a comprehension. At any depth it
+        gives its value or the check's ConfigError, never a RecursionError."""
+        def text(n):
+            return "abs(-" * 150 + "-" * n + "x0" + ")" * 150
+
+        def accepted(expr):
+            try:
+                return harness._parse_expression(expr) is not None
+            except ConfigError:
+                return False
+
+        def deeper(frames, call):
+            return call() if frames == 0 else deeper(frames - 1, call)
+
+        depth = next(n for n in range(sys.getrecursionlimit(), 0, -10) if accepted(text(n)))
+        fn, pts = harness._expr_fn(text(depth), time_axis=False), np.zeros((3, 2))
+        too_deep = 0
+        for frames in range(60):
+            try:
+                deeper(frames, lambda: fn(pts))
+            except ConfigError as exc:
+                assert "nested too deeply" in str(exc)
+                too_deep += 1
+        assert too_deep > 0
 
     @pytest.mark.parametrize("expr", [
         "x0.real",                                 # attribute

@@ -12,7 +12,7 @@ from convexcauchy.functional import (
     evaluate,
     gradient,
 )
-from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
@@ -102,8 +102,9 @@ class TestParabolic2Plus1:
     def test_transverse_level_term(self, par2d_setup):
         grid, mask, op, u_star = par2d_setup
         # nodes with the same x1 but larger |x2| carry smaller level values
-        on_axis = mask.ell[4, 6, 6]
-        off_axis = mask.ell[4, 9, 6]
+        ell = level_values(mask.level, grid.open_coords())
+        on_axis = ell[4, 6, 6]
+        off_axis = ell[4, 9, 6]
         assert off_axis < on_axis
 
     def test_manufactured_residual(self, par2d_setup):
@@ -154,10 +155,11 @@ class TestRandomGenericLevels:
         level = LevelSpec(family="generic", c=0.4, epsilon=0.05, xi_fn=xi)
         mask = classify_nodes(grid, level)
         assert sum(mask.counts.values()) == grid.node_count
-        assert np.array_equal(mask.quad_weight > 0, mask.in_mask)
+        assert np.array_equal(mask.scatter(mask.dof_quad_weight) > 0, mask.in_mask)
         for idx in np.argwhere(mask.is_core)[::5]:
             for off in np.ndindex(3, 3):
                 nb = tuple(idx + np.array(off) - 1)
                 assert mask.in_mask[nb]
-        core_levels = mask.ell[mask.is_core | (mask.label == Label.XI_BOUNDARY)]
+        ell = level_values(mask.level, grid.open_coords())
+        core_levels = ell[mask.is_core | (mask.scatter(mask.dof_label) == Label.XI_BOUNDARY)]
         assert np.all(core_levels > mask.theta)

@@ -22,7 +22,8 @@ import pytest
 
 import shift_reference as ref
 from convexcauchy.functional import CauchyData, FunctionalParams, evaluate, gradient
-from convexcauchy.grid import LevelSpec, axis_offset, build_grid, classify_nodes, neighbor_tables
+from convexcauchy.grid import (LevelSpec, axis_offset, build_grid, classify_nodes,
+                               flat_neighbor_tables)
 from convexcauchy.harness import build_setup
 from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from convexcauchy.sampling import random_smooth_values
@@ -136,7 +137,7 @@ def _random(params, seed, scale=1.0):
 
 def _spaces(params):
     mask = params.mask
-    return [params.space, SobolevSpace(mask, order=1, node_subset=mask.is_inner)]
+    return [params.space, SobolevSpace(mask, order=1, node_subset=mask.inner_pos)]
 
 
 def _reference_params(params):
@@ -245,19 +246,20 @@ def test_smooth_draw_bitwise(problem):
 def test_inverted_tables_match_neighbor_tables(problem):
     """The gather tables read off the forward ones (the stencil's adjoint
     tables, the H^k backward tables, the halo's -e_a tables) equal a direct
-    neighbor_tables pass at the negated offset, sentinels included."""
-    mask, dim = problem.mask, problem.mask.grid.dim
+    flat_neighbor_tables pass at the negated offset, sentinels included."""
+    mask, dim, shape = problem.mask, problem.mask.grid.dim, problem.mask.grid.shape
     stencil = problem.stencil
     for off, table in stencil.adjoint_tables.items():
-        want, = neighbor_tables(mask.is_core, [[-o for o in off]], rows=mask.in_mask)
+        want, = flat_neighbor_tables(np.flatnonzero(mask.is_core), shape, [[-o for o in off]],
+                                     np.flatnonzero(mask.in_mask))
         assert np.array_equal(table, want), off
     for space in _spaces(problem):
         for axis, table in enumerate(space._backward):
-            assert np.array_equal(table, *neighbor_tables(mask.in_mask, [axis_offset(dim, axis, -1)]))
-    halo_nodes = np.zeros(mask.grid.shape, bool)
-    halo_nodes.flat[mask.halo.index] = True
+            assert np.array_equal(table, *flat_neighbor_tables(
+                np.flatnonzero(mask.in_mask), shape, [axis_offset(dim, axis, -1)]))
     for axis, (_, backward) in enumerate(mask.halo.tables):
-        assert np.array_equal(backward, *neighbor_tables(halo_nodes, [axis_offset(dim, axis, -1)]))
+        assert np.array_equal(backward, *flat_neighbor_tables(
+            mask.halo.index, shape, [axis_offset(dim, axis, -1)]))
 
 
 def test_inverted_tables_cover_mixed_and_3d():

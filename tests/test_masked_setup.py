@@ -31,11 +31,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from convexcauchy import cli, sobolev
+from convexcauchy import cli, grid as grid_module, harness, sobolev
 from convexcauchy.errors import ConfigError, GeometryError
 from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, gradient
-from convexcauchy.grid import (DomainMask, Label, LevelSpec, axis_offset, build_grid,
-                               classify_nodes, level_values, neighbor_tables, shift)
+from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, build_grid,
+                               classify_nodes, flat_neighbor_tables, level_values, shift)
 from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
                                   load_cauchy_csv, load_problem)
 from convexcauchy.operators import OperatorStencil, QuasilinearOperator, validate_operator
@@ -113,10 +113,11 @@ def _grid_and_nodes(draw):
 @given(_grid_and_nodes())
 def test_coords_of_nodes_bit_identical(case):
     grid, nodes = case
-    got, want = grid.coords(nodes), grid.coords()[nodes]
+    got, want = grid.coords(np.flatnonzero(nodes)), grid.coords()[nodes]
     assert got.shape == want.shape == (np.count_nonzero(nodes), grid.dim)
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-    assert grid.coords(np.flatnonzero(nodes)).tobytes() == got.tobytes()
+    with pytest.raises(TypeError, match="flat node indices"):
+        grid.coords(nodes)
 
 
 # -- level values ------------------------------------------------------------------
@@ -222,15 +223,31 @@ def _full_grid_classification(grid, level) -> dict[str, np.ndarray]:
             "free": closure & ~(value | deriv)}
 
 
+def _on_grid(mask, values: np.ndarray) -> np.ndarray:
+    """Full-grid array of a DOF vector, zero outside the mask, in its dtype."""
+    out = np.zeros(mask.grid.shape, dtype=values.dtype)
+    out.ravel()[mask.dofs] = values
+    return out
+
+
 def _assert_matches_full_grid(mask):
-    """Every full-grid property of the mask is the full-grid classification's
-    array bit for bit, read-only; so are the cell level variation and the halo."""
+    """Every full-grid node set of the mask is the full-grid classification's
+    array bit for bit, read-only, and so are the full-grid forms of its DOF
+    vectors (the level values on the mask); so are the cell level variation
+    and the halo."""
     want = _full_grid_classification(mask.grid, mask.level)
+    free = np.zeros(mask.dofs.size, dtype=bool)
+    free[mask.free_pos] = True
+    dof_forms = {"label": _on_grid(mask, mask.dof_label),
+                 "quad_weight": _on_grid(mask, mask.dof_quad_weight),
+                 "ell": _on_grid(mask, mask.dof_ell), "free": _on_grid(mask, free)}
     for name, array in want.items():
-        got = getattr(mask, name)
+        if name == "ell":  # the mask keeps the level values on its DOFs only
+            array = np.where(want["in_mask"], array, 0.0)
+        got = dof_forms[name] if name in dof_forms else getattr(mask, name)
         assert got.dtype == array.dtype and got.shape == array.shape, name
         assert got.tobytes() == array.tobytes(), name
-        assert not got.flags.writeable, name
+        assert name in dof_forms or not got.flags.writeable, name
     ell, closure, dim = want["ell"], want["in_mask"], mask.grid.dim
     worst = 0.0
     for axis in range(dim):
@@ -300,7 +317,9 @@ def _table_case(draw):
 @example((np.zeros((3, 4), bool), [(0, 1)], None))
 def test_neighbor_tables_match_full_grid_numbering(case):
     nodes, offsets, rows = case
-    for offset, got in zip(offsets, neighbor_tables(nodes, offsets, rows=rows), strict=True):
+    tables = flat_neighbor_tables(np.flatnonzero(nodes), nodes.shape, offsets,
+                                  None if rows is None else np.flatnonzero(rows))
+    for offset, got in zip(offsets, tables, strict=True):
         assert got.dtype == np.intp
         assert np.array_equal(got, _full_grid_table(nodes, offset, rows)), offset
 
@@ -343,7 +362,7 @@ def _space(which, ell2d_mask, ell3d_setup) -> SobolevSpace:
     elif which == "3d-h3":
         space = SobolevSpace(ell3d_setup[0].mask)
     else:
-        space = SobolevSpace(ell2d_mask, order=1, node_subset=ell2d_mask.is_inner)
+        space = SobolevSpace(ell2d_mask, order=1, node_subset=ell2d_mask.inner_pos)
     assert space.order == (1 if which == "inner-h1" else 3)
     return space
 
@@ -377,10 +396,10 @@ def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
 
 
 def test_dof_weights_are_the_full_grid_weights_on_the_mask(ell2d_mask):
-    for subset in (None, ell2d_mask.is_inner):
+    for subset in (None, ell2d_mask.inner_pos):
         space = SobolevSpace(ell2d_mask, node_subset=subset)
-        nodes = ell2d_mask.in_mask if subset is None else subset
-        full = np.where(nodes, ell2d_mask.quad_weight, 0.0)
+        nodes = ell2d_mask.node_set(subset)
+        full = np.where(nodes, ell2d_mask.scatter(ell2d_mask.dof_quad_weight), 0.0)
         assert np.array_equal(space.weights, full)
         assert np.array_equal(space.dof_weights, full[ell2d_mask.in_mask])
 
@@ -466,7 +485,7 @@ def _hyp2d_params():
     lambda 1.5, beta 1e-4."""
     grid = build_grid(((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)), (17, 17, 17))
     mask = classify_nodes(grid, LevelSpec(family="hyperbolic", c=0.02, eta=0.6, x0=(0.5, 0.5)))
-    pts = grid.coords(mask.in_mask)
+    pts = grid.coords(mask.dofs)
     star = np.cos(2 * np.sqrt(2) * pts[:, 2]) * np.sin(2 * pts[:, 0]) * np.sin(2 * pts[:, 1])
     return FunctionalParams(
         op=QuasilinearOperator(family="hyperbolic", dim=3), lam=1.5, mask=mask,
@@ -559,7 +578,7 @@ def _par2d_mask():
 def _extension(mask, factored: bool) -> tuple[np.ndarray, CauchyData, SobolevSpace]:
     """data_extension of a smooth field's trace on a new space of the mask,
     which holds its float64 factor beforehand when `factored`."""
-    pts = mask.grid.coords(mask.in_mask)
+    pts = mask.grid.coords(mask.dofs)
     star = np.exp(0.5 * pts[:, 0]) * np.cos(pts[:, 1]) + pts[:, -1]
     data = CauchyData(star[mask.value_pos], star[mask.deriv_pos])
     space = SobolevSpace(mask)
@@ -631,8 +650,12 @@ def test_gradient_solve_on_three_axes_factorizes_once(tmp_path, monkeypatch):
 
 
 FULL_GRID_FORMS = [(DomainMask, name) for name in (
-    "label", "quad_weight", "ell", "in_mask", "is_core", "is_inner", "value_layer",
-    "deriv_layer", "constrained", "free")] + [(SobolevSpace, "nodes"), (SobolevSpace, "weights")]
+    "in_mask", "is_core", "is_inner", "value_layer", "deriv_layer", "constrained")] + [
+    (SobolevSpace, "nodes"), (SobolevSpace, "weights")]
+# the full-grid functions and methods; Grid.coords only without its nodes
+FULL_GRID_CALLS = [(DomainMask, "node_set"), (DomainMask, "gather"), (DomainMask, "scatter"),
+                   (grid_module, "shift"), (grid_module.Field, "__init__"),
+                   (harness, "starting_field")]
 
 
 @pytest.mark.parametrize("solver", ["gradient", "direct"])
@@ -647,6 +670,13 @@ def test_solve_builds_no_full_grid_mask_array(solver, tmp_path, monkeypatch):
         getter = getattr(cls, name).fget
         monkeypatch.setattr(cls, name, property(
             lambda self, getter=getter, name=name: built.append(name) or getter(self)))
+    for owner, name in FULL_GRID_CALLS:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name, **kwargs:
+                            built.append(name) or fn(*args, **kwargs))
+    coords = Grid.coords
+    monkeypatch.setattr(Grid, "coords", lambda self, nodes=None: (
+        nodes is None and built.append("coords()")) or coords(self, nodes))
     rc = cli.main(["solve", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")])
     assert rc == (0 if solver == "direct" else 2)  # the gradient run stops at its cap
     assert (tmp_path / "out" / "field.csv").is_file()
@@ -660,14 +690,15 @@ def test_solve_builds_no_full_grid_mask_array(solver, tmp_path, monkeypatch):
 def test_core_weight_and_extrema_bit_identical(lam, ell3d_setup):
     setup = ell3d_setup[0]
     mask = setup.mask
-    full = mask_weight_sq(mask, lam)
+    full = mask.scatter(mask_weight_sq(mask, lam, np.arange(mask.dofs.size)))
     core = setup.params.core_weight_at(lam)
-    assert np.array_equal(core, (full * mask.quad_weight)[mask.is_core])
-    assert np.array_equal(mask_weight_sq(mask, lam, mask.is_core), full[mask.is_core])
+    assert np.array_equal(core, (full * mask.scatter(mask.dof_quad_weight))[mask.is_core])
+    assert np.array_equal(mask_weight_sq(mask, lam, mask.core_pos), full[mask.is_core])
     flat = np.flatnonzero(mask.in_mask)
-    logw = (lam * mask.ell).ravel()[flat]
+    logw = (lam * level_values(mask.level, mask.grid.open_coords())).ravel()[flat]
     assert weight_extrema(mask, lam) == (float(np.min(logw)), float(np.max(logw)),
-                                         Label(mask.label.ravel()[flat[np.argmin(logw)]]))
+                                         Label(mask.scatter(mask.dof_label).ravel()[
+                                             flat[np.argmin(logw)]]))
 
 
 # -- trace CSV -------------------------------------------------------------------
@@ -745,7 +776,7 @@ def test_setup_step_stays_below_one_full_grid_coordinate_array(step, ell3d_setup
     bound = mask.grid.node_count * mask.grid.dim * 8
     assert mask.dofs.size < 0.05 * mask.grid.node_count
     # with an exact solution, so the table has its u_star and abs_err columns too
-    solved = replace(setup, u_star=_exact(mask.grid.coords(mask.in_mask)))
+    solved = replace(setup, u_star=_exact(mask.grid.coords(mask.dofs)))
     call = {"OperatorStencil": lambda: OperatorStencil(op, mask),
             "validate_operator": lambda: validate_operator(op, mask),
             "field_table": lambda: field_table(solved, np.zeros(mask.dofs.size))}[step]

@@ -10,7 +10,8 @@ import pytest
 from conftest import make_problem
 from convexcauchy import cli, optimizer, sobolev
 from convexcauchy.errors import ConfigError, SolverError
-from convexcauchy.functional import FunctionalParams, data_extension, evaluate, gradient
+from convexcauchy.functional import (FunctionalParams, bregman_gap, data_extension, evaluate,
+                                     gradient)
 from convexcauchy.harness import build_setup, history_table, load_problem
 from convexcauchy.operators import LOWER_TERMS, OperatorStencil
 from convexcauchy.optimizer import (
@@ -116,6 +117,28 @@ class TestRun:
         for k in range(len(report.step_history)):
             decrease = ARMIJO_C * report.step_history[k] * report.grad_norm_history[k] ** 2
             assert js[k + 1] <= js[k] - decrease + 1e-12 * (1.0 + abs(js[k]))
+
+    def test_armijo_rejects_a_decrease_that_is_not_sufficient(self, monkeypatch):
+        """On a quadratic J, J(u - t d) = J - t gsq + t^2 a along the direction
+        d = s g, with g the Sobolev gradient and gsq and a scaled by s and s^2.
+        At s = (1 - ARMIJO_C / 2) gsq / a the first trial (t = 1) lowers J by
+        only half of ARMIJO_C * t * gsq: the line search must reject it, so
+        every accepted step in the history decreases J sufficiently."""
+        _, grid, mask, op, space, params, _ = make_problem(
+            "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
+        start = data_extension(space, params.data)
+        j = evaluate(params, start)
+        g = gradient(params, start, "sobolev", at=j)
+        gsq = float(np.sum(j.euclidean_gradient * g))
+        a = evaluate(params, params.impose_dofs(start - g)) - j + gsq
+        scale = (1.0 - ARMIJO_C / 2) * gsq / a
+        monkeypatch.setattr(optimizer, "gradient",
+                            lambda *args, **kwargs: scale * gradient(*args, **kwargs))
+        report = run(params, start, OptimizerConfig(max_iters=3))
+        assert report.halvings_history[0] >= 1
+        js = report.j_history
+        for k, t in enumerate(report.step_history):
+            assert js[k + 1] <= js[k] - ARMIJO_C * t * report.grad_norm_history[k] ** 2
 
     def test_descent_steps_where_j_is_huge(self):
         """J >= 0, so a trial with ARMIJO_C * t * |g|^2 > J cannot pass Armijo
@@ -384,6 +407,19 @@ class TestCertificate:
         assert report.failures == 0
         assert report.passed
         assert report.min_margin >= 0.0
+
+    def test_small_negative_margin_is_a_failure(self, monkeypatch):
+        """A pair whose gap falls 1e-6 short of (beta/2) ||h||^2 fails."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
+
+        def short_gap(params, u1, u2, core_weights):
+            gaps, h1_inner, hk = bregman_gap(params, u1, u2, core_weights)
+            return [0.5 * params.beta * hk - 1e-6 for _ in gaps], h1_inner, hk
+
+        monkeypatch.setattr(optimizer, "bregman_gap", short_gap)
+        (rep,) = convexity_certificate(params, radius=5.0, samples=3, seed=2)
+        assert rep.min_margin == pytest.approx(-1e-6, rel=1e-6)
+        assert rep.failures == 3 and not rep.passed
 
     def test_zero_samples_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from convexcauchy import sobolev
 from convexcauchy.errors import ConfigError, SolverError
-from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.harness import build_setup
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import (SobolevSpace, difference_monomials, sobolev_order,
@@ -38,7 +38,7 @@ class TestInnerProduct:
 
     def test_constants_give_masked_volume(self, space):
         one = np.ones(space.mask.dofs.size)
-        vol = float(np.sum(space.mask.quad_weight))
+        vol = float(np.sum(space.mask.scatter(space.mask.dof_quad_weight)))
         assert space.inner_product(one, one) == pytest.approx(vol, rel=1e-12)
 
     def test_bilinearity(self, space, rng):
@@ -244,7 +244,8 @@ class TestEmbeddingEcho:
             mask = classify_nodes(grid, spec)
             space = SobolevSpace(mask)
             solve = spla.factorized(space.gram_matrix().tocsc())
-            window = np.flatnonzero(mask.gather(mask.ell > mask.theta + 2 * mask.epsilon))
+            ell = level_values(mask.level, grid.open_coords())
+            window = np.flatnonzero(mask.gather(ell > mask.theta + 2 * mask.epsilon))
             best = 0.0
             for pos in window[:20]:
                 e = np.zeros(mask.dofs.size)

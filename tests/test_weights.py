@@ -3,11 +3,21 @@ import pytest
 
 from convexcauchy.errors import ConfigError, WeightOverflowError
 from convexcauchy.functional import CauchyData, FunctionalParams
-from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.operators import QuasilinearOperator
 from convexcauchy.optimizer import convexity_certificate
 from convexcauchy.sobolev import SobolevSpace
 from convexcauchy.weights import mask_weight_sq, weight_extrema
+
+
+def _full_weight(mask, lam):
+    """The fused squared weight on every node, zero outside the mask."""
+    return mask.scatter(mask_weight_sq(mask, lam, np.arange(mask.dofs.size)))
+
+
+def _ell(mask):
+    """The level values on every node."""
+    return level_values(mask.level, mask.grid.open_coords())
 
 
 def _elliptic_mask(epsilon=0.5):
@@ -37,15 +47,15 @@ def _params(mask, lam):
 class TestShiftedWeight:
     def test_unity_at_shift_point(self):
         mask = _stepped_mask()
-        w = mask_weight_sq(mask, 3.0)
-        at_shift = mask.ell == 1.5
+        w = _full_weight(mask, 3.0)
+        at_shift = _ell(mask) == 1.5
         assert np.any(at_shift)
         assert np.all(w[at_shift] == 1.0)
 
     def test_on_level_surface(self):
         mask = _stepped_mask()
-        w = mask_weight_sq(mask, 10.0)
-        on_surface = mask.in_mask & (mask.ell < 1.5)
+        w = _full_weight(mask, 10.0)
+        on_surface = mask.in_mask & (_ell(mask) < 1.5)
         assert np.any(on_surface)
         assert np.allclose(w[on_surface], np.exp(-10.0), rtol=1e-10, atol=0.0)
         assert np.exp(-10.0) == pytest.approx(4.54e-5, rel=1e-2)
@@ -54,27 +64,27 @@ class TestShiftedWeight:
         mask = _elliptic_mask(epsilon=0.5)
         corner = (0, 16)  # the node (0, 0): ell = 25, theta = 6.25
         assert mask.in_mask[corner]
-        assert mask_weight_sq(mask, 1.0)[corner] == pytest.approx(np.exp(36.5), rel=1e-10)
+        assert _full_weight(mask, 1.0)[corner] == pytest.approx(np.exp(36.5), rel=1e-10)
 
     def test_overflow_reported(self):
         mask = _elliptic_mask(epsilon=0.5)
         with pytest.raises(WeightOverflowError) as err:
-            mask_weight_sq(mask, 30.0)
+            _full_weight(mask, 30.0)
         assert err.value.lam == 30.0
         assert err.value.max_level == pytest.approx(25.0)
 
     def test_lambda_monotonicity(self):
         mask = _elliptic_mask(epsilon=0.5)
         shift_point = mask.theta + mask.epsilon
-        above = mask.in_mask & (mask.ell > shift_point)
-        below = mask.in_mask & (mask.ell < shift_point)
+        above = mask.in_mask & (_ell(mask) > shift_point)
+        below = mask.in_mask & (_ell(mask) < shift_point)
         assert np.any(above) and np.any(below)
-        w = [mask_weight_sq(mask, lam) for lam in (2.0, 4.0, 8.0)]
+        w = [_full_weight(mask, lam) for lam in (2.0, 4.0, 8.0)]
         assert np.all(w[0][above] < w[1][above]) and np.all(w[1][above] < w[2][above])
         assert np.all(w[0][below] > w[1][below]) and np.all(w[1][below] > w[2][below])
 
     def test_positive_on_mask(self, ell2d_mask):
-        w = mask_weight_sq(ell2d_mask, 2.0)
+        w = _full_weight(ell2d_mask, 2.0)
         assert np.all(w[ell2d_mask.in_mask] > 0)
         assert np.all(w[~ell2d_mask.in_mask] == 0)
 
@@ -118,16 +128,17 @@ class TestExtrema:
     def test_elliptic_max_by_scan(self, ell2d_mask):
         """Brute-force scan over masked nodes agrees with the reported max."""
         _, w_max, _ = weight_extrema(ell2d_mask, 2.0)
-        best = -np.inf
+        best, ell = -np.inf, _ell(ell2d_mask)
         for idx in np.argwhere(ell2d_mask.in_mask):
-            best = max(best, 2.0 * ell2d_mask.ell[tuple(idx)])
+            best = max(best, 2.0 * ell[tuple(idx)])
         assert w_max == pytest.approx(best, rel=1e-14)
 
     def test_boundary_dominance(self, ell2d_mask):
         """Interior max outweighs the free-surface value by the level margin."""
-        logw = 3.0 * ell2d_mask.ell
-        xi_max = np.max(logw[ell2d_mask.label == Label.XI_BOUNDARY])
+        ell = _ell(ell2d_mask)
+        logw = 3.0 * ell
+        xi_max = np.max(logw[ell2d_mask.scatter(ell2d_mask.dof_label) == Label.XI_BOUNDARY])
         core_max = np.max(logw[ell2d_mask.is_core])
-        margin = np.min(ell2d_mask.ell[ell2d_mask.is_core]) - ell2d_mask.theta
+        margin = np.min(ell[ell2d_mask.is_core]) - ell2d_mask.theta
         assert margin >= 0
         assert core_max >= xi_max
