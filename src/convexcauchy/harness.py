@@ -38,7 +38,7 @@ import logging
 import math
 import operator
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,8 +165,14 @@ def evaluate_expression(expr: str, points, time_axis: bool) -> np.ndarray:
     return np.broadcast_to(out, np.broadcast_shapes(*(c.shape for c in x))).copy()
 
 
-def _expr_fn(expr: str, time_axis: bool):
-    return lambda points: evaluate_expression(expr, points, time_axis)
+def _expr_fn(expr: str, time_axis: bool, field: str | None = None):
+    """The expression as a function of points; its evaluation errors name the
+    config field, as a run evaluates it long after the config is loaded."""
+    def evaluate(points):
+        with _section(field) if field else nullcontext():
+            return evaluate_expression(expr, points, time_axis)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +306,13 @@ def _require(cond: bool, path: str, msg: str) -> None:
 
 @contextmanager
 def _section(name: str):
-    """Name the section in the errors of a check across its keys."""
+    """Name the section in the errors of a check across its keys; an error
+    that already names its field keeps that name."""
     try:
         yield
     except (ConfigError, GeometryError) as exc:
+        if str(exc).startswith("config field "):
+            raise
         raise type(exc)(f"config field {name}: {exc}") from None
 
 
@@ -398,7 +407,8 @@ def build_setup(cfg: dict) -> ProblemSetup:
         mask = classify_nodes(grid, LevelSpec(
             family, **{k: v for k, v in level_cfg.items() if k not in ("x0", "xi")},
             x0=tuple(level_cfg["x0"]),
-            xi_fn=_expr_fn(level_cfg["xi"], time_axis=False) if family == "generic" else None,
+            xi_fn=(_expr_fn(level_cfg["xi"], False, "level.xi") if family == "generic"
+                   else None),
         ))
 
     op = _operator(sections["operator"], family, grid)
@@ -451,21 +461,21 @@ def _operator(op_cfg: dict, family: str, grid: Grid) -> QuasilinearOperator:
         _require(q == "0", "operator.q", f"id 'linear' takes no source term, got {q!r}")
         _require(b == "1", "operator.b", f"id 'linear' takes no scale, got {b!r}")
     else:
-        scale = None if b == "1" else _expr_fn(b, time_axis)
+        scale = None if b == "1" else _expr_fn(b, time_axis, "operator.b")
         with _section("operator.b"):
-            lower = LowerOrderTerm(kind, _expr_fn(q, time_axis), scale)
+            lower = LowerOrderTerm(kind, _expr_fn(q, time_axis, "operator.q"), scale)
 
     exprs, principal = op_cfg["principal"], None
     if exprs is not None and op_family == "hyperbolic":
         _require(isinstance(exprs, str), "operator.principal",
                  "hyperbolic principal is a single wave-coefficient expression")
-        principal = _expr_fn(exprs, time_axis)
+        principal = _expr_fn(exprs, time_axis, "operator.principal")
     elif exprs is not None:
         n = grid.dim if op_family == "elliptic" else grid.dim - 1
         _require(isinstance(exprs, list) and len(exprs) == n
                  and all(len(row) == n for row in exprs),
                  "operator.principal", f"needs an {n}x{n} matrix of expressions")
-        fns = [[_expr_fn(e, time_axis) for e in row] for row in exprs]
+        fns = [[_expr_fn(e, time_axis, "operator.principal") for e in row] for row in exprs]
 
         def principal(points):
             return np.stack([np.stack([f(points) for f in row], -1) for row in fns], -2)

@@ -1,9 +1,13 @@
 """Random admissible fields: smooth bumps, ball rescaling, start generation.
 
 Every field here is a masked DOF vector (see grid.DomainMask). Draws are
-deterministic under a seeded Generator. Smoothing matters: raw white noise
+deterministic under a seeded Generator, which gives each smooth draw one
+standard normal per slot of the mask's halo, so a draw costs in proportion
+to the mask, not to the bounding grid. Smoothing matters: raw white noise
 has huge high-order differences, so each draw is averaged a few times along
-every axis before use, keeping H^k norms moderate.
+every axis before use, keeping H^k norms moderate. Several draws can be
+smoothed and normed as one stack, with the same bits and the same generator
+stream as one draw at a time.
 """
 
 from __future__ import annotations
@@ -18,38 +22,53 @@ BALL_FRACTIONS = (0.3, 0.9)  # range of a draw's target norm, as fractions of th
 BUMP_WIDTH_CELLS = 1.5  # width of a compact bump's Gaussian, in grid cells
 
 
-def random_smooth_values(mask: DomainMask, rng: np.random.Generator,
+def random_smooth_values(mask: DomainMask, noise: np.random.Generator | np.ndarray,
                          passes: int = 8) -> np.ndarray:
     """Smoothed unit-amplitude noise, zero on the trace layers.
 
-    The constrained layers and the outside are re-zeroed inside the smoothing
-    loop, so the draw decays smoothly toward them instead of being cut there;
-    this keeps high-order difference norms moderate. The noise is drawn on
-    the whole grid, so the generator advances by one value per grid node;
-    each pass smooths along every axis in turn, one sparse product per axis
-    over the mask's halo, which holds the sweep exactly (see Halo).
+    `noise` is a Generator, from which one draw takes one standard normal per
+    halo slot and returns a DOF vector; or the halo normals of several draws,
+    one per column of a (halo slots, draws) array, whose smoothed draws come
+    back as the rows of a (draws, DOFs) stack, each row bit for bit the draw
+    of its column alone. The constrained layers and the outside are
+    re-zeroed inside the smoothing loop, so the draw decays smoothly toward
+    them instead of being cut there; this keeps high-order difference norms
+    moderate. Each pass smooths along every axis in turn, one sparse product
+    per axis over the mask's halo, which holds the sweep exactly (see Halo).
     """
     halo = mask.halo
-    vals = rng.standard_normal(mask.grid.shape).ravel()[halo.index]
+    one_draw = isinstance(noise, np.random.Generator)
+    vals = noise.standard_normal((halo.index.size, 1)) if one_draw else np.array(noise, float)
     for _ in range(passes):
         vals[~halo.free] = 0.0
         for smooth in halo.smoothing:
             vals = smooth @ vals
     vals[~halo.free] = 0.0
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        vals /= peak
-    return vals[halo.dof_pos]
+    # every slot off the free DOFs is zero now, so a draw peaks on its DOFs
+    vals = np.ascontiguousarray(vals[halo.dof_pos].T)
+    peak = np.max(np.abs(vals), axis=1, keepdims=True)
+    vals /= np.where(peak > 0, peak, 1.0)
+    return vals[0] if one_draw else vals
 
 
 def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generator,
-                 base: np.ndarray | None = None, base_norm: float | None = None) -> np.ndarray:
-    """Base field plus a smooth zero-trace bump, rescaled inside the H^k ball.
+                 base: np.ndarray | None = None, base_norm: float | None = None,
+                 draws: int | None = None) -> np.ndarray:
+    """Base field plus a smooth zero-trace bump, inside the H^k ball.
 
     The target norm is a random fraction of the radius; the base field (a
     smooth extension of the Cauchy data unless given) must itself fit inside
     the ball. A caller drawing many times around one base passes its H^k
-    norm as base_norm.
+    norm as base_norm. The base is H^k-orthogonal to zero-trace fields, so
+    a bump of H^k length s gives a draw of norm sqrt(||base||^2 + s^2): s is
+    chosen to hit the target, kept at least 0.05 * radius and at most 0.95
+    of the room sqrt(radius^2 - ||base||^2), which keeps the draw strictly
+    inside the ball.
+
+    Returns a DOF vector, or with `draws` a (draws, DOFs) stack, smoothed
+    and normed together. Each draw takes its halo normals and then its
+    target from rng, so row k is bit for bit what a one-draw call returns
+    after the k draws before it.
     """
     if base is None:
         base = data_extension(params.space, params.data)
@@ -59,12 +78,21 @@ def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generat
         raise ConfigError(
             f"ball radius {radius} is smaller than the data extension norm {base_norm:.4g}"
         )
-    bump = random_smooth_values(params.mask, rng)
-    bump_norm = params.space.norm(bump)
-    target = rng.uniform(*BALL_FRACTIONS) * radius
-    # triangle inequality keeps the draw strictly inside the ball
-    amount = min(max(target - base_norm, 0.05 * radius), 0.95 * (radius - base_norm))
-    return params.impose_dofs(base + (amount / max(bump_norm, 1e-30)) * bump)
+    slots = params.mask.halo.index.size
+    noise = np.empty((slots, 1 if draws is None else draws))
+    targets = np.empty(noise.shape[1])
+    for k in range(targets.size):
+        noise[:, k] = rng.standard_normal(slots)
+        targets[k] = rng.uniform(*BALL_FRACTIONS) * radius
+    bumps = random_smooth_values(params.mask, noise)
+    length = np.minimum(np.maximum(np.sqrt(np.maximum(targets**2 - base_norm**2, 0.0)),
+                                   0.05 * radius),
+                        0.95 * np.sqrt(radius**2 - base_norm**2))
+    bump_norm = np.sqrt(params.space.norm_sq(bumps))
+    out = base + (length / np.maximum(bump_norm, 1e-30))[:, None] * bumps
+    for row in out:
+        params.impose_dofs(row)
+    return out if draws is not None else out[0]
 
 
 def random_compact_bump(mask: DomainMask, rng: np.random.Generator) -> np.ndarray:

@@ -216,6 +216,9 @@ class SobolevSpace:
             box = self._dof_valid[parent]
             forward = self._forward[axis]
             self._dof_valid.append(box & box[forward] & (forward != rows))
+        # a monomial's raw difference is needed until its last child is built
+        self._last_child = {parent: k for k, (parent, _) in enumerate(self._chain)
+                            if parent is not None}
 
     @property
     def nodes(self) -> np.ndarray:
@@ -228,37 +231,49 @@ class SobolevSpace:
         return self.mask.scatter(self.dof_weights)
 
     def differences(self, v: np.ndarray) -> list[np.ndarray]:
-        """Forward-difference monomials of a DOF vector, in `monomials` order,
-        zeroed where the stencil box leaves the node set."""
-        if np.shape(v) != self.dof_weights.shape:
+        """Forward-difference monomials of a DOF vector, or of a stack of them
+        with the DOFs on the last axis, in `monomials` order, zeroed where the
+        stencil box leaves the node set."""
+        return list(self._masked_differences(v))
+
+    def _masked_differences(self, v: np.ndarray):
+        """The monomials of `differences`, one at a time: a raw difference is
+        kept only until its last child is built, so a norm of a stack holds a
+        few of them at once, not all."""
+        if np.ndim(v) not in (1, 2) or np.shape(v)[-1:] != self.dof_weights.shape:
             raise ConfigError(f"field of shape {np.shape(v)} is not a DOF vector of the "
                               f"space's {self.dof_weights.size} masked nodes")
-        raw, out = [], []
-        for (parent, axis), valid in zip(self._chain, self._dof_valid):
+        raw = {}
+        for k, ((parent, axis), valid) in enumerate(zip(self._chain, self._dof_valid)):
             if parent is None:
                 d = v
             else:
-                prev = raw[parent]
-                d = (prev[self._forward[axis]] - prev) / self.grid.spacing[axis]
-            raw.append(d)
-            out.append(np.where(valid, d, 0.0))
-        return out
+                prev = raw[parent] if self._last_child[parent] > k else raw.pop(parent)
+                d = (prev.take(self._forward[axis], axis=-1) - prev) / self.grid.spacing[axis]
+            if k in self._last_child:
+                raw[k] = d
+            yield np.where(valid, d, 0.0)
 
-    def inner_product(self, v: np.ndarray, w: np.ndarray) -> float:
-        dv = self.differences(v)
-        return self._pair(dv, dv if w is v else self.differences(w))
+    def inner_product(self, v: np.ndarray, w: np.ndarray) -> float | np.ndarray:
+        """[v, w], or one per row of stacks of DOF vectors."""
+        if w is v:
+            return self._pair((d, d) for d in self._masked_differences(v))
+        return self._pair(zip(self._masked_differences(v), self._masked_differences(w)))
 
-    def _pair(self, dv: list[np.ndarray], dw: list[np.ndarray]) -> float:
+    def _pair(self, pairs) -> float | np.ndarray:
         total = 0.0
-        for a, b in zip(dv, dw):
-            total += float(np.sum(a * b * self.dof_weights))
-        return total
+        for a, b in pairs:
+            # np.sum's reduction, without its Python wrapper
+            total += np.add.reduce(a * b * self.dof_weights, axis=-1)
+        return float(total) if np.ndim(total) == 0 else total
 
-    def norm_sq(self, v: np.ndarray, differences: list[np.ndarray] | None = None) -> float:
-        """[v, v]; `differences`, when given, must be self.differences(v)."""
+    def norm_sq(self, v: np.ndarray,
+                differences: list[np.ndarray] | None = None) -> float | np.ndarray:
+        """[v, v], or one per row of a stack of DOF vectors; `differences`,
+        when given, must be self.differences(v)."""
         if differences is None:
             return self.inner_product(v, v)
-        return self._pair(differences, differences)
+        return self._pair((d, d) for d in differences)
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(self.norm_sq(v), 0.0)))
@@ -396,16 +411,14 @@ class SobolevSpace:
                 np.add.at(sums.ravel(), at, mat.data[a:b])
 
         # a chain matrix is kept only until its last child is built
-        last_child = {parent: k for k, (parent, _) in enumerate(self._chain)
-                      if parent is not None}
         raw = {}
         for k, ((parent, axis), valid) in enumerate(zip(self._chain, self._dof_valid)):
             if parent is None:
                 bmat = sp.csr_matrix((np.ones(m), (cols, np.arange(m))), shape=(n, m))
             else:
-                bmat = steps[axis] @ (raw[parent] if last_child[parent] > k
+                bmat = steps[axis] @ (raw[parent] if self._last_child[parent] > k
                                       else raw.pop(parent))
-            if k in last_child:
+            if k in self._last_child:
                 raw[k] = bmat
             term = bmat.T @ sp.diags(self.dof_weights * valid)
             bmat = bmat.tocsc()  # as `term @` converts it; frees a chain without children

@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 from convexcauchy import cli
+from convexcauchy.optimizer import PAIRS_PER_DRAW
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "ell2d_cubic_solve.json"
@@ -72,7 +73,8 @@ def test_tracer_sees_the_descent(tmp_path):
 
 def test_tracer_sees_the_certificate_samples(tmp_path):
     """A sweep is one certificate: one Bregman-gap span per sample pair,
-    serving every lambda, and one weight per lambda besides the problem's own."""
+    serving every lambda, one draw span per PAIRS_PER_DRAW pairs, and one
+    weight per lambda besides the problem's own."""
     rep = _traced_run(_load_spans(), ["sweep", str(SWEEP_CONFIG)], tmp_path)
     (cert,) = rep.named("optimizer.convexity_certificate")
     report = json.loads((tmp_path / "traced" / "report.json").read_text())
@@ -83,7 +85,7 @@ def test_tracer_sees_the_certificate_samples(tmp_path):
     assert len(rep.within(cert, "weights.mask_weight_sq")) == len(lambdas)
     assert len(rep.within(cert, "functional.bregman_gap")) == samples
     assert rep.calls("functional.bregman_gap") == samples
-    assert len(rep.within(cert, "sampling.draw_in_ball")) == 2 * samples
+    assert len(rep.within(cert, "sampling.draw_in_ball")) == -(-samples // PAIRS_PER_DRAW)
 
 
 def test_tracer_sees_the_direct_solve(tmp_path):

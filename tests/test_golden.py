@@ -13,9 +13,11 @@ so 1e-9 leaves room for reordered sums but not for a changed discretization.
 The gradcheck figure is finite-difference noise and is only checked against
 its own tolerance.
 
-    python tests/test_golden.py     # rewrite golden_reports.json
+    python tests/test_golden.py                 # rewrite golden_reports.json
+    python tests/test_golden.py --only NAME     # rewrite the entry of config NAME
 
-Rewrite the file only from a commit whose outputs are known to be right.
+With --only, the other entries stay byte for byte as they are. Rewrite the
+file only from a commit whose outputs are known to be right.
 """
 
 import json
@@ -97,9 +99,10 @@ def test_shipped_config_matches_golden(name, golden, tmp_path):
         assert report["gradcheck"]["max_rel_error"] < expect["gradcheck_tolerance"]
 
 
-def record(out_root: Path) -> None:
-    values = {}
-    for name in sorted(CONFIGS):
+def record(out_root: Path, names: list[str]) -> None:
+    """Rewrite the entries of the configs `names`, keeping the others."""
+    values = json.loads(GOLDEN.read_text()) if set(names) != set(CONFIGS) else {}
+    for name in names:
         rc, report = run_config(name, out_root / name.removesuffix(".json"))
         if rc != 0:
             raise SystemExit(f"{name}: exit code {rc}")
@@ -108,8 +111,13 @@ def record(out_root: Path) -> None:
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="rewrite tests/golden_reports.json")
+    parser.add_argument("--only", choices=sorted(CONFIGS), metavar="NAME",
+                        help="rewrite only this config's entry")
+    args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        record(Path(tmp))
+        record(Path(tmp), [args.only] if args.only else sorted(CONFIGS))

@@ -551,6 +551,41 @@ class TestExpressions:
         assert "config error" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _certify_q(tmp_path, q) -> int:
+        """certify on ELL2D-CUBIC at 17^2 with the source term q."""
+        return main(["certify", str(_sweep_config(
+            tmp_path, grid={"resolution": [17, 17]}, operator={"id": "cubic", "q": q}))])
+
+    def test_expression_not_finite_where_it_is_evaluated_names_its_field(self, tmp_path,
+                                                                         caplog):
+        """The load check only parses q; certify evaluates it when it builds
+        the operator stencil, and that error names the field too."""
+        assert self._certify_q(tmp_path, "(x0 + 1e308 * 10)") == 1
+        assert ("config field operator.q: expression '(x0 + 1e308 * 10)' is not finite "
+                "at every point") in caplog.text
+
+    def test_expression_too_deep_where_it_is_evaluated_names_its_field(self, tmp_path, caplog,
+                                                                       monkeypatch):
+        """The deepest q that the load check takes (985 unary minus signs
+        from the command line) overflows the stack where certify evaluates
+        it, deeper in the call chain, and that error names the field too."""
+        classify, loaded = harness.classify_nodes, []
+
+        def classify_after_load(*args, **kwargs):
+            loaded.append(True)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "classify_nodes", classify_after_load)
+        for n in range(sys.getrecursionlimit(), 0, -1):  # the load check rejects the first
+            caplog.clear()
+            rc = self._certify_q(tmp_path, "-" * n + "x0")
+            if loaded:
+                break
+        assert rc == 1
+        assert "config field operator.q: expression '-----" in caplog.text
+        assert "is nested too deeply" in caplog.text
+
 
 def _sweep_config(tmp_path, **overrides) -> Path:
     """A three-sample ELL2D-CUBIC certificate config, written to tmp_path; an

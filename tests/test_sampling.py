@@ -1,7 +1,8 @@
 """random_smooth_values, one sparse product per axis, against its earlier
 form, which gathered the neighbours and extended the draw by one zero slot
-with np.append on every axis of every pass: the draws must be equal bit for
-bit and the generator must be left in the same state, so that every
+with np.append on every axis of every pass: on the same halo normals the
+draws must be equal bit for bit and the generator must be left in the same
+state, one draw at a time or a stack of draws at once, so that every
 certificate sample and margin stays the same."""
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.harness import build_setup
-from convexcauchy.sampling import random_smooth_values
+from convexcauchy.functional import data_extension
+from convexcauchy.sampling import BALL_FRACTIONS, draw_in_ball, random_smooth_values
 
 
 def _appending_smooth_values(mask, rng, passes=8):
-    """The earlier random_smooth_values, verbatim."""
+    """The earlier random_smooth_values, verbatim but for the noise: one
+    normal per halo slot, where it drew one per grid node and kept the halo's."""
     halo = mask.halo
-    vals = rng.standard_normal(mask.grid.shape).ravel()[halo.index]
+    vals = rng.standard_normal(halo.index.size)
     for _ in range(passes):
         vals[~halo.free] = 0.0
         for plus, minus in halo.tables:
@@ -81,3 +84,61 @@ def test_draw_matches_appending_form(name, seed):
         want = _appending_smooth_values(mask, oracle_rng, passes=passes)
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", MASKS)
+def test_stacked_columns_match_appending_form(name):
+    """A (halo slots, draws) array of normals smooths column by column: row
+    k of the stack is the appending form of draw k, bit for bit."""
+    mask = MASKS[name]()
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    noise = np.stack([rng.standard_normal(mask.halo.index.size) for _ in range(4)], axis=1)
+    got = random_smooth_values(mask, noise)
+    assert got.shape == (4, mask.dofs.size) and got.flags.c_contiguous
+    for row in got:
+        assert np.array_equal(row, _appending_smooth_values(mask, oracle_rng))
+
+
+@pytest.fixture(scope="module")
+def ell2d():
+    """ELL2D-CUBIC's params, its data extension b and b's H^k norm."""
+    params = build_setup({"case": "ELL2D-CUBIC"}).params
+    base = data_extension(params.space, params.data)
+    return params, base, params.space.norm(base)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_batch_does_not_change_the_stream(ell2d, seed):
+    params, base, base_norm = ell2d
+    rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = draw_in_ball(params, 5.0, rng, base, base_norm, draws=4)
+    for row in batch:
+        assert np.array_equal(row, draw_in_ball(params, 5.0, single_rng, base, base_norm))
+    assert rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_draw_hits_its_target_norm(ell2d):
+    """Each draw takes its halo normals and then its target norm; where
+    neither the floor nor the cap binds, the draw's H^k norm is the target,
+    since b is H^k-orthogonal to the zero-trace bump."""
+    params, base, base_norm = ell2d
+    radius, slots = 5.0, params.mask.halo.index.size
+    rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+    for u in draw_in_ball(params, radius, rng, base, base_norm, draws=6):
+        replay.standard_normal(slots)
+        target = replay.uniform(*BALL_FRACTIONS) * radius
+        length = np.sqrt(target**2 - base_norm**2)
+        assert 0.05 * radius < length < 0.95 * np.sqrt(radius**2 - base_norm**2)
+        assert params.space.norm(u) == pytest.approx(target, rel=1e-10)
+
+
+def test_ball_cap_binds(ell2d):
+    """At R = 1.001 ||b|| the room sqrt(R^2 - ||b||^2) is under the 0.05 R
+    floor, so every bump gets the capped length 0.95 * room and every draw
+    lies strictly inside the ball."""
+    params, base, base_norm = ell2d
+    radius = 1.001 * base_norm
+    room = np.sqrt(radius**2 - base_norm**2)
+    for u in draw_in_ball(params, radius, np.random.default_rng(1), base, base_norm, draws=4):
+        assert params.space.norm(u) < radius
+        assert params.space.norm(u - base) == pytest.approx(0.95 * room, rel=1e-10)
