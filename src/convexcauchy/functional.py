@@ -250,9 +250,13 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
     h_free = h.copy()
     h_free[params.mask.trace_pos] = 0.0
     stencil = params.stencil
-    r1, r2 = stencil.residual(v1), stencil.residual(v2)
-    data_gap = r2 * r2 - r1 * r1 - 2.0 * r1 * stencil.linearize(v1).forward(h_free)
-    hk = params.space.norm_sq(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2 = stencil.residual(v1), stencil.residual(v2)
+        data_gap = r2 * r2 - r1 * r1 - 2.0 * r1 * stencil.linearize(v1).forward(h_free)
+        hk = params.space.norm_sq(h)
+    if not (np.isfinite(hk) and np.all(np.isfinite(data_gap))):
+        raise ConvexCauchyError("Bregman gap overflowed on a pair of fields too far apart; "
+                                "reduce the certificate radius")
     gaps = [_data_term(data_gap, w) + params.beta * hk for w in core_weights]
     return gaps, params.inner_h1_space.norm_sq(h), hk
 

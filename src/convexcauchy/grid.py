@@ -334,44 +334,6 @@ class Field:
         check_finite(self.values)
 
 
-class Halo:
-    """The masked nodes plus one layer of neighbours, with per-axis gather tables.
-
-    A field that vanishes outside the mask keeps its support inside the halo
-    through one sweep of +-1 neighbour stencils along every axis in turn, so
-    during such a sweep the zero sentinel of the tables reads exactly what a
-    full-grid computation would read. `smoothing` holds, per axis, the CSR
-    matrix of v -> 0.5 v + 0.25 (v[+] + v[-]) over the halo slots, each row
-    in the order [+, -, self] without a missing neighbour: its product's
-    running sum forms that expression's bits, as scaling by 0.25 is exact.
-    """
-
-    def __init__(self, mask: DomainMask):
-        shape = mask.grid.shape
-        # the 3^d neighbourhood is one +-1 step along each axis in turn
-        index = mask.dofs
-        for n, stride in zip(shape, flat_strides(shape)):
-            along = index // stride % n
-            index = np.unique(np.concatenate(
-                [index, index[along > 0] - stride, index[along < n - 1] + stride]))
-        self.index = index  # flat node index per halo slot
-        self.dof_pos = np.searchsorted(index, mask.dofs)  # halo slots of the masked DOFs
-        self.free = np.zeros(index.size, dtype=bool)
-        self.free[self.dof_pos[mask.free_pos]] = True
-        forward = flat_neighbor_tables(index, shape, [axis_offset(len(shape), a)
-                                                      for a in range(len(shape))])
-        self.tables = [(table, inverse_table(table, table.size)) for table in forward]
-        n = index.size
-        self.smoothing = []
-        for plus, minus in self.tables:
-            cols = np.stack([plus, minus, np.arange(n)], axis=1)
-            keep = cols < n
-            data = np.broadcast_to([0.25, 0.25, 0.5], cols.shape)
-            self.smoothing.append(sp.csr_matrix(
-                (data[keep], cols[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-                shape=(n, n)))
-
-
 class DomainMask:
     """Classification of a grid against a level spec, plus quadrature, kept
     on the masked nodes.
@@ -386,7 +348,8 @@ class DomainMask:
     `is_inner`, `value_layer`, `deriv_layer` and `constrained` are
     read-only properties built on each access, for the benchmark and the
     full-grid shift reference of the tests; the library reads only the DOF
-    forms.
+    forms. Random draws smooth over the DOFs alone (`smoothing`), with the
+    outside read as 0, so no node off the mask is ever stored.
 
     Attributes:
         grid: the underlying Grid.
@@ -473,9 +436,24 @@ class DomainMask:
         return np.flatnonzero(inside[:n])
 
     @cached_property
-    def halo(self) -> Halo:
-        """Halo of the mask, built on first use (only random draws need it)."""
-        return Halo(self)
+    def smoothing(self) -> list[sp.csr_matrix]:
+        """Per axis, the CSR matrix of v -> 0.5 v + 0.25 (v[+] + v[-]) over the
+        DOFs, where a neighbour off the mask reads 0; built on first use (only
+        random draws need it). Each row lists [+, -, self] without a missing
+        neighbour: its product's running sum forms that expression's bits, as
+        scaling by 0.25 is exact."""
+        dim, n = self.grid.dim, self.dofs.size
+        out = []
+        for axis in range(dim):
+            cols = np.stack([*self.neighbor_tables([axis_offset(dim, axis, 1),
+                                                    axis_offset(dim, axis, -1)]),
+                             np.arange(n)], axis=1)
+            keep = cols < n
+            data = np.broadcast_to([0.25, 0.25, 0.5], cols.shape)
+            out.append(sp.csr_matrix(
+                (data[keep], cols[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+                shape=(n, n)))
+        return out
 
     def largest_cell_level_variation(self) -> float:
         """Max level-value change across one grid cell within the mask."""

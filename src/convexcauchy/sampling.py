@@ -2,12 +2,12 @@
 
 Every field here is a masked DOF vector (see grid.DomainMask). Draws are
 deterministic under a seeded Generator, which gives each smooth draw one
-standard normal per slot of the mask's halo, so a draw costs in proportion
-to the mask, not to the bounding grid. Smoothing matters: raw white noise
-has huge high-order differences, so each draw is averaged a few times along
-every axis before use, keeping H^k norms moderate. Several draws can be
-smoothed and normed as one stack, with the same bits and the same generator
-stream as one draw at a time.
+standard normal per free DOF, so a draw costs in proportion to the mask, not
+to the bounding grid. Smoothing matters: raw white noise has huge high-order
+differences, so each draw is averaged a few times along every axis over the
+DOFs before use, with a neighbour off the mask read as 0, keeping H^k norms
+moderate. Several draws can be smoothed and normed as one stack, with the
+same bits and the same generator stream as one draw at a time.
 """
 
 from __future__ import annotations
@@ -27,25 +27,25 @@ def random_smooth_values(mask: DomainMask, noise: np.random.Generator | np.ndarr
     """Smoothed unit-amplitude noise, zero on the trace layers.
 
     `noise` is a Generator, from which one draw takes one standard normal per
-    halo slot and returns a DOF vector; or the halo normals of several draws,
-    one per column of a (halo slots, draws) array, whose smoothed draws come
-    back as the rows of a (draws, DOFs) stack, each row bit for bit the draw
-    of its column alone. The constrained layers and the outside are
-    re-zeroed inside the smoothing loop, so the draw decays smoothly toward
-    them instead of being cut there; this keeps high-order difference norms
-    moderate. Each pass smooths along every axis in turn, one sparse product
-    per axis over the mask's halo, which holds the sweep exactly (see Halo).
+    free DOF and returns a DOF vector; or the free-DOF normals of several
+    draws, one per column of a (free DOFs, draws) array, whose smoothed draws
+    come back as the rows of a (draws, DOFs) stack, each row bit for bit the
+    draw of its column alone. The trace layers are re-zeroed at the start of
+    every pass, so the draw decays smoothly toward them instead of being cut
+    there; this keeps high-order difference norms moderate. Each pass smooths
+    along every axis in turn, one sparse product per axis over the DOFs (see
+    DomainMask.smoothing).
     """
-    halo = mask.halo
     one_draw = isinstance(noise, np.random.Generator)
-    vals = noise.standard_normal((halo.index.size, 1)) if one_draw else np.array(noise, float)
+    normals = noise.standard_normal((mask.free_pos.size, 1)) if one_draw else noise
+    vals = np.zeros((mask.dofs.size, normals.shape[1]))
+    vals[mask.free_pos] = normals
     for _ in range(passes):
-        vals[~halo.free] = 0.0
-        for smooth in halo.smoothing:
+        vals[mask.trace_pos] = 0.0
+        for smooth in mask.smoothing:
             vals = smooth @ vals
-    vals[~halo.free] = 0.0
-    # every slot off the free DOFs is zero now, so a draw peaks on its DOFs
-    vals = np.ascontiguousarray(vals[halo.dof_pos].T)
+    vals[mask.trace_pos] = 0.0
+    vals = np.ascontiguousarray(vals.T)
     peak = np.max(np.abs(vals), axis=1, keepdims=True)
     vals /= np.where(peak > 0, peak, 1.0)
     return vals[0] if one_draw else vals
@@ -63,10 +63,11 @@ def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generat
     a bump of H^k length s gives a draw of norm sqrt(||base||^2 + s^2): s is
     chosen to hit the target, kept at least 0.05 * radius and at most 0.95
     of the room sqrt(radius^2 - ||base||^2), which keeps the draw strictly
-    inside the ball.
+    inside the ball. Lengths are computed in units of the radius, so no
+    square overflows however large the radius.
 
     Returns a DOF vector, or with `draws` a (draws, DOFs) stack, smoothed
-    and normed together. Each draw takes its halo normals and then its
+    and normed together. Each draw takes its free-DOF normals and then its
     target from rng, so row k is bit for bit what a one-draw call returns
     after the k draws before it.
     """
@@ -78,16 +79,17 @@ def draw_in_ball(params: FunctionalParams, radius: float, rng: np.random.Generat
         raise ConfigError(
             f"ball radius {radius} is smaller than the data extension norm {base_norm:.4g}"
         )
-    slots = params.mask.halo.index.size
-    noise = np.empty((slots, 1 if draws is None else draws))
-    targets = np.empty(noise.shape[1])
+    free = params.mask.free_pos.size
+    noise = np.empty((free, 1 if draws is None else draws))
+    targets = np.empty(noise.shape[1])  # in units of the radius
     for k in range(targets.size):
-        noise[:, k] = rng.standard_normal(slots)
-        targets[k] = rng.uniform(*BALL_FRACTIONS) * radius
+        noise[:, k] = rng.standard_normal(free)
+        targets[k] = rng.uniform(*BALL_FRACTIONS)
     bumps = random_smooth_values(params.mask, noise)
-    length = np.minimum(np.maximum(np.sqrt(np.maximum(targets**2 - base_norm**2, 0.0)),
-                                   0.05 * radius),
-                        0.95 * np.sqrt(radius**2 - base_norm**2))
+    base_frac = base_norm / radius
+    length = radius * np.minimum(np.maximum(np.sqrt(np.maximum(targets**2 - base_frac**2, 0.0)),
+                                            0.05),
+                                 0.95 * np.sqrt(1.0 - base_frac**2))
     bump_norm = np.sqrt(params.space.norm_sq(bumps))
     out = base + (length / np.maximum(bump_norm, 1e-30))[:, None] * bumps
     for row in out:

@@ -1,0 +1,164 @@
+"""Mutation smoke: one-line mutants of src/ that tier-1 must kill.
+
+Each entry of MUTANTS names a module of src/convexcauchy, an exact old text
+that must occur there exactly once, the text that replaces it, and why
+tier-1 must fail on the result. The script copies the working tree (without
+.git and caches) to a temporary directory, runs tier-1 there once unmutated,
+which must pass, and then once per mutant with `pytest -x`, the mutant
+applied to the copy's src/ and removed again afterwards. A mutant is killed
+when tier-1 fails on it.
+
+A mutant marked equivalent cannot change any tested output; its reason says
+why. It is not run, but its old text is still checked, so that the table
+stays in step with the code.
+
+    python tests/mutants.py
+
+Exit 0 when every mutant not marked equivalent is killed; 1 when one
+survives, when an old text is not found exactly once or a mutated module
+does not compile, or when tier-1 fails on the unmutated copy. Pytest does
+not collect this file (it is no test_*.py).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "convexcauchy"
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                "*.egg-info", "runs", ".bench_work", ".benchmarks")
+TIER1_TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    module: str
+    old: str
+    new: str
+    why: str
+    equivalent: bool = False
+
+
+MUTANTS = [
+    Mutant("functional.py", "g[params.mask.trace_pos] = 0.0", "pass",
+           "the gradient must vanish on the trace layers (criterion 3: one descent "
+           "step keeps the Cauchy data)"),
+    Mutant("sobolev.py", "REFINE_TOL = 1e-14", "REFINE_TOL = 1e-8",
+           "the mixed-precision solve must match float64 to 1e-14"),
+    Mutant("grid.py", "h, 0.5 * h)", "h, h)",
+           "the trapezoid rule gives a rim node h/2 along an axis (golden values)"),
+    Mutant("optimizer.py", "tail = usable[-max(5, usable.size // 2):]", "tail = usable[-5:]",
+           "q_hat is fitted over the last half of the iterates (golden q_hat)"),
+    Mutant("optimizer.py", "failures=sum(m < 0.0 for m in margins)",
+           "failures=sum(m < -1e-3 for m in margins)",
+           "any negative certificate margin is a failure"),
+    Mutant("optimizer.py", "if j_try <= j - ARMIJO_C * t * gsq:", "if j_try <= j:",
+           "a step must pass Armijo's sufficient decrease, not any decrease"),
+    Mutant("functional.py", "if dev > CONSTRAINT_TOL * self._trace_scale:",
+           "if dev > 1000 * CONSTRAINT_TOL * self._trace_scale:",
+           "the trace tolerance is CONSTRAINT_TOL relative to the data"),
+    Mutant("functional.py", "h_free[params.mask.trace_pos] = 0.0", "pass",
+           "equivalent: the certificate's pairs share their trace bit for bit, so the "
+           "trace entries of h = v2 - v1 are zero before they are zeroed",
+           equivalent=True),
+    Mutant("sampling.py", "0.95 * np.sqrt(1.0 - base_frac**2))", "np.inf)",
+           "a draw must lie strictly inside the ball even when the room "
+           "sqrt(R^2 - ||b||^2) is under the 0.05 R floor"),
+    Mutant("operators.py", "out += w * buf[self.stencil.adjoint_tables[off]]",
+           "out += abs(w) * buf[self.stencil.adjoint_tables[off]]",
+           "the adjoint of the linearization must satisfy the duality identity"),
+    Mutant("sobolev.py", "x = self.dof_weights * d", "x = d",
+           "the Gram action weights every H^k monomial as the norm does (gradient "
+           "against central differences)"),
+    Mutant("sobolev.py", "self.dof_weights = np.where(on_nodes, mask.dof_quad_weight, 0.0)",
+           "self.dof_weights = np.where(on_nodes, 1.0, 0.0)",
+           "every H^k monomial is weighted by the quadrature, also where the norm and "
+           "the Gram action agree (shift reference, golden values)"),
+    Mutant("sobolev.py", "if np.any(b[self.mask.trace_pos]):", "if False:",
+           "a Riesz right-hand side that is not zero on the trace layers is refused"),
+    Mutant("sampling.py", "        vals[mask.trace_pos] = 0.0", "        pass",
+           "the draw is re-zeroed on the trace layers at the start of every smoothing "
+           "pass, not only at the end (the appending form, bit for bit)"),
+    Mutant("grid.py", "shape=(n, n)))", "shape=(n, n)).sorted_indices())",
+           "each smoothing row sums [+, -, self] in that order; sorted columns "
+           "change the bits of the draws"),
+]
+
+
+def tier1(tree: Path) -> subprocess.CompletedProcess | None:
+    """Tier-1 with -x on the copy at `tree`, or None when it timed out. No
+    bytecode is written, so a mutated module is never read from a stale cache."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def mutated(text: str, mutant: Mutant, path: Path) -> str:
+    """text with the mutant applied; ValueError when its old text is not
+    found exactly once or the result does not compile."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"old text {mutant.old!r} found {count} times in {mutant.module}")
+    out = text.replace(mutant.old, mutant.new)
+    try:
+        compile(out, str(path), "exec")
+    except SyntaxError as exc:
+        raise ValueError(f"mutant {mutant.new!r} of {mutant.module} does not compile: {exc}")
+    return out
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        done = tier1(tree)
+        if done is None or done.returncode != 0:
+            print("tier-1 fails on the unmutated copy:")
+            print("timed out" if done is None else done.stdout[-3000:])
+            return 1
+        for k, mutant in enumerate(MUTANTS):
+            path = tree / PACKAGE / mutant.module
+            original = path.read_text()
+            try:
+                text = mutated(original, mutant, path)
+            except ValueError as exc:
+                print(f"[{k}] table error: {exc}")
+                bad += 1
+                continue
+            if mutant.equivalent:
+                print(f"[{k}] equivalent, not run: {mutant.why}")
+                continue
+            path.write_text(text)
+            t0 = time.perf_counter()
+            done = tier1(tree)
+            path.write_text(original)
+            took = time.perf_counter() - t0
+            if done is not None and done.returncode == 0:
+                print(f"[{k}] SURVIVED ({took:.0f} s): {mutant.module}: {mutant.old!r} -> "
+                      f"{mutant.new!r}; it must die because {mutant.why}")
+                bad += 1
+                continue
+            lines = [] if done is None else (done.stdout + done.stderr).strip().splitlines()
+            failed = "timed out" if done is None else next(
+                (line for line in lines if line.startswith(("FAILED", "ERROR"))),
+                lines[-1] if lines else f"exit {done.returncode}")
+            print(f"[{k}] killed ({took:.0f} s): {mutant.module}: {mutant.new!r}; {failed}")
+    print(f"{len(MUTANTS)} mutants, {bad} survived or broken")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -818,6 +818,23 @@ class TestCli:
         assert set(q) == {"min", "p5", "median"}
         assert q["min"] == cert["min_margin"] <= q["p5"] <= q["median"]
 
+    @pytest.mark.parametrize("radius", [1e160, 1e300])
+    def test_huge_certificate_radius_exits_with_a_message(self, tmp_path, radius):
+        """A radius whose square overflows a float ended `certify` in an
+        OverflowError traceback from draw_in_ball. The draw works in units of
+        the radius now, and a pair too far apart for J exits 2 with a message
+        that names the radius, without a numpy warning."""
+        path = _sweep_config(tmp_path, grid={"resolution": [17, 17]},
+                             certificate={"radius": radius})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "convexcauchy", "certify", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+        assert "numerical failure: Bregman gap overflowed" in done.stderr
+        assert "reduce the certificate radius" in done.stderr
+
     @pytest.mark.parametrize("flag,message", [
         ("nan", "finite"), ("inf", "finite"), (",", "names no lambda"), ("abc", "bad --lambda"),
     ], ids=["nan", "inf", "empty", "not-a-number"])

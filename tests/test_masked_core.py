@@ -2,7 +2,9 @@
 
 Per-node arrays must agree bit for bit: the residual, the forward and
 adjoint linearization, every H^k monomial difference, the Gram action, the
-Euclidean gradient and the smoothed random draws. The library's values live
+Euclidean gradient and the smoothed random draws (these against a full-grid
+`shift` form kept in this file, which reads the outside as 0 after every
+axis step, as the DOF smoothing does). The library's values live
 on the core nodes (residuals, linearized actions) or on the masked DOFs
 (everything else) and are compared with the reference's full-grid arrays on
 those nodes. Sums (J, norms, inner products) run over differently laid out
@@ -23,7 +25,7 @@ import pytest
 import shift_reference as ref
 from convexcauchy.functional import CauchyData, FunctionalParams, evaluate, gradient
 from convexcauchy.grid import (LevelSpec, axis_offset, build_grid, classify_nodes,
-                               flat_neighbor_tables)
+                               flat_neighbor_tables, shift)
 from convexcauchy.harness import build_setup
 from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from convexcauchy.sampling import random_smooth_values
@@ -234,19 +236,23 @@ def test_reductions(problem):
         assert abs(fg - oracle.inner(f, g)) <= REL_SUM * np.sqrt(nf * ng)
 
 
-class _HaloNormals:
-    """Generator stand-in for ref.smooth_values: its full-grid draw is one
-    normal of `rng` per halo slot, scattered onto a zero grid, as the
-    library draws them (the reference zeroes every node off the halo's free
-    slots before it smooths)."""
-
-    def __init__(self, mask, rng):
-        self.mask, self.rng = mask, rng
-
-    def standard_normal(self, shape):
-        vals = np.zeros(shape)
-        vals.ravel()[self.mask.halo.index] = self.rng.standard_normal(self.mask.halo.index.size)
-        return vals
+def _smooth_values_on_grid(mask, rng, passes=8):
+    """random_smooth_values on the full grid: one normal of `rng` per free DOF,
+    scattered onto a zero grid, then each axis step averaged with grid.shift
+    and the outside zeroed after it, so a neighbour off the mask reads 0."""
+    normals = np.zeros(mask.dofs.size)
+    normals[mask.free_pos] = rng.standard_normal(mask.free_pos.size)
+    vals = mask.scatter(normals)
+    dim = mask.grid.dim
+    for _ in range(passes):
+        vals[mask.constrained] = 0.0
+        for axis in range(dim):
+            vals = 0.5 * vals + 0.25 * (shift(vals, axis_offset(dim, axis, 1))
+                                        + shift(vals, axis_offset(dim, axis, -1)))
+            vals[~mask.in_mask] = 0.0
+    vals[mask.constrained] = 0.0
+    peak = np.max(np.abs(vals))
+    return vals / peak if peak > 0 else vals
 
 
 def test_smooth_draw_bitwise(problem):
@@ -254,14 +260,14 @@ def test_smooth_draw_bitwise(problem):
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(2):
         assert np.array_equal(random_smooth_values(mask, rng_a),
-                              mask.gather(ref.smooth_values(mask, _HaloNormals(mask, rng_b))))
+                              mask.gather(_smooth_values_on_grid(mask, rng_b)))
     assert rng_a.standard_normal() == rng_b.standard_normal()
 
 
 def test_inverted_tables_match_neighbor_tables(problem):
     """The gather tables read off the forward ones (the stencil's adjoint
-    tables, the H^k backward tables, the halo's -e_a tables) equal a direct
-    flat_neighbor_tables pass at the negated offset, sentinels included."""
+    tables, the H^k backward tables) equal a direct flat_neighbor_tables
+    pass at the negated offset, sentinels included."""
     mask, dim, shape = problem.mask, problem.mask.grid.dim, problem.mask.grid.shape
     stencil = problem.stencil
     for off, table in stencil.adjoint_tables.items():
@@ -272,9 +278,6 @@ def test_inverted_tables_match_neighbor_tables(problem):
         for axis, table in enumerate(space._backward):
             assert np.array_equal(table, *flat_neighbor_tables(
                 np.flatnonzero(mask.in_mask), shape, [axis_offset(dim, axis, -1)]))
-    for axis, (_, backward) in enumerate(mask.halo.tables):
-        assert np.array_equal(backward, *flat_neighbor_tables(
-            mask.halo.index, shape, [axis_offset(dim, axis, -1)]))
 
 
 def test_inverted_tables_cover_mixed_and_3d():

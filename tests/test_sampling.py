@@ -1,34 +1,42 @@
-"""random_smooth_values, one sparse product per axis, against its earlier
-form, which gathered the neighbours and extended the draw by one zero slot
-with np.append on every axis of every pass: on the same halo normals the
-draws must be equal bit for bit and the generator must be left in the same
-state, one draw at a time or a stack of draws at once, so that every
-certificate sample and margin stays the same."""
+"""random_smooth_values, one sparse product per axis over the DOFs, against
+its appending form, which gathers the +-1 neighbours of every axis from the
+DOF vector extended by one zero slot with np.append, the value of every
+neighbour off the mask: on the same free-DOF normals the draws must be equal
+bit for bit and the generator must be left in the same state, one draw at a
+time or a stack of draws at once, so that every certificate sample and
+margin stays the same."""
 
 import numpy as np
 import pytest
 
-from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import LevelSpec, axis_offset, build_grid, classify_nodes
 from convexcauchy.harness import build_setup
 from convexcauchy.functional import data_extension
 from convexcauchy.sampling import BALL_FRACTIONS, draw_in_ball, random_smooth_values
 
 
+def _axis_tables(mask, axis):
+    dim = mask.grid.dim
+    return mask.neighbor_tables([axis_offset(dim, axis, 1), axis_offset(dim, axis, -1)])
+
+
 def _appending_smooth_values(mask, rng, passes=8):
-    """The earlier random_smooth_values, verbatim but for the noise: one
-    normal per halo slot, where it drew one per grid node and kept the halo's."""
-    halo = mask.halo
-    vals = rng.standard_normal(halo.index.size)
+    """random_smooth_values in appending form: one normal per free DOF, and
+    each axis step 0.5 v + 0.25 (v[+] + v[-]) with a neighbour off the mask
+    read from the appended zero slot."""
+    tables = [_axis_tables(mask, axis) for axis in range(mask.grid.dim)]
+    vals = np.zeros(mask.dofs.size)
+    vals[mask.free_pos] = rng.standard_normal(mask.free_pos.size)
     for _ in range(passes):
-        vals[~halo.free] = 0.0
-        for plus, minus in halo.tables:
+        vals[mask.trace_pos] = 0.0
+        for plus, minus in tables:
             ext = np.append(vals, 0.0)
             vals = 0.5 * vals + 0.25 * (ext[plus] + ext[minus])
-    vals[~halo.free] = 0.0
+    vals[mask.trace_pos] = 0.0
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals /= peak
-    return vals[halo.dof_pos]
+    return vals
 
 
 def _ell3d_mask():
@@ -60,18 +68,19 @@ MASKS = {
 
 
 @pytest.mark.parametrize("name", ["hyp2d", "ell2d-wide"])
-def test_halo_reaches_the_bounding_box(name):
-    """On these masks the halo holds nodes on both end faces of an axis, so
-    smoothing rows without a + entry and rows without a - entry sit on the
-    grid's faces, where no neighbour exists at all."""
+def test_smoothing_rows_at_the_bounding_box(name):
+    """On these masks the DOFs reach both end faces of an axis, so smoothing
+    rows without a + entry and rows without a - entry sit on the grid's
+    faces, where no neighbour exists at all."""
     mask = MASKS[name]()
-    along = np.unravel_index(mask.halo.index, mask.grid.shape)[1]
+    along = np.unravel_index(mask.dofs, mask.grid.shape)[1]
     assert along.min() == 0 and along.max() == mask.grid.shape[1] - 1
-    plus, minus = mask.halo.tables[1]
-    n = mask.halo.index.size
+    plus, minus = _axis_tables(mask, 1)
+    n = mask.dofs.size
     assert np.all(plus[along == along.max()] == n) and np.all(minus[along == 0] == n)
-    rows = mask.halo.smoothing[1]
+    rows = mask.smoothing[1]
     assert np.all(np.diff(rows.indptr)[along == 0] <= 2)
+    assert np.all(np.diff(rows.indptr)[along == along.max()] <= 2)
 
 
 @pytest.mark.parametrize("name", MASKS)
@@ -88,11 +97,11 @@ def test_draw_matches_appending_form(name, seed):
 
 @pytest.mark.parametrize("name", MASKS)
 def test_stacked_columns_match_appending_form(name):
-    """A (halo slots, draws) array of normals smooths column by column: row
+    """A (free DOFs, draws) array of normals smooths column by column: row
     k of the stack is the appending form of draw k, bit for bit."""
     mask = MASKS[name]()
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
-    noise = np.stack([rng.standard_normal(mask.halo.index.size) for _ in range(4)], axis=1)
+    noise = np.stack([rng.standard_normal(mask.free_pos.size) for _ in range(4)], axis=1)
     got = random_smooth_values(mask, noise)
     assert got.shape == (4, mask.dofs.size) and got.flags.c_contiguous
     for row in got:
@@ -118,11 +127,11 @@ def test_batch_does_not_change_the_stream(ell2d, seed):
 
 
 def test_draw_hits_its_target_norm(ell2d):
-    """Each draw takes its halo normals and then its target norm; where
+    """Each draw takes its free-DOF normals and then its target norm; where
     neither the floor nor the cap binds, the draw's H^k norm is the target,
     since b is H^k-orthogonal to the zero-trace bump."""
     params, base, base_norm = ell2d
-    radius, slots = 5.0, params.mask.halo.index.size
+    radius, slots = 5.0, params.mask.free_pos.size
     rng, replay = np.random.default_rng(3), np.random.default_rng(3)
     for u in draw_in_ball(params, radius, rng, base, base_norm, draws=6):
         replay.standard_normal(slots)
