@@ -115,8 +115,11 @@ def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, 
     """CG on matrix @ x = rhs preconditioned by its float32 LU: the solution
     and the iterations made, the solution None when the float32 factor
     fails or CG does not converge to a finite iterate."""
+    # the float32 matrix shares the index arrays, which astype would copy,
+    # unless SuperLU would sort them in place (a matrix not in canonical form)
     with np.errstate(over="ignore"):
-        single = matrix.astype(np.float32)
+        single = sp.csc_matrix((matrix.data.astype(np.float32), matrix.indices, matrix.indptr),
+                               shape=matrix.shape, copy=not matrix.has_canonical_format)
     if not np.all(np.isfinite(single.data)):
         return None, 0
     try:
@@ -349,93 +352,135 @@ class SobolevSpace:
             self.factorizations += 1
         return self._free_solve
 
-    def _difference_matrices(self) -> list[sp.csr_matrix]:
-        """The DOF x DOF forward-difference matrix of each axis, (v[p + e] - v[p]) / h."""
-        n = self.dof_weights.size
-        rows = np.arange(n)
-        steps = []
-        for axis, table in enumerate(self._forward):
-            h = self.grid.spacing[axis]
-            hit = table != rows
-            steps.append(sp.csr_matrix(
-                (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
-                 (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),
-                shape=(n, n)))
-        return steps
-
     def _assemble(self, cols: np.ndarray, scale: float = 1.0,
                   plus: sp.spmatrix | None = None) -> sp.csc_matrix:
-        """scale * sum_beta B^T diag(w) B + plus over the DOFs `cols`, in CSC.
+        """scale * sum_beta B^T diag(w) B + plus over the DOFs `cols`, in CSC,
+        read off the gather tables and validity of `differences`.
 
-        B is the monomial's chain of forward-difference matrices, built from
-        the same gather tables and validity as `differences`, started at the
-        columns `cols` of the identity. An entry couples two nodes at most
-        `order` steps apart (1-norm), so the sums live in a table with a row
-        per column DOF and a slot per flat node offset, the offsets of
-        `plus` included. Each monomial's product is added into it in place,
-        in monomial order: every entry is the sum, in the order, that a
-        running sum of sparse matrices forms, and entries that end at
-        exactly 0 are dropped, as that sum drops them.
+        Where monomial beta is valid at p, row p of its chain B is a stencil:
+        c(o) times v[p + o] over the box 0 <= o <= beta, the coefficients
+        formed by the chain's own steps, (-1/h) c_parent(o) + (1/h)
+        c_parent(o - e_a). Entry (p + o1, p + o2) of the term is then the sum
+        over p, ascending, of (c(o1) w_p) c(o2), as the sparse product
+        B^T diag(w) B forms it. An entry couples two nodes at most `order`
+        steps apart (1-norm), so the sums live in a table with a slot per
+        flat node offset, the offsets of `plus` included, and a column per
+        column DOF. Each term is summed in a table of its own offsets and
+        added in monomial order, then scale and plus follow: every entry is
+        the sum, in the order, that a running sum of sparse matrices forms,
+        and entries that end at exactly 0 are dropped, as that sum drops them.
         """
         grid, n, m = self.grid, self.dof_weights.size, cols.size
-        steps = self._difference_matrices()
-        # flat node index of each column DOF, and the offsets an entry can span;
-        # int32 where it fits, as the per-entry index arithmetic is the
-        # largest transient
-        node = self.mask.dofs[cols].astype(np.int32 if 2 * grid.node_count < 2**31 else np.int64)
+        strides = flat_strides(grid.shape)
+        # int32 where it fits: the tables of DOFs are the largest transients
+        # after the sums
+        index = np.int32 if 2 * grid.node_count < 2**31 else np.intp
+        # the column of each DOF, and m, a scratch column of the sums, off `cols`
+        col_of = np.full(n + 1, m, dtype=index)
+        col_of[cols] = np.arange(m)
+        node = self.mask.dofs[cols].astype(index)
         near = [d for d in product(range(-self.order, self.order + 1), repeat=grid.dim)
                 if sum(map(abs, d)) <= self.order]
-        spans = np.unique(np.array(near) @ flat_strides(grid.shape)).astype(node.dtype)
+        spans = np.array(near) @ strides
         if plus is not None:
             plus = plus.tocsc()
-            spans = np.union1d(spans, node[plus.indices] - np.repeat(node, np.diff(plus.indptr)))
-        sums = np.zeros((m, spans.size))
-        slot_of = np.zeros(spans[-1] - spans[0] + 1, dtype=np.min_scalar_type(spans.size))
-        slot_of[spans - spans[0]] = np.arange(spans.size)
-        first = np.arange(0, sums.size, spans.size,
-                          dtype=np.int32 if sums.size < 2**31 else np.int64)
-        block = max(sums.size // 8, 1)
+            count = np.diff(plus.indptr)
+            spans = np.concatenate([spans, node[plus.indices] - np.repeat(node, count)])
+        # the slot of each flat offset from the least, marked 1 first where one occurs
+        lo = spans.min()
+        slot_of = np.zeros(spans.max() - lo + 1, dtype=index)
+        slot_of[spans - lo] = 1
+        spans = np.flatnonzero(slot_of).astype(index) + lo
+        slot_of[spans - lo] = np.arange(spans.size)
 
-        def add(mat: sp.csc_matrix):
-            """sums += mat, entry (i, j) to row j at the slot of node_i - node_j;
-            a block of columns of at most `block` entries at a time, so that
-            the index arithmetic stays near a third of the table's bytes."""
-            cuts = np.searchsorted(mat.indptr, np.arange(0, mat.nnz, block))
-            for lo, hi in zip(cuts, [*cuts[1:], m]):
-                a, b = mat.indptr[lo], mat.indptr[hi]
-                count = np.diff(mat.indptr[lo:hi + 1])
-                offset = node.take(mat.indices[a:b])
-                offset -= np.repeat(node[lo:hi] + spans[0], count)
-                at = np.repeat(first[lo:hi], count)
-                at += slot_of.take(offset)
-                np.add.at(sums.ravel(), at, mat.data[a:b])
-
-        # a chain matrix is kept only until its last child is built
-        raw = {}
-        for k, ((parent, axis), valid) in enumerate(zip(self._chain, self._dof_valid)):
+        sums = np.zeros((spans.size, m + 1))
+        coefs = []
+        for (parent, axis), valid in zip(self._chain, self._dof_valid):
             if parent is None:
-                bmat = sp.csr_matrix((np.ones(m), (cols, np.arange(m))), shape=(n, m))
+                coef = np.ones((1,) * grid.dim)
             else:
-                bmat = steps[axis] @ (raw[parent] if self._last_child[parent] > k
-                                      else raw.pop(parent))
-            if k in self._last_child:
-                raw[k] = bmat
-            term = bmat.T @ sp.diags(self.dof_weights * valid)
-            bmat = bmat.tocsc()  # as `term @` converts it; frees a chain without children
-            term = term @ bmat
-            del bmat
-            add(term)
-        del steps, term
+                h, up = grid.spacing[axis], coefs[parent]
+                zero = np.zeros_like(up.take([0], axis=axis))
+                coef = ((-1.0 / h) * np.concatenate([up, zero], axis=axis)
+                        + (1.0 / h) * np.concatenate([zero, up], axis=axis))
+            coefs.append(coef)
+            p = np.flatnonzero(valid)
+            if not p.size:
+                continue
+            # the box in C order, which is ascending flat offset, and its
+            # columns at each valid p, each a forward step from an earlier offset
+            box = np.indices(coef.shape).reshape(grid.dim, -1).T
+            box_strides = flat_strides(coef.shape)
+            col = np.empty((box.shape[0], p.size), dtype=index)
+            col[0] = p
+            for i, o in enumerate(box[1:].tolist(), 1):
+                a = max(k for k, d in enumerate(o) if d)
+                col[i] = self._forward[a][col[i - box_strides[a]]]
+            col = col_of[col]
+            # the term's own slots, o1 - o2 over the box [-beta, beta] in C order
+            width = 2 * box[-1] + 1
+            local = (box[:, None] - box[None] + box[-1]) @ flat_strides(width) * (m + 1)
+            term = np.zeros((width.prod(), m + 1))
+            flat_term = term.reshape(-1)
+            c, w = coef.ravel(), self.dof_weights[p]
+            # descending o1 is ascending p for every entry; where the row p + o1
+            # is not a column the weight is 0, and its zero products change no sum
+            for i in reversed(range(box.shape[0])):
+                weighted = c[i] * np.where(col[i] < m, w, 0.0)
+                for k in range(box.shape[0]):
+                    np.add.at(flat_term, local[i, k] + col[k], c[k] * weighted)
+            del col
+            offsets = (np.indices(width).reshape(grid.dim, -1).T - box[-1]) @ strides
+            for r, slot in enumerate(slot_of[offsets - lo]):
+                sums[slot] += term[r]
+            del term, flat_term
         if scale != 1.0:
             sums *= scale
         if plus is not None:
-            add(plus)
-        keep = sums != 0
-        data = sums[keep]
+            at = slot_of.take(node.take(plus.indices) - np.repeat(node + lo, count))
+            at *= m + 1
+            at += np.repeat(np.arange(m, dtype=index), count)
+            np.add.at(sums.reshape(-1), at, plus.data)
+            del at  # the size of plus, held otherwise through the CSC arrays' build
+
+        keep = sums[:, :m] != 0
+        data = sums[:, :m].T[keep.T]
         del sums
-        # the row of a kept entry: the column DOF at its node plus the slot's offset
-        indices = np.empty(keep.shape, dtype=node.dtype)
-        for k, span in enumerate(spans):
-            indices[:, k] = np.searchsorted(node, node + span)
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-        return sp.csc_matrix((data, indices[keep], indptr), shape=(m, m))
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=0))])
+        indices = col_of[self._slot_rows(cols, spans, index).T[keep.T]]
+        # a walk that left the DOFs (round a corner of the mask) finds its row
+        # by the node's flat index; a row that is no column would give SuperLU
+        # an index out of range
+        missing = np.flatnonzero(indices == m)
+        if missing.size:
+            at = np.flatnonzero(keep.T)[missing]
+            target = node[at // spans.size] + spans[at % spans.size]
+            indices[missing] = np.searchsorted(node, target)
+            if np.any(node.take(indices[missing], mode="clip") != target):
+                raise SolverError("Gram assembly left an entry whose row is not a column DOF")
+        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
+
+    def _slot_rows(self, cols: np.ndarray, spans: np.ndarray, index) -> np.ndarray:
+        """(slot, column) -> the DOF at the slot's flat offset from the column's
+        DOF, walked one step at a time through the gather tables, axis after
+        axis, along the node offset whose digits lie within half their axis;
+        the DOF count where the walk leaves the DOFs."""
+        n, shape = self.dof_weights.size, self.grid.shape
+        # per axis, the forward and backward tables with the sentinel n, which
+        # a step from the sentinel keeps
+        steps = np.full((len(shape), 2, n + 1), n, dtype=index)
+        for a, (forward, backward) in enumerate(zip(self._forward, self._backward)):
+            steps[a, 0, :n] = np.where(forward != np.arange(n), forward, n)
+            steps[a, 1, :n] = backward
+        out = np.empty((spans.size, cols.size), dtype=index)
+        for s, span in enumerate(spans.tolist()):
+            offset = []
+            for size in shape[:0:-1]:
+                offset.append((span + size // 2) % size - size // 2)
+                span = (span - offset[-1]) // size
+            at = cols
+            for a, d in enumerate([span, *offset[::-1]]):
+                for _ in range(abs(d)):
+                    at = steps[a, int(d < 0)].take(at)
+            out[s] = at
+        return out

@@ -89,6 +89,24 @@ MUTANTS = [
     Mutant("grid.py", "shape=(n, n)))", "shape=(n, n)).sorted_indices())",
            "each smoothing row sums [+, -, self] in that order; sorted columns "
            "change the bits of the draws"),
+    Mutant("sobolev.py", "p = np.flatnonzero(valid)", "p = np.flatnonzero(self.dof_weights)",
+           "a Gram term weights only the DOFs where its monomial's stencil box lies "
+           "in the node set (the sparse-product Gram, bit for bit)"),
+    Mutant("sobolev.py", "coef = ((-1.0 / h) * np.concatenate([up, zero], axis=axis)",
+           "coef = ((1.0 / h) * np.concatenate([up, zero], axis=axis)",
+           "a chain step is (v[p + e] - v[p]) / h, so its coefficient at p is -1/h"),
+    Mutant("sobolev.py", "for i in reversed(range(box.shape[0])):",
+           "for i in range(box.shape[0]):",
+           "each Gram entry sums its DOFs p in ascending order, as the sparse "
+           "product does; on the uneven 2-D grid the other order changes bits"),
+    Mutant("sobolev.py", "np.where(col[i] < m, w, 0.0)", "w",
+           "a product whose row is a trace DOF belongs to no entry of the free block"),
+    Mutant("sobolev.py", "if missing.size:", "if False:",
+           "an entry whose row the walk through the gather tables cannot reach "
+           "(a far coupling of plus, round a corner of the mask) is found by search"),
+    Mutant("sobolev.py", "copy=not matrix.has_canonical_format", "copy=False",
+           "SuperLU sorts a matrix with unsorted indices in place, so the float32 "
+           "copy may share only a canonical matrix's index arrays"),
 ]
 
 

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from convexcauchy import cli, grid as grid_module, harness, sobolev
+from convexcauchy.catalog import CASES
 from convexcauchy.errors import ConfigError, GeometryError
 from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, gradient
 from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, build_grid,
@@ -354,9 +355,18 @@ def _space(which, ell2d_mask, ell3d_setup) -> SobolevSpace:
         assert (gram != gram.T).nnz > 0
     elif which == "3d-h3":
         space = SobolevSpace(ell3d_setup[0].mask)
+    elif which == "3d-h3-uneven":
+        # spacings 1/30, 1/14 and 1/13, where the coefficient products round
+        grid = build_grid(ELL3D_BOUNDS, (31, 29, 27))
+        space = SobolevSpace(classify_nodes(grid, LevelSpec(family="elliptic", **ELL3D_LEVEL)))
+    elif which == "1d-h2":
+        # ELL1D-CUBIC's level at spacing 1/60
+        grid = build_grid(((0.0, 1.0),), (61,))
+        space = SobolevSpace(classify_nodes(grid, LevelSpec(family="elliptic",
+                                                            **CASES["ELL1D-CUBIC"]["level"])))
     else:
         space = SobolevSpace(ell2d_mask, order=1, node_subset=ell2d_mask.inner_pos)
-    assert space.order == (1 if which == "inner-h1" else 3)
+    assert space.order == {"inner-h1": 1, "1d-h2": 2}.get(which, 3)
     return space
 
 
@@ -365,7 +375,7 @@ def _assert_same_arrays(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-SPACES = ["2d-h3", "2d-h3-uneven", "3d-h3", "inner-h1"]
+SPACES = ["2d-h3", "2d-h3-uneven", "3d-h3", "3d-h3-uneven", "1d-h2", "inner-h1"]
 
 
 @pytest.mark.parametrize("which", SPACES)
@@ -383,6 +393,19 @@ def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
     got = space.constrained_gram()
     assert got.format == "csc"
     _assert_same_arrays(got, space.gram_matrix()[free][:, free].tocsc())
+
+
+def test_constrained_gram_adds_far_couplings_of_plus(ell2d_mask):
+    """A plus that couples free DOFs far apart, outside the Gram's pattern,
+    has its entries placed as the scipy sum places them: rows a walk along
+    the offset's axes cannot reach inside the mask are found by search."""
+    space = SobolevSpace(ell2d_mask)
+    free = ell2d_mask.free_pos
+    rng = np.random.default_rng(7)
+    plus = sp.random(free.size, free.size, density=0.2, random_state=rng, format="csc")
+    want = (plus + 0.37 * space.gram_matrix()[free][:, free]).tocsc()
+    want.sum_duplicates()
+    _assert_same_arrays(space.constrained_gram(0.37, plus=plus), want)
 
 
 # -- Sobolev weights -------------------------------------------------------------
@@ -760,6 +783,16 @@ def test_constrained_gram_stays_below_three_results(ell3d_setup):
     space = SobolevSpace(ell3d_setup[0].mask)  # a fresh space: no Gram built yet
     gram, _, peak = _traced(space.constrained_gram)
     assert peak < 3 * (gram.data.nbytes + gram.indices.nbytes + gram.indptr.nbytes)
+
+
+def test_direct_system_stays_below_three_results(ell3d_setup):
+    """The same bound for beta * G_ff + L^T W L, whose assembly set the 3-D
+    direct solve's peak."""
+    params = ell3d_setup[0].params
+    space = SobolevSpace(params.mask)
+    plus = _direct_plus(params)
+    hess, _, peak = _traced(lambda: space.constrained_gram(params.beta, plus))
+    assert peak < 3 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
 
 
 @pytest.mark.parametrize("step", ["OperatorStencil", "validate_operator", "field_table"])

@@ -8,7 +8,9 @@ x1 + x2^2 / X^2 < c - a, so every draw leaves core and inner nodes.
 The other levels (LEVELS) draw a parabolic cap or a hyperbolic level in 1+1-D
 and 2+1-D, or a random generic level in 2-D, with a lower-order term in the
 same way. The hyperbolic masks carry lateral data on every spatial face, so
-their random draws smooth toward several data faces at once.
+their random draws smooth toward several data faces at once. On these levels
+the constrained Gram is also checked bit for bit against the sparse-product
+assembly.
 """
 
 import numpy as np
@@ -28,6 +30,8 @@ from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOpera
 from convexcauchy.optimizer import OptimizerConfig, run
 from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
+
+from test_masked_setup import _keep_every_chain_gram
 
 
 def _source(points):
@@ -196,3 +200,17 @@ def test_gradient_matches_central_differences_on_other_levels(level, data):
 @given(data=st.data())
 def test_descent_step_keeps_trace_on_other_levels(level, data):
     _check_descent_step(*data.draw(level_problems(level)))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_constrained_gram_is_the_free_block_on_other_levels(level, data):
+    """The assembly on the free DOFs has the arrays of the free block of the
+    sparse-product Gram, bit for bit, on every level and dimension."""
+    params, _ = data.draw(level_problems(level))
+    free = params.mask.free_pos
+    want = _keep_every_chain_gram(params.space)[free][:, free].tocsc()
+    got = params.space.constrained_gram()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -224,6 +224,18 @@ class TestMixedPrecisionSolve:
         solved = self._falls_back(space.constrained_gram(), -space.apply_gram(v)[mask.free_pos])
         assert solved.refinements == sobolev.REFINE_MAX_ITERS
 
+    def test_unsorted_matrix_is_left_as_given(self):
+        """The float32 copy shares the index arrays only of a canonical
+        matrix: SuperLU sorts unsorted indices in place."""
+        a, b = _tridiagonal(), np.arange(50.0)
+        order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in zip(a.indptr, a.indptr[1:])])
+        unsorted = sp.csc_matrix((a.data[order], a.indices[order], a.indptr), shape=a.shape)
+        given = unsorted.indices.copy()
+        solved = spd_solve(unsorted, b)
+        assert np.array_equal(unsorted.indices, given)
+        assert (solved.factorizations, solved.refinements) == (1, 3)
+        assert np.linalg.norm(b - a @ solved.x) <= sobolev.REFINE_TOL * np.linalg.norm(b)
+
     def test_deterministic(self):
         a, b = _tridiagonal(), np.sin(np.arange(50.0))
         first, second = spd_solve(a, b), spd_solve(a, b)
