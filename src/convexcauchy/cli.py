@@ -204,6 +204,9 @@ def main(argv=None) -> int:
     except (ConfigError, GeometryError) as exc:
         logger.error("config error: %s", exc)
         return 1
+    except MemoryError as exc:  # arrays are sized by the config's grid
+        logger.error("out of memory: %s", exc)
+        return 1
     except ConvexCauchyError as exc:
         logger.error("numerical failure: %s", exc)
         return 2

@@ -356,15 +356,19 @@ def load_problem(path: str | Path) -> ProblemSetup:
     """Parse, validate, and resolve a problem definition file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # the parser's nesting limit
+        raise ConfigError(f"config {path} is nested too deeply to parse") from exc
     _require(isinstance(cfg, dict), "<root>", "must be a JSON object")
     return build_setup(cfg)
 

@@ -447,40 +447,17 @@ class SobolevSpace:
         data = sums[:, :m].T[keep.T]
         del sums
         indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=0))])
-        indices = col_of[self._slot_rows(cols, spans, index).T[keep.T]]
-        # a walk that left the DOFs (round a corner of the mask) finds its row
-        # by the node's flat index; a row that is no column would give SuperLU
-        # an index out of range
-        missing = np.flatnonzero(indices == m)
-        if missing.size:
-            at = np.flatnonzero(keep.T)[missing]
-            target = node[at // spans.size] + spans[at % spans.size]
-            indices[missing] = np.searchsorted(node, target)
-            if np.any(node.take(indices[missing], mode="clip") != target):
-                raise SolverError("Gram assembly left an entry whose row is not a column DOF")
-        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
-
-    def _slot_rows(self, cols: np.ndarray, spans: np.ndarray, index) -> np.ndarray:
-        """(slot, column) -> the DOF at the slot's flat offset from the column's
-        DOF, walked one step at a time through the gather tables, axis after
-        axis, along the node offset whose digits lie within half their axis;
-        the DOF count where the walk leaves the DOFs."""
-        n, shape = self.dof_weights.size, self.grid.shape
-        # per axis, the forward and backward tables with the sentinel n, which
-        # a step from the sentinel keeps
-        steps = np.full((len(shape), 2, n + 1), n, dtype=index)
-        for a, (forward, backward) in enumerate(zip(self._forward, self._backward)):
-            steps[a, 0, :n] = np.where(forward != np.arange(n), forward, n)
-            steps[a, 1, :n] = backward
-        out = np.empty((spans.size, cols.size), dtype=index)
+        # the row of each (slot, column) cell is the column DOF at the slot's
+        # flat offset from the column's node, found by search (`node` is
+        # sorted, as `cols` is), or m where no column DOF sits there
+        rows = np.empty((spans.size, m), dtype=index)
         for s, span in enumerate(spans.tolist()):
-            offset = []
-            for size in shape[:0:-1]:
-                offset.append((span + size // 2) % size - size // 2)
-                span = (span - offset[-1]) // size
-            at = cols
-            for a, d in enumerate([span, *offset[::-1]]):
-                for _ in range(abs(d)):
-                    at = steps[a, int(d < 0)].take(at)
-            out[s] = at
-        return out
+            target = node + span
+            found = np.searchsorted(node, target)
+            rows[s] = np.where(node.take(found, mode="clip") == target, found, m)
+        indices = rows.T[keep.T]
+        del rows
+        # a row that is no column would give SuperLU an index out of range
+        if np.any(indices == m):
+            raise SolverError("Gram assembly left an entry whose row is not a column DOF")
+        return sp.csc_matrix((data, indices, indptr), shape=(m, m))

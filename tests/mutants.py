@@ -101,9 +101,16 @@ MUTANTS = [
            "product does; on the uneven 2-D grid the other order changes bits"),
     Mutant("sobolev.py", "np.where(col[i] < m, w, 0.0)", "w",
            "a product whose row is a trace DOF belongs to no entry of the free block"),
-    Mutant("sobolev.py", "if missing.size:", "if False:",
-           "an entry whose row the walk through the gather tables cannot reach "
-           "(a far coupling of plus, round a corner of the mask) is found by search"),
+    Mutant("sobolev.py", "target = node + span", "target = node - span",
+           "the row of a slot's cell is the node at the slot's offset after the "
+           "column's node, not before it"),
+    Mutant("sobolev.py",
+           'rows[s] = np.where(node.take(found, mode="clip") == target, found, m)',
+           "rows[s] = found",
+           "equivalent: the match check changes only the rows of cells whose row is "
+           "no column DOF, and such a cell is never kept: each of its products has the "
+           "weight 0 (np.where(col[i] < m, w, 0.0)) and plus couples columns only",
+           equivalent=True),
     Mutant("sobolev.py", "copy=not matrix.has_canonical_format", "copy=False",
            "SuperLU sorts a matrix with unsorted indices in place, so the float32 "
            "copy may share only a canonical matrix's index arrays"),

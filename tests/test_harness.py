@@ -925,6 +925,30 @@ class TestCli:
     def test_missing_file_exit_one(self):
         assert main(["solve", "/nonexistent/x.json"]) == 1
 
+    def test_undecodable_config_exit_one(self, tmp_path, caplog):
+        path = tmp_path / "p.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(minimal_config()).encode("utf-16-le"))
+        assert main(["solve", str(path)]) == 1
+        assert f"config {path} is not UTF-8 text" in caplog.text
+
+    def test_deeply_nested_config_exit_one(self, tmp_path, caplog):
+        path = tmp_path / "p.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["solve", str(path)]) == 1
+        assert f"config {path} is nested too deeply to parse" in caplog.text
+
+    def test_out_of_memory_exit_one(self, tmp_path, caplog, monkeypatch):
+        """An allocation the config's grid makes too large exits 1 with a message."""
+        def classify_nodes(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100000, 100000) and data type float64")
+        monkeypatch.setattr(harness, "classify_nodes", classify_nodes)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(minimal_config(output_dir=str(tmp_path / "out"))))
+        assert main(["solve", str(path)]) == 1
+        assert "out of memory: Unable to allocate 74.5 GiB" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()

@@ -353,6 +353,12 @@ def _space(which, ell2d_mask, ell3d_setup) -> SobolevSpace:
         space = SobolevSpace(classify_nodes(grid, ell2d_mask.level))
         gram = space.gram_matrix()
         assert (gram != gram.T).nnz > 0
+    elif which == "2d-h3-short":
+        # 5 nodes along x1, fewer than 2 * order + 1: the flat offset +3 is
+        # both (0, +3) and (+1, -2) in node steps
+        grid = build_grid(((0.0, 1.0), (-0.2, 0.2)), (41, 5))
+        space = SobolevSpace(classify_nodes(grid, ell2d_mask.level))
+        assert space.mask.dofs.size == 38
     elif which == "3d-h3":
         space = SobolevSpace(ell3d_setup[0].mask)
     elif which == "3d-h3-uneven":
@@ -375,7 +381,7 @@ def _assert_same_arrays(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-SPACES = ["2d-h3", "2d-h3-uneven", "3d-h3", "3d-h3-uneven", "1d-h2", "inner-h1"]
+SPACES = ["2d-h3", "2d-h3-uneven", "2d-h3-short", "3d-h3", "3d-h3-uneven", "1d-h2", "inner-h1"]
 
 
 @pytest.mark.parametrize("which", SPACES)
@@ -397,8 +403,9 @@ def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
 
 def test_constrained_gram_adds_far_couplings_of_plus(ell2d_mask):
     """A plus that couples free DOFs far apart, outside the Gram's pattern,
-    has its entries placed as the scipy sum places them: rows a walk along
-    the offset's axes cannot reach inside the mask are found by search."""
+    has its entries placed as the scipy sum places them: each of its flat
+    offsets is a slot, whose rows are found by the same search as the
+    Gram's own."""
     space = SobolevSpace(ell2d_mask)
     free = ell2d_mask.free_pos
     rng = np.random.default_rng(7)
