@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
@@ -254,10 +253,10 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
     free degrees of freedom, where u_c carries the Cauchy data and L is the
     residual's (constant) linearization, a core-node x DOF matrix. The system
-    is assembled on the free DOFs only: L^T W L, from the free columns of L,
-    is added in place into the constrained Gram matrix as it is scaled by
-    beta; no DOF x DOF Hessian is formed. SobolevSpace.solve picks the
-    precision and counts the work; the report holds the work of this call.
+    is assembled on the free DOFs only: L^T W L is summed from the free
+    columns of L and W, in place, into the constrained Gram matrix scaled by
+    beta; no L^T W L matrix or DOF x DOF Hessian is formed. SobolevSpace.solve
+    picks the precision and counts the work; the report holds its work here.
     The report has 0 iterations and one history row at the minimizer
     (`final`): J, the Euclidean gradient norm and the H^k norm. Raises
     ConfigError for operators whose lower-order term actually depends on the
@@ -270,9 +269,8 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos
     lmat = params.stencil.linearize(v).to_matrix()[:, free]
-    lwl = lmat.T @ sp.diags(params.core_weight) @ lmat
-    del lmat
-    v[free] += space.solve(-0.5 * gradient(params, v)[free], params.beta, plus=lwl)
+    v[free] += space.solve(-0.5 * gradient(params, v)[free], params.beta,
+                           normal=(lmat, params.core_weight))
 
     j = evaluate(params, v)
     g = gradient(params, v, at=j)

@@ -17,7 +17,7 @@ one-sided first difference across the face.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import pairwise, product
 from typing import NamedTuple
 
 import numpy as np
@@ -321,26 +321,26 @@ class SobolevSpace:
     # -- constrained (zero-trace) system ---------------------------------------
 
     def constrained_gram(self, scale: float = 1.0,
-                         plus: sp.spmatrix | None = None) -> sp.csc_matrix:
-        """scale * G_ff + plus, with G_ff the Gram matrix over the free DOFs
-        (trace layers removed) in mask.free_pos order and plus an optional
-        free x free matrix: entry for entry the bits of the scipy sum
-        plus + scale * gram_matrix()[free][:, free], built in place."""
-        return self._assemble(self.mask.free_pos, scale, plus)
+                         normal: tuple[sp.spmatrix, np.ndarray] | None = None) -> sp.csc_matrix:
+        """scale * G_ff + L^T W L, with G_ff the Gram matrix over the free DOFs
+        (trace layers removed) in mask.free_pos order and normal = (L, w) an
+        optional rows x free sparse matrix and its row weights: entry for entry the
+        bits of L.T @ diags(w) @ L + scale * gram_matrix()[free][:, free]."""
+        return self._assemble(self.mask.free_pos, scale, normal)
 
     def solve(self, rhs: np.ndarray, scale: float = 1.0,
-              plus: sp.spmatrix | None = None) -> np.ndarray:
-        """x with (scale * G_ff + plus) x = rhs on the free DOFs (constrained_gram).
+              normal: tuple[sp.spmatrix, np.ndarray] | None = None) -> np.ndarray:
+        """x with (scale * G_ff + L^T W L) x = rhs on the free DOFs (constrained_gram).
 
         G_ff alone uses the kept float64 factor (constrained_solver) when there
         is one or the grid has fewer than MIXED_PRECISION_DIM axes. Any other
         system is one spd_solve, mixed precision from MIXED_PRECISION_DIM axes
         on, whose factor is not kept; its work adds to the space's counters.
         """
-        if scale == 1.0 and plus is None and (
+        if scale == 1.0 and normal is None and (
                 self._free_solve is not None or self.grid.dim < MIXED_PRECISION_DIM):
             return self.constrained_solver()(rhs)
-        solved = spd_solve(self.constrained_gram(scale, plus), rhs,
+        solved = spd_solve(self.constrained_gram(scale, normal), rhs,
                            mixed=self.grid.dim >= MIXED_PRECISION_DIM)
         self.factorizations += solved.factorizations
         self.refinements += solved.refinements
@@ -353,27 +353,28 @@ class SobolevSpace:
         return self._free_solve
 
     def _assemble(self, cols: np.ndarray, scale: float = 1.0,
-                  plus: sp.spmatrix | None = None) -> sp.csc_matrix:
-        """scale * sum_beta B^T diag(w) B + plus over the DOFs `cols`, in CSC,
-        read off the gather tables and validity of `differences`.
+                  normal: tuple[sp.spmatrix, np.ndarray] | None = None) -> sp.csc_matrix:
+        """scale * sum_beta B^T diag(w) B + L^T W L over the DOFs `cols`, in CSC,
+        read off the gather tables and validity of `differences` and off L.
 
         Where monomial beta is valid at p, row p of its chain B is a stencil:
         c(o) times v[p + o] over the box 0 <= o <= beta, the coefficients
         formed by the chain's own steps, (-1/h) c_parent(o) + (1/h)
         c_parent(o - e_a). Entry (p + o1, p + o2) of the term is then the sum
         over p, ascending, of (c(o1) w_p) c(o2), as the sparse product
-        B^T diag(w) B forms it. An entry couples two nodes at most `order`
-        steps apart (1-norm), so the sums live in a table with a slot per
-        flat node offset, the offsets of `plus` included, and a column per
-        column DOF. Each term is summed in a table of its own offsets and
-        added in monomial order, then scale and plus follow: every entry is
-        the sum, in the order, that a running sum of sparse matrices forms,
-        and entries that end at exactly 0 are dropped, as that sum drops them.
+        B^T diag(w) B forms it; entry (i, k) of L^T W L sums (L_pi w_p) L_pk
+        over the rows p of L ascending, as L.T @ diags(w) @ L does. An entry
+        couples two nodes at most `order` steps apart (1-norm), or two nodes
+        of a row of L, so the sums live in a table with a row of slots, one
+        per flat node offset, for each column DOF. Each term is summed in a
+        table of its own and added in monomial order, then scale and L^T W L
+        follow: every entry is the sum, in the order, that a running sum of
+        sparse matrices forms. Entries that end at exactly 0 are dropped, as
+        that sum drops them; the kept ones move forward into the CSC data.
         """
         grid, n, m = self.grid, self.dof_weights.size, cols.size
         strides = flat_strides(grid.shape)
-        # int32 where it fits: the tables of DOFs are the largest transients
-        # after the sums
+        # int32 where it fits: the tables of DOFs are the largest transients after the sums
         index = np.int32 if 2 * grid.node_count < 2**31 else np.intp
         # the column of each DOF, and m, a scratch column of the sums, off `cols`
         col_of = np.full(n + 1, m, dtype=index)
@@ -382,18 +383,26 @@ class SobolevSpace:
         near = [d for d in product(range(-self.order, self.order + 1), repeat=grid.dim)
                 if sum(map(abs, d)) <= self.order]
         spans = np.array(near) @ strides
-        if plus is not None:
-            plus = plus.tocsc()
-            count = np.diff(plus.indptr)
-            spans = np.concatenate([spans, node[plus.indices] - np.repeat(node, count)])
+        if normal is not None:
+            lmat, weight = normal[0].tocsr(), normal[1]
+            # the flat offset between any two entries of a row of L is a slot
+            at_node = node[lmat.indices]
+            row = np.repeat(np.arange(lmat.shape[0], dtype=index), np.diff(lmat.indptr))
+            for d in range(1, np.diff(lmat.indptr).max(initial=1)):
+                same = row[d:] == row[:-d]
+                spans = np.concatenate([spans, at_node[d:][same] - at_node[:-d][same]])
+            spans = np.concatenate([spans, -spans])
+            del at_node, row
         # the slot of each flat offset from the least, marked 1 first where one occurs
         lo = spans.min()
         slot_of = np.zeros(spans.max() - lo + 1, dtype=index)
         slot_of[spans - lo] = 1
         spans = np.flatnonzero(slot_of).astype(index) + lo
         slot_of[spans - lo] = np.arange(spans.size)
-
-        sums = np.zeros((spans.size, m + 1))
+        # the table's passes take 16 blocks of columns, whose transients stay small
+        blocks = list(pairwise(m * b // 16 for b in range(17)))
+        sums = np.zeros((m + 1) * spans.size)  # its own data, which shrinks in place
+        table = sums.reshape(m + 1, spans.size)
         coefs = []
         for (parent, axis), valid in zip(self._chain, self._dof_valid):
             if parent is None:
@@ -432,32 +441,43 @@ class SobolevSpace:
             del col
             offsets = (np.indices(width).reshape(grid.dim, -1).T - box[-1]) @ strides
             for r, slot in enumerate(slot_of[offsets - lo]):
-                sums[slot] += term[r]
+                table[:, slot] += term[r]
             del term, flat_term
         if scale != 1.0:
             sums *= scale
-        if plus is not None:
-            at = slot_of.take(node.take(plus.indices) - np.repeat(node + lo, count))
-            at *= m + 1
-            at += np.repeat(np.arange(m, dtype=index), count)
-            np.add.at(sums.reshape(-1), at, plus.data)
-            del at  # the size of plus, held otherwise through the CSC arrays' build
-
-        keep = sums[:, :m] != 0
-        data = sums[:, :m].T[keep.T]
-        del sums
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=0))])
-        # the row of each (slot, column) cell is the column DOF at the slot's
-        # flat offset from the column's node, found by search (`node` is
-        # sorted, as `cols` is), or m where no column DOF sits there
-        rows = np.empty((spans.size, m), dtype=index)
-        for s, span in enumerate(spans.tolist()):
-            target = node + span
-            found = np.searchsorted(node, target)
-            rows[s] = np.where(node.take(found, mode="clip") == target, found, m)
-        indices = rows.T[keep.T]
-        del rows
-        # a row that is no column would give SuperLU an index out of range
-        if np.any(indices == m):
-            raise SolverError("Gram assembly left an entry whose row is not a column DOF")
-        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
+        if normal is not None:
+            by_col, at_node = lmat.tocsc(), node[lmat.indices]
+            # the weight goes on the left factor: fl(fl(L_pi w_p) L_pk)
+            left, right = lmat.data * np.repeat(weight, np.diff(lmat.indptr)), by_col.data
+            for c0, c1 in blocks:
+                # column entries e (rows p ascending) and the entries `at` of each row p
+                e = slice(by_col.indptr[c0], by_col.indptr[c1])
+                p = by_col.indices[e]
+                count = lmat.indptr[p + 1] - lmat.indptr[p]
+                at = np.repeat(lmat.indptr[p] - count.cumsum() + count, count)
+                at += np.arange(at.size)
+                k = np.repeat(np.arange(c0, c1), np.diff(by_col.indptr[c0:c1 + 1]))
+                cell = slot_of[at_node[at] - np.repeat(node[k] + lo, count)]
+                cell += np.repeat((k - c0) * spans.size, count)
+                # a sequential sum, each cell's products in their order
+                term = np.bincount(cell, left[at] * np.repeat(right[e], count), table[c0:c1].size)
+                table[c0:c1] += term.reshape(c1 - c0, spans.size)
+                del p, count, at, k, cell, term
+            del by_col, at_node, left, right
+        # a block's kept cells move forward into the data; the row of each is the
+        # column DOF at the slot's flat offset from the column's node, found by
+        # search (`node` is sorted, as `cols` is), and SuperLU takes no row out of range
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(table[:m], axis=1), out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=index)
+        for c0, c1 in blocks:
+            keep = table[c0:c1] != 0
+            start, end = indptr[c0], indptr[c1]
+            target = (node[c0:c1, None] + spans)[keep]
+            indices[start:end] = np.searchsorted(node, target)
+            if not np.array_equal(node.take(indices[start:end], mode="clip"), target):
+                raise SolverError("Gram assembly left an entry whose row is not a column DOF")
+            sums[start:end] = table[c0:c1][keep]
+        del table  # no view is left (a tracer's copy of the locals fails refcheck)
+        sums.resize(indptr[-1], refcheck=False)
+        return sp.csc_matrix((sums, indices, indptr), shape=(m, m))

@@ -101,16 +101,29 @@ MUTANTS = [
            "product does; on the uneven 2-D grid the other order changes bits"),
     Mutant("sobolev.py", "np.where(col[i] < m, w, 0.0)", "w",
            "a product whose row is a trace DOF belongs to no entry of the free block"),
-    Mutant("sobolev.py", "target = node + span", "target = node - span",
+    Mutant("sobolev.py", "target = (node[c0:c1, None] + spans)[keep]",
+           "target = (node[c0:c1, None] - spans)[keep]",
            "the row of a slot's cell is the node at the slot's offset after the "
            "column's node, not before it"),
     Mutant("sobolev.py",
-           'rows[s] = np.where(node.take(found, mode="clip") == target, found, m)',
-           "rows[s] = found",
-           "equivalent: the match check changes only the rows of cells whose row is "
-           "no column DOF, and such a cell is never kept: each of its products has the "
-           "weight 0 (np.where(col[i] < m, w, 0.0)) and plus couples columns only",
+           'if not np.array_equal(node.take(indices[start:end], mode="clip"), target):',
+           "if False:",
+           "equivalent: the match check raises only for a kept cell whose row is no "
+           "column DOF, and no such cell is kept: each of its products has the weight 0 "
+           "(np.where(col[i] < m, w, 0.0)) and L^T W L couples columns of L only",
            equivalent=True),
+    Mutant("sobolev.py", "np.bincount(cell, left[at] * np.repeat(right[e], count),",
+           "np.bincount(cell[::-1], (left[at] * np.repeat(right[e], count))[::-1],",
+           "each entry of L^T W L sums its rows p in ascending order, as "
+           "L.T @ diags(w) @ L does"),
+    Mutant("sobolev.py",
+           "left, right = lmat.data * np.repeat(weight, np.diff(lmat.indptr)), by_col.data",
+           "left, right = lmat.data, by_col.data * weight[by_col.indices]",
+           "a product of L^T W L is fl(fl(L_pi w_p) L_pk), the weight on the left factor, "
+           "as L.T @ diags(w) forms it first"),
+    Mutant("sobolev.py", "sums[start:end] = table[c0:c1][keep]",
+           "sums[start + 1:end + 1] = table[c0:c1][keep]",
+           "the kept cells of a block move to the data's own offsets, those of indptr"),
     Mutant("sobolev.py", "copy=not matrix.has_canonical_format", "copy=False",
            "SuperLU sorts a matrix with unsorted indices in place, so the float32 "
            "copy may share only a canonical matrix's index arrays"),

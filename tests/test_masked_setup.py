@@ -401,18 +401,29 @@ def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
     _assert_same_arrays(got, space.gram_matrix()[free][:, free].tocsc())
 
 
-def test_constrained_gram_adds_far_couplings_of_plus(ell2d_mask):
-    """A plus that couples free DOFs far apart, outside the Gram's pattern,
-    has its entries placed as the scipy sum places them: each of its flat
-    offsets is a slot, whose rows are found by the same search as the
-    Gram's own."""
+def test_constrained_gram_adds_far_couplings_through_l(ell2d_mask):
+    """L^T W L of a random sparse L couples free DOFs far apart, outside the
+    Gram's pattern, and has its entries placed and summed as the scipy sum
+    places and sums them, also where a row of L has one entry or none."""
     space = SobolevSpace(ell2d_mask)
     free = ell2d_mask.free_pos
     rng = np.random.default_rng(7)
-    plus = sp.random(free.size, free.size, density=0.2, random_state=rng, format="csc")
-    want = (plus + 0.37 * space.gram_matrix()[free][:, free]).tocsc()
+    lmat = sp.random(80, free.size, density=0.04, random_state=rng, format="lil")
+    lmat[3] = 0.0  # an empty row
+    lmat[4] = 0.0
+    lmat[4, free.size // 2] = 1.7  # a row with one entry
+    lmat = lmat.tocsr()
+    lmat.eliminate_zeros()
+    assert np.diff(lmat.indptr)[3:5].tolist() == [0, 1]
+    weight = rng.uniform(0.5, 2.0, lmat.shape[0])
+    gram = space.constrained_gram()
+    lwl = lmat.T @ sp.diags(weight) @ lmat
+    want = (lwl + 0.37 * gram).tocsc()
     want.sum_duplicates()
-    _assert_same_arrays(space.constrained_gram(0.37, plus=plus), want)
+    _assert_same_arrays(space.constrained_gram(0.37, normal=(lmat, weight)), want)
+    outside = sp.csc_matrix(lwl, copy=True)
+    outside.data[:] = 1.0
+    assert (outside - outside.multiply(gram != 0)).nnz > 0
 
 
 # -- Sobolev weights -------------------------------------------------------------
@@ -467,39 +478,47 @@ def test_direct_solve_bit_identical_to_full_hessian(which, ell3d_setup):
 
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d"])
 def test_direct_system_bit_identical_to_the_csr_sum(which, ell3d_setup):
-    """beta * G_ff + L^T W L, built in place, has the entries of the scipy sum
-    (canonically ordered, as the factorization orders them), also where the
-    mixed stencil couples nodes outside the Gram's pattern."""
+    """beta * G_ff + L^T W L, summed in place from (L, w), has the entries of
+    the scipy sum (canonically ordered, as the factorization orders them),
+    also where the mixed stencil couples nodes outside the Gram's pattern."""
     params = _direct_setup(which, ell3d_setup).params
-    space, free = params.space, params.mask.free_pos
-    v = params.impose_dofs(np.zeros(params.mask.dofs.size))
-    lmat = params.stencil.linearize(v).to_matrix()[:, free]
-    lwl = lmat.T @ sp.diags(params.core_weight) @ lmat
-    gram = space.constrained_gram()
-    want = (lwl + params.beta * gram).tocsc()
-    want.sum_duplicates()
-    _assert_same_arrays(space.constrained_gram(params.beta, plus=lwl), want)
-    outside = sp.csc_matrix(lwl, copy=True)
+    lmat, weight = normal = _direct_normal(params)
+    _assert_same_arrays(params.space.constrained_gram(params.beta, normal=normal),
+                        _scipy_system(params, normal))
+    outside = sp.csc_matrix(lmat.T @ sp.diags(weight) @ lmat, copy=True)
     outside.data[:] = 1.0
-    outside = outside - outside.multiply(gram != 0)
+    outside = outside - outside.multiply(params.space.constrained_gram() != 0)
     assert (outside.nnz > 0) == (which == "ell2d-mixed")
 
 
 # -- mixed-precision direct solves in 3-D ------------------------------------------
 
 
-def _direct_plus(params) -> sp.csc_matrix:
-    """L^T W L on the free DOFs: what direct_solve adds to beta * G_ff."""
+def _direct_normal(params) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(L, w): the free columns of the linearization and the core weights,
+    whose L^T W L direct_solve adds to beta * G_ff."""
     free = params.mask.free_pos
     v = params.impose_dofs(np.zeros(params.mask.dofs.size))
-    lmat = params.stencil.linearize(v).to_matrix()[:, free]
-    return lmat.T @ sp.diags(params.core_weight) @ lmat
+    return params.stencil.linearize(v).to_matrix()[:, free], params.core_weight
+
+
+def _scipy_system(params, normal) -> sp.csc_matrix:
+    """The oracle of the direct system: L.T @ diags(w) @ L + beta * G_ff as
+    scipy sums it, in canonical form."""
+    lmat, weight = normal
+    want = (lmat.T @ sp.diags(weight) @ lmat
+            + params.beta * params.space.constrained_gram()).tocsc()
+    want.sum_duplicates()
+    return want
 
 
 def _direct_system(params) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The free-DOF normal equations and right-hand side of direct_solve."""
+    """The free-DOF normal equations and right-hand side of direct_solve; the
+    system has the arrays of the scipy oracle."""
     v = params.impose_dofs(np.zeros(params.mask.dofs.size))
-    hess = params.space.constrained_gram(params.beta, plus=_direct_plus(params))
+    normal = _direct_normal(params)
+    hess = params.space.constrained_gram(params.beta, normal=normal)
+    _assert_same_arrays(hess, _scipy_system(params, normal))
     return hess, -0.5 * gradient(params, v)[params.mask.free_pos]
 
 
@@ -569,14 +588,14 @@ def test_beta_underflowing_float32_falls_back(ell3d_setup):
 
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "hyp2d"])
 def test_solve_with_plus_is_one_factorization_of_the_sum(which, ell3d_setup):
-    """space.solve(rhs, beta, plus) factorizes beta * G_ff + plus once and keeps
-    nothing: in 2-D the float64 factor's bits, on three axes spd_solve's bits
-    and work."""
+    """space.solve(rhs, beta, normal=(L, w)) factorizes beta * G_ff + L^T W L
+    once and keeps nothing: in 2-D the float64 factor's bits, on three axes
+    spd_solve's bits and work."""
     params = (_hyp2d_params() if which == "hyp2d"
               else _direct_setup(which, ell3d_setup).params)
     hess, rhs = _direct_system(params)
     space = SobolevSpace(params.mask)
-    x = space.solve(rhs, params.beta, plus=_direct_plus(params))
+    x = space.solve(rhs, params.beta, normal=_direct_normal(params))
     if params.mask.grid.dim < 3:
         want = sobolev.SpdSolve(spd_factorized(hess)(rhs), 1, 0)
     else:
@@ -793,13 +812,23 @@ def test_constrained_gram_stays_below_three_results(ell3d_setup):
 
 
 def test_direct_system_stays_below_three_results(ell3d_setup):
-    """The same bound for beta * G_ff + L^T W L, whose assembly set the 3-D
-    direct solve's peak."""
+    """The same bound for beta * G_ff + L^T W L, summed from (L, w)."""
     params = ell3d_setup[0].params
     space = SobolevSpace(params.mask)
-    plus = _direct_plus(params)
-    hess, _, peak = _traced(lambda: space.constrained_gram(params.beta, plus))
+    normal = _direct_normal(params)
+    hess, _, peak = _traced(lambda: space.constrained_gram(params.beta, normal=normal))
     assert peak < 3 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
+
+
+def test_direct_solve_stays_below_2_2_systems(ell3d_setup):
+    """A whole 3-D direct solve, from the linearization to the refined
+    solution, holds less than 2.2 times the bytes of its system: the
+    assembly forms no L^T W L matrix and compacts the data in place (it held
+    2.5 systems with both)."""
+    params = _fresh_space(ell3d_setup[0].params)
+    hess, _ = _direct_system(params)
+    _, _, peak = _traced(lambda: direct_solve(params))
+    assert peak < 2.2 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
 
 
 @pytest.mark.parametrize("step", ["OperatorStencil", "validate_operator", "field_table"])
