@@ -395,19 +395,23 @@ class LinearizedOperator:
             out += w * buf[self.stencil.adjoint_tables[off]]
         return out
 
+    def rows(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+        """The stencil by offset, one row per core node in ascending order:
+        (offset, DOF position each core row reads there, coefficient per core
+        row), the `_terms` of one offset summed in `_terms` order."""
+        summed = {}
+        for off, c, scale in self._terms():
+            summed[off] = summed[off] + scale * c if off in summed else scale * c
+        return [(off, self.stencil.tables[off], c) for off, c in summed.items()]
+
     def to_matrix(self) -> "scipy.sparse.csr_matrix":
-        """Assemble `forward` as a sparse core-node x DOF matrix."""
+        """Assemble `forward` as a sparse core-node x DOF matrix of the nonzero
+        coefficients of `rows`."""
         import scipy.sparse as sp
 
-        core = np.arange(self.stencil.core_pos.size)
-        rows, cols, vals = [], [], []
-        for off, c, w in self._terms():
-            sel = c != 0.0
-            rows.append(core[sel])
-            cols.append(self.stencil.tables[off][sel])
-            vals.append(w * c[sel])
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(core.size, self.mask.dofs.size),
-        )
-        return mat.tocsr()
+        _, cols, coefs = zip(*self.rows())
+        cols, coefs = np.stack(cols, axis=-1), np.stack(coefs, axis=-1)
+        keep = coefs != 0.0
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+        return sp.csr_matrix((coefs[keep], cols[keep], indptr),
+                             shape=(keep.shape[0], self.mask.dofs.size)).sorted_indices()

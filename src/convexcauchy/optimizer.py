@@ -252,15 +252,15 @@ def direct_solve(params: FunctionalParams) -> RunReport:
 
     Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
     free degrees of freedom, where u_c carries the Cauchy data and L is the
-    residual's (constant) linearization, a core-node x DOF matrix. The system
-    is assembled on the free DOFs only: L^T W L is summed from the free
-    columns of L and W, in place, into the constrained Gram matrix scaled by
-    beta; no L^T W L matrix or DOF x DOF Hessian is formed. SobolevSpace.solve
-    picks the precision and counts the work; the report holds its work here.
-    The report has 0 iterations and one history row at the minimizer
-    (`final`): J, the Euclidean gradient norm and the H^k norm. Raises
-    ConfigError for operators whose lower-order term actually depends on the
-    field.
+    residual's (constant) linearization. The system is assembled on the free
+    DOFs only: L^T W L is summed from L's stencil rows and W, in place, into
+    the constrained Gram matrix scaled by beta; no matrix of L or L^T W L and
+    no DOF x DOF Hessian is formed. SobolevSpace.solve picks the precision
+    and counts the work; the report holds its work here. The report has 0
+    iterations and one history row at the minimizer (`final`): J, the
+    Euclidean gradient norm and the H^k norm. Raises ConfigError for
+    operators whose lower-order term actually depends on the field, and
+    SolverError when the gradient norm overflows (a beta near the float range).
     """
     t0 = time.perf_counter()
     require_affine(getattr(params.op.lower, "kind", "linear"))
@@ -268,14 +268,17 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     work = space.factorizations, space.refinements
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos
-    lmat = params.stencil.linearize(v).to_matrix()[:, free]
     v[free] += space.solve(-0.5 * gradient(params, v)[free], params.beta,
-                           normal=(lmat, params.core_weight))
+                           normal=(params.stencil.linearize(v).rows(), params.core_weight))
 
     j = evaluate(params, v)
-    g = gradient(params, v, at=j)
+    with np.errstate(over="ignore"):
+        grad_norm = float(np.linalg.norm(gradient(params, v, at=j)))
+    if not np.isfinite(grad_norm):
+        raise SolverError(f"the gradient norm at the direct solution overflows at "
+                          f"beta={params.beta:g}")
     return RunReport(
-        j_history=[float(j)], grad_norm_history=[float(np.linalg.norm(g))],
+        j_history=[float(j)], grad_norm_history=[grad_norm],
         radius_history=[float(np.sqrt(max(j.norm_sq, 0.0)))], evaluations=1, gradients=2,
         factorizations=space.factorizations - work[0], refinements=space.refinements - work[1],
         final=v, converged=True, reason="direct normal-equations solve", space=space,

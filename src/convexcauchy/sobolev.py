@@ -321,15 +321,17 @@ class SobolevSpace:
     # -- constrained (zero-trace) system ---------------------------------------
 
     def constrained_gram(self, scale: float = 1.0,
-                         normal: tuple[sp.spmatrix, np.ndarray] | None = None) -> sp.csc_matrix:
+                         normal: tuple[list, np.ndarray] | None = None) -> sp.csc_matrix:
         """scale * G_ff + L^T W L, with G_ff the Gram matrix over the free DOFs
-        (trace layers removed) in mask.free_pos order and normal = (L, w) an
-        optional rows x free sparse matrix and its row weights: entry for entry the
-        bits of L.T @ diags(w) @ L + scale * gram_matrix()[free][:, free]."""
+        (trace layers removed) in mask.free_pos order and normal = (rows, w) an
+        optional linearization, its stencil rows (LinearizedOperator.rows)
+        anchored at ascending nodes, and its row weights: entry for entry the
+        bits of L.T @ diags(w) @ L + scale * gram_matrix()[free][:, free], with L
+        the CSR matrix of the rows' free columns."""
         return self._assemble(self.mask.free_pos, scale, normal)
 
     def solve(self, rhs: np.ndarray, scale: float = 1.0,
-              normal: tuple[sp.spmatrix, np.ndarray] | None = None) -> np.ndarray:
+              normal: tuple[list, np.ndarray] | None = None) -> np.ndarray:
         """x with (scale * G_ff + L^T W L) x = rhs on the free DOFs (constrained_gram).
 
         G_ff alone uses the kept float64 factor (constrained_solver) when there
@@ -353,24 +355,22 @@ class SobolevSpace:
         return self._free_solve
 
     def _assemble(self, cols: np.ndarray, scale: float = 1.0,
-                  normal: tuple[sp.spmatrix, np.ndarray] | None = None) -> sp.csc_matrix:
+                  normal: tuple[list, np.ndarray] | None = None) -> sp.csc_matrix:
         """scale * sum_beta B^T diag(w) B + L^T W L over the DOFs `cols`, in CSC,
-        read off the gather tables and validity of `differences` and off L.
+        read off the gather tables and validity of `differences` and off L's rows.
 
         Where monomial beta is valid at p, row p of its chain B is a stencil:
         c(o) times v[p + o] over the box 0 <= o <= beta, the coefficients
         formed by the chain's own steps, (-1/h) c_parent(o) + (1/h)
-        c_parent(o - e_a). Entry (p + o1, p + o2) of the term is then the sum
-        over p, ascending, of (c(o1) w_p) c(o2), as the sparse product
-        B^T diag(w) B forms it; entry (i, k) of L^T W L sums (L_pi w_p) L_pk
-        over the rows p of L ascending, as L.T @ diags(w) @ L does. An entry
-        couples two nodes at most `order` steps apart (1-norm), or two nodes
-        of a row of L, so the sums live in a table with a row of slots, one
-        per flat node offset, for each column DOF. Each term is summed in a
-        table of its own and added in monomial order, then scale and L^T W L
-        follow: every entry is the sum, in the order, that a running sum of
+        c_parent(o - e_a); a row of L is a stencil with a coefficient per row.
+        _add_term sums each term as its sparse product does. An entry couples
+        two nodes at most `order` steps apart (1-norm), or two offsets of L
+        apart, so the sums live in a table with a row of slots, one per flat
+        node offset, for each column DOF. The monomials, then scale, then L^T W L
+        are added in: every entry is the sum, in the order, that a running sum of
         sparse matrices forms. Entries that end at exactly 0 are dropped, as
         that sum drops them; the kept ones move forward into the CSC data.
+        Overflow runs on, and a system that is not finite raises SolverError.
         """
         grid, n, m = self.grid, self.dof_weights.size, cols.size
         strides = flat_strides(grid.shape)
@@ -384,93 +384,59 @@ class SobolevSpace:
                 if sum(map(abs, d)) <= self.order]
         spans = np.array(near) @ strides
         if normal is not None:
-            lmat, weight = normal[0].tocsr(), normal[1]
-            # the flat offset between any two entries of a row of L is a slot
-            at_node = node[lmat.indices]
-            row = np.repeat(np.arange(lmat.shape[0], dtype=index), np.diff(lmat.indptr))
-            for d in range(1, np.diff(lmat.indptr).max(initial=1)):
-                same = row[d:] == row[:-d]
-                spans = np.concatenate([spans, at_node[d:][same] - at_node[:-d][same]])
-            spans = np.concatenate([spans, -spans])
-            del at_node, row
+            # L's offsets ascending, and the flat offset between any two is a slot
+            rows, weight = normal
+            rows = sorted(rows, key=lambda row: np.dot(row[0], strides))
+            at = np.array([off for off, _, _ in rows]) @ strides
+            spans = np.concatenate([spans, (at[:, None] - at).ravel()])
         # the slot of each flat offset from the least, marked 1 first where one occurs
         lo = spans.min()
         slot_of = np.zeros(spans.max() - lo + 1, dtype=index)
         slot_of[spans - lo] = 1
         spans = np.flatnonzero(slot_of).astype(index) + lo
         slot_of[spans - lo] = np.arange(spans.size)
-        # the table's passes take 16 blocks of columns, whose transients stay small
-        blocks = list(pairwise(m * b // 16 for b in range(17)))
         sums = np.zeros((m + 1) * spans.size)  # its own data, which shrinks in place
         table = sums.reshape(m + 1, spans.size)
         coefs = []
-        for (parent, axis), valid in zip(self._chain, self._dof_valid):
-            if parent is None:
-                coef = np.ones((1,) * grid.dim)
-            else:
-                h, up = grid.spacing[axis], coefs[parent]
-                zero = np.zeros_like(up.take([0], axis=axis))
-                coef = ((-1.0 / h) * np.concatenate([up, zero], axis=axis)
-                        + (1.0 / h) * np.concatenate([zero, up], axis=axis))
-            coefs.append(coef)
-            p = np.flatnonzero(valid)
-            if not p.size:
-                continue
-            # the box in C order, which is ascending flat offset, and its
-            # columns at each valid p, each a forward step from an earlier offset
-            box = np.indices(coef.shape).reshape(grid.dim, -1).T
-            box_strides = flat_strides(coef.shape)
-            col = np.empty((box.shape[0], p.size), dtype=index)
-            col[0] = p
-            for i, o in enumerate(box[1:].tolist(), 1):
-                a = max(k for k, d in enumerate(o) if d)
-                col[i] = self._forward[a][col[i - box_strides[a]]]
-            col = col_of[col]
-            # the term's own slots, o1 - o2 over the box [-beta, beta] in C order
-            width = 2 * box[-1] + 1
-            local = (box[:, None] - box[None] + box[-1]) @ flat_strides(width) * (m + 1)
-            term = np.zeros((width.prod(), m + 1))
-            flat_term = term.reshape(-1)
-            c, w = coef.ravel(), self.dof_weights[p]
-            # descending o1 is ascending p for every entry; where the row p + o1
-            # is not a column the weight is 0, and its zero products change no sum
-            for i in reversed(range(box.shape[0])):
-                weighted = c[i] * np.where(col[i] < m, w, 0.0)
-                for k in range(box.shape[0]):
-                    np.add.at(flat_term, local[i, k] + col[k], c[k] * weighted)
-            del col
-            offsets = (np.indices(width).reshape(grid.dim, -1).T - box[-1]) @ strides
-            for r, slot in enumerate(slot_of[offsets - lo]):
-                table[:, slot] += term[r]
-            del term, flat_term
-        if scale != 1.0:
-            sums *= scale
-        if normal is not None:
-            by_col, at_node = lmat.tocsc(), node[lmat.indices]
-            # the weight goes on the left factor: fl(fl(L_pi w_p) L_pk)
-            left, right = lmat.data * np.repeat(weight, np.diff(lmat.indptr)), by_col.data
-            for c0, c1 in blocks:
-                # column entries e (rows p ascending) and the entries `at` of each row p
-                e = slice(by_col.indptr[c0], by_col.indptr[c1])
-                p = by_col.indices[e]
-                count = lmat.indptr[p + 1] - lmat.indptr[p]
-                at = np.repeat(lmat.indptr[p] - count.cumsum() + count, count)
-                at += np.arange(at.size)
-                k = np.repeat(np.arange(c0, c1), np.diff(by_col.indptr[c0:c1 + 1]))
-                cell = slot_of[at_node[at] - np.repeat(node[k] + lo, count)]
-                cell += np.repeat((k - c0) * spans.size, count)
-                # a sequential sum, each cell's products in their order
-                term = np.bincount(cell, left[at] * np.repeat(right[e], count), table[c0:c1].size)
-                table[c0:c1] += term.reshape(c1 - c0, spans.size)
-                del p, count, at, k, cell, term
-            del by_col, at_node, left, right
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (parent, axis), valid in zip(self._chain, self._dof_valid):
+                if parent is None:
+                    coef = np.ones((1,) * grid.dim)
+                else:
+                    h, up = grid.spacing[axis], coefs[parent]
+                    zero = np.zeros_like(up.take([0], axis=axis))
+                    coef = ((-1.0 / h) * np.concatenate([up, zero], axis=axis)
+                            + (1.0 / h) * np.concatenate([zero, up], axis=axis))
+                coefs.append(coef)
+                p = np.flatnonzero(valid)
+                if not p.size:
+                    continue
+                # the box in C order, which is ascending flat offset, and its
+                # columns at each valid p, each a forward step from an earlier offset
+                box = np.indices(coef.shape).reshape(grid.dim, -1).T
+                box_strides = flat_strides(coef.shape)
+                col = np.empty((box.shape[0], p.size), dtype=index)
+                col[0] = p
+                for i, o in enumerate(box[1:].tolist(), 1):
+                    a = max(k for k, d in enumerate(o) if d)
+                    col[i] = self._forward[a][col[i - box_strides[a]]]
+                col = col_of[col]
+                offsets = box @ strides
+                _add_term(table, slot_of[offsets[:, None] - offsets - lo], col, coef.ravel(),
+                          self.dof_weights[p])
+                del col
+            if scale != 1.0:
+                sums *= scale
+            if normal is not None:
+                _add_term(table, slot_of[at[:, None] - at - lo],
+                          [col_of[dofs] for _, dofs, _ in rows], [c for _, _, c in rows], weight)
         # a block's kept cells move forward into the data; the row of each is the
         # column DOF at the slot's flat offset from the column's node, found by
         # search (`node` is sorted, as `cols` is), and SuperLU takes no row out of range
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.count_nonzero(table[:m], axis=1), out=indptr[1:])
         indices = np.empty(indptr[-1], dtype=index)
-        for c0, c1 in blocks:
+        for c0, c1 in pairwise(m * b // 16 for b in range(17)):
             keep = table[c0:c1] != 0
             start, end = indptr[c0], indptr[c1]
             target = (node[c0:c1, None] + spans)[keep]
@@ -480,4 +446,28 @@ class SobolevSpace:
             sums[start:end] = table[c0:c1][keep]
         del table  # no view is left (a tracer's copy of the locals fails refcheck)
         sums.resize(indptr[-1], refcheck=False)
+        if not np.all(np.isfinite(sums)):
+            raise SolverError(f"the {m} x {m} system at scale {scale:g} is not finite")
         return sp.csc_matrix((sums, indices, indptr), shape=(m, m))
+
+
+def _add_term(table: np.ndarray, slots: np.ndarray, col, coef, weight: np.ndarray) -> None:
+    """Add one term, a stencil per row p, into `table`. Stencil entry k sits at
+    flat node offset o_k from p's node (ascending in k), in column col[k][p]
+    (the scratch column m where that node is none) with coefficient coef[k],
+    one constant (a monomial) or one per row (L). Entry (p + o_i, p + o_k)
+    gets fl(fl(c_i w_p) c_k) in the slot slots[i, k] of o_i - o_k, summed in a
+    table of the term's own slots, o_i descending: with the rows' nodes
+    ascending, every entry sums its p ascending. A product whose row is no
+    column has the weight 0, and its zero changes no sum."""
+    m = table.shape[0] - 1
+    own, local = np.unique(slots, return_inverse=True)
+    local = local.reshape(slots.shape) * (m + 1)
+    term = np.zeros((own.size, m + 1))
+    flat_term = term.reshape(-1)
+    for i in reversed(range(slots.shape[0])):
+        weighted = coef[i] * np.where(col[i] < m, weight, 0.0)
+        for k in range(slots.shape[0]):
+            np.add.at(flat_term, local[i, k] + col[k], coef[k] * weighted)
+    for r, slot in enumerate(own):
+        table[:, slot] += term[r]

@@ -95,11 +95,11 @@ MUTANTS = [
     Mutant("sobolev.py", "coef = ((-1.0 / h) * np.concatenate([up, zero], axis=axis)",
            "coef = ((1.0 / h) * np.concatenate([up, zero], axis=axis)",
            "a chain step is (v[p + e] - v[p]) / h, so its coefficient at p is -1/h"),
-    Mutant("sobolev.py", "for i in reversed(range(box.shape[0])):",
-           "for i in range(box.shape[0]):",
+    Mutant("sobolev.py", "for i in reversed(range(slots.shape[0])):",
+           "for i in range(slots.shape[0]):",
            "each Gram entry sums its DOFs p in ascending order, as the sparse "
            "product does; on the uneven 2-D grid the other order changes bits"),
-    Mutant("sobolev.py", "np.where(col[i] < m, w, 0.0)", "w",
+    Mutant("sobolev.py", "np.where(col[i] < m, weight, 0.0)", "weight",
            "a product whose row is a trace DOF belongs to no entry of the free block"),
     Mutant("sobolev.py", "target = (node[c0:c1, None] + spans)[keep]",
            "target = (node[c0:c1, None] - spans)[keep]",
@@ -109,18 +109,22 @@ MUTANTS = [
            'if not np.array_equal(node.take(indices[start:end], mode="clip"), target):',
            "if False:",
            "equivalent: the match check raises only for a kept cell whose row is no "
-           "column DOF, and no such cell is kept: each of its products has the weight 0 "
-           "(np.where(col[i] < m, w, 0.0)) and L^T W L couples columns of L only",
+           "column DOF, and no such cell is kept: each of its products, of a monomial or "
+           "of L, has the weight 0 (np.where(col[i] < m, weight, 0.0))",
            equivalent=True),
-    Mutant("sobolev.py", "np.bincount(cell, left[at] * np.repeat(right[e], count),",
-           "np.bincount(cell[::-1], (left[at] * np.repeat(right[e], count))[::-1],",
+    Mutant("sobolev.py", "rows = sorted(rows, key=lambda row: np.dot(row[0], strides))",
+           "pass",
            "each entry of L^T W L sums its rows p in ascending order, as "
-           "L.T @ diags(w) @ L does"),
-    Mutant("sobolev.py",
-           "left, right = lmat.data * np.repeat(weight, np.diff(lmat.indptr)), by_col.data",
-           "left, right = lmat.data, by_col.data * weight[by_col.indices]",
-           "a product of L^T W L is fl(fl(L_pi w_p) L_pk), the weight on the left factor, "
-           "as L.T @ diags(w) forms it first"),
+           "L.T @ diags(w) @ L does, which takes L's offsets ascending"),
+    Mutant("operators.py", "for off, c, scale in self._terms():",
+           "for off, c, scale in reversed(list(self._terms())):",
+           "the stencil rows sum the terms of one offset in `_terms` order, as the "
+           "coo sum of the terms does (to_matrix bits)"),
+    Mutant("sobolev.py", "if not np.all(np.isfinite(sums)):", "if False:",
+           "a system past the float range raises SolverError naming the scale"),
+    Mutant("optimizer.py", "if not np.isfinite(grad_norm):", "if False:",
+           "a direct solve whose gradient norm overflows exits 2, not 0 with an "
+           "infinite norm in its report"),
     Mutant("sobolev.py", "sums[start:end] = table[c0:c1][keep]",
            "sums[start + 1:end + 1] = table[c0:c1][keep]",
            "the kept cells of a block move to the data's own offsets, those of indptr"),

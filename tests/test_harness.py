@@ -751,6 +751,20 @@ class TestCli:
         assert ("numerical failure: sparse factorization of the 54 x 54 system failed: "
                 "Factor is exactly singular") in caplog.text
 
+    def test_huge_beta_direct_solve_exits_two(self, tmp_path, caplog):
+        """At beta 1e300, beta * G_ff of ELL2D-HARMONIC reaches 5e307, still
+        finite, but the gradient norm at the solution overflows: exit 2 with a
+        message naming beta, not 0 with a numpy warning (a traceback here,
+        where warnings are errors)."""
+        cfg = {"case": "ELL2D-HARMONIC", "solver": "direct",
+               "functional": {"beta": 1e300, "beta_policy": "keep"},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 2
+        assert ("numerical failure: the gradient norm at the direct solution overflows "
+                "at beta=1e+300") in caplog.text
+
     def test_solve_gradient_reports_contraction(self, tmp_path):
         cfg = {
             "case": "ELL2D-CUBIC",

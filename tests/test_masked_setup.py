@@ -33,7 +33,7 @@ from hypothesis.extra.numpy import arrays
 
 from convexcauchy import cli, grid as grid_module, harness, sobolev
 from convexcauchy.catalog import CASES
-from convexcauchy.errors import ConfigError, GeometryError
+from convexcauchy.errors import ConfigError, GeometryError, SolverError
 from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, gradient
 from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, build_grid,
                                classify_nodes, flat_neighbor_tables, level_values, shift)
@@ -402,28 +402,50 @@ def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
 
 
 def test_constrained_gram_adds_far_couplings_through_l(ell2d_mask):
-    """L^T W L of a random sparse L couples free DOFs far apart, outside the
-    Gram's pattern, and has its entries placed and summed as the scipy sum
-    places and sums them, also where a row of L has one entry or none."""
-    space = SobolevSpace(ell2d_mask)
-    free = ell2d_mask.free_pos
+    """L^T W L of a random stencil-form L, whose offsets reach beyond the
+    Gram's pattern, has its entries placed and summed as the scipy sum of the
+    rows' CSR places and sums them, also where a coefficient is exactly 0, a
+    row is all zero or an offset leaves the mask."""
+    mask = ell2d_mask
+    space = SobolevSpace(mask)
+    core, free, n = mask.core_pos, mask.free_pos, mask.dofs.size
     rng = np.random.default_rng(7)
-    lmat = sp.random(80, free.size, density=0.04, random_state=rng, format="lil")
-    lmat[3] = 0.0  # an empty row
-    lmat[4] = 0.0
-    lmat[4, free.size // 2] = 1.7  # a row with one entry
-    lmat = lmat.tocsr()
-    lmat.eliminate_zeros()
-    assert np.diff(lmat.indptr)[3:5].tolist() == [0, 1]
-    weight = rng.uniform(0.5, 2.0, lmat.shape[0])
+    offsets = [(0, 1), (2, -2), (0, 0), (-3, 1), (1, 0), (0, -4), (-1, 0)]  # not ascending
+    tables = mask.neighbor_tables(offsets, rows=core)
+    coefs = [rng.standard_normal(core.size) * (rng.random(core.size) > 0.2) for _ in offsets]
+    for c in coefs:
+        c[5] = 0.0  # an all-zero row
+    weight = rng.uniform(0.5, 2.0, core.size)
+    keep = [(c != 0.0) & (t < n) for t, c in zip(tables, coefs)]
+    lmat = sp.coo_matrix((np.concatenate([c[k] for c, k in zip(coefs, keep)]),
+                          (np.concatenate([np.flatnonzero(k) for k in keep]),
+                           np.concatenate([t[k] for t, k in zip(tables, keep)]))),
+                         shape=(core.size, n)).tocsr()[:, free]
+    assert np.any(np.concatenate(tables) == n)  # an offset leaves the mask
+    assert np.any(np.concatenate([(c == 0.0) & (t < n) for t, c in zip(tables, coefs)]))
+    assert lmat[5].nnz == 0
     gram = space.constrained_gram()
     lwl = lmat.T @ sp.diags(weight) @ lmat
     want = (lwl + 0.37 * gram).tocsc()
     want.sum_duplicates()
-    _assert_same_arrays(space.constrained_gram(0.37, normal=(lmat, weight)), want)
+    normal = (list(zip(offsets, tables, coefs)), weight)
+    _assert_same_arrays(space.constrained_gram(0.37, normal=normal), want)
     outside = sp.csc_matrix(lwl, copy=True)
     outside.data[:] = 1.0
     assert (outside - outside.multiply(gram != 0)).nnz > 0
+
+
+def test_constrained_gram_past_the_float_range_raises(ell2d_mask):
+    """A scale, or products of L^T W L, past the float range leave entries
+    that are not finite: SolverError names the scale, and no numpy warning
+    escapes."""
+    space = SobolevSpace(ell2d_mask)
+    with pytest.raises(SolverError, match=r"system at scale 1e\+301 is not finite"):
+        space.constrained_gram(1e301)
+    core = ell2d_mask.core_pos
+    rows = [((0, 0), core, np.full(core.size, 1e200))]
+    with pytest.raises(SolverError, match="system at scale 1 is not finite"):
+        space.constrained_gram(normal=(rows, np.ones(core.size)))
 
 
 # -- Sobolev weights -------------------------------------------------------------
@@ -462,51 +484,72 @@ MIXED_DIRECT = {"case": "ELL2D-HARMONIC", "solver": "direct",
                              "mu": [0.6, 1.4]}}
 
 
-def _direct_setup(which, ell3d_setup):
+@pytest.fixture(scope="module")
+def ell3d_mixed(tmp_path_factory):
+    """The 3-D direct-solve cap at 33^3 with a principal part that mixes two
+    pairs of axes: its stencil has 15 offsets, and L^T W L couples nodes 4
+    steps apart."""
+    trace = tmp_path_factory.mktemp("ell3d-mixed") / "trace.csv"
+    principal = [["1", "0.3", "0"], ["0.3", "1", "0.2"], ["0", "0.2", "1"]]
+    return build_setup({**_ell3d_config(33, trace), "solver": "direct",
+                        "operator": {"id": "linear", "principal": principal, "mu": [0.6, 1.4]}})
+
+
+def _direct_setup(which, request):
     setup = {"ell2d-config": lambda: load_problem(DIRECT_CONFIG),
              "ell2d-mixed": lambda: build_setup(MIXED_DIRECT),
-             "ell3d": lambda: ell3d_setup[0]}[which]()
+             "ell3d": lambda: request.getfixturevalue("ell3d_setup")[0],
+             "ell3d-mixed": lambda: request.getfixturevalue("ell3d_mixed")}[which]()
     assert setup.solver == "direct"
     return setup
 
 
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d"])
-def test_direct_solve_bit_identical_to_full_hessian(which, ell3d_setup):
-    setup = _direct_setup(which, ell3d_setup)
+def test_direct_solve_bit_identical_to_full_hessian(which, request):
+    setup = _direct_setup(which, request)
     assert np.array_equal(direct_solve(setup.params).final, _full_hessian_solve(setup.params))
 
 
-@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d"])
-def test_direct_system_bit_identical_to_the_csr_sum(which, ell3d_setup):
-    """beta * G_ff + L^T W L, summed in place from (L, w), has the entries of
-    the scipy sum (canonically ordered, as the factorization orders them),
-    also where the mixed stencil couples nodes outside the Gram's pattern."""
-    params = _direct_setup(which, ell3d_setup).params
-    lmat, weight = normal = _direct_normal(params)
-    _assert_same_arrays(params.space.constrained_gram(params.beta, normal=normal),
-                        _scipy_system(params, normal))
-    outside = sp.csc_matrix(lmat.T @ sp.diags(weight) @ lmat, copy=True)
+@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "ell3d-mixed"])
+def test_direct_system_bit_identical_to_the_csr_sum(which, request):
+    """beta * G_ff + L^T W L, summed in place from L's stencil rows and w,
+    has the entries of the scipy sum (canonically ordered, as the
+    factorization orders them), also where the mixed stencil couples nodes
+    outside the Gram's pattern."""
+    params = _direct_setup(which, request).params
+    _assert_same_arrays(params.space.constrained_gram(params.beta, normal=_direct_normal(params)),
+                        _scipy_system(params))
+    lmat = _direct_matrix(params)
+    outside = sp.csc_matrix(lmat.T @ sp.diags(params.core_weight) @ lmat, copy=True)
     outside.data[:] = 1.0
     outside = outside - outside.multiply(params.space.constrained_gram() != 0)
-    assert (outside.nnz > 0) == (which == "ell2d-mixed")
+    assert (outside.nnz > 0) == which.endswith("mixed")
 
 
 # -- mixed-precision direct solves in 3-D ------------------------------------------
 
 
-def _direct_normal(params) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(L, w): the free columns of the linearization and the core weights,
+def _direct_linearization(params):
+    """The linearization of direct_solve, at its starting field."""
+    return params.stencil.linearize(params.impose_dofs(np.zeros(params.mask.dofs.size)))
+
+
+def _direct_normal(params) -> tuple[list, np.ndarray]:
+    """(rows, w): the stencil rows of the linearization and the core weights,
     whose L^T W L direct_solve adds to beta * G_ff."""
-    free = params.mask.free_pos
-    v = params.impose_dofs(np.zeros(params.mask.dofs.size))
-    return params.stencil.linearize(v).to_matrix()[:, free], params.core_weight
+    return _direct_linearization(params).rows(), params.core_weight
 
 
-def _scipy_system(params, normal) -> sp.csc_matrix:
+def _direct_matrix(params) -> sp.csr_matrix:
+    """L: the free columns of the linearization's matrix."""
+    return _direct_linearization(params).to_matrix()[:, params.mask.free_pos]
+
+
+def _scipy_system(params) -> sp.csc_matrix:
     """The oracle of the direct system: L.T @ diags(w) @ L + beta * G_ff as
     scipy sums it, in canonical form."""
-    lmat, weight = normal
-    want = (lmat.T @ sp.diags(weight) @ lmat
+    lmat = _direct_matrix(params)
+    want = (lmat.T @ sp.diags(params.core_weight) @ lmat
             + params.beta * params.space.constrained_gram()).tocsc()
     want.sum_duplicates()
     return want
@@ -516,9 +559,8 @@ def _direct_system(params) -> tuple[sp.csc_matrix, np.ndarray]:
     """The free-DOF normal equations and right-hand side of direct_solve; the
     system has the arrays of the scipy oracle."""
     v = params.impose_dofs(np.zeros(params.mask.dofs.size))
-    normal = _direct_normal(params)
-    hess = params.space.constrained_gram(params.beta, normal=normal)
-    _assert_same_arrays(hess, _scipy_system(params, normal))
+    hess = params.space.constrained_gram(params.beta, normal=_direct_normal(params))
+    _assert_same_arrays(hess, _scipy_system(params))
     return hess, -0.5 * gradient(params, v)[params.mask.free_pos]
 
 
@@ -587,12 +629,12 @@ def test_beta_underflowing_float32_falls_back(ell3d_setup):
 
 
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "hyp2d"])
-def test_solve_with_plus_is_one_factorization_of_the_sum(which, ell3d_setup):
-    """space.solve(rhs, beta, normal=(L, w)) factorizes beta * G_ff + L^T W L
+def test_solve_with_plus_is_one_factorization_of_the_sum(which, request):
+    """space.solve(rhs, beta, normal=(rows, w)) factorizes beta * G_ff + L^T W L
     once and keeps nothing: in 2-D the float64 factor's bits, on three axes
     spd_solve's bits and work."""
     params = (_hyp2d_params() if which == "hyp2d"
-              else _direct_setup(which, ell3d_setup).params)
+              else _direct_setup(which, request).params)
     hess, rhs = _direct_system(params)
     space = SobolevSpace(params.mask)
     x = space.solve(rhs, params.beta, normal=_direct_normal(params))
@@ -812,8 +854,17 @@ def test_constrained_gram_stays_below_three_results(ell3d_setup):
 
 
 def test_direct_system_stays_below_three_results(ell3d_setup):
-    """The same bound for beta * G_ff + L^T W L, summed from (L, w)."""
-    params = ell3d_setup[0].params
+    """The same bound for beta * G_ff + L^T W L, summed from L's rows and w."""
+    _assert_direct_system_below_three_results(ell3d_setup[0].params)
+
+
+def test_mixed_direct_system_stays_below_three_results(ell3d_mixed):
+    """The same bound where L's stencil has 15 offsets and L^T W L reaches
+    beyond the Gram's pattern."""
+    _assert_direct_system_below_three_results(ell3d_mixed.params)
+
+
+def _assert_direct_system_below_three_results(params):
     space = SobolevSpace(params.mask)
     normal = _direct_normal(params)
     hess, _, peak = _traced(lambda: space.constrained_gram(params.beta, normal=normal))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import CATALOG_IDS, make_problem
 from convexcauchy.errors import ConfigError
@@ -403,3 +404,75 @@ def test_nonfinite_field_rejected(ell2d_mask):
     bad[0, 0] = np.nan
     with pytest.raises(Exception, match="finite"):
         Field(ell2d_mask.grid, bad)
+
+
+# -- the stencil rows and the matrix built from them --------------------------------
+
+
+def _coo_of_terms(lin) -> sp.csr_matrix:
+    """`forward` as a matrix, built without `rows`: the coo entries of every
+    `_terms` triple where its coefficient is nonzero, their duplicates summed
+    by scipy. On rows of at most 16 coo entries scipy sums them in `_terms`
+    order (its index sort is an insertion sort there); on longer rows, as a
+    3-D stencil with two mixed pairs and a zeroth-order term has, it sums
+    them in the order of an unstable sort, which `rows` does not follow."""
+    core = np.arange(lin.stencil.core_pos.size)
+    rows, cols, vals = [], [], []
+    for off, c, w in lin._terms():
+        sel = c != 0.0
+        rows.append(core[sel])
+        cols.append(lin.stencil.tables[off][sel])
+        vals.append(w * c[sel])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(core.size, lin.mask.dofs.size)).tocsr()
+
+
+def _variable_mixed(points):
+    """A symmetric principal part whose diagonal and mixed entries vary."""
+    out = np.empty(points.shape[:-1] + (2, 2))
+    out[..., 0, 0] = 1.2 + 0.1 * np.sin(points[..., 0])
+    out[..., 1, 1] = 1.0
+    out[..., 0, 1] = out[..., 1, 0] = 0.3 * np.cos(3.0 * points[..., 1])
+    return out
+
+
+def _two_mixed_pairs(points):
+    out = np.zeros(points.shape[:-1] + (3, 3))
+    out[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    out[..., 0, 1] = out[..., 1, 0] = 0.3
+    out[..., 1, 2] = out[..., 2, 1] = 0.2
+    return out
+
+
+def _to_matrix_case(which, ell2d_mask):
+    """(operator, mask) of a to_matrix case."""
+    catalog = {"cubic": "ELL2D-CUBIC", "parabolic": "PAR1D-CUBIC", "hyperbolic": "HYP1D-QUAD",
+               "1d": "ELL1D-CUBIC"}
+    if which in catalog:
+        _, _, mask, op, *_ = make_problem(catalog[which])
+        return op, mask
+    if which == "3d-33":
+        grid = build_grid(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (33, 33, 33))
+        mask = classify_nodes(grid, LevelSpec(family="elliptic", a=0.2, c=0.45, nu=1.0,
+                                              x_width=1.0))
+        return QuasilinearOperator(family="elliptic", dim=3, principal=_two_mixed_pairs), mask
+    lower = {"sine-mixed": LowerOrderTerm("sine", lambda p: p[..., 0]),
+             "gradsq-b": LowerOrderTerm("gradsq", lambda p: p[..., 1],
+                                        lambda p: 0.5 + 0.2 * p[..., 0])}[which]
+    principal = _variable_mixed if which == "sine-mixed" else None
+    return QuasilinearOperator(family="elliptic", dim=2, principal=principal,
+                               lower=lower), ell2d_mask
+
+
+@pytest.mark.parametrize("which", ["cubic", "sine-mixed", "gradsq-b", "parabolic",
+                                   "hyperbolic", "1d", "3d-33"])
+def test_to_matrix_bit_identical_to_the_coo_of_terms(which, ell2d_mask, rng):
+    """The matrix of `rows` has the arrays of the coo sum of the `_terms`, at
+    a zero and at a random base field."""
+    op, mask = _to_matrix_case(which, ell2d_mask)
+    stencil = OperatorStencil(op, mask)
+    for base in (np.zeros(mask.dofs.size), 2.0 * random_smooth_values(mask, rng)):
+        lin = stencil.linearize(base)
+        got, want = lin.to_matrix(), _coo_of_terms(lin)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
