@@ -218,7 +218,10 @@ def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
     else:
         raise ConfigError("the evaluation passed as `at` is of another field")
     g = 2.0 * params.stencil.linearize(v).adjoint(params.core_weight * r)
-    g += 2.0 * params.beta * params.space.apply_gram(v, diffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g += 2.0 * params.beta * params.space.apply_gram(v, diffs)
+    if not np.all(np.isfinite(g)):
+        raise ConvexCauchyError(f"the gradient overflows at beta={params.beta:g}; reduce beta")
     g[params.mask.trace_pos] = 0.0
     if at is not None:
         at.euclidean_gradient = g

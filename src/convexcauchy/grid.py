@@ -269,42 +269,42 @@ def flat_strides(shape: Sequence[int]) -> np.ndarray:
     return np.cumprod((1, *shape[:0:-1]))[::-1]
 
 
-def flat_neighbor_tables(flat: np.ndarray, shape: Sequence[int],
-                         offsets: Sequence[Sequence[int]],
-                         start: np.ndarray | None = None) -> list[np.ndarray]:
-    """Gather tables of stencil offsets over nodes given by their sorted flat
-    indices `flat` in a C-order grid of `shape`.
+def step_tables(flat: np.ndarray, shape: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the +1 and -1 step tables of the nodes given by their sorted
+    flat indices `flat` in a C-order grid of `shape`.
 
-    Entry k of an offset's table is the position in `flat` of start[k] +
-    offset, where start holds flat node indices (default: `flat` itself).
-    Where that node is not in `flat` or leaves the grid the entry is the
-    sentinel flat.size, one past the end, which reads zero from a buffer
-    whose one extra last slot holds 0. The positions are searched among the
-    flat indices, so no full-grid array is made.
+    Entry k of a table is the position in `flat` of the node one step from
+    node flat[k], or the sentinel n = flat.size where that node is not in
+    `flat` or leaves the grid; a buffer with one extra last slot holding 0
+    reads zero there. The last entry, n, is the sentinel's own, so steps
+    compose (see walk). The positions are searched among the flat indices,
+    so no full-grid array is made.
     """
-    start = flat if start is None else start
+    n = flat.size
     padded = np.append(flat, -1)  # a search past the end reads -1, which no target equals
-    index = np.unravel_index(start, shape)
-    strides = flat_strides(shape)
-    tables = []
-    for offset in offsets:
-        target, inside = start, True
-        for i, n, stride, off in zip(index, shape, strides, offset):
-            if off:
-                inside = inside & (i >= -off) & (i < n - off)
-                target = target + off * stride
-        pos = np.searchsorted(flat, target)
-        tables.append(np.where(inside & (padded[pos] == target), pos, flat.size))
-    return tables
+    steps = []
+    for i, size, stride in zip(np.unravel_index(flat, shape), shape, flat_strides(shape)):
+        pair = []
+        for target, in_grid in ((flat + stride, i < size - 1), (flat - stride, i > 0)):
+            pos = np.searchsorted(flat, target)
+            pair.append(np.append(np.where(in_grid & (padded[pos] == target), pos, n), n))
+        steps.append(tuple(pair))
+    return steps
 
 
-def inverse_table(table: np.ndarray, size: int) -> np.ndarray:
-    """The flat_neighbor_tables entry of the negated offset, node sets swapped, read off
-    `table` (rows -> one of `size` nodes, or the sentinel `size`) without a
-    full-grid pass: entry j is the row that reads node j, else table.size."""
-    out = np.full(size + 1, table.size, dtype=np.intp)
-    out[table] = np.arange(table.size)
-    return out[:-1]
+def walk(steps: Sequence[tuple[np.ndarray, np.ndarray]], start: np.ndarray,
+         offset: Sequence[int]) -> np.ndarray:
+    """The position of the node at `offset` from each position in `start`,
+    one +-1 step at a time through the step tables `steps`, axis by axis; the
+    sentinel where a step leaves the node set. A node found is the right one,
+    but the sentinel is exact only where the box between a start and its
+    offset lies in the set, as the 3^d box of a core node does: a far offset
+    can turn a corner of the set and miss a node in it."""
+    pos = start
+    for (plus, minus), off in zip(steps, offset):
+        for _ in range(abs(off)):
+            pos = (plus if off > 0 else minus)[pos]
+    return pos
 
 
 def check_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
@@ -367,12 +367,15 @@ class DomainMask:
         core_pos, inner_pos: DOF positions of the core nodes (interior and
             inner, with a full 3^d neighbourhood in the mask) and of the
             inner nodes.
+        steps: per axis, the (+1, -1) step tables of the DOFs (step_tables),
+            which every stencil reads its neighbours off.
 
     All arrays are read-only after construction; classification is pure.
     """
 
     def __init__(self, grid: Grid, level: LevelSpec, dofs: np.ndarray, dof_label: np.ndarray,
-                 dof_quad_weight: np.ndarray, dof_ell: np.ndarray, deriv_pos: np.ndarray):
+                 dof_quad_weight: np.ndarray, dof_ell: np.ndarray, deriv_pos: np.ndarray,
+                 steps: list[tuple[np.ndarray, np.ndarray]]):
         self.grid = grid
         self.level = level
         self.theta = level.threshold
@@ -391,10 +394,11 @@ class DomainMask:
         self.inner_pos = np.flatnonzero(dof_label == Label.INNER)
         self.counts = {lab.name.lower(): int(np.sum(dof_label == lab)) for lab in Label}
         self.counts["outside"] = grid.node_count - dofs.size
+        self.steps = steps
 
         for arr in (self.dofs, self.dof_label, self.dof_quad_weight, self.dof_ell,
                     self.value_pos, self.deriv_pos, self.trace_pos, self.free_pos,
-                    self.core_pos, self.inner_pos):
+                    self.core_pos, self.inner_pos, *(t for pair in steps for t in pair)):
             arr.setflags(write=False)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
@@ -415,25 +419,15 @@ class DomainMask:
         out.setflags(write=False)
         return out
 
-    def neighbor_tables(self, offsets: Sequence[Sequence[int]],
-                        rows: np.ndarray | None = None) -> list[np.ndarray]:
-        """Gather tables of stencil offsets over the DOFs, read from the DOFs
-        at positions `rows` (default: every DOF); see flat_neighbor_tables."""
-        return flat_neighbor_tables(self.dofs, self.grid.shape, offsets,
-                                    None if rows is None else self.dofs[rows])
-
     def erode(self, pos: np.ndarray) -> np.ndarray:
         """The DOF positions among `pos` whose whole 3^d neighbourhood lies
         among the DOFs at `pos`, sorted. The 3^d box is the sum of the +-1
         segments of the axes, so the erosion is one +-1 step per axis in turn."""
-        dim, n = self.grid.dim, self.dofs.size
-        inside = np.zeros(n + 1, dtype=bool)  # the last slot: the sentinel
+        inside = np.zeros(self.dofs.size + 1, dtype=bool)  # the last slot: the sentinel
         inside[pos] = True
-        for axis in range(dim):
-            plus, minus = self.neighbor_tables([axis_offset(dim, axis, 1),
-                                                axis_offset(dim, axis, -1)])
-            inside[:n] &= inside[plus] & inside[minus]
-        return np.flatnonzero(inside[:n])
+        for plus, minus in self.steps:
+            inside &= inside[plus] & inside[minus]
+        return np.flatnonzero(inside)
 
     @cached_property
     def smoothing(self) -> list[sp.csr_matrix]:
@@ -442,12 +436,10 @@ class DomainMask:
         random draws need it). Each row lists [+, -, self] without a missing
         neighbour: its product's running sum forms that expression's bits, as
         scaling by 0.25 is exact."""
-        dim, n = self.grid.dim, self.dofs.size
+        n = self.dofs.size
         out = []
-        for axis in range(dim):
-            cols = np.stack([*self.neighbor_tables([axis_offset(dim, axis, 1),
-                                                    axis_offset(dim, axis, -1)]),
-                             np.arange(n)], axis=1)
+        for plus, minus in self.steps:
+            cols = np.stack([plus[:n], minus[:n], np.arange(n)], axis=1)
             keep = cols < n
             data = np.broadcast_to([0.25, 0.25, 0.5], cols.shape)
             out.append(sp.csr_matrix(
@@ -457,13 +449,11 @@ class DomainMask:
 
     def largest_cell_level_variation(self) -> float:
         """Max level-value change across one grid cell within the mask."""
-        worst = 0.0
-        dim, n = self.grid.dim, self.dofs.size
-        for table in self.neighbor_tables([axis_offset(dim, a) for a in range(dim)]):
-            hit = table < n
-            if np.any(hit):
-                step = self.dof_ell[table[hit]] - self.dof_ell[hit]
-                worst = max(worst, float(np.max(np.abs(step))))
+        worst, n = 0.0, self.dofs.size
+        for plus, _ in self.steps:
+            hit = np.flatnonzero(plus[:n] < n)
+            step = self.dof_ell[plus[hit]] - self.dof_ell[hit]
+            worst = max(worst, float(np.max(np.abs(step), initial=0.0)))
         return worst
 
     # -- full-grid node sets, built on each access (read outside the library) ---
@@ -494,7 +484,7 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
     full 3^d neighborhood inside the mask so that centered stencils never
     reach an outside node. The level values of the whole grid are a
     transient: everything after the threshold test works on the masked
-    nodes through gather tables.
+    nodes through their step tables.
     """
     d = grid.dim
     if spec.family == "hyperbolic":
@@ -545,16 +535,14 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
     cauchy = np.logical_or.reduce([index[axis] == at for axis, at, _ in faces])
     # the trapezoid rule per axis, h between two masked neighbours and h/2 at
     # the rim, and the erosion to the core (as in DomainMask.erode) read the
-    # same +-1 neighbours
+    # step tables, searched once here and kept by the mask
+    steps = step_tables(dofs, grid.shape)
     quad = np.ones(n)
     eroded = np.ones(n + 1, dtype=bool)
     eroded[n] = False  # the sentinel
-    for axis in range(d):
-        plus, minus = flat_neighbor_tables(
-            dofs, grid.shape, [axis_offset(d, axis, 1), axis_offset(d, axis, -1)])
-        h = grid.spacing[axis]
-        quad *= np.where((plus < n) & (minus < n), h, 0.5 * h)
-        eroded[:n] &= eroded[plus] & eroded[minus]
+    for h, (plus, minus) in zip(grid.spacing, steps):
+        quad *= np.where((plus[:n] < n) & (minus[:n] < n), h, 0.5 * h)
+        eroded &= eroded[plus] & eroded[minus]
     core = np.flatnonzero(eroded[:n] & ~cauchy)
     label = np.full(n, int(Label.XI_BOUNDARY), dtype=np.int8)
     label[core] = Label.INTERIOR
@@ -574,12 +562,12 @@ def classify_nodes(grid: Grid, spec: LevelSpec) -> DomainMask:
     # the derivative layer: the nodes one step inward of a data node, still
     # in the closure and not data nodes themselves
     deriv = np.zeros(n, dtype=bool)
-    for (axis, at, step), outward in zip(faces, flat_neighbor_tables(
-            dofs, grid.shape, [axis_offset(d, axis, -step) for axis, _, step in faces])):
-        deriv |= (index[axis] == at + step) & (outward < n)
+    for axis, at, step in faces:
+        outward = steps[axis][step > 0]  # the -1 table for the inward step +1
+        deriv |= (index[axis] == at + step) & (outward[:n] < n)
     deriv &= ~cauchy
 
-    mask = DomainMask(grid, resolved, dofs, label, quad, dof_ell, np.flatnonzero(deriv))
+    mask = DomainMask(grid, resolved, dofs, label, quad, dof_ell, np.flatnonzero(deriv), steps)
     logger.info(
         "classified %d nodes: %s (epsilon=%.4g, theta=%.4g)",
         grid.node_count, mask.counts, eps, theta,

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ConvexCauchyError
-from .grid import DomainMask, axis_offset, inverse_table
+from .grid import DomainMask, axis_offset, walk
 
 OPERATOR_FAMILIES = ("elliptic", "parabolic", "hyperbolic")
 
@@ -212,7 +212,9 @@ class OperatorStencil:
         second_mixed: list of (axis_i, axis_j, coeff), the symmetric pair summed
         first: list of (axis, coeff), the parabolic time derivative
     tables[off] maps each core node to the DOF at node + off; adjoint_tables[off]
-    maps each DOF to the core node at DOF - off, or to the zero sentinel.
+    maps each DOF to the core node at DOF - off, or to the zero sentinel. Both
+    are walks through the mask's step tables, exact as every offset lies in
+    the 3^d box of a core node, which is masked.
     """
 
     def __init__(self, op: QuasilinearOperator, mask: DomainMask):
@@ -245,10 +247,12 @@ class OperatorStencil:
         offsets = {center} | {axis_offset(grid.dim, a, s) for a in range(grid.dim) for s in (1, -1)}
         for ai, aj, _ in self.second_mixed:
             offsets |= set(_mixed_offsets(grid.dim, ai, aj))
-        offsets = list(offsets)
-        self.tables = dict(zip(offsets, mask.neighbor_tables(offsets, rows=mask.core_pos)))
-        self.adjoint_tables = {off: inverse_table(table, mask.dofs.size)
-                               for off, table in self.tables.items()}
+        self.tables = {off: walk(mask.steps, mask.core_pos, off) for off in offsets}
+        # the core row of each DOF, else n_core: the adjoint's zero sentinel
+        core_row = np.full(mask.dofs.size + 1, n_core, dtype=np.intp)
+        core_row[mask.core_pos] = np.arange(n_core)
+        self.adjoint_tables = {off: core_row[walk(mask.steps, np.arange(mask.dofs.size),
+                                                  [-o for o in off])] for off in offsets}
         self.core_pos = self.tables[center]  # DOF position of each core node
         # q and b of the lower-order term, evaluated once on the core nodes
         self.source, self.scale = op.lower.fields(self.points) if op.lower else (None, None)

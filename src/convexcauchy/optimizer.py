@@ -146,7 +146,10 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
 
     for it in range(config.max_iters):
         g = check_finite(gradient(params, u, "sobolev", at=j), "gradient")
-        gsq = float(np.sum(j.euclidean_gradient * g))  # the dual norm, squared
+        with np.errstate(over="ignore", invalid="ignore"):
+            gsq = float(np.sum(j.euclidean_gradient * g))  # the dual norm, squared
+        if not np.isfinite(gsq):
+            raise SolverError(f"the squared gradient norm overflows at beta={params.beta:g}")
         gnorm = float(np.sqrt(max(gsq, 0.0)))
         unorm = float(np.sqrt(max(j.norm_sq, 0.0)))  # = space.norm(u)
 

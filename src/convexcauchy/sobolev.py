@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, GeometryError, SolverError
-from .grid import DomainMask, axis_offset, flat_strides, inverse_table
+from .grid import DomainMask, flat_strides
 
 
 def sobolev_order(dim: int) -> int:
@@ -183,8 +183,8 @@ class SobolevSpace:
         self.order = sobolev_order(self.grid.dim) if order is None else int(order)
         if self.order < 1:
             raise ConfigError(f"Sobolev order must be >= 1, got {self.order}")
-        on_nodes = np.zeros(mask.dofs.size, dtype=bool)
-        on_nodes[slice(None) if node_subset is None else node_subset] = True
+        on_nodes = np.zeros(mask.dofs.size + 1, dtype=bool)  # the last slot: the sentinel
+        on_nodes[slice(-1) if node_subset is None else node_subset] = True
         if not np.any(on_nodes):
             raise GeometryError("Sobolev space over an empty node set")
         self.node_pos = np.flatnonzero(on_nodes)
@@ -192,33 +192,32 @@ class SobolevSpace:
         self._free_solve = None
         self.factorizations = self.refinements = 0  # the work of every solve (see solve)
 
-        self.dof_weights = np.where(on_nodes, mask.dof_quad_weight, 0.0)
-        # a DOF without a forward neighbour along an axis points at itself:
-        # its raw difference reads 0 there and is zeroed by validity anyway
-        rows = np.arange(self.dof_weights.size)
-        tables = mask.neighbor_tables([axis_offset(self.grid.dim, a) for a in range(self.grid.dim)])
-        self._forward = [np.where(table < rows.size, table, rows) for table in tables]
-        self._backward = [inverse_table(table, rows.size) for table in tables]
+        self.dof_weights = np.where(on_nodes[:-1], mask.dof_quad_weight, 0.0)
+        # views of the mask's step tables; a sentinel reads v[n - 1] (clipped), zeroed by validity
+        n = self.dof_weights.size
+        self._forward = [plus[:n] for plus, _ in mask.steps]
+        self._backward = [minus[:n] for _, minus in mask.steps]
         # D^beta = D_a D^parent with a the last axis beta differences along;
         # monomials are sorted by order, so the parent always comes first.
         # A monomial contributes at p only when its whole forward stencil box
         # sits inside the node set (composed differences are raw otherwise):
-        # the box of beta is the parent's box at p and at p + e_a.
+        # the box of beta is the parent's box at p and at p + e_a (the
+        # sentinel's last slot stays False).
         self._chain = []
-        self._dof_valid = []
+        boxes = []
         for beta in self.monomials:
             if not any(beta):
                 self._chain.append((None, None))
-                self._dof_valid.append(on_nodes)
+                boxes.append(on_nodes)
                 continue
             axis = max(a for a, b in enumerate(beta) if b)
             parent = list(beta)
             parent[axis] -= 1
             parent = self.monomials.index(tuple(parent))
             self._chain.append((parent, axis))
-            box = self._dof_valid[parent]
-            forward = self._forward[axis]
-            self._dof_valid.append(box & box[forward] & (forward != rows))
+            box = boxes[parent]
+            boxes.append(box & box[mask.steps[axis][0]])
+        self._dof_valid = [box[:n] for box in boxes]
         # a monomial's raw difference is needed until its last child is built
         self._last_child = {parent: k for k, (parent, _) in enumerate(self._chain)
                             if parent is not None}
@@ -252,7 +251,8 @@ class SobolevSpace:
                 d = v
             else:
                 prev = raw[parent] if self._last_child[parent] > k else raw.pop(parent)
-                d = (prev.take(self._forward[axis], axis=-1) - prev) / self.grid.spacing[axis]
+                d = (prev.take(self._forward[axis], -1, mode="clip")
+                     - prev) / self.grid.spacing[axis]
             if k in self._last_child:
                 raw[k] = d
             yield np.where(valid, d, 0.0)

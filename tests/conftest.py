@@ -8,7 +8,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from convexcauchy.catalog import CASES
 from convexcauchy.functional import FunctionalParams
-from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.grid import LevelSpec, build_grid, classify_nodes, shift
 from convexcauchy.harness import build_setup
 
 logging.getLogger("convexcauchy").setLevel(logging.ERROR)
@@ -57,3 +57,14 @@ def make_problem(case_id, resolution=None, lam=None, beta=None, beta_policy="kee
 
 
 CATALOG_IDS = list(CASES)
+
+
+def full_grid_table(nodes, offset, rows=None):
+    """The gather table of `offset` over the boolean node set `nodes`, through
+    a full-grid numbering and its shifted copy: entry k is the number of the
+    node at `offset` from the k-th node of `rows` (default: `nodes`), or the
+    node count where that node is not in the set."""
+    n = int(np.count_nonzero(nodes))
+    number = np.full(nodes.shape, n, dtype=np.intp)
+    number[nodes] = np.arange(n)
+    return shift(number, offset, fill=n)[nodes if rows is None else rows]

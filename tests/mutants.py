@@ -77,8 +77,8 @@ MUTANTS = [
     Mutant("sobolev.py", "x = self.dof_weights * d", "x = d",
            "the Gram action weights every H^k monomial as the norm does (gradient "
            "against central differences)"),
-    Mutant("sobolev.py", "self.dof_weights = np.where(on_nodes, mask.dof_quad_weight, 0.0)",
-           "self.dof_weights = np.where(on_nodes, 1.0, 0.0)",
+    Mutant("sobolev.py", "self.dof_weights = np.where(on_nodes[:-1], mask.dof_quad_weight, 0.0)",
+           "self.dof_weights = np.where(on_nodes[:-1], 1.0, 0.0)",
            "every H^k monomial is weighted by the quadrature, also where the norm and "
            "the Gram action agree (shift reference, golden values)"),
     Mutant("sobolev.py", "if np.any(b[self.mask.trace_pos]):", "if False:",
@@ -131,6 +131,16 @@ MUTANTS = [
     Mutant("sobolev.py", "copy=not matrix.has_canonical_format", "copy=False",
            "SuperLU sorts a matrix with unsorted indices in place, so the float32 "
            "copy may share only a canonical matrix's index arrays"),
+    Mutant("grid.py", "pos = (plus if off > 0 else minus)[pos]",
+           "pos = (minus if off > 0 else plus)[pos]",
+           "a walk steps along its offset's sign: the stencil's mixed and adjoint tables "
+           "are walks (full-grid numbering, residual bits)"),
+    Mutant("grid.py", "pos, n), n))", "pos, n), 0))",
+           "a step table ends in the sentinel's own entry, so a walk that has left the "
+           "node set stays at the sentinel"),
+    Mutant("grid.py", "(flat + stride, i < size - 1)", "(flat + stride, True)",
+           "a +1 step off the grid's last node along an axis finds no node, not the "
+           "first node of the next row (full-grid numbering)"),
 ]
 
 

@@ -765,6 +765,25 @@ class TestCli:
         assert ("numerical failure: the gradient norm at the direct solution overflows "
                 "at beta=1e+300") in caplog.text
 
+    @pytest.mark.parametrize("solver, beta, message", [
+        # the squared dual norm of the first Sobolev gradient overflows
+        ("gradient", 1e300, "the squared gradient norm overflows at beta=1e+300"),
+        # the right-hand side, the gradient at the data, overflows before the assembly
+        ("direct", 1e301, "the gradient overflows at beta=1e+301; reduce beta"),
+    ], ids=["gradient", "direct"])
+    def test_beta_near_the_float_range_exits_two(self, solver, beta, message, tmp_path,
+                                                  caplog):
+        """A beta near the float range on the shipped ELL2D-HARMONIC config:
+        exit 2 with a message naming beta, not a numpy warning (a traceback
+        here, where warnings are errors) or a message naming lambda."""
+        cfg = json.loads((CONFIG_DIR / "ell2d_harmonic_reconstruct.json").read_text())
+        cfg.update(solver=solver, functional={"beta": beta, "beta_policy": "keep"},
+                   output_dir=str(tmp_path / "out"))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 2
+        assert f"numerical failure: {message}" in caplog.text
+
     def test_solve_gradient_reports_contraction(self, tmp_path):
         cfg = {
             "case": "ELL2D-CUBIC",

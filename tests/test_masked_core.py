@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 import shift_reference as ref
+from conftest import full_grid_table
 from convexcauchy.functional import CauchyData, FunctionalParams, evaluate, gradient
-from convexcauchy.grid import (LevelSpec, axis_offset, build_grid, classify_nodes,
-                               flat_neighbor_tables, shift)
+from convexcauchy.grid import LevelSpec, axis_offset, build_grid, classify_nodes, shift
 from convexcauchy.harness import build_setup
 from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
 from convexcauchy.sampling import random_smooth_values
@@ -265,19 +265,23 @@ def test_smooth_draw_bitwise(problem):
 
 
 def test_inverted_tables_match_neighbor_tables(problem):
-    """The gather tables read off the forward ones (the stencil's adjoint
-    tables, the H^k backward tables) equal a direct flat_neighbor_tables
-    pass at the negated offset, sentinels included."""
-    mask, dim, shape = problem.mask, problem.mask.grid.dim, problem.mask.grid.shape
+    """The tables walked through the mask's step tables (the stencil's tables
+    from the core nodes, its adjoint tables at the negated offset from every
+    DOF to the core nodes) and the H^k forward and backward tables, views of
+    the step tables, equal the full-grid numbering's tables, sentinels
+    included."""
+    mask, dim = problem.mask, problem.mask.grid.dim
+    in_mask, core = mask.in_mask, mask.is_core
     stencil = problem.stencil
+    for off, table in stencil.tables.items():
+        assert np.array_equal(table, full_grid_table(in_mask, off, core)), off
     for off, table in stencil.adjoint_tables.items():
-        want, = flat_neighbor_tables(np.flatnonzero(mask.is_core), shape, [[-o for o in off]],
-                                     np.flatnonzero(mask.in_mask))
-        assert np.array_equal(table, want), off
+        assert np.array_equal(table, full_grid_table(core, [-o for o in off], in_mask)), off
     for space in _spaces(problem):
-        for axis, table in enumerate(space._backward):
-            assert np.array_equal(table, *flat_neighbor_tables(
-                np.flatnonzero(mask.in_mask), shape, [axis_offset(dim, axis, -1)]))
+        for axis in range(dim):
+            for table, step in ((space._forward[axis], 1), (space._backward[axis], -1)):
+                assert np.shares_memory(table, mask.steps[axis][step < 0])
+                assert np.array_equal(table, full_grid_table(in_mask, axis_offset(dim, axis, step)))
 
 
 def test_inverted_tables_cover_mixed_and_3d():

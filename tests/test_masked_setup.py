@@ -31,12 +31,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import full_grid_table
 from convexcauchy import cli, grid as grid_module, harness, sobolev
 from convexcauchy.catalog import CASES
 from convexcauchy.errors import ConfigError, GeometryError, SolverError
 from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, gradient
 from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, build_grid,
-                               classify_nodes, flat_neighbor_tables, level_values, shift)
+                               classify_nodes, level_values, shift, step_tables, walk)
 from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
                                   load_cauchy_csv, load_problem)
 from convexcauchy.operators import OperatorStencil, QuasilinearOperator, validate_operator
@@ -288,34 +289,52 @@ def test_classification_matches_the_full_grid_form(case):
 # -- gather tables -----------------------------------------------------------------
 
 
-def _full_grid_table(nodes, offset, rows=None):
-    """A gather table through a full-grid numbering and its shifted copy."""
-    n = int(np.count_nonzero(nodes))
-    number = np.full(nodes.shape, n, dtype=np.intp)
-    number[nodes] = np.arange(n)
-    return shift(number, offset, fill=n)[nodes if rows is None else rows]
-
-
 @st.composite
-def _table_case(draw):
+def _walk_case(draw):
     dim = draw(st.integers(1, 3))
     shape = tuple(draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim)))
     nodes = draw(arrays(np.bool_, shape))
-    rows = draw(st.one_of(st.none(), arrays(np.bool_, shape)))
     offset = st.tuples(*(st.integers(-n - 1, n + 1) for n in shape))
-    return nodes, draw(st.lists(offset, min_size=1, max_size=4)), rows
+    return nodes, draw(st.lists(offset, min_size=1, max_size=4))
 
 
-@given(_table_case())
-@example((np.zeros((3, 4), bool), [(0, 1), (-1, 0)], np.ones((3, 4), bool)))
-@example((np.zeros((3, 4), bool), [(0, 1)], None))
-def test_neighbor_tables_match_full_grid_numbering(case):
-    nodes, offsets, rows = case
-    tables = flat_neighbor_tables(np.flatnonzero(nodes), nodes.shape, offsets,
-                                  None if rows is None else np.flatnonzero(rows))
-    for offset, got in zip(offsets, tables, strict=True):
-        assert got.dtype == np.intp
-        assert np.array_equal(got, _full_grid_table(nodes, offset, rows)), offset
+def _box_in_set(nodes, offset):
+    """Per node of the set, whether the whole box between it and the node at
+    `offset` lies in the set: the box is the sum of its axes' segments."""
+    box = nodes
+    for axis, o in enumerate(offset):
+        box = np.logical_and.reduce([shift(box, axis_offset(nodes.ndim, axis, k), fill=False)
+                                     for k in range(min(o, 0), max(o, 0) + 1)])
+    return box[nodes]
+
+
+@given(_walk_case())
+@example((np.zeros((3, 4), bool), [(0, 1), (-1, 0)]))
+@example((np.ones((3, 4), bool), [(0, 1), (1, -1)]))  # a row's end is no step from the next
+@example((np.array([[1, 1], [0, 1]], bool), [(1, 1), (-1, -1)]))  # (1, 1) turns a corner
+def test_step_tables_and_walks_match_full_grid_numbering(case):
+    """Each step table is the full-grid numbering's table of its step, with the
+    sentinel's own entry last. A walk through them equals the numbering's
+    table of its offset from every node whose box up to the offset lies in
+    the set (for a stencil offset, every core node), and anywhere else a walk
+    that finds a node finds the table's."""
+    nodes, offsets = case
+    dim, n = nodes.ndim, int(np.count_nonzero(nodes))
+    steps = step_tables(np.flatnonzero(nodes), nodes.shape)
+    assert len(steps) == dim
+    for axis, pair in enumerate(steps):
+        for step, table in zip((1, -1), pair, strict=True):
+            assert table.dtype == np.intp
+            assert np.array_equal(table[:n], full_grid_table(nodes, axis_offset(dim, axis, step)))
+            assert table[n] == n
+    for offset in offsets:
+        got = walk(steps, np.arange(n + 1), offset)
+        want = full_grid_table(nodes, offset)
+        assert got[n] == n, offset
+        box = _box_in_set(nodes, offset)
+        assert np.array_equal(got[:n][box], want[box]), offset
+        found = got[:n] < n
+        assert np.array_equal(got[:n][found], want[found]), offset
 
 
 # -- Gram assembly ---------------------------------------------------------------
@@ -329,7 +348,7 @@ def _keep_every_chain_gram(space: SobolevSpace) -> sp.csr_matrix:
     steps = []
     for axis, table in enumerate(space._forward):
         h = space.grid.spacing[axis]
-        hit = table != rows
+        hit = table < n
         steps.append(sp.csr_matrix(
             (np.concatenate([np.full(n, -1.0 / h), np.full(hit.sum(), 1.0 / h)]),
              (np.concatenate([rows, rows[hit]]), np.concatenate([rows, table[hit]]))),
@@ -411,7 +430,7 @@ def test_constrained_gram_adds_far_couplings_through_l(ell2d_mask):
     core, free, n = mask.core_pos, mask.free_pos, mask.dofs.size
     rng = np.random.default_rng(7)
     offsets = [(0, 1), (2, -2), (0, 0), (-3, 1), (1, 0), (0, -4), (-1, 0)]  # not ascending
-    tables = mask.neighbor_tables(offsets, rows=core)
+    tables = [full_grid_table(mask.in_mask, off, mask.is_core) for off in offsets]
     coefs = [rng.standard_normal(core.size) * (rng.random(core.size) > 0.2) for _ in offsets]
     for c in coefs:
         c[5] = 0.0  # an all-zero row

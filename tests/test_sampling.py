@@ -9,15 +9,15 @@ margin stays the same."""
 import numpy as np
 import pytest
 
-from convexcauchy.grid import LevelSpec, axis_offset, build_grid, classify_nodes
+from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.harness import build_setup
 from convexcauchy.functional import data_extension
 from convexcauchy.sampling import BALL_FRACTIONS, draw_in_ball, random_smooth_values
 
 
 def _axis_tables(mask, axis):
-    dim = mask.grid.dim
-    return mask.neighbor_tables([axis_offset(dim, axis, 1), axis_offset(dim, axis, -1)])
+    """The mask's +1 and -1 step tables of `axis`, without the sentinel's own entry."""
+    return tuple(table[:-1] for table in mask.steps[axis])
 
 
 def _appending_smooth_values(mask, rng, passes=8):
