@@ -62,6 +62,7 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
     run_report.factorizations = space.factorizations - work[0]
     run_report.refinements = space.refinements - work[1]
     report["run"] = run_report.to_dict()
+    run_report.iterates = None  # q_hat is reported: the stored iterates are spent
     report["errors"] = error_norms(setup, run_report.final)
     report["history"] = history_table(run_report)
     report["field"] = field_table(setup, run_report.final)

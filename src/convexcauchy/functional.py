@@ -243,7 +243,8 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
 
         sum_core w * (r2^2 - r1^2 - 2 r1 * L h) + beta * ||h||^2_{H^k};
 
-    only the weighted sum is taken per lambda.
+    only the weighted sum is taken per lambda. A gap or beta * ||h||^2 past
+    the float range raises ConvexCauchyError.
     """
     if core_weights is None:
         core_weights = [params.core_weight]
@@ -260,7 +261,12 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
     if not (np.isfinite(hk) and np.all(np.isfinite(data_gap))):
         raise ConvexCauchyError("Bregman gap overflowed on a pair of fields too far apart; "
                                 "reduce the certificate radius")
-    gaps = [_data_term(data_gap, w) + params.beta * hk for w in core_weights]
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta_hk = params.beta * hk
+        gaps = [_data_term(data_gap, w) + beta_hk for w in core_weights]
+    if not (np.isfinite(beta_hk) and np.all(np.isfinite(gaps))):
+        raise ConvexCauchyError(f"Bregman gap is not finite at beta={params.beta:g}; "
+                                "reduce beta or the certificate radius")
     return gaps, params.inner_h1_space.norm_sq(h), hk
 
 

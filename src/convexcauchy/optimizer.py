@@ -124,7 +124,8 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     `iterations` counts gradient evaluations, len(grad_norm_history). At the
     iteration cap j_history also ends with the J of the last accepted step.
     Each iterate is evaluated once: the gradient and the H^k norm of an
-    accepted trial reuse its J evaluation.
+    accepted trial reuse its J evaluation, which keeps only its floats once
+    the gradient is formed. A rejected trial is released before the next.
     """
     t0 = time.perf_counter()
     space = params.space
@@ -150,6 +151,8 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
             gsq = float(np.sum(j.euclidean_gradient * g))  # the dual norm, squared
         if not np.isfinite(gsq):
             raise SolverError(f"the squared gradient norm overflows at beta={params.beta:g}")
+        # only the floats J and norm_sq of the accepted point are read from here on
+        j.residual = j.differences = j.euclidean_gradient = None
         gnorm = float(np.sqrt(max(gsq, 0.0)))
         unorm = float(np.sqrt(max(j.norm_sq, 0.0)))  # = space.norm(u)
 
@@ -197,6 +200,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
                 report.evaluations += 1
                 if j_try <= j - ARMIJO_C * t * gsq:
                     break
+                u_try = j_try = None  # rejected: not held through the next trial
                 t *= SHRINK
             else:
                 raise SolverError(
@@ -272,7 +276,7 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     v = params.impose_dofs(np.zeros(mask.dofs.size))
     free = mask.free_pos
     v[free] += space.solve(-0.5 * gradient(params, v)[free], params.beta,
-                           normal=(params.stencil.linearize(v).rows(), params.core_weight))
+                           normal=(params.stencil.linearize(v), params.core_weight))
 
     j = evaluate(params, v)
     with np.errstate(over="ignore"):
@@ -361,6 +365,7 @@ def convexity_certificate(params: FunctionalParams, radius: float, samples: int,
             gaps.append(gaps_by_lambda)
             h1s.append(h1_inner)
             hks.append(hk_full)
+        del drawn, u1, u2  # spent: not held through the next draw
     reports = []
     for k, lam in enumerate(lambdas):
         gaps_k = [g[k] for g in gaps]

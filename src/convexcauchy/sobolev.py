@@ -120,7 +120,9 @@ def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, 
     with np.errstate(over="ignore"):
         single = sp.csc_matrix((matrix.data.astype(np.float32), matrix.indices, matrix.indptr),
                                shape=matrix.shape, copy=not matrix.has_canonical_format)
-    if not np.all(np.isfinite(single.data)):
+    # two reductions, not an n-element mask; the empty system reads initial 0
+    low, high = single.data.min(initial=0.0), single.data.max(initial=0.0)
+    if not (np.isfinite(low) and np.isfinite(high)):
         return None, 0
     try:
         lu = _splu(single)
@@ -321,17 +323,17 @@ class SobolevSpace:
     # -- constrained (zero-trace) system ---------------------------------------
 
     def constrained_gram(self, scale: float = 1.0,
-                         normal: tuple[list, np.ndarray] | None = None) -> sp.csc_matrix:
+                         normal: tuple[object, np.ndarray] | None = None) -> sp.csc_matrix:
         """scale * G_ff + L^T W L, with G_ff the Gram matrix over the free DOFs
-        (trace layers removed) in mask.free_pos order and normal = (rows, w) an
-        optional linearization, its stencil rows (LinearizedOperator.rows)
-        anchored at ascending nodes, and its row weights: entry for entry the
+        (trace layers removed) in mask.free_pos order and normal = (linearization,
+        w) an optional linearization, whose stencil rows (LinearizedOperator.rows)
+        are anchored at ascending nodes, and its row weights: entry for entry the
         bits of L.T @ diags(w) @ L + scale * gram_matrix()[free][:, free], with L
         the CSR matrix of the rows' free columns."""
         return self._assemble(self.mask.free_pos, scale, normal)
 
     def solve(self, rhs: np.ndarray, scale: float = 1.0,
-              normal: tuple[list, np.ndarray] | None = None) -> np.ndarray:
+              normal: tuple[object, np.ndarray] | None = None) -> np.ndarray:
         """x with (scale * G_ff + L^T W L) x = rhs on the free DOFs (constrained_gram).
 
         G_ff alone uses the kept float64 factor (constrained_solver) when there
@@ -355,7 +357,7 @@ class SobolevSpace:
         return self._free_solve
 
     def _assemble(self, cols: np.ndarray, scale: float = 1.0,
-                  normal: tuple[list, np.ndarray] | None = None) -> sp.csc_matrix:
+                  normal: tuple[object, np.ndarray] | None = None) -> sp.csc_matrix:
         """scale * sum_beta B^T diag(w) B + L^T W L over the DOFs `cols`, in CSC,
         read off the gather tables and validity of `differences` and off L's rows.
 
@@ -385,8 +387,8 @@ class SobolevSpace:
         spans = np.array(near) @ strides
         if normal is not None:
             # L's offsets ascending, and the flat offset between any two is a slot
-            rows, weight = normal
-            rows = sorted(rows, key=lambda row: np.dot(row[0], strides))
+            linearization, weight = normal
+            rows = sorted(linearization.rows(), key=lambda row: np.dot(row[0], strides))
             at = np.array([off for off, _, _ in rows]) @ strides
             spans = np.concatenate([spans, (at[:, None] - at).ravel()])
         # the slot of each flat offset from the least, marked 1 first where one occurs
@@ -430,6 +432,7 @@ class SobolevSpace:
             if normal is not None:
                 _add_term(table, slot_of[at[:, None] - at - lo],
                           [col_of[dofs] for _, dofs, _ in rows], [c for _, _, c in rows], weight)
+                del rows  # not held through the compaction and the factorization
         # a block's kept cells move forward into the data; the row of each is the
         # column DOF at the slot's flat offset from the column's node, found by
         # search (`node` is sorted, as `cols` is), and SuperLU takes no row out of range
@@ -456,18 +459,19 @@ def _add_term(table: np.ndarray, slots: np.ndarray, col, coef, weight: np.ndarra
     flat node offset o_k from p's node (ascending in k), in column col[k][p]
     (the scratch column m where that node is none) with coefficient coef[k],
     one constant (a monomial) or one per row (L). Entry (p + o_i, p + o_k)
-    gets fl(fl(c_i w_p) c_k) in the slot slots[i, k] of o_i - o_k, summed in a
-    table of the term's own slots, o_i descending: with the rows' nodes
-    ascending, every entry sums its p ascending. A product whose row is no
-    column has the weight 0, and its zero changes no sum."""
-    m = table.shape[0] - 1
-    own, local = np.unique(slots, return_inverse=True)
-    local = local.reshape(slots.shape) * (m + 1)
-    term = np.zeros((own.size, m + 1))
-    flat_term = term.reshape(-1)
-    for i in reversed(range(slots.shape[0])):
-        weighted = coef[i] * np.where(col[i] < m, weight, 0.0)
-        for k in range(slots.shape[0]):
-            np.add.at(flat_term, local[i, k] + col[k], coef[k] * weighted)
-    for r, slot in enumerate(own):
-        table[:, slot] += term[r]
+    gets fl(fl(c_i w_p) c_k) in the slot slots[i, k] of o_i - o_k, summed one
+    slot column at a time over its pairs (i, k), o_i descending: with the
+    rows' nodes ascending, every entry sums its p ascending. A product whose
+    row is no column has the weight 0, and its zero changes no sum."""
+    m, size = table.shape[0] - 1, slots.shape[0]
+    weighted = [coef[i] * np.where(col[i] < m, weight, 0.0) for i in range(size)]
+    pairs = {}
+    for i in reversed(range(size)):
+        for k in range(size):
+            pairs.setdefault(slots[i, k], []).append((i, k))
+    column = np.empty(m + 1)
+    for slot, slot_pairs in pairs.items():
+        column.fill(0.0)
+        for i, k in slot_pairs:
+            np.add.at(column, col[k], coef[k] * weighted[i])
+        table[:, slot] += column

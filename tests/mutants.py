@@ -95,8 +95,7 @@ MUTANTS = [
     Mutant("sobolev.py", "coef = ((-1.0 / h) * np.concatenate([up, zero], axis=axis)",
            "coef = ((1.0 / h) * np.concatenate([up, zero], axis=axis)",
            "a chain step is (v[p + e] - v[p]) / h, so its coefficient at p is -1/h"),
-    Mutant("sobolev.py", "for i in reversed(range(slots.shape[0])):",
-           "for i in range(slots.shape[0]):",
+    Mutant("sobolev.py", "for i in reversed(range(size)):", "for i in range(size):",
            "each Gram entry sums its DOFs p in ascending order, as the sparse "
            "product does; on the uneven 2-D grid the other order changes bits"),
     Mutant("sobolev.py", "np.where(col[i] < m, weight, 0.0)", "weight",
@@ -112,8 +111,9 @@ MUTANTS = [
            "column DOF, and no such cell is kept: each of its products, of a monomial or "
            "of L, has the weight 0 (np.where(col[i] < m, weight, 0.0))",
            equivalent=True),
-    Mutant("sobolev.py", "rows = sorted(rows, key=lambda row: np.dot(row[0], strides))",
-           "pass",
+    Mutant("sobolev.py",
+           "rows = sorted(linearization.rows(), key=lambda row: np.dot(row[0], strides))",
+           "rows = linearization.rows()",
            "each entry of L^T W L sums its rows p in ascending order, as "
            "L.T @ diags(w) @ L does, which takes L's offsets ascending"),
     Mutant("operators.py", "for off, c, scale in self._terms():",
@@ -141,6 +141,33 @@ MUTANTS = [
     Mutant("grid.py", "(flat + stride, i < size - 1)", "(flat + stride, True)",
            "a +1 step off the grid's last node along an axis finds no node, not the "
            "first node of the next row (full-grid numbering)"),
+    Mutant("optimizer.py", "u_try = j_try = None  # rejected: not held through the next trial",
+           "pass",
+           "a rejected trial's evaluation and point are released before the next trial is "
+           "evaluated"),
+    Mutant("optimizer.py", "j.residual = j.differences = j.euclidean_gradient = None", "pass",
+           "an accepted point keeps only its floats J and norm_sq once its gradient is "
+           "formed: its differences are dead at the next trial"),
+    Mutant("cli.py",
+           "run_report.iterates = None  # q_hat is reported: the stored iterates are spent",
+           "pass",
+           "`solve` releases the stored iterates once the run block holds q_hat, before "
+           "the error norms and the report"),
+    Mutant("optimizer.py", "del drawn, u1, u2  # spent: not held through the next draw", "pass",
+           "the certificate releases each spent batch, and its row views, before the next "
+           "draw_in_ball"),
+    Mutant("sobolev.py", "del rows  # not held through the compaction and the factorization",
+           "pass",
+           "the assembly releases L's stencil rows once L^T W L is summed: none is alive "
+           "at the factorization"),
+    Mutant("functional.py", "if not (np.isfinite(beta_hk) and np.all(np.isfinite(gaps))):",
+           "if False:",
+           "a Bregman gap past the float range exits 2 naming beta, not PASS with NaN "
+           "margins (inf - inf is never < 0)"),
+    Mutant("sobolev.py", "if not (np.isfinite(low) and np.isfinite(high)):",
+           "if not np.isfinite(high):",
+           "a -inf system entry fails the float32 path's check before any refinement: the "
+           "least entry is checked as well as the largest"),
 ]
 
 

@@ -784,6 +784,23 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert f"numerical failure: {message}" in caplog.text
 
+    def test_certificate_past_the_float_range_exits_two(self, tmp_path, caplog, capsys):
+        """At beta 1e306 on the shipped ELL2D-HARMONIC config, beta * ||h||^2
+        overflows: the margin was inf - inf = NaN, never < 0, and certify
+        printed PASS and wrote NaN margins. Exit 2 with a message naming beta,
+        and no numpy warning (a traceback here, where warnings are errors)."""
+        cfg = json.loads((CONFIG_DIR / "ell2d_harmonic_reconstruct.json").read_text())
+        cfg.update(functional={"beta": 1e306, "beta_policy": "keep"},
+                   certificate={"radius": 200, "samples": 4, "seed": 3},
+                   output_dir=str(tmp_path / "out"))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["certify", str(path)]) == 2
+        assert ("numerical failure: Bregman gap is not finite at beta=1e+306"
+                in caplog.text)
+        assert "PASS" not in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_solve_gradient_reports_contraction(self, tmp_path):
         cfg = {
             "case": "ELL2D-CUBIC",

@@ -21,8 +21,10 @@ import json
 from itertools import product
 import logging
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +42,8 @@ from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, 
                                classify_nodes, level_values, shift, step_tables, walk)
 from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
                                   load_cauchy_csv, load_problem)
-from convexcauchy.operators import OperatorStencil, QuasilinearOperator, validate_operator
+from convexcauchy.operators import (LinearizedOperator, OperatorStencil, QuasilinearOperator,
+                                    validate_operator)
 from convexcauchy.optimizer import direct_solve
 from convexcauchy.sobolev import SobolevSpace, spd_factorized, spd_solve
 from convexcauchy.weights import mask_weight_sq, weight_extrema
@@ -420,6 +423,11 @@ def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
     _assert_same_arrays(got, space.gram_matrix()[free][:, free].tocsc())
 
 
+def _stencil_rows(rows: list) -> SimpleNamespace:
+    """A linearization whose `rows()` are the given stencil rows."""
+    return SimpleNamespace(rows=lambda: rows)
+
+
 def test_constrained_gram_adds_far_couplings_through_l(ell2d_mask):
     """L^T W L of a random stencil-form L, whose offsets reach beyond the
     Gram's pattern, has its entries placed and summed as the scipy sum of the
@@ -447,7 +455,7 @@ def test_constrained_gram_adds_far_couplings_through_l(ell2d_mask):
     lwl = lmat.T @ sp.diags(weight) @ lmat
     want = (lwl + 0.37 * gram).tocsc()
     want.sum_duplicates()
-    normal = (list(zip(offsets, tables, coefs)), weight)
+    normal = (_stencil_rows(list(zip(offsets, tables, coefs))), weight)
     _assert_same_arrays(space.constrained_gram(0.37, normal=normal), want)
     outside = sp.csc_matrix(lwl, copy=True)
     outside.data[:] = 1.0
@@ -464,7 +472,7 @@ def test_constrained_gram_past_the_float_range_raises(ell2d_mask):
     core = ell2d_mask.core_pos
     rows = [((0, 0), core, np.full(core.size, 1e200))]
     with pytest.raises(SolverError, match="system at scale 1 is not finite"):
-        space.constrained_gram(normal=(rows, np.ones(core.size)))
+        space.constrained_gram(normal=(_stencil_rows(rows), np.ones(core.size)))
 
 
 # -- Sobolev weights -------------------------------------------------------------
@@ -553,10 +561,10 @@ def _direct_linearization(params):
     return params.stencil.linearize(params.impose_dofs(np.zeros(params.mask.dofs.size)))
 
 
-def _direct_normal(params) -> tuple[list, np.ndarray]:
-    """(rows, w): the stencil rows of the linearization and the core weights,
-    whose L^T W L direct_solve adds to beta * G_ff."""
-    return _direct_linearization(params).rows(), params.core_weight
+def _direct_normal(params) -> tuple[object, np.ndarray]:
+    """(linearization, w): the linearization and the core weights, whose
+    L^T W L direct_solve adds to beta * G_ff."""
+    return _direct_linearization(params), params.core_weight
 
 
 def _direct_matrix(params) -> sp.csr_matrix:
@@ -649,7 +657,7 @@ def test_beta_underflowing_float32_falls_back(ell3d_setup):
 
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "hyp2d"])
 def test_solve_with_plus_is_one_factorization_of_the_sum(which, request):
-    """space.solve(rhs, beta, normal=(rows, w)) factorizes beta * G_ff + L^T W L
+    """space.solve(rhs, beta, normal=(linearization, w)) factorizes beta * G_ff + L^T W L
     once and keeps nothing: in 2-D the float64 factor's bits, on three axes
     spd_solve's bits and work."""
     params = (_hyp2d_params() if which == "hyp2d"
@@ -890,15 +898,40 @@ def _assert_direct_system_below_three_results(params):
     assert peak < 3 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
 
 
-def test_direct_solve_stays_below_2_2_systems(ell3d_setup):
+def test_direct_solve_stays_below_2_1_systems(ell3d_setup):
     """A whole 3-D direct solve, from the linearization to the refined
-    solution, holds less than 2.2 times the bytes of its system: the
-    assembly forms no L^T W L matrix and compacts the data in place (it held
-    2.5 systems with both)."""
+    solution, holds less than 2.1 times the bytes of its system: the
+    assembly forms no L^T W L matrix, compacts the data in place and
+    releases L's rows after their term, and the float32 check makes no
+    n-element mask (it held 2.5 systems with the first two, 2.13 with the
+    last two)."""
     params = _fresh_space(ell3d_setup[0].params)
     hess, _ = _direct_system(params)
     _, _, peak = _traced(lambda: direct_solve(params))
-    assert peak < 2.2 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
+    assert peak < 2.1 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
+
+
+def test_direct_solve_releases_the_rows_before_the_factorization(ell3d_setup, monkeypatch):
+    """The assembly takes the linearization, reads its stencil rows itself and
+    releases them once L^T W L is summed: none is alive when the float32
+    factor is made (they lived through the compaction and the refinement)."""
+    params = _fresh_space(ell3d_setup[0].params)
+    refs, alive = [], []
+    rows, refine = LinearizedOperator.rows, sobolev._refine
+
+    def tracked_rows(self):
+        out = rows(self)
+        refs.extend(weakref.ref(c) for _, _, c in out)
+        return out
+
+    def tracked_refine(matrix, rhs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return refine(matrix, rhs)
+
+    monkeypatch.setattr(LinearizedOperator, "rows", tracked_rows)
+    monkeypatch.setattr(sobolev, "_refine", tracked_refine)
+    direct_solve(params)
+    assert refs and alive == [0]
 
 
 @pytest.mark.parametrize("step", ["OperatorStencil", "validate_operator", "field_table"])

@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from convexcauchy import cli, optimizer, sobolev
+from convexcauchy import cli, harness, optimizer, sobolev
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.functional import (FunctionalParams, bregman_gap, data_extension, evaluate,
                                      gradient)
@@ -341,6 +342,70 @@ class TestEvaluateOnce:
         else:
             assert calls["gradient"] == run_report["iterations"] == len(rows)
             assert sum(halvings) > 0
+
+
+class TestReleases:
+    """Each phase holds only the arrays it reads again: a weak reference to
+    an array dies with its last holder."""
+
+    @pytest.mark.parametrize("step_mode,gamma", [("backtracking", 0.5), ("fixed", 0.05)])
+    def test_no_earlier_evaluation_is_alive_at_a_trial(self, monkeypatch, step_mode, gamma):
+        """A rejected trial is released before the next one is evaluated, and
+        an accepted point's residual, differences and Euclidean gradient once
+        its gradient is formed: at every evaluation, no H^k difference of an
+        earlier one is alive."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
+        refs, alive = [], []
+
+        def tracked(params, v):
+            alive.append(sum(ref() is not None for ref in refs))
+            j = evaluate(params, v)
+            refs.extend(weakref.ref(d) for d in j.differences)
+            return j
+
+        monkeypatch.setattr(optimizer, "evaluate", tracked)
+        cfg = OptimizerConfig(max_iters=25, grad_tol=1e-12, step_mode=step_mode, gamma=gamma)
+        report = run(params, data_extension(space, params.data), cfg)
+        assert (sum(report.halvings_history) > 0) == (step_mode == "backtracking")
+        assert alive == [0] * report.evaluations
+
+    def test_cli_drops_the_iterates_once_q_hat_is_reported(self, monkeypatch, tmp_path):
+        """`solve` with the gradient solver releases the stored iterates after
+        the run block holds q_hat: none but the final field is alive when the
+        report is written. The RunReport of `run` keeps them."""
+        refs, alive = [], []
+
+        def tracked_run(*args, **kwargs):
+            report = run(*args, **kwargs)
+            assert report.q_hat is not None and len(report.iterates) >= 7
+            refs.extend(weakref.ref(v) for v in report.iterates if v is not report.final)
+            return report
+
+        def tracked_emit(report, out_dir):
+            alive.append(sum(ref() is not None for ref in refs))
+            return harness.emit_report(report, out_dir)
+
+        monkeypatch.setattr(cli, "run", tracked_run)
+        monkeypatch.setattr(cli, "emit_report", tracked_emit)
+        assert cli.main(["solve", str(SOLVE_CONFIG), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["run"]["q_hat"] is not None
+        assert refs and alive == [0]
+
+    def test_certificate_releases_each_spent_batch(self, monkeypatch):
+        """Each draw_in_ball call of the certificate finds the batch before it
+        released, with the row views of its pairs."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
+        refs, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            drawn = draw_in_ball(*args, **kwargs)
+            refs.append(weakref.ref(drawn))
+            return drawn
+
+        monkeypatch.setattr(optimizer, "draw_in_ball", tracked)
+        convexity_certificate(params, radius=5.0, samples=5, seed=3)
+        assert alive == [0, 0, 0]
 
 
 class TestConvergenceRatio:

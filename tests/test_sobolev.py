@@ -184,6 +184,22 @@ class TestMixedPrecisionSolve:
         solved = self._falls_back(_tridiagonal() * 1e40, np.arange(50.0))
         assert solved.refinements == 0
 
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_non_finite_entry_falls_back(self, entry):
+        """The float32 path checks the least and the largest entry: a NaN or a
+        -inf entry falls back before any refinement. The float64 factor then
+        decides: its bits at -inf, its singular-factor error at NaN."""
+        a, b = _tridiagonal(), np.arange(50.0)
+        a.data[7] = entry
+        assert sobolev._refine(a, b) == (None, 0)
+        if np.isnan(entry):
+            with pytest.raises(SolverError, match="Factor is exactly singular"):
+                spd_factorized(a)
+            with pytest.raises(SolverError, match="Factor is exactly singular"):
+                spd_solve(a, b)
+        else:
+            assert self._falls_back(a, b).refinements == 0
+
     def test_singular_float32_factor_falls_back(self):
         """1e-50 is a normal float64 and flushes to 0 in float32."""
         solved = self._falls_back(sp.diags([1.0, 1e-50, 1.0]).tocsc(), np.ones(3))
