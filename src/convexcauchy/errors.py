@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: configuration problems exit 1,
 numerical failures exit 2, I/O failures exit 3.
 """
 
+import numpy as np
+
 
 class ConvexCauchyError(Exception):
     """Base class for all package errors."""
@@ -36,4 +38,15 @@ class ConstraintViolationError(ConvexCauchyError):
 
 
 class SolverError(ConvexCauchyError):
-    """Iterative solver failed (non-convergence, divergence, line-search failure)."""
+    """Numerical failure: no convergence, no factor, or a value past the float range."""
+
+
+def finite(value, quantity: str, cause=None):
+    """value, after raising SolverError naming `quantity` and cause() if an
+    entry of it is NaN or infinite: the one float-range check. Numerical code
+    computes under np.errstate(all="ignore") and checks here what it makes;
+    cause() names what scaled it out of range, only then and quietly."""
+    if np.isfinite(value).all():  # the method: np.all of a scalar costs more than the test
+        return value
+    with np.errstate(all="ignore"):
+        raise SolverError(f"{quantity} is not finite" + (f" at {cause()}" if cause else ""))

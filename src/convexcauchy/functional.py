@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError
-from .grid import DomainMask, check_finite
+from .errors import ConfigError, ConstraintViolationError, ConvexCauchyError, finite
+from .grid import DomainMask
 from .operators import OperatorStencil, QuasilinearOperator
 from .sobolev import SobolevSpace
 from .weights import mask_weight_sq
@@ -126,7 +126,7 @@ class FunctionalParams:
         if np.shape(v) != mask.dofs.shape:
             raise ConfigError(f"{what} has shape {np.shape(v)}, expected a DOF vector "
                               f"of {mask.dofs.size} masked nodes")
-        check_finite(v, what)
+        finite(v, what, self.cause)
         dev = 0.0
         if mask.value_pos.size:
             dev = float(np.max(np.abs(v[mask.value_pos] - self.data.g0)))
@@ -136,6 +136,23 @@ class FunctionalParams:
             raise ConstraintViolationError(
                 f"{what} violates the Cauchy constraints: max deviation {dev:.3g}"
             )
+
+    def cause(self, weighted=np.inf, regularized=np.inf, spread=0.0, weight=None) -> str:
+        """What put a value past the float range (errors.finite): the data
+        `weight` (default: core_weight's largest) or beta, whichever most outgrows
+        its nonzero factor made from the fields (of size `weighted`, `regularized`),
+        if one does; else the trace data's scale or a pair's `spread`, the larger."""
+        weight = np.max(self.core_weight) if weight is None else weight
+        factors = np.array([weighted, regularized])
+        by_weight, by_beta = np.divide((weight, self.beta), factors, out=np.zeros(2),
+                                       where=factors > 0)
+        if by_weight >= max(by_beta, 1.0):
+            return f"a data weight of {weight:.3g}; reduce lambda"
+        if by_beta >= 1.0:
+            return f"beta={self.beta:g}; reduce beta"
+        if spread > self._trace_scale:
+            return f"a field pair {spread:.3g} apart; reduce the certificate radius"
+        return f"trace-data scale {self._trace_scale:.3g}; rescale the Cauchy data"
 
     def impose_dofs(self, v: np.ndarray) -> np.ndarray:
         """v with the trace layers overwritten by the Cauchy data (in place)."""
@@ -181,19 +198,15 @@ class Evaluation(float):
 def evaluate(params: FunctionalParams, v: np.ndarray) -> Evaluation:
     """Value of the weighted Tikhonov functional at a constrained field."""
     params.check_dofs(v)
-    r = params.stencil.residual(v)
-    diffs = params.space.differences(v)
-    norm_sq = params.space.norm_sq(v, diffs)
-    j = Evaluation(_data_term(r * r, params.core_weight) + params.beta * norm_sq)
+    with np.errstate(all="ignore"):
+        r = params.stencil.residual(v)
+        diffs = params.space.differences(v)
+        norm_sq = params.space.norm_sq(v, diffs)
+        data = float(np.sum(r * r * params.core_weight))
+    finite(data, "weighted residual", lambda: params.cause(np.max(r * r)))
+    j = Evaluation(data + params.beta * norm_sq)
     j.point, j.residual, j.differences, j.norm_sq = v, r, diffs, norm_sq
     return j
-
-
-def _data_term(r_sq: np.ndarray, core_weight: np.ndarray) -> float:
-    out = float(np.sum(r_sq * core_weight))
-    if not np.isfinite(out):
-        raise ConvexCauchyError("weighted residual overflowed; reduce lambda")
-    return out
 
 
 def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
@@ -211,17 +224,16 @@ def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
     params.check_dofs(v)
-    if at is None:
-        r, diffs = params.stencil.residual(v), None
-    elif np.array_equal(at.point, v):
-        r, diffs = at.residual, at.differences
-    else:
-        raise ConfigError("the evaluation passed as `at` is of another field")
-    g = 2.0 * params.stencil.linearize(v).adjoint(params.core_weight * r)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        if at is None:
+            r, diffs = params.stencil.residual(v), None
+        elif np.array_equal(at.point, v):
+            r, diffs = at.residual, at.differences
+        else:
+            raise ConfigError("the evaluation passed as `at` is of another field")
+        g = 2.0 * params.stencil.linearize(v).adjoint(params.core_weight * r)
         g += 2.0 * params.beta * params.space.apply_gram(v, diffs)
-    if not np.all(np.isfinite(g)):
-        raise ConvexCauchyError(f"the gradient overflows at beta={params.beta:g}; reduce beta")
+    finite(g, "gradient", lambda: params.cause(np.max(r * r), np.max(v * v)))
     g[params.mask.trace_pos] = 0.0
     if at is not None:
         at.euclidean_gradient = g
@@ -243,8 +255,8 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
 
         sum_core w * (r2^2 - r1^2 - 2 r1 * L h) + beta * ||h||^2_{H^k};
 
-    only the weighted sum is taken per lambda. A gap or beta * ||h||^2 past
-    the float range raises ConvexCauchyError.
+    only the weighted sum is taken per lambda. A gap past the float range, as
+    any value of r1, r2, L h or ||h||^2 there leaves it, raises SolverError.
     """
     if core_weights is None:
         core_weights = [params.core_weight]
@@ -254,19 +266,13 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
     h_free = h.copy()
     h_free[params.mask.trace_pos] = 0.0
     stencil = params.stencil
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         r1, r2 = stencil.residual(v1), stencil.residual(v2)
         data_gap = r2 * r2 - r1 * r1 - 2.0 * r1 * stencil.linearize(v1).forward(h_free)
         hk = params.space.norm_sq(h)
-    if not (np.isfinite(hk) and np.all(np.isfinite(data_gap))):
-        raise ConvexCauchyError("Bregman gap overflowed on a pair of fields too far apart; "
-                                "reduce the certificate radius")
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta_hk = params.beta * hk
-        gaps = [_data_term(data_gap, w) + beta_hk for w in core_weights]
-    if not (np.isfinite(beta_hk) and np.all(np.isfinite(gaps))):
-        raise ConvexCauchyError(f"Bregman gap is not finite at beta={params.beta:g}; "
-                                "reduce beta or the certificate radius")
+        gaps = [float(np.sum(data_gap * w)) + params.beta * hk for w in core_weights]
+    finite(gaps, "Bregman gap", lambda: params.cause(
+        np.max(np.abs(data_gap)), hk, np.max(np.abs(h)), max(map(np.max, core_weights))))
     return gaps, params.inner_h1_space.norm_sq(h), hk
 
 
@@ -324,5 +330,6 @@ def data_extension(space: SobolevSpace, data: CauchyData) -> np.ndarray:
     v[mask.value_pos] = data.g0
     v[mask.deriv_pos] = data.g1
     free = mask.free_pos
-    v[free] += space.solve(-space.apply_gram(v)[free])
+    with np.errstate(all="ignore"):  # its users check it (FunctionalParams.check_dofs)
+        v[free] += space.solve(-space.apply_gram(v)[free])
     return v

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, ConvexCauchyError, GeometryError
+from .errors import ConfigError, GeometryError, finite
 
 logger = logging.getLogger(__name__)
 
@@ -307,13 +307,6 @@ def walk(steps: Sequence[tuple[np.ndarray, np.ndarray]], start: np.ndarray,
     return pos
 
 
-def check_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
-    """values, after raising ConvexCauchyError if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
-        raise ConvexCauchyError(f"{what} contains non-finite values")
-    return values
-
-
 @dataclass(eq=False)
 class Field:
     """Real values on every grid node, checked finite.
@@ -331,7 +324,7 @@ class Field:
             raise ConfigError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        check_finite(self.values)
+        finite(self.values, "field")
 
 
 class DomainMask:

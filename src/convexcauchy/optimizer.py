@@ -22,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, finite
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
-from .grid import check_finite
 from .operators import require_affine
 from .sampling import draw_in_ball
 from .sobolev import SobolevSpace
@@ -146,11 +145,12 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
         return None if np.array_equal(v_try, v) else v_try
 
     for it in range(config.max_iters):
-        g = check_finite(gradient(params, u, "sobolev", at=j), "gradient")
-        with np.errstate(over="ignore", invalid="ignore"):
+        g = gradient(params, u, "sobolev", at=j)
+        with np.errstate(all="ignore"):
             gsq = float(np.sum(j.euclidean_gradient * g))  # the dual norm, squared
-        if not np.isfinite(gsq):
-            raise SolverError(f"the squared gradient norm overflows at beta={params.beta:g}")
+        # an entry of g past the float range leaves gsq so too (0 * inf is NaN)
+        finite(gsq, "squared gradient norm",
+               lambda: params.cause(np.max(j.residual**2), np.max(u * u)))
         # only the floats J and norm_sq of the accepted point are read from here on
         j.residual = j.differences = j.euclidean_gradient = None
         gnorm = float(np.sqrt(max(gsq, 0.0)))
@@ -267,7 +267,7 @@ def direct_solve(params: FunctionalParams) -> RunReport:
     iterations and one history row at the minimizer (`final`): J, the
     Euclidean gradient norm and the H^k norm. Raises ConfigError for
     operators whose lower-order term actually depends on the field, and
-    SolverError when the gradient norm overflows (a beta near the float range).
+    SolverError when a result is past the float range (errors.finite).
     """
     t0 = time.perf_counter()
     require_affine(getattr(params.op.lower, "kind", "linear"))
@@ -279,11 +279,10 @@ def direct_solve(params: FunctionalParams) -> RunReport:
                            normal=(params.stencil.linearize(v), params.core_weight))
 
     j = evaluate(params, v)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         grad_norm = float(np.linalg.norm(gradient(params, v, at=j)))
-    if not np.isfinite(grad_norm):
-        raise SolverError(f"the gradient norm at the direct solution overflows at "
-                          f"beta={params.beta:g}")
+    finite(grad_norm, "gradient norm at the direct solution",
+           lambda: params.cause(np.max(j.residual**2), np.max(v * v)))
     return RunReport(
         j_history=[float(j)], grad_norm_history=[grad_norm],
         radius_history=[float(np.sqrt(max(j.norm_sq, 0.0)))], evaluations=1, gradients=2,
@@ -355,7 +354,8 @@ def convexity_certificate(params: FunctionalParams, radius: float, samples: int,
     core_weights = [params.core_weight_at(lam) for lam in lambdas]
     rng = np.random.default_rng(seed)
     base = data_extension(params.space, params.data)
-    base_norm = params.space.norm(base)
+    with np.errstate(all="ignore"):
+        base_norm = finite(params.space.norm(base), "H^k norm of the data extension", params.cause)
     gaps, h1s, hks = [], [], []
     for first in range(0, samples, PAIRS_PER_DRAW):
         drawn = draw_in_ball(params, radius, rng, base=base, base_norm=base_norm,

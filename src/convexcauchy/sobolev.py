@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, GeometryError, SolverError
+from .errors import ConfigError, GeometryError, SolverError, finite
 from .grid import DomainMask, flat_strides
 
 
@@ -104,22 +104,22 @@ def spd_solve(matrix: sp.spmatrix, rhs: np.ndarray, mixed: bool = True) -> SpdSo
     matrix = matrix.tocsc()
     if not mixed:
         return SpdSolve(spd_factorized(matrix)(rhs), 1, 0)
-    x, iterations = _refine(matrix, rhs)
-    if x is not None and (np.linalg.norm(rhs - matrix @ x) <= REFINE_TOL * (
-            matrix.diagonal().max(initial=0.0) * np.linalg.norm(x) + np.linalg.norm(rhs))):
-        return SpdSolve(x, 1, iterations)
+    with np.errstate(all="ignore"):  # a value past the float range falls back
+        x, iterations = _refine(matrix, rhs)
+        if x is not None and (np.linalg.norm(rhs - matrix @ x) <= REFINE_TOL * (
+                matrix.diagonal().max(initial=0.0) * np.linalg.norm(x) + np.linalg.norm(rhs))):
+            return SpdSolve(x, 1, iterations)
     return SpdSolve(spd_factorized(matrix)(rhs), 2, iterations)
 
 
 def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """CG on matrix @ x = rhs preconditioned by its float32 LU: the solution
-    and the iterations made, the solution None when the float32 factor
-    fails or CG does not converge to a finite iterate."""
+    """CG on matrix @ x = rhs preconditioned by its float32 LU, under spd_solve's
+    np.errstate: the solution and the iterations made, the solution None when
+    the float32 factor fails or CG does not converge to a finite iterate."""
     # the float32 matrix shares the index arrays, which astype would copy,
     # unless SuperLU would sort them in place (a matrix not in canonical form)
-    with np.errstate(over="ignore"):
-        single = sp.csc_matrix((matrix.data.astype(np.float32), matrix.indices, matrix.indptr),
-                               shape=matrix.shape, copy=not matrix.has_canonical_format)
+    single = sp.csc_matrix((matrix.data.astype(np.float32), matrix.indices, matrix.indptr),
+                           shape=matrix.shape, copy=not matrix.has_canonical_format)
     # two reductions, not an n-element mask; the empty system reads initial 0
     low, high = single.data.min(initial=0.0), single.data.max(initial=0.0)
     if not (np.isfinite(low) and np.isfinite(high)):
@@ -137,25 +137,24 @@ def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, 
 
     x = np.zeros(rhs.size)
     r = np.array(rhs, dtype=float)
-    stop = REFINE_TOL * np.linalg.norm(r)
     r_old = p = None
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for it in range(REFINE_MAX_ITERS + 1):
-            if not np.all(np.isfinite(x)):
-                return None, it
-            if np.linalg.norm(r) <= stop:
-                return x, it
-            if it == REFINE_MAX_ITERS:
-                return None, it
-            z = precondition(r)
-            rz = r @ z
-            # Polak-Ribiere form: robust to the float32 factor's slight asymmetry
-            p = z if p is None else z + ((r - r_old) @ z / rz_old) * p
-            q = matrix @ p
-            alpha = rz / (p @ q)
-            x = x + alpha * p
-            r_old, rz_old = r, rz
-            r = r - alpha * q
+    stop = REFINE_TOL * np.linalg.norm(r)  # inf, never met, for an rhs past the range
+    for it in range(REFINE_MAX_ITERS + 1):
+        if not np.all(np.isfinite(x)):
+            return None, it
+        if np.linalg.norm(r) <= stop < np.inf:
+            return x, it
+        if it == REFINE_MAX_ITERS:
+            return None, it
+        z = precondition(r)
+        rz = r @ z
+        # Polak-Ribiere form: robust to the float32 factor's slight asymmetry
+        p = z if p is None else z + ((r - r_old) @ z / rz_old) * p
+        q = matrix @ p
+        alpha = rz / (p @ q)
+        x = x + alpha * p
+        r_old, rz_old = r, rz
+        r = r - alpha * q
 
 
 class SobolevSpace:
@@ -400,7 +399,7 @@ class SobolevSpace:
         sums = np.zeros((m + 1) * spans.size)  # its own data, which shrinks in place
         table = sums.reshape(m + 1, spans.size)
         coefs = []
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             for (parent, axis), valid in zip(self._chain, self._dof_valid):
                 if parent is None:
                     coef = np.ones((1,) * grid.dim)
@@ -449,8 +448,7 @@ class SobolevSpace:
             sums[start:end] = table[c0:c1][keep]
         del table  # no view is left (a tracer's copy of the locals fails refcheck)
         sums.resize(indptr[-1], refcheck=False)
-        if not np.all(np.isfinite(sums)):
-            raise SolverError(f"the {m} x {m} system at scale {scale:g} is not finite")
+        finite(sums, f"{m} x {m} system at scale {scale:g}")
         return sp.csc_matrix((sums, indices, indptr), shape=(m, m))
 
 

@@ -120,9 +120,10 @@ MUTANTS = [
            "for off, c, scale in reversed(list(self._terms())):",
            "the stencil rows sum the terms of one offset in `_terms` order, as the "
            "coo sum of the terms does (to_matrix bits)"),
-    Mutant("sobolev.py", "if not np.all(np.isfinite(sums)):", "if False:",
+    Mutant("sobolev.py", 'finite(sums, f"{m} x {m} system at scale {scale:g}")', "pass",
            "a system past the float range raises SolverError naming the scale"),
-    Mutant("optimizer.py", "if not np.isfinite(grad_norm):", "if False:",
+    Mutant("optimizer.py", 'finite(grad_norm, "gradient norm at the direct solution",\n'
+           "           lambda: params.cause(np.max(j.residual**2), np.max(v * v)))", "pass",
            "a direct solve whose gradient norm overflows exits 2, not 0 with an "
            "infinite norm in its report"),
     Mutant("sobolev.py", "sums[start:end] = table[c0:c1][keep]",
@@ -160,14 +161,31 @@ MUTANTS = [
            "pass",
            "the assembly releases L's stencil rows once L^T W L is summed: none is alive "
            "at the factorization"),
-    Mutant("functional.py", "if not (np.isfinite(beta_hk) and np.all(np.isfinite(gaps))):",
-           "if False:",
+    Mutant("functional.py", 'finite(gaps, "Bregman gap", lambda: params.cause(\n'
+           "        np.max(np.abs(data_gap)), hk, np.max(np.abs(h)), "
+           "max(map(np.max, core_weights))))", "pass",
            "a Bregman gap past the float range exits 2 naming beta, not PASS with NaN "
            "margins (inf - inf is never < 0)"),
     Mutant("sobolev.py", "if not (np.isfinite(low) and np.isfinite(high)):",
            "if not np.isfinite(high):",
            "a -inf system entry fails the float32 path's check before any refinement: the "
            "least entry is checked as well as the largest"),
+    Mutant("errors.py", "if np.isfinite(value).all():", "if True:",
+           "every result past the float range exits 2 with a message naming its cause, "
+           "not a report of inf or NaN"),
+    Mutant("errors.py", 'with np.errstate(all="ignore"):', "if True:",
+           "a cause is worked out with numpy's float warnings off, as it may redo the "
+           "arithmetic that overflowed"),
+    Mutant("functional.py", "if spread > self._trace_scale:", "if spread >= 0.0:",
+           "a value past the float range at a large trace-data scale names that scale, "
+           "not the certificate radius"),
+    Mutant("functional.py", "by_weight, by_beta = np.divide((weight, self.beta), factors,",
+           "by_beta, by_weight = np.divide((weight, self.beta), factors,",
+           "a gradient past the float range at beta 1e300 names beta, not lambda"),
+    Mutant("sobolev.py", "if np.linalg.norm(r) <= stop < np.inf:",
+           "if np.linalg.norm(r) <= stop:",
+           "a right-hand side whose norm is past the float range falls back to the "
+           "float64 factor, not to x = 0 (inf <= inf)"),
 ]
 
 

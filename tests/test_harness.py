@@ -762,14 +762,14 @@ class TestCli:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", str(path)]) == 2
-        assert ("numerical failure: the gradient norm at the direct solution overflows "
-                "at beta=1e+300") in caplog.text
+        assert ("numerical failure: gradient norm at the direct solution is not finite "
+                "at beta=1e+300; reduce beta") in caplog.text
 
     @pytest.mark.parametrize("solver, beta, message", [
         # the squared dual norm of the first Sobolev gradient overflows
-        ("gradient", 1e300, "the squared gradient norm overflows at beta=1e+300"),
+        ("gradient", 1e300, "squared gradient norm is not finite at beta=1e+300; reduce beta"),
         # the right-hand side, the gradient at the data, overflows before the assembly
-        ("direct", 1e301, "the gradient overflows at beta=1e+301; reduce beta"),
+        ("direct", 1e301, "gradient is not finite at beta=1e+301; reduce beta"),
     ], ids=["gradient", "direct"])
     def test_beta_near_the_float_range_exits_two(self, solver, beta, message, tmp_path,
                                                   caplog):
@@ -882,8 +882,47 @@ class TestCli:
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
-        assert "numerical failure: Bregman gap overflowed" in done.stderr
+        assert "numerical failure: Bregman gap is not finite at a field pair" in done.stderr
         assert "reduce the certificate radius" in done.stderr
+
+    @staticmethod
+    def _constant_trace(tmp_path, value, **overrides) -> Path:
+        """ELL2D-CUBIC at 33^2 (lambda 2, beta 0.55, the gradient solver) with
+        every trace value `value`, read from a data file; an override
+        replaces a config section."""
+        mask = build_setup({"case": "ELL2D-CUBIC"}).mask
+        rows = ["layer,index,value"] + [
+            f"{layer},{idx},{value!r}"
+            for layer, nodes in (("g0", mask.value_layer), ("g1", mask.deriv_layer))
+            for idx in np.flatnonzero(nodes.ravel())]
+        (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+        cfg = {"case": "ELL2D-CUBIC", "weight": {"lambda": 2.0},
+               "functional": {"beta": 0.55, "beta_policy": "keep"}, "solver": "gradient",
+               "data": {"file": str(tmp_path / "trace.csv")},
+               "output_dir": str(tmp_path / "out"), **overrides}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @pytest.mark.parametrize("value", [1e60, 1e110])
+    def test_trace_scale_past_the_float_range_names_the_data(self, tmp_path, caplog, value):
+        """Trace values of 1e60 overflowed J's r * r, and values of 1e110 the
+        cubic term's u**3, each with a numpy warning (a traceback here, where
+        warnings are errors); the first then said "reduce lambda". Exit 2 with
+        a message naming the trace data's scale."""
+        assert main(["solve", str(self._constant_trace(tmp_path, value))]) == 2
+        assert (f"numerical failure: weighted residual is not finite at trace-data scale "
+                f"{value:.3g}; rescale the Cauchy data") in caplog.text
+        assert "reduce lambda" not in caplog.text
+
+    def test_certificate_radius_past_the_float_range_names_the_radius(self, tmp_path, caplog):
+        """With trace values 1 and radius 1e160, certify blamed the lower-order
+        term, naming neither the certificate nor its radius."""
+        path = self._constant_trace(tmp_path, 1.0, certificate={
+            "radius": 1e160, "samples": 4, "seed": 3})
+        assert main(["certify", str(path)]) == 2
+        assert "numerical failure: Bregman gap is not finite at a field pair" in caplog.text
+        assert "reduce the certificate radius" in caplog.text
 
     @pytest.mark.parametrize("flag,message", [
         ("nan", "finite"), ("inf", "finite"), (",", "names no lambda"), ("abc", "bad --lambda"),

@@ -655,6 +655,17 @@ def test_beta_underflowing_float32_falls_back(ell3d_setup):
     assert (report.factorizations, report.refinements) == (2, 0)
 
 
+def test_right_hand_side_norm_past_the_float_range_falls_back(ell3d_setup):
+    """A right-hand side whose norm overflows, scaled up from a 3-D system
+    that refines: CG's stop test read inf <= inf and returned x = 0, with a
+    numpy warning. The float64 factor solves it, and its bits are returned."""
+    hess, rhs = _direct_system(ell3d_setup[0].params)
+    rhs = rhs * (1e160 / np.max(np.abs(rhs)))
+    solved = spd_solve(hess, rhs)
+    assert solved.factorizations == 2 and np.all(np.isfinite(solved.x))
+    assert np.array_equal(solved.x, spd_factorized(hess)(rhs))
+
+
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "hyp2d"])
 def test_solve_with_plus_is_one_factorization_of_the_sum(which, request):
     """space.solve(rhs, beta, normal=(linearization, w)) factorizes beta * G_ff + L^T W L
