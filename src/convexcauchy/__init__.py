@@ -14,7 +14,6 @@ from .errors import (
     ConvexCauchyError,
     GeometryError,
     SolverError,
-    WeightOverflowError,
 )
 from .functional import (
     CauchyData,

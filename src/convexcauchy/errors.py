@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one float-range check.
 
-The CLI maps these onto exit codes: configuration problems exit 1,
-numerical failures exit 2, I/O failures exit 3.
+The CLI maps these onto exit codes: ConfigError and GeometryError exit 1,
+ConstraintViolationError and SolverError (which every value past the float
+range raises, the Carleman weight's too) exit 2, I/O failures exit 3.
 """
 
 import numpy as np
@@ -17,20 +18,6 @@ class ConfigError(ConvexCauchyError):
 
 class GeometryError(ConvexCauchyError):
     """Degenerate or empty level-set geometry (empty subdomain, closure violation)."""
-
-
-class WeightOverflowError(ConvexCauchyError):
-    """Carleman weight exponent exceeds the floating-point range."""
-
-    def __init__(self, lam: float, max_level: float, exponent: float):
-        self.lam = lam
-        self.max_level = max_level
-        self.exponent = exponent
-        super().__init__(
-            f"weight exponent {exponent:.3g} overflows float64 "
-            f"(lambda={lam:.6g}, max level value on mask={max_level:.6g}); "
-            "reduce lambda or the level-function range"
-        )
 
 
 class ConstraintViolationError(ConvexCauchyError):

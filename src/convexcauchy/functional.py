@@ -137,11 +137,14 @@ class FunctionalParams:
                 f"{what} violates the Cauchy constraints: max deviation {dev:.3g}"
             )
 
-    def cause(self, weighted=np.inf, regularized=np.inf, spread=0.0, weight=None) -> str:
+    def cause(self, weighted=np.inf, regularized=np.inf, pair=0.0, weight=None) -> str:
         """What put a value past the float range (errors.finite): the data
         `weight` (default: core_weight's largest) or beta, whichever most outgrows
         its nonzero factor made from the fields (of size `weighted`, `regularized`),
-        if one does; else the trace data's scale or a pair's `spread`, the larger."""
+        if one does; else the size of a certificate `pair` (its largest entry in
+        either field or their difference) when it is over twice the trace data's
+        scale (a drawn field is the data's extension plus a draw, and the draw
+        is then the larger part); else the trace data's scale."""
         weight = np.max(self.core_weight) if weight is None else weight
         factors = np.array([weighted, regularized])
         by_weight, by_beta = np.divide((weight, self.beta), factors, out=np.zeros(2),
@@ -150,8 +153,8 @@ class FunctionalParams:
             return f"a data weight of {weight:.3g}; reduce lambda"
         if by_beta >= 1.0:
             return f"beta={self.beta:g}; reduce beta"
-        if spread > self._trace_scale:
-            return f"a field pair {spread:.3g} apart; reduce the certificate radius"
+        if pair > 2.0 * self._trace_scale:
+            return f"a field pair of size {pair:.3g}; reduce the certificate radius"
         return f"trace-data scale {self._trace_scale:.3g}; rescale the Cauchy data"
 
     def impose_dofs(self, v: np.ndarray) -> np.ndarray:
@@ -256,23 +259,24 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
         sum_core w * (r2^2 - r1^2 - 2 r1 * L h) + beta * ||h||^2_{H^k};
 
     only the weighted sum is taken per lambda. A gap past the float range, as
-    any value of r1, r2, L h or ||h||^2 there leaves it, raises SolverError.
+    any value of h, r1, r2, L h or ||h||^2 there leaves it, raises SolverError.
     """
     if core_weights is None:
         core_weights = [params.core_weight]
     params.check_dofs(v1, "first field")
     params.check_dofs(v2, "second field")
-    h = v2 - v1
-    h_free = h.copy()
-    h_free[params.mask.trace_pos] = 0.0
     stencil = params.stencil
     with np.errstate(all="ignore"):
+        h = v2 - v1
+        h_free = h.copy()
+        h_free[params.mask.trace_pos] = 0.0
         r1, r2 = stencil.residual(v1), stencil.residual(v2)
         data_gap = r2 * r2 - r1 * r1 - 2.0 * r1 * stencil.linearize(v1).forward(h_free)
         hk = params.space.norm_sq(h)
         gaps = [float(np.sum(data_gap * w)) + params.beta * hk for w in core_weights]
     finite(gaps, "Bregman gap", lambda: params.cause(
-        np.max(np.abs(data_gap)), hk, np.max(np.abs(h)), max(map(np.max, core_weights))))
+        np.max(np.abs(data_gap)), hk, max(np.max(np.abs(x)) for x in (v1, v2, h)),
+        max(map(np.max, core_weights))))
     return gaps, params.inner_h1_space.norm_sq(h), hk
 
 

@@ -17,24 +17,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, WeightOverflowError
+from .errors import ConfigError, GeometryError, finite
 from .grid import DomainMask, Label
-
-# exp() overflows float64 just above this exponent
-_MAX_EXPONENT = 700.0
 
 
 def mask_weight_sq(mask: DomainMask, lam: float, pos: np.ndarray) -> np.ndarray:
     """The fused squared weight at strength lam on the DOFs at positions
-    `pos`. lam must be a finite number >= 1; the overflow check covers every
-    masked node."""
+    `pos`. lam must be a finite number >= 1; the float-range check covers
+    every masked node."""
     if not (np.isfinite(lam) and lam >= 1.0):
         raise ConfigError(f"weight strength lambda must be a finite number >= 1, got {lam}")
     ell = mask.dof_ell
-    expo = 2.0 * lam * (ell - mask.theta - mask.epsilon)
-    if np.any(expo > _MAX_EXPONENT):
-        raise WeightOverflowError(lam, float(np.max(ell)), float(np.max(expo)))
-    return np.exp(expo[pos])
+    with np.errstate(all="ignore"):
+        expo = 2.0 * lam * (ell - mask.theta - mask.epsilon)
+        weight = np.exp(expo)
+    finite(weight, f"Carleman weight at lambda={lam:.6g}", lambda: (
+        f"level value {np.max(ell):.6g}, exponent {np.max(expo):.3g}; reduce lambda"))
+    return weight[pos]
 
 def weight_extrema(mask: DomainMask, lam: float) -> tuple[float, float, Label]:
     """Min and max of the unshifted log-weight lam * ell over masked nodes.

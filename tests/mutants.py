@@ -6,7 +6,9 @@ tier-1 must fail on the result. The script copies the working tree (without
 .git and caches) to a temporary directory, runs tier-1 there once unmutated,
 which must pass, and then once per mutant with `pytest -x`, the mutant
 applied to the copy's src/ and removed again afterwards. A mutant is killed
-when tier-1 fails on it.
+when tier-1 fails on it, and the killing test is the first one that
+pytest's short summary names; a failing run that names no test (a
+timeout, or a crash before the summary) counts as broken.
 
 A mutant marked equivalent cannot change any tested output; its reason says
 why. It is not run, but its old text is still checked, so that the table
@@ -15,9 +17,9 @@ stays in step with the code.
     python tests/mutants.py
 
 Exit 0 when every mutant not marked equivalent is killed; 1 when one
-survives, when an old text is not found exactly once or a mutated module
-does not compile, or when tier-1 fails on the unmutated copy. Pytest does
-not collect this file (it is no test_*.py).
+survives or is broken, when an old text is not found exactly once or a
+mutated module does not compile, or when tier-1 fails on the unmutated
+copy. Pytest does not collect this file (it is no test_*.py).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ PACKAGE = Path("src") / "convexcauchy"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 "*.egg-info", "runs", ".bench_work", ".benchmarks")
 TIER1_TIMEOUT_S = 900
+# pytest's summary line of a failing test, the one that names the killing test id;
+# a captured log line ("ERROR    convexcauchy.cli:...") is no such line
+SUMMARY = ("FAILED tests/", "ERROR tests/")
 
 
 class Mutant(NamedTuple):
@@ -162,8 +167,8 @@ MUTANTS = [
            "the assembly releases L's stencil rows once L^T W L is summed: none is alive "
            "at the factorization"),
     Mutant("functional.py", 'finite(gaps, "Bregman gap", lambda: params.cause(\n'
-           "        np.max(np.abs(data_gap)), hk, np.max(np.abs(h)), "
-           "max(map(np.max, core_weights))))", "pass",
+           "        np.max(np.abs(data_gap)), hk, max(np.max(np.abs(x)) for x in (v1, v2, h)),\n"
+           "        max(map(np.max, core_weights))))", "pass",
            "a Bregman gap past the float range exits 2 naming beta, not PASS with NaN "
            "margins (inf - inf is never < 0)"),
     Mutant("sobolev.py", "if not (np.isfinite(low) and np.isfinite(high)):",
@@ -176,9 +181,21 @@ MUTANTS = [
     Mutant("errors.py", 'with np.errstate(all="ignore"):', "if True:",
            "a cause is worked out with numpy's float warnings off, as it may redo the "
            "arithmetic that overflowed"),
-    Mutant("functional.py", "if spread > self._trace_scale:", "if spread >= 0.0:",
+    Mutant("functional.py", "if pair > 2.0 * self._trace_scale:", "if pair >= 0.0:",
            "a value past the float range at a large trace-data scale names that scale, "
            "not the certificate radius"),
+    Mutant("functional.py", "if pair > 2.0 * self._trace_scale:",
+           "if pair > self._trace_scale:",
+           "a pair that carries the data's values names the data, although its largest "
+           "entry is a little over the trace data's scale"),
+    Mutant("functional.py", "np.max(np.abs(x)) for x in (v1, v2, h)", "np.max(np.abs(h))",
+           "an identical pair of huge fields is 0 apart: the pair's size, not its "
+           "spread, names it"),
+    Mutant("weights.py", 'finite(weight, f"Carleman weight at lambda={lam:.6g}", lambda: (\n'
+           '        f"level value {np.max(ell):.6g}, exponent {np.max(expo):.3g}; '
+           'reduce lambda"))', "pass",
+           "a lambda whose weight is past the float range exits 2 at load, naming lambda "
+           "and the largest level value"),
     Mutant("functional.py", "by_weight, by_beta = np.divide((weight, self.beta), factors,",
            "by_beta, by_weight = np.divide((weight, self.beta), factors,",
            "a gradient past the float range at beta 1e300 names beta, not lambda"),
@@ -248,10 +265,14 @@ def main() -> int:
                       f"{mutant.new!r}; it must die because {mutant.why}")
                 bad += 1
                 continue
-            lines = [] if done is None else (done.stdout + done.stderr).strip().splitlines()
-            failed = "timed out" if done is None else next(
-                (line for line in lines if line.startswith(("FAILED", "ERROR"))),
-                lines[-1] if lines else f"exit {done.returncode}")
+            lines = [] if done is None else done.stdout.splitlines()
+            failed = next((line for line in lines if line.startswith(SUMMARY)), None)
+            if failed is None:
+                print(f"[{k}] BROKEN ({took:.0f} s): {mutant.module}: {mutant.new!r}; "
+                      + ("timed out" if done is None else f"exit {done.returncode}, "
+                         "no failing test named"))
+                bad += 1
+                continue
             print(f"[{k}] killed ({took:.0f} s): {mutant.module}: {mutant.new!r}; {failed}")
     print(f"{len(MUTANTS)} mutants, {bad} survived or broken")
     return 1 if bad else 0

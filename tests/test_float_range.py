@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from convexcauchy.cli import main
 from convexcauchy.errors import SolverError, finite
+from convexcauchy.functional import bregman_gap
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
+from convexcauchy.harness import build_setup
 
 def test_finite_passes_a_finite_value_as_it_is():
     value = np.array([1.0, -2.0, 1e308])
@@ -37,6 +39,20 @@ def test_finite_names_the_quantity_and_its_cause(bad):
                lambda: f"beta={np.float64(1e300) * 1e300:g}")
     with pytest.raises(SolverError, match=r"^field is not finite$"):
         finite(bad, "field")
+
+
+@pytest.mark.parametrize("first, second, size", [
+    (1e120, 1e120, r"1e\+120"), (-1e308, 1e308, "inf")], ids=["identical", "opposite"])
+def test_a_huge_pair_names_the_pair(first, second, size):
+    """Two equal fields of 1e120 off the trace layers are 0 apart, and the
+    gap named the trace data's scale (4); the pair's own size is the cause.
+    Fields of -1e308 and 1e308 overflowed h = v2 - v1 with a numpy warning."""
+    params = build_setup({"case": "ELL2D-CUBIC"}).params
+    v1, v2 = (params.impose_dofs(np.full(params.mask.dofs.size, value))
+              for value in (first, second))
+    with pytest.raises(SolverError, match=r"^Bregman gap is not finite at a field pair of "
+                       f"size {size}; reduce the certificate radius$"):
+        bregman_gap(params, v1, v2)
 
 
 # the box is fitted to the masked cap x0 + |x'|^2 < c - a, so that a 9^d grid
@@ -128,3 +144,20 @@ def test_every_float_range_failure_exits_with_its_cause(run, tmp_path_factory):
     if ("is not finite" in failure and log_weight < math.log10(MODERATE_WEIGHT)
             and beta <= 1.0 and (command == "solve" or radius < scale)):
         assert "trace-data scale" in failure and "reduce lambda" not in failure
+
+
+def test_a_pair_at_the_data_scale_names_the_data(tmp_path, caplog):
+    """At trace-data scale 1e100 a radius of 9e99 holds the data extension
+    (H^k norm 4.8e99), and a drawn pair carries the data's values: the cubic
+    gap past the range names the data, though the pair's largest entry
+    (1.23e100, the extension's) is a little over the trace data's scale."""
+    cfg = {"family": "elliptic",
+           "grid": {"bounds": [[0.0, LEVEL["c"] - LEVEL["a"]], [-HALF_WIDTH, HALF_WIDTH]],
+                    "resolution": [9, 9]},
+           "level": LEVEL, "operator": {"id": "cubic"}, "weight": {"lambda": 1.0},
+           "functional": {"beta": 1e-6, "beta_policy": "keep"},
+           "certificate": {"radius": 9e99, "samples": 2, "seed": 1}}
+    _write(tmp_path, cfg, 1e100)
+    assert main(["certify", str(tmp_path / "p.json")]) == 2
+    assert ("numerical failure: Bregman gap is not finite at trace-data scale 1.21e+100; "
+            "rescale the Cauchy data") in caplog.text

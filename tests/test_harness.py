@@ -765,24 +765,31 @@ class TestCli:
         assert ("numerical failure: gradient norm at the direct solution is not finite "
                 "at beta=1e+300; reduce beta") in caplog.text
 
-    @pytest.mark.parametrize("solver, beta, message", [
+    @pytest.mark.parametrize("solver, beta, lam, message", [
         # the squared dual norm of the first Sobolev gradient overflows
-        ("gradient", 1e300, "squared gradient norm is not finite at beta=1e+300; reduce beta"),
+        ("gradient", 1e300, 2.0,
+         "squared gradient norm is not finite at beta=1e+300; reduce beta"),
         # the right-hand side, the gradient at the data, overflows before the assembly
-        ("direct", 1e301, "gradient is not finite at beta=1e+301; reduce beta"),
-    ], ids=["gradient", "direct"])
-    def test_beta_near_the_float_range_exits_two(self, solver, beta, message, tmp_path,
+        ("direct", 1e301, 2.0, "gradient is not finite at beta=1e+301; reduce beta"),
+        # the data weight is past the range where it is made, at load
+        ("direct", 5e-3, 1e3, "Carleman weight at lambda=1000 is not finite at level "
+         "value 4, exponent 3.63e+03; reduce lambda"),
+    ], ids=["gradient", "direct", "lambda"])
+    def test_beta_near_the_float_range_exits_two(self, solver, beta, lam, message, tmp_path,
                                                   caplog):
         """A beta near the float range on the shipped ELL2D-HARMONIC config:
         exit 2 with a message naming beta, not a numpy warning (a traceback
-        here, where warnings are errors) or a message naming lambda."""
+        here, where warnings are errors) or a message naming lambda; and a
+        lambda past the range exits 2 as well, with a message naming lambda."""
         cfg = json.loads((CONFIG_DIR / "ell2d_harmonic_reconstruct.json").read_text())
         cfg.update(solver=solver, functional={"beta": beta, "beta_policy": "keep"},
-                   output_dir=str(tmp_path / "out"))
+                   weight={"lambda": lam}, output_dir=str(tmp_path / "out"))
         path = tmp_path / "p.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", str(path)]) == 2
         assert f"numerical failure: {message}" in caplog.text
+        assert caplog.text.count("reduce lambda") == (lam > 2.0)
+        assert not (tmp_path / "out").exists()
 
     def test_certificate_past_the_float_range_exits_two(self, tmp_path, caplog, capsys):
         """At beta 1e306 on the shipped ELL2D-HARMONIC config, beta * ||h||^2

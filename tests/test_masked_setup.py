@@ -511,6 +511,13 @@ MIXED_DIRECT = {"case": "ELL2D-HARMONIC", "solver": "direct",
                              "mu": [0.6, 1.4]}}
 
 
+# ELL2D-HARMONIC on spacings 1/44 and 1/18, which no power of two divides:
+# dyadic grids hide rounding (89 free DOFs)
+NON_DYADIC_DIRECT = {"case": "ELL2D-HARMONIC", "solver": "direct",
+                     "functional": {"beta": 5e-3, "beta_policy": "keep"},
+                     "grid": {"resolution": [45, 37]}}
+
+
 @pytest.fixture(scope="module")
 def ell3d_mixed(tmp_path_factory):
     """The 3-D direct-solve cap at 33^3 with a principal part that mixes two
@@ -525,19 +532,21 @@ def ell3d_mixed(tmp_path_factory):
 def _direct_setup(which, request):
     setup = {"ell2d-config": lambda: load_problem(DIRECT_CONFIG),
              "ell2d-mixed": lambda: build_setup(MIXED_DIRECT),
+             "ell2d-45x37": lambda: build_setup(NON_DYADIC_DIRECT),
              "ell3d": lambda: request.getfixturevalue("ell3d_setup")[0],
              "ell3d-mixed": lambda: request.getfixturevalue("ell3d_mixed")}[which]()
     assert setup.solver == "direct"
     return setup
 
 
-@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d"])
+@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell2d-45x37", "ell3d"])
 def test_direct_solve_bit_identical_to_full_hessian(which, request):
     setup = _direct_setup(which, request)
     assert np.array_equal(direct_solve(setup.params).final, _full_hessian_solve(setup.params))
 
 
-@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "ell3d-mixed"])
+@pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell2d-45x37", "ell3d",
+                                   "ell3d-mixed"])
 def test_direct_system_bit_identical_to_the_csr_sum(which, request):
     """beta * G_ff + L^T W L, summed in place from L's stencil rows and w,
     has the entries of the scipy sum (canonically ordered, as the
