@@ -51,7 +51,7 @@ def cmd_solve(setup: ProblemSetup, args) -> int:
     space = setup.space
     work = space.factorizations, space.refinements
     if setup.solver == "direct":
-        run_report = direct_solve(setup.params)
+        run_report = direct_solve(setup.params, setup.opt_config)
     else:
         # the descent's Riesz solves keep the float64 factor: make it now, so
         # that the start's data extension reuses it instead of refining its own

@@ -5,6 +5,8 @@ ConstraintViolationError and SolverError (which every value past the float
 range raises, the Carleman weight's too) exit 2, I/O failures exit 3.
 """
 
+import math
+
 import numpy as np
 
 
@@ -33,7 +35,8 @@ def finite(value, quantity: str, cause=None):
     entry of it is NaN or infinite: the one float-range check. Numerical code
     computes under np.errstate(all="ignore") and checks here what it makes;
     cause() names what scaled it out of range, only then and quietly."""
-    if np.isfinite(value).all():  # the method: np.all of a scalar costs more than the test
+    # a float by math: numpy's all() of a scalar is slower and fills numpy's caches
+    if (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         return value
     with np.errstate(all="ignore"):
         raise SolverError(f"{quantity} is not finite" + (f" at {cause()}" if cause else ""))

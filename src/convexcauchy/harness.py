@@ -49,9 +49,8 @@ from .errors import ConfigError, GeometryError
 from .functional import BETA_POLICIES, CauchyData, FunctionalParams, beta_window, data_extension
 from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
                    build_grid, classify_nodes, coordinate_components)
-from .operators import (LOWER_TERMS, LowerOrderTerm, QuasilinearOperator, require_affine,
-                        validate_operator)
-from .optimizer import RADIUS_POLICIES, STEP_MODES, OptimizerConfig
+from .operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator, validate_operator
+from .optimizer import RADIUS_POLICIES, SOLVERS, STEP_MODES, OptimizerConfig
 from .sobolev import SobolevSpace
 
 logger = logging.getLogger(__name__)
@@ -293,7 +292,7 @@ SCHEMA = {
 TOP_SCHEMA = {
     "case": (_choice(tuple(catalog.CASES)), None),
     "family": (_choice(FAMILIES), None),
-    "solver": (_choice(("gradient", "direct")), "gradient"),
+    "solver": (_choice(SOLVERS), "gradient"),
     "output_dir": (_check(lambda v: isinstance(v, str), "a string"), "runs"),
     **{name: (_check(lambda v: isinstance(v, dict), "an object"), {}) for name in SCHEMA},
 }
@@ -392,9 +391,6 @@ def build_setup(cfg: dict) -> ProblemSetup:
         sections[name] for name in ("grid", "level", "functional", "data"))
 
     _require(bool(top["operator"] or case), "operator", "required when no case is given")
-    if top["solver"] == "direct":
-        with _section("solver"):
-            require_affine(sections["operator"]["id"])
     if case and data_cfg["file"] is None:
         # a generic level is a custom spatial threshold; elliptic cases fit it
         _require(family == case["family"] or (family, case["family"]) == ("generic", "elliptic"),

@@ -63,13 +63,6 @@ LOWER_TERMS = {
 }
 
 
-def require_affine(kind: str) -> None:
-    """Raise the direct solve's ConfigError unless operator id `kind` keeps the residual affine."""
-    if kind != "linear" and not LOWER_TERMS[kind].affine:
-        raise ConfigError(f"direct solve needs an affine residual; operator id {kind!r} "
-                          "depends on the field")
-
-
 @dataclass(frozen=True, eq=False)
 class LowerOrderTerm:
     """Lower-order term N(p, grad u, u) = f(grad u, u; b(p)) + q(p).

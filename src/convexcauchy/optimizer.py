@@ -1,11 +1,12 @@
-"""Gradient iteration with line search, convexity certificates, and rate fits.
+"""One descent loop with line search, convexity certificates, and rate fits.
 
-The iteration u_{n+1} = u_n - gamma * g(u_n) steps along g, the H^k (Sobolev)
-Riesz representative of grad J; it is zero-trace, so every iterate carries
-the Cauchy data exactly. Backtracking enforces the Armijo decrease
-J_new <= J - ARMIJO_C * t * ||g||^2 in the H^k norm, shrinking t by SHRINK
-at most MAX_HALVINGS times. J_new >= 0, so a t with ARMIJO_C * t * ||g||^2 > J
-cannot pass: it is shrunk without evaluating J and without counting.
+The iteration u_{n+1} = u_n + t d steps along -g, g the H^k (Sobolev)
+Riesz representative of grad J, or along the Gauss-Newton step; both are
+zero-trace, so every iterate carries the Cauchy data exactly. Backtracking
+enforces the Armijo decrease J_new <= J - ARMIJO_C * t * s, s = -grad J . d,
+shrinking t by SHRINK at most MAX_HALVINGS times. J_new >= 0, so a t with
+ARMIJO_C * t * s > J cannot pass: it is shrunk without evaluating J and
+without counting.
 
 The convexity certificate samples field pairs inside an H^k ball and checks
 the Bregman gap against (beta/2) times the squared H^k distance; it is the
@@ -24,17 +25,18 @@ import numpy as np
 
 from .errors import ConfigError, SolverError, finite
 from .functional import FunctionalParams, bregman_gap, data_extension, evaluate, gradient
-from .operators import require_affine
 from .sampling import draw_in_ball
 from .sobolev import SobolevSpace
 
 logger = logging.getLogger(__name__)
 
+SOLVERS = ("gradient", "direct")  # the directions: H^k gradient, Gauss-Newton
 STEP_MODES = ("fixed", "backtracking")
 RADIUS_POLICIES = ("monitor", "reject_step")
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_HALVINGS = 60
+EXACT_STEP = "exact Gauss-Newton step (affine residual)"  # a direct solve: 0 iterations
 # sample pairs the certificate draws per draw_in_ball call: their four draws
 # share one smoothing and one H^k-norm pass. At 129^2 one pair per call makes
 # the certificate about a quarter slower, and three or more raise a sweep's
@@ -103,36 +105,47 @@ class RunReport:
         }
 
 
-def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) -> RunReport:
-    """Minimize J from the DOF vector `start` by (projected) gradient descent.
+def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerConfig,
+        solver: str = "gradient") -> RunReport:
+    """Minimize J from the DOF vector `start` (None: the trace data with zero
+    free DOFs) by the damped descent u + t d.
 
-    The start must carry the Cauchy data; every step direction is zero-trace,
-    so the constraint is preserved exactly. Terminates on grad_tol, max_iters,
-    a ball exit under the reject_step policy, or a trial step that leaves u
-    bit-identical (the step is below the rounding level of u, so no further
-    progress is possible). Line-search failure and divergence in fixed mode
-    raise SolverError.
+    d is the negative H^k (Sobolev) gradient (solver "gradient") or the
+    Gauss-Newton step (solver "direct"): (L^T W L + beta G) d = -grad J / 2 on
+    the free DOFs, L the residual's linearization at u, summed into beta G_ff
+    from L's stencil rows (SobolevSpace.solve). Both are zero-trace, so the
+    constraint holds exactly. The slope -grad J . d is the Armijo slope and
+    the recorded norm squared (for the gradient, its dual norm). The
+    gradient's line search starts from twice the last step, Gauss-Newton's
+    from the full step. For an affine residual J is quadratic and a full
+    Gauss-Newton step is exact: the run ends there, converged, with 0
+    iterations. Otherwise it ends on grad_tol, max_iters, a ball exit under
+    reject_step, or a trial that leaves u bit-identical (below its rounding
+    level). A failed line search or a divergent fixed step raises SolverError.
 
-    The iterates, the gradients and `final` are DOF vectors. The gradient
-    norm is the dual norm: the square root of the Euclidean pairing of the
-    raw gradient with the step direction g, which is also the slope the
-    Armijo test uses. It equals the H^k norm of the Riesz representative g
-    up to the rounding of the factorized Gram matrix, at the cost of one
-    dot product instead of a differences pass. `factorizations` and
-    `refinements` count the space's solver work done during this call.
-    `iterations` counts gradient evaluations, len(grad_norm_history). At the
-    iteration cap j_history also ends with the J of the last accepted step.
-    Each iterate is evaluated once: the gradient and the H^k norm of an
-    accepted trial reuse its J evaluation, which keeps only its floats once
-    the gradient is formed. A rejected trial is released before the next.
+    Iterates and `final` are DOF vectors; `factorizations` and `refinements`
+    count the space's work during this call. `gradients` (and `iterations`,
+    but 0 after the exact step) is len(grad_norm_history); a run that ends on
+    a step (the cap, the exact step) ends j_history with that step's J. Each
+    iterate is evaluated once, its gradient and H^k norm reusing the
+    evaluation, which keeps only its floats once d is formed; a rejected
+    trial is released before the next.
     """
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}")
     t0 = time.perf_counter()
     space = params.space
     work = space.factorizations, space.refinements
-    params.check_dofs(start, "starting field")
-    u = np.array(start, dtype=float)
+    if start is None:  # the trace data with zero free DOFs
+        u = np.zeros(params.mask.dofs.size)
+    else:
+        params.check_dofs(start, "starting field")
+        u = np.array(start, dtype=float)
     params.impose_dofs(u)
     report = RunReport(iterates=[] if config.store_iterates else None, space=space)
+    gauss_newton = solver == "direct"
+    exact = gauss_newton and (params.op.lower is None or params.op.lower.f.affine)
+    free = params.mask.free_pos
 
     j = evaluate(params, u)
     report.evaluations = 1
@@ -140,20 +153,38 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
     warned_radius = False
 
     def trial(v: np.ndarray, d: np.ndarray, t: float) -> np.ndarray | None:
-        """v - t d with the trace data imposed; None when it equals v."""
-        v_try = params.impose_dofs(v - t * d)
+        """v + t d with the trace data imposed; None when it equals v."""
+        v_try = params.impose_dofs(v + t * d)
         return None if np.array_equal(v_try, v) else v_try
 
-    for it in range(config.max_iters):
-        g = gradient(params, u, "sobolev", at=j)
+    def scales() -> str:
+        """J, lambda and the weight span: J's rounding grows with the span."""
         with np.errstate(all="ignore"):
-            gsq = float(np.sum(j.euclidean_gradient * g))  # the dual norm, squared
-        # an entry of g past the float range leaves gsq so too (0 * inf is NaN)
-        finite(gsq, "squared gradient norm",
-               lambda: params.cause(np.max(j.residual**2), np.max(u * u)))
+            span = np.log(np.max(params.core_weight) / np.min(params.core_weight))
+        return (f"J={j:.6g}, |g|={gnorm:.3g}, lambda={params.lam:g}, "
+                f"core-weight span e^{span:.3g}")
+
+    for it in range(config.max_iters):
+        if gauss_newton:
+            rhs = -0.5 * gradient(params, u, at=j)[free]
+            j.residual = j.differences = j.euclidean_gradient = None  # not held in the solve
+            d_free = space.solve(rhs, params.beta,
+                                 normal=(params.stencil.linearize(u), params.core_weight))
+            with np.errstate(all="ignore"):
+                slope = 2.0 * float(rhs @ d_free)
+            d = np.zeros_like(u)
+            d[free] = d_free
+        else:
+            d = gradient(params, u, "sobolev", at=j)
+            with np.errstate(all="ignore"):
+                slope = float(np.sum(j.euclidean_gradient * d))  # the dual norm, squared
+            np.negative(d, out=d)
+        # an entry of d past the float range leaves the slope so too (0 * inf is NaN)
+        finite(slope, "squared gradient norm",
+               lambda: params.cause(np.max(params.stencil.residual(u)**2), np.max(u * u)))
         # only the floats J and norm_sq of the accepted point are read from here on
         j.residual = j.differences = j.euclidean_gradient = None
-        gnorm = float(np.sqrt(max(gsq, 0.0)))
+        gnorm = float(np.sqrt(max(slope, 0.0)))
         unorm = float(np.sqrt(max(j.norm_sq, 0.0)))  # = space.norm(u)
 
         report.j_history.append(float(j))
@@ -180,7 +211,7 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
         halvings = 0
         if config.step_mode == "fixed":
             t = config.gamma
-            u_try = trial(u, g, t)
+            u_try = trial(u, d, t)
             j_try = j if u_try is None else evaluate(params, u_try)
             report.evaluations += u_try is not None
             if j_try > j + 1e-12 * (1.0 + abs(j)):
@@ -189,37 +220,41 @@ def run(params: FunctionalParams, start: np.ndarray, config: OptimizerConfig) ->
                     f"J rose from {j:.6g} to {j_try:.6g}"
                 )
         else:
-            t = min(1.0, step * 2.0)  # warm start from the last accepted step
-            while ARMIJO_C * t * gsq > j:  # no trial J >= 0 passes Armijo here
+            t = 1.0 if gauss_newton else min(1.0, step * 2.0)  # the gradient's warm start
+            while ARMIJO_C * t * slope > j:  # no trial J >= 0 passes Armijo here
                 t *= SHRINK
             for halvings in range(MAX_HALVINGS):
-                u_try = trial(u, g, t)
+                u_try = trial(u, d, t)
                 if u_try is None:
                     break
                 j_try = evaluate(params, u_try)
                 report.evaluations += 1
-                if j_try <= j - ARMIJO_C * t * gsq:
+                if j_try <= j - ARMIJO_C * t * slope:
                     break
                 u_try = j_try = None  # rejected: not held through the next trial
                 t *= SHRINK
             else:
-                raise SolverError(
-                    f"line search found no Armijo decrease after {MAX_HALVINGS} "
-                    f"halvings at iteration {it} (J={j:.6g}, |g|={gnorm:.3g})"
-                )
+                raise SolverError(f"line search found no Armijo decrease after {MAX_HALVINGS} "
+                                  f"halvings at iteration {it} ({scales()})")
         report.halvings_history.append(halvings)
         if u_try is None:
-            report.reason = f"step below rounding level at iteration {it} (|g|={gnorm:.3g})"
+            report.reason = f"step below rounding level at iteration {it} ({scales()})"
             break
         report.step_history.append(t)
         step = t
         u, j = u_try, j_try
+        if exact and t == 1.0:
+            report.converged = True
+            report.reason = EXACT_STEP
+            report.j_history.append(float(j))
+            break
     else:
         report.reason = "iteration cap reached"
         report.j_history.append(float(j))  # J of the last accepted step
 
     report.final = u
-    report.iterations = report.gradients = len(report.grad_norm_history)
+    report.gradients = len(report.grad_norm_history)
+    report.iterations = 0 if report.reason == EXACT_STEP else report.gradients
     report.factorizations = space.factorizations - work[0]
     report.refinements = space.refinements - work[1]
     report.wall_time = time.perf_counter() - t0
@@ -254,42 +289,10 @@ def convergence_ratio(report: RunReport, reference: np.ndarray) -> float:
     return float(np.exp(slope))
 
 
-def direct_solve(params: FunctionalParams) -> RunReport:
-    """Exact minimizer of J for an affine residual map (no genuine nonlinearity).
-
-    Solves the normal equations (L^T W L + beta G) v = -grad J(u_c)/2 on the
-    free degrees of freedom, where u_c carries the Cauchy data and L is the
-    residual's (constant) linearization. The system is assembled on the free
-    DOFs only: L^T W L is summed from L's stencil rows and W, in place, into
-    the constrained Gram matrix scaled by beta; no matrix of L or L^T W L and
-    no DOF x DOF Hessian is formed. SobolevSpace.solve picks the precision
-    and counts the work; the report holds its work here. The report has 0
-    iterations and one history row at the minimizer (`final`): J, the
-    Euclidean gradient norm and the H^k norm. Raises ConfigError for
-    operators whose lower-order term actually depends on the field, and
-    SolverError when a result is past the float range (errors.finite).
-    """
-    t0 = time.perf_counter()
-    require_affine(getattr(params.op.lower, "kind", "linear"))
-    mask, space = params.mask, params.space
-    work = space.factorizations, space.refinements
-    v = params.impose_dofs(np.zeros(mask.dofs.size))
-    free = mask.free_pos
-    v[free] += space.solve(-0.5 * gradient(params, v)[free], params.beta,
-                           normal=(params.stencil.linearize(v), params.core_weight))
-
-    j = evaluate(params, v)
-    with np.errstate(all="ignore"):
-        grad_norm = float(np.linalg.norm(gradient(params, v, at=j)))
-    finite(grad_norm, "gradient norm at the direct solution",
-           lambda: params.cause(np.max(j.residual**2), np.max(v * v)))
-    return RunReport(
-        j_history=[float(j)], grad_norm_history=[grad_norm],
-        radius_history=[float(np.sqrt(max(j.norm_sq, 0.0)))], evaluations=1, gradients=2,
-        factorizations=space.factorizations - work[0], refinements=space.refinements - work[1],
-        final=v, converged=True, reason="direct normal-equations solve", space=space,
-        wall_time=time.perf_counter() - t0,
-    )
+def direct_solve(params: FunctionalParams, config: OptimizerConfig | None = None) -> RunReport:
+    """The Gauss-Newton run ("direct") from the trace data with zero free
+    DOFs: for an affine residual one exact step, the minimizer of J."""
+    return run(params, None, config or OptimizerConfig(), "direct")
 
 
 @dataclass

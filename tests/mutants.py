@@ -64,7 +64,7 @@ MUTANTS = [
     Mutant("optimizer.py", "failures=sum(m < 0.0 for m in margins)",
            "failures=sum(m < -1e-3 for m in margins)",
            "any negative certificate margin is a failure"),
-    Mutant("optimizer.py", "if j_try <= j - ARMIJO_C * t * gsq:", "if j_try <= j:",
+    Mutant("optimizer.py", "if j_try <= j - ARMIJO_C * t * slope:", "if j_try <= j:",
            "a step must pass Armijo's sufficient decrease, not any decrease"),
     Mutant("functional.py", "if dev > CONSTRAINT_TOL * self._trace_scale:",
            "if dev > 1000 * CONSTRAINT_TOL * self._trace_scale:",
@@ -127,10 +127,22 @@ MUTANTS = [
            "coo sum of the terms does (to_matrix bits)"),
     Mutant("sobolev.py", 'finite(sums, f"{m} x {m} system at scale {scale:g}")', "pass",
            "a system past the float range raises SolverError naming the scale"),
-    Mutant("optimizer.py", 'finite(grad_norm, "gradient norm at the direct solution",\n'
-           "           lambda: params.cause(np.max(j.residual**2), np.max(v * v)))", "pass",
-           "a direct solve whose gradient norm overflows exits 2, not 0 with an "
-           "infinite norm in its report"),
+    Mutant("optimizer.py", 'finite(slope, "squared gradient norm",\n'
+           "               lambda: params.cause(np.max(params.stencil.residual(u)**2), "
+           "np.max(u * u)))", "pass",
+           "a direction whose slope overflows exits 2 naming beta, not a run that "
+           "records an infinite norm"),
+    Mutant("optimizer.py", "rhs = -0.5 * gradient(params, u, at=j)[free]",
+           "rhs = 0.5 * gradient(params, u, at=j)[free]",
+           "the Gauss-Newton direction descends: it solves the normal equations for "
+           "-grad J / 2 (golden harmonic values, the direct-solve bit oracles)"),
+    Mutant("optimizer.py", "if exact and t == 1.0:", "if False:",
+           "an affine residual's full Gauss-Newton step is exact and ends the run: no "
+           "second system (one factorization per affine direct solve)"),
+    Mutant("optimizer.py", "t = 1.0 if gauss_newton else min(1.0, step * 2.0)",
+           "t = min(1.0, step * 2.0)",
+           "each Gauss-Newton line search tries the full step first, also after a "
+           "damped step, instead of the gradient's warm start"),
     Mutant("sobolev.py", "sums[start:end] = table[c0:c1][keep]",
            "sums[start + 1:end + 1] = table[c0:c1][keep]",
            "the kept cells of a block move to the data's own offsets, those of indptr"),
@@ -151,9 +163,15 @@ MUTANTS = [
            "pass",
            "a rejected trial's evaluation and point are released before the next trial is "
            "evaluated"),
-    Mutant("optimizer.py", "j.residual = j.differences = j.euclidean_gradient = None", "pass",
+    Mutant("optimizer.py", "on\n        j.residual = j.differences = j.euclidean_gradient = None",
+           "on\n        pass",
            "an accepted point keeps only its floats J and norm_sq once its gradient is "
            "formed: its differences are dead at the next trial"),
+    Mutant("optimizer.py",
+           "j.residual = j.differences = j.euclidean_gradient = None  # not held in the solve",
+           "pass",
+           "the Gauss-Newton system is factorized with none of the point's arrays alive: "
+           "the 3-D direct solve stays below 2.1 systems"),
     Mutant("cli.py",
            "run_report.iterates = None  # q_hat is reported: the stored iterates are spent",
            "pass",
@@ -175,7 +193,9 @@ MUTANTS = [
            "if not np.isfinite(high):",
            "a -inf system entry fails the float32 path's check before any refinement: the "
            "least entry is checked as well as the largest"),
-    Mutant("errors.py", "if np.isfinite(value).all():", "if True:",
+    Mutant("errors.py",
+           "if (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):",
+           "if True:",
            "every result past the float range exits 2 with a message naming its cause, "
            "not a report of inf or NaN"),
     Mutant("errors.py", 'with np.errstate(all="ignore"):', "if True:",

@@ -685,21 +685,17 @@ CROSS_KEY_VALUES = [
      "config field optimizer: fixed step size must lie in (0, 1)"),
     ("data.noise_level=1e308", {"data": {"noise_level": 1e308}},
      "config field data: noise level 1e+308 makes the Cauchy data non-finite"),
-    ("solver=direct-cubic", {"solver": "direct"},
-     "config field solver: direct solve needs an affine residual; operator id 'cubic'"),
 ]
 
 
-def test_direct_solve_of_a_nonlinear_operator_fails_before_classification(
-        tmp_path, caplog, monkeypatch):
-    """The solver and the operator id are checked together at load, before
-    any node is classified."""
-    def classify(*args, **kwargs):
-        raise AssertionError("classified before the solver check")
-
-    monkeypatch.setattr(harness, "classify_nodes", classify)
-    assert main(["solve", str(_sweep_config(tmp_path, solver="direct"))]) == 1
-    assert "config field solver: direct solve needs an affine residual" in caplog.text
+def test_direct_solve_of_a_nonlinear_operator_converges(tmp_path):
+    """The direct solver takes any operator id: on ELL2D-CUBIC its damped
+    Gauss-Newton steps are full ones and end on the gradient tolerance."""
+    assert main(["solve", str(_sweep_config(tmp_path, solver="direct"))]) == 0
+    ran = json.loads((tmp_path / "out" / "report.json").read_text())["run"]
+    assert ran["converged"] and ran["reason"] == "gradient tolerance reached"
+    assert ran["iterations"] == len(ran["step_history"]) + 1 >= 3
+    assert set(ran["step_history"]) == {1.0}
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -753,17 +749,19 @@ class TestCli:
 
     def test_huge_beta_direct_solve_exits_two(self, tmp_path, caplog):
         """At beta 1e300, beta * G_ff of ELL2D-HARMONIC reaches 5e307, still
-        finite, but the gradient norm at the solution overflows: exit 2 with a
-        message naming beta, not 0 with a numpy warning (a traceback here,
-        where warnings are errors)."""
-        cfg = {"case": "ELL2D-HARMONIC", "solver": "direct",
-               "functional": {"beta": 1e300, "beta_policy": "keep"},
-               "output_dir": str(tmp_path / "out")}
+        finite, and so does the one exact step: exit 0. At beta 2e300 the
+        squared norm of the first direction overflows: exit 2 with a message
+        naming beta, not 0 with a numpy warning (a traceback here, where
+        warnings are errors)."""
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["solve", str(path)]) == 2
-        assert ("numerical failure: gradient norm at the direct solution is not finite "
-                "at beta=1e+300; reduce beta") in caplog.text
+        for beta, code in ((1e300, 0), (2e300, 2)):
+            path.write_text(json.dumps({
+                "case": "ELL2D-HARMONIC", "solver": "direct",
+                "functional": {"beta": beta, "beta_policy": "keep"},
+                "output_dir": str(tmp_path / "out")}))
+            assert main(["solve", str(path)]) == code
+        assert ("numerical failure: squared gradient norm is not finite "
+                "at beta=2e+300; reduce beta") in caplog.text
 
     @pytest.mark.parametrize("solver, beta, lam, message", [
         # the squared dual norm of the first Sobolev gradient overflows

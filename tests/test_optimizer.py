@@ -11,10 +11,12 @@ import pytest
 from conftest import make_problem
 from convexcauchy import cli, harness, optimizer, sobolev
 from convexcauchy.errors import ConfigError, SolverError
-from convexcauchy.functional import (FunctionalParams, bregman_gap, data_extension, evaluate,
-                                     gradient)
+from convexcauchy.functional import (CauchyData, Evaluation, FunctionalParams, bregman_gap,
+                                     data_extension, evaluate, gradient)
+from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.harness import build_setup, history_table, load_problem
-from convexcauchy.operators import LOWER_TERMS, OperatorStencil
+from convexcauchy.operators import (LOWER_TERMS, LowerOrderTerm, OperatorStencil,
+                                    QuasilinearOperator)
 from convexcauchy.optimizer import (
     ARMIJO_C,
     OptimizerConfig,
@@ -32,6 +34,10 @@ DIRECT_CONFIG = SOLVE_CONFIG.with_name("ell2d_harmonic_reconstruct.json")
 # the keys of report.json's run block, whichever solver ran
 RUN_KEYS = {"converged", "reason", "iterations", "q_hat", "wall_time", "j_history",
             "grad_norm_history", "step_history", "radius_history", "final_j", "counters"}
+
+
+def _cap_solution(points):
+    return points[..., 0] ** 2 - points[..., 1] ** 2 + 3.0
 
 
 class TestRun:
@@ -65,27 +71,36 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", LOWER_TERMS)
     def test_direct_solve_needs_an_affine_term(self, kind):
-        """Only a term whose partials all vanish keeps the residual affine."""
+        """The direct solve is one exact step, 0 iterations, only where the
+        term's partials all vanish and keep the residual affine; with any
+        other term it takes damped Gauss-Newton steps to the tolerance."""
         setup = build_setup({"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]},
                              "operator": {"id": kind, "q": "x0"}})
+        report = direct_solve(setup.params)
+        assert report.converged
         if LOWER_TERMS[kind].affine:
-            assert kind == "source" and direct_solve(setup.params).converged
+            assert kind == "source" and report.step_history == [1.0]
+            assert (report.iterations, report.reason) == (
+                0, "exact Gauss-Newton step (affine residual)")
         else:
-            with pytest.raises(ConfigError, match=f"operator id '{kind}' depends on the field"):
-                direct_solve(setup.params)
+            assert report.reason == "gradient tolerance reached"
+            assert report.iterations == len(report.step_history) + 1 >= 3
+            assert report.grad_norm_history[-1] < OptimizerConfig().grad_tol
 
     @pytest.mark.parametrize("kind", [k for k in LOWER_TERMS if not LOWER_TERMS[k].affine])
-    def test_affine_rule_has_one_message(self, kind, tmp_path, caplog):
-        """The library's direct solve and the CLI's load-time check reject a
-        field-dependent term in the same words."""
+    def test_affine_rule_has_one_message(self, kind, tmp_path):
+        """The affine rule lives in the loop alone, with no load-time check:
+        the CLI's direct solve of a field-dependent term is the library's,
+        to the bit, reason included, and exits 0."""
         cfg = {"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]},
                "operator": {"id": kind, "q": "x0"}}
-        with pytest.raises(ConfigError) as library:
-            direct_solve(build_setup(cfg).params)
+        library = direct_solve(build_setup(cfg).params)
         path = tmp_path / "p.json"
         path.write_text(json.dumps({**cfg, "solver": "direct", "output_dir": str(tmp_path / "out")}))
-        assert cli.main(["solve", str(path)]) == 1
-        assert f"config error: config field solver: {library.value}" in caplog.text
+        assert cli.main(["solve", str(path)]) == 0
+        ran = json.loads((tmp_path / "out" / "report.json").read_text())["run"]
+        assert (ran["reason"], ran["iterations"]) == (library.reason, library.iterations)
+        assert ran["j_history"] == library.j_history
 
     def test_start_at_minimizer_stops_immediately(self):
         _, grid, mask, op, space, params, _ = make_problem(
@@ -155,6 +170,80 @@ class TestRun:
         # the start, then every trial: the accepted one and the rejected ones
         assert report.evaluations == 1 + report.iterations + sum(report.halvings_history)
 
+    def test_gauss_newton_steps_where_j_is_huge(self):
+        """The same e^59 config under the Gauss-Newton direction: from J near
+        1e32 at the trace data with zero free DOFs, full steps reach the
+        minimizer that Gauss-Newton reaches from the data extension at a
+        tighter tolerance, within 1e-8 in H^k."""
+        setup = build_setup({"case": "ELL2D-CUBIC", "grid": {"resolution": [17, 17]},
+                             "level": {"a": 0.1, "nu": 2.0}, "weight": {"lambda": 1.0},
+                             "functional": {"beta_policy": "keep"}})
+        report = direct_solve(setup.params)
+        start = data_extension(setup.space, setup.params.data)
+        reference = run(setup.params, start, OptimizerConfig(grad_tol=1e-8), "direct")
+        assert report.converged and reference.converged
+        assert report.j_history[0] > 1e30 and set(report.step_history) == {1.0}
+        assert setup.space.norm(report.final - reference.final) <= 1e-8
+        assert report.j_history[-1] == pytest.approx(reference.j_history[-1], rel=1e-12)
+
+    def test_unknown_solver_rejected(self):
+        params = build_setup({"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]}}).params
+        with pytest.raises(ConfigError, match="unknown solver 'Direct'"):
+            run(params, None, OptimizerConfig(), "Direct")
+
+    def test_gauss_newton_tries_the_full_step_first(self, monkeypatch):
+        """Every Gauss-Newton line search starts from the full step, also
+        after a damped one (the gradient's starts from twice its last step):
+        with the first two trials rejected, the first step is a quarter and
+        the second a full one."""
+        setup = build_setup({"case": "ELL2D-CUBIC"})
+        evaluate_calls = []
+
+        def reject_two_trials(params, v):
+            evaluate_calls.append(v)
+            return Evaluation(np.inf) if len(evaluate_calls) in (2, 3) else evaluate(params, v)
+
+        monkeypatch.setattr(optimizer, "evaluate", reject_two_trials)
+        report = direct_solve(setup.params)
+        assert report.converged
+        assert report.step_history[:2] == [0.25, 1.0] and report.halvings_history[:2] == [2, 0]
+
+    def test_gauss_newton_at_the_rounding_floor_names_it(self):
+        """At a core-weight span of e^173 (the 3-D cubic cap at 25^3, spacings
+        1/24 and 1/12, lambda 2) two full steps land on J(u*) = 3.5e24, the
+        float rounding of r(u*) times the weights, while beta ||u*||^2 is
+        2.3e-3; no later step moves u, and the reason names J, lambda and
+        the span."""
+        grid = build_grid(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (25, 25, 25))
+        mask = classify_nodes(grid, LevelSpec(family="elliptic", a=0.1, c=0.45, nu=2.0,
+                                              x_width=1.0))
+        star = _cap_solution(grid.coords(mask.dofs))
+        params = FunctionalParams(
+            op=QuasilinearOperator(family="elliptic", dim=3, lower=LowerOrderTerm(
+                "cubic", lambda p: _cap_solution(p) ** 3)),
+            lam=2.0, mask=mask, space=SobolevSpace(mask), beta=1e-3,
+            data=CauchyData(star[mask.value_pos], star[mask.deriv_pos]), beta_policy="keep")
+        report = direct_solve(params)
+        assert not report.converged and report.step_history == [1.0, 1.0]
+        assert report.reason.startswith("step below rounding level at iteration 2 (J=3.47858e+24")
+        assert report.reason.endswith("lambda=2, core-weight span e^173)")
+        assert report.j_history[-1] == pytest.approx(evaluate(params, star), rel=1e-9)
+        assert report.j_history[-1] > 1e26 * params.beta * params.space.norm_sq(star)
+
+    def test_gauss_newton_on_a_non_dyadic_grid(self):
+        """ELL2D-CUBIC at 45x37, whose spacings 1/44 and 1/18 round the stencil
+        sums of its quadratic u*: the direct solve converges in a few steps to
+        the minimizer the gradient descent stops near (grad_tol 1e-6), and
+        ends at a J no larger."""
+        setup = build_setup({"case": "ELL2D-CUBIC", "grid": {"resolution": [45, 37]}})
+        report = direct_solve(setup.params)
+        descent = run(setup.params, data_extension(setup.space, setup.params.data),
+                      OptimizerConfig(max_iters=3000))
+        assert report.converged and descent.converged
+        assert report.iterations <= 5
+        assert setup.space.norm(report.final - descent.final) < 1e-5
+        assert report.j_history[-1] <= descent.j_history[-1]
+
     def test_constraints_preserved_exactly(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("PAR1D-CUBIC", beta=0.8)
         cfg = OptimizerConfig(max_iters=30, grad_tol=1e-12)
@@ -176,8 +265,10 @@ class TestRun:
             "ELL2D-HARMONIC", resolution=(17, 17), lam=2.0, beta=0.5)
         monkeypatch.setattr(optimizer, "MAX_HALVINGS", 1)
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-14, store_iterates=False)
-        with pytest.raises(SolverError, match="line search|Armijo|decrease"):
+        with pytest.raises(SolverError, match="line search|Armijo|decrease") as failure:
             run(params, draw_in_ball(params, 150.0, rng), cfg)
+        span = np.log(np.max(params.core_weight) / np.min(params.core_weight))
+        assert str(failure.value).endswith(f"lambda=2, core-weight span e^{span:.3g})")
 
     def test_radius_reject_step_exits(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
@@ -337,8 +428,8 @@ class TestEvaluateOnce:
         assert len(halvings) == len(run_report["step_history"]) == len(rows) - 1
         assert calls["evaluate"] == 1 + len(halvings) + sum(halvings)
         if config == DIRECT_CONFIG:
-            # one gradient for the right-hand side, one at the minimizer
-            assert (calls["gradient"], run_report["iterations"], len(rows)) == (2, 0, 1)
+            # one gradient for the Gauss-Newton direction, whose full step is exact
+            assert (calls["gradient"], run_report["iterations"], len(rows)) == (1, 0, 2)
         else:
             assert calls["gradient"] == run_report["iterations"] == len(rows)
             assert sum(halvings) > 0
