@@ -2,11 +2,14 @@
 
 The iteration u_{n+1} = u_n + t d steps along -g, g the H^k (Sobolev)
 Riesz representative of grad J, or along the Gauss-Newton step; both are
-zero-trace, so every iterate carries the Cauchy data exactly. Backtracking
-enforces the Armijo decrease J_new <= J - ARMIJO_C * t * s, s = -grad J . d,
-shrinking t by SHRINK at most MAX_HALVINGS times. J_new >= 0, so a t with
-ARMIJO_C * t * s > J cannot pass: it is shrunk without evaluating J and
-without counting.
+zero-trace, so every iterate carries the Cauchy data exactly. One trial
+rule takes every step: a trial t is accepted on a strict Armijo decrease,
+J_new < J and J_new <= J - ARMIJO_C * t * s, s = -grad J . d. A fixed step
+(gradient only) tries gamma once; backtracking shrinks t by SHRINK at most
+MAX_HALVINGS times. J_new >= 0, so a t with ARMIJO_C * t * s > J cannot
+pass: backtracking shrinks it without evaluating J and without counting.
+When no trial lowers J, or a trial leaves u bit-identical, the run ends
+unconverged with a reason that names J, lambda and the core-weight span.
 
 The convexity certificate samples field pairs inside an H^k ball and checks
 the Bregman gap against (beta/2) times the squared H^k distance; it is the
@@ -119,20 +122,30 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     gradient's line search starts from twice the last step, Gauss-Newton's
     from the full step. For an affine residual J is quadratic and a full
     Gauss-Newton step is exact: the run ends there, converged, with 0
-    iterations. Otherwise it ends on grad_tol, max_iters, a ball exit under
-    reject_step, or a trial that leaves u bit-identical (below its rounding
-    level). A failed line search or a divergent fixed step raises SolverError.
+    iterations. A fixed step applies to the gradient only: "direct" with
+    step_mode "fixed" is refused with ConfigError. Otherwise the run ends on
+    grad_tol, max_iters, a ball exit under reject_step, or a step along
+    which J does not decrease: no trial passes the strict Armijo test, or
+    one leaves u bit-identical (below its rounding level). Only a result
+    past the float range raises SolverError.
 
     Iterates and `final` are DOF vectors; `factorizations` and `refinements`
     count the space's work during this call. `gradients` (and `iterations`,
     but 0 after the exact step) is len(grad_norm_history); a run that ends on
-    a step (the cap, the exact step) ends j_history with that step's J. Each
+    a step (the cap, the exact step) ends j_history with that step's J.
+    halvings_history counts each line search's evaluated, rejected trials,
+    the last one's too when J does not decrease, so that `evaluations` is
+    1 + len(step_history) + sum(halvings_history) on every ending. Each
     iterate is evaluated once, its gradient and H^k norm reusing the
     evaluation, which keeps only its floats once d is formed; a rejected
     trial is released before the next.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
+    fixed = config.step_mode == "fixed"
+    if fixed and solver == "direct":
+        raise ConfigError("solver 'direct' takes no step_mode 'fixed': its line search "
+                          "tries the full Gauss-Newton step first")
     t0 = time.perf_counter()
     space = params.space
     work = space.factorizations, space.refinements
@@ -149,20 +162,8 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
 
     j = evaluate(params, u)
     report.evaluations = 1
-    step = config.gamma if config.step_mode == "fixed" else 1.0
+    t = 1.0  # the last accepted step: the gradient's line search starts from twice it
     warned_radius = False
-
-    def trial(v: np.ndarray, d: np.ndarray, t: float) -> np.ndarray | None:
-        """v + t d with the trace data imposed; None when it equals v."""
-        v_try = params.impose_dofs(v + t * d)
-        return None if np.array_equal(v_try, v) else v_try
-
-    def scales() -> str:
-        """J, lambda and the weight span: J's rounding grows with the span."""
-        with np.errstate(all="ignore"):
-            span = np.log(np.max(params.core_weight) / np.min(params.core_weight))
-        return (f"J={j:.6g}, |g|={gnorm:.3g}, lambda={params.lam:g}, "
-                f"core-weight span e^{span:.3g}")
 
     for it in range(config.max_iters):
         if gauss_newton:
@@ -208,40 +209,31 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
             report.reason = "gradient tolerance reached"
             break
 
-        halvings = 0
-        if config.step_mode == "fixed":
-            t = config.gamma
-            u_try = trial(u, d, t)
-            j_try = j if u_try is None else evaluate(params, u_try)
-            report.evaluations += u_try is not None
-            if j_try > j + 1e-12 * (1.0 + abs(j)):
-                raise SolverError(
-                    f"fixed-step iteration diverged at iteration {it}: "
-                    f"J rose from {j:.6g} to {j_try:.6g}"
-                )
-        else:
-            t = 1.0 if gauss_newton else min(1.0, step * 2.0)  # the gradient's warm start
-            while ARMIJO_C * t * slope > j:  # no trial J >= 0 passes Armijo here
-                t *= SHRINK
-            for halvings in range(MAX_HALVINGS):
-                u_try = trial(u, d, t)
-                if u_try is None:
-                    break
-                j_try = evaluate(params, u_try)
-                report.evaluations += 1
-                if j_try <= j - ARMIJO_C * t * slope:
-                    break
-                u_try = j_try = None  # rejected: not held through the next trial
-                t *= SHRINK
-            else:
-                raise SolverError(f"line search found no Armijo decrease after {MAX_HALVINGS} "
-                                  f"halvings at iteration {it} ({scales()})")
+        t = config.gamma if fixed else 1.0 if gauss_newton else min(1.0, t * 2.0)
+        while not fixed and ARMIJO_C * t * slope > j:  # no trial J >= 0 passes Armijo here
+            t *= SHRINK
+        halvings = 0  # the evaluated trials that were rejected
+        while halvings < (1 if fixed else MAX_HALVINGS):
+            u_try = params.impose_dofs(u + t * d)
+            if np.array_equal(u_try, u):  # below u's rounding level, as is every shorter step
+                u_try = None
+                break
+            j_try = evaluate(params, u_try)
+            report.evaluations += 1
+            if j_try < j and j_try <= j - ARMIJO_C * t * slope:
+                break
+            u_try = j_try = None  # rejected: not held through the next trial
+            halvings += 1
+            t *= SHRINK
         report.halvings_history.append(halvings)
-        if u_try is None:
-            report.reason = f"step below rounding level at iteration {it} ({scales()})"
+        if u_try is None:  # u unmoved, or every trial rejected
+            with np.errstate(all="ignore"):  # J's rounding grows with the weight span
+                span = np.log(np.max(params.core_weight) / np.min(params.core_weight))
+            report.reason = (f"J does not decrease along the step at iteration {it} (J={j:.6g}, "
+                             f"|g|={gnorm:.3g}, lambda={params.lam:g}, "
+                             f"core-weight span e^{span:.3g})")
             break
         report.step_history.append(t)
-        step = t
         u, j = u_try, j_try
         if exact and t == 1.0:
             report.converged = True

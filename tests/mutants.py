@@ -64,8 +64,18 @@ MUTANTS = [
     Mutant("optimizer.py", "failures=sum(m < 0.0 for m in margins)",
            "failures=sum(m < -1e-3 for m in margins)",
            "any negative certificate margin is a failure"),
-    Mutant("optimizer.py", "if j_try <= j - ARMIJO_C * t * slope:", "if j_try <= j:",
+    Mutant("optimizer.py", "if j_try < j and j_try <= j - ARMIJO_C * t * slope:",
+           "if j_try < j:",
            "a step must pass Armijo's sufficient decrease, not any decrease"),
+    Mutant("optimizer.py", "if j_try < j and j_try <= j - ARMIJO_C * t * slope:",
+           "if j_try <= j - ARMIJO_C * t * slope:",
+           "a step must lower J strictly: where ARMIJO_C * t * slope is below half an ulp "
+           "of J, Armijo's test alone accepts a J bit-identical, and the run goes to its "
+           "cap (the 3-D cubic cap at lambda 1.5)"),
+    Mutant("optimizer.py", "while halvings < (1 if fixed else MAX_HALVINGS):",
+           "while halvings < MAX_HALVINGS:",
+           "a fixed step is tried once: a fixed step that raises J ends the run, it is not "
+           "shrunk"),
     Mutant("functional.py", "if dev > CONSTRAINT_TOL * self._trace_scale:",
            "if dev > 1000 * CONSTRAINT_TOL * self._trace_scale:",
            "the trace tolerance is CONSTRAINT_TOL relative to the data"),
@@ -139,8 +149,9 @@ MUTANTS = [
     Mutant("optimizer.py", "if exact and t == 1.0:", "if False:",
            "an affine residual's full Gauss-Newton step is exact and ends the run: no "
            "second system (one factorization per affine direct solve)"),
-    Mutant("optimizer.py", "t = 1.0 if gauss_newton else min(1.0, step * 2.0)",
-           "t = min(1.0, step * 2.0)",
+    Mutant("optimizer.py",
+           "t = config.gamma if fixed else 1.0 if gauss_newton else min(1.0, t * 2.0)",
+           "t = config.gamma if fixed else min(1.0, t * 2.0)",
            "each Gauss-Newton line search tries the full step first, also after a "
            "damped step, instead of the gradient's warm start"),
     Mutant("sobolev.py", "sums[start:end] = table[c0:c1][keep]",
@@ -162,7 +173,7 @@ MUTANTS = [
     Mutant("optimizer.py", "u_try = j_try = None  # rejected: not held through the next trial",
            "pass",
            "a rejected trial's evaluation and point are released before the next trial is "
-           "evaluated"),
+           "evaluated, and a line search whose every trial is rejected takes no step"),
     Mutant("optimizer.py", "on\n        j.residual = j.differences = j.euclidean_gradient = None",
            "on\n        pass",
            "an accepted point keeps only its floats J and norm_sq once its gradient is "

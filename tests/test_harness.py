@@ -965,7 +965,7 @@ class TestCli:
 
     def test_stalled_solve_exits_two_with_report(self, tmp_path):
         """The shipped solve config with an unreachable gradient tolerance stops
-        when a step no longer moves u, writes its reports and exits 2."""
+        when J no longer decreases along a step, writes its reports and exits 2."""
         cfg = json.loads((CONFIG_DIR / "ell2d_cubic_solve.json").read_text())
         cfg["optimizer"].update(grad_tol=1e-13, max_iters=400)
         cfg["output_dir"] = str(tmp_path / "out")
@@ -974,11 +974,22 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["run"]["converged"] is False
-        assert report["run"]["reason"].startswith("step below rounding level")
+        assert report["run"]["reason"].startswith("J does not decrease along the step")
         assert report["run"]["iterations"] < 400
         with open(tmp_path / "out" / "history.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == report["run"]["iterations"]
+
+    def test_direct_solver_with_fixed_step_exits_one(self, tmp_path, caplog):
+        """`"solver": "direct"` with `"step_mode": "fixed"` is a config error:
+        exit 1, naming both, with no output written."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"case": "ELL2D-HARMONIC", "solver": "direct",
+                                    "optimizer": {"step_mode": "fixed", "gamma": 0.5},
+                                    "output_dir": str(tmp_path / "out")}))
+        assert main(["solve", str(path)]) == 1
+        assert "solver 'direct' takes no step_mode 'fixed'" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_iteration_cap_history_csv(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "ell2d_cubic_solve.json").read_text())

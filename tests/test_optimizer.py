@@ -40,6 +40,31 @@ def _cap_solution(points):
     return points[..., 0] ** 2 - points[..., 1] ** 2 + 3.0
 
 
+def _cubic_cap_params(lam):
+    """The 3-D cubic cap at 25^3 (spacings 1/24 and 1/12, not dyadic): level
+    a 0.1, c 0.45, nu 2; u* = x0^2 - x1^2 + 3, q = u*^3, beta 1e-3 kept.
+    Returns (params, u*) with u* a DOF vector."""
+    grid = build_grid(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (25, 25, 25))
+    mask = classify_nodes(grid, LevelSpec(family="elliptic", a=0.1, c=0.45, nu=2.0,
+                                          x_width=1.0))
+    star = _cap_solution(grid.coords(mask.dofs))
+    params = FunctionalParams(
+        op=QuasilinearOperator(family="elliptic", dim=3, lower=LowerOrderTerm(
+            "cubic", lambda p: _cap_solution(p) ** 3)),
+        lam=lam, mask=mask, space=SobolevSpace(mask), beta=1e-3,
+        data=CauchyData(star[mask.value_pos], star[mask.deriv_pos]), beta_policy="keep")
+    return params, star
+
+
+def _no_decrease(report, it, params):
+    """The reason of a run that ends when J does not decrease along its step
+    at iteration `it`; it names J, |g|, lambda and the core-weight span."""
+    span = np.log(np.max(params.core_weight) / np.min(params.core_weight))
+    assert not report.converged
+    assert report.reason.startswith(f"J does not decrease along the step at iteration {it} (J=")
+    assert report.reason.endswith(f"lambda={params.lam:g}, core-weight span e^{span:.3g})")
+
+
 class TestRun:
     def test_quadratic_matches_direct_solve(self, rng):
         _, grid, mask, op, space, params, _ = make_problem(
@@ -212,23 +237,31 @@ class TestRun:
         """At a core-weight span of e^173 (the 3-D cubic cap at 25^3, spacings
         1/24 and 1/12, lambda 2) two full steps land on J(u*) = 3.5e24, the
         float rounding of r(u*) times the weights, while beta ||u*||^2 is
-        2.3e-3; no later step moves u, and the reason names J, lambda and
+        2.3e-3; no later step lowers J, and the reason names J, lambda and
         the span."""
-        grid = build_grid(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (25, 25, 25))
-        mask = classify_nodes(grid, LevelSpec(family="elliptic", a=0.1, c=0.45, nu=2.0,
-                                              x_width=1.0))
-        star = _cap_solution(grid.coords(mask.dofs))
-        params = FunctionalParams(
-            op=QuasilinearOperator(family="elliptic", dim=3, lower=LowerOrderTerm(
-                "cubic", lambda p: _cap_solution(p) ** 3)),
-            lam=2.0, mask=mask, space=SobolevSpace(mask), beta=1e-3,
-            data=CauchyData(star[mask.value_pos], star[mask.deriv_pos]), beta_policy="keep")
+        params, star = _cubic_cap_params(2.0)
         report = direct_solve(params)
         assert not report.converged and report.step_history == [1.0, 1.0]
-        assert report.reason.startswith("step below rounding level at iteration 2 (J=3.47858e+24")
+        assert report.reason.startswith(
+            "J does not decrease along the step at iteration 2 (J=3.47858e+24")
         assert report.reason.endswith("lambda=2, core-weight span e^173)")
         assert report.j_history[-1] == pytest.approx(evaluate(params, star), rel=1e-9)
         assert report.j_history[-1] > 1e26 * params.beta * params.space.norm_sq(star)
+
+    def test_gauss_newton_stops_where_j_cannot_decrease(self):
+        """At lambda 1.5 (span e^130) the same cap's two full steps reach
+        J = 1.41e11, where a trial of about 4.5e-13 passes Armijo's test with
+        equality, J bit-identical, as ARMIJO_C * t * slope is below half an
+        ulp of J: only a strict decrease is accepted, so the run ends at
+        iteration 2 instead of the cap, in few evaluations."""
+        params, _ = _cubic_cap_params(1.5)
+        report = run(params, None, OptimizerConfig(max_iters=10), "direct")
+        assert not report.converged and report.reason.startswith(
+            "J does not decrease along the step at iteration 2 (J=1.41287e+11")
+        assert report.reason.endswith("lambda=1.5, core-weight span e^130)")
+        assert report.iterations == 3 and report.evaluations <= 50
+        assert report.evaluations == (1 + len(report.step_history)
+                                      + sum(report.halvings_history))
 
     def test_gauss_newton_on_a_non_dyadic_grid(self):
         """ELL2D-CUBIC at 45x37, whose spacings 1/44 and 1/18 round the stencil
@@ -253,22 +286,31 @@ class TestRun:
             assert np.array_equal(v[mask.deriv_pos], params.data.g1)
 
     def test_divergence_detected_in_fixed_mode(self, rng):
+        """A fixed step that raises J is tried once, counted as a rejected
+        trial, and ends the run unconverged, naming lambda and the span."""
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=2.0, beta=0.5)
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-14, step_mode="fixed",
                               gamma=0.99, store_iterates=False)
-        with pytest.raises(SolverError, match="diverged"):
-            run(params, draw_in_ball(params, 150.0, rng), cfg)
+        report = run(params, draw_in_ball(params, 150.0, rng), cfg)
+        _no_decrease(report, report.iterations - 1, params)
+        assert report.halvings_history[-1] == 1
+        assert report.evaluations == (1 + len(report.step_history)
+                                      + sum(report.halvings_history))
 
-    def test_line_search_failure_raises(self, rng, monkeypatch):
+    def test_line_search_failure_ends_the_run(self, rng, monkeypatch):
+        """A line search whose every trial is rejected ends the run
+        unconverged: it raises nothing, counts each rejected trial and names
+        lambda and the span."""
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=2.0, beta=0.5)
         monkeypatch.setattr(optimizer, "MAX_HALVINGS", 1)
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-14, store_iterates=False)
-        with pytest.raises(SolverError, match="line search|Armijo|decrease") as failure:
-            run(params, draw_in_ball(params, 150.0, rng), cfg)
-        span = np.log(np.max(params.core_weight) / np.min(params.core_weight))
-        assert str(failure.value).endswith(f"lambda=2, core-weight span e^{span:.3g})")
+        report = run(params, draw_in_ball(params, 150.0, rng), cfg)
+        _no_decrease(report, report.iterations - 1, params)
+        assert report.halvings_history[-1] == 1
+        assert report.evaluations == (1 + len(report.step_history)
+                                      + sum(report.halvings_history))
 
     def test_radius_reject_step_exits(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
@@ -321,15 +363,15 @@ class TestRun:
 
     @pytest.mark.parametrize("step_mode", ["backtracking", "fixed"])
     def test_step_below_rounding_stops(self, step_mode):
-        """A trial step that leaves u bit-identical ends the run unconverged
-        instead of accepting it until the iteration cap."""
+        """A step along which J does not decrease (below J's or u's rounding
+        level) ends the run unconverged instead of accepting it until the
+        iteration cap."""
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
         start = data_extension(space, params.data)
         cfg = OptimizerConfig(max_iters=400, grad_tol=1e-13, step_mode=step_mode,
                               gamma=0.1, store_iterates=True)
         report = run(params, start, cfg)
-        assert not report.converged
-        assert report.reason.startswith("step below rounding level")
+        _no_decrease(report, report.iterations - 1, params)
         assert report.iterations < cfg.max_iters
         assert report.iterations == len(report.grad_norm_history) == len(report.j_history)
         assert len(report.step_history) == report.iterations - 1
@@ -337,6 +379,40 @@ class TestRun:
         for prev, nxt in zip(report.iterates, report.iterates[1:]):
             assert not np.array_equal(prev, nxt)
         assert np.array_equal(report.final, report.iterates[-1])
+
+    @pytest.mark.parametrize("ending", ["tolerance", "cap", "exact-step", "no-decrease"])
+    def test_evaluations_count_every_trial(self, monkeypatch, ending):
+        """evaluations == 1 + len(step_history) + sum(halvings_history) on
+        every ending: the start, each accepted trial and each rejected one,
+        the last line search's too when no trial lowers J (here every one of
+        its MAX_HALVINGS trials is rejected, 10 of them, as from the 52nd on
+        the trials leave u bit-identical)."""
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
+        start, cfg, solver = data_extension(space, params.data), OptimizerConfig(), "gradient"
+        if ending == "cap":
+            cfg = OptimizerConfig(max_iters=5, grad_tol=1e-14)
+        elif ending == "exact-step":
+            params = build_setup({"case": "ELL2D-HARMONIC",
+                                  "grid": {"resolution": [17, 17]}}).params
+            start, solver = None, "direct"
+        elif ending == "no-decrease":
+            evaluations = []
+
+            def reject_every_trial(params, v):
+                evaluations.append(v)
+                return evaluate(params, v) if len(evaluations) == 1 else Evaluation(np.inf)
+
+            monkeypatch.setattr(optimizer, "evaluate", reject_every_trial)
+            monkeypatch.setattr(optimizer, "MAX_HALVINGS", 10)
+        report = run(params, start, cfg, solver)
+        assert report.reason.startswith({
+            "tolerance": "gradient tolerance reached", "cap": "iteration cap reached",
+            "exact-step": optimizer.EXACT_STEP,
+            "no-decrease": "J does not decrease along the step at iteration 0"}[ending])
+        if ending == "no-decrease":
+            assert report.halvings_history == [10] and len(evaluations) == 11
+        assert report.evaluations == (1 + len(report.step_history)
+                                      + sum(report.halvings_history))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
