@@ -263,8 +263,6 @@ SCHEMA = {
         "q": (_EXPR, "0"),
         "b": (_EXPR, "1"),
         "principal": (_principal, None),
-        "mu": (_pair(_POSITIVE), (1.0, 1.0)),
-        "a_bounds": (_pair(_POSITIVE), (1.0, 1.0)),
     },
     "weight": {"lambda": (_AT_LEAST_ONE, 2.0)},
     "functional": {
@@ -480,9 +478,7 @@ def _operator(op_cfg: dict, family: str, grid: Grid) -> QuasilinearOperator:
         def principal(points):
             return np.stack([np.stack([f(points) for f in row], -1) for row in fns], -2)
 
-    (mu1, mu2), (a_lo, a_hi) = op_cfg["mu"], op_cfg["a_bounds"]
-    return QuasilinearOperator(family=op_family, dim=grid.dim, principal=principal, lower=lower,
-                               mu1=mu1, mu2=mu2, a_lo=a_lo, a_hi=a_hi)
+    return QuasilinearOperator(family=op_family, dim=grid.dim, principal=principal, lower=lower)
 
 
 # ---------------------------------------------------------------------------

@@ -110,20 +110,14 @@ class QuasilinearOperator:
     principal: for elliptic/parabolic a callable points -> (..., n, n) symmetric
     matrix of second-order coefficients (None means the identity, i.e. the
     Laplacian); for hyperbolic a callable points -> (...) giving the wave
-    coefficient a(x) in a(x) u_tt - laplace(u) (None means 1).
-
-    mu1/mu2 are the ellipticity bounds; a_lo/a_hi bound the hyperbolic
-    coefficient.
+    coefficient a(x) in a(x) u_tt - laplace(u) (None means 1). No bounds are
+    declared: validate_operator measures the principal part at the core nodes.
     """
 
     family: str
     dim: int  # total grid dimension (spatial, or spatial + time)
     principal: Callable | None = None
     lower: LowerOrderTerm | None = None
-    mu1: float = 1.0
-    mu2: float = 1.0
-    a_lo: float = 1.0
-    a_hi: float = 1.0
 
     def __post_init__(self):
         if self.family not in OPERATOR_FAMILIES:
@@ -142,25 +136,24 @@ class QuasilinearOperator:
 
 
 def validate_operator(op: QuasilinearOperator, mask: DomainMask) -> None:
-    """Check symmetry and ellipticity bounds, or the hyperbolic conditions, at
-    every core node (where the stencil reads the coefficients)."""
+    """Check the principal part at every core node (where the stencil reads
+    the coefficients): a symmetric matrix with a positive least eigenvalue, or
+    a positive wave coefficient a with (grad a, x - x0) >= 0. A failure raises
+    ConfigError with the measured range."""
     pts = mask.grid.coords(mask.dofs[mask.core_pos])
-    slack = 1e-9
 
     if op.family in ("elliptic", "parabolic"):
         coeff = _principal_matrix(op, pts)
-        if np.max(np.abs(coeff - np.swapaxes(coeff, -1, -2))) > slack:
-            raise ConfigError("principal coefficients are not symmetric")
+        skew = np.abs(coeff - np.swapaxes(coeff, -1, -2))
+        if np.max(skew) > 1e-9:
+            raise ConfigError(f"principal part not symmetric: |a_ij - a_ji| in {_range(skew)}")
         eig = np.linalg.eigvalsh(coeff)
-        lo, hi = float(np.min(eig)), float(np.max(eig))
-        if lo < op.mu1 - slack or hi > op.mu2 + slack:
-            raise ConfigError(f"ellipticity bounds violated: eigenvalues in [{lo:.6g}, {hi:.6g}], "
-                              f"declared [{op.mu1}, {op.mu2}]")
+        if not np.min(eig) > 0.0:
+            raise ConfigError(f"ellipticity fails: eigenvalues in {_range(eig)}")
     else:
         a = _wave_coefficient(op, pts)
-        if np.any(a < op.a_lo - slack) or np.any(a > op.a_hi + slack):
-            raise ConfigError(f"wave coefficient outside [{op.a_lo}, {op.a_hi}]: "
-                              f"range [{float(np.min(a)):.6g}, {float(np.max(a)):.6g}]")
+        if not np.min(a) > 0.0:
+            raise ConfigError(f"wave coefficient not positive: range {_range(a)}")
         # (grad a, x - x0) >= 0, probed with centered differences of a
         x0 = np.asarray(mask.level.x0, dtype=float)
         h = 1e-6
@@ -171,7 +164,11 @@ def validate_operator(op: QuasilinearOperator, mask: DomainMask) -> None:
             da = (_wave_coefficient(op, pts + bump) - _wave_coefficient(op, pts - bump)) / (2 * h)
             sprod += da * (pts[:, j] - x0[j])
         if np.any(sprod < -1e-6):
-            raise ConfigError("hyperbolic monotonicity (grad a, x - x0) >= 0 fails at core nodes")
+            raise ConfigError(f"hyperbolic monotonicity fails: (grad a, x - x0) in {_range(sprod)}")
+
+
+def _range(values: np.ndarray) -> str:
+    return f"[{float(np.min(values)):.6g}, {float(np.max(values)):.6g}]"
 
 
 def _principal_matrix(op: QuasilinearOperator, points: np.ndarray) -> np.ndarray:

@@ -110,8 +110,10 @@ class RunReport:
 
 def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerConfig,
         solver: str = "gradient") -> RunReport:
-    """Minimize J from the DOF vector `start` (None: the trace data with zero
-    free DOFs) by the damped descent u + t d.
+    """Minimize J from the DOF vector `start` by the damped descent u + t d.
+    start None is the solver's own start: for the gradient the data extension,
+    made after the G_ff factor that the Riesz solves keep, so that it reuses
+    that factor; for Gauss-Newton the trace data with zero free DOFs.
 
     d is the negative H^k (Sobolev) gradient (solver "gradient") or the
     Gauss-Newton step (solver "direct"): (L^T W L + beta G) d = -grad J / 2 on
@@ -130,9 +132,10 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     past the float range raises SolverError.
 
     Iterates and `final` are DOF vectors; `factorizations` and `refinements`
-    count the space's work during this call. `gradients` (and `iterations`,
-    but 0 after the exact step) is len(grad_norm_history); a run that ends on
-    a step (the cap, the exact step) ends j_history with that step's J.
+    count the space's work during this call, the start's included.
+    `gradients` (and `iterations`, but 0 after the exact step) is
+    len(grad_norm_history); a run that ends on a step (the cap, the exact
+    step) ends j_history with that step's J.
     halvings_history counts each line search's evaluated, rejected trials,
     the last one's too when J does not decrease, so that `evaluations` is
     1 + len(step_history) + sum(halvings_history) on every ending. Each
@@ -149,14 +152,17 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     t0 = time.perf_counter()
     space = params.space
     work = space.factorizations, space.refinements
-    if start is None:  # the trace data with zero free DOFs
+    gauss_newton = solver == "direct"
+    if start is None and not gauss_newton:
+        space.constrained_solver()  # kept for the Riesz solves; the extension reuses it
+        start = data_extension(space, params.data)
+    if start is None:  # Gauss-Newton: the trace data with zero free DOFs
         u = np.zeros(params.mask.dofs.size)
     else:
         params.check_dofs(start, "starting field")
         u = np.array(start, dtype=float)
     params.impose_dofs(u)
     report = RunReport(iterates=[] if config.store_iterates else None, space=space)
-    gauss_newton = solver == "direct"
     exact = gauss_newton and (params.op.lower is None or params.op.lower.f.affine)
     free = params.mask.free_pos
 

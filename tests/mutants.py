@@ -234,6 +234,16 @@ MUTANTS = [
            "if np.linalg.norm(r) <= stop:",
            "a right-hand side whose norm is past the float range falls back to the "
            "float64 factor, not to x = 0 (inf <= inf)"),
+    Mutant("operators.py", "if not np.min(eig) > 0.0:", "if not np.min(eig) > -1.0:",
+           "a principal matrix is elliptic only when its least eigenvalue is > 0 at every "
+           "core node"),
+    Mutant("operators.py", "if not np.min(a) > 0.0:", "if not np.min(a) > -1.0:",
+           "a wave coefficient must be > 0 at every core node; 0 is refused"),
+    Mutant("optimizer.py",
+           "space.constrained_solver()  # kept for the Riesz solves; the extension reuses it",
+           "pass",
+           "a gradient run makes the float64 factor before its start's data extension, so "
+           "that a 3-D solve factorizes once and refines nothing"),
 ]
 
 

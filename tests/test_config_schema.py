@@ -72,9 +72,6 @@ SPECS = {
     ("operator", "q"): ("expr", BAD_EXPRESSIONS),
     ("operator", "b"): ("expr", BAD_EXPRESSIONS),
     ("operator", "principal"): ("expr", BAD_EXPRESSIONS | BAD_EXPRESSIONS.map(lambda e: [[e]])),
-    ("operator", "mu"): ("list", st.sampled_from([[1.0], [1.0, 2.0, 3.0], [2.0, 1.0], [0.0, 1.0],
-                                                  [-1.0, 1.0]])),
-    ("operator", "a_bounds"): ("list", st.sampled_from([[], [3.0, 1.0], [0.0, 0.5]])),
     ("weight", "lambda"): ("number", below(1.0)),
     ("functional", "beta"): ("number", below(0.0, strict=True)),
     ("functional", "beta_policy"): ("word", words("clamp", "keep")),
@@ -99,8 +96,6 @@ NULLABLE = {("level", "epsilon"), ("level", "xi"), ("functional", "order")}
 # a list key's non-finite value goes inside the list
 NONFINITE_LISTS = {
     ("grid", "bounds"): lambda v: [[0.0, v]],
-    ("operator", "mu"): lambda v: [1.0, v],
-    ("operator", "a_bounds"): lambda v: [v, 1.0],
 }
 
 TEXT = st.text(max_size=6)
@@ -152,7 +147,7 @@ def test_specs_cover_the_tables():
     table_keys = {(None, key) for key in TOP_SCHEMA}
     table_keys |= {(section, key) for section, table in SCHEMA.items() for key in table}
     assert set(SPECS) == table_keys
-    assert len(table_keys) == 12 + 36  # top-level keys, section keys
+    assert len(table_keys) == 12 + 34  # top-level keys, section keys
 
 
 @pytest.mark.parametrize("path,category", CASES_UNDER_TEST,

@@ -25,6 +25,7 @@ from convexcauchy.harness import (
     field_table,
     load_problem,
 )
+from convexcauchy.optimizer import run
 from convexcauchy.sobolev import SobolevSpace
 
 
@@ -133,8 +134,7 @@ class TestConfigEcho:
         cfg = json.loads((CONFIG_DIR / name).read_text())
         echo = self._reload(cfg)
         # the case's operator, source term included, with the table's defaults
-        assert echo["operator"] == {"q": "0", "b": "1", "mu": [1.0, 1.0],
-                                    "a_bounds": [1.0, 1.0], **CASES[cfg["case"]]["operator"]}
+        assert echo["operator"] == {"q": "0", "b": "1", **CASES[cfg["case"]]["operator"]}
         assert "family" not in echo["level"]
 
     @pytest.mark.parametrize("case_id", CATALOG_IDS)
@@ -175,8 +175,7 @@ class TestConfigEcho:
         }
         echo = self._reload(cfg)
         # the converted section: the given keys, then the defaults of the rest
-        assert echo["operator"] == {**cfg["operator"], "b": "1", "mu": [1.0, 1.0],
-                                    "a_bounds": [1.0, 1.0]}
+        assert echo["operator"] == {**cfg["operator"], "b": "1"}
         assert echo["data"]["file"] == str(trace)
         assert echo["grid"]["bounds"] == bounds
         assert "case" not in echo
@@ -636,6 +635,7 @@ MALFORMED_VALUES = [
     ("level", "epsilon", "x"),
     ("level", "nu", None),
     ("level", "c", [0.45]),
+    # bounds of the principal part, now unknown: it is measured at the core nodes
     ("operator", "mu", [1]),
     ("operator", "a_bounds", 5),
     ("weight", "lambda", None),
@@ -670,15 +670,16 @@ CROSS_KEY_VALUES = [
     ("level.a=0.49", {"level": {"a": 0.49}}, "config field level: need a < c"),
     ("HYP1D-QUAD-level.x0=[5.0]", {"case": "HYP1D-QUAD", "level": {"x0": [5.0]}},
      "config field level: focal point component x0[0]=5.0 lies outside"),
-    ("operator.mu=[2.0, 3.0]", {"operator": {"id": "linear", "mu": [2.0, 3.0]}},
-     "config field operator: ellipticity bounds violated"),
-    # a11 dips below mu1 on 3 of the 1010 masked nodes, which node sampling missed
+    # a11 dips below 0 on 2 of the 848 core nodes, which node sampling would miss
     ("operator.principal=local-dip", {
         "grid": {"resolution": [129, 129]},
         "operator": {"id": "cubic", "q": "(x0 * x0 - x1 * x1 + 3.0) ** 3",
-                     "principal": [["1 - 0.8*exp(-3000*((x0-0.1)**2 + x1**2))", 0], [0, 1]],
-                     "mu": [0.5, 1.0]}},
-     "config field operator: ellipticity bounds violated: eigenvalues in [0.205838, 1]"),
+                     "principal": [["1 - 1.2*exp(-3000*((x0-0.1)**2 + x1**2))", 0], [0, 1]]}},
+     "config field operator: ellipticity fails: eigenvalues in [-0.191243, 1]"),
+    # monotone, (grad a, x - x0) >= 0, but not positive near the focal point
+    ("HYP1D-QUAD-operator.principal=non-positive", {
+        "case": "HYP1D-QUAD", "operator": {"id": "linear", "principal": "(x0 - 0.5)**2 - 0.1"}},
+     "config field operator: wave coefficient not positive: range [-0.0648438, 0.119727]"),
     ("family=parabolic", {"family": "parabolic"},
      "config field family: case ELL2D-CUBIC is elliptic, not parabolic"),
     ("optimizer.gamma=1.5-fixed", {"optimizer": {"step_mode": "fixed", "gamma": 1.5}},
@@ -711,6 +712,17 @@ def test_descent_has_one_geometry_and_fixed_line_search(tmp_path, caplog, key, v
     assert main(["solve", str(_sweep_config(tmp_path, optimizer={key: value}))]) == 1
     assert message in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+def test_mixed_principal_needs_no_declared_bounds(tmp_path):
+    """A constant principal matrix with eigenvalues 0.7 and 1.3 loads as it is
+    and solves; its least eigenvalue is positive, which is all it must be."""
+    operator = {"id": "cubic", "q": "(x0 * x0 - x1 * x1 + 3.0) ** 3",
+                "principal": [["1", "0.3"], ["0.3", "1"]]}
+    assert main(["solve", str(_sweep_config(tmp_path, operator=operator, solver="direct"))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["operator"]["principal"] == operator["principal"]
+    assert report["run"]["converged"]
 
 
 def _malformed_case(section, key, value):
@@ -947,10 +959,16 @@ class TestCli:
         ("solve", {"weight": {"lambda": float("nan")}}, "finite"),
         ("certify", {"operator": {"id": "cubic", "q": "log(x0 - 5)"}},
          "expression 'log(x0 - 5)' is not finite"),
+        # no bound is declared, not even one that holds: the validation measures them
+        ("certify", {"operator": {"id": "linear", "mu": [2.0, 3.0]}},
+         "config field operator.mu: unknown keys"),
+        ("certify", {"operator": {"id": "linear", "a_bounds": [1.0, 1.0]}},
+         "config field operator.a_bounds: unknown keys"),
     ] + [_malformed_case(*entry) for entry in MALFORMED_VALUES]
       + [("certify", overrides, message) for _, overrides, message in CROSS_KEY_VALUES],
         ids=["empty-list", "nan-in-list", "text-in-list", "not-a-list", "nan-certify",
-             "nan-solve", "operator.q=nan-valued"]
+             "nan-solve", "operator.q=nan-valued", "operator.mu=[2.0, 3.0]",
+             "operator.a_bounds=[1.0, 1.0]"]
         + [".".join(filter(None, (section, key))) + f"={value!r}"
            for section, key, value in MALFORMED_VALUES]
         + [name for name, _, _ in CROSS_KEY_VALUES])
@@ -990,6 +1008,25 @@ class TestCli:
         assert main(["solve", str(path)]) == 1
         assert "solver 'direct' takes no step_mode 'fixed'" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_library_run_starts_where_solve_does(self, tmp_path):
+        """run(params, None, config) makes the gradient's start itself, the
+        data extension on the factor the Riesz solves keep: the field bit for
+        bit, the history and the counters of `solve`, 1 factorization and 0
+        refinements."""
+        cfg = json.loads((CONFIG_DIR / "ell2d_cubic_solve.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 0
+        solved = json.loads((tmp_path / "out" / "report.json").read_text())["run"]
+        setup = load_problem(path)
+        report = run(setup.params, None, setup.opt_config)
+        ran = json.loads(json.dumps(report.to_dict()))
+        assert {**ran, "wall_time": None} == {**solved, "wall_time": None}
+        assert ran["counters"]["factorizations"] == 1 and ran["counters"]["refinements"] == 0
+        with open(tmp_path / "out" / "field.csv", newline="") as fh:
+            assert report.final.tolist() == [float(row["u"]) for row in csv.DictReader(fh)]
 
     def test_iteration_cap_history_csv(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "ell2d_cubic_solve.json").read_text())

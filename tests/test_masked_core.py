@@ -100,7 +100,7 @@ def _problem(name):
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 35))
         level = LevelSpec(family="parabolic", a=0.2, c=0.45, nu=1.0, x_width=1.0, t_span=1.0)
         op = QuasilinearOperator(family="parabolic", dim=2, principal=_mixed(_par_coeff, 1),
-                                 mu1=1.0, mu2=1.0, lower=LowerOrderTerm("source", _source))
+                                 lower=LowerOrderTerm("source", _source))
     elif name == "hyp2d-wave-gradsq":
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 35))
         level = LevelSpec(family="hyperbolic", c=0.02, eta=0.25, x0=(0.5,))

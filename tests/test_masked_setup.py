@@ -507,8 +507,7 @@ def _full_hessian_solve(params) -> np.ndarray:
 # ELL2D-HARMONIC's data with a constant principal part that has a mixed term
 MIXED_DIRECT = {"case": "ELL2D-HARMONIC", "solver": "direct",
                 "functional": {"beta": 5e-3, "beta_policy": "keep"},
-                "operator": {"id": "linear", "principal": [["1", "0.3"], ["0.3", "1"]],
-                             "mu": [0.6, 1.4]}}
+                "operator": {"id": "linear", "principal": [["1", "0.3"], ["0.3", "1"]]}}
 
 
 # ELL2D-HARMONIC on spacings 1/44 and 1/18, which no power of two divides:
@@ -526,7 +525,7 @@ def ell3d_mixed(tmp_path_factory):
     trace = tmp_path_factory.mktemp("ell3d-mixed") / "trace.csv"
     principal = [["1", "0.3", "0"], ["0.3", "1", "0.2"], ["0", "0.2", "1"]]
     return build_setup({**_ell3d_config(33, trace), "solver": "direct",
-                        "operator": {"id": "linear", "principal": principal, "mu": [0.6, 1.4]}})
+                        "operator": {"id": "linear", "principal": principal}})
 
 
 def _direct_setup(which, request):
@@ -761,7 +760,7 @@ def test_data_extension_in_2d_uses_the_float64_factor(ell2d_mask, recorded_solve
 
 
 def test_gradient_solve_on_three_axes_factorizes_once(tmp_path, monkeypatch):
-    """The Riesz solves need the float64 factor, so the CLI makes it before
+    """The Riesz solves need the float64 factor, so `run` makes it before
     the start's data extension, which then reuses it rather than refining a
     float32 factor of its own."""
     config = {**_ell3d_config(17, tmp_path / "trace.csv"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -219,8 +221,7 @@ class TestMixedCoefficients:
             out[..., 1, 0] = out[..., 0, 1]
             return out
 
-        op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs,
-                                 mu1=1.0, mu2=2.6)
+        op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
         validate_operator(op, mask)
         lin = OperatorStencil(op, mask).linearize(np.zeros(mask.dofs.size))
         mat = lin.to_matrix()
@@ -241,7 +242,7 @@ class TestMixedCoefficients:
             out[..., 1, 0] = 0.2
             return out
 
-        op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs, mu1=0.7, mu2=1.5)
+        op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
         pts = grid.coords()
         x, y = pts[..., 0], pts[..., 1]
         u = mask.gather(1.0 + 2 * x - y + 0.5 * x * x + x * y - 2 * y * y)
@@ -283,8 +284,7 @@ class TestGradSqLowerTerm:
         def wave(points):
             return 1.0 + (points[..., 0] - 0.5) ** 2
 
-        op = QuasilinearOperator(family="hyperbolic", dim=2, principal=wave,
-                                 a_lo=1.0, a_hi=1.3)
+        op = QuasilinearOperator(family="hyperbolic", dim=2, principal=wave)
         validate_operator(op, mask)
         pts = grid.coords()
         r = OperatorStencil(op, mask).residual(mask.gather(pts[..., 1] ** 2))  # u = t^2
@@ -301,7 +301,26 @@ class TestValidation:
             return out
 
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
-        with pytest.raises(ConfigError, match="ellipticity"):
+        with pytest.raises(ConfigError, match=re.escape("ellipticity fails: eigenvalues in "
+                                                        "[-0.5, 1]")):
+            validate_operator(op, ell2d_mask)
+
+    def test_least_eigenvalue_must_be_positive(self, ell2d_mask):
+        """No declared bound: any positive least eigenvalue passes, one that
+        reaches 0 at a single core node fails."""
+        pts = ell2d_mask.grid.coords(ell2d_mask.dofs[ell2d_mask.core_pos])
+        node = pts[len(pts) // 2]
+
+        def coeffs(points, floor):
+            out = np.zeros(points.shape[:-1] + (2, 2))
+            out[..., 0, 0] = np.where(np.all(points == node, axis=-1), floor, 50.0)
+            out[..., 1, 1] = 1e-3
+            return out
+
+        validate_operator(QuasilinearOperator(
+            family="elliptic", dim=2, principal=lambda p: coeffs(p, 1e-12)), ell2d_mask)
+        op = QuasilinearOperator(family="elliptic", dim=2, principal=lambda p: coeffs(p, 0.0))
+        with pytest.raises(ConfigError, match=re.escape("eigenvalues in [0, 50]")):
             validate_operator(op, ell2d_mask)
 
     def test_asymmetry_caught(self, ell2d_mask):
@@ -313,7 +332,8 @@ class TestValidation:
             return out
 
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
-        with pytest.raises(ConfigError, match="symmetric"):
+        with pytest.raises(ConfigError, match=re.escape("not symmetric: |a_ij - a_ji| in "
+                                                        "[0, 0.3]")):
             validate_operator(op, ell2d_mask)
 
     def test_hyperbolic_monotonicity_caught(self):
@@ -324,8 +344,23 @@ class TestValidation:
             # decreasing away from the focal point violates (grad a, x - x0) >= 0
             return 2.0 - (points[..., 0] - 0.5) ** 2
 
-        op = QuasilinearOperator(family="hyperbolic", dim=2, principal=wave, a_lo=1.0, a_hi=2.0)
-        with pytest.raises(ConfigError, match="monotonicity"):
+        op = QuasilinearOperator(family="hyperbolic", dim=2, principal=wave)
+        with pytest.raises(ConfigError, match=re.escape(
+                "monotonicity fails: (grad a, x - x0) in [-0.382813, -0.125]")):
+            validate_operator(op, mask)
+
+    def test_wave_coefficient_must_be_positive(self):
+        grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (17, 17))
+        mask = classify_nodes(grid, LevelSpec(family="hyperbolic", c=0.02, eta=0.25, x0=(0.5,)))
+
+        def wave(points, shift):
+            return 3.0 * (points[..., 0] - 0.5) ** 2 - shift  # (grad a, x - x0) >= 0
+
+        validate_operator(QuasilinearOperator(
+            family="hyperbolic", dim=2, principal=lambda p: wave(p, 0.0)), mask)
+        # a = 0 on the core nodes nearest the focal point, x = 0.25 and 0.75
+        op = QuasilinearOperator(family="hyperbolic", dim=2, principal=lambda p: wave(p, 0.1875))
+        with pytest.raises(ConfigError, match=re.escape("not positive: range [0, 0.386719]")):
             validate_operator(op, mask)
 
     @pytest.mark.parametrize("kind", LOWER_TERMS)
