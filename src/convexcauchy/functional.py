@@ -89,6 +89,7 @@ class FunctionalParams:
         if not np.isfinite(self.beta):
             raise ConfigError(f"beta must be a finite number, got {self.beta}")
         mask = self.mask
+        self.stencil = OperatorStencil(self.op, mask)  # refuses before beta's warning
         self.core_weight = _core_weight(mask, self.lam)  # checks lam
         self.beta = _windowed_beta(self.beta, self.lam, mask.epsilon, self.beta_policy)
         for name, values, layer in (("g0", self.data.g0, mask.value_pos),
@@ -98,7 +99,6 @@ class FunctionalParams:
                                   f"expected one value per layer node {layer.shape}")
             if not np.all(np.isfinite(values)):
                 raise ConfigError("Cauchy data contains non-finite values")
-        self.stencil = OperatorStencil(self.op, mask)
         self._trace_scale = 1.0 + max(
             float(np.max(np.abs(self.data.g0), initial=0.0)),
             float(np.max(np.abs(self.data.g1), initial=0.0)),

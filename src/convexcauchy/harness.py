@@ -49,7 +49,7 @@ from .errors import ConfigError, GeometryError
 from .functional import BETA_POLICIES, CauchyData, FunctionalParams, beta_window, data_extension
 from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
                    build_grid, classify_nodes, coordinate_components)
-from .operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator, validate_operator
+from .operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
 from .optimizer import RADIUS_POLICIES, SOLVERS, STEP_MODES, OptimizerConfig
 from .sobolev import SobolevSpace
 
@@ -139,13 +139,14 @@ def _evaluate_node(node: ast.expr, names: dict):
     return _EXPR_FUNCTIONS[node.func.id](*[_evaluate_node(arg, names) for arg in node.args])
 
 
-def evaluate_expression(expr: str, points, time_axis: bool) -> np.ndarray:
+def evaluate_expression(expr: str, points, time_axis: bool, tree=None) -> np.ndarray:
     """Evaluate a coordinate expression on points, given as
     grid.coordinate_components takes them; x_j is coordinate j and t the
-    last coordinate of a time-dependent family. A value that is not finite
-    raises ConfigError, and so does an expression that the check takes but
-    that is nested too deeply to evaluate at the caller's stack depth."""
-    tree = _parse_expression(expr)
+    last coordinate of a time-dependent family; tree is its checked tree,
+    else it is parsed here. A value that is not finite raises ConfigError,
+    and so does an expression that the check takes but that is nested too
+    deeply to evaluate at the caller's stack depth."""
+    tree = _parse_expression(expr) if tree is None else tree
     names = dict(_EXPR_CONSTANTS)
     x = coordinate_components(points)
     for j, c in enumerate(x):
@@ -165,11 +166,14 @@ def evaluate_expression(expr: str, points, time_axis: bool) -> np.ndarray:
 
 
 def _expr_fn(expr: str, time_axis: bool, field: str | None = None):
-    """The expression as a function of points; its evaluation errors name the
-    config field, as a run evaluates it long after the config is loaded."""
+    """The expression as a function of points, which keeps its tree: parsed
+    and checked here once. Its evaluation errors name the config field, as a
+    run evaluates it long after the config is loaded."""
+    tree = _parse_expression(expr)
+
     def evaluate(points):
         with _section(field) if field else nullcontext():
-            return evaluate_expression(expr, points, time_axis)
+            return evaluate_expression(expr, points, time_axis, tree)
 
     return evaluate
 
@@ -410,8 +414,6 @@ def build_setup(cfg: dict) -> ProblemSetup:
         ))
 
     op = _operator(sections["operator"], family, grid)
-    with _section("operator"):
-        validate_operator(op, mask)
 
     if data_cfg["file"] is not None:
         u_star, clean = None, load_cauchy_csv(Path(data_cfg["file"]), mask)
@@ -423,10 +425,10 @@ def build_setup(cfg: dict) -> ProblemSetup:
     with _section("data"):
         g0, g1 = add_noise(clean.g0, clean.g1, data_cfg["noise_level"], data_cfg["noise_seed"])
     space = SobolevSpace(mask, order=fun_cfg["order"])
-    params = FunctionalParams(
-        op=op, lam=sections["weight"]["lambda"], mask=mask, space=space, beta=fun_cfg["beta"],
-        data=CauchyData(g0, g1), beta_policy=fun_cfg["beta_policy"],
-    )
+    with _section("operator"):  # the stencil measures the principal part
+        params = FunctionalParams(
+            op=op, lam=sections["weight"]["lambda"], mask=mask, space=space, beta=fun_cfg["beta"],
+            data=CauchyData(g0, g1), beta_policy=fun_cfg["beta_policy"])
     beta = {"requested": fun_cfg["beta"], "effective": params.beta,
             "window": list(beta_window(params.lam, mask.epsilon))}
 

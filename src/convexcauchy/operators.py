@@ -111,7 +111,7 @@ class QuasilinearOperator:
     matrix of second-order coefficients (None means the identity, i.e. the
     Laplacian); for hyperbolic a callable points -> (...) giving the wave
     coefficient a(x) in a(x) u_tt - laplace(u) (None means 1). No bounds are
-    declared: validate_operator measures the principal part at the core nodes.
+    declared: OperatorStencil measures the principal part at the core nodes.
     """
 
     family: str
@@ -135,38 +135,6 @@ class QuasilinearOperator:
         return 1.0 if self.family == "elliptic" else -1.0
 
 
-def validate_operator(op: QuasilinearOperator, mask: DomainMask) -> None:
-    """Check the principal part at every core node (where the stencil reads
-    the coefficients): a symmetric matrix with a positive least eigenvalue, or
-    a positive wave coefficient a with (grad a, x - x0) >= 0. A failure raises
-    ConfigError with the measured range."""
-    pts = mask.grid.coords(mask.dofs[mask.core_pos])
-
-    if op.family in ("elliptic", "parabolic"):
-        coeff = _principal_matrix(op, pts)
-        skew = np.abs(coeff - np.swapaxes(coeff, -1, -2))
-        if np.max(skew) > 1e-9:
-            raise ConfigError(f"principal part not symmetric: |a_ij - a_ji| in {_range(skew)}")
-        eig = np.linalg.eigvalsh(coeff)
-        if not np.min(eig) > 0.0:
-            raise ConfigError(f"ellipticity fails: eigenvalues in {_range(eig)}")
-    else:
-        a = _wave_coefficient(op, pts)
-        if not np.min(a) > 0.0:
-            raise ConfigError(f"wave coefficient not positive: range {_range(a)}")
-        # (grad a, x - x0) >= 0, probed with centered differences of a
-        x0 = np.asarray(mask.level.x0, dtype=float)
-        h = 1e-6
-        sprod = np.zeros(pts.shape[0])
-        for j in range(op.n_spatial):
-            bump = np.zeros_like(pts)
-            bump[:, j] = h
-            da = (_wave_coefficient(op, pts + bump) - _wave_coefficient(op, pts - bump)) / (2 * h)
-            sprod += da * (pts[:, j] - x0[j])
-        if np.any(sprod < -1e-6):
-            raise ConfigError(f"hyperbolic monotonicity fails: (grad a, x - x0) in {_range(sprod)}")
-
-
 def _range(values: np.ndarray) -> str:
     return f"[{float(np.min(values)):.6g}, {float(np.max(values)):.6g}]"
 
@@ -184,6 +152,31 @@ def _wave_coefficient(op: QuasilinearOperator, points: np.ndarray) -> np.ndarray
     return np.asarray(op.principal(points), dtype=float)
 
 
+def _check_matrix(coeff: np.ndarray) -> None:
+    """Refuse a principal matrix not symmetric to 1e-9 of its largest entry, or not elliptic."""
+    skew = np.abs(coeff - np.swapaxes(coeff, -1, -2))
+    if np.max(skew) > 1e-9 * np.max(np.abs(coeff)):
+        raise ConfigError(f"principal part not symmetric: |a_ij - a_ji| in {_range(skew)}")
+    eig = np.linalg.eigvalsh(coeff)
+    if not np.min(eig) > 0.0:
+        raise ConfigError(f"ellipticity fails: eigenvalues in {_range(eig)}")
+
+
+def _check_wave(op: QuasilinearOperator, a: np.ndarray, points: np.ndarray, x0) -> None:
+    """Refuse a wave coefficient a <= 0 at a node, or (grad a, x - x0) < -1e-6 max a at one."""
+    if not np.min(a) > 0.0:
+        raise ConfigError(f"wave coefficient not positive: range {_range(a)}")
+    h = 1e-6  # the step of the centered differences of a
+    sprod = np.zeros(points.shape[0])
+    for j in range(op.n_spatial):
+        bump = np.zeros_like(points)
+        bump[:, j] = h
+        da = (_wave_coefficient(op, points + bump) - _wave_coefficient(op, points - bump)) / (2 * h)
+        sprod += da * (points[:, j] - x0[j])
+    if np.any(sprod < -1e-6 * np.max(a)):
+        raise ConfigError(f"hyperbolic monotonicity fails: (grad a, x - x0) in {_range(sprod)}")
+
+
 # ---------------------------------------------------------------------------
 # stencils on masked DOFs
 
@@ -195,7 +188,8 @@ class OperatorStencil:
     keeps its whole 3^d neighbourhood inside the mask, so its stencil reads
     masked DOFs only. Each difference is the same elementwise expression as
     on the full grid, with a gather in place of a shift, so the results agree
-    with a full-grid computation bit for bit on every node.
+    with a full-grid computation bit for bit on every node. The constructor
+    checks the principal part it keeps (_check_matrix, _check_wave).
 
     Coefficients are vectors over the core nodes, in C order:
         second_pure: list of (axis, coeff)
@@ -220,6 +214,7 @@ class OperatorStencil:
         if op.family in ("elliptic", "parabolic"):
             sgn = 1.0 if op.family == "elliptic" else -1.0
             coeff = _principal_matrix(op, self.points)
+            _check_matrix(coeff)
             for i in range(op.n_spatial):
                 self.second_pure.append((i, sgn * coeff[:, i, i]))
                 for j in range(i + 1, op.n_spatial):
@@ -229,7 +224,9 @@ class OperatorStencil:
             if op.family == "parabolic":
                 self.first.append((grid.dim - 1, np.ones(n_core)))
         else:
-            self.second_pure.append((grid.dim - 1, _wave_coefficient(op, self.points)))
+            a = _wave_coefficient(op, self.points)
+            _check_wave(op, a, self.points, mask.level.x0)
+            self.second_pure.append((grid.dim - 1, a))
             for j in range(op.n_spatial):
                 self.second_pure.append((j, np.full(n_core, -1.0)))
 

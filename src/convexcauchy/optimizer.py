@@ -79,6 +79,8 @@ class RunReport:
     gradients: int = 0  # gradient evaluations
     factorizations: int = 0  # sparse factorizations of the space's solves
     refinements: int = 0  # CG iterations of its mixed-precision solves
+    factor_nnz: int = 0  # fill of the largest of their factors (SobolevSpace.factor_fills)
+    factor_bytes: int = 0  # the bytes of that factor's values
     final: np.ndarray | None = None  # DOF vector of the last iterate
     converged: bool = False
     reason: str = ""
@@ -104,7 +106,8 @@ class RunReport:
             "counters": {"evaluations": self.evaluations, "gradients": self.gradients,
                          "halvings": sum(self.halvings_history),
                          "factorizations": self.factorizations,
-                         "refinements": self.refinements},
+                         "refinements": self.refinements, "factor_nnz": self.factor_nnz,
+                         "factor_bytes": self.factor_bytes},
         }
 
 
@@ -132,7 +135,8 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     past the float range raises SolverError.
 
     Iterates and `final` are DOF vectors; `factorizations` and `refinements`
-    count the space's work during this call, the start's included.
+    count the space's work during this call, the start's included, and
+    `factor_nnz` and `factor_bytes` are the largest factor it made.
     `gradients` (and `iterations`, but 0 after the exact step) is
     len(grad_norm_history); a run that ends on a step (the cap, the exact
     step) ends j_history with that step's J.
@@ -151,7 +155,7 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
                           "tries the full Gauss-Newton step first")
     t0 = time.perf_counter()
     space = params.space
-    work = space.factorizations, space.refinements
+    work = space.factorizations, space.refinements, len(space.factor_fills)
     gauss_newton = solver == "direct"
     if start is None and not gauss_newton:
         space.constrained_solver()  # kept for the Riesz solves; the extension reuses it
@@ -255,6 +259,7 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     report.iterations = 0 if report.reason == EXACT_STEP else report.gradients
     report.factorizations = space.factorizations - work[0]
     report.refinements = space.refinements - work[1]
+    report.factor_nnz, report.factor_bytes = max(space.factor_fills[work[2]:], default=(0, 0))
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:

@@ -58,9 +58,15 @@ def _splu(matrix: sp.csc_matrix):
 
 
 def spd_factorized(matrix: sp.spmatrix):
-    """Solve callable of the float64 SPD sparse LU (see _splu); a singular
-    factor raises SolverError."""
-    return _splu(matrix.tocsc()).solve
+    """The float64 SPD sparse LU (see _splu), which solves with `solve`; a
+    singular factor raises SolverError."""
+    return _splu(matrix.tocsc())
+
+
+def _fill(lu, dtype) -> tuple[int, int]:
+    """(nnz, bytes) of a SuperLU factor: the entries it stores for L and U, as
+    its `nnz` counts them (reading `L` and `U` would copy), and their bytes."""
+    return lu.nnz, lu.nnz * np.dtype(dtype).itemsize
 
 
 # mixed-precision solve: CG stops at this relative residual within this many
@@ -78,6 +84,7 @@ class SpdSolve(NamedTuple):
     x: np.ndarray
     factorizations: int  # 1, or 2 after a fall back to the float64 factor
     refinements: int  # CG iterations on the float32 factor
+    fills: tuple[tuple[int, int], ...]  # _fill of each factor made
 
 
 def spd_solve(matrix: sp.spmatrix, rhs: np.ndarray, mixed: bool = True) -> SpdSolve:
@@ -103,19 +110,22 @@ def spd_solve(matrix: sp.spmatrix, rhs: np.ndarray, mixed: bool = True) -> SpdSo
     """
     matrix = matrix.tocsc()
     if not mixed:
-        return SpdSolve(spd_factorized(matrix)(rhs), 1, 0)
+        lu = spd_factorized(matrix)
+        return SpdSolve(lu.solve(rhs), 1, 0, (_fill(lu, float),))
     with np.errstate(all="ignore"):  # a value past the float range falls back
-        x, iterations = _refine(matrix, rhs)
+        x, iterations, fills = _refine(matrix, rhs)
         if x is not None and (np.linalg.norm(rhs - matrix @ x) <= REFINE_TOL * (
                 matrix.diagonal().max(initial=0.0) * np.linalg.norm(x) + np.linalg.norm(rhs))):
-            return SpdSolve(x, 1, iterations)
-    return SpdSolve(spd_factorized(matrix)(rhs), 2, iterations)
+            return SpdSolve(x, 1, iterations, fills)
+    lu = spd_factorized(matrix)
+    return SpdSolve(lu.solve(rhs), 2, iterations, fills + (_fill(lu, float),))
 
 
-def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, int, tuple]:
     """CG on matrix @ x = rhs preconditioned by its float32 LU, under spd_solve's
-    np.errstate: the solution and the iterations made, the solution None when
-    the float32 factor fails or CG does not converge to a finite iterate."""
+    np.errstate: the solution, the iterations made and the _fill of the float32
+    factor in a tuple, empty when there is none; the solution None when the
+    factor fails or CG does not converge to a finite iterate."""
     # the float32 matrix shares the index arrays, which astype would copy,
     # unless SuperLU would sort them in place (a matrix not in canonical form)
     single = sp.csc_matrix((matrix.data.astype(np.float32), matrix.indices, matrix.indptr),
@@ -123,12 +133,13 @@ def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, 
     # two reductions, not an n-element mask; the empty system reads initial 0
     low, high = single.data.min(initial=0.0), single.data.max(initial=0.0)
     if not (np.isfinite(low) and np.isfinite(high)):
-        return None, 0
+        return None, 0, ()
     try:
         lu = _splu(single)
     except SolverError:
-        return None, 0
+        return None, 0, ()
     del single  # SuperLU keeps its own copy
+    fills = (_fill(lu, np.float32),)
 
     def precondition(r: np.ndarray) -> np.ndarray:
         # scaled to max-abs 1, so the float32 cast neither overflows nor underflows
@@ -141,11 +152,11 @@ def _refine(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, 
     stop = REFINE_TOL * np.linalg.norm(r)  # inf, never met, for an rhs past the range
     for it in range(REFINE_MAX_ITERS + 1):
         if not np.all(np.isfinite(x)):
-            return None, it
+            return None, it, fills
         if np.linalg.norm(r) <= stop < np.inf:
-            return x, it
+            return x, it, fills
         if it == REFINE_MAX_ITERS:
-            return None, it
+            return None, it, fills
         z = precondition(r)
         rz = r @ z
         # Polak-Ribiere form: robust to the float32 factor's slight asymmetry
@@ -192,6 +203,7 @@ class SobolevSpace:
         self.monomials = difference_monomials(self.grid.dim, self.order)
         self._free_solve = None
         self.factorizations = self.refinements = 0  # the work of every solve (see solve)
+        self.factor_fills: list[tuple[int, int]] = []  # _fill of each factor made
 
         self.dof_weights = np.where(on_nodes[:-1], mask.dof_quad_weight, 0.0)
         # views of the mask's step tables; a sentinel reads v[n - 1] (clipped), zeroed by validity
@@ -347,12 +359,15 @@ class SobolevSpace:
                            mixed=self.grid.dim >= MIXED_PRECISION_DIM)
         self.factorizations += solved.factorizations
         self.refinements += solved.refinements
+        self.factor_fills += solved.fills
         return solved.x
 
     def constrained_solver(self):
         if self._free_solve is None:
-            self._free_solve = spd_factorized(self.constrained_gram())
+            lu = spd_factorized(self.constrained_gram())
+            self._free_solve = lu.solve
             self.factorizations += 1
+            self.factor_fills.append(_fill(lu, float))
         return self._free_solve
 
     def _assemble(self, cols: np.ndarray, scale: float = 1.0,

@@ -239,6 +239,14 @@ MUTANTS = [
            "core node"),
     Mutant("operators.py", "if not np.min(a) > 0.0:", "if not np.min(a) > -1.0:",
            "a wave coefficient must be > 0 at every core node; 0 is refused"),
+    Mutant("operators.py", "if np.max(skew) > 1e-9 * np.max(np.abs(coeff)):",
+           "if np.max(skew) > 1e-9:",
+           "the symmetry tolerance is relative to the matrix's largest entry: a matrix "
+           "50% asymmetric at the scale 1e-10 is refused"),
+    Mutant("operators.py", "if np.any(sprod < -1e-6 * np.max(a)):",
+           "if np.any(sprod < -1e-6):",
+           "the monotonicity tolerance is relative to the wave coefficient's largest "
+           "value: a decreasing coefficient at the scale 1e-8 is refused"),
     Mutant("optimizer.py",
            "space.constrained_solver()  # kept for the Riesz solves; the extension reuses it",
            "pass",

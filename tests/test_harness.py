@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -680,6 +681,20 @@ CROSS_KEY_VALUES = [
     ("HYP1D-QUAD-operator.principal=non-positive", {
         "case": "HYP1D-QUAD", "operator": {"id": "linear", "principal": "(x0 - 0.5)**2 - 0.1"}},
      "config field operator: wave coefficient not positive: range [-0.0648438, 0.119727]"),
+    # the checks' tolerances are relative: 50% asymmetric at the scale 1e-10, and
+    # decreasing away from the focal point at the scale 1, and at 1e-8
+    ("operator.principal=asymmetric-at-1e-10", {
+        "operator": {"id": "linear", "principal": [["1e-10", "0.5e-10"], ["0", "1e-10"]]}},
+     "config field operator: principal part not symmetric: |a_ij - a_ji| in [0, 5e-11]"),
+    ("HYP1D-QUAD-operator.principal=decreasing", {
+        "case": "HYP1D-QUAD", "operator": {"id": "linear", "principal": "2 - (x0 - 0.5)**2"}},
+     "config field operator: hyperbolic monotonicity fails: (grad a, x - x0) in "
+     "[-0.439453, -0.0703125]"),
+    ("HYP1D-QUAD-operator.principal=decreasing-at-1e-8", {
+        "case": "HYP1D-QUAD",
+        "operator": {"id": "linear", "principal": "1e-8*(2 - (x0 - 0.5)**2)"}},
+     "config field operator: hyperbolic monotonicity fails: (grad a, x - x0) in "
+     "[-4.39453e-09, -7.03125e-10]"),
     ("family=parabolic", {"family": "parabolic"},
      "config field family: case ELL2D-CUBIC is elliptic, not parabolic"),
     ("optimizer.gamma=1.5-fixed", {"optimizer": {"step_mode": "fixed", "gamma": 1.5}},
@@ -723,6 +738,54 @@ def test_mixed_principal_needs_no_declared_bounds(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["operator"]["principal"] == operator["principal"]
     assert report["run"]["converged"]
+
+
+def test_symmetric_principal_at_scale_1e9_loads():
+    """An off-diagonal written two ways rounds to two values 7.45e-9 apart,
+    which is symmetric at the matrix's scale 1e9: it loads."""
+    setup = build_setup({"case": "ELL2D-CUBIC", "operator": {"id": "linear", "principal": [
+        ["1e9", "1e9*(x0/3 + x1/7)"], ["(1e9*x0)/3 + (1e9*x1)/7", "1e9"]]}})
+    assert len(setup.params.stencil.second_mixed) == 1
+
+
+class TestLoadWork:
+    """One load parses each expression twice, in the schema's check and where
+    its function is made, and evaluates the principal part once on the core
+    nodes, where the stencil keeps and checks it; the wave coefficient's
+    monotonicity probe adds 2n evaluations on n spatial axes."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> tuple[Counter, Counter]:
+        parsed, evaluated = Counter(), Counter()
+        parse, evaluate = harness._parse_expression, harness.evaluate_expression
+
+        def counted_parse(expr):
+            parsed[expr] += 1
+            return parse(expr)
+
+        def counted_evaluate(expr, *args):
+            evaluated[expr] += 1
+            return evaluate(expr, *args)
+
+        monkeypatch.setattr(harness, "_parse_expression", counted_parse)
+        monkeypatch.setattr(harness, "evaluate_expression", counted_evaluate)
+        return parsed, evaluated
+
+    def test_principal_matrix(self, monkeypatch):
+        entries = [["1 + 0.1*x0", "0.2*x1"], ["x1*0.2", "1.5 + 0*x1"]]
+        parsed, evaluated = self._counted(monkeypatch)
+        setup = build_setup({"case": "ELL2D-CUBIC",
+                             "operator": {"id": "linear", "principal": entries}})
+        for expr in sum(entries, []):
+            assert parsed[expr] <= 2 and evaluated[expr] == 1, expr
+        before = sum(parsed.values())
+        setup.params.op.principal(setup.grid.coords(setup.mask.dofs))  # a kept function
+        assert sum(parsed.values()) == before
+
+    def test_wave_coefficient(self, monkeypatch):
+        parsed, evaluated = self._counted(monkeypatch)
+        build_setup({"case": "HYP1D-QUAD", "operator": {"id": "linear", "principal": "1 + 0*x0"}})
+        assert parsed["1 + 0*x0"] <= 2 and evaluated["1 + 0*x0"] == 1 + 2 * 1
 
 
 def _malformed_case(section, key, value):

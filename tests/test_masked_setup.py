@@ -42,8 +42,7 @@ from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, 
                                classify_nodes, level_values, shift, step_tables, walk)
 from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
                                   load_cauchy_csv, load_problem)
-from convexcauchy.operators import (LinearizedOperator, OperatorStencil, QuasilinearOperator,
-                                    validate_operator)
+from convexcauchy.operators import LinearizedOperator, OperatorStencil, QuasilinearOperator
 from convexcauchy.optimizer import direct_solve
 from convexcauchy.sobolev import SobolevSpace, spd_factorized, spd_solve
 from convexcauchy.weights import mask_weight_sq, weight_extrema
@@ -624,7 +623,7 @@ def test_mixed_precision_solve_matches_float64(which, systems_3d):
     solved = spd_solve(hess, rhs)
     assert solved.factorizations == 1 and 1 <= solved.refinements <= 10
     assert np.linalg.norm(rhs - hess @ solved.x) <= 1e-14 * np.linalg.norm(rhs)
-    reference = spd_factorized(hess)(rhs)
+    reference = spd_factorized(hess).solve(rhs)
     assert np.max(np.abs(solved.x - reference)) <= 1e-9 * np.max(np.abs(reference))
     again = spd_solve(hess, rhs)
     assert np.array_equal(again.x, solved.x) and again[1:] == solved[1:]
@@ -641,6 +640,7 @@ def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
     hess, rhs = _direct_system(ell3d_setup[0].params)
     assert counters["factorizations"] == 1
     assert counters["refinements"] == spd_solve(hess, rhs).refinements > 0
+    assert counters["factor_bytes"] == 4 * counters["factor_nnz"] > 0  # a float32 factor
 
 
 def test_repeated_direct_solve_counts_only_its_own_work(ell3d_setup):
@@ -658,7 +658,7 @@ def test_beta_underflowing_float32_falls_back(ell3d_setup):
     hess, rhs = _direct_system(params)
     solved = spd_solve(hess, rhs)
     assert (solved.factorizations, solved.refinements) == (2, 0)
-    assert np.array_equal(solved.x, spd_factorized(hess)(rhs))
+    assert np.array_equal(solved.x, spd_factorized(hess).solve(rhs))
     report = direct_solve(params)
     assert (report.factorizations, report.refinements) == (2, 0)
 
@@ -671,7 +671,7 @@ def test_right_hand_side_norm_past_the_float_range_falls_back(ell3d_setup):
     rhs = rhs * (1e160 / np.max(np.abs(rhs)))
     solved = spd_solve(hess, rhs)
     assert solved.factorizations == 2 and np.all(np.isfinite(solved.x))
-    assert np.array_equal(solved.x, spd_factorized(hess)(rhs))
+    assert np.array_equal(solved.x, spd_factorized(hess).solve(rhs))
 
 
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell3d", "hyp2d"])
@@ -685,12 +685,12 @@ def test_solve_with_plus_is_one_factorization_of_the_sum(which, request):
     space = SobolevSpace(params.mask)
     x = space.solve(rhs, params.beta, normal=_direct_normal(params))
     if params.mask.grid.dim < 3:
-        want = sobolev.SpdSolve(spd_factorized(hess)(rhs), 1, 0)
+        want = spd_solve(hess, rhs, mixed=False)
     else:
         want = spd_solve(hess, rhs)
         assert want.refinements > 0
     assert np.array_equal(x, want.x)
-    assert (space.factorizations, space.refinements) == want[1:]
+    assert (space.factorizations, space.refinements, tuple(space.factor_fills)) == want[1:]
     space.constrained_solver()  # the factor of the sum was not kept as G_ff's
     assert space.factorizations == want.factorizations + 1
 
@@ -953,8 +953,9 @@ def test_direct_solve_releases_the_rows_before_the_factorization(ell3d_setup, mo
     assert refs and alive == [0]
 
 
-@pytest.mark.parametrize("step", ["OperatorStencil", "validate_operator", "field_table"])
+@pytest.mark.parametrize("step", ["OperatorStencil", "field_table"])
 def test_setup_step_stays_below_one_full_grid_coordinate_array(step, ell3d_setup):
+    """The stencil, with the checks of its principal part, and the field table."""
     setup = ell3d_setup[0]
     mask, op = setup.mask, setup.params.op
     bound = mask.grid.node_count * mask.grid.dim * 8
@@ -962,7 +963,6 @@ def test_setup_step_stays_below_one_full_grid_coordinate_array(step, ell3d_setup
     # with an exact solution, so the table has its u_star and abs_err columns too
     solved = replace(setup, u_star=_exact(mask.grid.coords(mask.dofs)))
     call = {"OperatorStencil": lambda: OperatorStencil(op, mask),
-            "validate_operator": lambda: validate_operator(op, mask),
             "field_table": lambda: field_table(solved, np.zeros(mask.dofs.size))}[step]
     assert _traced_peak(call) < bound
 

@@ -13,7 +13,6 @@ from convexcauchy.operators import (
     Nonlinearity,
     OperatorStencil,
     QuasilinearOperator,
-    validate_operator,
 )
 from convexcauchy.sampling import random_smooth_values
 
@@ -222,7 +221,6 @@ class TestMixedCoefficients:
             return out
 
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
-        validate_operator(op, mask)
         lin = OperatorStencil(op, mask).linearize(np.zeros(mask.dofs.size))
         mat = lin.to_matrix()
         for _ in range(3):
@@ -285,7 +283,6 @@ class TestGradSqLowerTerm:
             return 1.0 + (points[..., 0] - 0.5) ** 2
 
         op = QuasilinearOperator(family="hyperbolic", dim=2, principal=wave)
-        validate_operator(op, mask)
         pts = grid.coords()
         r = OperatorStencil(op, mask).residual(mask.gather(pts[..., 1] ** 2))  # u = t^2
         expect = 2.0 * (1.0 + (pts[..., 0] - 0.5) ** 2)  # residual = 2 a(x)
@@ -303,7 +300,7 @@ class TestValidation:
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
         with pytest.raises(ConfigError, match=re.escape("ellipticity fails: eigenvalues in "
                                                         "[-0.5, 1]")):
-            validate_operator(op, ell2d_mask)
+            OperatorStencil(op, ell2d_mask)
 
     def test_least_eigenvalue_must_be_positive(self, ell2d_mask):
         """No declared bound: any positive least eigenvalue passes, one that
@@ -317,11 +314,11 @@ class TestValidation:
             out[..., 1, 1] = 1e-3
             return out
 
-        validate_operator(QuasilinearOperator(
+        OperatorStencil(QuasilinearOperator(
             family="elliptic", dim=2, principal=lambda p: coeffs(p, 1e-12)), ell2d_mask)
         op = QuasilinearOperator(family="elliptic", dim=2, principal=lambda p: coeffs(p, 0.0))
         with pytest.raises(ConfigError, match=re.escape("eigenvalues in [0, 50]")):
-            validate_operator(op, ell2d_mask)
+            OperatorStencil(op, ell2d_mask)
 
     def test_asymmetry_caught(self, ell2d_mask):
         def coeffs(points):
@@ -334,7 +331,30 @@ class TestValidation:
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
         with pytest.raises(ConfigError, match=re.escape("not symmetric: |a_ij - a_ji| in "
                                                         "[0, 0.3]")):
-            validate_operator(op, ell2d_mask)
+            OperatorStencil(op, ell2d_mask)
+
+    @pytest.mark.parametrize("skew,refused", [(0.0, False), (1e-12, False), (1e-7, True)])
+    def test_symmetry_verdict_does_not_depend_on_scale(self, ell2d_mask, skew, refused):
+        """a_01 - a_10 is `skew` times the matrix's scale: scaled by 1e-6 and by
+        1e9, the matrix gets the same verdict."""
+        def coeffs(points, scale):
+            out = np.zeros(points.shape[:-1] + (2, 2))
+            out[..., 0, 0] = out[..., 1, 1] = scale
+            out[..., 0, 1] = out[..., 1, 0] = 0.3 * scale
+            out[..., 0, 1] += skew * scale
+            return out
+
+        verdicts = []
+        for scale in (1e-6, 1e9):
+            op = QuasilinearOperator(family="elliptic", dim=2,
+                                     principal=lambda p, scale=scale: coeffs(p, scale))
+            try:
+                OperatorStencil(op, ell2d_mask)
+                verdicts.append(False)
+            except ConfigError as exc:
+                assert "principal part not symmetric" in str(exc)
+                verdicts.append(True)
+        assert verdicts == [refused, refused]
 
     def test_hyperbolic_monotonicity_caught(self):
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (17, 17))
@@ -347,7 +367,7 @@ class TestValidation:
         op = QuasilinearOperator(family="hyperbolic", dim=2, principal=wave)
         with pytest.raises(ConfigError, match=re.escape(
                 "monotonicity fails: (grad a, x - x0) in [-0.382813, -0.125]")):
-            validate_operator(op, mask)
+            OperatorStencil(op, mask)
 
     def test_wave_coefficient_must_be_positive(self):
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (17, 17))
@@ -356,12 +376,12 @@ class TestValidation:
         def wave(points, shift):
             return 3.0 * (points[..., 0] - 0.5) ** 2 - shift  # (grad a, x - x0) >= 0
 
-        validate_operator(QuasilinearOperator(
+        OperatorStencil(QuasilinearOperator(
             family="hyperbolic", dim=2, principal=lambda p: wave(p, 0.0)), mask)
         # a = 0 on the core nodes nearest the focal point, x = 0.25 and 0.75
         op = QuasilinearOperator(family="hyperbolic", dim=2, principal=lambda p: wave(p, 0.1875))
         with pytest.raises(ConfigError, match=re.escape("not positive: range [0, 0.386719]")):
-            validate_operator(op, mask)
+            OperatorStencil(op, mask)
 
     @pytest.mark.parametrize("kind", LOWER_TERMS)
     def test_builtin_partials_match_fd_probe(self, ell2d_mask, rng, kind):

@@ -480,13 +480,16 @@ class TestEvaluateOnce:
     @pytest.mark.parametrize("config", [SOLVE_CONFIG, DIRECT_CONFIG], ids=["gradient", "direct"])
     def test_counters_match_calls(self, monkeypatch, tmp_path, config):
         """run.counters in report.json against wrapped evaluate, gradient and
-        sparse factorization calls, and the halvings column of history.csv,
-        for both solvers; the run block has the same keys for both. Both
-        configs are 2-D, so neither solver refines in mixed precision."""
-        calls = Counter()
+        sparse factorization calls, the fill of the factors made, and the
+        halvings column of history.csv, for both solvers; the run block has
+        the same keys for both. Both configs are 2-D, so neither solver
+        refines in mixed precision, and the factor's values are float64."""
+        calls, factors = Counter(), []
         for name in ("evaluate", "gradient"):
             monkeypatch.setattr(optimizer, name, _counted(calls, name, getattr(optimizer, name)))
-        monkeypatch.setattr(sobolev, "_splu", _counted(calls, "_splu", sobolev._splu))
+        splu = _counted(calls, "_splu", sobolev._splu)
+        monkeypatch.setattr(sobolev, "_splu",
+                            lambda matrix: factors.append(splu(matrix)) or factors[-1])
         assert cli.main(["solve", str(config), "--out", str(tmp_path)]) == 0
         run_report = json.loads((tmp_path / "report.json").read_text())["run"]
         with open(tmp_path / "history.csv", newline="") as fh:
@@ -494,11 +497,13 @@ class TestEvaluateOnce:
         assert set(run_report) == RUN_KEYS
         assert run_report["final_j"] == run_report["j_history"][-1] == float(rows[-1]["j"])
         halvings = [int(row["halvings"]) for row in rows if row["halvings"] != ""]
+        fill = max(lu.nnz for lu in factors)
         assert run_report["counters"] == {"evaluations": calls["evaluate"],
                                           "gradients": calls["gradient"],
                                           "halvings": sum(halvings),
                                           "factorizations": calls["_splu"],
-                                          "refinements": 0}
+                                          "refinements": 0,
+                                          "factor_nnz": fill, "factor_bytes": 8 * fill}
         assert calls["_splu"] == 1  # the direct system, or the data extension's Gram
         # one line search per step, each evaluating its rejected trials and the accepted one
         assert len(halvings) == len(run_report["step_history"]) == len(rows) - 1
