@@ -114,10 +114,11 @@ def cmd_gradcheck(setup: ProblemSetup, args) -> int:
     params = setup.params
     rng = np.random.default_rng(GRADCHECK_SEED)
     u = data_extension(setup.space, setup.params.data)
-    g = gradient(params, u, mode="euclidean")
+    g = gradient(params, evaluate(params, u))
+    free = setup.mask.free_pos.size
     worst = 0.0
     for _ in range(GRADCHECK_DIRECTIONS):
-        h = random_smooth_values(setup.mask, rng)
+        h = random_smooth_values(setup.mask, rng.standard_normal((free, 1)))[0]
         delta = 1e-5 * max(1.0, float(np.max(np.abs(u))))
         fd = (evaluate(params, u + delta * h) - evaluate(params, u - delta * h)) / (2 * delta)
         an = float(np.sum(g * h))

@@ -8,13 +8,15 @@ u satisfying the Cauchy trace constraints,
 
 The Euclidean gradient is the exact derivative of this discrete J restricted
 to the zero-trace subspace; the Sobolev gradient is its Riesz representative
-in the H^k inner product. The Bregman gap J(u2) - J(u1) - J'(u1)(u2 - u1)
-lower-bounded by (beta/2) ||u2 - u1||^2_{H^k} is the strict-convexity
-certificate checked by the optimizer module. The regularizer is quadratic,
-so its gap is exactly beta ||u2 - u1||^2_{H^k}, and the certificate's margin
-is the data term's Bregman gap plus (beta/2) ||u2 - u1||^2_{H^k}: one sample
-pair costs two residuals, one linearized action and two norms of the
-difference (see bregman_gap).
+in the H^k inner product. A gradient is taken from the Evaluation of its
+point (evaluate), whose residual and H^k differences it reuses. The Bregman
+gap J(u2) - J(u1) - J'(u1)(u2 - u1) lower-bounded by
+(beta/2) ||u2 - u1||^2_{H^k} is the strict-convexity certificate checked by
+the optimizer module. The regularizer is quadratic, so its gap is exactly
+beta ||u2 - u1||^2_{H^k}, and the certificate's margin is the data term's
+Bregman gap plus (beta/2) ||u2 - u1||^2_{H^k}: one sample pair costs two
+residuals, one linearized action and two norms of the difference (see
+bregman_gap).
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def _core_weight(mask: DomainMask, lam: float) -> np.ndarray:
 class Evaluation(float):
     """J at a field, as a float, that also keeps what the gradient there
     reuses: the field (`point`), its residual on the core nodes, its H^k
-    monomial differences and its squared H^k norm. gradient(..., at=this)
+    monomial differences and its squared H^k norm. gradient(params, this)
     records the Euclidean gradient there as `euclidean_gradient`."""
 
     point: np.ndarray
@@ -212,45 +214,35 @@ def evaluate(params: FunctionalParams, v: np.ndarray) -> Evaluation:
     return j
 
 
-def gradient(params: FunctionalParams, v: np.ndarray, mode: str = "euclidean",
-             at: Evaluation | None = None) -> np.ndarray:
-    """Exact discrete gradient of J at the constrained field v, trace-projected.
+def gradient(params: FunctionalParams, at: Evaluation, mode: str = "euclidean") -> np.ndarray:
+    """Exact discrete gradient of J at the evaluated field, trace-projected.
 
     euclidean: the field g with <g, h> = dJ(v)[h] for every zero-trace h.
     sobolev:   the Riesz representative of the same functional in H^k.
 
-    `at`, when given, is evaluate(params, v): its residual and differences
-    are reused instead of recomputed, and the Euclidean gradient is recorded
-    on it (so the dual norm of a Sobolev gradient g is one pairing,
-    sum(at.euclidean_gradient * g)).
+    `at` is evaluate(params, v): its residual and differences are reused,
+    and the Euclidean gradient is recorded on it (so the dual norm of a
+    Sobolev gradient g is one pairing, sum(at.euclidean_gradient * g)).
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
-    params.check_dofs(v)
+    v, r = at.point, at.residual
     with np.errstate(all="ignore"):
-        if at is None:
-            r, diffs = params.stencil.residual(v), None
-        elif np.array_equal(at.point, v):
-            r, diffs = at.residual, at.differences
-        else:
-            raise ConfigError("the evaluation passed as `at` is of another field")
         g = 2.0 * params.stencil.linearize(v).adjoint(params.core_weight * r)
-        g += 2.0 * params.beta * params.space.apply_gram(v, diffs)
+        g += 2.0 * params.beta * params.space.apply_gram(v, at.differences)
     finite(g, "gradient", lambda: params.cause(np.max(r * r), np.max(v * v)))
     g[params.mask.trace_pos] = 0.0
-    if at is not None:
-        at.euclidean_gradient = g
+    at.euclidean_gradient = g
     return g if mode == "euclidean" else params.space.riesz(g)
 
 
 def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
-                core_weights: Sequence[np.ndarray] | None = None
-                ) -> tuple[list[float], float, float]:
+                core_weights: Sequence[np.ndarray]) -> tuple[list[float], float, float]:
     """Bregman gaps of J between two constrained fields at each lambda, plus
     the two norms entering the convexity certificate.
 
-    core_weights holds the data weight of each lambda (params.core_weight_at);
-    None means [params.core_weight]. Returns ([gap at each lambda],
+    core_weights holds the data weight of each lambda (params.core_weight_at,
+    or params.core_weight at params.lam). Returns ([gap at each lambda],
     ||v2-v1||^2_{H^1(inner)}, ||v2-v1||^2_{H^k(mask)}). The certificate passes
     at a lambda iff its gap >= (beta/2) * the H^k term. In closed form, with
     h = v2 - v1, L the linearization at v1 and h's trace entries zeroed in
@@ -261,8 +253,6 @@ def bregman_gap(params: FunctionalParams, v1: np.ndarray, v2: np.ndarray,
     only the weighted sum is taken per lambda. A gap past the float range, as
     any value of h, r1, r2, L h or ||h||^2 there leaves it, raises SolverError.
     """
-    if core_weights is None:
-        core_weights = [params.core_weight]
     params.check_dofs(v1, "first field")
     params.check_dofs(v2, "second field")
     stencil = params.stencil

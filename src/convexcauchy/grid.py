@@ -440,15 +440,6 @@ class DomainMask:
                 shape=(n, n)))
         return out
 
-    def largest_cell_level_variation(self) -> float:
-        """Max level-value change across one grid cell within the mask."""
-        worst, n = 0.0, self.dofs.size
-        for plus, _ in self.steps:
-            hit = np.flatnonzero(plus[:n] < n)
-            step = self.dof_ell[plus[hit]] - self.dof_ell[hit]
-            worst = max(worst, float(np.max(np.abs(step), initial=0.0)))
-        return worst
-
     # -- full-grid node sets, built on each access (read outside the library) ---
 
     in_mask = property(lambda self: self.node_set())

@@ -139,14 +139,13 @@ def _evaluate_node(node: ast.expr, names: dict):
     return _EXPR_FUNCTIONS[node.func.id](*[_evaluate_node(arg, names) for arg in node.args])
 
 
-def evaluate_expression(expr: str, points, time_axis: bool, tree=None) -> np.ndarray:
-    """Evaluate a coordinate expression on points, given as
-    grid.coordinate_components takes them; x_j is coordinate j and t the
-    last coordinate of a time-dependent family; tree is its checked tree,
-    else it is parsed here. A value that is not finite raises ConfigError,
-    and so does an expression that the check takes but that is nested too
-    deeply to evaluate at the caller's stack depth."""
-    tree = _parse_expression(expr) if tree is None else tree
+def evaluate_expression(expr: str, points, time_axis: bool, tree: ast.expr) -> np.ndarray:
+    """Evaluate a coordinate expression, given with its checked tree
+    (_parse_expression), on points, given as grid.coordinate_components takes
+    them; x_j is coordinate j and t the last coordinate of a time-dependent
+    family. A value that is not finite raises ConfigError, and so does an
+    expression that the check takes but that is nested too deeply to
+    evaluate at the caller's stack depth."""
     names = dict(_EXPR_CONSTANTS)
     x = coordinate_components(points)
     for j, c in enumerate(x):
@@ -419,8 +418,7 @@ def build_setup(cfg: dict) -> ProblemSetup:
         u_star, clean = None, load_cauchy_csv(Path(data_cfg["file"]), mask)
     else:
         _require(bool(case), "data", "needs a case id or a data file")
-        u_star = evaluate_expression(case["u_star"], grid.coords(mask.dofs),
-                                     family in TIME_FAMILIES)
+        u_star = _expr_fn(case["u_star"], family in TIME_FAMILIES)(grid.coords(mask.dofs))
         clean = CauchyData(u_star[mask.value_pos], u_star[mask.deriv_pos])
     with _section("data"):
         g0, g1 = add_noise(clean.g0, clean.g1, data_cfg["noise_level"], data_cfg["noise_seed"])
@@ -514,9 +512,10 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
 
     g0 rows must cover every value-layer node and g1 rows every
     derivative-layer node; rows on other nodes are ignored with a warning.
+    A node may be given twice on one layer only with the same value.
     """
     n = mask.grid.node_count
-    given = {"g0": {}, "g1": {}}  # per layer name: flat node index -> value, the last row wins
+    given = {"g0": {}, "g1": {}}  # per layer name: flat node index -> value
     try:
         with open(path, newline="") as fh:
             for line, row in enumerate(csv.DictReader(fh), start=2):
@@ -532,7 +531,11 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
                 if not 0 <= idx < n:
                     raise ConfigError(f"data file {path}, line {line}: index {idx} "
                                       f"outside the grid's {n} nodes")
-                given[which][idx] = val
+                kept = given[which].setdefault(idx, val)
+                if kept != val:
+                    raise ConfigError(f"data file {path}: layer {which} gives node {idx} "
+                                      f"the value {kept!r} on line "
+                                      f"{_first_line(path, which, idx)} and {val!r} on line {line}")
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -549,6 +552,14 @@ def load_cauchy_csv(path: Path, mask: DomainMask) -> CauchyData:
     if ignored:
         logger.warning("data file %s: ignored %d rows off their trace layer", path, ignored)
     return CauchyData(**data)
+
+
+def _first_line(path: Path, layer: str, idx: int) -> int:
+    """Line of the first row of a trace CSV on `layer` at flat node index idx,
+    read again for a refusal, so that the reader keeps no line per row."""
+    with open(path, newline="") as fh:
+        return next(line for line, row in enumerate(csv.DictReader(fh), start=2)
+                    if row["layer"].strip() == layer and int(row["index"]) == idx)
 
 
 # ---------------------------------------------------------------------------

@@ -390,15 +390,3 @@ class LinearizedOperator:
         for off, c, scale in self._terms():
             summed[off] = summed[off] + scale * c if off in summed else scale * c
         return [(off, self.stencil.tables[off], c) for off, c in summed.items()]
-
-    def to_matrix(self) -> "scipy.sparse.csr_matrix":
-        """Assemble `forward` as a sparse core-node x DOF matrix of the nonzero
-        coefficients of `rows`."""
-        import scipy.sparse as sp
-
-        _, cols, coefs = zip(*self.rows())
-        cols, coefs = np.stack(cols, axis=-1), np.stack(coefs, axis=-1)
-        keep = coefs != 0.0
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-        return sp.csr_matrix((coefs[keep], cols[keep], indptr),
-                             shape=(keep.shape[0], self.mask.dofs.size)).sorted_indices()

@@ -177,7 +177,7 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
 
     for it in range(config.max_iters):
         if gauss_newton:
-            rhs = -0.5 * gradient(params, u, at=j)[free]
+            rhs = -0.5 * gradient(params, j)[free]
             j.residual = j.differences = j.euclidean_gradient = None  # not held in the solve
             d_free = space.solve(rhs, params.beta,
                                  normal=(params.stencil.linearize(u), params.core_weight))
@@ -186,7 +186,7 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
             d = np.zeros_like(u)
             d[free] = d_free
         else:
-            d = gradient(params, u, "sobolev", at=j)
+            d = gradient(params, j, "sobolev")
             with np.errstate(all="ignore"):
                 slope = float(np.sum(j.euclidean_gradient * d))  # the dual norm, squared
             np.negative(d, out=d)
@@ -339,9 +339,9 @@ class CertificateReport:
 
 
 def convexity_certificate(params: FunctionalParams, radius: float, samples: int, seed: int,
-                          lambdas: Sequence[float] | None = None) -> list[CertificateReport]:
+                          lambdas: Sequence[float]) -> list[CertificateReport]:
     """Sample the Bregman gap on random admissible pairs inside the H^k ball,
-    at each lambda of a sweep (None: params.lam), beta kept as it is.
+    at each lambda of a sweep, beta kept as it is.
 
     Every lambda scores the same pairs: they are drawn once, PAIRS_PER_DRAW
     pairs per draw_in_ball call (which leaves the draws as they are one at a
@@ -354,7 +354,7 @@ def convexity_certificate(params: FunctionalParams, radius: float, samples: int,
     """
     if samples < 1:
         raise ConfigError(f"certificate needs at least one sample, got {samples}")
-    lambdas = [params.lam] if lambdas is None else list(lambdas)
+    lambdas = list(lambdas)
     if not lambdas:
         raise ConfigError("certificate needs at least one lambda")
     core_weights = [params.core_weight_at(lam) for lam in lambdas]
@@ -364,8 +364,8 @@ def convexity_certificate(params: FunctionalParams, radius: float, samples: int,
         base_norm = finite(params.space.norm(base), "H^k norm of the data extension", params.cause)
     gaps, h1s, hks = [], [], []
     for first in range(0, samples, PAIRS_PER_DRAW):
-        drawn = draw_in_ball(params, radius, rng, base=base, base_norm=base_norm,
-                             draws=2 * min(PAIRS_PER_DRAW, samples - first))
+        drawn = draw_in_ball(params, radius, rng, base, base_norm,
+                             2 * min(PAIRS_PER_DRAW, samples - first))
         for u1, u2 in zip(drawn[0::2], drawn[1::2]):
             gaps_by_lambda, h1_inner, hk_full = bregman_gap(params, u1, u2, core_weights)
             gaps.append(gaps_by_lambda)

@@ -178,14 +178,13 @@ class SobolevSpace:
     built on each access.
 
     Every method takes and returns masked DOF vectors (see DomainMask); the
-    assembled Gram matrices are free x free (constrained_gram) or DOF x DOF
-    (gram_matrix, a test oracle). The quadrature weight of each DOF,
-    zero off the node subset, is the vector `dof_weights`; `weights` is its
-    full-grid form, built on demand. Every monomial is a chain of
-    first differences (v[p + e] - v[p]) / h taken through gather tables,
-    never a precombined multi-axis stencil: for smooth fields the nested
-    differences are nearly exact in floating point, and a summed stencil is
-    not.
+    assembled Gram matrices are free x free (constrained_gram). The
+    quadrature weight of each DOF, zero off the node subset, is the vector
+    `dof_weights`; `weights` is its full-grid form, built on demand. Every
+    monomial is a chain of first differences (v[p + e] - v[p]) / h taken
+    through gather tables, never a precombined multi-axis stencil: for smooth
+    fields the nested differences are nearly exact in floating point, and a
+    summed stencil is not.
     """
 
     def __init__(self, mask: DomainMask, order: int | None = None,
@@ -326,11 +325,6 @@ class SobolevSpace:
         g[free] = self.constrained_solver()(b[free])
         return g
 
-    def gram_matrix(self) -> sp.csr_matrix:
-        """Sparse DOF x DOF Gram matrix, sum_beta B^T diag(w) B, built on each
-        call: a test oracle, since the solvers factorize constrained_gram."""
-        return self._assemble(np.arange(self.mask.dofs.size)).tocsr()
-
     # -- constrained (zero-trace) system ---------------------------------------
 
     def constrained_gram(self, scale: float = 1.0,
@@ -339,8 +333,9 @@ class SobolevSpace:
         (trace layers removed) in mask.free_pos order and normal = (linearization,
         w) an optional linearization, whose stencil rows (LinearizedOperator.rows)
         are anchored at ascending nodes, and its row weights: entry for entry the
-        bits of L.T @ diags(w) @ L + scale * gram_matrix()[free][:, free], with L
-        the CSR matrix of the rows' free columns."""
+        bits of L.T @ diags(w) @ L + scale * G[free][:, free], with G the DOF x DOF
+        Gram matrix sum_beta B^T diag(w) B and L the CSR matrix of the rows' free
+        columns."""
         return self._assemble(self.mask.free_pos, scale, normal)
 
     def solve(self, rhs: np.ndarray, scale: float = 1.0,

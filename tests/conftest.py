@@ -7,9 +7,10 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from convexcauchy.catalog import CASES
-from convexcauchy.functional import FunctionalParams
+from convexcauchy.functional import FunctionalParams, data_extension
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes, shift
 from convexcauchy.harness import build_setup
+from convexcauchy.sampling import draw_in_ball, random_smooth_values
 
 logging.getLogger("convexcauchy").setLevel(logging.ERROR)
 
@@ -57,6 +58,18 @@ def make_problem(case_id, resolution=None, lam=None, beta=None, beta_policy="kee
 
 
 CATALOG_IDS = list(CASES)
+
+
+def smooth_draw(mask, rng):
+    """One smooth zero-trace draw, a DOF vector, from the next free-DOF
+    normals of rng."""
+    return random_smooth_values(mask, rng.standard_normal((mask.free_pos.size, 1)))[0]
+
+
+def ball_draw(params, radius, rng):
+    """One field inside the H^k ball around the data extension, a DOF vector."""
+    base = data_extension(params.space, params.data)
+    return draw_in_ball(params, radius, rng, base, params.space.norm(base), 1)[0]
 
 
 def full_grid_table(nodes, offset, rows=None):

@@ -3,9 +3,10 @@
 Each entry of MUTANTS names a module of src/convexcauchy, an exact old text
 that must occur there exactly once, the text that replaces it, and why
 tier-1 must fail on the result. The script copies the working tree (without
-.git and caches) to a temporary directory, runs tier-1 there once unmutated,
-which must pass, and then once per mutant with `pytest -x`, the mutant
-applied to the copy's src/ and removed again afterwards. A mutant is killed
+.git and caches) to WORKERS temporary directories, runs tier-1 in one of them
+once unmutated, which must pass, and then once per mutant with `pytest -x`,
+WORKERS mutants at once, each applied to one copy's src/ and removed again
+afterwards. The report lines come in table order. A mutant is killed
 when tier-1 fails on it, and the killing test is the first one that
 pytest's short summary names; a failing run that names no test (a
 timeout, or a crash before the summary) counts as broken.
@@ -25,11 +26,13 @@ copy. Pytest does not collect this file (it is no test_*.py).
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +41,8 @@ PACKAGE = Path("src") / "convexcauchy"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 "*.egg-info", "runs", ".bench_work", ".benchmarks")
 TIER1_TIMEOUT_S = 900
+# copies of the tree that run mutants at once, one tier-1 process each
+WORKERS = min(os.cpu_count() or 1, 4)
 # pytest's summary line of a failing test, the one that names the killing test id;
 # a captured log line ("ERROR    convexcauchy.cli:...") is no such line
 SUMMARY = ("FAILED tests/", "ERROR tests/")
@@ -142,8 +147,8 @@ MUTANTS = [
            "np.max(u * u)))", "pass",
            "a direction whose slope overflows exits 2 naming beta, not a run that "
            "records an infinite norm"),
-    Mutant("optimizer.py", "rhs = -0.5 * gradient(params, u, at=j)[free]",
-           "rhs = 0.5 * gradient(params, u, at=j)[free]",
+    Mutant("optimizer.py", "rhs = -0.5 * gradient(params, j)[free]",
+           "rhs = 0.5 * gradient(params, j)[free]",
            "the Gauss-Newton direction descends: it solves the normal equations for "
            "-grad J / 2 (golden harmonic values, the direct-solve bit oracles)"),
     Mutant("optimizer.py", "if exact and t == 1.0:", "if False:",
@@ -252,6 +257,12 @@ MUTANTS = [
            "pass",
            "a gradient run makes the float64 factor before its start's data extension, so "
            "that a 3-D solve factorizes once and refines nothing"),
+    Mutant("cli.py", "rng.standard_normal((free, 1))", "rng.standard_normal((free, 2))",
+           "each gradcheck direction takes the next normal of its seed per free DOF: the "
+           "shipped gradcheck's error is the figure of that stream"),
+    Mutant("harness.py", "if kept != val:", "if False:",
+           "two trace rows that give one node different values on one layer are refused, "
+           "not loaded with whichever came last"),
 ]
 
 
@@ -282,47 +293,60 @@ def mutated(text: str, mutant: Mutant, path: Path) -> str:
     return out
 
 
+def attempt(k: int, mutant: Mutant, trees: queue.Queue) -> tuple[str, bool]:
+    """The report line of mutant k, run on a tree taken from `trees` and
+    given back, and whether it counts as survived or broken."""
+    tree = trees.get()
+    try:
+        path = tree / PACKAGE / mutant.module
+        original = path.read_text()
+        try:
+            text = mutated(original, mutant, path)
+        except ValueError as exc:
+            return f"[{k}] table error: {exc}", True
+        if mutant.equivalent:
+            return f"[{k}] equivalent, not run: {mutant.why}", False
+        path.write_text(text)
+        t0 = time.perf_counter()
+        try:
+            done = tier1(tree)
+        finally:
+            path.write_text(original)
+        took = time.perf_counter() - t0
+    finally:
+        trees.put(tree)
+    if done is not None and done.returncode == 0:
+        return (f"[{k}] SURVIVED ({took:.0f} s): {mutant.module}: {mutant.old!r} -> "
+                f"{mutant.new!r}; it must die because {mutant.why}"), True
+    lines = [] if done is None else done.stdout.splitlines()
+    failed = next((line for line in lines if line.startswith(SUMMARY)), None)
+    if failed is None:
+        return (f"[{k}] BROKEN ({took:.0f} s): {mutant.module}: {mutant.new!r}; "
+                + ("timed out" if done is None else f"exit {done.returncode}, "
+                   "no failing test named")), True
+    return f"[{k}] killed ({took:.0f} s): {mutant.module}: {mutant.new!r}; {failed}", False
+
+
 def main() -> int:
-    bad = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        tree = Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=IGNORE)
-        done = tier1(tree)
+        copies = [Path(tmp) / f"tree{k}" for k in range(WORKERS)]
+        for tree in copies:
+            shutil.copytree(ROOT, tree, ignore=IGNORE)
+        done = tier1(copies[0])
         if done is None or done.returncode != 0:
             print("tier-1 fails on the unmutated copy:")
             print("timed out" if done is None else done.stdout[-3000:])
             return 1
-        for k, mutant in enumerate(MUTANTS):
-            path = tree / PACKAGE / mutant.module
-            original = path.read_text()
-            try:
-                text = mutated(original, mutant, path)
-            except ValueError as exc:
-                print(f"[{k}] table error: {exc}")
-                bad += 1
-                continue
-            if mutant.equivalent:
-                print(f"[{k}] equivalent, not run: {mutant.why}")
-                continue
-            path.write_text(text)
-            t0 = time.perf_counter()
-            done = tier1(tree)
-            path.write_text(original)
-            took = time.perf_counter() - t0
-            if done is not None and done.returncode == 0:
-                print(f"[{k}] SURVIVED ({took:.0f} s): {mutant.module}: {mutant.old!r} -> "
-                      f"{mutant.new!r}; it must die because {mutant.why}")
-                bad += 1
-                continue
-            lines = [] if done is None else done.stdout.splitlines()
-            failed = next((line for line in lines if line.startswith(SUMMARY)), None)
-            if failed is None:
-                print(f"[{k}] BROKEN ({took:.0f} s): {mutant.module}: {mutant.new!r}; "
-                      + ("timed out" if done is None else f"exit {done.returncode}, "
-                         "no failing test named"))
-                bad += 1
-                continue
-            print(f"[{k}] killed ({took:.0f} s): {mutant.module}: {mutant.new!r}; {failed}")
+        trees = queue.Queue()
+        for tree in copies:
+            trees.put(tree)
+        bad = 0
+        with ThreadPoolExecutor(WORKERS) as pool:
+            runs = [pool.submit(attempt, k, mutant, trees) for k, mutant in enumerate(MUTANTS)]
+            for run in runs:  # in table order, each as soon as it and those before are done
+                line, failed = run.result()
+                print(line, flush=True)
+                bad += failed
     print(f"{len(MUTANTS)} mutants, {bad} survived or broken")
     return 1 if bad else 0
 

@@ -7,7 +7,8 @@ doubles as a run record (pytest -s shows them).
 import numpy as np
 import pytest
 
-from conftest import CATALOG_IDS, make_problem
+from conftest import CATALOG_IDS, ball_draw, make_problem, smooth_draw
+from oracles import largest_cell_level_variation
 from convexcauchy.functional import (
     FunctionalParams,
     bregman_gap,
@@ -23,7 +24,7 @@ from convexcauchy.optimizer import (
     direct_solve,
     run,
 )
-from convexcauchy.sampling import draw_in_ball, random_compact_bump, random_smooth_values
+from convexcauchy.sampling import random_compact_bump
 from convexcauchy.weights import weight_extrema
 
 GRADCHECK_CASES = ["ELL1D-CUBIC", "ELL2D-HARMONIC", "PAR1D-CUBIC", "HYP1D-QUAD"]
@@ -37,10 +38,10 @@ def test_criterion_1_gradient_exactness():
         _, grid, mask, op, space, params, _ = make_problem(case_id)
         rng = np.random.default_rng(101)
         u = data_extension(space, params.data)
-        g = gradient(params, u, mode="euclidean")
+        g = gradient(params, evaluate(params, u))
         scale = max(1.0, float(np.max(np.abs(u))))
         for _ in range(10):
-            h = random_smooth_values(mask, rng)
+            h = smooth_draw(mask, rng)
             delta = 1e-5 * scale
             fd = (evaluate(params, u + delta * h) - evaluate(params, u - delta * h)) / (2 * delta)
             an = float(np.sum(g * h))
@@ -76,7 +77,7 @@ def test_criterion_3_quadratic_oracle():
     rng = np.random.default_rng(303)
     u_direct = direct_solve(params).final
     cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
-    report = run(params, draw_in_ball(params, 150.0, rng), cfg)
+    report = run(params, ball_draw(params, 150.0, rng), cfg)
     assert report.converged
     rel = space.norm(report.final - u_direct) / space.norm(u_direct)
     assert rel < 1e-6, f"optimizer vs direct solve: {rel:.3e}"
@@ -84,9 +85,9 @@ def test_criterion_3_quadratic_oracle():
     lin = params.stencil.linearize(data_extension(space, params.data))
     worst_gap = 0.0
     for _ in range(5):
-        u1 = draw_in_ball(params, 150.0, rng)
-        u2 = draw_in_ball(params, 150.0, rng)
-        (gap,), _, hk = bregman_gap(params, u1, u2)
+        u1 = ball_draw(params, 150.0, rng)
+        u2 = ball_draw(params, 150.0, rng)
+        (gap,), _, hk = bregman_gap(params, u1, u2, [params.core_weight])
         r = lin.forward(u2 - u1)
         expect = float(np.sum(r * r * params.core_weight)) + params.beta * hk
         gap_rel = abs(gap - expect) / max(abs(expect), 1e-30)
@@ -128,14 +129,14 @@ def test_criterion_5_global_convergence(cubic_certificate_sweep):
     data = case_params.data
     params = FunctionalParams(
         op=op, lam=lam, mask=mask, space=space, beta=beta, data=data, beta_policy="keep")
-    (cert,) = convexity_certificate(params, radius=5.0, samples=50, seed=7)
+    (cert,) = convexity_certificate(params, radius=5.0, samples=50, seed=7, lambdas=[params.lam])
     assert cert.passed, "certificate must pass at the multi-start (lambda, beta)"
 
     radius = 5.0
     finals, q_hats = [], []
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        start = draw_in_ball(params, radius, rng)
+        start = ball_draw(params, radius, rng)
         cfg = OptimizerConfig(max_iters=4000, grad_tol=1e-6, radius=radius,
                               radius_policy="monitor")
         report = run(params, start, cfg)
@@ -214,7 +215,7 @@ def test_criterion_8_weight_minimum_location():
     level = LevelSpec(family="generic", c=0.3, epsilon=0.05,
                       xi_fn=lambda x: 1.0 - x[0])
     mask = classify_nodes(grid, level)
-    cell = mask.largest_cell_level_variation()
+    cell = largest_cell_level_variation(mask)
     checks = []
     for lam in (1.0, 5.0, 10.0):
         w_min, _, argmin_label = weight_extrema(mask, lam)

@@ -52,7 +52,7 @@ def test_a_huge_pair_names_the_pair(first, second, size):
               for value in (first, second))
     with pytest.raises(SolverError, match=r"^Bregman gap is not finite at a field pair of "
                        f"size {size}; reduce the certificate radius$"):
-        bregman_gap(params, v1, v2)
+        bregman_gap(params, v1, v2, [params.core_weight])
 
 
 # the box is fitted to the masked cap x0 + |x'|^2 < c - a, so that a 9^d grid

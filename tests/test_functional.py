@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CATALOG_IDS, make_problem
+from conftest import CATALOG_IDS, ball_draw, make_problem, smooth_draw
 from convexcauchy.errors import ConfigError, ConstraintViolationError
 from convexcauchy.functional import (
     CONSTRAINT_TOL,
@@ -19,7 +19,7 @@ from convexcauchy.functional import (
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
 from convexcauchy.optimizer import direct_solve
-from convexcauchy.sampling import draw_in_ball, random_compact_bump, random_smooth_values
+from convexcauchy.sampling import random_compact_bump
 from convexcauchy.sobolev import SobolevSpace
 
 # (bounds, resolution, level) of the geometries the Bregman gap is checked on
@@ -52,7 +52,7 @@ def _gap_params(geometry, kind):
 
 
 def zero_trace_bump(params, rng, scale=1.0):
-    return scale * random_smooth_values(params.mask, rng)
+    return scale * smooth_draw(params.mask, rng)
 
 
 def data_term(core_weight, core_values):
@@ -110,7 +110,7 @@ class TestEvaluate:
         weighted data term of h plus beta ||h||^2."""
         _, grid, mask, op, space, params, u_star = make_problem("ELL2D-HARMONIC", beta=0.3)
         u = data_extension(space, params.data)
-        g = gradient(params, u, mode="euclidean")
+        g = gradient(params, evaluate(params, u))
         lin = params.stencil.linearize(u)
         for _ in range(3):
             h = zero_trace_bump(params, rng)
@@ -124,7 +124,7 @@ class TestGradient:
     def test_fd_oracle(self, case_id, rng):
         _, grid, mask, op, space, params, u_star = make_problem(case_id)
         u = data_extension(space, params.data)
-        g = gradient(params, u, mode="euclidean")
+        g = gradient(params, evaluate(params, u))
         scale = max(1.0, float(np.max(np.abs(u))))
         for _ in range(5):
             h = zero_trace_bump(params, rng)
@@ -137,22 +137,22 @@ class TestGradient:
         """A(u*) = 0 and beta = 0 makes u* stationary."""
         _, grid, mask, op, space, params, u_star = make_problem("ELL1D-CUBIC", beta=0.0)
         u = params.impose_dofs(u_star)
-        g = gradient(params, u, mode="euclidean")
+        g = gradient(params, evaluate(params, u))
         assert np.max(np.abs(g)) < 1e-6
 
     def test_gradient_vanishes_at_direct_minimizer(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-HARMONIC", beta=0.4)
         u = direct_solve(params).final
-        g = gradient(params, u, mode="euclidean")
-        g0 = gradient(params, data_extension(space, params.data), mode="euclidean")
+        g = gradient(params, evaluate(params, u))
+        g0 = gradient(params, evaluate(params, data_extension(space, params.data)))
         assert np.linalg.norm(g) < 1e-8 * max(1.0, np.linalg.norm(g0))
 
     def test_sobolev_mode_representation(self, rng):
         """[grad_sobolev, h] equals the Euclidean pairing <grad, h>."""
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         u = data_extension(space, params.data)
-        ge = gradient(params, u, mode="euclidean")
-        gs = gradient(params, u, mode="sobolev")
+        ge = gradient(params, evaluate(params, u))
+        gs = gradient(params, evaluate(params, u), "sobolev")
         for _ in range(5):
             h = zero_trace_bump(params, rng)
             lhs = space.inner_product(gs, h)
@@ -163,26 +163,31 @@ class TestGradient:
         _, grid, mask, op, space, params, _ = make_problem("PAR1D-CUBIC")
         u = data_extension(space, params.data)
         for mode in ("euclidean", "sobolev"):
-            g = gradient(params, u, mode=mode)
+            g = gradient(params, evaluate(params, u), mode)
             assert np.all(g[mask.trace_pos] == 0.0)
 
     def test_unknown_mode(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL1D-CUBIC")
         u = data_extension(space, params.data)
         with pytest.raises(ConfigError):
-            gradient(params, u, mode="newton")
+            gradient(params, evaluate(params, u), "newton")
 
     @pytest.mark.parametrize("mode", ["euclidean", "sobolev"])
     def test_reused_evaluation(self, rng, mode):
-        """The gradient from an evaluation of the same field is the fresh one;
-        an evaluation of another field is refused."""
+        """The gradient from an evaluation equals, bit for bit, the one formed
+        from the field's own residual and Gram action, and the evaluation
+        records its Euclidean gradient."""
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        u = draw_in_ball(params, 5.0, rng)
+        u = ball_draw(params, 5.0, rng)
         j = evaluate(params, u)
-        assert np.array_equal(gradient(params, u.copy(), mode, at=j), gradient(params, u, mode))
+        g = gradient(params, j, mode)
+        stencil = params.stencil
+        want = 2.0 * stencil.linearize(u).adjoint(params.core_weight * stencil.residual(u))
+        want += 2.0 * params.beta * space.apply_gram(u)
+        want[mask.trace_pos] = 0.0
+        assert np.array_equal(j.euclidean_gradient, want)
+        assert np.array_equal(g, want if mode == "euclidean" else space.riesz(want))
         assert j.norm_sq == space.norm_sq(u)
-        with pytest.raises(ConfigError, match="another field"):
-            gradient(params, u + zero_trace_bump(params, rng), mode, at=j)
 
     def test_fd_oracle_gradient_square_term(self, rng):
         """Exactness also holds when the nonlinearity depends on grad u."""
@@ -202,7 +207,7 @@ class TestGradient:
             op=op, lam=base_params.lam, mask=mask, space=space,
             beta=1e-2, data=base_params.data, beta_policy="keep")
         u = data_extension(space, params.data)
-        g = gradient(params, u, mode="euclidean")
+        g = gradient(params, evaluate(params, u))
         for _ in range(5):
             h = zero_trace_bump(params, rng)
             delta = 1e-5
@@ -215,7 +220,7 @@ class TestBregmanGap:
     def test_identical_fields(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         u = data_extension(space, params.data)
-        (gap,), h1, hk = bregman_gap(params, u, u.copy())
+        (gap,), h1, hk = bregman_gap(params, u, u.copy(), [params.core_weight])
         assert gap == pytest.approx(0.0, abs=1e-12)
         assert h1 == 0.0 and hk == 0.0
 
@@ -224,9 +229,9 @@ class TestBregmanGap:
         (beta/2) hk."""
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-HARMONIC", beta=0.2)
         lin = params.stencil.linearize(data_extension(space, params.data))
-        u1 = draw_in_ball(params, 150.0, rng)
-        u2 = draw_in_ball(params, 150.0, rng)
-        (gap,), h1, hk = bregman_gap(params, u1, u2)
+        u1 = ball_draw(params, 150.0, rng)
+        u2 = ball_draw(params, 150.0, rng)
+        (gap,), h1, hk = bregman_gap(params, u1, u2, [params.core_weight])
         expect = data_term(params.core_weight, lin.forward(u2 - u1)) + params.beta * hk
         assert gap == pytest.approx(expect, rel=1e-10)
         assert gap >= 0.5 * params.beta * hk
@@ -240,7 +245,7 @@ class TestBregmanGap:
         weights = [params.core_weight_at(lam) for lam in (1.0, 2.0, 4.0)]
         stencil = params.stencil
         for _ in range(3):
-            v1, v2 = draw_in_ball(params, 5.0, rng), draw_in_ball(params, 5.0, rng)
+            v1, v2 = ball_draw(params, 5.0, rng), ball_draw(params, 5.0, rng)
             h = v2 - v1
             h_free = h.copy()
             h_free[mask.trace_pos] = 0.0
@@ -264,11 +269,11 @@ class TestBregmanGap:
         weights = [p.core_weight for p in at_lambda]
         rng = np.random.default_rng(11)
         for _ in range(3):
-            v1, v2 = draw_in_ball(params, 5.0, rng), draw_in_ball(params, 5.0, rng)
+            v1, v2 = ball_draw(params, 5.0, rng), ball_draw(params, 5.0, rng)
             gaps, _, _ = bregman_gap(params, v1, v2, weights)
             for p, gap in zip(at_lambda, gaps):
                 want = (evaluate(p, v2) - evaluate(p, v1)
-                        - float(np.sum(gradient(p, v1) * (v2 - v1))))
+                        - float(np.sum(gradient(p, evaluate(p, v1)) * (v2 - v1))))
                 assert gap == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_trace_deviation_within_tolerance_accepted(self):
@@ -282,7 +287,7 @@ class TestBregmanGap:
         assert scale > 1.0 / 0.9
         u2[mask.value_pos] += 0.9 * CONSTRAINT_TOL * scale
         params.check_dofs(u2)
-        (gap,), _, hk = bregman_gap(params, u1, u2)
+        (gap,), _, hk = bregman_gap(params, u1, u2, [params.core_weight])
         assert np.isfinite(gap) and hk > 0.0
 
     def test_mismatched_data_rejected(self):
@@ -291,7 +296,7 @@ class TestBregmanGap:
         bad = u1.copy()
         bad[mask.deriv_pos] += 0.5
         with pytest.raises(ConstraintViolationError):
-            bregman_gap(params, u1, bad)
+            bregman_gap(params, u1, bad, [params.core_weight])
 
     def test_margin_grows_over_lambda(self, rng):
         """The certificate margin improves monotonically over the lambda sweep
@@ -305,9 +310,9 @@ class TestBregmanGap:
             rng_local = np.random.default_rng(99)
             worst = np.inf
             for _ in range(10):
-                u1 = draw_in_ball(params, 5.0, rng_local)
-                u2 = draw_in_ball(params, 5.0, rng_local)
-                (gap,), _, hk = bregman_gap(params, u1, u2)
+                u1 = ball_draw(params, 5.0, rng_local)
+                u2 = ball_draw(params, 5.0, rng_local)
+                (gap,), _, hk = bregman_gap(params, u1, u2, [params.core_weight])
                 worst = min(worst, gap - 0.5 * params.beta * hk)
             min_margins.append(worst)
         assert all(b >= a * 0.99 for a, b in zip(min_margins, min_margins[1:]))

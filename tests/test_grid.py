@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import largest_cell_level_variation
 from convexcauchy.errors import ConfigError, GeometryError
 from convexcauchy.grid import (
     Label,
@@ -193,7 +194,7 @@ class TestMaskProperties:
         spec = LevelSpec(family="elliptic", a=0.2, c=0.4, nu=2.0, x_width=1.0)
         coarse = classify_nodes(build_grid(((0.0, 1.0), (-1.0, 1.0)), (17, 17)), spec)
         fine = classify_nodes(build_grid(((0.0, 1.0), (-1.0, 1.0)), (33, 33)), spec)
-        margin = coarse.largest_cell_level_variation()
+        margin = largest_cell_level_variation(coarse)
         ell = level_values(coarse.level, coarse.grid.open_coords())
         strict = coarse.in_mask & (ell > coarse.theta + margin)
         for idx in np.argwhere(strict):

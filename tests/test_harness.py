@@ -22,7 +22,6 @@ from convexcauchy.harness import (
     build_setup,
     emit_report,
     error_norms,
-    evaluate_expression,
     field_table,
     load_problem,
 )
@@ -32,6 +31,12 @@ from convexcauchy.sobolev import SobolevSpace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
+
+
+def _evaluate(expr, points, time_axis):
+    """An expression's values on points, through the function made from
+    its checked tree (harness._expr_fn)."""
+    return harness._expr_fn(expr, time_axis)(points)
 
 
 def minimal_config(**overrides):
@@ -225,7 +230,7 @@ class TestManufactured:
         """u* is the case's expression on the DOFs, and the trace data is u*
         on the nodes of the two layers, in C order."""
         case, grid, mask, op, space, params, u_star = make_problem("ELL2D-HARMONIC")
-        full = evaluate_expression(case["u_star"], grid.coords(), time_axis=False)
+        full = _evaluate(case["u_star"], grid.coords(), time_axis=False)
         assert np.array_equal(u_star, mask.gather(full))
         assert np.array_equal(params.data.g0, full[mask.value_layer])
         assert np.array_equal(params.data.g1, full[mask.deriv_layer])
@@ -299,6 +304,27 @@ class TestDataFile:
                                  + r[1:]) == 1
         assert (f"data file {tmp_path / 'trace.csv'}, line 2: value '{value}' is not finite"
                 in caplog.text)
+
+    def test_csv_conflicting_rows_exit_one(self, tmp_path, caplog):
+        """Two rows that give one node different values on one layer are
+        refused, naming the file, the layer, the node and both lines, however
+        close the values (a data set that loads with either one certifies)."""
+        seen = {}
+
+        def conflict(rows):
+            layer, flat, value = seen["row"] = rows[3]
+            seen["line"] = len(rows) + 2
+            return rows + [(layer, flat, value + 1e-9)]
+
+        assert self._certify_csv(tmp_path, conflict) == 1
+        layer, flat, value = seen["row"]
+        assert (f"data file {tmp_path / 'trace.csv'}: layer {layer} gives node {flat} the value "
+                f"{float(value)!r} on line 5 and {float(value) + 1e-9!r} on line {seen['line']}"
+                in caplog.text)
+
+    def test_csv_repeated_row_is_accepted(self, tmp_path):
+        """A row given twice with the same value loads as given once."""
+        assert self._certify_csv(tmp_path, lambda rows: rows + rows[3:5]) == 0
 
     def test_csv_header_only_exits_one(self, tmp_path, caplog):
         assert self._certify_csv(tmp_path, lambda r: []) == 1
@@ -451,20 +477,20 @@ class TestEmitReport:
 class TestExpressions:
     def test_basic_evaluation(self):
         pts = np.array([[0.5, 2.0], [1.0, -1.0]])
-        out = evaluate_expression("x0**2 + sin(x1)", pts, time_axis=False)
+        out = _evaluate("x0**2 + sin(x1)", pts, time_axis=False)
         assert out[0] == pytest.approx(0.25 + np.sin(2.0))
 
     def test_time_alias(self):
         pts = np.array([[0.5, 2.0]])
-        out = evaluate_expression("t", pts, time_axis=True)
+        out = _evaluate("t", pts, time_axis=True)
         assert out[0] == 2.0
 
     def test_bad_expression(self):
         with pytest.raises(ConfigError, match="cannot evaluate"):
-            evaluate_expression("import os", np.zeros((1, 2)), time_axis=False)
+            _evaluate("import os", np.zeros((1, 2)), time_axis=False)
 
     def test_constant_broadcast(self):
-        out = evaluate_expression("3.5", np.zeros((4, 2)), time_axis=False)
+        out = _evaluate("3.5", np.zeros((4, 2)), time_axis=False)
         assert out.shape == (4,)
         assert np.all(out == 3.5)
 
@@ -484,7 +510,7 @@ class TestExpressions:
                 np.tanh(y) / np.cosh(x) + np.sinh(np.e * y),
         }
         for expr, want in cases.items():
-            assert np.array_equal(evaluate_expression(expr, pts, time_axis=False), want), expr
+            assert np.array_equal(_evaluate(expr, pts, time_axis=False), want), expr
 
     def test_power_tower_exits_one_within_seconds(self, tmp_path):
         """Literals evaluate as floats, so 9**9**9 overflows at once instead
@@ -904,6 +930,16 @@ class TestCli:
         assert main(["gradcheck", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["gradcheck"]["max_rel_error"] < 1e-6
+
+    def test_gradcheck_draw_stream_pinned(self, tmp_path):
+        """gradcheck's directions come from its seed's normals, one per free
+        DOF and direction: on the shipped config the largest relative error is
+        the figure of that stream (the golden file checks only the tolerance)."""
+        config = CONFIG_DIR / "hyp1d_quad_gradcheck.json"
+        assert main(["gradcheck", str(config), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["gradcheck"]["max_rel_error"] == pytest.approx(2.3656681003285858e-11,
+                                                                     rel=1e-12)
 
     def test_certify_command(self, tmp_path):
         cfg = {

@@ -34,14 +34,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import full_grid_table
+from oracles import gram_matrix, largest_cell_level_variation, to_matrix
 from convexcauchy import cli, grid as grid_module, harness, sobolev
 from convexcauchy.catalog import CASES
 from convexcauchy.errors import ConfigError, GeometryError, SolverError
-from convexcauchy.functional import CauchyData, FunctionalParams, data_extension, gradient
+from convexcauchy.functional import (CauchyData, FunctionalParams, data_extension, evaluate,
+                                     gradient)
 from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, build_grid,
                                classify_nodes, level_values, shift, step_tables, walk)
-from convexcauchy.harness import (build_setup, evaluate_expression, field_table,
-                                  load_cauchy_csv, load_problem)
+from convexcauchy.harness import build_setup, field_table, load_cauchy_csv, load_problem
 from convexcauchy.operators import LinearizedOperator, OperatorStencil, QuasilinearOperator
 from convexcauchy.optimizer import direct_solve
 from convexcauchy.sobolev import SobolevSpace, spd_factorized, spd_solve
@@ -166,7 +167,7 @@ def _level_and_grid(draw):
     else:
         c = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
         expr = f"{c[0]!r} - x0 + {c[1]!r} * sin(x{dim - 1}) + {c[2]!r} * x0 * x{dim - 1}"
-        spec = LevelSpec(family, c=0.1, xi_fn=lambda x: evaluate_expression(expr, x, False))
+        spec = LevelSpec(family, c=0.1, xi_fn=harness._expr_fn(expr, False))
     return spec, grid
 
 
@@ -258,7 +259,7 @@ def _assert_matches_full_grid(mask):
         if np.any(both):
             step = shift(ell, axis_offset(dim, axis, 1), fill=np.nan)[both] - ell[both]
             worst = max(worst, float(np.max(np.abs(step))))
-    assert mask.largest_cell_level_variation() == worst
+    assert largest_cell_level_variation(mask) == worst
 
 
 CLASSIFIED = {
@@ -372,7 +373,7 @@ def _space(which, ell2d_mask, ell3d_setup) -> SobolevSpace:
         # CSC orientation of the constrained block is checked as well
         grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (31, 37))
         space = SobolevSpace(classify_nodes(grid, ell2d_mask.level))
-        gram = space.gram_matrix()
+        gram = gram_matrix(space)
         assert (gram != gram.T).nnz > 0
     elif which == "2d-h3-short":
         # 5 nodes along x1, fewer than 2 * order + 1: the flat offset +3 is
@@ -408,7 +409,7 @@ SPACES = ["2d-h3", "2d-h3-uneven", "2d-h3-short", "3d-h3", "3d-h3-uneven", "1d-h
 @pytest.mark.parametrize("which", SPACES)
 def test_gram_matrix_bit_identical_to_keep_every_chain(which, ell2d_mask, ell3d_setup):
     space = _space(which, ell2d_mask, ell3d_setup)
-    _assert_same_arrays(space.gram_matrix(), _keep_every_chain_gram(space))
+    _assert_same_arrays(gram_matrix(space), _keep_every_chain_gram(space))
 
 
 @pytest.mark.parametrize("which", SPACES)
@@ -419,7 +420,7 @@ def test_constrained_gram_is_the_free_block(which, ell2d_mask, ell3d_setup):
     free = space.mask.free_pos
     got = space.constrained_gram()
     assert got.format == "csc"
-    _assert_same_arrays(got, space.gram_matrix()[free][:, free].tocsc())
+    _assert_same_arrays(got, gram_matrix(space)[free][:, free].tocsc())
 
 
 def _stencil_rows(rows: list) -> SimpleNamespace:
@@ -494,12 +495,12 @@ def _full_hessian_solve(params) -> np.ndarray:
     solved by the same helper (mixed precision from three axes on)."""
     mask, space = params.mask, params.space
     v = params.impose_dofs(np.zeros(mask.dofs.size))
-    lmat = params.stencil.linearize(v).to_matrix()
+    lmat = to_matrix(params.stencil.linearize(v))
     hess = (lmat.T @ sp.diags(params.core_weight) @ lmat
-            + params.beta * space.gram_matrix()).tocsr()
+            + params.beta * gram_matrix(space)).tocsr()
     free = mask.free_pos
-    v[free] += spd_solve(hess[free][:, free], -0.5 * gradient(params, v)[free],
-                         mixed=mask.grid.dim >= 3).x
+    rhs = -0.5 * gradient(params, evaluate(params, v))[free]
+    v[free] += spd_solve(hess[free][:, free], rhs, mixed=mask.grid.dim >= 3).x
     return v
 
 
@@ -576,7 +577,7 @@ def _direct_normal(params) -> tuple[object, np.ndarray]:
 
 def _direct_matrix(params) -> sp.csr_matrix:
     """L: the free columns of the linearization's matrix."""
-    return _direct_linearization(params).to_matrix()[:, params.mask.free_pos]
+    return to_matrix(_direct_linearization(params))[:, params.mask.free_pos]
 
 
 def _scipy_system(params) -> sp.csc_matrix:
@@ -595,7 +596,7 @@ def _direct_system(params) -> tuple[sp.csc_matrix, np.ndarray]:
     v = params.impose_dofs(np.zeros(params.mask.dofs.size))
     hess = params.space.constrained_gram(params.beta, normal=_direct_normal(params))
     _assert_same_arrays(hess, _scipy_system(params))
-    return hess, -0.5 * gradient(params, v)[params.mask.free_pos]
+    return hess, -0.5 * gradient(params, evaluate(params, v))[params.mask.free_pos]
 
 
 def _hyp2d_params():
@@ -834,15 +835,16 @@ def test_core_weight_and_extrema_bit_identical(lam, ell3d_setup):
 # -- trace CSV -------------------------------------------------------------------
 
 
-def test_csv_last_row_wins_and_off_layer_rows_are_counted_once(ell3d_setup, tmp_path,
-                                                                  caplog):
+def test_csv_repeated_rows_and_off_layer_rows_are_counted_once(ell3d_setup, tmp_path,
+                                                                caplog):
+    """A row repeated with its value loads as given once, and the rows off
+    the trace layers are counted once per layer and node."""
     setup, trace = ell3d_setup
     mask, data = setup.mask, setup.params.data
     lines = trace.read_text().splitlines()
-    first_g0 = int(np.flatnonzero(mask.value_layer)[0])
     off_layer = int(np.flatnonzero(~mask.in_mask)[0])
-    lines[1:1] = [f"g0,{first_g0},123.0", f"g0,{off_layer},1.0"]  # overridden; ignored
-    lines += [f"g0,{off_layer},2.0", f"g1,{off_layer},2.0"]  # two distinct (layer, node)
+    lines[1:1] = [lines[1], f"g0,{off_layer},1.0"]  # repeated; ignored
+    lines += [f"g0,{off_layer},1.0", f"g1,{off_layer},2.0"]  # two distinct (layer, node)
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(lines) + "\n")
     with caplog.at_level(logging.WARNING, logger="convexcauchy.harness"):

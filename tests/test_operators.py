@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import CATALOG_IDS, make_problem
+from conftest import CATALOG_IDS, make_problem, smooth_draw
+from oracles import to_matrix
 from convexcauchy.errors import ConfigError
 from convexcauchy.grid import Field, LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import (
@@ -14,7 +15,6 @@ from convexcauchy.operators import (
     OperatorStencil,
     QuasilinearOperator,
 )
-from convexcauchy.sampling import random_smooth_values
 
 
 def validate_lower_term(f: Nonlinearity, b: np.ndarray, n_spatial: int,
@@ -98,7 +98,7 @@ class TestResidual:
         op_full = QuasilinearOperator(family="elliptic", dim=2,
                                       lower=LowerOrderTerm("cubic", source))
         stencil = OperatorStencil(op_full, ell2d_mask)
-        u = random_smooth_values(ell2d_mask, rng) * 2.0
+        u = smooth_draw(ell2d_mask, rng) * 2.0
         diff = stencil.residual(u) - stencil.principal(u)
         expect = -u[stencil.core_pos] ** 3
         assert np.allclose(diff, expect, atol=1e-12)
@@ -113,8 +113,8 @@ class TestLinearize:
     def test_linear_case_independent_of_base(self, ell2d_mask, rng):
         op = QuasilinearOperator(family="elliptic", dim=2)
         stencil = OperatorStencil(op, ell2d_mask)
-        v = random_smooth_values(ell2d_mask, rng)
-        u1 = random_smooth_values(ell2d_mask, rng)
+        v = smooth_draw(ell2d_mask, rng)
+        u1 = smooth_draw(ell2d_mask, rng)
         lin0 = stencil.linearize(np.zeros(ell2d_mask.dofs.size))
         lin1 = stencil.linearize(u1)
         assert np.array_equal(lin0.forward(v), lin1.forward(v))
@@ -139,11 +139,11 @@ class TestLinearize:
 
         op = QuasilinearOperator(family="elliptic", dim=2, lower=LowerOrderTerm("cubic", source))
         stencil = OperatorStencil(op, ell2d_mask)
-        u1 = 1.5 * random_smooth_values(ell2d_mask, rng)
+        u1 = 1.5 * smooth_draw(ell2d_mask, rng)
         lin = stencil.linearize(u1)
         base = stencil.residual(u1)
 
-        h0 = random_smooth_values(ell2d_mask, rng)
+        h0 = smooth_draw(ell2d_mask, rng)
         rems = []
         for scale in (0.5, 0.25, 0.125):
             h = scale * h0
@@ -185,8 +185,8 @@ class TestAdjoint:
             return points[..., 0]
 
         op = QuasilinearOperator(family="elliptic", dim=2, lower=LowerOrderTerm("sine", source))
-        lin = OperatorStencil(op, mask).linearize(random_smooth_values(mask, rng))
-        mat = lin.to_matrix()
+        lin = OperatorStencil(op, mask).linearize(smooth_draw(mask, rng))
+        mat = to_matrix(lin)
         v = rng.standard_normal(mask.dofs.size)
         w = rng.standard_normal(lin.stencil.core_pos.size)
         assert np.allclose(mat @ v, lin.forward(v), atol=1e-12)
@@ -199,7 +199,7 @@ class TestAdjoint:
         mask = classify_nodes(grid, LevelSpec(family="elliptic", a=0.1, c=0.45,
                                               nu=1.0, x_width=1.0))
         op = QuasilinearOperator(family="elliptic", dim=2)
-        mat = OperatorStencil(op, mask).linearize(np.zeros(mask.dofs.size)).to_matrix().toarray()
+        mat = to_matrix(OperatorStencil(op, mask).linearize(np.zeros(mask.dofs.size))).toarray()
         core = np.flatnonzero(mask.is_core[mask.in_mask])  # DOF positions of the core rows
         sub = mat[:, core]
         assert np.allclose(sub, sub.T, atol=1e-12)
@@ -222,7 +222,7 @@ class TestMixedCoefficients:
 
         op = QuasilinearOperator(family="elliptic", dim=2, principal=coeffs)
         lin = OperatorStencil(op, mask).linearize(np.zeros(mask.dofs.size))
-        mat = lin.to_matrix()
+        mat = to_matrix(lin)
         for _ in range(3):
             v = rng.standard_normal(mask.dofs.size)
             assert np.allclose(mat @ v, lin.forward(v), atol=1e-12)
@@ -263,9 +263,9 @@ class TestGradSqLowerTerm:
         op = QuasilinearOperator(family="elliptic", dim=2,
                                  lower=LowerOrderTerm("gradsq", source, scale))
         lin = OperatorStencil(op, ell2d_mask).linearize(
-            2.0 * random_smooth_values(ell2d_mask, rng))
+            2.0 * smooth_draw(ell2d_mask, rng))
         assert lin.first, "gradient-square term must produce first-order coefficients"
-        mat = lin.to_matrix()
+        mat = to_matrix(lin)
         for _ in range(5):
             v = rng.standard_normal(ell2d_mask.dofs.size)
             w = rng.standard_normal(lin.stencil.core_pos.size)
@@ -420,7 +420,7 @@ class TestFixedFields:
         stencil = OperatorStencil(op, ell2d_mask)
         at_construction = list(calls)
         assert at_construction and len(at_construction) == len(set(at_construction))
-        v = random_smooth_values(ell2d_mask, rng) + 1.0
+        v = smooth_draw(ell2d_mask, rng) + 1.0
         r = stencil.residual(v)
         lin = stencil.linearize(v)
         stencil.residual(2.0 * v)
@@ -443,7 +443,7 @@ class TestFixedFields:
         op = QuasilinearOperator(family="elliptic", dim=2,
                                  lower=LowerOrderTerm(kind, lambda p: np.cos(p[..., 0])))
         stencil = OperatorStencil(op, ell2d_mask)
-        v = random_smooth_values(ell2d_mask, rng)
+        v = smooth_draw(ell2d_mask, rng)
         monkeypatch.setattr(OperatorStencil, "gradient", lambda *args: pytest.fail("gradient"))
         stencil.residual(v)
         stencil.linearize(v)
@@ -526,8 +526,8 @@ def test_to_matrix_bit_identical_to_the_coo_of_terms(which, ell2d_mask, rng):
     a zero and at a random base field."""
     op, mask = _to_matrix_case(which, ell2d_mask)
     stencil = OperatorStencil(op, mask)
-    for base in (np.zeros(mask.dofs.size), 2.0 * random_smooth_values(mask, rng)):
+    for base in (np.zeros(mask.dofs.size), 2.0 * smooth_draw(mask, rng)):
         lin = stencil.linearize(base)
-        got, want = lin.to_matrix(), _coo_of_terms(lin)
+        got, want = to_matrix(lin), _coo_of_terms(lin)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import ball_draw, make_problem
+from oracles import gram_matrix, to_matrix
 from convexcauchy import cli, harness, optimizer, sobolev
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.functional import (CauchyData, Evaluation, FunctionalParams, bregman_gap,
@@ -70,7 +71,7 @@ class TestRun:
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
         u_direct = direct_solve(params).final
-        start = draw_in_ball(params, 150.0, rng)
+        start = ball_draw(params, 150.0, rng)
         cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
         report = run(params, start, cfg)
         assert report.converged
@@ -89,7 +90,7 @@ class TestRun:
         assert (first.factorizations, first.refinements) == (1, 0)
         assert (second.factorizations, second.refinements) == (1, 0)
         cfg = OptimizerConfig(max_iters=3, store_iterates=False)
-        start = draw_in_ball(params, 150.0, rng)
+        start = ball_draw(params, 150.0, rng)
         fresh = replace(params, space=SobolevSpace(mask))  # no factor made yet
         runs = [run(fresh, start, cfg) for _ in range(2)]
         assert [(r.factorizations, r.refinements) for r in runs] == [(1, 0), (0, 0)]
@@ -141,7 +142,7 @@ class TestRun:
         cfg = OptimizerConfig(max_iters=3000, grad_tol=1e-6, store_iterates=False)
         finals = []
         for _ in range(3):
-            start = draw_in_ball(params, 5.0, rng)
+            start = ball_draw(params, 5.0, rng)
             report = run(params, start, cfg)
             assert report.converged
             finals.append(report.final)
@@ -153,7 +154,7 @@ class TestRun:
     def test_monotone_descent_with_backtracking(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
         cfg = OptimizerConfig(max_iters=60, grad_tol=1e-12, store_iterates=False)
-        report = run(params, draw_in_ball(params, 5.0, rng), cfg)
+        report = run(params, ball_draw(params, 5.0, rng), cfg)
         js = report.j_history
         for k in range(len(report.step_history)):
             decrease = ARMIJO_C * report.step_history[k] * report.grad_norm_history[k] ** 2
@@ -169,7 +170,7 @@ class TestRun:
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
         start = data_extension(space, params.data)
         j = evaluate(params, start)
-        g = gradient(params, start, "sobolev", at=j)
+        g = gradient(params, j, "sobolev")
         gsq = float(np.sum(j.euclidean_gradient * g))
         a = evaluate(params, params.impose_dofs(start - g)) - j + gsq
         scale = (1.0 - ARMIJO_C / 2) * gsq / a
@@ -292,7 +293,7 @@ class TestRun:
             "ELL2D-HARMONIC", resolution=(17, 17), lam=2.0, beta=0.5)
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-14, step_mode="fixed",
                               gamma=0.99, store_iterates=False)
-        report = run(params, draw_in_ball(params, 150.0, rng), cfg)
+        report = run(params, ball_draw(params, 150.0, rng), cfg)
         _no_decrease(report, report.iterations - 1, params)
         assert report.halvings_history[-1] == 1
         assert report.evaluations == (1 + len(report.step_history)
@@ -306,7 +307,7 @@ class TestRun:
             "ELL2D-HARMONIC", resolution=(17, 17), lam=2.0, beta=0.5)
         monkeypatch.setattr(optimizer, "MAX_HALVINGS", 1)
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-14, store_iterates=False)
-        report = run(params, draw_in_ball(params, 150.0, rng), cfg)
+        report = run(params, ball_draw(params, 150.0, rng), cfg)
         _no_decrease(report, report.iterations - 1, params)
         assert report.halvings_history[-1] == 1
         assert report.evaluations == (1 + len(report.step_history)
@@ -314,7 +315,7 @@ class TestRun:
 
     def test_radius_reject_step_exits(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
-        start = draw_in_ball(params, 5.0, rng)
+        start = ball_draw(params, 5.0, rng)
         tiny = 0.5 * space.norm(start)
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-12, radius=tiny,
                               radius_policy="reject_step", store_iterates=False)
@@ -326,7 +327,7 @@ class TestRun:
         import logging
 
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
-        start = draw_in_ball(params, 5.0, rng)
+        start = ball_draw(params, 5.0, rng)
         tiny = 0.5 * space.norm(start)
         cfg = OptimizerConfig(max_iters=20, grad_tol=1e-12, radius=tiny,
                               radius_policy="monitor", store_iterates=False)
@@ -338,7 +339,7 @@ class TestRun:
     def test_iteration_cap_history_lengths(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
         cfg = OptimizerConfig(max_iters=5, grad_tol=1e-14, store_iterates=False)
-        report = run(params, draw_in_ball(params, 5.0, rng), cfg)
+        report = run(params, ball_draw(params, 5.0, rng), cfg)
         assert report.reason == "iteration cap reached"
         assert report.iterations == len(report.grad_norm_history) == 5
         assert len(report.step_history) == 5
@@ -356,7 +357,7 @@ class TestRun:
     def test_converged_history_lengths(self, rng):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC", lam=2.0, beta=0.55)
         cfg = OptimizerConfig(max_iters=3000, grad_tol=1e-6, store_iterates=False)
-        report = run(params, draw_in_ball(params, 5.0, rng), cfg)
+        report = run(params, ball_draw(params, 5.0, rng), cfg)
         assert report.converged
         assert report.iterations == len(report.grad_norm_history) == len(report.j_history)
         assert len(report.step_history) == report.iterations - 1
@@ -443,8 +444,8 @@ class TestEvaluateOnce:
         report = run(params, data_extension(space, params.data), cfg)
         assert report.iterations == len(report.iterates) == 25
         for k, u in enumerate(report.iterates):
-            g = gradient(params, u, "sobolev")
-            gsq = float(np.sum(gradient(params, u) * g))  # the dual pairing
+            g = gradient(params, evaluate(params, u), "sobolev")
+            gsq = float(np.sum(gradient(params, evaluate(params, u)) * g))  # the dual pairing
             assert gsq == pytest.approx(space.norm_sq(g), rel=1e-12)
             assert report.j_history[k] == evaluate(params, u)
             assert report.radius_history[k] == space.norm(u)
@@ -576,7 +577,7 @@ class TestReleases:
             return drawn
 
         monkeypatch.setattr(optimizer, "draw_in_ball", tracked)
-        convexity_certificate(params, radius=5.0, samples=5, seed=3)
+        convexity_certificate(params, radius=5.0, samples=5, seed=3, lambdas=[params.lam])
         assert alive == [0, 0, 0]
 
 
@@ -617,11 +618,11 @@ class TestConvergenceRatio:
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=2.0)
         free = mask.free_pos
         u_c = params.impose_dofs(np.zeros(mask.dofs.size))
-        lmat = params.stencil.linearize(u_c).to_matrix()
+        lmat = to_matrix(params.stencil.linearize(u_c))
         wdiag = sp.diags(params.core_weight)
-        hess = 2.0 * (lmat.T @ wdiag @ lmat + params.beta * space.gram_matrix())
+        hess = 2.0 * (lmat.T @ wdiag @ lmat + params.beta * gram_matrix(space))
         h_ff = hess[free][:, free].toarray()
-        g_ff = space.gram_matrix()[free][:, free].toarray()
+        g_ff = gram_matrix(space)[free][:, free].toarray()
         mu = sla.eigh(h_ff, g_ff, eigvals_only=True)
         gamma = min(0.9, 0.9 / float(np.max(mu)))
         q_pred = float(np.max(np.abs(1.0 - gamma * mu)))
@@ -630,7 +631,7 @@ class TestConvergenceRatio:
         cfg = OptimizerConfig(max_iters=80, grad_tol=1e-14, step_mode="fixed",
                               gamma=gamma, store_iterates=True)
         try:
-            report = run(params, draw_in_ball(params, 150.0, rng), cfg)
+            report = run(params, ball_draw(params, 150.0, rng), cfg)
         except SolverError:
             pytest.fail("fixed-step run should not diverge at the spectral step size")
         q_hat = convergence_ratio(report, u_ref)
@@ -640,7 +641,7 @@ class TestConvergenceRatio:
 class TestCertificate:
     def test_linear_operator_never_fails(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-HARMONIC", beta=0.2)
-        (report,) = convexity_certificate(params, radius=150.0, samples=15, seed=5)
+        (report,) = convexity_certificate(params, radius=150.0, samples=15, seed=5, lambdas=[params.lam])
         assert report.failures == 0
         assert report.passed
         assert report.min_margin >= 0.0
@@ -654,21 +655,21 @@ class TestCertificate:
             return [0.5 * params.beta * hk - 1e-6 for _ in gaps], h1_inner, hk
 
         monkeypatch.setattr(optimizer, "bregman_gap", short_gap)
-        (rep,) = convexity_certificate(params, radius=5.0, samples=3, seed=2)
+        (rep,) = convexity_certificate(params, radius=5.0, samples=3, seed=2, lambdas=[params.lam])
         assert rep.min_margin == pytest.approx(-1e-6, rel=1e-6)
         assert rep.failures == 3 and not rep.passed
 
     def test_zero_samples_rejected(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
         with pytest.raises(ConfigError):
-            convexity_certificate(params, radius=5.0, samples=0, seed=1)
+            convexity_certificate(params, radius=5.0, samples=0, seed=1, lambdas=[params.lam])
 
     def test_deterministic_under_seed(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        (r1,) = convexity_certificate(params, radius=5.0, samples=8, seed=11)
-        (r2,) = convexity_certificate(params, radius=5.0, samples=8, seed=11)
+        (r1,) = convexity_certificate(params, radius=5.0, samples=8, seed=11, lambdas=[params.lam])
+        (r2,) = convexity_certificate(params, radius=5.0, samples=8, seed=11, lambdas=[params.lam])
         assert r1.margins == r2.margins
-        (r3,) = convexity_certificate(params, radius=5.0, samples=8, seed=12)
+        (r3,) = convexity_certificate(params, radius=5.0, samples=8, seed=12, lambdas=[params.lam])
         assert r1.margins != r3.margins
 
     def test_sweep_matches_single_lambda_runs(self):
@@ -682,7 +683,7 @@ class TestCertificate:
             alone = FunctionalParams(
                 op=op, lam=lam, mask=mask, space=space,
                 beta=params.beta, data=params.data, beta_policy="keep")
-            (single,) = convexity_certificate(alone, radius=5.0, samples=12, seed=7)
+            (single,) = convexity_certificate(alone, radius=5.0, samples=12, seed=7, lambdas=[alone.lam])
             for key in ("margins", "gaps", "h1_inner_terms", "hk_terms", "failures",
                         "min_margin"):
                 assert getattr(rep, key) == getattr(single, key), (lam, key)
@@ -694,7 +695,7 @@ class TestCertificate:
 
     def test_margin_quantiles(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        (rep,) = convexity_certificate(params, radius=5.0, samples=20, seed=3)
+        (rep,) = convexity_certificate(params, radius=5.0, samples=20, seed=3, lambdas=[params.lam])
         q = rep.to_dict()["margin_quantiles"]
         assert q["min"] == rep.min_margin == min(rep.margins)
         assert q["median"] == float(np.median(rep.margins))
@@ -702,7 +703,7 @@ class TestCertificate:
 
     def test_report_serializable(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
-        (rep,) = convexity_certificate(params, radius=5.0, samples=4, seed=2)
+        (rep,) = convexity_certificate(params, radius=5.0, samples=4, seed=2, lambdas=[params.lam])
         d = rep.to_dict()
         assert d["samples"] == 4
         assert len(d["margins"]) == 4

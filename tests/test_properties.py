@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import smooth_draw
 from convexcauchy.functional import (
     CauchyData,
     FunctionalParams,
@@ -28,7 +29,6 @@ from convexcauchy.functional import (
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
 from convexcauchy.optimizer import OptimizerConfig, run
-from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import SobolevSpace
 
 from test_masked_setup import _keep_every_chain_gram
@@ -129,7 +129,7 @@ def level_problems(draw, level):
 
 def _start(params, rng):
     """The data extension plus a smooth zero-trace bump."""
-    bump = random_smooth_values(params.mask, rng)
+    bump = smooth_draw(params.mask, rng)
     return data_extension(params.space, params.data) + 0.5 * bump
 
 
@@ -146,8 +146,8 @@ def _check_adjoint(params, seed):
 def _check_gradient(params, seed):
     rng = np.random.default_rng(seed)
     u = _start(params, rng)
-    g = gradient(params, u, mode="euclidean")
-    h = random_smooth_values(params.mask, rng)
+    g = gradient(params, evaluate(params, u))
+    h = smooth_draw(params.mask, rng)
     delta = 1e-5 * max(1.0, float(np.max(np.abs(u))))
     fd = (evaluate(params, u + delta * h) - evaluate(params, u - delta * h)) / (2 * delta)
     an = float(g @ h)

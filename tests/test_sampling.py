@@ -2,9 +2,9 @@
 its appending form, which gathers the +-1 neighbours of every axis from the
 DOF vector extended by one zero slot with np.append, the value of every
 neighbour off the mask: on the same free-DOF normals the draws must be equal
-bit for bit and the generator must be left in the same state, one draw at a
-time or a stack of draws at once, so that every certificate sample and
-margin stays the same."""
+bit for bit, one draw at a time or a stack of draws at once, and a draw's
+normals must take the generator's stream as one normal per free DOF does, so
+that every certificate sample and margin stays the same."""
 
 import numpy as np
 import pytest
@@ -86,12 +86,15 @@ def test_smoothing_rows_at_the_bounding_box(name):
 @pytest.mark.parametrize("name", MASKS)
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_draw_matches_appending_form(name, seed):
+    """A one-draw stack of (free DOFs, 1) normals is the appending form's
+    draw of one normal per free DOF, and leaves the generator where it does."""
     mask = MASKS[name]()
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for passes in (8, 8, 3):
-        got = random_smooth_values(mask, rng, passes=passes)
+        normals = rng.standard_normal((mask.free_pos.size, 1))
+        got = random_smooth_values(mask, normals, passes=passes)
         want = _appending_smooth_values(mask, oracle_rng, passes=passes)
-        assert np.array_equal(got, want)
+        assert got.shape == (1, mask.dofs.size) and np.array_equal(got[0], want)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -118,11 +121,15 @@ def ell2d():
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_batch_does_not_change_the_stream(ell2d, seed):
+    """Row k of a k-draw stack equals a one-draw stack taken after the k
+    draws before it, and both leave the generator in the same state."""
     params, base, base_norm = ell2d
     rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = draw_in_ball(params, 5.0, rng, base, base_norm, draws=4)
+    batch = draw_in_ball(params, 5.0, rng, base, base_norm, 4)
+    assert batch.shape == (4, params.mask.dofs.size)
     for row in batch:
-        assert np.array_equal(row, draw_in_ball(params, 5.0, single_rng, base, base_norm))
+        (single,) = draw_in_ball(params, 5.0, single_rng, base, base_norm, 1)
+        assert np.array_equal(row, single)
     assert rng.bit_generator.state == single_rng.bit_generator.state
 
 
@@ -133,7 +140,7 @@ def test_draw_hits_its_target_norm(ell2d):
     params, base, base_norm = ell2d
     radius, slots = 5.0, params.mask.free_pos.size
     rng, replay = np.random.default_rng(3), np.random.default_rng(3)
-    for u in draw_in_ball(params, radius, rng, base, base_norm, draws=6):
+    for u in draw_in_ball(params, radius, rng, base, base_norm, 6):
         replay.standard_normal(slots)
         target = replay.uniform(*BALL_FRACTIONS) * radius
         length = np.sqrt(target**2 - base_norm**2)
@@ -148,6 +155,6 @@ def test_ball_cap_binds(ell2d):
     params, base, base_norm = ell2d
     radius = 1.001 * base_norm
     room = np.sqrt(radius**2 - base_norm**2)
-    for u in draw_in_ball(params, radius, np.random.default_rng(1), base, base_norm, draws=4):
+    for u in draw_in_ball(params, radius, np.random.default_rng(1), base, base_norm, 4):
         assert params.space.norm(u) < radius
         assert params.space.norm(u - base) == pytest.approx(0.95 * room, rel=1e-10)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import smooth_draw
+from oracles import gram_matrix
 from convexcauchy import sobolev
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.harness import build_setup
-from convexcauchy.sampling import random_smooth_values
 from convexcauchy.sobolev import (SobolevSpace, difference_monomials, sobolev_order,
                                   spd_factorized, spd_solve)
 
@@ -64,17 +65,17 @@ class TestInnerProduct:
     def test_gram_matches_inner_product(self, space, rng):
         f = rng.standard_normal(space.mask.dofs.size)
         g = rng.standard_normal(space.mask.dofs.size)
-        via_gram = float(g @ (space.gram_matrix() @ f))
+        via_gram = float(g @ (gram_matrix(space) @ f))
         assert via_gram == pytest.approx(space.inner_product(f, g), rel=1e-10)
 
     def test_gram_matrix_free_matches_sparse(self, space, rng):
         v = rng.standard_normal(space.mask.dofs.size)
-        assert np.allclose(space.apply_gram(v), space.gram_matrix() @ v, rtol=1e-12, atol=1e-8)
+        assert np.allclose(space.apply_gram(v), gram_matrix(space) @ v, rtol=1e-12, atol=1e-8)
 
     def test_gram_spd_rayleigh(self, space, rng):
         smallest = np.inf
         for _ in range(20):
-            v = random_smooth_values(space.mask, rng)
+            v = smooth_draw(space.mask, rng)
             if not np.any(v):
                 continue
             q = float(np.sum(v * space.apply_gram(v))) / float(np.sum(v * v))
@@ -86,7 +87,7 @@ class TestRiesz:
     """riesz on DOF vectors; b must vanish on the trace layers."""
 
     def test_round_trip(self, space, rng):
-        w = random_smooth_values(space.mask, rng)
+        w = smooth_draw(space.mask, rng)
         rhs = space.apply_gram(w)
         rhs[space.mask.trace_pos] = 0.0
         rec = space.riesz(rhs)
@@ -103,7 +104,7 @@ class TestRiesz:
         g = space.riesz(rhs)
         gnorm = space.norm(g)
         for _ in range(10):
-            h = random_smooth_values(mask, rng)
+            h = smooth_draw(mask, rng)
             lhs = space.inner_product(g, h)
             rhs_pairing = float(np.sum(rhs * h))
             assert abs(lhs - rhs_pairing) <= 1e-8 * max(1.0, gnorm * space.norm(h))
@@ -282,7 +283,7 @@ class TestEmbeddingEcho:
             grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (res, res))
             mask = classify_nodes(grid, spec)
             space = SobolevSpace(mask)
-            solve = spla.factorized(space.gram_matrix().tocsc())
+            solve = spla.factorized(gram_matrix(space).tocsc())
             ell = level_values(mask.level, grid.open_coords())
             window = np.flatnonzero(mask.gather(ell > mask.theta + 2 * mask.epsilon))
             best = 0.0

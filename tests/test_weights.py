@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import largest_cell_level_variation
 from convexcauchy.errors import ConfigError, SolverError
 from convexcauchy.functional import CauchyData, FunctionalParams
 from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
@@ -112,7 +113,7 @@ class TestExtrema:
         level = LevelSpec(family="generic", c=0.3, epsilon=0.05,
                           xi_fn=lambda x: 1.0 - x[0])
         mask = classify_nodes(grid, level)
-        cell = mask.largest_cell_level_variation()
+        cell = largest_cell_level_variation(mask)
         for lam in (1.0, 5.0, 10.0):
             w_min, w_max, argmin = weight_extrema(mask, lam)
             assert argmin == Label.XI_BOUNDARY
