@@ -43,7 +43,6 @@ from .optimizer import (
     RunReport,
     convergence_ratio,
     convexity_certificate,
-    direct_solve,
     run,
 )
 from .sobolev import SobolevSpace, sobolev_order

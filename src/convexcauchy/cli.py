@@ -23,7 +23,7 @@ from .harness import (
     history_table,
     load_problem,
 )
-from .optimizer import convexity_certificate, direct_solve, run
+from .optimizer import convexity_certificate, run
 from .sampling import random_smooth_values
 from .weights import weight_extrema
 
@@ -48,10 +48,7 @@ def _base_report(setup: ProblemSetup, command: str) -> dict:
 
 def cmd_solve(setup: ProblemSetup, args) -> int:
     report = _base_report(setup, "solve")
-    if setup.solver == "direct":
-        run_report = direct_solve(setup.params, setup.opt_config)
-    else:
-        run_report = run(setup.params, None, setup.opt_config)
+    run_report = run(setup.params, None, setup.opt_config, setup.solver)
     report["run"] = run_report.to_dict()
     run_report.iterates = None  # q_hat is reported: the stored iterates are spent
     report["errors"] = error_norms(setup, run_report.final)
@@ -142,6 +139,8 @@ def _parse_lambdas(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad --lambda list {text!r}: {exc}") from exc
     if not lambdas:
         raise argparse.ArgumentTypeError(f"--lambda list {text!r} names no lambda")
+    if not all(np.isfinite(lam) and lam >= 1.0 for lam in lambdas):
+        raise argparse.ArgumentTypeError(f"{text!r}: each lambda must be a finite number >= 1")
     return lambdas
 
 

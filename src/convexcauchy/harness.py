@@ -46,11 +46,11 @@ import numpy as np
 
 from . import catalog
 from .errors import ConfigError, GeometryError
-from .functional import BETA_POLICIES, CauchyData, FunctionalParams, beta_window, data_extension
+from .functional import BETA_POLICIES, CauchyData, FunctionalParams, beta_window
 from .grid import (FAMILIES, TIME_FAMILIES, DomainMask, Field, Grid, Label, LevelSpec,
                    build_grid, classify_nodes, coordinate_components)
 from .operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
-from .optimizer import RADIUS_POLICIES, SOLVERS, STEP_MODES, OptimizerConfig
+from .optimizer import RADIUS_POLICIES, SOLVERS, STEP_MODES, OptimizerConfig, default_start
 from .sobolev import SobolevSpace
 
 logger = logging.getLogger(__name__)
@@ -664,5 +664,5 @@ def history_table(run_report) -> dict[str, list]:
 
 
 def starting_field(setup: ProblemSetup) -> Field:
-    """Default initial iterate: the smooth extension of the Cauchy data."""
-    return Field(setup.grid, setup.mask.scatter(data_extension(setup.space, setup.params.data)))
+    """The set-up's solver's own start (optimizer.default_start) on the whole grid."""
+    return Field(setup.grid, setup.mask.scatter(default_start(setup.params, setup.solver)))

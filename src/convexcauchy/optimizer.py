@@ -111,12 +111,23 @@ class RunReport:
         }
 
 
+def default_start(params: FunctionalParams, solver: str) -> np.ndarray:
+    """Where a solve given no start begins: for Gauss-Newton ("direct") the
+    trace data with zero free DOFs, which factorizes nothing; for the gradient
+    the data extension, made after the G_ff factor the Riesz solves keep."""
+    if solver == "direct":
+        return params.impose_dofs(np.zeros(params.mask.dofs.size))
+    space = params.space
+    space.constrained_solver()  # kept for the Riesz solves; the extension reuses it
+    start = data_extension(space, params.data)
+    params.check_dofs(start, "starting field")
+    return start
+
+
 def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerConfig,
         solver: str = "gradient") -> RunReport:
-    """Minimize J from the DOF vector `start` by the damped descent u + t d.
-    start None is the solver's own start: for the gradient the data extension,
-    made after the G_ff factor that the Riesz solves keep, so that it reuses
-    that factor; for Gauss-Newton the trace data with zero free DOFs.
+    """Minimize J from the DOF vector `start` by the damped descent u + t d;
+    start None is the solver's own start (default_start).
 
     d is the negative H^k (Sobolev) gradient (solver "gradient") or the
     Gauss-Newton step (solver "direct"): (L^T W L + beta G) d = -grad J / 2 on
@@ -157,15 +168,11 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     space = params.space
     work = space.factorizations, space.refinements, len(space.factor_fills)
     gauss_newton = solver == "direct"
-    if start is None and not gauss_newton:
-        space.constrained_solver()  # kept for the Riesz solves; the extension reuses it
-        start = data_extension(space, params.data)
-    if start is None:  # Gauss-Newton: the trace data with zero free DOFs
-        u = np.zeros(params.mask.dofs.size)
+    if start is None:
+        u = default_start(params, solver)
     else:
         params.check_dofs(start, "starting field")
-        u = np.array(start, dtype=float)
-    params.impose_dofs(u)
+        u = params.impose_dofs(np.array(start, dtype=float))
     report = RunReport(iterates=[] if config.store_iterates else None, space=space)
     exact = gauss_newton and (params.op.lower is None or params.op.lower.f.affine)
     free = params.mask.free_pos
@@ -290,12 +297,6 @@ def convergence_ratio(report: RunReport, reference: np.ndarray) -> float:
     y = np.log(errs[tail])
     slope = float(np.polyfit(n, y, 1)[0])
     return float(np.exp(slope))
-
-
-def direct_solve(params: FunctionalParams, config: OptimizerConfig | None = None) -> RunReport:
-    """The Gauss-Newton run ("direct") from the trace data with zero free
-    DOFs: for an affine residual one exact step, the minimizer of J."""
-    return run(params, None, config or OptimizerConfig(), "direct")
 
 
 @dataclass

@@ -257,6 +257,9 @@ MUTANTS = [
            "pass",
            "a gradient run makes the float64 factor before its start's data extension, so "
            "that a 3-D solve factorizes once and refines nothing"),
+    Mutant("optimizer.py", 'if solver == "direct":', "if False:",
+           "a Gauss-Newton start is the trace data with zero free DOFs, which factorizes "
+           "nothing, and starting_field is that start"),
     Mutant("cli.py", "rng.standard_normal((free, 1))", "rng.standard_normal((free, 2))",
            "each gradcheck direction takes the next normal of its seed per free DOF: the "
            "shipped gradcheck's error is the figure of that stream"),

@@ -21,7 +21,6 @@ from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, leve
 from convexcauchy.optimizer import (
     OptimizerConfig,
     convexity_certificate,
-    direct_solve,
     run,
 )
 from convexcauchy.sampling import random_compact_bump
@@ -75,7 +74,7 @@ def test_criterion_3_quadratic_oracle():
     _, grid, mask, op, space, params, _ = make_problem(
         "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
     rng = np.random.default_rng(303)
-    u_direct = direct_solve(params).final
+    u_direct = run(params, None, OptimizerConfig(), "direct").final
     cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
     report = run(params, ball_draw(params, 150.0, rng), cfg)
     assert report.converged
@@ -168,7 +167,7 @@ def _reconstruction_error(resolution, noise_level, seed=42):
         params = FunctionalParams(
             op=op, lam=params.lam, mask=mask, space=space,
             beta=params.beta, data=CauchyData(g0=g0, g1=g1), beta_policy="keep")
-    u = direct_solve(params).final
+    u = run(params, None, OptimizerConfig(), "direct").final
     ell = level_values(mask.level, grid.open_coords())
     window = mask.in_mask & (ell > mask.theta + 2 * mask.epsilon)
     w = mask.gather(np.where(window, mask.scatter(mask.dof_quad_weight), 0.0))

@@ -4,11 +4,11 @@ The per-layer metrics of bench/run_bench.py count spans by name: the
 gradient and J evaluations inside `optimizer.run` give the iteration and
 line-search counts, `SobolevSpace.inner_product` the norm work, the
 `functional.bregman_gap` spans inside `optimizer.convexity_certificate` the
-certificate samples, the `weights.mask_weight_sq` spans the weights built,
-and the `optimizer.direct_solve` span the direct solve. These tests install the tracer, unedited, around the shipped gradient solve,
-direct solve and sweep and check that those spans occur where the metrics
-look for them, that the tracer restores every name, and that tracing leaves
-the outputs unchanged.
+certificate samples, and the `weights.mask_weight_sq` spans the weights
+built. These tests install the tracer, unedited, around the shipped gradient
+solve, direct solve and sweep and check that those spans occur where the
+metrics look for them, that the tracer restores every name, and that
+tracing leaves the outputs unchanged.
 """
 
 import importlib.util
@@ -89,11 +89,12 @@ def test_tracer_sees_the_certificate_samples(tmp_path):
 
 
 def test_tracer_sees_the_direct_solve(tmp_path):
-    """A direct solve is one direct_solve span around the one descent loop,
-    whose gradient spans are the gradients its report counts."""
+    """A direct solve is the one descent loop, one optimizer.run span inside
+    cli.cmd_solve, whose gradient spans are the gradients its report counts."""
     rep = _traced_run(_load_spans(), ["solve", str(DIRECT_CONFIG)], tmp_path)
-    (direct,) = rep.named("optimizer.direct_solve")
-    assert rep.within(direct, "optimizer.run") == rep.named("optimizer.run") != []
+    (solve,) = rep.named("cli.cmd_solve")
+    (direct,) = rep.named("optimizer.run")
+    assert rep.within(solve, "optimizer.run") == [direct]
     report = json.loads((tmp_path / "traced" / "report.json").read_text())
     counters = report["run"]["counters"]
     assert len(rep.within(direct, "functional.gradient.euclidean")) == counters["gradients"]

@@ -18,7 +18,7 @@ from convexcauchy.functional import (
 )
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
-from convexcauchy.optimizer import direct_solve
+from convexcauchy.optimizer import OptimizerConfig, run
 from convexcauchy.sampling import random_compact_bump
 from convexcauchy.sobolev import SobolevSpace
 
@@ -142,7 +142,7 @@ class TestGradient:
 
     def test_gradient_vanishes_at_direct_minimizer(self):
         _, grid, mask, op, space, params, _ = make_problem("ELL2D-HARMONIC", beta=0.4)
-        u = direct_solve(params).final
+        u = run(params, None, OptimizerConfig(), "direct").final
         g = gradient(params, evaluate(params, u))
         g0 = gradient(params, evaluate(params, data_extension(space, params.data)))
         assert np.linalg.norm(g) < 1e-8 * max(1.0, np.linalg.norm(g0))

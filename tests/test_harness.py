@@ -1042,11 +1042,17 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,message", [
         ("nan", "finite"), ("inf", "finite"), (",", "names no lambda"), ("abc", "bad --lambda"),
-    ], ids=["nan", "inf", "empty", "not-a-number"])
+        ("0.5", "finite number >= 1"), ("1e309", "finite number >= 1"),
+    ], ids=["nan", "inf", "empty", "not-a-number", "below-one", "past-the-float-range"])
     def test_bad_lambda_flag_exits_one(self, tmp_path, caplog, capsys, flag, message):
+        """A --lambda list that names no finite number >= 1 is refused while
+        the arguments are parsed, naming the flag, before the config is read."""
         path = _sweep_config(tmp_path)
+        caplog.set_level("INFO", logger="convexcauchy")
         assert main(["sweep", str(path), f"--lambda={flag}"]) == 1
-        assert message in caplog.text + capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --lambda" in err and message in err
+        assert "resolved problem" not in caplog.text
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,overrides,message", [

@@ -44,7 +44,7 @@ from convexcauchy.grid import (DomainMask, Grid, Label, LevelSpec, axis_offset, 
                                classify_nodes, level_values, shift, step_tables, walk)
 from convexcauchy.harness import build_setup, field_table, load_cauchy_csv, load_problem
 from convexcauchy.operators import LinearizedOperator, OperatorStencil, QuasilinearOperator
-from convexcauchy.optimizer import direct_solve
+from convexcauchy.optimizer import OptimizerConfig, run
 from convexcauchy.sobolev import SobolevSpace, spd_factorized, spd_solve
 from convexcauchy.weights import mask_weight_sq, weight_extrema
 
@@ -541,7 +541,8 @@ def _direct_setup(which, request):
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell2d-45x37", "ell3d"])
 def test_direct_solve_bit_identical_to_full_hessian(which, request):
     setup = _direct_setup(which, request)
-    assert np.array_equal(direct_solve(setup.params).final, _full_hessian_solve(setup.params))
+    report = run(setup.params, None, OptimizerConfig(), "direct")
+    assert np.array_equal(report.final, _full_hessian_solve(setup.params))
 
 
 @pytest.mark.parametrize("which", ["ell2d-config", "ell2d-mixed", "ell2d-45x37", "ell3d",
@@ -565,13 +566,13 @@ def test_direct_system_bit_identical_to_the_csr_sum(which, request):
 
 
 def _direct_linearization(params):
-    """The linearization of direct_solve, at its starting field."""
+    """The linearization of the direct solve, at its start."""
     return params.stencil.linearize(params.impose_dofs(np.zeros(params.mask.dofs.size)))
 
 
 def _direct_normal(params) -> tuple[object, np.ndarray]:
     """(linearization, w): the linearization and the core weights, whose
-    L^T W L direct_solve adds to beta * G_ff."""
+    L^T W L the direct solve adds to beta * G_ff."""
     return _direct_linearization(params), params.core_weight
 
 
@@ -591,7 +592,7 @@ def _scipy_system(params) -> sp.csc_matrix:
 
 
 def _direct_system(params) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The free-DOF normal equations and right-hand side of direct_solve; the
+    """The free-DOF normal equations and right-hand side of the direct solve; the
     system has the arrays of the scipy oracle."""
     v = params.impose_dofs(np.zeros(params.mask.dofs.size))
     hess = params.space.constrained_gram(params.beta, normal=_direct_normal(params))
@@ -637,7 +638,8 @@ def _fresh_space(params, **changes):
 
 
 def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
-    counters = direct_solve(_fresh_space(ell3d_setup[0].params)).to_dict()["counters"]
+    params = _fresh_space(ell3d_setup[0].params)
+    counters = run(params, None, OptimizerConfig(), "direct").to_dict()["counters"]
     hess, rhs = _direct_system(ell3d_setup[0].params)
     assert counters["factorizations"] == 1
     assert counters["refinements"] == spd_solve(hess, rhs).refinements > 0
@@ -648,7 +650,8 @@ def test_repeated_direct_solve_counts_only_its_own_work(ell3d_setup):
     """A second direct solve on the same params refines its own float32
     factor and reports that work alone, as the first did."""
     params = _fresh_space(ell3d_setup[0].params)
-    first, second = (direct_solve(params).to_dict()["counters"] for _ in range(2))
+    first, second = (run(params, None, OptimizerConfig(), "direct").to_dict()["counters"]
+                     for _ in range(2))
     assert first == second and first["refinements"] > 0
 
 
@@ -660,7 +663,7 @@ def test_beta_underflowing_float32_falls_back(ell3d_setup):
     solved = spd_solve(hess, rhs)
     assert (solved.factorizations, solved.refinements) == (2, 0)
     assert np.array_equal(solved.x, spd_factorized(hess).solve(rhs))
-    report = direct_solve(params)
+    report = run(params, None, OptimizerConfig(), "direct")
     assert (report.factorizations, report.refinements) == (2, 0)
 
 
@@ -778,6 +781,39 @@ def test_gradient_solve_on_three_axes_factorizes_once(tmp_path, monkeypatch):
     assert run["counters"]["factorizations"] == len(splu_calls) == 1
     assert run["counters"]["refinements"] == 0
     assert splu_calls[0].dtype == np.float64
+
+
+def _solver_setup(where, solver, tmp_path):
+    """A fresh set-up of ELL2D-CUBIC or of the 3-D cap at 33^3 with `solver`."""
+    config = ({"case": "ELL2D-CUBIC"} if where == "ell2d"
+              else _ell3d_config(33, tmp_path / "trace.csv"))
+    return build_setup({**config, "solver": solver})
+
+
+@pytest.mark.parametrize("solver", ["gradient", "direct"])
+@pytest.mark.parametrize("where", ["ell2d", "ell3d"])
+def test_starting_field_is_where_run_starts(where, solver, tmp_path):
+    """starting_field is, to the bit, the start that `run` given none takes."""
+    field = harness.starting_field(_solver_setup(where, solver, tmp_path))
+    setup = _solver_setup(where, solver, tmp_path)
+    report = run(setup.params, None, OptimizerConfig(max_iters=1), setup.solver)
+    assert np.array_equal(setup.mask.gather(field.values), report.iterates[0])
+
+
+@pytest.mark.parametrize("where", ["ell2d", "ell3d"])
+def test_direct_starting_field_factorizes_nothing(where, tmp_path):
+    setup = _solver_setup(where, "direct", tmp_path)
+    harness.starting_field(setup)
+    assert setup.space.factorizations == 0 and setup.space.factor_fills == []
+
+
+def test_starting_field_then_run_factorizes_once_on_three_axes(tmp_path):
+    """The start that starting_field makes keeps the float64 factor that
+    `run` then reuses for its own start and its Riesz solves."""
+    setup = _solver_setup("ell3d", "gradient", tmp_path)
+    harness.starting_field(setup)
+    run(setup.params, None, OptimizerConfig(max_iters=1))
+    assert setup.space.factorizations == 1
 
 
 FULL_GRID_FORMS = [(DomainMask, name) for name in (
@@ -928,7 +964,7 @@ def test_direct_solve_stays_below_2_1_systems(ell3d_setup):
     last two)."""
     params = _fresh_space(ell3d_setup[0].params)
     hess, _ = _direct_system(params)
-    _, _, peak = _traced(lambda: direct_solve(params))
+    _, _, peak = _traced(lambda: run(params, None, OptimizerConfig(), "direct"))
     assert peak < 2.1 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
 
 
@@ -951,7 +987,7 @@ def test_direct_solve_releases_the_rows_before_the_factorization(ell3d_setup, mo
 
     monkeypatch.setattr(LinearizedOperator, "rows", tracked_rows)
     monkeypatch.setattr(sobolev, "_refine", tracked_refine)
-    direct_solve(params)
+    run(params, None, OptimizerConfig(), "direct")
     assert refs and alive == [0]
 
 

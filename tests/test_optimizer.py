@@ -24,7 +24,6 @@ from convexcauchy.optimizer import (
     RunReport,
     convergence_ratio,
     convexity_certificate,
-    direct_solve,
     run,
 )
 from convexcauchy.sampling import draw_in_ball
@@ -70,7 +69,7 @@ class TestRun:
     def test_quadratic_matches_direct_solve(self, rng):
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
-        u_direct = direct_solve(params).final
+        u_direct = run(params, None, OptimizerConfig(), "direct").final
         start = ball_draw(params, 150.0, rng)
         cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-5, store_iterates=False)
         report = run(params, start, cfg)
@@ -86,7 +85,7 @@ class TestRun:
         kept factor of the first."""
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
-        first, second = direct_solve(params), direct_solve(params)
+        first, second = (run(params, None, OptimizerConfig(), "direct") for _ in range(2))
         assert (first.factorizations, first.refinements) == (1, 0)
         assert (second.factorizations, second.refinements) == (1, 0)
         cfg = OptimizerConfig(max_iters=3, store_iterates=False)
@@ -102,7 +101,7 @@ class TestRun:
         other term it takes damped Gauss-Newton steps to the tolerance."""
         setup = build_setup({"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]},
                              "operator": {"id": kind, "q": "x0"}})
-        report = direct_solve(setup.params)
+        report = run(setup.params, None, OptimizerConfig(), "direct")
         assert report.converged
         if LOWER_TERMS[kind].affine:
             assert kind == "source" and report.step_history == [1.0]
@@ -120,7 +119,7 @@ class TestRun:
         to the bit, reason included, and exits 0."""
         cfg = {"case": "ELL2D-HARMONIC", "grid": {"resolution": [17, 17]},
                "operator": {"id": kind, "q": "x0"}}
-        library = direct_solve(build_setup(cfg).params)
+        library = run(build_setup(cfg).params, None, OptimizerConfig(), "direct")
         path = tmp_path / "p.json"
         path.write_text(json.dumps({**cfg, "solver": "direct", "output_dir": str(tmp_path / "out")}))
         assert cli.main(["solve", str(path)]) == 0
@@ -131,7 +130,7 @@ class TestRun:
     def test_start_at_minimizer_stops_immediately(self):
         _, grid, mask, op, space, params, _ = make_problem(
             "ELL2D-HARMONIC", resolution=(17, 17), lam=1.0, beta=0.5)
-        u_direct = direct_solve(params).final
+        u_direct = run(params, None, OptimizerConfig(), "direct").final
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-6)
         report = run(params, u_direct, cfg)
         assert report.converged
@@ -204,7 +203,7 @@ class TestRun:
         setup = build_setup({"case": "ELL2D-CUBIC", "grid": {"resolution": [17, 17]},
                              "level": {"a": 0.1, "nu": 2.0}, "weight": {"lambda": 1.0},
                              "functional": {"beta_policy": "keep"}})
-        report = direct_solve(setup.params)
+        report = run(setup.params, None, OptimizerConfig(), "direct")
         start = data_extension(setup.space, setup.params.data)
         reference = run(setup.params, start, OptimizerConfig(grad_tol=1e-8), "direct")
         assert report.converged and reference.converged
@@ -230,7 +229,7 @@ class TestRun:
             return Evaluation(np.inf) if len(evaluate_calls) in (2, 3) else evaluate(params, v)
 
         monkeypatch.setattr(optimizer, "evaluate", reject_two_trials)
-        report = direct_solve(setup.params)
+        report = run(setup.params, None, OptimizerConfig(), "direct")
         assert report.converged
         assert report.step_history[:2] == [0.25, 1.0] and report.halvings_history[:2] == [2, 0]
 
@@ -241,7 +240,7 @@ class TestRun:
         2.3e-3; no later step lowers J, and the reason names J, lambda and
         the span."""
         params, star = _cubic_cap_params(2.0)
-        report = direct_solve(params)
+        report = run(params, None, OptimizerConfig(), "direct")
         assert not report.converged and report.step_history == [1.0, 1.0]
         assert report.reason.startswith(
             "J does not decrease along the step at iteration 2 (J=3.47858e+24")
@@ -270,7 +269,7 @@ class TestRun:
         the minimizer the gradient descent stops near (grad_tol 1e-6), and
         ends at a J no larger."""
         setup = build_setup({"case": "ELL2D-CUBIC", "grid": {"resolution": [45, 37]}})
-        report = direct_solve(setup.params)
+        report = run(setup.params, None, OptimizerConfig(), "direct")
         descent = run(setup.params, data_extension(setup.space, setup.params.data),
                       OptimizerConfig(max_iters=3000))
         assert report.converged and descent.converged
@@ -627,7 +626,7 @@ class TestConvergenceRatio:
         gamma = min(0.9, 0.9 / float(np.max(mu)))
         q_pred = float(np.max(np.abs(1.0 - gamma * mu)))
 
-        u_ref = direct_solve(params).final
+        u_ref = run(params, None, OptimizerConfig(), "direct").final
         cfg = OptimizerConfig(max_iters=80, grad_tol=1e-14, step_mode="fixed",
                               gamma=gamma, store_iterates=True)
         try:
