@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ def beta_window(lam: float, epsilon: float) -> tuple[float, float]:
     return float(np.exp(-lam * epsilon)), 1.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FunctionalParams:
     """Everything needed to evaluate J: operator, weight strength, geometry, data.
 
@@ -70,30 +71,31 @@ class FunctionalParams:
     nearest point inside the window, under "keep" it is used as given (the
     convexity certificate sweeps rely on a fixed beta across lambda).
 
-    The fixed per-problem data is built here, once: the operator stencil, the
-    data weight on the core nodes, and the scale of the trace values.
-    Changing op, lam, mask, data or beta afterwards is not supported;
-    build new params instead. A lambda sweep keeps the params and passes
-    the weight of each lambda (core_weight_at) to bregman_gap.
+    Every per-problem structure is built here, once: the operator stencil, the
+    core nodes' data weight, the H^order `space` (order None: sobolev_order(dim))
+    and the trace values' scale. The params are frozen: a variant is
+    dataclasses.replace(params, ...), which builds them anew. A lambda sweep
+    keeps the params and passes each lambda's weight (core_weight_at) to bregman_gap.
     """
 
     op: QuasilinearOperator
     lam: float
     mask: DomainMask
-    space: SobolevSpace
     beta: float
     data: CauchyData
     beta_policy: str = "clamp"
+    order: int | None = None
 
     def __post_init__(self):
         if self.beta_policy not in BETA_POLICIES:
             raise ConfigError(f"unknown beta policy {self.beta_policy!r}")
         if not np.isfinite(self.beta):
             raise ConfigError(f"beta must be a finite number, got {self.beta}")
-        mask = self.mask
-        self.stencil = OperatorStencil(self.op, mask)  # refuses before beta's warning
-        self.core_weight = _core_weight(mask, self.lam)  # checks lam
-        self.beta = _windowed_beta(self.beta, self.lam, mask.epsilon, self.beta_policy)
+        mask, derived = self.mask, partial(object.__setattr__, self)
+        derived("stencil", OperatorStencil(self.op, mask))  # refuses before beta's warning
+        derived("core_weight", _core_weight(mask, self.lam))  # checks lam
+        derived("beta", _windowed_beta(self.beta, self.lam, mask.epsilon, self.beta_policy))
+        derived("space", SobolevSpace(mask, self.order))
         for name, values, layer in (("g0", self.data.g0, mask.value_pos),
                                     ("g1", self.data.g1, mask.deriv_pos)):
             if np.shape(values) != layer.shape:
@@ -101,11 +103,10 @@ class FunctionalParams:
                                   f"expected one value per layer node {layer.shape}")
             if not np.all(np.isfinite(values)):
                 raise ConfigError("Cauchy data contains non-finite values")
-        self._trace_scale = 1.0 + max(
+        derived("_trace_scale", 1.0 + max(
             float(np.max(np.abs(self.data.g0), initial=0.0)),
             float(np.max(np.abs(self.data.g1), initial=0.0)),
-        )
-        self._inner_h1: SobolevSpace | None = None
+        ))
 
     def core_weight_at(self, lam: float) -> np.ndarray:
         """The data weight on the core nodes at weight strength lam, with beta
@@ -115,12 +116,10 @@ class FunctionalParams:
         _windowed_beta(self.beta, lam, self.mask.epsilon, "keep")
         return weight
 
-    @property
+    @cached_property
     def inner_h1_space(self) -> SobolevSpace:
         """H^1 norm restricted to the inner subdomain (certificate diagnostic)."""
-        if self._inner_h1 is None:
-            self._inner_h1 = SobolevSpace(self.mask, order=1, node_subset=self.mask.inner_pos)
-        return self._inner_h1
+        return SobolevSpace(self.mask, order=1, node_subset=self.mask.inner_pos)
 
     def check_dofs(self, v: np.ndarray, what: str = "field") -> None:
         """Raise unless v is a finite DOF vector that carries the Cauchy data."""

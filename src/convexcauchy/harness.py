@@ -290,6 +290,10 @@ SCHEMA = {
         "lambdas": (_list(_AT_LEAST_ONE), (1.0, 2.0, 4.0, 8.0)),
     },
 }
+# the level keys each family reads (grid.level_values, LevelSpec.threshold)
+_LEVEL_READS = {"elliptic": ("a", "c", "nu", "x_width", "epsilon"),
+                "parabolic": ("a", "c", "nu", "x_width", "epsilon", "t_span"),
+                "hyperbolic": ("c", "eta", "x0", "epsilon"), "generic": ("c", "xi", "epsilon")}
 TOP_SCHEMA = {
     "case": (_choice(tuple(catalog.CASES)), None),
     "family": (_choice(FAMILIES), None),
@@ -337,12 +341,9 @@ def _convert(given: dict, table: dict, section: str = "") -> dict:
 
 @dataclass(eq=False)
 class ProblemSetup:
-    """A fully resolved problem: geometry, operator, functional, solver knobs."""
+    """A fully resolved problem: its params (grid, mask and space view theirs), solver knobs."""
 
     config: dict
-    grid: Grid
-    mask: DomainMask
-    space: SobolevSpace
     params: FunctionalParams
     opt_config: OptimizerConfig
     solver: str
@@ -350,6 +351,10 @@ class ProblemSetup:
     beta: dict  # requested and effective beta, and the admissible window
     certificate: dict  # the converted certificate section
     output_dir: Path
+
+    grid = property(lambda self: self.params.mask.grid)
+    mask = property(lambda self: self.params.mask)
+    space = property(lambda self: self.params.space)
 
 
 def load_problem(path: str | Path) -> ProblemSetup:
@@ -402,6 +407,11 @@ def build_setup(cfg: dict) -> ProblemSetup:
         grid = build_grid(grid_cfg["bounds"], grid_cfg["resolution"])
     axes = len(case["grid"]["bounds"]) if case else grid.dim
     _require(grid.dim == axes, "grid.resolution", f"case {top['case']} needs {axes} axes")
+    # a key the family does not read is refused unless at its default (an echo loads back)
+    defaults = _convert({}, SCHEMA["level"])
+    for key, value in level_cfg.items():
+        _require(key in _LEVEL_READS[family] or value == defaults[key], f"level.{key}",
+                 f"not read by the {family} family")
     _require(family != "generic" or level_cfg["xi"] is not None, "level.xi",
              "generic family needs a level expression")
     with _section("level"):
@@ -422,18 +432,17 @@ def build_setup(cfg: dict) -> ProblemSetup:
         clean = CauchyData(u_star[mask.value_pos], u_star[mask.deriv_pos])
     with _section("data"):
         g0, g1 = add_noise(clean.g0, clean.g1, data_cfg["noise_level"], data_cfg["noise_seed"])
-    space = SobolevSpace(mask, order=fun_cfg["order"])
     with _section("operator"):  # the stencil measures the principal part
         params = FunctionalParams(
-            op=op, lam=sections["weight"]["lambda"], mask=mask, space=space, beta=fun_cfg["beta"],
-            data=CauchyData(g0, g1), beta_policy=fun_cfg["beta_policy"])
+            op=op, lam=sections["weight"]["lambda"], mask=mask, beta=fun_cfg["beta"],
+            data=CauchyData(g0, g1), beta_policy=fun_cfg["beta_policy"], order=fun_cfg["order"])
     beta = {"requested": fun_cfg["beta"], "effective": params.beta,
             "window": list(beta_window(params.lam, mask.epsilon))}
 
     # the echo: the converted sections at the values the run used, without
     # unset keys and the output directory
     level_cfg["epsilon"] = mask.level.epsilon
-    fun_cfg.update(beta=params.beta, order=space.order)
+    fun_cfg.update(beta=params.beta, order=params.space.order)
     config = {key: top[key] for key in ("case", "family", "solver") if top[key] is not None}
     config.update({name: {key: value for key, value in section.items() if value is not None}
                    for name, section in sections.items()})
@@ -443,9 +452,8 @@ def build_setup(cfg: dict) -> ProblemSetup:
         sections["optimizer"].pop("mode")  # echoed only: the descent has one geometry
         opt_config = OptimizerConfig(**sections["optimizer"])
     return ProblemSetup(
-        config=config, grid=grid, mask=mask, space=space, params=params, opt_config=opt_config,
-        solver=top["solver"], u_star=u_star, beta=beta,
-        certificate=sections["certificate"], output_dir=Path(top["output_dir"]),
+        config=config, params=params, opt_config=opt_config, solver=top["solver"], u_star=u_star,
+        beta=beta, certificate=sections["certificate"], output_dir=Path(top["output_dir"]),
     )
 
 

@@ -205,6 +205,8 @@ class OperatorStencil:
         self.op = op
         self.mask = mask
         grid = mask.grid
+        if op.dim != grid.dim:
+            raise ConfigError(f"operator of dimension {op.dim} on a {grid.dim}-D grid")
         self.points = grid.coords(mask.dofs[mask.core_pos])
         n_core = self.points.shape[0]
         self.second_pure: list[tuple[int, np.ndarray]] = []

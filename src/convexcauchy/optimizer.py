@@ -88,7 +88,6 @@ class RunReport:
     q_hat: float | None = None
     wall_time: float = 0.0
     iterates: list[np.ndarray] | None = None  # DOF vectors of the accepted iterates
-    space: SobolevSpace | None = None  # measures iterate distances
 
     def to_dict(self) -> dict:
         """The run block of report.json; final_j is the last J of the history."""
@@ -173,7 +172,7 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     else:
         params.check_dofs(start, "starting field")
         u = params.impose_dofs(np.array(start, dtype=float))
-    report = RunReport(iterates=[] if config.store_iterates else None, space=space)
+    report = RunReport(iterates=[] if config.store_iterates else None)
     exact = gauss_newton and (params.op.lower is None or params.op.lower.f.affine)
     free = params.mask.free_pos
 
@@ -270,24 +269,21 @@ def run(params: FunctionalParams, start: np.ndarray | None, config: OptimizerCon
     report.wall_time = time.perf_counter() - t0
     if report.converged and report.iterates is not None and len(report.iterates) >= 7:
         try:
-            report.q_hat = convergence_ratio(report, report.final)
-        except (SolverError, ConfigError):
+            report.q_hat = convergence_ratio(space, report.iterates, report.final)
+        except SolverError:
             report.q_hat = None
     return report
 
 
-def convergence_ratio(report: RunReport, reference: np.ndarray) -> float:
-    """Fitted per-iteration contraction of ||u_n - reference||_{H^k}, reference
-    a DOF vector.
+def convergence_ratio(space: SobolevSpace, iterates: Sequence[np.ndarray],
+                      reference: np.ndarray) -> float:
+    """Fitted per-iteration contraction of ||u_n - reference|| in `space`'s norm,
+    u_n the DOF vectors `iterates` in order and `reference` a DOF vector.
 
     Least-squares slope of the log-error over the linear-decay tail; the
     returned q_hat is exp(slope). Needs at least 5 usable tail iterates.
     """
-    if report.iterates is None:
-        raise ConfigError("run stored no iterates; enable store_iterates")
-    if report.space is None:
-        raise ConfigError("report has no space attached")
-    errs = np.asarray([report.space.norm(v - reference) for v in report.iterates])
+    errs = np.asarray([space.norm(v - reference) for v in iterates])
     floor = max(errs.max() * 1e-14, 1e-300)
     usable = np.flatnonzero(errs > floor)
     if usable.size < 5:

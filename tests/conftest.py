@@ -1,5 +1,6 @@
 import logging
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from convexcauchy.catalog import CASES
-from convexcauchy.functional import FunctionalParams, data_extension
+from convexcauchy.functional import data_extension
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes, shift
 from convexcauchy.harness import build_setup
 from convexcauchy.sampling import draw_in_ball, random_smooth_values
@@ -39,21 +40,19 @@ def ell2d_mask():
 def make_problem(case_id, resolution=None, lam=None, beta=None, beta_policy="keep"):
     """(case, grid, mask, op, space, params, u_star) of a catalog case, built
     from its config {"case": case_id}; u_star is a DOF vector. The params are
-    built here, so that any beta (0 included) and policy can be given."""
+    the set-up's, replaced here, so that any beta (0 included) and policy can
+    be given."""
     cfg = {"case": case_id}
     if resolution is not None:
         cfg["grid"] = {"resolution": list(resolution)}
     setup = build_setup(cfg)
-    params = FunctionalParams(
-        op=setup.params.op,
+    params = replace(
+        setup.params,
         lam=setup.params.lam if lam is None else lam,
-        mask=setup.mask,
-        space=setup.space,
         beta=setup.beta["requested"] if beta is None else beta,
-        data=setup.params.data,
         beta_policy=beta_policy,
     )
-    return (CASES[case_id], setup.grid, setup.mask, params.op, setup.space, params,
+    return (CASES[case_id], setup.grid, setup.mask, params.op, params.space, params,
             setup.u_star)
 
 

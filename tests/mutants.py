@@ -266,6 +266,15 @@ MUTANTS = [
     Mutant("harness.py", "if kept != val:", "if False:",
            "two trace rows that give one node different values on one layer are refused, "
            "not loaded with whichever came last"),
+    Mutant("operators.py", "if op.dim != grid.dim:", "if False:",
+           "an operator whose dimension is not its grid's is refused naming both, not "
+           "built into a stencil that drops axes or raises an IndexError"),
+    Mutant("harness.py", "key in _LEVEL_READS[family]", "True",
+           "a level key that the family does not read is refused unless it holds its "
+           "default, not echoed as if the run had used it"),
+    Mutant("functional.py", "@dataclass(frozen=True, eq=False)", "@dataclass(eq=False)",
+           "the params are frozen: a field assigned after the stencil, the weight and the "
+           "space were built from it would leave them stale"),
 ]
 
 

@@ -99,7 +99,7 @@ def test_criterion_3_quadratic_oracle():
 @pytest.fixture(scope="module")
 def cubic_certificate_sweep():
     _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
-    params = FunctionalParams(op=op, lam=1.0, mask=mask, space=space, beta=1e-3,
+    params = FunctionalParams(op=op, lam=1.0, mask=mask, beta=1e-3,
                               data=case_params.data, beta_policy="keep")
     return convexity_certificate(params, radius=5.0, samples=50, seed=7,
                                  lambdas=(1.0, 2.0, 4.0, 8.0))
@@ -127,7 +127,7 @@ def test_criterion_5_global_convergence(cubic_certificate_sweep):
     _, grid, mask, op, space, case_params, _ = make_problem("ELL2D-CUBIC")
     data = case_params.data
     params = FunctionalParams(
-        op=op, lam=lam, mask=mask, space=space, beta=beta, data=data, beta_policy="keep")
+        op=op, lam=lam, mask=mask, beta=beta, data=data, beta_policy="keep")
     (cert,) = convexity_certificate(params, radius=5.0, samples=50, seed=7, lambdas=[params.lam])
     assert cert.passed, "certificate must pass at the multi-start (lambda, beta)"
 
@@ -165,7 +165,7 @@ def _reconstruction_error(resolution, noise_level, seed=42):
 
         g0, g1 = add_noise(params.data.g0, params.data.g1, noise_level, seed)
         params = FunctionalParams(
-            op=op, lam=params.lam, mask=mask, space=space,
+            op=op, lam=params.lam, mask=mask,
             beta=params.beta, data=CauchyData(g0=g0, g1=g1), beta_policy="keep")
     u = run(params, None, OptimizerConfig(), "direct").final
     ell = level_values(mask.level, grid.open_coords())

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
 from convexcauchy.optimizer import OptimizerConfig, run
 from convexcauchy.sampling import random_compact_bump
-from convexcauchy.sobolev import SobolevSpace
+from convexcauchy.sobolev import sobolev_order
 
 # (bounds, resolution, level) of the geometries the Bregman gap is checked on
 GAP_GEOMETRIES = {
@@ -46,7 +46,7 @@ def _gap_params(geometry, kind):
     scale = (lambda p: 0.5 + 0.2 * p[..., 0]) if kind == "gradsq" else None
     op = QuasilinearOperator(family=level.family, dim=grid.dim, lower=LowerOrderTerm(
         kind, lambda p: np.sin(p[..., 0]), scale))
-    return FunctionalParams(op=op, lam=2.0, mask=mask, space=SobolevSpace(mask), beta=1e-3,
+    return FunctionalParams(op=op, lam=2.0, mask=mask, beta=1e-3,
                             data=CauchyData(u[mask.value_pos], u[mask.deriv_pos]),
                             beta_policy="keep")
 
@@ -72,13 +72,10 @@ class TestEvaluate:
         from convexcauchy.operators import QuasilinearOperator
 
         op = QuasilinearOperator(family="elliptic", dim=2)
-        from convexcauchy.sobolev import SobolevSpace
-
-        space = SobolevSpace(ell2d_mask)
         data = CauchyData(g0=np.zeros(ell2d_mask.value_pos.size),
                           g1=np.zeros(ell2d_mask.deriv_pos.size))
         params = FunctionalParams(
-            op=op, lam=2.0, mask=ell2d_mask, space=space, beta=0.5, data=data,
+            op=op, lam=2.0, mask=ell2d_mask, beta=0.5, data=data,
             beta_policy="keep",
         )
         assert evaluate(params, np.zeros(ell2d_mask.dofs.size)) == 0.0
@@ -204,7 +201,7 @@ class TestGradient:
         op = QuasilinearOperator(family="elliptic", dim=2,
                                  lower=LowerOrderTerm("gradsq", source, scale))
         params = FunctionalParams(
-            op=op, lam=base_params.lam, mask=mask, space=space,
+            op=op, lam=base_params.lam, mask=mask,
             beta=1e-2, data=base_params.data, beta_policy="keep")
         u = data_extension(space, params.data)
         g = gradient(params, evaluate(params, u))
@@ -305,7 +302,7 @@ class TestBregmanGap:
         data = case_params.data
         min_margins = []
         for lam in (1.0, 2.0, 4.0, 8.0):
-            params = FunctionalParams(op=op, lam=lam, mask=mask, space=space, beta=1e-3,
+            params = FunctionalParams(op=op, lam=lam, mask=mask, beta=1e-3,
                                       data=data, beta_policy="keep")
             rng_local = np.random.default_rng(99)
             worst = np.inf
@@ -345,6 +342,30 @@ class TestCarlemanRatio:
                 h = random_compact_bump(mask, rng)
                 floor = min(floor, carleman_ratio(op, lam, mask, h))
         assert floor > 0.0
+
+
+class TestParams:
+    def test_fields_cannot_change_after_the_structures_are_built(self):
+        """The stencil, the data weight and the space are built from the fields
+        once: assigning lambda afterwards would leave J at the old lambda."""
+        params = make_problem("ELL2D-CUBIC")[5]
+        with pytest.raises(FrozenInstanceError):
+            params.lam = 4.0
+
+    def test_builds_its_own_space_of_the_given_order(self):
+        _, grid, mask, op, space, params, _ = make_problem("ELL2D-CUBIC")
+        own = FunctionalParams(op=op, lam=params.lam, mask=mask, beta=params.beta,
+                               data=params.data, order=2)
+        assert own.space.order == 2 and own.space.mask is own.mask
+        assert space.order == sobolev_order(grid.dim) and space.mask is params.mask
+
+    def test_replace_builds_a_new_space(self):
+        """A variant made by replace has a space of its own, with no work counted."""
+        params = make_problem("ELL1D-CUBIC")[5]
+        params.space.constrained_solver()
+        fresh = replace(params)
+        assert params.space.factorizations == 1
+        assert fresh.space is not params.space and fresh.space.factorizations == 0
 
 
 class TestBetaPolicy:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from convexcauchy.errors import ConfigError
 from convexcauchy.functional import beta_window, data_extension, evaluate
 from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.harness import (
+    ProblemSetup,
     add_noise,
     build_setup,
     emit_report,
@@ -54,6 +56,15 @@ class TestLoadProblem:
         assert setup.space.order == 3
         assert setup.config["functional"]["order"] == 3
         assert setup.config["level"]["nu"] == 1.0
+
+    def test_set_up_reads_the_params_own_parts(self):
+        """The set-up keeps the params alone; its grid, mask and space are the
+        params' own, the space of the configured order."""
+        setup = build_setup(minimal_config(functional={"order": 2}))
+        assert {f.name for f in fields(ProblemSetup)}.isdisjoint({"grid", "mask", "space"})
+        assert setup.params.order == 2 and setup.config["functional"]["order"] == 2
+        assert setup.space is setup.params.space and setup.space.order == 2
+        assert setup.mask is setup.params.mask and setup.grid is setup.params.mask.grid
 
     def test_beta_clamped_with_warning(self, tmp_path, caplog):
         import logging
@@ -1102,6 +1113,23 @@ class TestCli:
         with open(tmp_path / "out" / "history.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == report["run"]["iterations"]
+
+    @pytest.mark.parametrize("case,level,key,family", [
+        ("ELL2D-CUBIC", {"eta": 0.3, "x0": [0.5], "t_span": 9.0}, "t_span", "elliptic"),
+        ("HYP1D-QUAD", {"nu": 3.0, "a": 0.1, "x_width": 7.0}, "a", "hyperbolic"),
+        ("ELL2D-CUBIC", {"xi": "x0 + x1"}, "xi", "elliptic"),
+    ])
+    def test_level_key_the_family_does_not_read_exits_one(self, tmp_path, caplog, case, level,
+                                                          key, family):
+        """A level key that the family does not read would be ignored and
+        echoed as if the run had used it: exit 1, naming the key and the
+        family, with no output written."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"case": case, "level": level,
+                                    "output_dir": str(tmp_path / "out")}))
+        assert main(["solve", str(path)]) == 1
+        assert f"config field level.{key}: not read by the {family} family" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_direct_solver_with_fixed_step_exits_one(self, tmp_path, caplog):
         """`"solver": "direct"` with `"step_mode": "fixed"` is a config error:

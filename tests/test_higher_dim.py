@@ -15,7 +15,6 @@ from convexcauchy.functional import (
 )
 from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.operators import LowerOrderTerm, OperatorStencil, QuasilinearOperator
-from convexcauchy.sobolev import SobolevSpace
 
 
 def _data_from(u_vals, mask):
@@ -72,13 +71,12 @@ class TestHyperbolic2Plus1:
         pts = grid.coords()
         u_vals = pts[..., 0] ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2
         op = QuasilinearOperator(family="hyperbolic", dim=3)
-        space = SobolevSpace(mask)
-        assert space.order == 3
         params = FunctionalParams(
-            op=op, lam=1.5, mask=mask, space=space, beta=1e-2, data=_data_from(u_vals, mask),
+            op=op, lam=1.5, mask=mask, beta=1e-2, data=_data_from(u_vals, mask),
             beta_policy="keep")
+        assert params.space.order == 3
         rng = np.random.default_rng(42)
-        _fd_gradient_check(params, data_extension(space, params.data), rng)
+        _fd_gradient_check(params, data_extension(params.space, params.data), rng)
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +112,11 @@ class TestParabolic2Plus1:
 
     def test_gradient_fd(self, par2d_setup):
         grid, mask, op, u_star = par2d_setup
-        space = SobolevSpace(mask)
         params = FunctionalParams(
-            op=op, lam=1.5, mask=mask, space=space, beta=1e-2, data=_data_from(u_star, mask),
+            op=op, lam=1.5, mask=mask, beta=1e-2, data=_data_from(u_star, mask),
             beta_policy="keep")
         rng = np.random.default_rng(43)
-        _fd_gradient_check(params, data_extension(space, params.data), rng)
+        _fd_gradient_check(params, data_extension(params.space, params.data), rng)
 
 
 class TestElliptic3D:

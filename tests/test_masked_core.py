@@ -125,10 +125,9 @@ PROBLEMS = ["ell1d-cubic", "ell2d-mixed-gradsq", "ell3d-mixed-cubic", "par2d-cub
 @pytest.fixture(scope="module", params=PROBLEMS)
 def problem(request):
     op, mask = _problem(request.param)
-    space = SobolevSpace(mask)
     trace = 1.0 + 0.3 * np.sin(mask.grid.coords().sum(axis=-1))
     data = CauchyData(g0=trace[mask.value_layer], g1=trace[mask.deriv_layer])
-    params = FunctionalParams(op=op, lam=2.0, mask=mask, space=space, beta=0.1, data=data,
+    params = FunctionalParams(op=op, lam=2.0, mask=mask, beta=0.1, data=data,
                               beta_policy="keep")
     return params
 

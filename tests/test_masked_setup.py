@@ -608,8 +608,7 @@ def _hyp2d_params():
     pts = grid.coords(mask.dofs)
     star = np.cos(2 * np.sqrt(2) * pts[:, 2]) * np.sin(2 * pts[:, 0]) * np.sin(2 * pts[:, 1])
     return FunctionalParams(
-        op=QuasilinearOperator(family="hyperbolic", dim=3), lam=1.5, mask=mask,
-        space=SobolevSpace(mask), beta=1e-4,
+        op=QuasilinearOperator(family="hyperbolic", dim=3), lam=1.5, mask=mask, beta=1e-4,
         data=CauchyData(star[mask.value_pos], star[mask.deriv_pos]), beta_policy="keep")
 
 
@@ -631,14 +630,8 @@ def test_mixed_precision_solve_matches_float64(which, systems_3d):
     assert np.array_equal(again.x, solved.x) and again[1:] == solved[1:]
 
 
-def _fresh_space(params, **changes):
-    """params on a new space of its mask, so that the space's counters hold
-    only the work of the test that uses it."""
-    return replace(params, space=SobolevSpace(params.mask), **changes)
-
-
 def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
-    params = _fresh_space(ell3d_setup[0].params)
+    params = replace(ell3d_setup[0].params)
     counters = run(params, None, OptimizerConfig(), "direct").to_dict()["counters"]
     hess, rhs = _direct_system(ell3d_setup[0].params)
     assert counters["factorizations"] == 1
@@ -649,7 +642,7 @@ def test_direct_solve_counts_the_mixed_precision_work(ell3d_setup):
 def test_repeated_direct_solve_counts_only_its_own_work(ell3d_setup):
     """A second direct solve on the same params refines its own float32
     factor and reports that work alone, as the first did."""
-    params = _fresh_space(ell3d_setup[0].params)
+    params = replace(ell3d_setup[0].params)
     first, second = (run(params, None, OptimizerConfig(), "direct").to_dict()["counters"]
                      for _ in range(2))
     assert first == second and first["refinements"] > 0
@@ -658,7 +651,7 @@ def test_repeated_direct_solve_counts_only_its_own_work(ell3d_setup):
 def test_beta_underflowing_float32_falls_back(ell3d_setup):
     """beta * G underflows in float32 at beta 1e-300 and leaves the float32
     factor singular; float64 factorizes it, and its bits are returned."""
-    params = _fresh_space(ell3d_setup[0].params, beta=1e-300)
+    params = replace(ell3d_setup[0].params, beta=1e-300)
     hess, rhs = _direct_system(params)
     solved = spd_solve(hess, rhs)
     assert (solved.factorizations, solved.refinements) == (2, 0)
@@ -962,7 +955,7 @@ def test_direct_solve_stays_below_2_1_systems(ell3d_setup):
     releases L's rows after their term, and the float32 check makes no
     n-element mask (it held 2.5 systems with the first two, 2.13 with the
     last two)."""
-    params = _fresh_space(ell3d_setup[0].params)
+    params = replace(ell3d_setup[0].params)
     hess, _ = _direct_system(params)
     _, _, peak = _traced(lambda: run(params, None, OptimizerConfig(), "direct"))
     assert peak < 2.1 * (hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes)
@@ -972,7 +965,7 @@ def test_direct_solve_releases_the_rows_before_the_factorization(ell3d_setup, mo
     """The assembly takes the linearization, reads its stencil rows itself and
     releases them once L^T W L is summed: none is alive when the float32
     factor is made (they lived through the compaction and the refinement)."""
-    params = _fresh_space(ell3d_setup[0].params)
+    params = replace(ell3d_setup[0].params)
     refs, alive = [], []
     rows, refine = LinearizedOperator.rows, sobolev._refine
 

@@ -290,6 +290,14 @@ class TestGradSqLowerTerm:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_operator_of_another_dimension_refused(self, ell2d_mask, dim):
+        """An operator whose dimension is not its grid's is refused, naming both:
+        in 1-D its residual held only u_x0x0, in 3-D it raised an IndexError."""
+        op = QuasilinearOperator(family="elliptic", dim=dim)
+        with pytest.raises(ConfigError, match=f"operator of dimension {dim} on a 2-D grid"):
+            OperatorStencil(op, ell2d_mask)
+
     def test_ellipticity_violation_caught(self, ell2d_mask):
         def coeffs(points):
             out = np.zeros(points.shape[:-1] + (2, 2))

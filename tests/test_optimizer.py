@@ -21,7 +21,6 @@ from convexcauchy.operators import (LOWER_TERMS, LowerOrderTerm, OperatorStencil
 from convexcauchy.optimizer import (
     ARMIJO_C,
     OptimizerConfig,
-    RunReport,
     convergence_ratio,
     convexity_certificate,
     run,
@@ -51,7 +50,7 @@ def _cubic_cap_params(lam):
     params = FunctionalParams(
         op=QuasilinearOperator(family="elliptic", dim=3, lower=LowerOrderTerm(
             "cubic", lambda p: _cap_solution(p) ** 3)),
-        lam=lam, mask=mask, space=SobolevSpace(mask), beta=1e-3,
+        lam=lam, mask=mask, beta=1e-3,
         data=CauchyData(star[mask.value_pos], star[mask.deriv_pos]), beta_policy="keep")
     return params, star
 
@@ -90,7 +89,7 @@ class TestRun:
         assert (second.factorizations, second.refinements) == (1, 0)
         cfg = OptimizerConfig(max_iters=3, store_iterates=False)
         start = ball_draw(params, 150.0, rng)
-        fresh = replace(params, space=SobolevSpace(mask))  # no factor made yet
+        fresh = replace(params)  # a new space: no factor made yet
         runs = [run(fresh, start, cfg) for _ in range(2)]
         assert [(r.factorizations, r.refinements) for r in runs] == [(1, 0), (0, 0)]
 
@@ -589,23 +588,21 @@ class TestConvergenceRatio:
         grid, mask, space = self._space()
         direction = np.zeros(mask.dofs.size)
         direction[mask.free_pos] = rng.standard_normal(mask.free_pos.size)
-        report = RunReport(iterates=[0.5**n * direction for n in range(20)], space=space)
-        q = convergence_ratio(report, np.zeros(mask.dofs.size))
+        iterates = [0.5**n * direction for n in range(20)]
+        q = convergence_ratio(space, iterates, np.zeros(mask.dofs.size))
         assert q == pytest.approx(0.5, abs=1e-6)
 
     def test_stalled_run_gives_unit_ratio(self, rng):
         grid, mask, space = self._space()
         direction = np.zeros(mask.dofs.size)
         direction[mask.free_pos] = 1.0
-        report = RunReport(iterates=[direction for _ in range(12)], space=space)
-        q = convergence_ratio(report, np.zeros(mask.dofs.size))
+        q = convergence_ratio(space, [direction] * 12, np.zeros(mask.dofs.size))
         assert q == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_iterates(self):
         grid, mask, space = self._space()
-        report = RunReport(iterates=[np.zeros(mask.dofs.size)] * 3, space=space)
         with pytest.raises(SolverError, match="tail"):
-            convergence_ratio(report, np.zeros(mask.dofs.size))
+            convergence_ratio(space, [np.zeros(mask.dofs.size)] * 3, np.zeros(mask.dofs.size))
 
     def test_fixed_step_rate_matches_spectral_bound(self, rng):
         """Fixed-step descent in the Sobolev geometry contracts at the rate
@@ -633,7 +630,7 @@ class TestConvergenceRatio:
             report = run(params, ball_draw(params, 150.0, rng), cfg)
         except SolverError:
             pytest.fail("fixed-step run should not diverge at the spectral step size")
-        q_hat = convergence_ratio(report, u_ref)
+        q_hat = convergence_ratio(space, report.iterates, u_ref)
         assert abs(q_hat - q_pred) <= 0.1 * q_pred
 
 
@@ -680,8 +677,7 @@ class TestCertificate:
         assert [r.lam for r in sweep] == list(lambdas)
         for lam, rep in zip(lambdas, sweep):
             alone = FunctionalParams(
-                op=op, lam=lam, mask=mask, space=space,
-                beta=params.beta, data=params.data, beta_policy="keep")
+                op=op, lam=lam, mask=mask, beta=params.beta, data=params.data, beta_policy="keep")
             (single,) = convexity_certificate(alone, radius=5.0, samples=12, seed=7, lambdas=[alone.lam])
             for key in ("margins", "gaps", "h1_inner_terms", "hk_terms", "failures",
                         "min_margin"):

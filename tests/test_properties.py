@@ -29,7 +29,6 @@ from convexcauchy.functional import (
 from convexcauchy.grid import LevelSpec, build_grid, classify_nodes
 from convexcauchy.operators import LOWER_TERMS, LowerOrderTerm, QuasilinearOperator
 from convexcauchy.optimizer import OptimizerConfig, run
-from convexcauchy.sobolev import SobolevSpace
 
 from test_masked_setup import _keep_every_chain_gram
 
@@ -65,7 +64,7 @@ def _params(mask, family, lower):
     trace = 1.0 + 0.3 * np.sin(grid.coords().sum(axis=-1))
     return FunctionalParams(
         op=QuasilinearOperator(family=family, dim=grid.dim, lower=lower),
-        lam=1.0, mask=mask, space=SobolevSpace(mask),
+        lam=1.0, mask=mask,
         beta=0.1, data=CauchyData(g0=trace[mask.value_layer], g1=trace[mask.deriv_layer]),
         beta_policy="keep",
     )

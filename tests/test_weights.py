@@ -7,7 +7,6 @@ from convexcauchy.functional import CauchyData, FunctionalParams
 from convexcauchy.grid import Label, LevelSpec, build_grid, classify_nodes, level_values
 from convexcauchy.operators import QuasilinearOperator
 from convexcauchy.optimizer import convexity_certificate
-from convexcauchy.sobolev import SobolevSpace
 from convexcauchy.weights import mask_weight_sq, weight_extrema
 
 
@@ -41,8 +40,7 @@ def _params(mask, lam):
     """J of the Laplacian with zero data on `mask` at weight strength lam."""
     data = CauchyData(g0=np.zeros(mask.value_pos.size), g1=np.zeros(mask.deriv_pos.size))
     return FunctionalParams(op=QuasilinearOperator(family="elliptic", dim=mask.grid.dim),
-                            lam=lam, mask=mask, space=SobolevSpace(mask), beta=0.5, data=data,
-                            beta_policy="keep")
+                            lam=lam, mask=mask, beta=0.5, data=data, beta_policy="keep")
 
 
 class TestShiftedWeight:
